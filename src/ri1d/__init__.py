@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .rngs import RngState
 from .capacity import IntervalSet, EquilibriumMeasure, potential_kernel, capacity, capacity_hat, equilibrium_measure
 from .core_walks import WalkPath
-from .interlacements import Level, WindowSample, LocalTimeLaw
+from .interlacements import WindowSample, LocalTimeLaw
 from .ring_kernel import RingConfig, SurvivalKernel
 from .mc import EmpiricalSummary, Experiment, Verdict
 
@@ -23,7 +23,6 @@ __all__ = [
     "capacity_hat",
     "equilibrium_measure",
     "WalkPath",
-    "Level",
     "WindowSample",
     "LocalTimeLaw",
     "RingConfig",

@@ -3,7 +3,7 @@
 Every subcommand echoes its inputs, prints numeric results with 12
 significant digits, and can write a JSON object or CSV rows via --out.
 Exit codes: 0 success / all checks passed, 1 a verification verdict failed,
-2 usage or domain error.
+2 usage or domain error, or an input too large to compute.
 """
 
 from __future__ import annotations
@@ -394,7 +394,7 @@ def main(argv=None) -> int:
         args.workers = default_workers()
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"ri1d: error: {exc}", file=sys.stderr)
         return 2
 

@@ -192,6 +192,28 @@ def endpoint_leq_prob(x: int, delta: int, y: int) -> tuple[float, float]:
 
 # -- Monte Carlo helpers (vectorized over replicates) -------------------------
 
+def _absorb(gen: np.random.Generator, pos: np.ndarray, lo: int, hi: int | None,
+            max_steps: int):
+    """Step conditioned walkers until they are absorbed at lo or hi.
+
+    hi=None absorbs at lo only. Stops after max_steps steps or once every
+    walker is absorbed, drawing nothing for absorbed walkers. Returns (number
+    absorbed at lo, positions of the walkers still active).
+    """
+    hits = 0
+    for _ in range(max_steps):
+        if not pos.size:
+            break
+        u = gen.random(pos.size)
+        pos = pos + np.where(u < (pos + 1) / (2 * pos), 1, -1)
+        done = pos == lo
+        hits += int(done.sum())
+        if hi is not None:
+            done |= pos == hi
+        pos = pos[~done]
+    return hits, pos
+
+
 def simulate_hit_before(y: int, x: int, N: int, M: int, rng: RngState,
                         step_cap: int = ABSORPTION_STEP_CAP) -> float:
     """Empirical P[hit x before N] from M conditioned chains run to absorption."""
@@ -199,22 +221,12 @@ def simulate_hit_before(y: int, x: int, N: int, M: int, rng: RngState,
         raise ValueError(f"need 1 < x < y < N, got x={x}, y={y}, N={N}")
     if M < 1:
         raise ValueError("need at least one replicate")
-    gen = rng.generator()
-    pos = np.full(M, y, dtype=np.int64)
-    hits = 0
-    steps = 0
-    while pos.size:
-        u = gen.random(pos.size)
-        pos += np.where(u < (pos + 1) / (2 * pos), 1, -1)
-        hit = pos == x
-        lost = pos == N
-        hits += int(hit.sum())
-        pos = pos[~(hit | lost)]
-        steps += 1
-        if steps > step_cap:
-            raise RuntimeError(
-                f"absorption did not occur within {step_cap} steps "
-                f"({pos.size} walkers still active); suspect RNG pathology")
+    hits, active = _absorb(rng.generator(), np.full(M, y, dtype=np.int64),
+                           x, N, step_cap)
+    if active.size:
+        raise RuntimeError(
+            f"absorption did not occur within {step_cap} steps "
+            f"({active.size} walkers still active); suspect RNG pathology")
     return hits / M
 
 
@@ -228,20 +240,9 @@ def estimate_hit_prob(y: int, x: int, M: int, rng: RngState, horizon: int = 2000
     """
     if not (1 <= x < y):
         raise ValueError(f"need 1 <= x < y, got x={x}, y={y}")
-    gen = rng.generator()
-    pos = np.full(M, y, dtype=np.int64)
-    acc = 0.0
-    for _ in range(horizon):
-        u = gen.random(pos.size)
-        pos += np.where(u < (pos + 1) / (2 * pos), 1, -1)
-        hit = pos == x
-        acc += float(hit.sum())
-        pos = pos[~hit]
-        if not pos.size:
-            break
-    if pos.size:
-        acc += float(np.sum(x / pos))
-    return acc / M
+    hits, pos = _absorb(rng.generator(), np.full(M, y, dtype=np.int64),
+                        x, None, horizon)
+    return (hits + float(np.sum(x / pos))) / M
 
 
 def estimate_escape_prob(x: int, M: int, rng: RngState, horizon: int = 2000) -> float:
@@ -253,48 +254,8 @@ def estimate_escape_prob(x: int, M: int, rng: RngState, horizon: int = 2000) -> 
     if x < 1:
         raise ValueError(f"site must be >= 1, got {x}")
     gen = rng.generator()
-    pos = np.full(M, x, dtype=np.int64)
-    u = gen.random(M)
-    pos += np.where(u < (pos + 1) / (2 * pos), 1, -1)
-    returned = 0
-    # walkers that stepped down return to x almost surely (positive walk below
-    # x must cross it); resolve them immediately
-    below = pos < x
-    returned += int(below.sum())
-    pos = pos[~below]
-    escaped = 0.0
-    for _ in range(horizon):
-        if not pos.size:
-            break
-        u = gen.random(pos.size)
-        pos += np.where(u < (pos + 1) / (2 * pos), 1, -1)
-        hit = pos == x
-        returned += int(hit.sum())
-        pos = pos[~hit]
-    if pos.size:
-        escaped += float(np.sum(1.0 - x / pos))
-    return escaped / M
-
-
-def sample_paths_return_stats(x0: int, m: int, M: int, rng: RngState):
-    """Batch of M independent m-step paths from x0, summarized.
-
-    Returns (mean final position, unbiased estimate of the probability that
-    the walk ever returns to x0 after leaving it). The return probability uses
-    the same martingale-backed truncation correction as
-    :func:`estimate_hit_prob` for walkers above x0 at the horizon.
-    """
-    gen = rng.generator()
-    pos = np.full(M, x0, dtype=np.int64)
-    left = np.zeros(M, dtype=bool)
-    returned = np.zeros(M, dtype=bool)
-    for _ in range(m):
-        u = gen.random(M)
-        pos += np.where(u < (pos + 1) / (2 * pos), 1, -1)
-        returned |= left & (pos == x0)
-        left |= pos != x0
-    open_cases = left & ~returned & (pos > x0)
-    frac = returned.mean() + float(np.sum(x0 / pos[open_cases])) / M
-    # walkers below x0 at the horizon return a.s.
-    frac += float(np.sum(left & ~returned & (pos < x0))) / M
-    return float(pos.mean()), float(frac)
+    # walkers that step down to x-1 return to x almost surely (positive walk
+    # below x must cross it); resolve them after the first step
+    _, pos = _absorb(gen, np.full(M, x, dtype=np.int64), x - 1, None, 1)
+    _, pos = _absorb(gen, pos, x, None, horizon)
+    return float(np.sum(1.0 - x / pos)) / M

@@ -19,20 +19,9 @@ from .capacity import IntervalSet, capacity_hat
 from .rngs import RngState
 
 
-@dataclass(frozen=True)
-class Level:
-    """Process intensity alpha > 0."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"level must be positive, got {self.alpha}")
-
-
 def _alpha(level) -> float:
-    """Accept a Level or a bare positive float."""
-    a = level.alpha if isinstance(level, Level) else float(level)
+    """The level alpha as a float, checked to be positive."""
+    a = float(level)
     if not a > 0:
         raise ValueError(f"level must be positive, got {a}")
     return a
@@ -90,12 +79,6 @@ def local_time_variance(x: int, level) -> float:
 def vacant_prob_exact(A: IntervalSet, level) -> float:
     """P[A is vacant] = exp(-alpha * cap(A ∪ {0}))."""
     return math.exp(-_alpha(level) * capacity_hat(A))
-
-
-def sample_trajectory_count(A: IntervalSet, level, rng: RngState) -> int:
-    """Poisson draw of the number of trajectories hitting A."""
-    mean = _alpha(level) * capacity_hat(A)
-    return int(rng.generator().poisson(mean))
 
 
 # -- window sampler -----------------------------------------------------------
@@ -164,14 +147,9 @@ def sample_window(level, L: int, rng: RngState) -> WindowSample:
 
 # -- local times --------------------------------------------------------------
 
-def sample_local_time(x: int, level, rng: RngState) -> int:
-    """One draw of the local time at x: Poisson(alpha*x/2) geometric batches."""
-    return int(sample_local_times(x, level, 1, rng.generator())[0])
-
-
 def sample_local_times(x: int, level, M: int, gen: np.random.Generator,
                        chunk: int = 20000) -> np.ndarray:
-    """Vectorized batch of M independent local-time draws at site x."""
+    """M independent local-time draws at x: Poisson(alpha*x/2) geometric batches."""
     if x < 1:
         raise ValueError(f"site must be >= 1, got {x}")
     a = _alpha(level)

@@ -113,6 +113,9 @@ def run_replicates(experiment: Experiment, M: int, seed: int,
     pmf = None
     if experiment.integer_valued:
         values = data.astype(np.int64)
+        if np.any(values != data):
+            raise RuntimeError(f"experiment {experiment.name!r} is integer "
+                               "valued but produced non-integer values")
         if np.any(values < 0):
             raise RuntimeError(f"experiment {experiment.name!r} produced "
                                "negative integer values")

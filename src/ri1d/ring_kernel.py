@@ -1,18 +1,23 @@
 """Survival kernels h_n(x,t) for the walk killed at {0,n} and the ring walk.
 
 The ring of n sites with a forbidden origin is represented as the segment
-{1..n-1} with killing at 0 and n (ring site -a is line site n-a). Three
-backends compute h_n(x,t) = P_x[tau_{0,n} > t]: an exact normalized forward
-recursion (dp_table), the odd-mode spectral sum evaluated in signed log
-domain, and the first-mode asymptotic (4/pi) cos^t(pi/n) sin(pi x/n) valid
-once t >= (4/pi^2) n^2 ln n. On top of the kernel sit the time-inhomogeneous
-conditioned ring walk, exact vacant-set and local-time functionals, and the
-exact propagation routines behind the asymptotic verification checks.
+{1..n-1} with killing at 0 and n (ring site -a is line site n-a). One
+killed-walk step, :func:`_killed_steps`, computes every exact ring quantity:
+the simple walk killed at 0, n and optional extra sites, rescaled to max 1
+after each step with the scale carried in log domain. Run backward from the
+all-ones vector it gives h_n(x,t) = P_x[tau_{0,n} > t] (:func:`h_dp` and the
+:class:`SurvivalKernel` table); run forward from a point mass it gives the
+killed propagation behind the asymptotic verification checks. Point values
+also have closed forms: the odd-mode spectral sum in signed log domain, and
+the first-mode asymptotic (4/pi) cos^t(pi/n) sin(pi x/n), valid once
+t >= (4/pi^2) n^2 ln n. On top of the kernel table sit the time-inhomogeneous
+conditioned ring walk and its exact vacant-set and local-time functionals.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -23,11 +28,12 @@ from .config import in_cond_regime
 from .core_walks import WalkPath
 from .rngs import RngState
 
-#: Budget guard for dp tables: n*(t+1) float64 entries.
-DP_TABLE_MAX_ENTRIES = 10**9
+#: Memory budget in bytes for a kernel table plus its up-step table: half of
+#: the physical memory.
+KERNEL_BYTES_BUDGET = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
-# -- backends ------------------------------------------------------------------
+# -- point values and the killed-walk step -------------------------------------
 
 def _check_domain(n: int, x: int, t: int) -> None:
     if n < 2:
@@ -81,35 +87,42 @@ def h_spectral(n: int, x: int, t: int, clamp: bool = True) -> float:
     return min(max(val, 0.0), 1.0) if clamp else val
 
 
+def _killed_steps(v: np.ndarray, steps: int, extra_kill: tuple[int, ...] = ()):
+    """Yield (v, log_z) after each of ``steps`` steps of the killed walk.
+
+    One step maps v to 0.5 (v[x-1] + v[x+1]) on 1..n-1 (n = len(v) - 1) and
+    to 0 at 0, n and the extra_kill sites. The walk is symmetric, so this is
+    both the backward survival recursion and the forward transport of a
+    distribution. Each yielded v is a new array rescaled to max 1, standing
+    for v * exp(log_z); once nothing survives, v is zero and log_z is -inf.
+    """
+    n = len(v) - 1
+    kill = list(extra_kill)
+    log_z = 0.0
+    for _ in range(steps):
+        w = np.zeros(n + 1)
+        w[1:n] = 0.5 * (v[:n - 1] + v[2:])
+        if kill:
+            w[kill] = 0.0
+        m = w.max()
+        if m == 0.0:
+            log_z = -math.inf
+        else:
+            log_z += math.log(m)
+            w /= m
+        v = w
+        yield v, log_z
+
+
 def h_dp(n: int, x: int, t: int) -> float:
-    """Survival probability via the exact forward recursion."""
+    """Survival probability via the exact killed-walk recursion."""
     _check_domain(n, x, t)
-    v, log_z = _survival_vector(n, t)
-    return float(v[x] * math.exp(log_z))
-
-
-def h_dp_log(n: int, x: int, t: int) -> float:
-    """log h_n(x,t) via the recursion (-inf at the absorbing boundary)."""
-    _check_domain(n, x, t)
-    v, log_z = _survival_vector(n, t)
-    with np.errstate(divide="ignore"):
-        return float(np.log(v[x]) + log_z)
-
-
-def _survival_vector(n: int, t: int):
-    """Normalized survival vector at horizon t plus its log scale."""
     v = np.ones(n + 1)
     v[0] = v[n] = 0.0
     log_z = 0.0
-    for _ in range(t):
-        w = np.zeros_like(v)
-        w[1:n] = 0.5 * (v[:n - 1] + v[2:])
-        m = w.max()
-        if m == 0.0:
-            return w, -math.inf
-        log_z += math.log(m)
-        v = w / m
-    return v, log_z
+    for v, log_z in _killed_steps(v, t):
+        pass
+    return float(v[x] * math.exp(log_z))
 
 
 def h_asymptotic(n: int, x: int, t: int) -> tuple[float, bool]:
@@ -136,89 +149,45 @@ def h_over_t1_deviation(n: int, x: int, t: int) -> float:
 # -- kernel table and the conditioned ring walk --------------------------------
 
 class SurvivalKernel:
-    """Survival kernel for one ring size, queryable at every remaining time.
+    """Survival kernel h_n(x, s) of one ring size at every remaining time s.
 
-    The dp_table backend stores one normalized vector per remaining time
-    (memory O(n*t), guarded by DP_TABLE_MAX_ENTRIES) so the conditioned walk
-    can be stepped at any time without recomputation; spectral and asymptotic
-    backends answer point queries. Immutable after construction.
+    Stores the killed-walk vector of every remaining time s <= t_max,
+    rescaled to max 1, and its log scale, so the conditioned walk can be
+    stepped at any time without recomputation. Memory is O(n t_max); the
+    table and the up-step table the samplers derive from it must fit in
+    KERNEL_BYTES_BUDGET together. Immutable after construction.
     """
 
-    def __init__(self, n: int, t_max: int = 0, backend: str = "dp_table"):
-        if backend not in ("dp_table", "spectral", "asymptotic"):
-            raise ValueError(f"unknown backend {backend!r}")
+    def __init__(self, n: int, t_max: int = 0):
         _check_domain(n, 0, t_max)
+        need = 8 * (t_max + 1) * (2 * (n + 1) + 1)
+        if need > KERNEL_BYTES_BUDGET:
+            raise MemoryError(
+                f"kernel and step tables for n={n}, t_max={t_max} need {need} "
+                f"bytes, over the budget of {KERNEL_BYTES_BUDGET} (half of "
+                f"physical memory); use h_spectral for point values")
         self.n = n
         self.t_max = t_max
-        self.backend = backend
-        if backend == "dp_table":
-            if (t_max + 1) * (n + 1) > DP_TABLE_MAX_ENTRIES:
-                raise ValueError(
-                    f"dp table of {(t_max + 1) * (n + 1)} entries exceeds the "
-                    f"{DP_TABLE_MAX_ENTRIES} budget; use the spectral backend")
-            table = np.empty((t_max + 1, n + 1))
-            log_z = np.zeros(t_max + 1)
-            v = np.ones(n + 1)
-            v[0] = v[n] = 0.0
-            table[0] = v
-            for s in range(1, t_max + 1):
-                w = np.zeros(n + 1)
-                w[1:n] = 0.5 * (v[:n - 1] + v[2:])
-                m = w.max()
-                if m == 0.0:
-                    table[s:] = 0.0
-                    log_z[s:] = -np.inf
-                    break
-                log_z[s] = log_z[s - 1] + math.log(m)
-                v = w / m
-                table[s] = v
-            self._table = table
-            self._log_z = log_z
+        v = np.ones(n + 1)
+        v[0] = v[n] = 0.0
+        self._table = np.empty((t_max + 1, n + 1))
+        self._table[0] = v
+        self._log_z = np.zeros(t_max + 1)
+        for s, (v, log_z) in enumerate(_killed_steps(v, t_max), 1):
+            self._table[s] = v
+            self._log_z[s] = log_z
 
     def h(self, x: int, t: int) -> float:
         _check_domain(self.n, x, t)
-        if self.backend == "dp_table":
-            if t > self.t_max:
-                raise ValueError(f"horizon {t} exceeds table horizon {self.t_max}")
-            return float(self._table[t, x] * math.exp(self._log_z[t]))
-        if self.backend == "spectral":
-            return h_spectral(self.n, x, t)
-        val, ok = h_asymptotic(self.n, x, t)
-        if not ok:
-            warnings.warn(f"t={t} below the first-mode regime for n={self.n}",
-                          stacklevel=2)
-        return val
-
-    def log_h(self, x: int, t: int) -> float:
-        if self.backend == "dp_table":
-            _check_domain(self.n, x, t)
-            if t > self.t_max:
-                raise ValueError(f"horizon {t} exceeds table horizon {self.t_max}")
-            with np.errstate(divide="ignore"):
-                return float(np.log(self._table[t, x]) + self._log_z[t])
-        return math.log(self.h(x, t))
-
-    def step_up_prob(self, x: int, s: int) -> float:
-        """h(x+1, s-1) / (2 h(x, s)): the conditioned up-step probability."""
-        if not (0 < x < self.n) or s < 1:
-            raise ValueError(f"need 0 < x < n and s >= 1, got x={x}, s={s}")
-        if self.backend == "dp_table":
-            if s > self.t_max:
-                raise ValueError(f"horizon {s} exceeds table horizon {self.t_max}")
-            denom = self._table[s, x]
-            if denom == 0.0:
-                raise ValueError(f"h({x},{s}) = 0: conditioning is impossible")
-            ratio = math.exp(self._log_z[s - 1] - self._log_z[s])
-            return float(self._table[s - 1, x + 1] * ratio / (2.0 * denom))
-        hx = self.h(x, s)
-        if hx == 0.0:
-            raise ValueError(f"h({x},{s}) = 0: conditioning is impossible")
-        return self.h(x + 1, s - 1) / (2.0 * hx)
+        if t > self.t_max:
+            raise ValueError(f"horizon {t} exceeds table horizon {self.t_max}")
+        return float(self._table[t, x] * math.exp(self._log_z[t]))
 
     def _step_up_table(self) -> np.ndarray:
-        """Up-step probabilities P[s, x] for every remaining time (dp only)."""
-        if self.backend != "dp_table":
-            raise ValueError("step table requires the dp_table backend")
+        """Up-step probabilities h(x+1, s-1) / (2 h(x, s)) as P[s, x].
+
+        Entries where h(x, s) = 0, and row 0, are 0.
+        """
         n, t = self.n, self.t_max
         ratio = np.exp(self._log_z[:t] - self._log_z[1:])
         p = np.zeros((t + 1, n + 1))
@@ -230,12 +199,11 @@ class SurvivalKernel:
 
 @dataclass(frozen=True)
 class RingConfig:
-    """Ring walk setup: n sites, horizon t_total, start x0, optional level."""
+    """Ring walk setup: n sites, horizon t_total, start x0."""
 
     n: int
     t_total: int
     x0: int
-    alpha: float | None = None
 
     def __post_init__(self):
         if not 0 < self.x0 < self.n:
@@ -254,15 +222,6 @@ def ring_time_scale(n: int, alpha: float) -> int:
     return t
 
 
-def ring_step_up_prob(n: int, x: int, s: int, kernel: SurvivalKernel | None = None) -> float:
-    """Up-step probability of the conditioned ring walk at remaining time s."""
-    if kernel is None:
-        kernel = SurvivalKernel(n, s)
-    elif kernel.n != n:
-        raise ValueError(f"kernel is for n={kernel.n}, not {n}")
-    return kernel.step_up_prob(x, s)
-
-
 def sample_ring_path(cfg: RingConfig, rng: RngState,
                      kernel: SurvivalKernel | None = None) -> WalkPath:
     """One trajectory of the conditioned ring walk, all t_total steps."""
@@ -270,17 +229,28 @@ def sample_ring_path(cfg: RingConfig, rng: RngState,
         kernel = SurvivalKernel(cfg.n, cfg.t_total)
     if kernel.n != cfg.n:
         raise ValueError(f"kernel is for n={kernel.n}, not {cfg.n}")
-    if kernel.backend == "dp_table" and kernel.t_max < cfg.t_total:
-        raise ValueError(f"kernel horizon {kernel.t_max} < t_total {cfg.t_total}")
     if cfg.t_total >= 1 and kernel.h(cfg.x0, cfg.t_total) == 0.0:
         raise ValueError("conditioning on survival is impossible from this start")
-    gen = rng.generator()
-    pos = [cfg.x0]
-    x = cfg.x0
-    for s in range(cfg.t_total, 0, -1):
-        x = x + 1 if gen.random() < kernel.step_up_prob(x, s) else x - 1
-        pos.append(x)
-    return WalkPath(tuple(pos))
+    steps = _ring_steps(kernel, cfg.x0, cfg.t_total, 1, rng.generator())
+    return WalkPath((cfg.x0,) + tuple(int(pos[0]) for pos in steps))
+
+
+def _ring_steps(kernel: SurvivalKernel, x0: int, t: int, M: int,
+                gen: np.random.Generator):
+    """Yield the positions of M conditioned ring walkers after each of t steps.
+
+    The walkers start at x0 with t steps to go. Every yield is the same array,
+    updated in place. Uses the kernel's up-step table, so memory is O(n*t) and
+    time O(M*t).
+    """
+    if t > kernel.t_max:
+        raise ValueError(f"horizon {t} exceeds table horizon {kernel.t_max}")
+    p_up = kernel._step_up_table()
+    pos = np.full(M, x0, dtype=np.int64)
+    for s in range(t, 0, -1):
+        u = gen.random(M)
+        pos += np.where(u < p_up[s, pos], 1, -1)
+        yield pos
 
 
 def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
@@ -290,18 +260,11 @@ def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
 
     Returns (visit counts at visit_site over times 1..t, indicator that the
     whole path stays strictly inside the open interval stay_in); either may
-    be None when not requested. Uses a precomputed up-step table, so memory
-    is O(n*t) and time O(M*t).
+    be None when not requested.
     """
-    p_up = kernel._step_up_table()
-    if t > kernel.t_max:
-        raise ValueError(f"horizon {t} exceeds table horizon {kernel.t_max}")
-    pos = np.full(M, x0, dtype=np.int64)
     visits = np.zeros(M, dtype=np.int64) if visit_site is not None else None
     inside = np.ones(M, dtype=bool) if stay_in is not None else None
-    for s in range(t, 0, -1):
-        u = gen.random(M)
-        pos += np.where(u < p_up[s, pos], 1, -1)
+    for pos in _ring_steps(kernel, x0, t, M, gen):
         if visits is not None:
             visits += pos == visit_site
         if inside is not None:
@@ -329,18 +292,13 @@ def vacant_prob_ring_exact(n: int, t: int, x0: int, a: int, b: int) -> float:
     return math.exp(float(log_num) - float(log_den))
 
 
-def ring_local_time_sample(n_half: int, alpha: float, x: int, rng: RngState) -> int:
-    """Visits to x (times 1..t) of the ring-2n walk run for floor(4 a n^3/pi^2).
-
-    The start site n_half is not counted at time 0.
-    """
-    counts = ring_local_time_batch(n_half, alpha, x, 1, rng.generator())
-    return int(counts[0])
-
-
 def ring_local_time_batch(n_half: int, alpha: float, x: int, M: int,
                           gen: np.random.Generator) -> np.ndarray:
-    """Batch version of :func:`ring_local_time_sample`."""
+    """Visits to x of M conditioned walks on the ring of 2*n_half sites.
+
+    Each walk starts at n_half, runs for t = floor(4 alpha n_half^3 / pi^2)
+    steps, and counts its visits at times 1..t (the start is not counted).
+    """
     if n_half < 2 or not 0 < x < 2 * n_half:
         raise ValueError(f"need n_half >= 2 and 0 < x < 2*n_half, got "
                          f"n_half={n_half}, x={x}")
@@ -357,29 +315,20 @@ def _propagate_killed(length: int, start: int, steps: int,
     """Distribution of the simple walk killed at {0, length} + extra sites.
 
     Returns (weights summing to 1 over 0..length, log of the surviving mass)
-    after ``steps`` steps from ``start``; renormalizes each step so horizons
-    of ~1e5 steps stay well-scaled.
+    after ``steps`` steps from ``start``, or (zeros, -inf) once nothing
+    survives.
     """
-    kill = np.zeros(length + 1, dtype=bool)
-    kill[[0, length]] = True
-    for k in extra_kill:
-        kill[k] = True
-    if kill[start]:
+    if start in (0, length) or start in extra_kill:
         raise ValueError(f"start {start} is a killed site")
     w = np.zeros(length + 1)
     w[start] = 1.0
-    log_mass = 0.0
-    for _ in range(steps):
-        nxt = np.zeros_like(w)
-        nxt[1:] += 0.5 * w[:-1]
-        nxt[:-1] += 0.5 * w[1:]
-        nxt[kill] = 0.0
-        total = nxt.sum()
-        if total == 0.0:
-            return nxt, -math.inf
-        log_mass += math.log(total)
-        w = nxt / total
-    return w, log_mass
+    log_z = 0.0
+    for w, log_z in _killed_steps(w, steps, extra_kill):
+        pass
+    total = w.sum()
+    if total == 0.0:
+        return w, -math.inf
+    return w / total, log_z + math.log(total)
 
 
 def verify_pi4(n: int, delta: int, a: int) -> tuple[float, bool]:

@@ -65,6 +65,12 @@ class TestErrors:
             main(["no-such-command"])
         assert e.value.code == 2
 
+    def test_computation_error_exit_2(self, capsys):
+        # no pmf truncation point below 1e7 exists at x = 10000
+        code = main(["localtime-pmf", "--alpha", "1", "--x", "10000"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("ri1d: error: ")
+
     def test_ring_domain_error(self, capsys):
         code = main(["ring-vacant-exact", "--n", "10", "--t", "5", "--x0", "2",
                      "--a", "1", "--b", "3"])

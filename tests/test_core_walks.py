@@ -190,6 +190,10 @@ class TestMonteCarloHelpers:
 
     def test_return_stats(self):
         # ever-return probability from x0 is 1 - 1/(2 x0)
-        _, frac = cw.sample_paths_return_stats(4, 400, self.M, RngState(5))
+        frac = 1 - cw.estimate_escape_prob(4, self.M, RngState(5))
         p = 1 - cw.escape_prob(4)
         assert abs(frac - p) <= 4 * math.sqrt(p * (1 - p) / self.M)
+
+    def test_absorption_step_cap(self):
+        with pytest.raises(RuntimeError):
+            cw.simulate_hit_before(5, 2, 10**6, 100, RngState(5), step_cap=3)

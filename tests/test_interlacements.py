@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ri1d import interlacements as il
-from ri1d.capacity import IntervalSet
+from ri1d.capacity import IntervalSet, capacity_hat
 from ri1d.mc import tv_distance
 from ri1d.rngs import RngState
 
@@ -12,10 +12,10 @@ from ri1d.rngs import RngState
 class TestLevel:
     def test_positive(self):
         with pytest.raises(ValueError):
-            il.Level(0.0)
+            il.local_time_mean(1, 0.0)
         with pytest.raises(ValueError):
-            il.Level(-1.0)
-        assert il.Level(0.5).alpha == 0.5
+            il.local_time_mean(1, -1.0)
+        assert il.local_time_mean(1, 0.5) == 0.5
 
 
 class TestVacantExact:
@@ -44,17 +44,18 @@ class TestVacantExact:
 
 
 class TestTrajectoryCount:
+    # window trajectories touching x are those hitting A = [0, x]
     def test_origin_always_zero(self):
         for s in range(5):
-            assert il.sample_trajectory_count(
-                IntervalSet(0, 0), 2.0, RngState(s)) == 0
+            _, _, hits = il._simulate_window_batch(
+                2.0, 5, 20, RngState(s).generator(), track_site=0)
+            assert not hits.any()
 
     def test_poisson_moments(self):
-        gen = RngState(3).generator()
-        draws = np.array([il.sample_trajectory_count(IntervalSet(0, 2), 1.0,
-                                                     RngState(3, i))
-                          for i in range(2000)])
-        assert abs(draws.mean() - 1.0) <= 4 / math.sqrt(2000)
+        _, _, draws = il._simulate_window_batch(
+            1.0, 6, 2000, RngState(3).generator(), track_site=2)
+        lam = capacity_hat(IntervalSet(0, 2))
+        assert abs(draws.mean() - lam) <= 4 * math.sqrt(lam / 2000)
         p0 = float(np.mean(draws == 0))
         target = il.vacant_prob_exact(IntervalSet(0, 2), 1.0)
         assert abs(p0 - target) <= 4 * math.sqrt(target * (1 - target) / 2000)
@@ -117,7 +118,7 @@ class TestWindowSampler:
 class TestLocalTimeSampler:
     def test_domain(self):
         with pytest.raises(ValueError):
-            il.sample_local_time(0, 1.0, RngState(0))
+            il.sample_local_times(0, 1.0, 1, RngState(0).generator())
 
     def test_zero_class(self):
         gen = RngState(2).generator()

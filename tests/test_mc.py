@@ -58,6 +58,14 @@ class TestRunReplicates:
         assert s.mean == float(data.mean())
         assert s.variance == float(data.var(ddof=1))
 
+    def test_integer_valued_rejects_fractions(self):
+        frac = Experiment("frac", lambda g, m: np.full(m, 0.7))
+        with pytest.raises(RuntimeError, match="non-integer"):
+            run_replicates(frac, 100, seed=1)
+        whole = run_replicates(Experiment("whole", lambda g, m: np.full(m, 2.0)),
+                               100, seed=1)
+        assert whole.frequency(2) == 1.0
+
     def test_bad_m(self):
         with pytest.raises(ValueError):
             run_replicates(poisson_exp(), 0, seed=1)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -61,7 +62,7 @@ class TestKernelBackends:
     def test_deep_underflow_log_domain(self):
         # magnitudes near 1e-300 keep full relative accuracy
         log_sp, sign = rk.h_spectral_log(6, 3, 10**4)
-        log_dp = rk.h_dp_log(6, 3, 10**4)
+        _, log_dp = rk._propagate_killed(6, 3, 10**4)
         assert sign == 1.0
         assert float(log_sp) == pytest.approx(log_dp, rel=1e-12)
         assert log_dp < -1000
@@ -109,15 +110,17 @@ class TestRingWalk:
             rk.ring_time_scale(2, 1e-6)
 
     def test_step_up_prob_values(self):
-        assert rk.ring_step_up_prob(4, 2, 2) == pytest.approx(0.5, rel=1e-12)
-        assert rk.ring_step_up_prob(4, 1, 1) == pytest.approx(1.0, rel=1e-12)
+        p_up = rk.SurvivalKernel(4, 2)._step_up_table()
+        assert p_up[2, 2] == pytest.approx(0.5, rel=1e-12)
+        assert p_up[1, 1] == pytest.approx(1.0, rel=1e-12)
 
     def test_step_symmetry_and_normalization(self):
         kernel = rk.SurvivalKernel(9, 50)
+        p_up = kernel._step_up_table()
         for s in range(1, 51):
             for x in range(1, 9):
-                up = kernel.step_up_prob(x, s)
-                down = rk.SurvivalKernel(9, 50).step_up_prob(9 - x, s)
+                up = p_up[s, x]
+                down = p_up[s, 9 - x]
                 assert up == pytest.approx(1 - down, abs=1e-10)
                 # down-step probability via the one-step identity
                 ratio = math.exp(kernel._log_z[s - 1] - kernel._log_z[s])
@@ -131,6 +134,21 @@ class TestRingWalk:
         assert a == b
         assert a.n_steps == 30
         assert all(0 < p < 6 for p in a.positions)
+
+    def test_sample_path_matches_scalar_walk(self):
+        # reference: one uniform per step against h(x+1, s-1) / (2 h(x, s))
+        for n, t, x0 in ((6, 30, 3), (20, 500, 7)):
+            kernel = rk.SurvivalKernel(n, t)
+            for seed in range(3):
+                gen = RngState(seed, 1).generator()
+                pos = [x0]
+                for s in range(t, 0, -1):
+                    x = pos[-1]
+                    up = kernel.h(x + 1, s - 1) / (2 * kernel.h(x, s))
+                    pos.append(x + 1 if gen.random() < up else x - 1)
+                path = rk.sample_ring_path(rk.RingConfig(n, t, x0),
+                                           RngState(seed, 1), kernel)
+                assert list(path.positions) == pos
 
     def test_horizon_guard(self):
         kernel = rk.SurvivalKernel(6, 10)
@@ -155,12 +173,13 @@ class TestRingWalk:
         # every surviving path has probability 1/(2^t h_n(x0, t)); they sum to 1
         for n, x0, t in ((4, 2, 2), (4, 1, 5), (5, 2, 8), (5, 3, 7)):
             kernel = rk.SurvivalKernel(n, t)
+            p_up = kernel._step_up_table()
             h0 = kernel.h(x0, t)
             total = 0.0
             for pos in self._exhaustive_paths(n, x0, t):
                 prob = 1.0
                 for i, (a, b) in enumerate(zip(pos, pos[1:])):
-                    up = kernel.step_up_prob(a, t - i)
+                    up = p_up[t - i, a]
                     prob *= up if b > a else 1 - up
                 assert prob == pytest.approx(1 / (2**t * h0), rel=1e-11)
                 total += prob
@@ -200,9 +219,9 @@ class TestVacantRing:
 
 class TestRingLocalTime:
     def test_determinism(self):
-        a = rk.ring_local_time_sample(6, 1.0, 2, RngState(8, 4))
-        b = rk.ring_local_time_sample(6, 1.0, 2, RngState(8, 4))
-        assert a == b
+        a = rk.ring_local_time_batch(6, 1.0, 2, 5, RngState(8, 4).generator())
+        b = rk.ring_local_time_batch(6, 1.0, 2, 5, RngState(8, 4).generator())
+        assert np.array_equal(a, b)
 
     def test_limit_law(self):
         visits = rk.ring_local_time_batch(24, 1.0, 2, 20000,
@@ -281,3 +300,83 @@ class TestPropagationChecks:
         ring, _ = rk.endpoint_small_prob_ring(n, t, x, delta, y)
         line, _ = cw.endpoint_leq_prob(x, delta, y)
         assert abs(ring / line - 1) <= 0.01
+
+
+def _exact_killed_steps(v, steps, kill):
+    """Exact rational killed-walk vectors after 0..steps steps."""
+    n = len(v) - 1
+    out = [v]
+    for _ in range(steps):
+        v = [(v[x - 1] + v[x + 1]) / 2 if 0 < x < n and x not in kill
+             else Fraction(0) for x in range(n + 1)]
+        out.append(v)
+    return out
+
+
+class TestKilledWalkOracles:
+    def test_kernel_rows_and_h_dp_exact(self):
+        t = 40
+        for n in (2, 3, 6, 12):
+            exact = _exact_killed_steps(
+                [Fraction(int(0 < x < n)) for x in range(n + 1)], t, ())
+            kernel = rk.SurvivalKernel(n, t)
+            for s in range(t + 1):
+                for x in range(n + 1):
+                    assert kernel.h(x, s) == pytest.approx(
+                        float(exact[s][x]), rel=1e-13, abs=0)
+            for x in range(n + 1):
+                assert rk.h_dp(n, x, t) == pytest.approx(
+                    float(exact[t][x]), rel=1e-13, abs=0)
+
+    def test_forward_distribution_exact(self):
+        for n, start, k in ((6, 2, 4), (12, 3, 7), (12, 9, 7), (12, 5, 1)):
+            point = [Fraction(int(x == start)) for x in range(n + 1)]
+            exact = _exact_killed_steps(point, 40, (k,))
+            for steps in (0, 1, 7, 40):
+                w, log_mass = rk._propagate_killed(n, start, steps, (k,))
+                mass = sum(exact[steps])
+                assert log_mass == pytest.approx(
+                    math.log(mass.numerator) - math.log(mass.denominator),
+                    abs=1e-13)
+                ref = [float(p / mass) for p in exact[steps]]
+                np.testing.assert_allclose(w, ref, rtol=1e-13, atol=0)
+
+    def test_killed_site_start(self):
+        with pytest.raises(ValueError):
+            rk._propagate_killed(10, 4, 5, (4,))
+        with pytest.raises(ValueError):
+            rk._propagate_killed(10, 10, 5)
+
+    def test_pi4_closed_form(self):
+        # sin(pi x/n) is an eigenvector of the killed walk with eigenvalue
+        # cos(pi/n), so the value is sin(pi a/n) cos^delta(pi/n) / h_n(a, delta)
+        for n in (20, 60, 200):
+            delta = math.ceil(config.cond_threshold(n))
+            for a in (1, n // 3):
+                val, _ = rk.verify_pi4(n, delta, a)
+                log_h, _ = rk.h_spectral_log(n, a, delta)
+                ref = math.exp(math.log(math.sin(math.pi * a / n))
+                               + delta * math.log(math.cos(math.pi / n))
+                               - float(log_h))
+                assert abs(val / ref - 1) <= 1e-12
+
+    def test_surviving_log_mass_vs_spectral(self):
+        n = 200
+        delta = math.ceil(config.cond_threshold(n))
+        for start in (1, 100):
+            _, log_mass = rk._propagate_killed(n, start, delta)
+            assert abs(log_mass - float(rk.h_spectral_log(n, start, delta)[0])) <= 1e-9
+        # an extra killed site k confines the walk from start < k to (0, k)
+        _, log_mass = rk._propagate_killed(n, 60, delta, (120,))
+        assert abs(log_mass - float(rk.h_spectral_log(120, 60, delta)[0])) <= 1e-9
+
+
+class TestKernelMemoryGuard:
+    def test_budget_covers_both_tables(self, monkeypatch):
+        n, t = 10, 100
+        need = 8 * (t + 1) * (2 * (n + 1) + 1)
+        monkeypatch.setattr(rk, "KERNEL_BYTES_BUDGET", need)
+        rk.SurvivalKernel(n, t)
+        monkeypatch.setattr(rk, "KERNEL_BYTES_BUDGET", need - 1)
+        with pytest.raises(MemoryError, match="h_spectral"):
+            rk.SurvivalKernel(n, t)
