@@ -3,9 +3,15 @@
 A Poisson cloud of conditioned-walk trajectories: the number hitting a finite
 set A is Poisson(alpha * cap(A ∪ {0})), the vacant set law is the exponential
 of that capacity, and the local time at a site x is compound Poisson --
-Poisson(alpha*x/2) many geometric(1/(2x)) visit counts. The window sampler
-realizes the process trajectory by trajectory inside a finite symmetric
-window and is exact for all within-window functionals.
+Poisson(alpha*x/2) many geometric(1/(2x)) visit counts.
+
+The samplers draw aggregates, never single steps. Both rest on one identity:
+a sum of N geometrics on {1, 2, ...} with success probability p has the law
+of N + NegBin(N, p), where NegBin counts failures. The local-time sampler is
+that identity at one site. The window sampler runs it along the edge
+up-crossing counts of each half-line (the Ray-Knight description of walk
+local times): one negative-binomial draw per site, O(L) draws per window,
+and the joint law of all visit counts in [-L, L] is exact.
 """
 
 from __future__ import annotations
@@ -83,49 +89,63 @@ def vacant_prob_exact(A: IntervalSet, level) -> float:
 
 # -- window sampler -----------------------------------------------------------
 
+def _negbin(gen: np.random.Generator, n: np.ndarray, p: float) -> np.ndarray:
+    """NegBin(n, p) failure counts, 0 where n = 0 (which numpy rejects).
+
+    n + NegBin(n, p) is the sum of n geometrics on {1, 2, ...} with success
+    probability p.
+    """
+    out = np.zeros_like(n)
+    live = n > 0
+    out[live] = gen.negative_binomial(n[live], p)
+    return out
+
+
 def _simulate_window_batch(alpha: float, L: int, M: int,
                            gen: np.random.Generator, track_site: int | None = None):
-    """Simulate M independent window draws, trajectory by trajectory.
+    """Draw M independent window samples as edge up-crossing chains.
 
     Returns (visit counts, trajectory counts per replicate, and, when
     track_site is given, the per-replicate number of trajectories that touch
     that site). Visit counts are indexed by site + L, so column L (site 0) is
-    always zero. Each trajectory enters at -L or +L with probability 1/2 and
-    evolves with the conditioned-walk kernel on its half-line; excursions past
-    the window edge are collapsed into a single exact Bernoulli(L/(L+1))
-    return event, which is unbiased for every within-window functional.
+    always zero.
+
+    Each side of the window receives Poisson(alpha*L/2) trajectories, which
+    enter at -L or +L and follow the conditioned walk on their half-line.
+    Let U_x count the up-crossings of the edge (x, x+1) on one side. Every
+    up-crossing of (L, L+1) returns with the exact probability L/(L+1), so
+    each trajectory has a geometric number of them on {1, 2, ...}, and N
+    trajectories have U_L = N + NegBin(N, 1/(L+1)). Each arrival at x from
+    above leaves x downward a geometric number of times before it leaves
+    upward, so U_{x-1} = NegBin(U_x, (x+1)/(2x)), counting failures, and
+    U_0 = 0. Site x is visited U_x + U_{x-1} times. Negative binomials with
+    the same p add, so one chain per (side, replicate) gives the joint law of
+    all the window's visit counts in L draws. With track_site the chain runs
+    once per trajectory instead, and a trajectory touches x iff its U_x > 0.
     """
     if L < 1:
         raise ValueError(f"half-width must be >= 1, got {L}")
+    n_side = gen.poisson(alpha * L / 2, 2 * M)  # slots 0..M-1: sites < 0
+    n_traj = n_side[:M] + n_side[M:]
+    if track_site is None:
+        owner = np.arange(2 * M)
+        u = n_side
+    else:
+        owner = np.repeat(np.arange(2 * M), n_side)
+        u = np.ones(owner.size, dtype=np.int64)
+    u = u + _negbin(gen, u, 1 / (L + 1))
     counts = np.zeros((M, 2 * L + 1), dtype=np.int64)
-    n_traj = gen.poisson(alpha * L, M)
-    total = int(n_traj.sum())
-    rep = np.repeat(np.arange(M, dtype=np.int64), n_traj)
-    sign = np.where(gen.random(total) < 0.5, 1, -1).astype(np.int64)
-    pos = np.full(total, L, dtype=np.int64)
-    hit_tracked = np.zeros(M, dtype=np.int64)
-    touched = np.zeros(total, dtype=bool)
-    np.add.at(counts, (rep, L + sign * L), 1)  # entrance counts as a visit
-    if track_site is not None:
-        touched |= sign * pos == track_site
-        np.add.at(hit_tracked, rep[touched], 1)
-    return_p = L / (L + 1)
-    while pos.size:
-        u = gen.random(pos.size)
-        nxt = pos + np.where(u < (pos + 1) / (2 * pos), 1, -1)
-        out = nxt == L + 1
-        if out.any():
-            back = gen.random(int(out.sum())) < return_p
-            nxt[out] = np.where(back, L, -1)  # -1 marks a finished trajectory
-        alive = nxt >= 1
-        pos, rep, sign = nxt[alive], rep[alive], sign[alive]
-        if track_site is not None:
-            touched = touched[alive]
-            newly = (sign * pos == track_site) & ~touched
-            touched |= newly
-            np.add.at(hit_tracked, rep[newly], 1)
-        np.add.at(counts, (rep, L + sign * pos), 1)
-    return counts, n_traj, (hit_tracked if track_site is not None else None)
+    hits = np.zeros(M, dtype=np.int64)
+    for x in range(L, 0, -1):
+        below = _negbin(gen, u, (x + 1) / (2 * x))  # p = 1 at x = 1
+        v = np.bincount(owner, weights=u + below, minlength=2 * M).astype(np.int64)
+        counts[:, L - x] = v[:M]
+        counts[:, L + x] = v[M:]
+        if track_site is not None and abs(track_site) == x:
+            touched = np.bincount(owner[u > 0], minlength=2 * M)
+            hits = touched[M:] if track_site > 0 else touched[:M]
+        u = below
+    return counts, n_traj, (hits if track_site is not None else None)
 
 
 def sample_window(level, L: int, rng: RngState) -> WindowSample:
@@ -147,23 +167,17 @@ def sample_window(level, L: int, rng: RngState) -> WindowSample:
 
 # -- local times --------------------------------------------------------------
 
-def sample_local_times(x: int, level, M: int, gen: np.random.Generator,
-                       chunk: int = 20000) -> np.ndarray:
-    """M independent local-time draws at x: Poisson(alpha*x/2) geometric batches."""
+def sample_local_times(x: int, level, M: int, gen: np.random.Generator) -> np.ndarray:
+    """M independent local-time draws at x.
+
+    The local time is a sum of n ~ Poisson(alpha*x/2) geometric visit counts
+    on {1, 2, ...} with success probability 1/(2x); that sum is drawn in one
+    step as n + NegBin(n, 1/(2x)), counting failures.
+    """
     if x < 1:
         raise ValueError(f"site must be >= 1, got {x}")
-    a = _alpha(level)
-    lam = a * x / 2
-    p = 1 / (2 * x)
-    out = np.empty(M, dtype=np.int64)
-    for lo in range(0, M, chunk):
-        m = min(chunk, M - lo)
-        n = gen.poisson(lam, m)
-        total = int(n.sum())
-        g = gen.geometric(p, total)
-        rep = np.repeat(np.arange(m), n)
-        out[lo:lo + m] = np.bincount(rep, weights=g, minlength=m).astype(np.int64)
-    return out
+    n = gen.poisson(_alpha(level) * x / 2, M)
+    return n + _negbin(gen, n, 1 / (2 * x))
 
 
 def local_time_cf(x: int, level, t) -> complex:

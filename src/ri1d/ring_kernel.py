@@ -241,15 +241,22 @@ def _ring_steps(kernel: SurvivalKernel, x0: int, t: int, M: int,
 
     The walkers start at x0 with t steps to go. Every yield is the same array,
     updated in place. Uses the kernel's up-step table, so memory is O(n*t) and
-    time O(M*t).
+    time O(M*t); a step allocates nothing and draws M uniforms.
     """
     if t > kernel.t_max:
         raise ValueError(f"horizon {t} exceeds table horizon {kernel.t_max}")
     p_up = kernel._step_up_table()
     pos = np.full(M, x0, dtype=np.int64)
+    u = np.empty(M)
+    thr = np.empty(M)
+    up = np.empty(M, dtype=bool)
     for s in range(t, 0, -1):
-        u = gen.random(M)
-        pos += np.where(u < p_up[s, pos], 1, -1)
+        gen.random(out=u)
+        np.take(p_up[s], pos, out=thr)
+        np.less(u, thr, out=up)
+        pos += up  # +1 for an up-step, -1 for a down-step
+        pos += up
+        pos -= 1
         yield pos
 
 
@@ -287,7 +294,10 @@ def vacant_prob_ring_exact(n: int, t: int, x0: int, a: int, b: int) -> float:
         return 1.0
     log_num, s_num = h_spectral_log(n - a - b, x0 - b, t)
     log_den, s_den = h_spectral_log(n, x0, t)
-    if s_num <= 0:
+    if s_num < 0 or s_den <= 0:
+        raise RuntimeError(f"spectral sum for the ring vacant probability is "
+                           f"not positive at n={n}, t={t}, x0={x0} (cancellation)")
+    if s_num == 0:
         return 0.0
     return math.exp(float(log_num) - float(log_den))
 
@@ -355,7 +365,10 @@ def _reweighted_prob(n: int, x0: int, t: int, delta: int, w, log_mass: float) ->
         return 0.0
     log_h, sign = h_spectral_log(n, sites, t - delta)
     num, num_sign = logsumexp(np.log(w[sites]) + log_h, b=sign, return_sign=True)
-    if num_sign <= 0:
+    if num_sign < 0:
+        raise RuntimeError(f"reweighted spectral sum is negative at n={n}, "
+                           f"t={t}, x0={x0} (cancellation)")
+    if num_sign == 0:
         return 0.0
     log_den, _ = h_spectral_log(n, x0, t)
     return math.exp(log_mass + float(num) - float(log_den))

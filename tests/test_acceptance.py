@@ -78,6 +78,15 @@ def test_criterion_13_exact_identities():
     _run(acceptance.check_13_exact_identities)
 
 
+@pytest.mark.parametrize("check", [acceptance.check_01_vacant_window,
+                                   acceptance.check_02_local_time_law,
+                                   acceptance.check_07_ring_vacant,
+                                   acceptance.check_08_ring_local_time])
+def test_statistics_independent_of_worker_count(check):
+    one, two = check(SEED, workers=1), check(SEED, workers=2)
+    assert [(v.name, v.statistic) for v in one] == [(v.name, v.statistic) for v in two]
+
+
 def test_selftest_aggregates_everything():
     verdicts = acceptance.run_all(SEED)
     names = {v.name for v in verdicts}

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,6 +8,73 @@ from ri1d import interlacements as il
 from ri1d.capacity import IntervalSet, capacity_hat
 from ri1d.mc import tv_distance
 from ri1d.rngs import RngState
+
+
+def _window_walk(alpha, L, M, gen, track_site=None):
+    """Reference window sampler: every trajectory simulated step by step.
+
+    Same return shape as ``il._simulate_window_batch``. Each trajectory
+    enters at -L or +L with probability 1/2 and steps up from x with
+    probability (x+1)/(2x); an excursion past the window edge is one
+    Bernoulli(L/(L+1)) return event.
+    """
+    counts = np.zeros((M, 2 * L + 1), dtype=np.int64)
+    n_traj = gen.poisson(alpha * L, M)
+    total = int(n_traj.sum())
+    rep = np.repeat(np.arange(M, dtype=np.int64), n_traj)
+    sign = np.where(gen.random(total) < 0.5, 1, -1).astype(np.int64)
+    pos = np.full(total, L, dtype=np.int64)
+    hit_tracked = np.zeros(M, dtype=np.int64)
+    touched = np.zeros(total, dtype=bool)
+    np.add.at(counts, (rep, L + sign * L), 1)  # entrance counts as a visit
+    if track_site is not None:
+        touched |= sign * pos == track_site
+        np.add.at(hit_tracked, rep[touched], 1)
+    return_p = L / (L + 1)
+    while pos.size:
+        u = gen.random(pos.size)
+        nxt = pos + np.where(u < (pos + 1) / (2 * pos), 1, -1)
+        out = nxt == L + 1
+        if out.any():
+            back = gen.random(int(out.sum())) < return_p
+            nxt[out] = np.where(back, L, -1)  # -1 marks a finished trajectory
+        alive = nxt >= 1
+        pos, rep, sign = nxt[alive], rep[alive], sign[alive]
+        if track_site is not None:
+            touched = touched[alive]
+            newly = (sign * pos == track_site) & ~touched
+            touched |= newly
+            np.add.at(hit_tracked, rep[newly], 1)
+        np.add.at(counts, (rep, L + sign * pos), 1)
+    return counts, n_traj, (hit_tracked if track_site is not None else None)
+
+
+def _local_times_geometric(x, alpha, M, gen):
+    """Reference local-time sampler: Poisson(alpha*x/2) geometric batches."""
+    n = gen.poisson(alpha * x / 2, M)
+    g = gen.geometric(1 / (2 * x), int(n.sum()))
+    return np.bincount(np.repeat(np.arange(M), n), weights=g,
+                       minlength=M).astype(np.int64)
+
+
+def _pmf(values):
+    return np.bincount(values) / len(values)
+
+
+def _tv_bound(law, M1, M2=None):
+    """Twice the expected total variation between two independent empirical
+    pmfs of ``law`` (or one empirical pmf and ``law`` when M2 is None),
+    from the normal approximation E|Z| = sqrt(2/pi) sigma per atom.
+    """
+    p = law.pmf
+    inv = 1 / M1 + (1 / M2 if M2 else 0.0)
+    return math.sqrt(2 / math.pi) * float(np.sum(np.sqrt(p * (1 - p) * inv)))
+
+
+def _cov_se(a, b):
+    """Sample covariance of (a, b) and its standard error."""
+    prod = (a - a.mean()) * (b - b.mean())
+    return float(prod.sum()) / (len(a) - 1), float(prod.std(ddof=1)) / math.sqrt(len(a))
 
 
 class TestLevel:
@@ -115,6 +183,106 @@ class TestWindowSampler:
         assert tv_distance(emp, law) <= 0.01
 
 
+class TestWindowChainVsWalk:
+    """The edge-crossing chain against the step-by-step reference walk."""
+
+    ALPHA = 1.0
+
+    @staticmethod
+    @functools.cache
+    def _draws(L):
+        M_chain, M_walk = 10**5, (4 * 10**4 if L < 8 else 2 * 10**4)
+        chain = il._simulate_window_batch(TestWindowChainVsWalk.ALPHA, L, M_chain,
+                                          RngState(21).generator())
+        walk = _window_walk(TestWindowChainVsWalk.ALPHA, L, M_walk,
+                            RngState(22).generator())
+        return L, chain, walk
+
+    @pytest.fixture(params=[1, 2, 8])
+    def draws(self, request):
+        return self._draws(request.param)
+
+    def test_site_pmfs(self, draws):
+        L, (c, _, _), (w, _, _) = draws
+        for x in range(-L, L + 1):
+            if x == 0:
+                assert not c[:, L].any() and not w[:, L].any()
+                continue
+            law = il.local_time_pmf(abs(x), self.ALPHA)
+            assert tv_distance(_pmf(c[:, L + x]), law) <= _tv_bound(law, len(c))
+            assert tv_distance(_pmf(c[:, L + x]), _pmf(w[:, L + x])) <= \
+                _tv_bound(law, len(c), len(w))
+
+    def test_vacant_events(self, draws):
+        L, (c, _, _), (w, _, _) = draws
+        events = [((-1, 1), IntervalSet(-1, 1))]
+        if L >= 2:
+            events.append(((1, 2), IntervalSet(0, 2)))
+        for sites, A in events:
+            target = il.vacant_prob_exact(A, self.ALPHA)
+            var = target * (1 - target)
+            pc, pw = (float(np.mean(np.all(d[:, [L + s for s in sites]] == 0, axis=1)))
+                      for d in (c, w))
+            assert abs(pc - target) <= 4 * math.sqrt(var / len(c))
+            assert abs(pc - pw) <= 4 * math.sqrt(var * (1 / len(c) + 1 / len(w)))
+
+    def test_joint_law(self):
+        # same side: cov(V_a, V_b) = 4 alpha a^2 b for 0 < a < b <= L, from
+        # E[l_a l_b] = G(L,a) G(a,b) + G(L,b) G(b,a) per trajectory with
+        # Green's function G(x,y) = 2 y min(x,y) / x; opposite sides: 0
+        L, (c, _, _), (w, _, _) = self._draws(8)
+        for d in (c, w):
+            d = d.astype(np.float64)
+            for sign in (-1, 1):
+                cov, se = _cov_se(d[:, L + 2 * sign], d[:, L + 5 * sign])
+                assert abs(cov - 4 * self.ALPHA * 2**2 * 5) <= 4 * se
+            cov, se = _cov_se(d[:, L - 2], d[:, L + 2])
+            assert abs(cov) <= 4 * se
+
+    def test_trajectory_count(self, draws):
+        L, (_, n_c, _), (_, n_w, _) = draws
+        lam = self.ALPHA * L
+        for n in (n_c, n_w):
+            M = len(n)
+            assert abs(n.mean() - lam) <= 4 * math.sqrt(lam / M)
+            assert abs(n.var(ddof=1) - lam) <= 4 * math.sqrt((lam + 2 * lam**2) / M)
+
+    def test_tracked_site_both_sides(self):
+        for site in (-3, 3):
+            _, _, hits = il._simulate_window_batch(
+                self.ALPHA, 8, 10**5, RngState(23).generator(), track_site=site)
+            lam = self.ALPHA * abs(site) / 2
+            assert abs(hits.mean() - lam) <= 4 * math.sqrt(lam / 10**5)
+
+    def test_window_edge_always_touched(self):
+        # the tracked site changes no draw, and every trajectory visits its
+        # entrance, so the hits at -L and +L add up to the trajectory count
+        L = 5
+        _, n_traj, pos = il._simulate_window_batch(
+            2.0, L, 2000, RngState(24).generator(), track_site=L)
+        _, _, neg = il._simulate_window_batch(
+            2.0, L, 2000, RngState(24).generator(), track_site=-L)
+        assert np.array_equal(pos + neg, n_traj)
+
+    def test_large_window(self):
+        # process level at a size the step-by-step walk cannot reach
+        L, M = 2048, 2000
+        counts, _, _ = il._simulate_window_batch(
+            self.ALPHA, L, M, RngState(25).generator())
+        x = L // 2
+        mean = il.local_time_mean(x, self.ALPHA)
+        se = math.sqrt(il.local_time_variance(x, self.ALPHA) / M)
+        assert abs(counts[:, L + x].mean() - mean) <= 4 * se
+        vac = float(np.mean(np.all(counts[:, L + 1:L + 4] == 0, axis=1)))
+        target = il.vacant_prob_exact(IntervalSet(0, 3), self.ALPHA)
+        assert abs(vac - target) <= 4 * math.sqrt(target * (1 - target) / M)
+
+    def test_no_trajectories(self):
+        counts, n_traj, hits = il._simulate_window_batch(
+            1e-6, 4, 100, RngState(26).generator(), track_site=2)
+        assert not n_traj.any() and not counts.any() and not hits.any()
+
+
 class TestLocalTimeSampler:
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -132,6 +300,19 @@ class TestLocalTimeSampler:
         s = il.sample_local_times(5, 1.0, 10**6, gen)
         assert abs(s.mean() / 25 - 1) <= 0.005
         assert abs(s.var(ddof=1) / 475 - 1) <= 0.02
+
+    @pytest.mark.parametrize("x", [1, 3, 20])
+    def test_against_geometric_sums(self, x):
+        M = 2 * 10**5
+        law = il.local_time_pmf(x, 1.0)
+        s = il.sample_local_times(x, 1.0, M, RngState(5).generator())
+        ref = _local_times_geometric(x, 1.0, M, RngState(6).generator())
+        assert tv_distance(_pmf(s), law) <= _tv_bound(law, M)
+        assert tv_distance(_pmf(s), _pmf(ref)) <= _tv_bound(law, M, M)
+
+    def test_no_trajectories(self):
+        s = il.sample_local_times(3, 1e-6, 100, RngState(0).generator())
+        assert s.shape == (100,) and not s.any()
 
 
 class TestPmf:

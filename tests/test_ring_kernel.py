@@ -150,6 +150,22 @@ class TestRingWalk:
                                            RngState(seed, 1), kernel)
                 assert list(path.positions) == pos
 
+    def test_batch_steps_match_scalar_walks(self):
+        # reference: M walkers draw one uniform each per step, in walker order
+        n, t, x0, M = 12, 200, 5, 7
+        kernel = rk.SurvivalKernel(n, t)
+        gen = RngState(4, 2).generator()
+        ref = [x0] * M
+        expected = []
+        for s in range(t, 0, -1):
+            for i in range(M):
+                x = ref[i]
+                up = kernel.h(x + 1, s - 1) / (2 * kernel.h(x, s))
+                ref[i] = x + 1 if gen.random() < up else x - 1
+            expected.append(list(ref))
+        steps = rk._ring_steps(kernel, x0, t, M, RngState(4, 2).generator())
+        assert [pos.tolist() for pos in steps] == expected
+
     def test_horizon_guard(self):
         kernel = rk.SurvivalKernel(6, 10)
         with pytest.raises(ValueError):
@@ -197,6 +213,21 @@ class TestVacantRing:
     def test_structural_bound(self):
         p = rk.vacant_prob_ring_exact(10, 20, 5, 0, 1)
         assert 0 < p < 1
+
+    def test_negative_spectral_sum_raises(self, monkeypatch):
+        # a negative signed sum is cancellation, not a probability of 0
+        monkeypatch.setattr(rk, "h_spectral_log",
+                            lambda n, x, t: (np.zeros(np.shape(x)), -np.ones(np.shape(x))))
+        with pytest.raises(RuntimeError, match="n=10, t=20, x0=5"):
+            rk.vacant_prob_ring_exact(10, 20, 5, 0, 1)
+        with pytest.raises(RuntimeError, match="n=16, t=40, x0=8"):
+            rk.no_hit_prob_exact(8, 40, 20, 1)
+
+    def test_exact_zero_stays_zero(self, monkeypatch):
+        # sign 0 in the numerator h_9(4, 20) encodes an exact zero
+        monkeypatch.setattr(rk, "h_spectral_log",
+                            lambda n, x, t: (0.0, 0.0 if n == 9 else 1.0))
+        assert rk.vacant_prob_ring_exact(10, 20, 5, 0, 1) == 0.0
 
     def test_against_direct_dp(self):
         # avoiding [-a, b] == surviving in the shifted sub-segment
