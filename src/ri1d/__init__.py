@@ -8,7 +8,7 @@ statistical harness used by the ``ri1d`` command line tool.
 __version__ = "0.1.0"
 
 from .rngs import RngState
-from .capacity import IntervalSet, EquilibriumMeasure, potential_kernel, capacity, capacity_hat, equilibrium_measure
+from .capacity import IntervalSet, EquilibriumMeasure, capacity, capacity_hat, equilibrium_measure
 from .core_walks import WalkPath
 from .interlacements import WindowSample, LocalTimeLaw
 from .ring_kernel import RingConfig, SurvivalKernel
@@ -18,7 +18,6 @@ __all__ = [
     "RngState",
     "IntervalSet",
     "EquilibriumMeasure",
-    "potential_kernel",
     "capacity",
     "capacity_hat",
     "equilibrium_measure",

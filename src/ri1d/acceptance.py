@@ -160,15 +160,12 @@ def check_07_ring_vacant(seed: int, workers: int | None = None) -> list[Verdict]
 def check_08_ring_local_time(seed: int, workers: int | None = None) -> list[Verdict]:
     """Ring local time at x=2 matches the interlacement local-time law."""
     n_half, alpha, x, M = 24, 1.0, 2, 2 * 10**4
-    t = int(4 * alpha * n_half**3 / math.pi**2)
-    kernel = rk.SurvivalKernel(2 * n_half, t)
-
-    def sample(gen, m):
-        visits, _ = rk._ring_paths_batch(kernel, n_half, t, m, gen, visit_site=x)
-        return visits
-
-    summary = run_replicates(Experiment("ring-local-time", sample), M, seed, workers)
+    summary = run_replicates(
+        Experiment("ring-local-time",
+                   lambda g, m: rk.ring_local_time_batch(n_half, alpha, x, m, g)),
+        M, seed, workers)
     law = il.local_time_pmf(x, alpha)
+    t = rk.ring_time_scale(2 * n_half, alpha)
     return [Verdict("08 ring local-time TV", tv_distance(summary, law), 0.05,
                     f"2n={2 * n_half}, t={t}, M=2e4")]
 

@@ -10,15 +10,14 @@ capacity, which the tests exercise as an identity between two code paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 
 @dataclass(frozen=True)
 class IntervalSet:
     """Finite nonempty set of sites, represented by its extremes.
 
-    Capacity depends only on min and max, so general finite sets are collapsed
-    to their extremes on construction (see :meth:`from_sites`).
+    Capacity depends only on min and max, so a general finite set is given by
+    its two extremes.
     """
 
     min: int
@@ -27,16 +26,6 @@ class IntervalSet:
     def __post_init__(self):
         if self.min > self.max:
             raise ValueError(f"need min <= max, got [{self.min}, {self.max}]")
-
-    @classmethod
-    def from_sites(cls, sites: Iterable[int]) -> "IntervalSet":
-        sites = list(sites)
-        if not sites:
-            raise ValueError("capacity of the empty set is undefined")
-        return cls(min(sites), max(sites))
-
-    def translate(self, c: int) -> "IntervalSet":
-        return IntervalSet(self.min + c, self.max + c)
 
     @property
     def diameter(self) -> int:
@@ -52,11 +41,6 @@ class EquilibriumMeasure:
     @property
     def total(self) -> float:
         return sum(self.masses.values())
-
-
-def potential_kernel(x: int) -> float:
-    """Potential kernel of the one-dimensional simple walk: |x|."""
-    return float(abs(x))
 
 
 def capacity(A: IntervalSet) -> float:

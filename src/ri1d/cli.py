@@ -11,19 +11,17 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 
 import numpy as np
 
-from . import __version__, acceptance, config
+from . import __version__, acceptance
 from . import core_walks as cw
 from . import interlacements as il
 from . import ring_kernel as rk
 from .capacity import IntervalSet, capacity, capacity_hat, equilibrium_measure
-from .mc import (Experiment, Verdict, default_workers, ks_distance_to_normal,
-                 run_replicates)
+from .mc import Experiment, Verdict, ks_distance_to_normal, run_replicates
 from .rngs import RngState
 
 
@@ -236,6 +234,19 @@ def cmd_ring_localtime(args) -> int:
 
 # -- verification --------------------------------------------------------------
 
+#: ``verify`` targets that run one acceptance check; ``clt`` is the other one.
+VERIFY_CHECKS = {
+    "martingale": acceptance.check_13_exact_identities,
+    "pi4": acceptance.check_09_pi4,
+    "mid-tail": acceptance.check_11_mid_tail,
+    "no-hit": acceptance.check_10_no_hit,
+    "endpoint": acceptance.check_12_path_counting,
+    "asymp-h": acceptance.check_06_first_mode,
+    "thm1": acceptance.check_07_ring_vacant,
+    "thm3": acceptance.check_08_ring_local_time,
+}
+
+
 def cmd_verify(args) -> int:
     run = _Run(f"verify {args.target}", {"seed": args.seed})
     if args.target == "clt":
@@ -249,18 +260,7 @@ def cmd_verify(args) -> int:
         run.verdicts.append(Verdict("clt KS to normal", ks, 0.02,
                                     f"alpha={alpha}, x={x}, M={M}"))
     else:
-        check = {
-            "martingale": acceptance.check_13_exact_identities,
-            "hitting": acceptance.check_13_exact_identities,
-            "pi4": acceptance.check_09_pi4,
-            "mid-tail": acceptance.check_11_mid_tail,
-            "no-hit": acceptance.check_10_no_hit,
-            "endpoint": acceptance.check_12_path_counting,
-            "asymp-h": acceptance.check_06_first_mode,
-            "thm1": acceptance.check_07_ring_vacant,
-            "thm3": acceptance.check_08_ring_local_time,
-        }[args.target]
-        run.verdicts.extend(check(args.seed, args.workers))
+        run.verdicts.extend(VERIFY_CHECKS[args.target](args.seed, args.workers))
     return run.emit(args)
 
 
@@ -371,9 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count_paths)
 
     p = sub.add_parser("verify", help="run one verification experiment")
-    p.add_argument("target", choices=("martingale", "hitting", "pi4", "mid-tail",
-                                      "no-hit", "endpoint", "asymp-h", "clt",
-                                      "thm1", "thm3"))
+    p.add_argument("target", choices=("clt", *VERIFY_CHECKS))
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--x", type=int, default=400)
     p.add_argument("--samples", type=int, default=10**5)
@@ -390,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", None) is None and hasattr(args, "workers"):
-        args.workers = default_workers()
     try:
         return args.func(args)
     except (ValueError, OSError, RuntimeError, MemoryError) as exc:
@@ -401,3 +397,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -35,8 +35,3 @@ def no_hit_rel_tol(n_half: int) -> float:
 def mid_tail_slack(n_half: int) -> float:
     """Multiplicative slack allowed on the mid-interval tail bound."""
     return 50.0 / n_half
-
-
-def endpoint_ring_rel_tol(n: int, delta: int, y: int) -> float:
-    """Combined error scale O(delta/n^2) + O(y^2/delta), times 3."""
-    return 3.0 * (delta / n**2 + y**2 / delta)

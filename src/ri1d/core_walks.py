@@ -24,6 +24,10 @@ ENUMERATION_MAX_STEPS = 24
 #: pathology; absorption is a.s. finite so this never triggers in practice).
 ABSORPTION_STEP_CAP = 10**9
 
+#: Steps after which the unbiased estimators stop walking and add the exact
+#: martingale residual of each walker still active.
+ESTIMATOR_HORIZON = 2000
+
 
 @dataclass(frozen=True)
 class WalkPath:
@@ -67,21 +71,6 @@ def step_up_prob(x: int) -> float:
 def step_down_prob(x: int) -> float:
     """Complement of :func:`step_up_prob`; exactly 1 - step_up_prob(x)."""
     return 1.0 - step_up_prob(x)
-
-
-def sample_path(x0: int, m: int, rng: RngState) -> WalkPath:
-    """Sample an m-step trajectory of the conditioned walk started at x0."""
-    if x0 < 1:
-        raise ValueError(f"start must be >= 1, got {x0}")
-    if m < 0:
-        raise ValueError(f"step count must be >= 0, got {m}")
-    gen = rng.generator()
-    pos = [x0]
-    x = x0
-    for u in gen.random(m):
-        x = x + 1 if u < step_up_prob(x) else x - 1
-        pos.append(x)
-    return WalkPath(tuple(pos))
 
 
 def path_prob(path: WalkPath) -> float:
@@ -217,38 +206,37 @@ def _absorb(gen: np.random.Generator, pos: np.ndarray, lo: int, hi: int | None,
     return hits, pos
 
 
-def simulate_hit_before(y: int, x: int, N: int, M: int, rng: RngState,
-                        step_cap: int = ABSORPTION_STEP_CAP) -> float:
+def simulate_hit_before(y: int, x: int, N: int, M: int, rng: RngState) -> float:
     """Empirical P[hit x before N] from M conditioned chains run to absorption."""
     if not (1 < x < y < N):
         raise ValueError(f"need 1 < x < y < N, got x={x}, y={y}, N={N}")
     if M < 1:
         raise ValueError("need at least one replicate")
     hits, active = _absorb(rng.generator(), np.full(M, y, dtype=np.int64),
-                           x, N, step_cap)
+                           x, N, ABSORPTION_STEP_CAP)
     if active.size:
         raise RuntimeError(
-            f"absorption did not occur within {step_cap} steps "
+            f"absorption did not occur within {ABSORPTION_STEP_CAP} steps "
             f"({active.size} walkers still active); suspect RNG pathology")
     return hits / M
 
 
-def estimate_hit_prob(y: int, x: int, M: int, rng: RngState, horizon: int = 2000) -> float:
+def estimate_hit_prob(y: int, x: int, M: int, rng: RngState) -> float:
     """Unbiased MC estimate of P[ever hit x] from y > x >= 1.
 
-    Walkers not absorbed within the horizon contribute the exact residual
-    x/X_horizon, justified by optional stopping of the 1/X martingale (the
-    martingale identity itself is checked to 1e-14 elsewhere), so the
+    Walkers not absorbed within ESTIMATOR_HORIZON steps contribute the exact
+    residual x/X_horizon, justified by optional stopping of the 1/X martingale
+    (the martingale identity itself is checked to 1e-14 elsewhere), so the
     truncation introduces no bias.
     """
     if not (1 <= x < y):
         raise ValueError(f"need 1 <= x < y, got x={x}, y={y}")
     hits, pos = _absorb(rng.generator(), np.full(M, y, dtype=np.int64),
-                        x, None, horizon)
+                        x, None, ESTIMATOR_HORIZON)
     return (hits + float(np.sum(x / pos))) / M
 
 
-def estimate_escape_prob(x: int, M: int, rng: RngState, horizon: int = 2000) -> float:
+def estimate_escape_prob(x: int, M: int, rng: RngState) -> float:
     """Unbiased MC estimate of the no-return probability 1/(2x) from x.
 
     Same truncation correction as :func:`estimate_hit_prob`: a walker still
@@ -260,5 +248,5 @@ def estimate_escape_prob(x: int, M: int, rng: RngState, horizon: int = 2000) -> 
     # walkers that step down to x-1 return to x almost surely (positive walk
     # below x must cross it); resolve them after the first step
     _, pos = _absorb(gen, np.full(M, x, dtype=np.int64), x - 1, None, 1)
-    _, pos = _absorb(gen, pos, x, None, horizon)
+    _, pos = _absorb(gen, pos, x, None, ESTIMATOR_HORIZON)
     return float(np.sum(1.0 - x / pos)) / M

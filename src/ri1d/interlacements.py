@@ -190,8 +190,8 @@ def local_time_cf(x: int, level, t) -> complex:
     return complex(val) if np.ndim(t) == 0 else val
 
 
-def _default_s_max(x: int, alpha: float, tail: float = 1e-12) -> int:
-    """Smallest truncation point with Chernoff tail bound below ``tail``.
+def _default_s_max(x: int, alpha: float) -> int:
+    """Smallest truncation point with Chernoff tail bound below 1e-12.
 
     Uses the compound-Poisson mgf exp(lam*(M_V(theta)-1)) with geometric
     severity, minimized over a theta grid inside its domain.
@@ -204,7 +204,7 @@ def _default_s_max(x: int, alpha: float, tail: float = 1e-12) -> int:
     log_mgf = lam * (p * et / (1 - q * et) - 1)
     s = max(8, int(math.ceil(lam / p)))  # start at the mean
     while s < 10**7:
-        if np.min(log_mgf - theta * s) < math.log(tail):
+        if np.min(log_mgf - theta * s) < math.log(1e-12):
             return s
         s = int(s * 1.3) + 8
     raise RuntimeError("could not locate a pmf truncation point")

@@ -3,9 +3,8 @@
 Replicates are drawn in fixed-size chunks, each chunk on its own RNG stream,
 and merged in chunk order, so results are bit-identical across worker counts
 and scheduling. Comparators: empirical moments and pmf, total-variation
-distance against exact pmfs, a Kolmogorov-Smirnov distance to the standard
-normal (used as a distance with fixed thresholds, not a p-value), and
-binomial sigma bands.
+distance against exact pmfs, and a Kolmogorov-Smirnov distance to the
+standard normal (used as a distance with fixed thresholds, not a p-value).
 """
 
 from __future__ import annotations
@@ -27,27 +26,24 @@ CHUNK_SIZE = 65536
 
 @dataclass(frozen=True)
 class Experiment:
-    """A named sampler: (generator, batch size) -> 1-d array of draws."""
+    """A named sampler: (generator, batch size) -> 1-d array of draws.
+
+    Draws must be nonnegative integers, in any numeric dtype.
+    """
 
     name: str
     sample: Callable[[np.random.Generator, int], np.ndarray]
-    integer_valued: bool = True
 
 
 @dataclass(frozen=True)
 class EmpiricalSummary:
-    """Moments and (for integer data) empirical pmf of a replicate batch."""
+    """Moments and empirical pmf of a replicate batch."""
 
     count: int
     mean: float
     variance: float
-    pmf: np.ndarray | None = None
+    pmf: np.ndarray
     sample: np.ndarray | None = field(default=None, repr=False)
-
-    def frequency(self, value: int) -> float:
-        if self.pmf is None:
-            raise ValueError("summary has no pmf (non-integer experiment)")
-        return float(self.pmf[value]) if 0 <= value < len(self.pmf) else 0.0
 
 
 @dataclass(frozen=True)
@@ -110,31 +106,24 @@ def run_replicates(experiment: Experiment, M: int, seed: int,
     else:
         chunks = [draw(job) for job in sizes]
     data = np.concatenate(chunks)
-    pmf = None
-    if experiment.integer_valued:
-        values = data.astype(np.int64)
-        if np.any(values != data):
-            raise RuntimeError(f"experiment {experiment.name!r} is integer "
-                               "valued but produced non-integer values")
-        if np.any(values < 0):
-            raise RuntimeError(f"experiment {experiment.name!r} produced "
-                               "negative integer values")
-        pmf = np.bincount(values) / M
+    values = data.astype(np.int64)
+    if np.any(values != data):
+        raise RuntimeError(f"experiment {experiment.name!r} is integer "
+                           "valued but produced non-integer values")
+    if np.any(values < 0):
+        raise RuntimeError(f"experiment {experiment.name!r} produced "
+                           "negative integer values")
     return EmpiricalSummary(
         count=M,
         mean=float(data.mean()),
         variance=float(data.var(ddof=1)) if M > 1 else 0.0,
-        pmf=pmf,
+        pmf=np.bincount(values) / M,
         sample=np.sort(data) if keep_sample else None,
     )
 
 
 def _as_pmf(obj) -> np.ndarray:
-    if isinstance(obj, EmpiricalSummary):
-        if obj.pmf is None:
-            raise ValueError("summary has no pmf")
-        return obj.pmf
-    if hasattr(obj, "pmf"):  # LocalTimeLaw
+    if hasattr(obj, "pmf"):  # EmpiricalSummary or LocalTimeLaw
         return np.asarray(obj.pmf, dtype=np.float64)
     return np.asarray(obj, dtype=np.float64)
 
@@ -161,18 +150,3 @@ def ks_distance_to_normal(sample: np.ndarray) -> float:
     upper = np.arange(1, m + 1) / m - phi
     lower = phi - np.arange(0, m) / m
     return float(max(upper.max(), lower.max()))
-
-
-def binomial_band(p_hat: float, M: int, k_sigma: float) -> tuple[float, float]:
-    """p_hat +/- k_sigma binomial standard errors, clipped to [0,1].
-
-    At the degenerate frequencies 0 and 1 the sigma band collapses, so the
-    rule-of-three width 3/M is used instead.
-    """
-    if not 0.0 <= p_hat <= 1.0 or M < 1:
-        raise ValueError(f"need 0 <= p_hat <= 1 and M >= 1, got {p_hat}, {M}")
-    if p_hat in (0.0, 1.0):
-        half = 3.0 / M
-    else:
-        half = k_sigma * float(np.sqrt(p_hat * (1.0 - p_hat) / M))
-    return max(0.0, p_hat - half), min(1.0, p_hat + half)

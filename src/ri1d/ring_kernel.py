@@ -75,16 +75,22 @@ def h_spectral_log(n: int, x, t: int):
     return logsumexp(log_abs, b=sign, axis=-1, return_sign=True)
 
 
-def h_spectral(n: int, x: int, t: int, clamp: bool = True) -> float:
-    """Survival probability via the odd-mode spectral sum.
+def h_spectral(n: int, x: int, t: int) -> float:
+    """Survival probability via the odd-mode spectral sum, in signed log domain.
 
-    Evaluated in signed log domain and clamped to [0,1] (pass clamp=False to
-    see the raw pre-clamp value for diagnostics).
+    The killed sites x = 0 and x = n give exactly 0.0. At any other x the
+    sum is positive, so a negative value is cancellation and raises
+    RuntimeError. Rounding above 1 (at most 1.8e-15 for n < 60, t < 80) is
+    capped at 1.0.
     """
     _check_domain(n, x, t)
+    if x in (0, n):
+        return 0.0
     log_abs, sign = h_spectral_log(n, x, t)
-    val = float(sign * np.exp(log_abs))
-    return min(max(val, 0.0), 1.0) if clamp else val
+    if sign < 0:
+        raise RuntimeError(f"spectral sum is negative at n={n}, x={x}, t={t} "
+                           f"(cancellation)")
+    return min(float(sign * np.exp(log_abs)), 1.0)
 
 
 def _killed_steps(v: np.ndarray, steps: int, extra_kill: tuple[int, ...] = ()):
@@ -158,7 +164,7 @@ class SurvivalKernel:
     KERNEL_BYTES_BUDGET together. Immutable after construction.
     """
 
-    def __init__(self, n: int, t_max: int = 0):
+    def __init__(self, n: int, t_max: int):
         _check_domain(n, 0, t_max)
         need = 8 * (t_max + 1) * (2 * (n + 1) + 1)
         if need > KERNEL_BYTES_BUDGET:
@@ -186,15 +192,19 @@ class SurvivalKernel:
     def _step_up_table(self) -> np.ndarray:
         """Up-step probabilities h(x+1, s-1) / (2 h(x, s)) as P[s, x].
 
-        Entries where h(x, s) = 0, and row 0, are 0.
+        Row 0 and the killed columns 0 and n are 0, and so is every entry at
+        n = 2, where h(1, s) = 0 for s >= 1. Built in place, so the peak
+        memory is the table itself, as KERNEL_BYTES_BUDGET counts it.
         """
         n, t = self.n, self.t_max
-        ratio = np.exp(self._log_z[:t] - self._log_z[1:])
         p = np.zeros((t + 1, n + 1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            p[1:, 1:n] = (self._table[:t, 2:] * ratio[:, None]
-                          / (2.0 * self._table[1:, 1:n]))
-        return np.nan_to_num(p, nan=0.0, posinf=0.0)
+        if n > 2:
+            out = p[1:, 1:n]
+            ratio = np.exp(self._log_z[:t] - self._log_z[1:])
+            np.multiply(self._table[:t, 2:], ratio[:, None], out=out)
+            np.divide(out, self._table[1:, 1:n], out=out)
+            out *= 0.5
+        return p
 
 
 @dataclass(frozen=True)
@@ -222,13 +232,9 @@ def ring_time_scale(n: int, alpha: float) -> int:
     return t
 
 
-def sample_ring_path(cfg: RingConfig, rng: RngState,
-                     kernel: SurvivalKernel | None = None) -> WalkPath:
+def sample_ring_path(cfg: RingConfig, rng: RngState) -> WalkPath:
     """One trajectory of the conditioned ring walk, all t_total steps."""
-    if kernel is None:
-        kernel = SurvivalKernel(cfg.n, cfg.t_total)
-    if kernel.n != cfg.n:
-        raise ValueError(f"kernel is for n={kernel.n}, not {cfg.n}")
+    kernel = SurvivalKernel(cfg.n, cfg.t_total)
     if cfg.t_total >= 1 and kernel.h(cfg.x0, cfg.t_total) == 0.0:
         raise ValueError("conditioning on survival is impossible from this start")
     steps = _ring_steps(kernel, cfg.x0, cfg.t_total, 1, rng.generator())
@@ -306,13 +312,14 @@ def ring_local_time_batch(n_half: int, alpha: float, x: int, M: int,
                           gen: np.random.Generator) -> np.ndarray:
     """Visits to x of M conditioned walks on the ring of 2*n_half sites.
 
-    Each walk starts at n_half, runs for t = floor(4 alpha n_half^3 / pi^2)
-    steps, and counts its visits at times 1..t (the start is not counted).
+    Each walk starts at n_half, runs for t = ring_time_scale(2 n_half, alpha)
+    = floor(4 alpha n_half^3 / pi^2) steps, and counts its visits at times
+    1..t (the start is not counted).
     """
     if n_half < 2 or not 0 < x < 2 * n_half:
         raise ValueError(f"need n_half >= 2 and 0 < x < 2*n_half, got "
                          f"n_half={n_half}, x={x}")
-    t = int(4 * alpha * n_half**3 / math.pi**2)
+    t = ring_time_scale(2 * n_half, alpha)
     kernel = SurvivalKernel(2 * n_half, t)
     visits, _ = _ring_paths_batch(kernel, n_half, t, M, gen, visit_site=x)
     return visits

@@ -29,6 +29,3 @@ class RngState:
         """Fresh generator for this (seed, stream); repeated calls are identical."""
         ss = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.PCG64(ss))
-
-    def with_stream(self, stream: int) -> "RngState":
-        return RngState(self.seed, stream)

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,6 +75,12 @@ class TestErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith("ri1d: error: ")
 
+    def test_removed_verify_target(self):
+        # check 13 has one target name, "martingale"
+        with pytest.raises(SystemExit) as e:
+            main(["verify", "hitting"])
+        assert e.value.code == 2
+
     def test_ring_domain_error(self, capsys):
         code = main(["ring-vacant-exact", "--n", "10", "--t", "5", "--x0", "2",
                      "--a", "1", "--b", "3"])
@@ -139,3 +149,26 @@ class TestVerify:
     def test_verify_pi4(self, capsys):
         code, out = run(capsys, "verify", "pi4", "--seed", "7")
         assert code == 0 and out.count("PASS") == 3
+
+
+class TestModuleRun:
+    """``python -m ri1d.cli`` runs the same command line as ``ri1d``."""
+
+    @staticmethod
+    def run_module(*argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        return subprocess.run([sys.executable, "-m", "ri1d.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=120)
+
+    def test_vacant_exact(self):
+        proc = self.run_module("vacant-exact", "--alpha", "1", "--min", "0",
+                               "--max", "2")
+        assert proc.returncode == 0
+        assert "vacant_prob = 0.367879441171" in proc.stdout
+
+    def test_unknown_command_exits_2(self):
+        assert self.run_module("no-such-command").returncode == 2

@@ -37,14 +37,6 @@ class TestWalkPath:
         with pytest.raises(ValueError):
             cw.WalkPath(())
 
-    def test_sample_path_determinism(self):
-        a = cw.sample_path(3, 50, RngState(11, 2))
-        b = cw.sample_path(3, 50, RngState(11, 2))
-        assert a == b
-        c = cw.sample_path(3, 50, RngState(11, 3))
-        assert a != c
-        assert a.start == 3 and a.n_steps == 50
-
     def test_path_prob_formula(self):
         p = cw.WalkPath((2, 3, 4, 3))
         # (3/4)(2/3)(3/8) vs final/(2^m start) = 3/(8*2)
@@ -213,6 +205,7 @@ class TestMonteCarloHelpers:
         p = 1 - cw.escape_prob(4)
         assert abs(frac - p) <= 4 * math.sqrt(p * (1 - p) / self.M)
 
-    def test_absorption_step_cap(self):
-        with pytest.raises(RuntimeError):
-            cw.simulate_hit_before(5, 2, 10**6, 100, RngState(5), step_cap=3)
+    def test_absorption_step_cap(self, monkeypatch):
+        monkeypatch.setattr(cw, "ABSORPTION_STEP_CAP", 3)
+        with pytest.raises(RuntimeError, match="within 3 steps"):
+            cw.simulate_hit_before(5, 2, 10**6, 100, RngState(5))

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from ri1d.mc import (CHUNK_SIZE, EmpiricalSummary, Experiment, Verdict,
-                     binomial_band, ks_distance_to_normal, run_replicates,
-                     tv_distance)
+from ri1d.mc import (CHUNK_SIZE, Experiment, Verdict, ks_distance_to_normal,
+                     run_replicates, tv_distance)
 
 
 def poisson_exp(lam=1.0):
@@ -64,7 +63,7 @@ class TestRunReplicates:
             run_replicates(frac, 100, seed=1)
         whole = run_replicates(Experiment("whole", lambda g, m: np.full(m, 2.0)),
                                100, seed=1)
-        assert whole.frequency(2) == 1.0
+        assert whole.pmf.tolist() == [0.0, 0.0, 1.0]
 
     def test_bad_m(self):
         with pytest.raises(ValueError):
@@ -118,22 +117,6 @@ class TestKs:
         assert ks_distance_to_normal(z) <= 0.01
 
 
-class TestBinomialBand:
-    def test_central(self):
-        lo, hi = binomial_band(0.5, 10**4, 4.0)
-        assert lo == pytest.approx(0.48) and hi == pytest.approx(0.52)
-
-    def test_rule_of_three(self):
-        lo, hi = binomial_band(0.0, 1000, 4.0)
-        assert (lo, hi) == (0.0, 0.003)
-        lo, hi = binomial_band(1.0, 1000, 4.0)
-        assert (lo, hi) == (0.997, 1.0)
-
-    def test_clipping(self):
-        lo, hi = binomial_band(0.01, 100, 4.0)
-        assert lo == 0.0 and hi <= 1.0
-
-
 class TestVerdict:
     def test_pass_iff_leq(self):
         assert Verdict("v", 1.0, 1.0).passed
@@ -142,9 +125,3 @@ class TestVerdict:
     def test_line_format(self):
         line = Verdict("check", 0.5, 1.0, "ctx").line()
         assert line.startswith("PASS") and "check" in line and "ctx" in line
-
-
-def test_summary_frequency():
-    s = EmpiricalSummary(4, 0.5, 0.25, pmf=np.array([0.5, 0.5]))
-    assert s.frequency(1) == 0.5
-    assert s.frequency(10) == 0.0

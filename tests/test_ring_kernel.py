@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -77,6 +78,18 @@ class TestKernelBackends:
                     sp = rk.h_spectral(n, x, k - 1) - rk.h_spectral(n, x, k)
                     assert abs(dp - sp) <= 1e-10
 
+    def test_spectral_negative_sum_raises(self, monkeypatch):
+        # inside the segment a negative signed sum is cancellation, not 0
+        monkeypatch.setattr(rk, "h_spectral_log", lambda n, x, t: (0.0, -1.0))
+        with pytest.raises(RuntimeError, match="n=10, x=5, t=20"):
+            rk.h_spectral(10, 5, 20)
+
+    def test_spectral_killed_sites_exact_zero(self, monkeypatch):
+        # at the killed sites the raw sum is rounding noise of either sign
+        monkeypatch.setattr(rk, "h_spectral_log", lambda n, x, t: (0.0, -1.0))
+        assert rk.h_spectral(10, 0, 20) == 0.0
+        assert rk.h_spectral(10, 10, 20) == 0.0
+
 
 class TestAsymptotic:
     def test_x_half_value(self):
@@ -147,7 +160,7 @@ class TestRingWalk:
                     up = kernel.h(x + 1, s - 1) / (2 * kernel.h(x, s))
                     pos.append(x + 1 if gen.random() < up else x - 1)
                 path = rk.sample_ring_path(rk.RingConfig(n, t, x0),
-                                           RngState(seed, 1), kernel)
+                                           RngState(seed, 1))
                 assert list(path.positions) == pos
 
     def test_batch_steps_match_scalar_walks(self):
@@ -169,7 +182,7 @@ class TestRingWalk:
     def test_horizon_guard(self):
         kernel = rk.SurvivalKernel(6, 10)
         with pytest.raises(ValueError):
-            rk.sample_ring_path(rk.RingConfig(6, 20, 3), RngState(0), kernel)
+            next(rk._ring_steps(kernel, 3, 20, 1, RngState(0).generator()))
 
     def test_impossible_conditioning(self):
         with pytest.raises(ValueError):
@@ -261,6 +274,12 @@ class TestRingLocalTime:
         a = rk.ring_local_time_batch(6, 1.0, 2, 5, RngState(8, 4).generator())
         b = rk.ring_local_time_batch(6, 1.0, 2, 5, RngState(8, 4).generator())
         assert np.array_equal(a, b)
+
+    def test_domain(self):
+        gen = RngState(0).generator()
+        for n_half, alpha, x in ((1, 1.0, 1), (6, 1.0, 0), (6, 1.0, 12), (6, 0.0, 2)):
+            with pytest.raises(ValueError):
+                rk.ring_local_time_batch(n_half, alpha, x, 5, gen)
 
     def test_limit_law(self):
         visits = rk.ring_local_time_batch(24, 1.0, 2, 20000,
@@ -419,3 +438,33 @@ class TestKernelMemoryGuard:
         monkeypatch.setattr(rk, "KERNEL_BYTES_BUDGET", need - 1)
         with pytest.raises(MemoryError, match="h_spectral"):
             rk.SurvivalKernel(n, t)
+
+    @staticmethod
+    def _step_up_reference(kernel):
+        # out-of-place form of the same formula, with its temporaries
+        n, t = kernel.n, kernel.t_max
+        p = np.zeros((t + 1, n + 1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.exp(kernel._log_z[:t] - kernel._log_z[1:])
+            p[1:, 1:n] = (kernel._table[:t, 2:] * ratio[:, None]
+                          / (2.0 * kernel._table[1:, 1:n]))
+        return np.nan_to_num(p, nan=0.0, posinf=0.0)
+
+    def test_step_table_in_place_matches_formula(self):
+        for n, t in ((2, 5), (3, 7), (4, 2), (9, 50), (40, 3242), (48, 5602)):
+            kernel = rk.SurvivalKernel(n, t)
+            assert np.array_equal(kernel._step_up_table(),
+                                  self._step_up_reference(kernel))
+
+    def test_peak_memory_within_guard_count(self):
+        # the guard counts the kernel table, its log scale and the step table
+        n = 80
+        t = rk.ring_time_scale(n, 1.0)
+        need = 8 * (t + 1) * (2 * (n + 1) + 1)
+        tracemalloc.start()
+        try:
+            rk.SurvivalKernel(n, t)._step_up_table()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * need
