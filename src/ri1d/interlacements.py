@@ -12,6 +12,12 @@ that identity at one site. The window sampler runs it along the edge
 up-crossing counts of each half-line (the Ray-Knight description of walk
 local times): one negative-binomial draw per site, O(L) draws per window,
 and the joint law of all visit counts in [-L, L] is exact.
+
+The exact local-time pmf is Panjer's compound-Poisson recursion. Geometric
+severity lets two running sums carry its convolution, so the pmf to s_max
+costs O(s_max) with relative error of order s_max*eps. Its start f(0) = 1
+carries exp(-alpha*x/2) in log form with power-of-two rescaling, so the law
+is right up to x = 2432 at alpha = 1, past the underflow of exp(-alpha*x/2).
 """
 
 from __future__ import annotations
@@ -190,11 +196,18 @@ def local_time_cf(x: int, level, t) -> complex:
     return complex(val) if np.ndim(t) == 0 else val
 
 
+#: Largest default truncation point of the local-time pmf.
+_S_MAX_CAP = 10**7
+#: The pmf recursion rescales by 2**-_RESCALE_BITS when it passes 2**_RESCALE_BITS.
+_RESCALE_BITS = 600
+
+
 def _default_s_max(x: int, alpha: float) -> int:
     """Smallest truncation point with Chernoff tail bound below 1e-12.
 
     Uses the compound-Poisson mgf exp(lam*(M_V(theta)-1)) with geometric
-    severity, minimized over a theta grid inside its domain.
+    severity, minimized over a theta grid inside its domain. Raises past
+    _S_MAX_CAP, which at alpha = 1 happens above x = 2432.
     """
     lam = alpha * x / 2
     p = 1 / (2 * x)
@@ -203,20 +216,42 @@ def _default_s_max(x: int, alpha: float) -> int:
     et = np.exp(theta)
     log_mgf = lam * (p * et / (1 - q * et) - 1)
     s = max(8, int(math.ceil(lam / p)))  # start at the mean
-    while s < 10**7:
+    while s < _S_MAX_CAP:
         if np.min(log_mgf - theta * s) < math.log(1e-12):
             return s
         s = int(s * 1.3) + 8
-    raise RuntimeError("could not locate a pmf truncation point")
+    raise RuntimeError(f"local-time pmf at x = {x}, alpha = {alpha:g}: its tail "
+                       f"stays above 1e-12 past the cap s = {_S_MAX_CAP:,}")
 
 
 def local_time_pmf(x: int, level, s_max: int | None = None) -> LocalTimeLaw:
     """Exact local-time pmf via the Panjer (compound Poisson) recursion.
 
-    f(0) = exp(-lam); f(s) = (lam/s) * sum_{j=1..s} j g(j) f(s-j) with
-    lam = alpha*x/2 and geometric severity g(j) = p(1-p)^{j-1}, p = 1/(2x).
-    Truncated at s_max (default: Chernoff tail below 1e-12); the result keeps
-    the truncated tail mass and raises a warning flag when it exceeds 1e-9.
+    With lam = alpha*x/2 trajectories and geometric severity
+    g(j) = p q^{j-1}, p = 1/(2x), q = 1 - p, Panjer's recursion reads
+    f(0) = exp(-lam), f(s) = (c/s) S(s) with c = lam*p = alpha/4 and
+    S(s) = sum_{j=1..s} j q^{j-1} f(s-j). For geometric severity S is carried
+    by two running sums, with T(s) = sum_{j=1..s} q^{j-1} f(s-j):
+
+        T(s) = f(s-1) + q T(s-1),  S(s) = f(s-1) + q (S(s-1) + T(s-1)),
+
+    so each entry costs O(1) and the pmf O(s_max). Every term is positive,
+    nothing cancels, and each entry keeps a relative error of order s*eps
+    (measured against a 40-digit run of the same recursion: 1.7e-13 at
+    x = 100, 6e-12 at x = 200, alpha = 1).
+
+    The recursion is linear in f(0), so it starts at f(0) = 1 and carries the
+    factor exp(-lam) in log form; S, T and f are rescaled by 2**-600 whenever
+    S passes 2**600, and the accumulated factor is applied once at the end,
+    as an exact power of two times a factor in [1, 2). So exp(-lam) never
+    underflows on its own, and the law is right for every
+    x that the default truncation accepts (up to x = 2432 at alpha = 1, where
+    s_max nears 1e7); entries below the double range come out as 0.
+
+    Truncated at s_max (default: Chernoff tail below 1e-12). ``tail_mass`` is
+    1 - sum(pmf), signed: besides the truncated tail it holds the rounding of
+    the sum, of order s_max*eps either way. ``truncation_warning`` is raised
+    when it exceeds 1e-9.
     """
     if x < 1:
         raise ValueError(f"site must be >= 1, got {x}")
@@ -226,15 +261,29 @@ def local_time_pmf(x: int, level, s_max: int | None = None) -> LocalTimeLaw:
     if s_max < 0:
         raise ValueError(f"truncation point must be >= 0, got {s_max}")
     lam = a * x / 2
-    p = 1 / (2 * x)
-    q = 1 - p
-    j = np.arange(1, s_max + 1, dtype=np.float64)
-    jg = j * p * q ** (j - 1)
-    f = np.zeros(s_max + 1)
-    f[0] = math.exp(-lam)
+    c = a / 4
+    q = 1 - 1 / (2 * x)
+    big, shrink = 2.0**_RESCALE_BITS, 2.0**-_RESCALE_BITS
+    f = np.empty(s_max + 1)
+    f[0] = prev = 1.0
+    S = T = 0.0
+    rescales = 0
     for s in range(1, s_max + 1):
-        f[s] = lam / s * float(np.dot(jg[:s], f[s - 1::-1]))
-    tail = max(0.0, 1.0 - float(f.sum()))
+        S = prev + q * (S + T)
+        T = prev + q * T
+        prev = c / s * S
+        f[s] = prev
+        if S > big:
+            S, T, prev = S * shrink, T * shrink, prev * shrink
+            f[:s + 1] *= shrink
+            rescales += 1
+    # the factor 2**log2_scale is applied as 2**n * 2**frac: with a short
+    # s_max the whole factor underflows where f times it does not
+    log2_scale = rescales * _RESCALE_BITS - lam / math.log(2)
+    n = math.floor(log2_scale)
+    f *= 2.0 ** (log2_scale - n)
+    np.ldexp(f, n, out=f)
+    tail = 1.0 - float(f.sum())
     return LocalTimeLaw(x=x, alpha=a, pmf=f, tail_mass=tail,
                         truncation_warning=tail > 1e-9)
 

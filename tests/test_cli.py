@@ -73,7 +73,9 @@ class TestErrors:
         # no pmf truncation point below 1e7 exists at x = 10000
         code = main(["localtime-pmf", "--alpha", "1", "--x", "10000"])
         assert code == 2
-        assert capsys.readouterr().err.startswith("ri1d: error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("ri1d: error: ")
+        assert "x = 10000" in err
 
     def test_removed_verify_target(self):
         # check 13 has one target name, "martingale"

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from ri1d import interlacements as il
 from ri1d.capacity import IntervalSet, capacity_hat
@@ -337,6 +338,121 @@ class TestPmf:
         s = il.sample_local_times(3, 1.0, 10**6, RngState(4).generator())
         emp = np.bincount(s) / len(s)
         assert tv_distance(emp, law) <= 0.005
+
+
+def _pmf_dot(x, alpha, s_max):
+    """Reference pmf: Panjer's recursion as one O(s) dot product per entry.
+
+    f(0) = exp(-lam), f(s) = (lam/s) sum_{j=1..s} j g(j) f(s-j) with
+    lam = alpha*x/2 and g(j) = p q^{j-1}, p = 1/(2x); O(s_max^2) in all.
+    """
+    lam = alpha * x / 2
+    p = 1 / (2 * x)
+    q = 1 - p
+    j = np.arange(1, s_max + 1, dtype=np.float64)
+    jg = j * p * q ** (j - 1)
+    f = np.zeros(s_max + 1)
+    f[0] = math.exp(-lam)
+    for s in range(1, s_max + 1):
+        f[s] = lam / s * float(np.dot(jg[:s], f[s - 1::-1]))
+    return f
+
+
+def _pmf_mpmath(x, alpha, s_max):
+    """The running-sum recursion of ``local_time_pmf`` in 40-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        c = mpmath.mpf(alpha) / 4
+        q = 1 - mpmath.mpf(1) / (2 * x)
+        prev = mpmath.exp(-mpmath.mpf(alpha) * x / 2)
+        f = [prev]
+        S = T = mpmath.mpf(0)
+        for s in range(1, s_max + 1):
+            S = prev + q * (S + T)
+            T = prev + q * T
+            prev = c / s * S
+            f.append(prev)
+        return f
+
+
+def _max_rel(got, ref):
+    """Largest relative error of got on the entries of ref inside the normal range."""
+    ref = np.asarray(ref, dtype=np.float64)
+    keep = ref >= 1e-300
+    return float(np.max(np.abs(got[keep] / ref[keep] - 1)))
+
+
+class TestPmfRunningSums:
+    """The O(s_max) running-sum pmf against its oracles."""
+
+    @pytest.mark.parametrize("s_max", [None, 0, 5])
+    @pytest.mark.parametrize("alpha", [0.3, 1.0, 2.5])
+    @pytest.mark.parametrize("x", [1, 2, 3, 5, 20, 100])
+    def test_matches_dot_product_form(self, x, alpha, s_max):
+        law = il.local_time_pmf(x, alpha, s_max)
+        assert _max_rel(law.pmf, _pmf_dot(x, alpha, law.s_max)) <= 1e-13
+
+    @pytest.mark.parametrize("x", [3, 100])
+    def test_matches_40_digit_run(self, x):
+        law = il.local_time_pmf(x, 1.0)
+        assert _max_rel(law.pmf, _pmf_mpmath(x, 1.0, law.s_max)) <= 1e-12
+
+    def test_signed_tail_mass(self):
+        # the sum's rounding excess (about +2e-12 here) is reported, not clamped
+        law = il.local_time_pmf(200, 1.0)
+        assert law.tail_mass == 1 - law.pmf.sum()
+        assert abs(law.tail_mass) <= 1e-10
+
+    def test_far_site(self):
+        # exp(-800) = f(0) is below the double range, yet the law is whole
+        x = 1600
+        law = il.local_time_pmf(x, 1.0)
+        assert law.pmf[0] == 0.0
+        assert abs(law.mean() / il.local_time_mean(x, 1.0) - 1) <= 1e-9
+        assert abs(law.variance() / il.local_time_variance(x, 1.0) - 1) <= 1e-9
+        assert abs(law.tail_mass) <= 1e-9 and not law.truncation_warning
+        # a truncation that stops before the first rescaling is a prefix of
+        # the law, though its scale factor exp(-800) underflows on its own
+        short = il.local_time_pmf(x, 1.0, s_max=20000)
+        assert np.count_nonzero(short.pmf) > 15000
+        assert np.array_equal(short.pmf, law.pmf[:20001])
+
+    def test_truncation_cap_names_its_input(self):
+        with pytest.raises(RuntimeError, match=r"x = 10000, alpha = 1\b.*10,000,000"):
+            il.local_time_pmf(10000, 1.0)
+
+
+class TestExactCltRate:
+    """The paper's CLT at x -> infinity, measured on the exact law.
+
+    sqrt(x) * KS(law at x, N(alpha x^2, alpha (4x-1) x^2)) tends to the
+    one-term Edgeworth value gamma phi(0) / 6 * sqrt(x) = 1 / (2 sqrt(2 pi))
+    at alpha = 1, with skewness gamma = 3 (1 - 1/(8x)) / sqrt(x). The next
+    terms are O(1/x) in this scaled statistic: half an atom at the mode,
+    phi(0) / (2 sigma), gives +0.0997/x; the skewness correction -0.0249/x;
+    the shift of the maximum by the kappa_4 and gamma^2 terms +0.0187/x; and
+    the order-x^{-3/2} Edgeworth terms at z = 0 +0.0249/x. So the statistic is
+    0.19947 + 0.118/x + O(x^{-3/2}): 0.59% above the limit at x = 100 and
+    0.15% at x = 400, inside the 1% bound, and decreasing in x.
+    """
+
+    LIMIT = 1 / (2 * math.sqrt(2 * math.pi))
+
+    @staticmethod
+    def _scaled_ks(x):
+        law = il.local_time_pmf(x, 1.0)
+        cdf = np.cumsum(law.pmf)
+        s = np.arange(len(law.pmf))
+        phi = ndtr(il.standardize_local_time(s, x, 1.0))
+        below = np.concatenate(([0.0], cdf[:-1]))  # the CDF just left of s
+        ks = max(np.max(np.abs(cdf - phi)), np.max(np.abs(below - phi)))
+        return math.sqrt(x) * ks
+
+    def test_rate(self):
+        stats = [self._scaled_ks(x) for x in (25, 100, 400)]
+        assert stats[0] > stats[1] > stats[2]
+        for stat in stats[1:]:
+            assert abs(stat / self.LIMIT - 1) <= 0.01
 
 
 class TestCf:
