@@ -17,7 +17,7 @@ The exact local-time pmf is Panjer's compound-Poisson recursion. Geometric
 severity lets two running sums carry its convolution, so the pmf to s_max
 costs O(s_max) with relative error of order s_max*eps. Its start f(0) = 1
 carries exp(-alpha*x/2) in log form with power-of-two rescaling, so the law
-is right up to x = 2432 at alpha = 1, past the underflow of exp(-alpha*x/2).
+is right up to x = 2770 at alpha = 1, past the underflow of exp(-alpha*x/2).
 """
 
 from __future__ import annotations
@@ -68,13 +68,16 @@ class LocalTimeLaw:
     def s_max(self) -> int:
         return len(self.pmf) - 1
 
+    # Each moment builds one float index array and works in it in place, so
+    # its peak memory is one pmf-sized array.
     def mean(self) -> float:
-        return float(np.dot(np.arange(len(self.pmf)), self.pmf))
+        return float(np.dot(np.arange(len(self.pmf), dtype=np.float64), self.pmf))
 
     def variance(self) -> float:
-        s = np.arange(len(self.pmf))
-        m = self.mean()
-        return float(np.dot((s - m) ** 2, self.pmf))
+        s = np.arange(len(self.pmf), dtype=np.float64)
+        s -= np.dot(s, self.pmf)
+        np.square(s, out=s)
+        return float(np.dot(s, self.pmf))
 
 
 def local_time_mean(x: int, level) -> float:
@@ -206,8 +209,9 @@ def _default_s_max(x: int, alpha: float) -> int:
     """Smallest truncation point with Chernoff tail bound below 1e-12.
 
     Uses the compound-Poisson mgf exp(lam*(M_V(theta)-1)) with geometric
-    severity, minimized over a theta grid inside its domain. Raises past
-    _S_MAX_CAP, which at alpha = 1 happens above x = 2432.
+    severity, minimized over a theta grid inside its domain. The bound falls
+    as s grows, so bisection finds the smallest integer s that passes.
+    Raises past _S_MAX_CAP, which at alpha = 1 happens above x = 2770.
     """
     lam = alpha * x / 2
     p = 1 / (2 * x)
@@ -215,13 +219,21 @@ def _default_s_max(x: int, alpha: float) -> int:
     theta = np.linspace(1e-8, -math.log(q) * 0.999, 256)
     et = np.exp(theta)
     log_mgf = lam * (p * et / (1 - q * et) - 1)
-    s = max(8, int(math.ceil(lam / p)))  # start at the mean
-    while s < _S_MAX_CAP:
-        if np.min(log_mgf - theta * s) < math.log(1e-12):
-            return s
-        s = int(s * 1.3) + 8
-    raise RuntimeError(f"local-time pmf at x = {x}, alpha = {alpha:g}: its tail "
-                       f"stays above 1e-12 past the cap s = {_S_MAX_CAP:,}")
+
+    def passes(s: int) -> bool:
+        return bool(np.min(log_mgf - theta * s) < math.log(1e-12))
+
+    if not passes(_S_MAX_CAP):
+        raise RuntimeError(f"local-time pmf at x = {x}, alpha = {alpha:g}: its tail "
+                           f"stays above 1e-12 past the cap s = {_S_MAX_CAP:,}")
+    lo, hi = 0, _S_MAX_CAP  # passes(lo) is False (the bound is >= 0 there)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if passes(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def local_time_pmf(x: int, level, s_max: int | None = None) -> LocalTimeLaw:
@@ -245,7 +257,7 @@ def local_time_pmf(x: int, level, s_max: int | None = None) -> LocalTimeLaw:
     S passes 2**600, and the accumulated factor is applied once at the end,
     as an exact power of two times a factor in [1, 2). So exp(-lam) never
     underflows on its own, and the law is right for every
-    x that the default truncation accepts (up to x = 2432 at alpha = 1, where
+    x that the default truncation accepts (up to x = 2770 at alpha = 1, where
     s_max nears 1e7); entries below the double range come out as 0.
 
     Truncated at s_max (default: Chernoff tail below 1e-12). ``tail_mass`` is

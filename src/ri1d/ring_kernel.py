@@ -3,15 +3,16 @@
 The ring of n sites with a forbidden origin is represented as the segment
 {1..n-1} with killing at 0 and n (ring site -a is line site n-a). One
 killed-walk step, :func:`_killed_steps`, computes every exact ring quantity:
-the simple walk killed at 0, n and optional extra sites, rescaled to max 1
-after each step with the scale carried in log domain. Run backward from the
-all-ones vector it gives h_n(x,t) = P_x[tau_{0,n} > t] (:func:`h_dp` and the
-:class:`SurvivalKernel` table); run forward from a point mass it gives the
-killed propagation behind the asymptotic verification checks. Point values
-also have closed forms: the odd-mode spectral sum in signed log domain, and
-the first-mode asymptotic (4/pi) cos^t(pi/n) sin(pi x/n), valid once
-t >= (4/pi^2) n^2 ln n. On top of the kernel table sit the time-inhomogeneous
-conditioned ring walk and its exact vacant-set and local-time functionals.
+the simple walk killed at 0, n and optional extra sites, stepped in place as
+unhalved sums with its scale carried as an exact power of two. Run backward
+from the all-ones vector it gives h_n(x,t) = P_x[tau_{0,n} > t] (:func:`h_dp`
+and the :class:`SurvivalKernel` table); run forward from a point mass it
+gives the killed propagation behind the asymptotic verification checks.
+Point values also have closed forms: the odd-mode spectral sum in signed log
+domain, and the first-mode asymptotic (4/pi) cos^t(pi/n) sin(pi x/n), valid
+once t >= (4/pi^2) n^2 ln n. On top of the kernel table sit the
+time-inhomogeneous conditioned ring walk and its exact vacant-set and
+local-time functionals.
 """
 
 from __future__ import annotations
@@ -93,31 +94,58 @@ def h_spectral(n: int, x: int, t: int) -> float:
     return min(float(sign * np.exp(log_abs)), 1.0)
 
 
+#: Steps between two rescalings in :func:`_killed_steps`. One unhalved step
+#: at most doubles the max, so it stays below 2**32 between rescalings.
+_RESCALE_EVERY = 32
+_LN2 = math.log(2.0)
+
+
 def _killed_steps(v: np.ndarray, steps: int, extra_kill: tuple[int, ...] = ()):
     """Yield (v, log_z) after each of ``steps`` steps of the killed walk.
 
     One step maps v to 0.5 (v[x-1] + v[x+1]) on 1..n-1 (n = len(v) - 1) and
-    to 0 at 0, n and the extra_kill sites. The walk is symmetric, so this is
-    both the backward survival recursion and the forward transport of a
-    distribution. Each yielded v is a new array rescaled to max 1, standing
-    for v * exp(log_z); once nothing survives, v is zero and log_z is -inf.
+    to 0 at 0, n and the extra_kill sites; the input v is nonnegative and
+    read as 0 at those sites. The walk is symmetric, so this is both the
+    backward survival recursion and the forward transport of a distribution.
+
+    Each yielded v stands for v * exp(log_z) with log_z = e * ln 2 for an
+    integer e. A step stores the unhalved sums v[x-1] + v[x+1] and counts the
+    factor 1/2 in e, so the add is the only rounding. At the first step,
+    every _RESCALE_EVERY steps after it and at the last step, v is scaled by
+    the exact power of two that brings its max into [1/2, 1). Only the first
+    step can kill everything: a live site with a live neighbour keeps both
+    alive, so after it the max never falls. Once nothing survives, v is zero
+    and log_z is -inf.
+
+    Every yielded v is one of two buffers that later steps overwrite; copy it
+    to keep it.
     """
     n = len(v) - 1
     kill = list(extra_kill)
-    log_z = 0.0
-    for _ in range(steps):
-        w = np.zeros(n + 1)
-        w[1:n] = 0.5 * (v[:n - 1] + v[2:])
-        if kill:
-            w[kill] = 0.0
-        m = w.max()
-        if m == 0.0:
-            log_z = -math.inf
-        else:
-            log_z += math.log(m)
-            w /= m
-        v = w
-        yield v, log_z
+    a, b = np.zeros(n + 1), np.zeros(n + 1)  # ends 0 and n are never written
+    a[1:n] = v[1:n]
+    a[kill] = 0.0
+    # each buffer with its views of the sites x-1, x+1 and x, for x in 1..n-1;
+    # source and target swap after every step
+    src, dst = (a, a[:n - 1], a[2:], a[1:n]), (b, b[:n - 1], b[2:], b[1:n])
+    e = 0
+    for step in range(steps):
+        np.add(src[1], src[2], out=dst[3])
+        w = dst[0]
+        for k in kill:
+            w[k] = 0.0
+        src, dst = dst, src
+        e -= 1
+        if step % _RESCALE_EVERY == 0 or step == steps - 1:
+            m = w.max()
+            if m == 0.0:
+                for _ in range(step, steps):
+                    yield w, -math.inf
+                return
+            shift = math.frexp(m)[1]
+            np.ldexp(w, -shift, out=w)
+            e += shift
+        yield w, e * _LN2
 
 
 def h_dp(n: int, x: int, t: int) -> float:
@@ -157,11 +185,12 @@ def h_over_t1_deviation(n: int, x: int, t: int) -> float:
 class SurvivalKernel:
     """Survival kernel h_n(x, s) of one ring size at every remaining time s.
 
-    Stores the killed-walk vector of every remaining time s <= t_max,
-    rescaled to max 1, and its log scale, so the conditioned walk can be
-    stepped at any time without recomputation. Memory is O(n t_max); the
-    table and the up-step table the samplers derive from it must fit in
-    KERNEL_BYTES_BUDGET together. Immutable after construction.
+    Stores the killed-walk vector of every remaining time s <= t_max, scaled
+    by a power of two to a max below 2**32, and its log scale: row s times
+    exp(_log_z[s]) is h(., s). So the conditioned walk can be stepped at any
+    time without recomputation. Memory is O(n t_max); the table and the
+    up-step table the samplers derive from it must fit in KERNEL_BYTES_BUDGET
+    together. Immutable after construction.
     """
 
     def __init__(self, n: int, t_max: int):

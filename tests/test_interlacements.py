@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -420,6 +421,52 @@ class TestPmfRunningSums:
     def test_truncation_cap_names_its_input(self):
         with pytest.raises(RuntimeError, match=r"x = 10000, alpha = 1\b.*10,000,000"):
             il.local_time_pmf(10000, 1.0)
+
+
+def _chernoff_log_tail(x, alpha, s):
+    """Log of the Chernoff bound on P[local time > s]: the compound-Poisson
+    log mgf minus theta*s, minimized over the theta grid of the default
+    truncation."""
+    lam, p = alpha * x / 2, 1 / (2 * x)
+    theta = np.linspace(1e-8, -math.log(1 - p) * 0.999, 256)
+    et = np.exp(theta)
+    return float(np.min(lam * (p * et / (1 - (1 - p) * et) - 1) - theta * s))
+
+
+class TestDefaultTruncation:
+    @pytest.mark.parametrize("x, alpha", [(1, 1.0), (3, 0.3), (20, 2.5),
+                                          (100, 1.0), (200, 1.0), (1600, 1.0)])
+    def test_smallest_point_passing_the_bound(self, x, alpha):
+        s = il._default_s_max(x, alpha)
+        assert _chernoff_log_tail(x, alpha, s) < math.log(1e-12)
+        assert _chernoff_log_tail(x, alpha, s - 1) >= math.log(1e-12)
+
+    def test_values_and_cap(self):
+        assert [il._default_s_max(x, 1.0) for x in (100, 200, 1600)] == \
+            [30362, 93065, 3599864]
+        assert il._default_s_max(2770, 1.0) <= 10**7
+        with pytest.raises(RuntimeError, match="x = 2771"):
+            il._default_s_max(2771, 1.0)
+        with pytest.raises(RuntimeError, match="x = 10000"):
+            il._default_s_max(10000, 1.0)
+
+
+class TestMomentsMemory:
+    def test_one_pmf_sized_temporary(self):
+        law = il.local_time_pmf(1000, 1.0)
+        s = np.arange(len(law.pmf))
+        mean_ref = float(np.dot(s, law.pmf))
+        var_ref = float(np.dot((s - mean_ref) ** 2, law.pmf))
+        del s
+        for moment, ref in ((law.mean, mean_ref), (law.variance, var_ref)):
+            tracemalloc.start()
+            try:
+                value = moment()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.1 * law.pmf.nbytes
+            assert abs(value / ref - 1) <= 1e-14
 
 
 class TestExactCltRate:

@@ -428,6 +428,80 @@ class TestKilledWalkOracles:
         _, log_mass = rk._propagate_killed(n, 60, delta, (120,))
         assert abs(log_mass - float(rk.h_spectral_log(120, 60, delta)[0])) <= 1e-9
 
+    # the engine rescales at step 1, every 32 steps after it and at the last
+    # step; yields between rescalings are unnormalized sums
+    RESCALE_STEPS = (1, 2, 31, 32, 33, 34, 64, 65, 97, 100)
+
+    def test_across_rescale_boundaries(self):
+        t = 100
+        for n in (12, 41):
+            exact = _exact_killed_steps(
+                [Fraction(int(0 < x < n)) for x in range(n + 1)], t, ())
+            kernel = rk.SurvivalKernel(n, t)
+            for s in range(t + 1):
+                for x in range(1, n):
+                    assert kernel.h(x, s) == pytest.approx(
+                        float(exact[s][x]), rel=1e-13, abs=0)
+            for s in self.RESCALE_STEPS:
+                assert rk.h_dp(n, n // 3, s) == pytest.approx(
+                    float(exact[s][n // 3]), rel=1e-13, abs=0)
+        for n, start, k in ((12, 3, 7), (41, 30, 9)):
+            point = [Fraction(int(x == start)) for x in range(n + 1)]
+            exact = _exact_killed_steps(point, t, (k,))
+            for steps in self.RESCALE_STEPS:
+                w, log_mass = rk._propagate_killed(n, start, steps, (k,))
+                mass = sum(exact[steps])
+                assert log_mass == pytest.approx(
+                    math.log(mass.numerator) - math.log(mass.denominator),
+                    rel=1e-13, abs=1e-13)
+                ref = [float(p / mass) for p in exact[steps]]
+                np.testing.assert_allclose(w, ref, rtol=1e-13, atol=0)
+
+    def test_all_dead(self):
+        # n = 2 and a start between two killed sites lose everything at step 1
+        for steps in (1, 2, 40):
+            for length, start, kill in ((2, 1, ()), (10, 4, (3, 5))):
+                w, log_mass = rk._propagate_killed(length, start, steps, kill)
+                assert log_mass == -math.inf
+                assert not w.any()
+            assert rk.h_dp(2, 1, steps) == 0.0
+        kernel = rk.SurvivalKernel(2, 40)
+        assert np.all(kernel._log_z[1:] == -math.inf)
+        assert not kernel._table[1:].any()
+
+    def test_scale_never_overflows(self):
+        # at n = 3 the mass from site 1 halves every step: log mass -t ln 2
+        t = 5000
+        w, log_mass = rk._propagate_killed(3, 1, t)
+        assert log_mass == pytest.approx(-t * math.log(2), rel=1e-12)
+        assert w.tolist() == [0.0, float(t % 2 == 0), float(t % 2 == 1), 0.0]
+        # at n = 64 the unhalved sums grow like (2 cos(pi/64))^t and would
+        # pass the double range after about 1030 steps without rescaling
+        assert rk.h_dp(64, 32, t) == pytest.approx(rk.h_spectral(64, 32, t),
+                                                   rel=1e-11)
+        kernel = rk.SurvivalKernel(64, t)
+        assert np.all(np.isfinite(kernel._table))
+        assert kernel._table.max() < 2.0**32
+
+    def test_results_independent_of_heap_contents(self):
+        # freed blocks of the engine's buffer sizes, filled with NaN or 1e300,
+        # must not reach any result
+        def run():
+            kernel = rk.SurvivalKernel(40, 300)
+            w, log_mass = rk._propagate_killed(30, 4, 200, (11,))
+            rows = [kernel._table[s].copy() for s in (1, 33, 300)]
+            return [rk.h_dp(40, 17, 300), rk.verify_pi4(60, 500, 7)[0],
+                    w, log_mass, *rows, kernel._log_z[[1, 33, 300]]]
+
+        first = run()
+        for size in (31, 41, 61):
+            for fill in (np.nan, 1e300):
+                junk = [np.full(size, fill) for _ in range(16)]
+                del junk
+        second = run()
+        assert [np.asarray(v).tobytes() for v in first] == \
+            [np.asarray(v).tobytes() for v in second]
+
 
 class TestKernelMemoryGuard:
     def test_budget_covers_both_tables(self, monkeypatch):
