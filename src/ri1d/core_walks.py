@@ -73,11 +73,6 @@ def step_down_prob(x: int) -> float:
     return 1.0 - step_up_prob(x)
 
 
-def path_prob(path: WalkPath) -> float:
-    """Probability of a path under the conditioned walk: final/(2^m * start)."""
-    return path.final / (2**path.n_steps * path.start)
-
-
 def hit_before_prob(y: int, x: int, N: int) -> float:
     """P[hit x before N] for the conditioned walk from y, 1 < x < y < N."""
     if not (1 < x < y < N):
@@ -206,14 +201,19 @@ def _absorb(gen: np.random.Generator, pos: np.ndarray, lo: int, hi: int | None,
     return hits, pos
 
 
+def _walkers(start: int, M: int) -> np.ndarray:
+    """Positions of M >= 1 walkers at ``start``; M < 1 raises ValueError."""
+    if M < 1:
+        raise ValueError(f"need at least one replicate, got M={M}")
+    return np.full(M, start, dtype=np.int64)
+
+
 def simulate_hit_before(y: int, x: int, N: int, M: int, rng: RngState) -> float:
     """Empirical P[hit x before N] from M conditioned chains run to absorption."""
     if not (1 < x < y < N):
         raise ValueError(f"need 1 < x < y < N, got x={x}, y={y}, N={N}")
-    if M < 1:
-        raise ValueError("need at least one replicate")
-    hits, active = _absorb(rng.generator(), np.full(M, y, dtype=np.int64),
-                           x, N, ABSORPTION_STEP_CAP)
+    hits, active = _absorb(rng.generator(), _walkers(y, M), x, N,
+                           ABSORPTION_STEP_CAP)
     if active.size:
         raise RuntimeError(
             f"absorption did not occur within {ABSORPTION_STEP_CAP} steps "
@@ -231,8 +231,8 @@ def estimate_hit_prob(y: int, x: int, M: int, rng: RngState) -> float:
     """
     if not (1 <= x < y):
         raise ValueError(f"need 1 <= x < y, got x={x}, y={y}")
-    hits, pos = _absorb(rng.generator(), np.full(M, y, dtype=np.int64),
-                        x, None, ESTIMATOR_HORIZON)
+    hits, pos = _absorb(rng.generator(), _walkers(y, M), x, None,
+                        ESTIMATOR_HORIZON)
     return (hits + float(np.sum(x / pos))) / M
 
 
@@ -247,6 +247,6 @@ def estimate_escape_prob(x: int, M: int, rng: RngState) -> float:
     gen = rng.generator()
     # walkers that step down to x-1 return to x almost surely (positive walk
     # below x must cross it); resolve them after the first step
-    _, pos = _absorb(gen, np.full(M, x, dtype=np.int64), x - 1, None, 1)
+    _, pos = _absorb(gen, _walkers(x, M), x - 1, None, 1)
     _, pos = _absorb(gen, pos, x, None, ESTIMATOR_HORIZON)
     return float(np.sum(1.0 - x / pos)) / M

@@ -52,8 +52,10 @@ def _spectral_log_terms(n: int, x, t: int):
     the last axis. Each term is (2/n) cos^t(theta_j) cot(theta_j/2)
     sin(x theta_j) with theta_j = pi(2j-1)/n, j = 1..floor(n/2); cos^t is
     carried as t*ln|cos| with explicit sign tracking so horizons up to 1e7
-    cannot underflow.
+    cannot underflow. A negative t raises ValueError.
     """
+    if t < 0:
+        raise ValueError(f"need t >= 0, got {t}")
     j = np.arange(1, n // 2 + 1, dtype=np.float64)
     theta = np.pi * (2 * j - 1) / n
     c = np.cos(theta)
@@ -449,28 +451,3 @@ def mid_tail_check(n_half: int, t: int, delta: int, x: int):
     w, log_mass = _propagate_killed(n2, x, delta, extra_kill=(n_half,))
     return _reweighted_prob(n2, x, t, delta, w, log_mass), bound
 
-
-def endpoint_small_prob_ring(n: int, t: int, x: int, delta: int, y: int):
-    """(exact, asymptotic) for P[X_delta <= y] under the t-horizon ring law.
-
-    Exact by killed propagation reweighted with the remaining-time kernel;
-    the asymptotic is sqrt(2/pi) y^3 / (3 delta^{3/2}), valid for
-    y^2 = o(delta) and delta = o(n^2).
-    """
-    if not 0 < x < n:
-        raise ValueError(f"need 0 < x < n, got x={x}, n={n}")
-    if y < 0 or not 1 <= delta <= t:
-        raise ValueError(f"need y >= 0 and 1 <= delta <= t, got y={y}, "
-                         f"delta={delta}, t={t}")
-    asym = math.sqrt(2 / math.pi) * y**3 / (3 * delta**1.5)
-    if y == 0:
-        return 0.0, asym
-    w, log_mass = _propagate_killed(n, x, delta)
-    w = w.copy()
-    w[y + 1:] = 0.0  # keep only endpoints <= y
-    total = w.sum()
-    if total == 0.0:
-        return 0.0, asym
-    log_mass += math.log(total)
-    w /= total
-    return _reweighted_prob(n, x, t, delta, w, log_mass), asym

