@@ -11,7 +11,7 @@ from .rngs import RngState
 from .capacity import IntervalSet, EquilibriumMeasure, capacity, capacity_hat, equilibrium_measure
 from .core_walks import WalkPath
 from .interlacements import WindowSample, LocalTimeLaw
-from .ring_kernel import RingConfig, SurvivalKernel
+from .ring_kernel import SurvivalKernel
 from .mc import EmpiricalSummary, Experiment, Verdict
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "WalkPath",
     "WindowSample",
     "LocalTimeLaw",
-    "RingConfig",
     "SurvivalKernel",
     "EmpiricalSummary",
     "Experiment",

@@ -173,8 +173,7 @@ def cmd_sample_localtime(args, run: _Run) -> None:
 
 
 def cmd_sample_ring(args, run: _Run) -> None:
-    cfg = rk.RingConfig(args.n, args.t, args.x0)
-    path = rk.sample_ring_path(cfg, RngState(args.seed))
+    path = rk.sample_ring_path(args.n, args.t, args.x0, RngState(args.seed))
     run.values["final"] = path.final
     run.values["min"] = min(path.positions)
     run.values["max"] = max(path.positions)
@@ -234,8 +233,15 @@ def _add_common(p: argparse.ArgumentParser, func, seed: bool = False,
     p.set_defaults(func=func)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes no flag prefixes (``--x`` is not ``--x0``); sub-parsers share the class."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ri1d",
         description="One-dimensional random interlacements: exact laws, "
                     "samplers and verification experiments.")

@@ -7,10 +7,12 @@ the simple walk killed at 0, n and optional extra sites, stepped in place as
 unhalved sums with its scale carried as an exact power of two. Run backward
 from the all-ones vector it gives h_n(x,t) = P_x[tau_{0,n} > t] (:func:`h_dp`
 and the :class:`SurvivalKernel` table); run forward from a point mass it
-gives the killed propagation behind the asymptotic verification checks.
+gives the first-leg law behind the no-hit and mid-tail checks.
 Point values also have closed forms: the odd-mode spectral sum in signed log
-domain, and the first-mode asymptotic (4/pi) cos^t(pi/n) sin(pi x/n), valid
-once t >= (4/pi^2) n^2 ln n. On top of the kernel table sit the
+domain, read only through :func:`_log_h`, and the first-mode asymptotic
+(4/pi) cos^t(pi/n) sin(pi x/n), valid once t >= (4/pi^2) n^2 ln n. The pi/4
+value of :func:`verify_pi4` needs no propagation: sin(pi x/n) is an
+eigenvector of the killed walk. On top of the kernel table sit the
 time-inhomogeneous conditioned ring walk and its exact vacant-set and
 local-time functionals.
 """
@@ -20,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
@@ -58,7 +59,7 @@ def _spectral_log_terms(n: int, x, t: int):
         raise ValueError(f"need t >= 0, got {t}")
     j = np.arange(1, n // 2 + 1, dtype=np.float64)
     theta = np.pi * (2 * j - 1) / n
-    c = np.cos(theta)
+    c = np.where(4 * j == n + 2, 0.0, np.cos(theta))  # cos(pi/2) is 0, not 6e-17
     with np.errstate(divide="ignore"):
         log_c = np.log(np.abs(c))
         # t == 0 must give log 1 even for the cos = 0 mode (0 * -inf trap)
@@ -78,22 +79,32 @@ def h_spectral_log(n: int, x, t: int):
     return logsumexp(log_abs, b=sign, axis=-1, return_sign=True)
 
 
+def _log_h(n: int, x, t: int):
+    """log h_n(x, t) from the spectral sum, for a scalar or an array x.
+
+    An exact zero gives -inf. Inside the segment the sum is positive, so a
+    negative sum is cancellation and raises RuntimeError.
+    """
+    log_abs, sign = h_spectral_log(n, x, t)
+    xs, signs = np.broadcast_arrays(x, sign)
+    if (signs < 0).any():
+        raise RuntimeError(f"spectral sum is negative at n={n}, "
+                           f"x={xs[signs < 0][0]}, t={t} (cancellation)")
+    log_h = np.where(signs == 0, -np.inf, log_abs)
+    return float(log_h) if log_h.ndim == 0 else log_h
+
+
 def h_spectral(n: int, x: int, t: int) -> float:
     """Survival probability via the odd-mode spectral sum, in signed log domain.
 
-    The killed sites x = 0 and x = n give exactly 0.0. At any other x the
-    sum is positive, so a negative value is cancellation and raises
-    RuntimeError. Rounding above 1 (at most 1.8e-15 for n < 60, t < 80) is
-    capped at 1.0.
+    The killed sites x = 0 and x = n give exactly 0.0; elsewhere a negative
+    sum raises RuntimeError (:func:`_log_h`). Rounding above 1 (at most
+    1.8e-15 for n < 60, t < 80) is capped at 1.0.
     """
     _check_domain(n, x, t)
     if x in (0, n):
         return 0.0
-    log_abs, sign = h_spectral_log(n, x, t)
-    if sign < 0:
-        raise RuntimeError(f"spectral sum is negative at n={n}, x={x}, t={t} "
-                           f"(cancellation)")
-    return min(float(sign * np.exp(log_abs)), 1.0)
+    return min(float(np.exp(_log_h(n, x, t))), 1.0)
 
 
 #: Steps between two rescalings in :func:`_killed_steps`. One unhalved step
@@ -175,11 +186,11 @@ def h_asymptotic(n: int, x: int, t: int) -> tuple[float, bool]:
 
 def h_over_t1_deviation(n: int, x: int, t: int) -> float:
     """|h_spectral/h_asymptotic - 1|, computed in log domain."""
-    log_h, sign = h_spectral_log(n, x, t)
+    log_h = _log_h(n, x, t)
     t1, _ = h_asymptotic(n, x, t)
-    if t1 <= 0 or sign <= 0:
+    if t1 <= 0 or log_h == -math.inf:
         raise ValueError("first-mode comparison needs strictly positive h and T1")
-    return abs(math.expm1(float(log_h) - math.log(t1)))
+    return abs(math.expm1(log_h - math.log(t1)))
 
 
 # -- kernel table and the conditioned ring walk --------------------------------
@@ -238,21 +249,6 @@ class SurvivalKernel:
         return p
 
 
-@dataclass(frozen=True)
-class RingConfig:
-    """Ring walk setup: n sites, horizon t_total, start x0."""
-
-    n: int
-    t_total: int
-    x0: int
-
-    def __post_init__(self):
-        if not 0 < self.x0 < self.n:
-            raise ValueError(f"need 0 < x0 < n, got x0={self.x0}, n={self.n}")
-        if self.t_total < 0:
-            raise ValueError(f"need t_total >= 0, got {self.t_total}")
-
-
 def ring_time_scale(n: int, alpha: float) -> int:
     """Horizon floor(alpha n^3 / (2 pi^2)) matching interlacement level alpha."""
     if n < 2 or not alpha > 0:
@@ -263,13 +259,17 @@ def ring_time_scale(n: int, alpha: float) -> int:
     return t
 
 
-def sample_ring_path(cfg: RingConfig, rng: RngState) -> WalkPath:
-    """One trajectory of the conditioned ring walk, all t_total steps."""
-    kernel = SurvivalKernel(cfg.n, cfg.t_total)
-    if cfg.t_total >= 1 and kernel.h(cfg.x0, cfg.t_total) == 0.0:
+def sample_ring_path(n: int, t_total: int, x0: int, rng: RngState) -> WalkPath:
+    """One trajectory of the conditioned ring walk from x0, all t_total steps."""
+    if not 0 < x0 < n:
+        raise ValueError(f"need 0 < x0 < n, got x0={x0}, n={n}")
+    if t_total < 0:
+        raise ValueError(f"need t_total >= 0, got {t_total}")
+    kernel = SurvivalKernel(n, t_total)
+    if t_total >= 1 and kernel.h(x0, t_total) == 0.0:
         raise ValueError("conditioning on survival is impossible from this start")
-    steps = _ring_steps(kernel, cfg.x0, cfg.t_total, 1, rng.generator())
-    return WalkPath((cfg.x0,) + tuple(int(pos[0]) for pos in steps))
+    steps = _ring_steps(kernel, x0, t_total, 1, rng.generator())
+    return WalkPath((x0,) + tuple(int(pos[0]) for pos in steps))
 
 
 def _ring_steps(kernel: SurvivalKernel, x0: int, t: int, M: int,
@@ -329,14 +329,7 @@ def vacant_prob_ring_exact(n: int, t: int, x0: int, a: int, b: int) -> float:
         raise ValueError(f"need b < x0 < n-a, got x0={x0}, a={a}, b={b}, n={n}")
     if t == 0:
         return 1.0
-    log_num, s_num = h_spectral_log(n - a - b, x0 - b, t)
-    log_den, s_den = h_spectral_log(n, x0, t)
-    if s_num < 0 or s_den <= 0:
-        raise RuntimeError(f"spectral sum for the ring vacant probability is "
-                           f"not positive at n={n}, t={t}, x0={x0} (cancellation)")
-    if s_num == 0:
-        return 0.0
-    return math.exp(float(log_num) - float(log_den))
+    return math.exp(_log_h(n - a - b, x0 - b, t) - _log_h(n, x0, t))
 
 
 def ring_local_time_batch(n_half: int, alpha: float, x: int, M: int,
@@ -356,60 +349,45 @@ def ring_local_time_batch(n_half: int, alpha: float, x: int, M: int,
     return visits
 
 
-# -- exact propagation checks for the asymptotic formulas -----------------------
-
-def _propagate_killed(length: int, start: int, steps: int,
-                      extra_kill: tuple[int, ...] = ()):
-    """Distribution of the simple walk killed at {0, length} + extra sites.
-
-    Returns (weights summing to 1 over 0..length, log of the surviving mass)
-    after ``steps`` steps from ``start``, or (zeros, -inf) once nothing
-    survives.
-    """
-    if start in (0, length) or start in extra_kill:
-        raise ValueError(f"start {start} is a killed site")
-    w = np.zeros(length + 1)
-    w[start] = 1.0
-    log_z = 0.0
-    for w, log_z in _killed_steps(w, steps, extra_kill):
-        pass
-    total = w.sum()
-    if total == 0.0:
-        return w, -math.inf
-    return w / total, log_z + math.log(total)
-
+# -- exact checks of the asymptotic formulas ------------------------------------
 
 def verify_pi4(n: int, delta: int, a: int) -> tuple[float, bool]:
     """E_a[sin(pi X_delta / n) | survival in (0,n)], computed exactly.
 
-    In the first-mode regime the value is (1 + O(n^-2)) * pi/4 independently
-    of a; the boolean flags whether delta reaches that regime.
+    sin(pi x/n) is an eigenvector of the killed walk with eigenvalue
+    cos(pi/n), so the value is cos^delta(pi/n) sin(pi a/n) / h_n(a, delta).
+    The numerator is (n/2) tan(pi/2n) times the first spectral term of h, so
+    the rounding of delta * log cos(pi/n) cancels in the ratio. In the
+    first-mode regime the value is (1 + O(n^-2)) * pi/4 independently of a;
+    the boolean flags whether delta reaches that regime.
     """
     if not 1 <= a <= n - 1:
         raise ValueError(f"need 1 <= a <= n-1, got a={a}, n={n}")
-    w, _ = _propagate_killed(n, a, delta)
-    val = float(np.dot(w, np.sin(np.pi * np.arange(n + 1) / n)))
+    log_h = _log_h(n, a, delta)
+    if log_h == -math.inf:
+        raise ValueError(f"conditioning on survival is impossible: "
+                         f"h_n(a, delta) = 0 at n={n}, delta={delta}")
+    log_first = float(_spectral_log_terms(n, a, delta)[0][0])
+    val = (n / 2) * math.tan(math.pi / (2 * n)) * math.exp(log_first - log_h)
     return val, in_cond_regime(delta, n)
 
 
-def _reweighted_prob(n: int, x0: int, t: int, delta: int, w, log_mass: float) -> float:
-    """P[constrained first leg] = sum_z w(z) h_n(z, t-delta) / h_n(x0, t).
+def _first_leg_prob(n: int, x0: int, t: int, delta: int, kill: int) -> float:
+    """P[the first delta steps from x0 avoid kill] under the t-horizon law.
 
-    ``w`` is the normalized end-of-leg distribution with surviving log mass
-    ``log_mass``; everything is combined in log domain.
+    Runs the walk killed at 0, n and kill forward from x0 and weights where
+    it ends by the remaining-time kernel:
+    sum_z P_x0[X_delta = z, alive] h_n(z, t-delta) / h_n(x0, t). Every weight
+    is positive, so the sum is one unsigned log-sum.
     """
-    sites = np.nonzero(w > 0)[0]
-    if sites.size == 0:
-        return 0.0
-    log_h, sign = h_spectral_log(n, sites, t - delta)
-    num, num_sign = logsumexp(np.log(w[sites]) + log_h, b=sign, return_sign=True)
-    if num_sign < 0:
-        raise RuntimeError(f"reweighted spectral sum is negative at n={n}, "
-                           f"t={t}, x0={x0} (cancellation)")
-    if num_sign == 0:
-        return 0.0
-    log_den, _ = h_spectral_log(n, x0, t)
-    return math.exp(log_mass + float(num) - float(log_den))
+    v = np.zeros(n + 1)
+    v[x0] = 1.0
+    log_z = 0.0
+    for v, log_z in _killed_steps(v, delta, (kill,)):
+        pass
+    sites = np.flatnonzero(v)  # none once everything is dead: log_num = -inf
+    log_num = logsumexp(np.log(v[sites]) + _log_h(n, sites, t - delta))
+    return math.exp(log_z + float(log_num) - _log_h(n, x0, t))
 
 
 def no_hit_prob_exact(n_half: int, t: int, delta: int, x: int):
@@ -428,8 +406,7 @@ def no_hit_prob_exact(n_half: int, t: int, delta: int, x: int):
     ok = in_cond_regime(delta, n2) and in_cond_regime(t - delta, n2)
     if delta == 0:
         return 1.0, asym, ok
-    w, log_mass = _propagate_killed(n2, n_half, delta, extra_kill=(x,))
-    return _reweighted_prob(n2, n_half, t, delta, w, log_mass), asym, ok
+    return _first_leg_prob(n2, n_half, t, delta, x), asym, ok
 
 
 def mid_tail_check(n_half: int, t: int, delta: int, x: int):
@@ -448,6 +425,5 @@ def mid_tail_check(n_half: int, t: int, delta: int, x: int):
         * math.exp(-3 * math.pi**2 * delta / (8 * n_half**2))
     if delta == 0:
         return 1.0, bound
-    w, log_mass = _propagate_killed(n2, x, delta, extra_kill=(n_half,))
-    return _reweighted_prob(n2, x, t, delta, w, log_mass), bound
+    return _first_leg_prob(n2, x, t, delta, n_half), bound
 

@@ -97,6 +97,17 @@ class TestErrors:
         assert e.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        "sample-ring --n 8 --t 20 --x 4",
+        "localtime-pmf --alpha 1 --x 3 --s 5",
+        "verify clt --samp 5",
+    ])
+    def test_flag_prefix_exit_2(self, argv, capsys):
+        # a prefix of a real flag (--x0, --s-max, --samples) is not that flag
+        with pytest.raises(SystemExit) as e:
+            main(argv.split())
+        assert e.value.code == 2
+
     def test_negative_horizon_exit_2(self, capsys):
         code = main(["ring-vacant-exact", "--n", "10", "--t", "-5", "--x0", "5",
                      "--a", "1", "--b", "1"])

@@ -5,12 +5,34 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from ri1d import config
 from ri1d import interlacements as il
 from ri1d import ring_kernel as rk
 from ri1d.mc import tv_distance
 from ri1d.rngs import RngState
+
+
+def _propagate_killed(length: int, start: int, steps: int,
+                      extra_kill: tuple[int, ...] = ()):
+    """Distribution of the simple walk killed at {0, length} + extra sites.
+
+    Returns (weights summing to 1 over 0..length, log of the surviving mass)
+    after ``steps`` steps from ``start``, or (zeros, -inf) once nothing
+    survives.
+    """
+    if start in (0, length) or start in extra_kill:
+        raise ValueError(f"start {start} is a killed site")
+    w = np.zeros(length + 1)
+    w[start] = 1.0
+    log_z = 0.0
+    for w, log_z in rk._killed_steps(w, steps, extra_kill):
+        pass
+    total = w.sum()
+    if total == 0.0:
+        return w, -math.inf
+    return w / total, log_z + math.log(total)
 
 
 class TestKernelBackends:
@@ -63,7 +85,7 @@ class TestKernelBackends:
     def test_deep_underflow_log_domain(self):
         # magnitudes near 1e-300 keep full relative accuracy
         log_sp, sign = rk.h_spectral_log(6, 3, 10**4)
-        _, log_dp = rk._propagate_killed(6, 3, 10**4)
+        _, log_dp = _propagate_killed(6, 3, 10**4)
         assert sign == 1.0
         assert float(log_sp) == pytest.approx(log_dp, rel=1e-12)
         assert log_dp < -1000
@@ -141,9 +163,8 @@ class TestRingWalk:
                 assert up + dn == pytest.approx(1.0, abs=1e-10)
 
     def test_sample_path_determinism_and_support(self):
-        cfg = rk.RingConfig(6, 30, 3)
-        a = rk.sample_ring_path(cfg, RngState(5, 1))
-        b = rk.sample_ring_path(cfg, RngState(5, 1))
+        a = rk.sample_ring_path(6, 30, 3, RngState(5, 1))
+        b = rk.sample_ring_path(6, 30, 3, RngState(5, 1))
         assert a == b
         assert a.n_steps == 30
         assert all(0 < p < 6 for p in a.positions)
@@ -159,8 +180,7 @@ class TestRingWalk:
                     x = pos[-1]
                     up = kernel.h(x + 1, s - 1) / (2 * kernel.h(x, s))
                     pos.append(x + 1 if gen.random() < up else x - 1)
-                path = rk.sample_ring_path(rk.RingConfig(n, t, x0),
-                                           RngState(seed, 1))
+                path = rk.sample_ring_path(n, t, x0, RngState(seed, 1))
                 assert list(path.positions) == pos
 
     def test_batch_steps_match_scalar_walks(self):
@@ -186,7 +206,14 @@ class TestRingWalk:
 
     def test_impossible_conditioning(self):
         with pytest.raises(ValueError):
-            rk.sample_ring_path(rk.RingConfig(2, 1, 1), RngState(0))
+            rk.sample_ring_path(2, 1, 1, RngState(0))
+
+    def test_sample_path_domain(self):
+        for x0 in (0, 6, -1):
+            with pytest.raises(ValueError, match="need 0 < x0 < n"):
+                rk.sample_ring_path(6, 30, x0, RngState(0))
+        with pytest.raises(ValueError, match="need t_total >= 0"):
+            rk.sample_ring_path(6, -1, 3, RngState(0))
 
     def _exhaustive_paths(self, n, x0, t):
         paths = []
@@ -240,16 +267,38 @@ class TestVacantRing:
         # a negative signed sum is cancellation, not a probability of 0
         monkeypatch.setattr(rk, "h_spectral_log",
                             lambda n, x, t: (np.zeros(np.shape(x)), -np.ones(np.shape(x))))
-        with pytest.raises(RuntimeError, match="n=10, t=20, x0=5"):
+        with pytest.raises(RuntimeError, match="n=9, x=4, t=20"):
             rk.vacant_prob_ring_exact(10, 20, 5, 0, 1)
-        with pytest.raises(RuntimeError, match="n=16, t=40, x0=8"):
+        with pytest.raises(RuntimeError, match="n=16, x=2, t=20"):
             rk.no_hit_prob_exact(8, 40, 20, 1)
+
+    def test_negative_denominator_raises(self, monkeypatch):
+        # only the scalar sum h_n(x0, t) is negative: every per-site sum of a
+        # first leg is the true one, so the sign of h_n(x0, t) alone must fail
+        real = rk.h_spectral_log
+
+        def patched(n, x, t):
+            log_abs, sign = real(n, x, t)
+            return (log_abs, -sign) if np.ndim(x) == 0 else (log_abs, sign)
+
+        monkeypatch.setattr(rk, "h_spectral_log", patched)
+        calls = [lambda: rk.no_hit_prob_exact(8, 40, 20, 1),
+                 lambda: rk.mid_tail_check(8, 40, 20, 3),
+                 lambda: rk.verify_pi4(16, 40, 5)]
+        for call in calls:
+            with pytest.raises(RuntimeError, match="negative"):
+                call()
 
     def test_exact_zero_stays_zero(self, monkeypatch):
         # sign 0 in the numerator h_9(4, 20) encodes an exact zero
         monkeypatch.setattr(rk, "h_spectral_log",
                             lambda n, x, t: (0.0, 0.0 if n == 9 else 1.0))
         assert rk.vacant_prob_ring_exact(10, 20, 5, 0, 1) == 0.0
+
+    def test_two_site_gap_exact_zero(self):
+        # from x0 = 3 on 5 sites both first steps land in [-1, 2]; the
+        # remaining segment has two sites, whose spectral sum is exactly 0
+        assert rk.vacant_prob_ring_exact(5, 1, 3, 1, 2) == 0.0
 
     def test_against_direct_dp(self):
         # avoiding [-a, b] == surviving in the shifted sub-segment
@@ -317,12 +366,10 @@ def _endpoint_small_prob_ring(n, t, x, delta, y):
     asym = math.sqrt(2 / math.pi) * y**3 / (3 * delta**1.5)
     if y == 0:
         return 0.0, asym
-    w, log_mass = rk._propagate_killed(n, x, delta)
-    w = w.copy()
-    w[y + 1:] = 0.0
-    total = w.sum()
-    w /= total
-    return rk._reweighted_prob(n, x, t, delta, w, log_mass + math.log(total)), asym
+    w, log_mass = _propagate_killed(n, x, delta)
+    sites = np.flatnonzero(w[:y + 1])
+    log_num = logsumexp(np.log(w[sites]) + rk._log_h(n, sites, t - delta))
+    return math.exp(log_mass + log_num - rk._log_h(n, x, t)), asym
 
 
 class TestPropagationChecks:
@@ -419,7 +466,7 @@ class TestKilledWalkOracles:
             point = [Fraction(int(x == start)) for x in range(n + 1)]
             exact = _exact_killed_steps(point, 40, (k,))
             for steps in (0, 1, 7, 40):
-                w, log_mass = rk._propagate_killed(n, start, steps, (k,))
+                w, log_mass = _propagate_killed(n, start, steps, (k,))
                 mass = sum(exact[steps])
                 assert log_mass == pytest.approx(
                     math.log(mass.numerator) - math.log(mass.denominator),
@@ -429,31 +476,51 @@ class TestKilledWalkOracles:
 
     def test_killed_site_start(self):
         with pytest.raises(ValueError):
-            rk._propagate_killed(10, 4, 5, (4,))
+            _propagate_killed(10, 4, 5, (4,))
         with pytest.raises(ValueError):
-            rk._propagate_killed(10, 10, 5)
+            _propagate_killed(10, 10, 5)
 
     def test_pi4_closed_form(self):
-        # sin(pi x/n) is an eigenvector of the killed walk with eigenvalue
-        # cos(pi/n), so the value is sin(pi a/n) cos^delta(pi/n) / h_n(a, delta)
+        # the eigenvector form against the forward law it replaces:
+        # E_a[sin(pi X_delta/n) | survival] = sum_z w(z) sin(pi z/n)
         for n in (20, 60, 200):
             delta = math.ceil(config.cond_threshold(n))
             for a in (1, n // 3):
                 val, _ = rk.verify_pi4(n, delta, a)
-                log_h, _ = rk.h_spectral_log(n, a, delta)
-                ref = math.exp(math.log(math.sin(math.pi * a / n))
-                               + delta * math.log(math.cos(math.pi / n))
-                               - float(log_h))
+                w, _ = _propagate_killed(n, a, delta)
+                ref = float(np.dot(w, np.sin(np.pi * np.arange(n + 1) / n)))
                 assert abs(val / ref - 1) <= 1e-12
+
+    def test_pi4_against_mpmath(self):
+        # cos^delta(pi/n) sin(pi a/n) / h_n(a, delta) at 50 digits
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for n in (20, 60, 200, 400):
+                delta = math.ceil(config.cond_threshold(n))
+                theta = [mpmath.pi * (2 * j - 1) / n for j in range(1, n // 2 + 1)]
+                for a in (1, n // 3, n // 2):
+                    h = sum(2 * mpmath.cos(th)**delta * mpmath.cot(th / 2)
+                            * mpmath.sin(a * th) for th in theta) / n
+                    ref = mpmath.cos(mpmath.pi / n)**delta \
+                        * mpmath.sin(mpmath.pi * a / n) / h
+                    val, _ = rk.verify_pi4(n, delta, a)
+                    assert abs(float(val / ref) - 1) <= 5e-15
+
+    def test_pi4_impossible_conditioning(self):
+        # at n = 2 the walk from 1 dies at step 1: no conditional expectation
+        assert rk.verify_pi4(2, 0, 1)[0] == pytest.approx(1.0, rel=1e-15)
+        for delta in (1, 3):
+            with pytest.raises(ValueError, match=f"n=2, delta={delta}"):
+                rk.verify_pi4(2, delta, 1)
 
     def test_surviving_log_mass_vs_spectral(self):
         n = 200
         delta = math.ceil(config.cond_threshold(n))
         for start in (1, 100):
-            _, log_mass = rk._propagate_killed(n, start, delta)
+            _, log_mass = _propagate_killed(n, start, delta)
             assert abs(log_mass - float(rk.h_spectral_log(n, start, delta)[0])) <= 1e-9
         # an extra killed site k confines the walk from start < k to (0, k)
-        _, log_mass = rk._propagate_killed(n, 60, delta, (120,))
+        _, log_mass = _propagate_killed(n, 60, delta, (120,))
         assert abs(log_mass - float(rk.h_spectral_log(120, 60, delta)[0])) <= 1e-9
 
     # the engine rescales at step 1, every 32 steps after it and at the last
@@ -477,7 +544,7 @@ class TestKilledWalkOracles:
             point = [Fraction(int(x == start)) for x in range(n + 1)]
             exact = _exact_killed_steps(point, t, (k,))
             for steps in self.RESCALE_STEPS:
-                w, log_mass = rk._propagate_killed(n, start, steps, (k,))
+                w, log_mass = _propagate_killed(n, start, steps, (k,))
                 mass = sum(exact[steps])
                 assert log_mass == pytest.approx(
                     math.log(mass.numerator) - math.log(mass.denominator),
@@ -489,10 +556,11 @@ class TestKilledWalkOracles:
         # n = 2 and a start between two killed sites lose everything at step 1
         for steps in (1, 2, 40):
             for length, start, kill in ((2, 1, ()), (10, 4, (3, 5))):
-                w, log_mass = rk._propagate_killed(length, start, steps, kill)
+                w, log_mass = _propagate_killed(length, start, steps, kill)
                 assert log_mass == -math.inf
                 assert not w.any()
             assert rk.h_dp(2, 1, steps) == 0.0
+            assert rk.h_spectral(2, 1, steps) == 0.0
         kernel = rk.SurvivalKernel(2, 40)
         assert np.all(kernel._log_z[1:] == -math.inf)
         assert not kernel._table[1:].any()
@@ -500,7 +568,7 @@ class TestKilledWalkOracles:
     def test_scale_never_overflows(self):
         # at n = 3 the mass from site 1 halves every step: log mass -t ln 2
         t = 5000
-        w, log_mass = rk._propagate_killed(3, 1, t)
+        w, log_mass = _propagate_killed(3, 1, t)
         assert log_mass == pytest.approx(-t * math.log(2), rel=1e-12)
         assert w.tolist() == [0.0, float(t % 2 == 0), float(t % 2 == 1), 0.0]
         # at n = 64 the unhalved sums grow like (2 cos(pi/64))^t and would
@@ -516,7 +584,7 @@ class TestKilledWalkOracles:
         # must not reach any result
         def run():
             kernel = rk.SurvivalKernel(40, 300)
-            w, log_mass = rk._propagate_killed(30, 4, 200, (11,))
+            w, log_mass = _propagate_killed(30, 4, 200, (11,))
             rows = [kernel._table[s].copy() for s in (1, 33, 300)]
             return [rk.h_dp(40, 17, 300), rk.verify_pi4(60, 500, 7)[0],
                     w, log_mass, *rows, kernel._log_z[[1, 33, 300]]]
