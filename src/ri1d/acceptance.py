@@ -9,6 +9,7 @@ tolerances; the suite is deterministic given (seed, workers).
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 
@@ -88,13 +89,12 @@ def check_05_kernel_oracle(seed: int, workers: int | None = None) -> list[Verdic
     worst = 0.0
     for n in range(3, 25):
         kernel = rk.SurvivalKernel(n, 200)
-        x = np.arange(1, n)
-        for t in range(0, 201):
-            dp = kernel._table[t, 1:n] * math.exp(kernel._log_z[t])
-            log_abs, sign = rk.h_spectral_log(n, x, t)
-            sp = sign * np.exp(log_abs)
-            rel = np.abs(sp - dp) / np.maximum(dp, 1e-300)
-            worst = max(worst, float(rel.max()))
+        scale = np.array([math.exp(z) for z in kernel._log_z])
+        dp = kernel._table[:, 1:n] * scale[:, None]
+        log_abs, sign = rk.h_spectral_log(n, np.arange(1, n), np.arange(201))
+        sp = sign * np.exp(log_abs)
+        rel = np.abs(sp - dp) / np.maximum(dp, 1e-300)
+        worst = max(worst, float(rel.max()))
     return [Verdict("05 kernel backend equivalence", worst, 1e-9,
                     "n in [3,24], t in [0,200]")]
 
@@ -236,8 +236,9 @@ def check_12_path_counting(seed: int, workers: int | None = None) -> list[Verdic
     mismatches = 0
     for delta in range(0, 15):
         for x in range(1, 7):
+            counts = cw.enumerate_paths(x, delta)
             for k in range(1, x + delta + 1):
-                if cw.count_paths(x, delta, k) != cw.enumerate_paths(x, delta, k):
+                if cw.count_paths(x, delta, k) != counts[k]:
                     mismatches += 1
     x, delta, y = 2, 10**4, 10
     exact, asym = cw.endpoint_leq_prob(x, delta, y)
@@ -270,7 +271,7 @@ def check_13_exact_identities(seed: int, workers: int | None = None) -> list[Ver
         worst = max(worst, abs(rhs / lhs - 1))
     x, N = 3, 30
     for y in range(x + 1, N):
-        lhs = cw.hit_before_prob(y, x, N) if y > x else 1.0
+        lhs = cw.hit_before_prob(y, x, N)
         up = cw.hit_before_prob(y + 1, x, N) if y + 1 < N else 0.0
         down = cw.hit_before_prob(y - 1, x, N) if y - 1 > x else 1.0
         rhs = cw.step_up_prob(y) * up + cw.step_down_prob(y) * down
@@ -314,9 +315,14 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(seed: int = DEFAULT_SEED, workers: int | None = None) -> list[Verdict]:
-    """Run checks 1-13 and return every verdict."""
+def run_all(seed: int = DEFAULT_SEED, workers: int | None = None
+            ) -> tuple[list[Verdict], list[tuple[str, float]]]:
+    """Run checks 1-13; return every verdict and one (check name, wall
+    seconds) row per check."""
     verdicts: list[Verdict] = []
+    timings: list[tuple[str, float]] = []
     for check in ALL_CHECKS:
+        start = time.perf_counter()
         verdicts.extend(check(seed, workers))
-    return verdicts
+        timings.append((check.__name__, time.perf_counter() - start))
+    return verdicts, timings

@@ -217,7 +217,9 @@ def cmd_verify(args, run: _Run) -> None:
 
 
 def cmd_selftest(args, run: _Run) -> None:
-    run.verdicts.extend(acceptance.run_all(args.seed, args.workers))
+    verdicts, timings = acceptance.run_all(args.seed, args.workers)
+    run.verdicts.extend(verdicts)
+    run.tables["check_wall_s"] = [("check", "wall_s"), *timings]
 
 
 # -- parser --------------------------------------------------------------------

@@ -132,25 +132,31 @@ def count_paths(x: int, delta: int, k: int) -> int:
     return first - second
 
 
-def enumerate_paths(x: int, delta: int, k: int) -> int:
-    """Brute-force oracle for :func:`count_paths` (all 2**delta step sequences)."""
-    if x < 1 or k < 1 or delta < 0:
-        raise ValueError(f"need x >= 1, k >= 1, delta >= 0, got x={x}, k={k}, delta={delta}")
+def enumerate_paths(x: int, delta: int) -> np.ndarray:
+    """Brute-force oracle for :func:`count_paths` (all 2**delta step sequences).
+
+    Returns the int64 vector N[0..x+delta]: N[k] is the number of
+    length-delta nearest-neighbour paths from x that end at k and never
+    touch 0, so N[0] = 0 and N[k] = count_paths(x, delta, k) for k >= 1.
+    """
+    if x < 1 or delta < 0:
+        raise ValueError(f"need x >= 1, delta >= 0, got x={x}, delta={delta}")
     if delta > ENUMERATION_MAX_STEPS:
         raise ValueError(f"enumeration budget is delta <= {ENUMERATION_MAX_STEPS}, got {delta}")
+    counts = np.zeros(x + delta + 1, dtype=np.int64)
     if delta == 0:
-        return int(x == k)
+        counts[x] = 1
+        return counts
     total = 1 << delta
     shifts = np.arange(delta, dtype=np.int64)
-    count = 0
     chunk = 1 << 20
     for lo in range(0, total, chunk):
         idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
         steps = (((idx[:, None] >> shifts) & 1) * 2 - 1).astype(np.int16)
         positions = x + np.cumsum(steps, axis=1, dtype=np.int16)
-        valid = (positions.min(axis=1) >= 1) & (positions[:, -1] == k)
-        count += int(valid.sum())
-    return count
+        ends = positions[positions.min(axis=1) >= 1, -1]
+        counts += np.bincount(ends, minlength=counts.size)
+    return counts
 
 
 def endpoint_leq_prob(x: int, delta: int, y: int) -> tuple[float, float]:
@@ -183,22 +189,54 @@ def _absorb(gen: np.random.Generator, pos: np.ndarray, lo: int, hi: int | None,
             max_steps: int):
     """Step conditioned walkers until they are absorbed at lo or hi.
 
-    hi=None absorbs at lo only. Stops after max_steps steps or once every
-    walker is absorbed, drawing nothing for absorbed walkers. Returns (number
-    absorbed at lo, positions of the walkers still active).
+    The walkers start strictly inside (lo, hi); hi=None absorbs at lo only.
+    Stops after max_steps steps or once every walker is absorbed, drawing
+    one uniform per active walker and step and nothing for absorbed ones.
+    Returns (number absorbed at lo, positions of the walkers still active,
+    in their input order).
+
+    Walkers step in place on preallocated buffers, without rebuilding the
+    walker array each step, and are compacted only in a step where one of
+    them reached lo or hi. They are held as offsets q = p - base from the
+    lowest site they can reach, and the up-step probability (s+1)/(2s) is
+    read with np.take from a table over the sites they can reach in
+    max_steps, so the table's size depends on the horizon and the spread of
+    the starts, not on where they start.
     """
+    p = np.array(pos, dtype=np.int64)
+    if not p.size:
+        return 0, p
+    base = max(lo, int(p.min()) - max_steps)
+    top = int(p.max()) + max_steps
+    if hi is not None:
+        top = min(top, hi)
+    sites = np.arange(base, top + 1, dtype=np.int64)
+    # site 0 (= lo) is never read: walkers there are compacted first
+    p_up = (sites + 1) / (2 * np.maximum(sites, 1))
+    q = p - base
+    q_lo = lo - base
+    q_hi = None if hi is None else hi - base
+    u = np.empty(q.size)
+    thr = np.empty(q.size)
+    up = np.empty(q.size, dtype=bool)
     hits = 0
     for _ in range(max_steps):
-        if not pos.size:
+        k = q.size
+        if not k:
             break
-        u = gen.random(pos.size)
-        pos = pos + np.where(u < (pos + 1) / (2 * pos), 1, -1)
-        done = pos == lo
-        hits += int(done.sum())
-        if hi is not None:
-            done |= pos == hi
-        pos = pos[~done]
-    return hits, pos
+        gen.random(out=u[:k])
+        np.take(p_up, q, out=thr[:k])
+        np.less(u[:k], thr[:k], out=up[:k])
+        q += up[:k]  # +1 for an up-step, -1 for a down-step
+        q += up[:k]
+        q -= 1
+        if q.min() == q_lo or (q_hi is not None and q.max() == q_hi):
+            done = q == q_lo
+            hits += int(np.count_nonzero(done))
+            if q_hi is not None:
+                done |= q == q_hi
+            q = q[~done]
+    return hits, q + base
 
 
 def _walkers(start: int, M: int) -> np.ndarray:

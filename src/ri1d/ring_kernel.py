@@ -46,35 +46,44 @@ def _check_domain(n: int, x: int, t: int) -> None:
         raise ValueError(f"need t >= 0, got {t}")
 
 
-def _spectral_log_terms(n: int, x, t: int):
+def _spectral_log_terms(n: int, x, t):
     """Per-mode (log|term|, sign) of the killed-walk spectral sum.
 
-    x may be a scalar or an array; returns arrays broadcast over modes along
-    the last axis. Each term is (2/n) cos^t(theta_j) cot(theta_j/2)
-    sin(x theta_j) with theta_j = pi(2j-1)/n, j = 1..floor(n/2); cos^t is
-    carried as t*ln|cos| with explicit sign tracking so horizons up to 1e7
-    cannot underflow. A negative t raises ValueError.
+    x and t may each be a scalar or an array; the result has the axes of t,
+    then those of x, then the modes along the last axis. Each term is
+    (2/n) cos^t(theta_j) cot(theta_j/2) sin(x theta_j) with
+    theta_j = pi(2j-1)/n, j = 1..floor(n/2); cos^t is carried as t*ln|cos|
+    with explicit sign tracking so horizons up to 1e7 cannot underflow. An
+    array t gives the same bits as one scalar call per entry. A negative
+    entry of t raises ValueError.
     """
-    if t < 0:
-        raise ValueError(f"need t >= 0, got {t}")
+    ts = np.asarray(t)
+    if (ts < 0).any():
+        raise ValueError(f"need t >= 0, got {ts.min()}")
     j = np.arange(1, n // 2 + 1, dtype=np.float64)
     theta = np.pi * (2 * j - 1) / n
     c = np.where(4 * j == n + 2, 0.0, np.cos(theta))  # cos(pi/2) is 0, not 6e-17
-    with np.errstate(divide="ignore"):
+    xs = np.asarray(x, dtype=np.float64)
+    tt = ts.reshape(ts.shape + (1,) * (xs.ndim + 1))  # t axes, x axes, mode
+    with np.errstate(divide="ignore", invalid="ignore"):
         log_c = np.log(np.abs(c))
         # t == 0 must give log 1 even for the cos = 0 mode (0 * -inf trap)
-        pow_part = t * log_c if t > 0 else np.zeros_like(log_c)
+        pow_part = np.where(tt > 0, tt * log_c, 0.0)
     cot_half = 1.0 / np.tan(theta / 2)  # positive: theta/2 in (0, pi/2)
-    s = np.sin(np.multiply.outer(np.asarray(x, dtype=np.float64), theta))
+    s = np.sin(np.multiply.outer(xs, theta))
     with np.errstate(divide="ignore"):
         log_abs = (pow_part + np.log(cot_half) + math.log(2.0 / n)
                    + np.log(np.abs(s)))
-    sign = np.sign(s) * np.where(c < 0, (-1.0) ** t, 1.0)
+    sign = np.sign(s) * np.where((c < 0) & (tt % 2 == 1), -1.0, 1.0)
     return log_abs, sign
 
 
-def h_spectral_log(n: int, x, t: int):
-    """(log|h|, sign) from the spectral sum; sign 0 encodes an exact zero."""
+def h_spectral_log(n: int, x, t):
+    """(log|h|, sign) from the spectral sum; sign 0 encodes an exact zero.
+
+    x and t may be scalars or arrays; the result has the axes of t, then
+    those of x (:func:`_spectral_log_terms`).
+    """
     log_abs, sign = _spectral_log_terms(n, x, t)
     return logsumexp(log_abs, b=sign, axis=-1, return_sign=True)
 

@@ -89,7 +89,9 @@ def test_statistics_independent_of_worker_count(check):
 
 
 def test_selftest_aggregates_everything():
-    verdicts = acceptance.run_all(SEED)
+    verdicts, timings = acceptance.run_all(SEED)
+    assert [name for name, _ in timings] == [
+        check.__name__ for check in acceptance.ALL_CHECKS]
     names = {v.name for v in verdicts}
     assert len(names) == len(verdicts) == 26
     failed = [v.line() for v in verdicts if not v.passed]

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import os
@@ -166,6 +167,26 @@ class TestOutputs:
         assert pmf[1][0] == 0
         assert pmf[1][1] == pytest.approx(math.exp(-1), rel=1e-10)
 
+    def test_selftest_check_timings(self, tmp_path, capsys, monkeypatch):
+        # one row per acceptance check, named after it; the checks are
+        # stubbed out, since the table depends only on ALL_CHECKS
+        monkeypatch.setattr(cli.acceptance, "ALL_CHECKS", [
+            functools.wraps(check)(lambda seed, workers: [])
+            for check in cli.acceptance.ALL_CHECKS])
+        out = tmp_path / "r.json"
+        code, _ = run(capsys, "selftest", "--out", str(out))
+        assert code == 0
+        table = json.loads(out.read_text())["tables"]["check_wall_s"]
+        assert table[0] == ["check", "wall_s"]
+        assert [row[0] for row in table[1:]] == [
+            "check_01_vacant_window", "check_02_local_time_law",
+            "check_03_moments", "check_04_clt", "check_05_kernel_oracle",
+            "check_06_first_mode", "check_07_ring_vacant",
+            "check_08_ring_local_time", "check_09_pi4", "check_10_no_hit",
+            "check_11_mid_tail", "check_12_path_counting",
+            "check_13_exact_identities"]
+        assert all(row[1] >= 0 for row in table[1:])
+
     def test_unwritable_out_exit_2(self, tmp_path, capsys):
         code = main(["capacity", "--min", "0", "--max", "1",
                      "--out", str(tmp_path / "missing" / "r.json")])
@@ -175,6 +196,10 @@ class TestOutputs:
 
 def _stub_check(seed, workers=None):
     return []
+
+
+def _stub_run_all(seed, workers=None):
+    return [], []
 
 
 class TestRunRecord:
@@ -220,7 +245,7 @@ class TestRunRecord:
                                 capsys, monkeypatch):
         for target in cli.VERIFY_CHECKS:
             monkeypatch.setitem(cli.VERIFY_CHECKS, target, _stub_check)
-        monkeypatch.setattr(cli.acceptance, "run_all", _stub_check)
+        monkeypatch.setattr(cli.acceptance, "run_all", _stub_run_all)
         out = tmp_path / "r.json"
         main([*argv.split(), "--out", str(out)])
         doc = json.loads(out.read_text())

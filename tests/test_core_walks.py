@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -124,13 +125,17 @@ class TestPathCounting:
     def test_exhaustive_vs_enumeration(self):
         for delta in range(0, 15):
             for x in range(1, 7):
+                counts = cw.enumerate_paths(x, delta)
+                assert len(counts) == x + delta + 1
+                assert counts[0] == 0
+                # Doob identity: the weights k / (x 2^delta) sum to 1
+                assert sum(k * int(c) for k, c in enumerate(counts)) == x << delta
                 for k in range(1, x + delta + 1):
-                    assert cw.count_paths(x, delta, k) == \
-                        cw.enumerate_paths(x, delta, k), (x, delta, k)
+                    assert cw.count_paths(x, delta, k) == counts[k], (x, delta, k)
 
     def test_enumeration_budget(self):
         with pytest.raises(ValueError):
-            cw.enumerate_paths(1, 25, 2)
+            cw.enumerate_paths(1, 25)
 
     def test_counts_define_probabilities(self):
         # k/ (x 2^delta) weighted counts sum to 1 over all endpoints
@@ -188,6 +193,84 @@ class TestEndpointLeqProb:
         _, asym = cw.endpoint_leq_prob(2, 10**4, 10)
         assert asym == pytest.approx(math.sqrt(2 / math.pi) * 1000 / (3 * 10**6),
                                      rel=1e-12)
+
+
+def _absorb_loop(gen, pos, lo, hi, max_steps):
+    """Reference absorption loop, with five new arrays and a compaction per
+    step: the oracle for the in-place :func:`ri1d.core_walks._absorb`."""
+    hits = 0
+    for _ in range(max_steps):
+        if not pos.size:
+            break
+        u = gen.random(pos.size)
+        pos = pos + np.where(u < (pos + 1) / (2 * pos), 1, -1)
+        done = pos == lo
+        hits += int(done.sum())
+        if hi is not None:
+            done |= pos == hi
+        pos = pos[~done]
+    return hits, pos
+
+
+class TestAbsorbOracle:
+    """_absorb draws the same stream and returns the same walkers as the loop."""
+
+    M = 20000
+
+    @classmethod
+    def both(cls, seed, legs):
+        """Run the legs (start or None for the last survivors, lo, hi, steps)
+        through both loops, each on its own generator from the same stream."""
+        out = []
+        for absorb in (cw._absorb, _absorb_loop):
+            gen = RngState(seed, 102).generator()
+            pos, hits = None, []
+            for start, lo, hi, steps in legs:
+                if start is not None:
+                    pos = np.full(cls.M, start, dtype=np.int64)
+                h, pos = absorb(gen, pos, lo, hi, steps)
+                hits.append(h)
+            out.append((hits, pos, gen.random()))
+        return out
+
+    def assert_same(self, seed, legs):
+        (hits, pos, nxt), (hits_o, pos_o, nxt_o) = self.both(seed, legs)
+        assert hits == hits_o
+        assert pos.dtype == pos_o.dtype and np.array_equal(pos, pos_o)
+        assert nxt == nxt_o  # the generator is left in the same state
+        return hits, pos
+
+    @pytest.mark.parametrize("y,x", [(5, 2), (9, 3)])
+    def test_hit_prob_horizon(self, y, x):
+        _, pos = self.assert_same(7, [(y, x, None, cw.ESTIMATOR_HORIZON)])
+        assert pos.size > 0
+
+    def test_hit_before_to_absorption(self):
+        _, pos = self.assert_same(7, [(5, 2, 12, cw.ABSORPTION_STEP_CAP)])
+        assert pos.size == 0
+
+    @pytest.mark.parametrize("x", [1, 3])
+    def test_escape_legs(self, x):
+        self.assert_same(8, [(x, x - 1, None, 1),
+                             (None, x, None, cw.ESTIMATOR_HORIZON)])
+
+    def test_far_start(self):
+        # the step table spans the sites reachable within the horizon, so its
+        # size does not grow with the start site
+        start = 10**6
+        tracemalloc.start()
+        try:
+            hits, pos = self.assert_same(7, [(start, start - 3, None, 500)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0 < hits[0] < self.M and pos.size > 0
+        assert peak < 4 * 2**20  # both loops; a table from site 0 alone is 8 MB
+
+    def test_every_walker_absorbed(self):
+        # from 2 with lo = 1 and hi = 3, the first step absorbs everyone
+        hits, pos = self.assert_same(7, [(2, 1, 3, 50)])
+        assert pos.size == 0 and 0 < hits[0] < self.M
 
 
 class TestMonteCarloHelpers:

@@ -113,6 +113,33 @@ class TestKernelBackends:
         assert rk.h_spectral(10, 10, 20) == 0.0
 
 
+class TestSpectralArrayT:
+    """h_spectral_log with an array t is the stacked scalar calls, bit for bit."""
+
+    # odd n, n = 0 (mod 4), and n = 2 (mod 4), where the cos = 0 mode meets t = 0
+    @pytest.mark.parametrize("n", [3, 7, 12, 24, 6, 10, 22])
+    def test_stacked_scalar_calls(self, n):
+        xs = np.arange(0, n + 1)
+        ts = np.array([0, 1, 2, 3, 17, 200, 10**4])
+        log_abs, sign = rk.h_spectral_log(n, xs, ts)
+        assert log_abs.shape == sign.shape == (ts.size, n + 1)
+        for i, t in enumerate(ts):
+            log_t, sign_t = rk.h_spectral_log(n, xs, int(t))
+            assert np.array_equal(log_abs[i], log_t)
+            assert np.array_equal(sign[i], sign_t)
+
+    def test_t_axes_before_x_axes(self):
+        ts = np.array([[0, 5], [40, 41]])
+        log_abs, sign = rk.h_spectral_log(10, np.array([3, 5, 7]), ts)
+        assert log_abs.shape == sign.shape == (2, 2, 3)
+        log_s, sign_s = rk.h_spectral_log(10, 5, 41)
+        assert log_abs[1, 1, 1] == log_s and sign[1, 1, 1] == sign_s
+
+    def test_one_negative_entry_raises(self):
+        with pytest.raises(ValueError, match="need t >= 0, got -3"):
+            rk.h_spectral_log(10, 5, np.array([0, 4, -3, 9]))
+
+
 class TestAsymptotic:
     def test_x_half_value(self):
         n, t = 16, 3000
