@@ -148,14 +148,22 @@ def enumerate_paths(x: int, delta: int) -> np.ndarray:
         counts[x] = 1
         return counts
     total = 1 << delta
-    shifts = np.arange(delta, dtype=np.int64)
-    chunk = 1 << 20
+    chunk = min(total, 1 << 20)
+    # sequence i takes an up-step at step j iff bit j of i is set; its
+    # position and running minimum are int16 columns, stepped one j at a time
+    pos = np.empty(chunk, dtype=np.int16)
+    low = np.empty(chunk, dtype=np.int16)
     for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        steps = (((idx[:, None] >> shifts) & 1) * 2 - 1).astype(np.int16)
-        positions = x + np.cumsum(steps, axis=1, dtype=np.int16)
-        ends = positions[positions.min(axis=1) >= 1, -1]
-        counts += np.bincount(ends, minlength=counts.size)
+        idx = np.arange(lo, lo + chunk, dtype=np.uint32)
+        pos.fill(x)
+        low.fill(x)
+        for j in range(delta):
+            up = (idx >> j) & 1
+            pos += up
+            pos += up
+            pos -= 1
+            np.minimum(low, pos, out=low)
+        counts += np.bincount(pos[low >= 1], minlength=counts.size)
     return counts
 
 

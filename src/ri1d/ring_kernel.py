@@ -12,9 +12,12 @@ Point values also have closed forms: the odd-mode spectral sum in signed log
 domain, read only through :func:`_log_h`, and the first-mode asymptotic
 (4/pi) cos^t(pi/n) sin(pi x/n), valid once t >= (4/pi^2) n^2 ln n. The pi/4
 value of :func:`verify_pi4` needs no propagation: sin(pi x/n) is an
-eigenvector of the killed walk. On top of the kernel table sit the
-time-inhomogeneous conditioned ring walk and its exact vacant-set and
-local-time functionals.
+eigenvector of the killed walk. The :class:`SurvivalKernel` table stops at
+the remaining time s* ~ 0.93 n^2 (even n) or 2.5 n^2 (odd n) from which
+h_n(., s) is its two slowest modes to 2**-53, so its memory is
+O(n min(t, s*)); later times are that settled row times a power of
+cos(pi/n). On top of the kernel table sit the time-inhomogeneous conditioned
+ring walk and its exact vacant-set and local-time functionals.
 """
 
 from __future__ import annotations
@@ -204,20 +207,65 @@ def h_over_t1_deviation(n: int, x: int, t: int) -> float:
 
 # -- kernel table and the conditioned ring walk --------------------------------
 
+def _log_cos(theta: float) -> float:
+    """ln cos(theta) as log1p(-2 sin^2(theta/2)), accurate as theta -> 0."""
+    return math.log1p(-2.0 * math.sin(theta / 2) ** 2)
+
+
+def _settled_steps(n: int) -> int:
+    """Remaining time s* from which h_n(., s) is its two slowest modes.
+
+    The all-ones start excites the odd modes k, whose eigenvalues are
+    cos(pi k/n). The slowest, |cos(pi/n)|, belong to k = 1 and, for even n,
+    to k = n-1, which carries the parity (-1)^(s+x). The next is lam2 =
+    cos(3 pi/n) for even n and cos(2 pi/n) (mode n-2) for odd n, so from
+    s* = ceil(53 ln 2 / -ln(lam2 / cos(pi/n))) on, the other modes weigh
+    below 2**-53 relative to the slowest ones. Small rings are exact: n <= 4
+    has no other mode and n = 6 has lam2 = cos(pi/2) = 0, gone after a step.
+    """
+    if n <= 4:
+        return 0
+    if n == 6:
+        return 1
+    k = 3 if n % 2 == 0 else 2
+    return math.ceil(53 * _LN2 / (_log_cos(math.pi / n) - _log_cos(k * math.pi / n)))
+
+
+def _up_steps(table: np.ndarray, log_z: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = h(x+1, s-1) / (2 h(x, s)) on x = 1..n-1 for s = i+1, in place.
+
+    table and log_z are the kernel rows 0..len(out) in the scaled form of
+    :class:`SurvivalKernel`.
+    """
+    n = table.shape[1] - 1
+    ratio = np.exp(log_z[:-1] - log_z[1:])
+    np.multiply(table[:-1, 2:], ratio[:, None], out=out)
+    np.divide(out, table[1:, 1:n], out=out)
+    out *= 0.5
+
+
 class SurvivalKernel:
     """Survival kernel h_n(x, s) of one ring size at every remaining time s.
 
-    Stores the killed-walk vector of every remaining time s <= t_max, scaled
-    by a power of two to a max below 2**32, and its log scale: row s times
-    exp(_log_z[s]) is h(., s). So the conditioned walk can be stepped at any
-    time without recomputation. Memory is O(n t_max); the table and the
-    up-step table the samplers derive from it must fit in KERNEL_BYTES_BUDGET
+    Stores the killed-walk vector of each remaining time s <= R, scaled by a
+    power of two to a max below 2**32, and its log scale: row s times
+    exp(_log_z[s]) is h(., s). R = min(t_max, s* + 1) with s* from
+    :func:`_settled_steps`: from s* on, h(., s) is its two slowest modes, so
+    for s > R it is the stored row r in {R-1, R} with r = s (mod 2) times
+    cos(pi/n)^(s-r), and the up-step is the time-homogeneous Doob step
+    sin(pi(x+1)/n) / (2 cos(pi/n) sin(pi x/n)). The build checks row R's
+    up-step against it and raises RuntimeError on a miss. So the conditioned
+    walk can be stepped at any time without recomputation. Memory is
+    O(n min(t_max, s*)) for the kernel and O(n t_max) for the up-step table
+    the samplers derive from it; both must fit in KERNEL_BYTES_BUDGET
     together. Immutable after construction.
     """
 
     def __init__(self, n: int, t_max: int):
         _check_domain(n, 0, t_max)
-        need = 8 * (t_max + 1) * (2 * (n + 1) + 1)
+        settled = _settled_steps(n)
+        rows = min(t_max, settled + 1)
+        need = 8 * ((rows + 1) * (n + 2) + (t_max + 1) * (n + 1))
         if need > KERNEL_BYTES_BUDGET:
             raise MemoryError(
                 f"kernel and step tables for n={n}, t_max={t_max} need {need} "
@@ -225,36 +273,55 @@ class SurvivalKernel:
                 f"physical memory); use h_spectral for point values")
         self.n = n
         self.t_max = t_max
+        # cos(pi/2) = 0 kills everything in one step at n = 2
+        self._log_cos = -math.inf if n == 2 else _log_cos(math.pi / n)
         v = np.ones(n + 1)
         v[0] = v[n] = 0.0
-        self._table = np.empty((t_max + 1, n + 1))
+        self._table = np.empty((rows + 1, n + 1))
         self._table[0] = v
-        self._log_z = np.zeros(t_max + 1)
-        for s, (v, log_z) in enumerate(_killed_steps(v, t_max), 1):
+        self._log_z = np.zeros(rows + 1)
+        for s, (v, log_z) in enumerate(_killed_steps(v, rows), 1):
             self._table[s] = v
             self._log_z[s] = log_z
+        if rows > settled and n > 2:
+            # rounding in the rows grows like n**2 eps: the gap measured up
+            # to n = 400 stays below 0.13 n**2 eps
+            x = np.arange(1, n)
+            up = np.empty((1, n - 1))
+            _up_steps(self._table[-2:], self._log_z[-2:], up)
+            doob = np.sin(np.pi * (x + 1) / n) \
+                / (2 * math.cos(math.pi / n) * np.sin(np.pi * x / n))
+            gap = float(np.max(np.abs(up[0] - doob)))
+            if not gap <= n * n * np.finfo(float).eps:
+                raise RuntimeError(
+                    f"kernel row {rows} of n={n} is not settled: its up-step "
+                    f"is {gap:.3g} from the Doob step")
 
     def h(self, x: int, t: int) -> float:
         _check_domain(self.n, x, t)
         if t > self.t_max:
             raise ValueError(f"horizon {t} exceeds table horizon {self.t_max}")
-        return float(self._table[t, x] * math.exp(self._log_z[t]))
+        r = len(self._log_z) - 1
+        if t <= r:
+            return float(self._table[t, x] * math.exp(self._log_z[t]))
+        r -= (t - r) % 2  # the stored row of t's parity
+        log_z = self._log_z[r] + (t - r) * self._log_cos
+        return float(self._table[r, x] * math.exp(log_z))
 
     def _step_up_table(self) -> np.ndarray:
         """Up-step probabilities h(x+1, s-1) / (2 h(x, s)) as P[s, x].
 
         Row 0 and the killed columns 0 and n are 0, and so is every entry at
-        n = 2, where h(1, s) = 0 for s >= 1. Built in place, so the peak
-        memory is the table itself, as KERNEL_BYTES_BUDGET counts it.
+        n = 2, where h(1, s) = 0 for s >= 1. Rows past the stored R repeat
+        row R, the Doob step. Built in place, so the peak memory is the
+        tables themselves, as KERNEL_BYTES_BUDGET counts them.
         """
         n, t = self.n, self.t_max
+        r = len(self._log_z) - 1
         p = np.zeros((t + 1, n + 1))
         if n > 2:
-            out = p[1:, 1:n]
-            ratio = np.exp(self._log_z[:t] - self._log_z[1:])
-            np.multiply(self._table[:t, 2:], ratio[:, None], out=out)
-            np.divide(out, self._table[1:, 1:n], out=out)
-            out *= 0.5
+            _up_steps(self._table, self._log_z, p[1:r + 1, 1:n])
+            p[r + 1:] = p[r]
         return p
 
 

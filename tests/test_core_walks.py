@@ -133,6 +133,20 @@ class TestPathCounting:
                 for k in range(1, x + delta + 1):
                     assert cw.count_paths(x, delta, k) == counts[k], (x, delta, k)
 
+    def test_enumeration_peak_memory(self):
+        # a few columns of one 2**20 chunk (4 MiB each as uint32), never a
+        # chunk x delta matrix of steps
+        tracemalloc.start()
+        try:
+            counts = cw.enumerate_paths(1, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert counts[0] == 0
+        for k in range(1, 22):
+            assert cw.count_paths(1, 20, k) == counts[k]
+
     def test_enumeration_budget(self):
         with pytest.raises(ValueError):
             cw.enumerate_paths(1, 25)

@@ -5,6 +5,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from ri1d import config
@@ -54,7 +56,7 @@ class TestKernelBackends:
             kernel = rk.SurvivalKernel(n, 200)
             x = np.arange(1, n)
             for t in range(0, 201):
-                dp = kernel._table[t, 1:n] * math.exp(kernel._log_z[t])
+                dp = np.array([kernel.h(int(y), t) for y in x])
                 log_abs, sign = rk.h_spectral_log(n, x, t)
                 sp = sign * np.exp(log_abs)
                 assert np.all(np.abs(sp - dp) <= 1e-9 * np.maximum(dp, 1e-300))
@@ -626,10 +628,24 @@ class TestKilledWalkOracles:
             [np.asarray(v).tobytes() for v in second]
 
 
+def _full_table(n, t):
+    """Every row 0..t of the recursion, as SurvivalKernel scales them."""
+    v = np.ones(n + 1)
+    v[0] = v[n] = 0.0
+    rows, log_z = [v], [0.0]
+    for w, z in rk._killed_steps(v, t):
+        rows.append(w.copy())
+        log_z.append(z)
+    return np.array(rows), np.array(log_z)
+
+
 class TestKernelMemoryGuard:
     def test_budget_covers_both_tables(self, monkeypatch):
+        # n = 10 settles at s* = 77: the kernel keeps rows 0..78 with their
+        # log scale, (78 + 1)(10 + 2) doubles, and the step table all
+        # (100 + 1)(10 + 1)
         n, t = 10, 100
-        need = 8 * (t + 1) * (2 * (n + 1) + 1)
+        need = 8 * (79 * 12 + 101 * 11)
         monkeypatch.setattr(rk, "KERNEL_BYTES_BUDGET", need)
         rk.SurvivalKernel(n, t)
         monkeypatch.setattr(rk, "KERNEL_BYTES_BUDGET", need - 1)
@@ -637,27 +653,36 @@ class TestKernelMemoryGuard:
             rk.SurvivalKernel(n, t)
 
     @staticmethod
-    def _step_up_reference(kernel):
+    def _step_up_reference(table, log_z):
         # out-of-place form of the same formula, with its temporaries
-        n, t = kernel.n, kernel.t_max
+        t, n = table.shape[0] - 1, table.shape[1] - 1
         p = np.zeros((t + 1, n + 1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.exp(kernel._log_z[:t] - kernel._log_z[1:])
-            p[1:, 1:n] = (kernel._table[:t, 2:] * ratio[:, None]
-                          / (2.0 * kernel._table[1:, 1:n]))
+            ratio = np.exp(log_z[:t] - log_z[1:])
+            p[1:, 1:n] = table[:t, 2:] * ratio[:, None] / (2.0 * table[1:, 1:n])
         return np.nan_to_num(p, nan=0.0, posinf=0.0)
 
     def test_step_table_in_place_matches_formula(self):
-        for n, t in ((2, 5), (3, 7), (4, 2), (9, 50), (40, 3242), (48, 5602)):
+        # bit for bit on the stored rows 0..R; past R, the rows of the full
+        # recursion within the tolerance of the settled check
+        for n, t in ((2, 5), (3, 7), (4, 2), (6, 30), (9, 50), (40, 3242),
+                     (41, 5000), (48, 5602)):
             kernel = rk.SurvivalKernel(n, t)
-            assert np.array_equal(kernel._step_up_table(),
-                                  self._step_up_reference(kernel))
+            p_up = kernel._step_up_table()
+            r = len(kernel._log_z) - 1
+            assert p_up.shape == (t + 1, n + 1)
+            assert np.array_equal(
+                p_up[:r + 1], self._step_up_reference(kernel._table, kernel._log_z))
+            full = self._step_up_reference(*_full_table(n, t))
+            assert np.max(np.abs(p_up[r + 1:] - full[r + 1:]), initial=0.0) \
+                <= n * n * np.finfo(float).eps
 
     def test_peak_memory_within_guard_count(self):
-        # the guard counts the kernel table, its log scale and the step table
+        # the guard counts the kernel rows, their log scale and the step table
         n = 80
         t = rk.ring_time_scale(n, 1.0)
-        need = 8 * (t + 1) * (2 * (n + 1) + 1)
+        rows = rk._settled_steps(n) + 2
+        need = 8 * (rows * (n + 2) + (t + 1) * (n + 1))
         tracemalloc.start()
         try:
             rk.SurvivalKernel(n, t)._step_up_table()
@@ -665,3 +690,80 @@ class TestKernelMemoryGuard:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * need
+
+
+def _settled_reference(n):
+    """s* from the spectrum rather than from the case analysis.
+
+    The all-ones start excites the odd modes k, eigenvalue cos(pi k/n);
+    lam2 is the largest |eigenvalue| below cos(pi/n), and without one s* = 0.
+    """
+    lam = np.abs(np.cos(np.pi * np.arange(1, n, 2) / n))
+    lam1 = math.cos(math.pi / n)
+    below = lam[lam < lam1 * (1 - 1e-12)]
+    if below.size == 0:
+        return 0
+    return math.ceil(53 * math.log(2) / math.log(lam1 / below.max()))
+
+
+class TestKernelCut:
+    """SurvivalKernel stores rows 0..R, R = min(t_max, s* + 1)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 41, 81])
+    def test_cut_rows(self, n):
+        s_star = _settled_reference(n)
+        assert rk._settled_steps(n) == s_star
+        for t in (0, 1, s_star, s_star + 1, s_star + 2, 3 * s_star + 5):
+            kernel = rk.SurvivalKernel(n, t)
+            rows = min(t, s_star + 1) + 1
+            assert kernel._table.shape == (rows, n + 1)
+            assert kernel._log_z.shape == (rows,)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 41, 81])
+    def test_rows_past_cut_keep_their_parity(self, n):
+        # for even n the slowest modes are +-cos(pi/n), so h(., s) alternates
+        # with the parity of s: h at s and s + 1 past R each read their row
+        r = rk._settled_steps(n) + 1
+        t = r + 41
+        kernel = rk.SurvivalKernel(n, t)
+        table, log_z = _full_table(n, t)
+        eps = np.finfo(float).eps
+        for s in (r + 1, r + 2, r + 3, t - 1, t):
+            for x in range(n + 1):
+                expected = table[s, x] * math.exp(log_z[s])
+                assert kernel.h(x, s) == pytest.approx(
+                    expected, rel=(n * n + s) * eps, abs=0)
+
+    def test_unsettled_row_raises(self, monkeypatch):
+        # cut before s*, row R still carries mode n - 2
+        monkeypatch.setattr(rk, "_settled_steps", lambda n: 40)
+        with pytest.raises(RuntimeError, match="n=41.*Doob step"):
+            rk.SurvivalKernel(41, 5000)
+
+    def test_ring_scale_rows_and_values(self):
+        n = 160
+        t = rk.ring_time_scale(n, 1.0)
+        kernel = rk.SurvivalKernel(n, t)
+        assert len(kernel._log_z) <= rk._settled_steps(n) + 2 < t // 8
+        xs = np.arange(1, n)
+        for s in (0, t // 3, t - 1, t):
+            h = np.array([kernel.h(int(x), s) for x in xs])
+            log_abs, sign = rk.h_spectral_log(n, xs, s)
+            assert np.all(np.abs(sign * np.exp(log_abs) / h - 1) <= 1e-9)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 200), data=st.data())
+def test_kernel_matches_spectral_property(n, data):
+    # Error model: the stored rows carry one rounding per step of the
+    # recursion (s eps) plus the n**2 eps of the settled shape, the cut drops
+    # modes below 2**-53, and h_spectral rounds s ln cos(pi/n) by about s eps.
+    # Up to n = 200 the measured error stays below (n**2 + s) eps / 4.
+    t = rk.ring_time_scale(n, 2.0)
+    s = data.draw(st.integers(0, t), label="s")
+    kernel = rk.SurvivalKernel(n, t)
+    xs = np.arange(1, n)
+    h = np.array([kernel.h(int(x), s) for x in xs])
+    log_abs, sign = rk.h_spectral_log(n, xs, s)
+    rel = np.abs(h / (sign * np.exp(log_abs)) - 1)
+    assert rel.max() <= 2 * (n * n + s) * np.finfo(float).eps
