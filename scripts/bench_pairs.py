@@ -1,0 +1,217 @@
+"""Run a change against its parent commit in alternating pairs of benchmark runs.
+
+Run from the root of a checkout. The two committed files came from::
+
+    python3 scripts/bench_pairs.py --parent-rev e806b13 --claim exact-scale \\
+        --seed0 931 --sweep kernel_build --out BENCH_kernel_cut.json
+    python3 scripts/bench_pairs.py --parent-rev 93d8ed2 --claim sampling-scale \\
+        --seed0 961 --sweep ring_walk --out BENCH_ring_walk.json
+
+The parent revision is exported with ``git archive`` into a temporary
+directory; both sides run from their own source tree with the same benchmark
+settings (``perfbench/run.py --seconds 20 --trace 0``). Pair i runs the
+parent first when i is even and the change first when i is odd, at seed
+seed0 + i. The output holds:
+
+- the claimed workload: PAIRS pairs of every end-to-end metric, with each
+  side's median and quartiles and the number of pairs the change wins;
+- every other workload: OTHER_PAIRS pairs each, the no-regression check;
+- per workload, whether the fingerprints (every checked output, bit for bit)
+  of the two sides are equal at each seed, and the names of the operations
+  whose statistic, threshold or pass flag differ;
+- the sweep, if one is named, measured in a fresh interpreter per side and
+  case, alternating which side runs first:
+  - ``kernel_build``: the median of BUILD_REPEATS builds of
+    ``SurvivalKernel(n, ring_time_scale(n, alpha))``, with the rows it
+    stores, or the MemoryError when the budget (half of physical memory)
+    refuses it;
+  - ``ring_walk``: the median of WALK_REPEATS calls of ``_ring_paths_batch``
+    on the ring walks the benchmark and the acceptance suite make, in ns per
+    walker-step, with a hash of the outputs and of the generator state.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("selftest", "sampling-scale", "exact-scale")
+PAIRS = 10
+OTHER_PAIRS = 5
+METRICS = ("wall_s", "setup_s", "peak_rss_mb", "pass_ratio", "ops")
+LOWER_IS_BETTER = ("wall_s", "setup_s", "peak_rss_mb")
+
+BUILD_CASES = ((40, 1.0), (80, 1.0), (160, 1.0), (400, 1.0), (400, 0.1))
+BUILD_REPEATS = 3
+BUILD_SNIPPET = """
+import json, statistics, sys, time
+sys.path.insert(0, "src")
+from ri1d import ring_kernel as rk
+n, alpha, reps = int(sys.argv[1]), float(sys.argv[2]), int(sys.argv[3])
+t = rk.ring_time_scale(n, alpha)
+out = {"n": n, "alpha": alpha, "t": t}
+try:
+    times = []
+    for _ in range(reps):
+        start = time.perf_counter()
+        kernel = rk.SurvivalKernel(n, t)
+        times.append(time.perf_counter() - start)
+        out["rows"] = len(kernel._log_z)
+        out["kernel_bytes"] = kernel._table.nbytes + kernel._log_z.nbytes
+        del kernel
+    out["build_s"] = statistics.median(times)
+except MemoryError as err:
+    out["refused"] = str(err)
+print(json.dumps(out))
+"""
+
+#: (n, M, x0, visit_site, stay_in): check 07b, the ring local time of check
+#: 08 and sampling-scale at one chunk, and sampling-scale's ring vacant set
+WALK_CASES = ((40, 20000, 20, None, (2, 39)), (48, 65536, 24, 2, None),
+              (80, 4000, 40, None, (2, 79)))
+WALK_REPEATS = 3
+WALK_SNIPPET = """
+import hashlib, json, statistics, sys, time
+sys.path.insert(0, "src")
+from ri1d import ring_kernel as rk
+from ri1d.rngs import RngState
+n, M, x0, site, bounds, reps = json.loads(sys.argv[1])
+t = rk.ring_time_scale(n, 1.0)
+kernel = rk.SurvivalKernel(n, t)
+times, digest = [], hashlib.sha256()
+for rep in range(reps):
+    gen = RngState(rep).generator()
+    start = time.perf_counter()
+    visits, inside = rk._ring_paths_batch(kernel, x0, t, M, gen, site, bounds)
+    times.append(time.perf_counter() - start)
+    for a in (visits, inside):
+        if a is not None:
+            digest.update(a.tobytes())
+    digest.update(repr(gen.bit_generator.state).encode())
+print(json.dumps({"t": t, "s": statistics.median(times),
+                  "ns_per_walker_step": 1e9 * statistics.median(times) / (M * t),
+                  "outputs_sha256": digest.hexdigest()}))
+"""
+
+
+def run_bench(tree: Path, workload: str, seed: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", "20", "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    record = json.loads((tree / ".bench_out" / f"{workload}-seed{seed}-trace0.json")
+                        .read_text(encoding="utf-8"))
+    return {"seed": seed, "correct": last["correct"], "failed": last["failed"],
+            "fingerprint": record["fingerprint"], "operations": record["operations"],
+            "metrics": {k: v["value"] for k, v in last["metrics"].items()}}
+
+
+def summary(values: list[float]) -> dict:
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def sides(i: int) -> tuple[str, str]:
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
+def compare(workload: str, trees: dict, pairs: int, seed0: int) -> dict:
+    runs = {"parent": [], "change": []}
+    for i in range(pairs):
+        for side in sides(i):
+            runs[side].append(run_bench(trees[side], workload, seed0 + i))
+            print(workload, i, side, runs[side][-1]["metrics"], file=sys.stderr)
+    pairs_run = list(zip(runs["parent"], runs["change"]))
+    differ = set()
+    for p, c in pairs_run:
+        ops = zip(p.pop("operations"), c.pop("operations"))
+        differ |= {a["name"] for a, b in ops if a != b}
+    out = {"seeds": [seed0 + i for i in range(pairs)], "runs": runs,
+           "fingerprints_equal": all(p["fingerprint"] == c["fingerprint"]
+                                     for p, c in pairs_run),
+           "operations_differing": sorted(differ)}
+    for m in METRICS:
+        par = [r["metrics"][m] for r in runs["parent"]]
+        chg = [r["metrics"][m] for r in runs["change"]]
+        lower = m in LOWER_IS_BETTER
+        better = sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
+        out[m] = {"parent": summary(par), "change": summary(chg),
+                  "pairs_change_better": f"{better} of {pairs}",
+                  "median_change": statistics.median(chg) / statistics.median(par) - 1
+                  if statistics.median(par) else 0.0}
+    return out
+
+
+def sweep(trees: dict, snippet: str, cases: list[tuple[dict, list[str]]]) -> list[dict]:
+    rows = []
+    for i, (case, args) in enumerate(cases):
+        row = dict(case)
+        for side in sides(i):
+            proc = subprocess.run([sys.executable, "-c", snippet, *args],
+                                  cwd=trees[side], capture_output=True, text=True,
+                                  check=True)
+            row[side] = json.loads(proc.stdout)
+        rows.append(row)
+        print("sweep", row, file=sys.stderr)
+    return rows
+
+
+def kernel_builds(trees: dict) -> list[dict]:
+    return sweep(trees, BUILD_SNIPPET,
+                 [({"n": n, "alpha": alpha}, [str(n), str(alpha), str(BUILD_REPEATS)])
+                  for n, alpha in BUILD_CASES])
+
+
+def ring_walks(trees: dict) -> list[dict]:
+    return sweep(trees, WALK_SNIPPET,
+                 [({"n": n, "M": M, "x0": x0, "visit_site": site, "stay_in": bounds},
+                   [json.dumps([n, M, x0, site, bounds, WALK_REPEATS])])
+                  for n, M, x0, site, bounds in WALK_CASES])
+
+
+SWEEPS = {"kernel_build": kernel_builds, "ring_walk": ring_walks}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent-rev", required=True)
+    parser.add_argument("--claim", required=True, choices=WORKLOADS,
+                        help="the workload whose gain is claimed: PAIRS pairs")
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--seed0", type=int, required=True,
+                        help="pair i runs at seed seed0 + i")
+    parser.add_argument("--sweep", choices=sorted(SWEEPS))
+    args = parser.parse_args()
+    rev = subprocess.run(["git", "rev-parse", args.parent_rev], cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout.strip()
+    with tempfile.TemporaryDirectory() as tmp:
+        parent = Path(tmp)
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT,
+                                 capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+        trees = {"parent": parent, "change": ROOT}
+        doc = {
+            "command": " ".join(["python3", "scripts/bench_pairs.py", *sys.argv[1:]]),
+            "parent_commit": rev,
+            "machine": {"python": platform.python_version(),
+                        "machine": platform.machine(), "nproc": os.cpu_count()},
+        }
+        for workload in sorted(WORKLOADS, key=lambda w: w != args.claim):
+            pairs = PAIRS if workload == args.claim else OTHER_PAIRS
+            doc[workload] = compare(workload, trees, pairs, args.seed0)
+        if args.sweep:
+            doc[args.sweep] = SWEEPS[args.sweep](trees)
+    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,7 +17,13 @@ the remaining time s* ~ 0.93 n^2 (even n) or 2.5 n^2 (odd n) from which
 h_n(., s) is its two slowest modes to 2**-53, so its memory is
 O(n min(t, s*)); later times are that settled row times a power of
 cos(pi/n). On top of the kernel table sit the time-inhomogeneous conditioned
-ring walk and its exact vacant-set and local-time functionals.
+ring walk and its exact vacant-set and local-time functionals. The walk
+tracks each walker's up-step count U instead of its position: after k steps
+from x0 it sits at x0 - k + 2U, so all walkers share the parity of x0 - k.
+Its up-steps are laid out by the parity of the site, each half front-padded
+and holding the kernel rows 1..min(t, s* + 1), the last of which, the
+settled Doob step, stands for every later row; a step is one gather of U
+from a per-step slice of one half, one compare and one add.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ from .config import in_cond_regime
 from .core_walks import WalkPath
 from .rngs import RngState
 
-#: Memory budget in bytes for a kernel table plus its up-step table: half of
-#: the physical memory.
+#: Memory budget in bytes for a kernel table plus the walk layout, or the
+#: up-step table, derived from it: half of the physical memory.
 KERNEL_BYTES_BUDGET = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
@@ -231,17 +237,39 @@ def _settled_steps(n: int) -> int:
     return math.ceil(53 * _LN2 / (_log_cos(math.pi / n) - _log_cos(k * math.pi / n)))
 
 
-def _up_steps(table: np.ndarray, log_z: np.ndarray, out: np.ndarray) -> None:
-    """out[i] = h(x+1, s-1) / (2 h(x, s)) on x = 1..n-1 for s = i+1, in place.
+def _up_steps(table: np.ndarray, log_z: np.ndarray, out: np.ndarray,
+              first: int = 1, step: int = 1) -> None:
+    """out[i, j] = h(x+1, s-1) / (2 h(x, s)) at s = i+1, x = first + j*step, in place.
 
     table and log_z are the kernel rows 0..len(out) in the scaled form of
-    :class:`SurvivalKernel`.
+    :class:`SurvivalKernel`, and x runs over first, first+step, ... below n.
+    Every log_z is e ln 2 for an integer e (:func:`_killed_steps`), so the
+    ratio of two row scales is the exact power of two 2**(e[s-1] - e[s]):
+    at x = 1, where h(1, s) = h(2, s-1)/2, the up-step is exactly 1, and at
+    x = n-1 it is exactly 0.
     """
     n = table.shape[1] - 1
-    ratio = np.exp(log_z[:-1] - log_z[1:])
-    np.multiply(table[:-1, 2:], ratio[:, None], out=out)
-    np.divide(out, table[1:, 1:n], out=out)
+    e = np.rint(log_z / _LN2).astype(np.int64)
+    ratio = np.ldexp(1.0, e[:-1] - e[1:])
+    np.multiply(table[:-1, first + 1:n + 1:step], ratio[:, None], out=out)
+    np.divide(out, table[1:, first:n:step], out=out)
     out *= 0.5
+
+
+def _check_budget(need: int, what: str) -> None:
+    if need > KERNEL_BYTES_BUDGET:
+        raise MemoryError(
+            f"{what} need {need} bytes, over the budget of {KERNEL_BYTES_BUDGET} "
+            f"(half of physical memory); use h_spectral for point values")
+
+
+def _walk_shape(n: int, t: int, r: int) -> tuple[int, int, int]:
+    """(pad, rows, width) of each parity half of the walk layout.
+
+    A half holds pad zeros, then the up-step rows s = 1..rows, rows =
+    min(t, r) for the kernel's last stored row r, each width entries long.
+    """
+    return (t + 1) // 2, min(t, r), n // 2 + 1
 
 
 class SurvivalKernel:
@@ -256,21 +284,19 @@ class SurvivalKernel:
     sin(pi(x+1)/n) / (2 cos(pi/n) sin(pi x/n)). The build checks row R's
     up-step against it and raises RuntimeError on a miss. So the conditioned
     walk can be stepped at any time without recomputation. Memory is
-    O(n min(t_max, s*)) for the kernel and O(n t_max) for the up-step table
-    the samplers derive from it; both must fit in KERNEL_BYTES_BUDGET
-    together. Immutable after construction.
+    O(n min(t_max, s*)) for the kernel and O(n min(t_max, s*) + t_max) for
+    the layout a walk of t_max steps derives from it (:meth:`_walk_layout`);
+    both must fit in KERNEL_BYTES_BUDGET together. Immutable after
+    construction.
     """
 
     def __init__(self, n: int, t_max: int):
         _check_domain(n, 0, t_max)
         settled = _settled_steps(n)
         rows = min(t_max, settled + 1)
-        need = 8 * ((rows + 1) * (n + 2) + (t_max + 1) * (n + 1))
-        if need > KERNEL_BYTES_BUDGET:
-            raise MemoryError(
-                f"kernel and step tables for n={n}, t_max={t_max} need {need} "
-                f"bytes, over the budget of {KERNEL_BYTES_BUDGET} (half of "
-                f"physical memory); use h_spectral for point values")
+        pad, walk_rows, width = _walk_shape(n, t_max, rows)
+        _check_budget(8 * ((rows + 1) * (n + 2) + 2 * (pad + walk_rows * width)),
+                      f"kernel and walk tables for n={n}, t_max={t_max}")
         self.n = n
         self.t_max = t_max
         # cos(pi/2) = 0 kills everything in one step at n = 2
@@ -297,15 +323,19 @@ class SurvivalKernel:
                     f"kernel row {rows} of n={n} is not settled: its up-step "
                     f"is {gap:.3g} from the Doob step")
 
+    def _row(self, t: int) -> tuple[int, float]:
+        """(r, log_z) with h(., t) = stored row r times exp(log_z)."""
+        r = len(self._log_z) - 1
+        if t <= r:
+            return t, self._log_z[t]
+        r -= (t - r) % 2  # the stored row of t's parity
+        return r, self._log_z[r] + (t - r) * self._log_cos
+
     def h(self, x: int, t: int) -> float:
         _check_domain(self.n, x, t)
         if t > self.t_max:
             raise ValueError(f"horizon {t} exceeds table horizon {self.t_max}")
-        r = len(self._log_z) - 1
-        if t <= r:
-            return float(self._table[t, x] * math.exp(self._log_z[t]))
-        r -= (t - r) % 2  # the stored row of t's parity
-        log_z = self._log_z[r] + (t - r) * self._log_cos
+        r, log_z = self._row(t)
         return float(self._table[r, x] * math.exp(log_z))
 
     def _step_up_table(self) -> np.ndarray:
@@ -313,16 +343,46 @@ class SurvivalKernel:
 
         Row 0 and the killed columns 0 and n are 0, and so is every entry at
         n = 2, where h(1, s) = 0 for s >= 1. Rows past the stored R repeat
-        row R, the Doob step. Built in place, so the peak memory is the
-        tables themselves, as KERNEL_BYTES_BUDGET counts them.
+        row R, the Doob step. O(n t_max) memory, checked with the kernel rows
+        against KERNEL_BYTES_BUDGET before it is allocated; the walk reads
+        the smaller :meth:`_walk_layout` instead.
         """
         n, t = self.n, self.t_max
         r = len(self._log_z) - 1
+        _check_budget(self._table.nbytes + self._log_z.nbytes + 8 * (t + 1) * (n + 1),
+                      f"kernel and step tables for n={n}, t_max={t}")
         p = np.zeros((t + 1, n + 1))
         if n > 2:
             _up_steps(self._table, self._log_z, p[1:r + 1, 1:n])
             p[r + 1:] = p[r]
         return p
+
+    def _walk_layout(self, t: int) -> tuple[tuple[np.ndarray, np.ndarray], int, int, int]:
+        """The up-steps of a t-step walk, split by the parity of the site.
+
+        Returns (halves, pad, rows, width) from :func:`_walk_shape`:
+        halves[x % 2][pad + (s-1) width + x // 2] is the up-step from x with
+        s <= rows steps to go; row rows, the settled Doob step when rows =
+        R < t, stands for every s > rows. Entries off the sites 1..n-1 are 0.
+        The up-step at x = 1 must be exactly 1 and at x = n-1 exactly 0, so
+        that no walker leaves 1..n-1; a build where either is not raises
+        RuntimeError.
+        """
+        n = self.n
+        pad, rows, width = _walk_shape(n, t, len(self._log_z) - 1)
+        halves = (np.zeros(pad + rows * width), np.zeros(pad + rows * width))
+        table, log_z = self._table[:rows + 1], self._log_z[:rows + 1]
+        blocks = [half[pad:].reshape(rows, width) for half in halves]
+        for first in (1, 2):
+            block = blocks[first % 2]
+            cols = len(range(first, n, 2))
+            _up_steps(table, log_z, block[:, first // 2:first // 2 + cols], first, 2)
+        edge_up, edge_down = blocks[1][:, 0], blocks[(n - 1) % 2][:, (n - 1) // 2]
+        if not ((edge_up == 1.0).all() and (edge_down == 0.0).all()):
+            raise RuntimeError(
+                f"up-steps of n={n} at the edge sites 1 and {n - 1} are not "
+                f"exactly 1 and 0")
+        return halves, pad, rows, width
 
 
 def ring_time_scale(n: int, alpha: float) -> int:
@@ -337,40 +397,56 @@ def ring_time_scale(n: int, alpha: float) -> int:
 
 def sample_ring_path(n: int, t_total: int, x0: int, rng: RngState) -> WalkPath:
     """One trajectory of the conditioned ring walk from x0, all t_total steps."""
-    if not 0 < x0 < n:
-        raise ValueError(f"need 0 < x0 < n, got x0={x0}, n={n}")
     if t_total < 0:
         raise ValueError(f"need t_total >= 0, got {t_total}")
-    kernel = SurvivalKernel(n, t_total)
-    if t_total >= 1 and kernel.h(x0, t_total) == 0.0:
-        raise ValueError("conditioning on survival is impossible from this start")
-    steps = _ring_steps(kernel, x0, t_total, 1, rng.generator())
-    return WalkPath((x0,) + tuple(int(pos[0]) for pos in steps))
+    steps = _ring_steps(SurvivalKernel(n, t_total), x0, t_total, 1, rng.generator())
+    return WalkPath((x0,) + tuple(x0 - k + 2 * int(ups[0])
+                                  for k, ups in enumerate(steps, 1)))
 
 
 def _ring_steps(kernel: SurvivalKernel, x0: int, t: int, M: int,
                 gen: np.random.Generator):
-    """Yield the positions of M conditioned ring walkers after each of t steps.
+    """Yield the up-step counts of M conditioned ring walkers after each of t steps.
 
-    The walkers start at x0 with t steps to go. Every yield is the same array,
-    updated in place. Uses the kernel's up-step table, so memory is O(n*t) and
-    time O(M*t); a step allocates nothing and draws M uniforms.
+    The walkers start at x0 with t steps to go; after the k-th yield a walker
+    whose count is U sits at x0 - k + 2U. Every yield is the same int array,
+    updated in place. A step draws M uniforms, one per walker in walker
+    order, and compares each with its walker's up-step, read from the
+    kernel's :meth:`~SurvivalKernel._walk_layout`: before step k + 1 all
+    walkers share the parity of y = x0 - k, so they read one parity half,
+    and the walker with count U reads entry y // 2 + U of that half's row
+    min(s, rows) for s = t - k steps to go. The settled row stands for every
+    s past the stored rows. So a step is one gather from a per-step slice,
+    one compare and one add, and allocates nothing. The front padding keeps
+    every slice start nonnegative. Memory is O(n min(t, s*) + t + M) and
+    time O(M t).
+
+    Raises ValueError if x0 is not in 1..n-1 or no walk from x0 survives t
+    steps (h_n(x0, t) = 0).
     """
+    n = kernel.n
     if t > kernel.t_max:
         raise ValueError(f"horizon {t} exceeds table horizon {kernel.t_max}")
-    p_up = kernel._step_up_table()
-    pos = np.full(M, x0, dtype=np.int64)
+    if not 0 < x0 < n:
+        raise ValueError(f"need 0 < x0 < n, got x0={x0}, n={n}")
+    if kernel._table[kernel._row(t)[0], x0] == 0.0:
+        raise ValueError("conditioning on survival is impossible from this start")
+    halves, pad, rows, width = kernel._walk_layout(t)
+    ups = np.zeros(M, dtype=np.intp)
     u = np.empty(M)
     thr = np.empty(M)
     up = np.empty(M, dtype=bool)
-    for s in range(t, 0, -1):
+    for k in range(t):
+        y = x0 - k
+        start = pad + (min(t - k, rows) - 1) * width + y // 2
         gen.random(out=u)
-        np.take(p_up[s], pos, out=thr)
+        # every index lies in the row (the edge up-steps are exact), so
+        # mode="clip" never clips; it skips the bounds check and the copy of
+        # out that mode="raise" makes
+        halves[y % 2][start:].take(ups, out=thr, mode="clip")
         np.less(u, thr, out=up)
-        pos += up  # +1 for an up-step, -1 for a down-step
-        pos += up
-        pos -= 1
-        yield pos
+        ups += up
+        yield ups
 
 
 def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
@@ -379,16 +455,28 @@ def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
     """M conditioned ring paths, vectorized over replicates.
 
     Returns (visit counts at visit_site over times 1..t, indicator that the
-    whole path stays strictly inside the open interval stay_in); either may
-    be None when not requested.
+    whole path, start included, stays strictly inside the open interval
+    stay_in); either may be None when not requested. A walker sits at y
+    after k steps iff its up-step count is (y - x0 + k) / 2, so a site is
+    compared only on the steps of its parity within reach of x0; a path
+    that starts inside leaves the interval iff it sits on one of its
+    bounds.
     """
     visits = np.zeros(M, dtype=np.int64) if visit_site is not None else None
-    inside = np.ones(M, dtype=bool) if stay_in is not None else None
-    for pos in _ring_steps(kernel, x0, t, M, gen):
+    inside = np.full(M, stay_in[0] < x0 < stay_in[1]) if stay_in is not None else None
+    at = np.empty(M, dtype=bool)
+    for k, ups in enumerate(_ring_steps(kernel, x0, t, M, gen), 1):
         if visits is not None:
-            visits += pos == visit_site
+            j, odd = divmod(visit_site - x0 + k, 2)
+            if not odd and 0 <= j <= k:
+                np.equal(ups, j, out=at)
+                np.add(visits, 1, out=visits, where=at)
         if inside is not None:
-            inside &= (pos > stay_in[0]) & (pos < stay_in[1])
+            for bound in stay_in:
+                j, odd = divmod(bound - x0 + k, 2)
+                if not odd and 0 <= j <= k:
+                    np.not_equal(ups, j, out=at)
+                    inside &= at
     return visits, inside
 
 

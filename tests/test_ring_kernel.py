@@ -226,12 +226,32 @@ class TestRingWalk:
                 ref[i] = x + 1 if gen.random() < up else x - 1
             expected.append(list(ref))
         steps = rk._ring_steps(kernel, x0, t, M, RngState(4, 2).generator())
-        assert [pos.tolist() for pos in steps] == expected
+        # after k steps a walker with up-step count U sits at x0 - k + 2U
+        assert [(x0 - k + 2 * ups).tolist()
+                for k, ups in enumerate(steps, 1)] == expected
 
     def test_horizon_guard(self):
         kernel = rk.SurvivalKernel(6, 10)
         with pytest.raises(ValueError):
             next(rk._ring_steps(kernel, 3, 20, 1, RngState(0).generator()))
+
+    def test_batch_rejects_start_off_the_segment(self):
+        kernel = rk.SurvivalKernel(6, 10)
+        for x0 in (0, 6, -1, 9):
+            with pytest.raises(ValueError, match="need 0 < x0 < n"):
+                rk._ring_paths_batch(kernel, x0, 10, 4, RngState(0).generator(),
+                                     visit_site=3)
+
+    def test_batch_rejects_impossible_conditioning(self):
+        # at n = 2 the walk from 1 dies at step 1: h_2(1, t) = 0 for t >= 1
+        kernel = rk.SurvivalKernel(2, 5)
+        for t in (1, 5):
+            with pytest.raises(ValueError, match="impossible"):
+                rk._ring_paths_batch(kernel, 1, t, 4, RngState(0).generator(),
+                                     stay_in=(0, 2))
+        visits, inside = rk._ring_paths_batch(kernel, 1, 0, 4, RngState(0).generator(),
+                                              visit_site=1, stay_in=(0, 2))
+        assert visits.tolist() == [0] * 4 and inside.all()
 
     def test_impossible_conditioning(self):
         with pytest.raises(ValueError):
@@ -269,6 +289,102 @@ class TestRingWalk:
                 assert prob == pytest.approx(1 / (2**t * h0), rel=1e-11)
                 total += prob
             assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def _position_steps(kernel, x0, t, M, gen):
+    """Positions of M conditioned walkers after each step, read from the full
+    (t + 1)(n + 1) step table: the walk the up-count walk replaced, kept as
+    its oracle."""
+    p_up = kernel._step_up_table()[:t + 1]
+    pos = np.full(M, x0, dtype=np.int64)
+    u = np.empty(M)
+    thr = np.empty(M)
+    up = np.empty(M, dtype=bool)
+    for s in range(t, 0, -1):
+        gen.random(out=u)
+        np.take(p_up[s], pos, out=thr)
+        np.less(u, thr, out=up)
+        pos += up
+        pos += up
+        pos -= 1
+        yield pos
+
+
+def _position_paths(kernel, x0, t, M, gen, visit_site=None, stay_in=None):
+    """(visits at visit_site, inside stay_in) of the position walk, checked
+    against both bounds at every step."""
+    visits = np.zeros(M, dtype=np.int64) if visit_site is not None else None
+    inside = np.ones(M, dtype=bool) if stay_in is not None else None
+    for pos in _position_steps(kernel, x0, t, M, gen):
+        if visits is not None:
+            visits += pos == visit_site
+        if inside is not None:
+            inside &= (pos > stay_in[0]) & (pos < stay_in[1])
+    return visits, inside
+
+
+class TestUpCountWalk:
+    """The up-count walk against the position walk, bit for bit."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 12, 41, 48])
+    def test_matches_position_walk(self, n):
+        s_star = rk._settled_steps(n)
+        x0, M = n // 2, 40
+        # visit_site - x0 and hi - lo each take both parities; t = s* keeps
+        # every row, t > s* + 1 reads the settled row
+        cases = [(1, (0, n)), (x0, (x0 - 1, x0 + 2)),
+                 (x0 + 1, (x0 - 2, x0 + 2)), (n - 1, None), (None, (x0 - 1, n + 1))]
+        for t in (max(s_star, 1), 3 * s_star + 40):
+            kernel = rk.SurvivalKernel(n, t)
+            for seed, (site, bounds) in enumerate(cases):
+                ref_gen = RngState(seed, 2).generator()
+                gen = RngState(seed, 2).generator()
+                ref = _position_paths(kernel, x0, t, M, ref_gen, site, bounds)
+                got = rk._ring_paths_batch(kernel, x0, t, M, gen, site, bounds)
+                for a, b in zip(ref, got):
+                    assert (a is None and b is None) or np.array_equal(a, b)
+                assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+    def test_start_outside_interval_is_outside(self):
+        # the whole path, its start included, must stay strictly inside; in
+        # 3 steps from 6 a walker can leave a bound it starts on for good,
+        # and cannot reach a bound 3 sites above it
+        kernel = rk.SurvivalKernel(12, 3)
+        for bounds in ((6, 11), (1, 6), (9, 11)):
+            _, inside = rk._ring_paths_batch(kernel, 6, 3, 30, RngState(1).generator(),
+                                             stay_in=bounds)
+            assert not inside.any()
+
+    @pytest.mark.parametrize("n, t", [(3, 9), (4, 9), (5, 120), (6, 30), (12, 400),
+                                      (41, 5000), (48, 5602)])
+    def test_layout_holds_the_step_table(self, n, t):
+        kernel = rk.SurvivalKernel(n, t)
+        p_up = kernel._step_up_table()
+        halves, pad, rows, width = kernel._walk_layout(t)
+        assert rows == len(kernel._log_z) - 1 == min(t, rk._settled_steps(n) + 1)
+        s = np.arange(1, t + 1)[:, None]
+        x = np.arange(1, n)[None, :]
+        idx = pad + (np.minimum(s, rows) - 1) * width + x // 2
+        got = np.where(x % 2 == 0, halves[0][idx], halves[1][idx])
+        assert np.array_equal(got, p_up[1:, 1:n])
+        # the edges are exact: a walker at 1 always steps up, at n - 1 down
+        assert np.all(p_up[1:, 1] == 1.0) and np.all(p_up[1:, n - 1] == 0.0)
+
+    def test_inexact_edge_raises(self, monkeypatch):
+        # the ratio exp(log_z[s-1] - log_z[s]) leaves the up-step at site 1
+        # at 0.9999999999999973 in most rows of n = 48
+        kernel = rk.SurvivalKernel(48, 5602)
+
+        def exp_ratio(table, log_z, out, first=1, step=1):
+            n = table.shape[1] - 1
+            ratio = np.exp(log_z[:-1] - log_z[1:])
+            np.multiply(table[:-1, first + 1:n + 1:step], ratio[:, None], out=out)
+            np.divide(out, table[1:, first:n:step], out=out)
+            out *= 0.5
+
+        monkeypatch.setattr(rk, "_up_steps", exp_ratio)
+        with pytest.raises(RuntimeError, match="n=48 at the edge sites 1 and 47"):
+            next(rk._ring_steps(kernel, 24, 5602, 1, RngState(0).generator()))
 
 
 class TestVacantRing:
@@ -642,13 +758,21 @@ def _full_table(n, t):
 class TestKernelMemoryGuard:
     def test_budget_covers_both_tables(self, monkeypatch):
         # n = 10 settles at s* = 77: the kernel keeps rows 0..78 with their
-        # log scale, (78 + 1)(10 + 2) doubles, and the step table all
-        # (100 + 1)(10 + 1)
+        # log scale, (78 + 1)(10 + 2) doubles. The walk layout has two
+        # halves of 50 pad entries and 78 rows of 6, 2 (50 + 78 * 6)
+        # doubles; the step table is (100 + 1)(10 + 1) doubles on top of the
+        # kernel rows and is checked only when it is built
         n, t = 10, 100
-        need = 8 * (79 * 12 + 101 * 11)
-        monkeypatch.setattr(rk, "KERNEL_BYTES_BUDGET", need)
-        rk.SurvivalKernel(n, t)
-        monkeypatch.setattr(rk, "KERNEL_BYTES_BUDGET", need - 1)
+        kernel_rows = 79 * 12
+        walk = 8 * (kernel_rows + 2 * (50 + 78 * 6))
+        steps = 8 * (kernel_rows + 101 * 11)
+        monkeypatch.setattr(rk, "KERNEL_BYTES_BUDGET", walk)
+        kernel = rk.SurvivalKernel(n, t)
+        with pytest.raises(MemoryError, match="step tables for n=10"):
+            kernel._step_up_table()
+        monkeypatch.setattr(rk, "KERNEL_BYTES_BUDGET", steps)
+        assert kernel._step_up_table().shape == (t + 1, n + 1)
+        monkeypatch.setattr(rk, "KERNEL_BYTES_BUDGET", walk - 1)
         with pytest.raises(MemoryError, match="h_spectral"):
             rk.SurvivalKernel(n, t)
 
@@ -658,7 +782,9 @@ class TestKernelMemoryGuard:
         t, n = table.shape[0] - 1, table.shape[1] - 1
         p = np.zeros((t + 1, n + 1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.exp(log_z[:t] - log_z[1:])
+            # row scales are exact powers of two, 2**e with e = log_z / ln 2
+            e = np.where(np.isfinite(log_z), np.rint(log_z / math.log(2)), 0)
+            ratio = np.ldexp(1.0, (e[:t] - e[1:]).astype(int))
             p[1:, 1:n] = table[:t, 2:] * ratio[:, None] / (2.0 * table[1:, 1:n])
         return np.nan_to_num(p, nan=0.0, posinf=0.0)
 
@@ -690,6 +816,25 @@ class TestKernelMemoryGuard:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * need
+
+    def test_walk_peak_memory_is_its_layout(self):
+        # one walk allocates the parity halves of rows 1..s*+1 and their
+        # padding, not the (t + 1)(n + 1) step table (16.8 MB here)
+        n, M = 80, 16
+        t = rk.ring_time_scale(n, 1.0)
+        kernel = rk.SurvivalKernel(n, t)
+        pad, rows, width = rk._walk_shape(n, t, len(kernel._log_z) - 1)
+        layout = 2 * 8 * (pad + rows * width)
+        assert rows == rk._settled_steps(n) + 1
+        tracemalloc.start()
+        try:
+            rk._ring_paths_batch(kernel, n // 2, t, M, RngState(0).generator(),
+                                 visit_site=2, stay_in=(2, n - 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert layout <= peak <= 1.1 * layout
+        assert 2 * layout < 8 * (t + 1) * (n + 1)
 
 
 def _settled_reference(n):
