@@ -1,11 +1,13 @@
 """Run a change against its parent commit in alternating pairs of benchmark runs.
 
-Run from the root of a checkout. The two committed files came from::
+Run from the root of a checkout. The three committed files came from::
 
     python3 scripts/bench_pairs.py --parent-rev e806b13 --claim exact-scale \\
         --seed0 931 --sweep kernel_build --out BENCH_kernel_cut.json
     python3 scripts/bench_pairs.py --parent-rev 93d8ed2 --claim sampling-scale \\
         --seed0 961 --sweep ring_walk --out BENCH_ring_walk.json
+    python3 scripts/bench_pairs.py --parent-rev 7bfabde --claim sampling-scale \\
+        --seed0 991 --sweep ring_walk --out BENCH_ring_blocks.json
 
 The parent revision is exported with ``git archive`` into a temporary
 directory; both sides run from their own source tree with the same benchmark

@@ -4,7 +4,9 @@ Each subcommand only computes: it fills the values, tables and verdicts of
 one run. :func:`main` records the run. It prints every value with 12
 significant digits and every verdict line, and with --out also writes one
 JSON object: the command, its inputs (the parsed arguments), the version,
-seed and wall time, and the values, tables and verdicts.
+seed and wall time, the environment (Python, numpy and scipy versions, CPU
+count, and the resolved worker count of a harness command, else null), and
+the values, tables and verdicts.
 
 The samplers and the harness commands take --seed. Only the four commands
 that run the replicate harness take --workers: sample-localtime,
@@ -18,17 +20,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__, acceptance
 from . import core_walks as cw
 from . import interlacements as il
 from . import ring_kernel as rk
 from .capacity import IntervalSet, capacity, capacity_hat, equilibrium_measure
-from .mc import Experiment, Verdict, ks_distance_to_normal, run_replicates
+from .mc import (Experiment, Verdict, default_workers, ks_distance_to_normal,
+                 run_replicates)
 from .rngs import RngState
 
 #: Parsed arguments that select or steer a run but are not among its inputs.
@@ -46,6 +52,16 @@ def _json_scalar(obj):
     if isinstance(obj, (np.integer, np.floating, np.bool_)):
         return obj.item()
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+
+
+def _environment(args) -> dict:
+    """Versions, CPU count and the harness worker count (None off the harness)."""
+    workers = None
+    if hasattr(args, "workers"):
+        workers = default_workers() if args.workers is None else args.workers
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+            "workers": workers}
 
 
 def _verdict_dict(v: Verdict) -> dict:
@@ -78,6 +94,7 @@ class _Run:
                 "version": __version__,
                 "seed": getattr(args, "seed", None),
                 "wall_time_s": wall,
+                "environment": _environment(args),
                 "values": self.values,
                 "tables": {k: [list(r) for r in t] for k, t in self.tables.items()},
                 "verdicts": [_verdict_dict(v) for v in self.verdicts],

@@ -22,8 +22,14 @@ tracks each walker's up-step count U instead of its position: after k steps
 from x0 it sits at x0 - k + 2U, so all walkers share the parity of x0 - k.
 Its up-steps are laid out by the parity of the site, each half front-padded
 and holding the kernel rows 1..min(t, s* + 1), the last of which, the
-settled Doob step, stands for every later row; a step is one gather of U
-from a per-step slice of one half, one compare and one add.
+settled Doob step, stands for every later row; a step of the path sampler
+is one gather of U from a per-step slice of one half, one compare and one
+add. The batch walk behind the vacant-set and local-time samplers reads
+the same up-steps in blocks of 32 steps: each walker draws one uniform per
+block and inverts it against the block's exact joint law of up-steps,
+visits to a site and contact with an interval's bounds, a table built by a
+forward recursion over the block, once for all settled blocks and once for
+each block before them.
 """
 
 from __future__ import annotations
@@ -62,20 +68,25 @@ def _spectral_log_terms(n: int, x, t):
     then those of x, then the modes along the last axis. Each term is
     (2/n) cos^t(theta_j) cot(theta_j/2) sin(x theta_j) with
     theta_j = pi(2j-1)/n, j = 1..floor(n/2); cos^t is carried as t*ln|cos|
-    with explicit sign tracking so horizons up to 1e7 cannot underflow. An
-    array t gives the same bits as one scalar call per entry. A negative
-    entry of t raises ValueError.
+    with explicit sign tracking so horizons up to 1e7 cannot underflow.
+    ln|cos theta| is :func:`_log_cos` of min(theta, pi - theta), within a
+    few eps, where np.log(np.abs(np.cos(theta))) loses 2 n^2 eps / pi^2 and
+    h drifts by t times that. An array t gives the same bits as one scalar
+    call per entry. A negative entry of t raises ValueError.
     """
     ts = np.asarray(t)
     if (ts < 0).any():
         raise ValueError(f"need t >= 0, got {ts.min()}")
     j = np.arange(1, n // 2 + 1, dtype=np.float64)
     theta = np.pi * (2 * j - 1) / n
-    c = np.where(4 * j == n + 2, 0.0, np.cos(theta))  # cos(pi/2) is 0, not 6e-17
+    zero = 4 * j == n + 2  # theta = pi/2, where cos is 0, not 6e-17
+    negative = 2 * (2 * j - 1) > n  # theta > pi/2
+    # |cos theta| = cos phi with phi = min(theta, pi - theta) in [0, pi/2]
+    phi = np.pi * np.minimum(2 * j - 1, n + 1 - 2 * j) / n
     xs = np.asarray(x, dtype=np.float64)
     tt = ts.reshape(ts.shape + (1,) * (xs.ndim + 1))  # t axes, x axes, mode
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_c = np.log(np.abs(c))
+        log_c = np.where(zero, -np.inf, _log_cos(phi))
         # t == 0 must give log 1 even for the cos = 0 mode (0 * -inf trap)
         pow_part = np.where(tt > 0, tt * log_c, 0.0)
     cot_half = 1.0 / np.tan(theta / 2)  # positive: theta/2 in (0, pi/2)
@@ -83,7 +94,7 @@ def _spectral_log_terms(n: int, x, t):
     with np.errstate(divide="ignore"):
         log_abs = (pow_part + np.log(cot_half) + math.log(2.0 / n)
                    + np.log(np.abs(s)))
-    sign = np.sign(s) * np.where((c < 0) & (tt % 2 == 1), -1.0, 1.0)
+    sign = np.sign(s) * np.where(negative & (tt % 2 == 1), -1.0, 1.0)
     return log_abs, sign
 
 
@@ -197,7 +208,9 @@ def h_asymptotic(n: int, x: int, t: int) -> tuple[float, bool]:
     the stated O(n^-2) accuracy is not guaranteed.
     """
     _check_domain(n, x, t)
-    val = (4.0 / math.pi) * math.exp(t * math.log(math.cos(math.pi / n))) \
+    # cos(pi/2) = 0 at n = 2: cos^0 is 1 and every higher power 0
+    log_c = -math.inf if n == 2 else _log_cos(math.pi / n)
+    val = (4.0 / math.pi) * (math.exp(t * log_c) if t else 1.0) \
         * math.sin(math.pi * x / n)
     return val, in_cond_regime(t, n)
 
@@ -213,8 +226,15 @@ def h_over_t1_deviation(n: int, x: int, t: int) -> float:
 
 # -- kernel table and the conditioned ring walk --------------------------------
 
-def _log_cos(theta: float) -> float:
-    """ln cos(theta) as log1p(-2 sin^2(theta/2)), accurate as theta -> 0."""
+def _log_cos(theta):
+    """ln cos(theta) as log1p(-2 sin^2(theta/2)), accurate as theta -> 0.
+
+    theta is a float or an array in [0, pi/2). A float goes through libm,
+    whose bits the kernel's cut and settled rows are built with; numpy's
+    sin may differ from it in the last place.
+    """
+    if isinstance(theta, np.ndarray):
+        return np.log1p(-2.0 * np.sin(theta / 2) ** 2)
     return math.log1p(-2.0 * math.sin(theta / 2) ** 2)
 
 
@@ -449,34 +469,172 @@ def _ring_steps(kernel: SurvivalKernel, x0: int, t: int, M: int,
         yield ups
 
 
+#: Steps per block of the batch walk: each walker draws one uniform per block.
+_BLOCK = 32
+
+
+def _block_law(layout, n: int, s0: int, steps: int, parity: int,
+               visit_site: int | None = None,
+               stay_in: tuple[int, int] | None = None) -> np.ndarray:
+    """Joint law of one block of the conditioned walk from every start site.
+
+    layout is :meth:`SurvivalKernel._walk_layout`; the block takes ``steps``
+    steps from a site x = 2r + parity with s0 >= steps steps to go. Returns
+    law[r, d, c, f], the probability of d up-steps, c visits to visit_site at
+    the block's arrival times 1..steps, and f = 1 if the walker sat on a
+    bound of stay_in at one of them (f = 0 otherwise). The c axis has one
+    slot when visit_site is None and the f axis one when stay_in is None.
+    Rows whose start is off 1..n-1 are 0.
+
+    A forward recursion over the block's steps on w[c, f, r*J + j], J =
+    steps + 1, the mass with j up-steps so far. The up-step of step i is the
+    layout's entry for s0 - i steps to go at x - i + 2j, the down-step 1
+    minus it: all such sites share the parity of x - i, so the step's
+    up-steps are one Hankel slice of one layout row. An up-step moves mass
+    from j to j + 1, i.e. from r*J + j to the next slot; no mass sits at
+    j = J - 1 before the last step, so the shift never crosses a row. After
+    i steps the cells on a site y lie on the antidiagonal r + j = q,
+    q = (y - parity + i) / 2, which is every (J - 1)-th slot from q.
+    """
+    halves, pad, rows, width = layout
+    span = steps + 1
+    n_c = 1
+    if visit_site is not None:
+        n_c += sum((visit_site - parity + i) % 2 == 0 for i in range(1, steps + 1))
+    w = np.zeros((n_c, 1 if stay_in is None else 2, width * span))
+    x = 2 * np.arange(width) + parity
+    w[0, 0, ::span] = (0 < x) & (x < n)
+    hankel = np.add.outer(np.arange(width), np.arange(span)).ravel()
+    up, down, moved = np.empty(width * span), np.empty(width * span), np.empty_like(w)
+
+    def on_site(y: int, i: int):
+        q, odd = divmod(y - parity + i, 2)
+        lo, hi = max(0, q - i), min(width - 1, q)
+        return None if odd or lo > hi else slice(
+            lo * (span - 1) + q, hi * (span - 1) + q + 1, span - 1)
+
+    live_c = 1  # visit counts reachable so far
+    for i in range(steps):
+        start = pad + (min(s0 - i, rows) - 1) * width + (parity - i) // 2
+        # walkers off the sites carry no mass: mode="clip" only keeps the
+        # gather inside the layout
+        halves[(parity - i) % 2].take(hankel + start, out=up, mode="clip")
+        np.subtract(1.0, up, out=down)
+        live = w[:live_c]
+        np.multiply(live, up, out=moved[:live_c])
+        live *= down
+        live[:, :, 1:] += moved[:live_c, :, :-1]
+        if visit_site is not None and (visit_site - parity + i + 1) % 2 == 0:
+            cells = on_site(visit_site, i + 1)
+            if cells is not None:
+                w[1:live_c + 1, :, cells] = w[:live_c, :, cells]
+                w[0, :, cells] = 0.0
+            live_c += 1
+        for bound in stay_in or ():
+            cells = on_site(bound, i + 1)
+            if cells is not None:
+                w[:, 1, cells] += w[:, 0, cells]
+                w[:, 0, cells] = 0.0
+    return w.reshape(n_c, -1, width, span).transpose(2, 3, 0, 1)
+
+
+def _search_table(law: np.ndarray):
+    """Inverse-CDF table of a block law: (cdf, K, d, c, f).
+
+    The outcomes kept are the (d, c, f) cells of positive mass in some row,
+    in law's order; K is the least power of two that holds them and d, c,
+    f their coordinates, padded to K. Row r of the flat cdf holds the
+    running sums of row r over those outcomes at r*K.., with +inf from its
+    last outcome of positive mass on: the first entry above a uniform u is
+    an outcome of positive mass, and u < 1 never passes the row's end.
+    """
+    kept = np.nonzero((law > 0).any(axis=0))
+    size = len(kept[0])
+    k = 1 << max(size - 1, 0).bit_length()
+    cdf = np.full((law.shape[0], k), np.inf)
+    body = cdf[:, :size]
+    body[...] = law[:, kept[0], kept[1], kept[2]]
+    live = body > 0
+    last = np.where(live.any(axis=1), size - 1 - np.argmax(live[:, ::-1], axis=1), 0)
+    np.cumsum(body, axis=1, out=body)
+    cdf[np.arange(k) >= last[:, None]] = np.inf
+    coords = [np.zeros(k, dtype=np.intp) for _ in kept]
+    for dst, src in zip(coords, kept):
+        dst[:size] = src
+    return (cdf.ravel(), k, *coords)
+
+
 def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
                       gen: np.random.Generator, visit_site: int | None = None,
                       stay_in: tuple[int, int] | None = None):
-    """M conditioned ring paths, vectorized over replicates.
+    """M conditioned ring paths, vectorized over replicates, in blocks of steps.
 
     Returns (visit counts at visit_site over times 1..t, indicator that the
     whole path, start included, stays strictly inside the open interval
-    stay_in); either may be None when not requested. A walker sits at y
-    after k steps iff its up-step count is (y - x0 + k) / 2, so a site is
-    compared only on the steps of its parity within reach of x0; a path
-    that starts inside leaves the interval iff it sits on one of its
-    bounds.
+    stay_in); either may be None when not requested. The walk runs in
+    blocks of _BLOCK steps (the last may be shorter): per block each walker
+    draws one uniform, in walker order, and takes its block outcome (up-step
+    count, visits, whether it sat on a bound) from the block's exact joint
+    law (:func:`_block_law`) by inverse CDF. Blocks start on the parity of
+    x0, so a walker is its row r = x // 2 in the law. The search is a
+    fixed-depth binary search over the row's running sums
+    (:func:`_search_table`): each level is one gather, one compare, one
+    shift and one add. Blocks whose every step reads the settled row share
+    one table; the others come after them and build theirs as the walk
+    reaches them, one table alive at a time. Memory is the layout,
+    O(n min(t, s*) + t), plus O(n K + M).
+
+    Raises ValueError if t exceeds the kernel's horizon, x0 is not in 1..n-1
+    or no walk from x0 survives t steps (h_n(x0, t) = 0).
     """
+    n = kernel.n
+    if t > kernel.t_max:
+        raise ValueError(f"horizon {t} exceeds table horizon {kernel.t_max}")
+    if not 0 < x0 < n:
+        raise ValueError(f"need 0 < x0 < n, got x0={x0}, n={n}")
+    if kernel._table[kernel._row(t)[0], x0] == 0.0:
+        raise ValueError("conditioning on survival is impossible from this start")
     visits = np.zeros(M, dtype=np.int64) if visit_site is not None else None
     inside = np.full(M, stay_in[0] < x0 < stay_in[1]) if stay_in is not None else None
-    at = np.empty(M, dtype=bool)
-    for k, ups in enumerate(_ring_steps(kernel, x0, t, M, gen), 1):
+    if t == 0:
+        return visits, inside
+    layout = kernel._walk_layout(t)
+    rows = layout[2]
+    row = np.full(M, x0 // 2, dtype=np.intp)
+    pos = np.empty(M, dtype=np.intp)
+    bit = np.empty(M, dtype=np.intp)
+    u = np.empty(M)
+    thr = np.empty(M)
+    keep = np.empty(M, dtype=bool)
+    cdf = d = c = f = table_key = None
+    for k0 in range(0, t, _BLOCK):
+        steps = min(_BLOCK, t - k0)
+        settled = steps == _BLOCK and t - k0 - steps + 1 >= rows
+        key = "settled" if settled else k0
+        if key != table_key:
+            cdf = d = c = f = None  # free the last table before the next
+            cdf, k, d, c, f = _search_table(_block_law(layout, n, t - k0, steps, x0 % 2,
+                                                       visit_site, stay_in))
+            table_key = key
+        np.left_shift(row, k.bit_length() - 1, out=pos)
+        gen.random(out=u)
+        h = k >> 1
+        while h:
+            # the first running sum above u: pos stays in its row, so
+            # mode="clip" never clips; it skips the bounds check
+            cdf[h - 1:].take(pos, out=thr, mode="clip")
+            np.less_equal(thr, u, out=bit)
+            np.left_shift(bit, h.bit_length() - 1, out=bit)
+            pos += bit
+            h >>= 1
+        np.bitwise_and(pos, k - 1, out=pos)
         if visits is not None:
-            j, odd = divmod(visit_site - x0 + k, 2)
-            if not odd and 0 <= j <= k:
-                np.equal(ups, j, out=at)
-                np.add(visits, 1, out=visits, where=at)
+            visits += c.take(pos, out=bit)
         if inside is not None:
-            for bound in stay_in:
-                j, odd = divmod(bound - x0 + k, 2)
-                if not odd and 0 <= j <= k:
-                    np.not_equal(ups, j, out=at)
-                    inside &= at
+            np.equal(f.take(pos, out=bit), 0, out=keep)
+            inside &= keep
+        row += d.take(pos, out=bit)
+        row -= steps // 2
     return visits, inside
 
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ri1d import __version__
@@ -156,6 +157,25 @@ class TestOutputs:
         assert doc["wall_time_s"] > 0
         assert doc["verdicts"] and {"name", "statistic", "threshold", "passed"} \
             <= set(doc["verdicts"][0])
+
+    def test_json_environment(self, tmp_path, capsys, monkeypatch):
+        # the resolved worker count for a harness command, null otherwise;
+        # stdout does not change
+        monkeypatch.setenv("RI1D_WORKERS", "3")
+        cases = [(["capacity", "--min", "0", "--max", "1"], None),
+                 (["sample-localtime", "--alpha", "1", "--x", "3", "--samples", "50"], 3),
+                 (["sample-localtime", "--alpha", "1", "--x", "3", "--samples", "50",
+                   "--workers", "2"], 2)]
+        for argv, workers in cases:
+            out = tmp_path / "r.json"
+            _, plain = run(capsys, *argv)
+            _, printed = run(capsys, *argv, "--out", str(out))
+            assert printed == plain
+            env = json.loads(out.read_text())["environment"]
+            assert set(env) == {"python", "numpy", "scipy", "cpu_count", "workers"}
+            assert env["workers"] == workers
+            assert env["cpu_count"] == os.cpu_count()
+            assert env["numpy"] == np.__version__
 
     def test_json_pmf_table(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -102,6 +102,29 @@ class TestKernelBackends:
                     sp = rk.h_spectral(n, x, k - 1) - rk.h_spectral(n, x, k)
                     assert abs(dp - sp) <= 1e-10
 
+    def test_spectral_against_mpmath(self):
+        # ln|cos| from log1p(-2 sin^2(phi/2)): within a few eps at horizons
+        # where np.log(np.abs(np.cos(theta))) was 7.9e-12 and 1.2e-11 off
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for n, x, t in ((160, 80, 207505), (1000, 500, 250000)):
+                theta = [mpmath.pi * (2 * j - 1) / n for j in range(1, n // 2 + 1)]
+                ref = sum(2 * mpmath.cos(th)**t * mpmath.cot(th / 2)
+                          * mpmath.sin(x * th) for th in theta) / n
+                assert abs(float(rk.h_spectral(n, x, t) / ref) - 1) <= 1e-14
+                first = 4 / mpmath.pi * mpmath.cos(mpmath.pi / n)**t \
+                    * mpmath.sin(mpmath.pi * x / n)
+                assert abs(float(rk.h_asymptotic(n, x, t)[0] / first) - 1) <= 1e-14
+
+    def test_cos_zero_mode_and_n2(self):
+        # n = 6 has theta = pi/2, where log1p(-2 sin^2(pi/4)) would be NaN
+        log_abs, _ = rk._spectral_log_terms(6, 1, np.array([0, 1, 5]))
+        assert not np.isnan(log_abs).any()
+        # mode 2 is theta = pi/2: cos^0 = 1, and every higher power is 0
+        assert np.isfinite(log_abs[0, 1]) and np.all(log_abs[1:, 1] == -np.inf)
+        assert rk.h_asymptotic(2, 1, 0)[0] == 4 / math.pi
+        assert rk.h_asymptotic(2, 1, 3)[0] == 0.0
+
     def test_spectral_negative_sum_raises(self, monkeypatch):
         # inside the segment a negative signed sum is cancellation, not 0
         monkeypatch.setattr(rk, "h_spectral_log", lambda n, x, t: (0.0, -1.0))
@@ -293,8 +316,7 @@ class TestRingWalk:
 
 def _position_steps(kernel, x0, t, M, gen):
     """Positions of M conditioned walkers after each step, read from the full
-    (t + 1)(n + 1) step table: the walk the up-count walk replaced, kept as
-    its oracle."""
+    (t + 1)(n + 1) step table: the oracle of the up-count path sampler."""
     p_up = kernel._step_up_table()[:t + 1]
     pos = np.full(M, x0, dtype=np.int64)
     u = np.empty(M)
@@ -310,39 +332,23 @@ def _position_steps(kernel, x0, t, M, gen):
         yield pos
 
 
-def _position_paths(kernel, x0, t, M, gen, visit_site=None, stay_in=None):
-    """(visits at visit_site, inside stay_in) of the position walk, checked
-    against both bounds at every step."""
-    visits = np.zeros(M, dtype=np.int64) if visit_site is not None else None
-    inside = np.ones(M, dtype=bool) if stay_in is not None else None
-    for pos in _position_steps(kernel, x0, t, M, gen):
-        if visits is not None:
-            visits += pos == visit_site
-        if inside is not None:
-            inside &= (pos > stay_in[0]) & (pos < stay_in[1])
-    return visits, inside
-
-
 class TestUpCountWalk:
-    """The up-count walk against the position walk, bit for bit."""
+    """The up-count path sampler against the position walk, bit for bit."""
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 12, 41, 48])
     def test_matches_position_walk(self, n):
         s_star = rk._settled_steps(n)
         x0, M = n // 2, 40
-        # visit_site - x0 and hi - lo each take both parities; t = s* keeps
-        # every row, t > s* + 1 reads the settled row
-        cases = [(1, (0, n)), (x0, (x0 - 1, x0 + 2)),
-                 (x0 + 1, (x0 - 2, x0 + 2)), (n - 1, None), (None, (x0 - 1, n + 1))]
+        # t = s* keeps every row, t > s* + 1 reads the settled row
         for t in (max(s_star, 1), 3 * s_star + 40):
             kernel = rk.SurvivalKernel(n, t)
-            for seed, (site, bounds) in enumerate(cases):
+            for seed in range(5):
                 ref_gen = RngState(seed, 2).generator()
                 gen = RngState(seed, 2).generator()
-                ref = _position_paths(kernel, x0, t, M, ref_gen, site, bounds)
-                got = rk._ring_paths_batch(kernel, x0, t, M, gen, site, bounds)
-                for a, b in zip(ref, got):
-                    assert (a is None and b is None) or np.array_equal(a, b)
+                ref = _position_steps(kernel, x0, t, M, ref_gen)
+                got = rk._ring_steps(kernel, x0, t, M, gen)
+                for k, (pos, ups) in enumerate(zip(ref, got, strict=True), 1):
+                    assert np.array_equal(pos, x0 - k + 2 * ups)
                 assert gen.bit_generator.state == ref_gen.bit_generator.state
 
     def test_start_outside_interval_is_outside(self):
@@ -385,6 +391,168 @@ class TestUpCountWalk:
         monkeypatch.setattr(rk, "_up_steps", exp_ratio)
         with pytest.raises(RuntimeError, match="n=48 at the edge sites 1 and 47"):
             next(rk._ring_steps(kernel, 24, 5602, 1, RngState(0).generator()))
+
+
+def _enumerated_block_law(layout, n, s0, steps, parity, visit_site, stay_in, shape):
+    """law[r, d, c, f] summed over all 2**steps step sequences from each start,
+    each weighted by the layout's up-steps (down = 1 - up); the sums run in
+    extended precision, so each cell is off by the rounding of its
+    products, at most steps eps relative."""
+    halves, pad, rows, width = layout
+    ups = (np.arange(2**steps)[:, None] >> np.arange(steps)) & 1
+    law = np.zeros(shape, dtype=np.longdouble)
+    for r in range(width):
+        x = 2 * r + parity
+        if not 0 < x < n:
+            continue
+        y = x + np.cumsum(2 * ups - 1, axis=1)  # sites after steps 1..steps
+        before = np.hstack([np.full((len(ups), 1), x), y[:, :-1]])
+        weight = np.ones(len(ups))
+        for i in range(steps):
+            # a sequence that leaves 1..n-1 has a step of weight exactly 0
+            idx = pad + (min(s0 - i, rows) - 1) * width + before[:, i] // 2
+            up = np.where(before[:, i] % 2 == 0, halves[0].take(idx, mode="clip"),
+                          halves[1].take(idx, mode="clip"))
+            weight *= np.where(ups[:, i] == 1, up, 1.0 - up)
+        c = (y == visit_site).sum(axis=1) if visit_site is not None else 0
+        f = np.isin(y, stay_in).any(axis=1) if stay_in is not None else 0
+        np.add.at(law, (r, ups.sum(axis=1), c, f * 1), weight.astype(np.longdouble))
+    return law
+
+
+def _visit_law_exact(n, x0, t, site):
+    """Law of the visits to site at times 1..t under the t-horizon ring law:
+    the killed walk from x0 with its visit count carried along, w[k, y]
+    the mass at y after k visits, normalized by the surviving mass."""
+    w = np.zeros((t + 1, n + 1))
+    w[0, x0] = 1.0
+    for _ in range(t):
+        nxt = np.zeros_like(w)
+        nxt[:, 1:n] = 0.5 * (w[:, :n - 1] + w[:, 2:])  # 0 and n stay empty
+        nxt[1:, site] = nxt[:-1, site]
+        nxt[0, site] = 0.0
+        w = nxt
+    mass = w.sum(axis=1)
+    return mass / mass.sum()
+
+
+class TestBlockLaw:
+    """The block law behind the batch walk, and the walk's visit law."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 12])
+    def test_matches_enumeration(self, n):
+        # blocks before, across and past the last stored row R; visit sites
+        # on both edges and in the middle, bounds on the edges, outside 0..n
+        # and inside
+        t = 3 * rk._settled_steps(n) + 40
+        kernel = rk.SurvivalKernel(n, t)
+        layout = kernel._walk_layout(t)
+        R = layout[2]
+        cases = [(1, (0, n)), (n - 1, (-2, n + 3)), (n // 2, (1, n - 1)),
+                 (None, (2, n - 2)), (n // 2 + 1, None), (None, None)]
+        for steps in (1, 5, 12):
+            for s0 in sorted({steps, max(steps, R - steps // 2), R + 3 + steps}):
+                for parity in (0, 1):
+                    for site, bounds in cases:
+                        law = rk._block_law(layout, n, s0, steps, parity, site, bounds)
+                        ref = _enumerated_block_law(layout, n, s0, steps, parity,
+                                                    site, bounds, law.shape)
+                        k = rk._search_table(law)[1]
+                        assert np.max(np.abs(law - ref)) <= k * np.finfo(float).eps
+
+    def test_shape_and_rows(self):
+        kernel = rk.SurvivalKernel(12, 400)
+        layout = kernel._walk_layout(400)
+        # arrivals 1..5 from even starts: site 3 can be met at times 1, 3, 5
+        law = rk._block_law(layout, 12, 400, 5, 0, 3, (2, 9))
+        assert law.shape == (7, 6, 4, 2)
+        sums = law.sum(axis=(1, 2, 3))
+        assert sums[0] == sums[6] == 0.0  # starts 0 and 12 are off the segment
+        assert np.max(np.abs(sums[1:6] - 1)) <= 8 * np.finfo(float).eps
+
+    def test_search_table(self):
+        kernel = rk.SurvivalKernel(12, 400)
+        law = rk._block_law(kernel._walk_layout(400), 12, 400, 12, 1, 5, (2, 9))
+        cdf, k, d, c, f = rk._search_table(law)
+        rows = law.shape[0]
+        kept = (law > 0).any(axis=0)
+        assert k == 1 << (int(kept.sum()) - 1).bit_length() and cdf.shape == (rows * k,)
+        cdf = cdf.reshape(rows, k)
+        for r in range(rows):
+            pmf = law[r, d, c, f]
+            pmf[kept.sum():] = 0.0
+            live = np.flatnonzero(pmf)
+            if not live.size:
+                assert np.all(cdf[r] == np.inf)
+                continue
+            last = live[-1]
+            assert np.all(cdf[r, last:] == np.inf)
+            assert np.array_equal(cdf[r, :last], np.cumsum(pmf)[:last])
+            assert np.all(np.diff(cdf[r, :last]) >= 0)
+
+    def test_one_settled_table_then_one_per_block(self, monkeypatch):
+        # blocks whose 32 steps all read the settled row R share one table;
+        # each later block builds its own when the walk reaches it
+        n = 12
+        t = 3 * rk._settled_steps(n) + 40
+        kernel = rk.SurvivalKernel(n, t)
+        R = len(kernel._log_z) - 1
+        built = []
+
+        def record(layout, n, s0, steps, *args):
+            built.append((s0, steps))
+            return block_law(layout, n, s0, steps, *args)
+
+        block_law = rk._block_law
+        monkeypatch.setattr(rk, "_block_law", record)
+        rk._ring_paths_batch(kernel, 6, t, 5, RngState(0).generator(), 2, (1, 9))
+        blocks = [(t - k0, min(rk._BLOCK, t - k0)) for k0 in range(0, t, rk._BLOCK)]
+        later = [(s0, steps) for s0, steps in blocks
+                 if s0 - steps + 1 < R or steps < rk._BLOCK]
+        assert built == [blocks[0]] + later
+        assert blocks[0] not in later and len(later) <= R // rk._BLOCK + 2
+
+    def test_extreme_uniforms_take_outcomes_of_positive_mass(self):
+        # u = 0 takes a block's first outcome of positive mass, never a
+        # zero-mass one before it: from the edge site 1 the fewest up-steps
+        # in 32 steps are 16, back at 1, and the fewest visits to 2 among
+        # those paths are two, at the first step and the last but one. The
+        # largest u below 1 takes the last outcome: 21 up-steps, 11 visits
+        # to 1 (bouncing on it first, then up to 11)
+        class Constant:
+            def __init__(self, value):
+                self.value = value
+
+            def random(self, out):
+                out[...] = self.value
+
+        kernel = rk.SurvivalKernel(12, 64)
+        low, top = Constant(0.0), Constant(np.nextafter(1.0, 0.0))
+        visits, inside = rk._ring_paths_batch(kernel, 1, 64, 3, low, 2, (0, 12))
+        assert visits.tolist() == [4] * 3 and inside.all()
+        visits, inside = rk._ring_paths_batch(kernel, 1, 32, 3, top, 1, (0, 11))
+        assert visits.tolist() == [11] * 3 and not inside.any()
+
+    @pytest.mark.parametrize("n, x0, t, site", [(12, 6, 203, 2), (13, 5, 150, 9)])
+    def test_visit_law_matches_propagation(self, n, x0, t, site):
+        # noise model, fixed before any seed ran: each count of M draws is
+        # binomial; a cell with M p >= 25 gets z = (count - M p) / sqrt(M p
+        # (1 - p)), the cells below pool into one. Each |z| <= 5 fails with
+        # probability 5.7e-7 under the right law, so at most ~60 cells give
+        # a family-wise false alarm below 4e-5; a bias of 0.0025 in a cell
+        # of p = 0.1 reaches z = 5
+        M = 4 * 10**5
+        exact = _visit_law_exact(n, x0, t, site)
+        visits, _ = rk._ring_paths_batch(rk.SurvivalKernel(n, t), x0, t, M,
+                                         RngState(11).generator(), visit_site=site)
+        counts = np.bincount(visits, minlength=len(exact))
+        assert len(counts) == len(exact)
+        big = M * exact >= 25
+        assert big.sum() >= 10
+        obs = np.append(counts[big], counts[~big].sum())
+        p = np.append(exact[big], exact[~big].sum())
+        z = (obs - M * p) / np.sqrt(M * p * (1 - p))
+        assert np.max(np.abs(z)) <= 5
 
 
 class TestVacantRing:
@@ -817,24 +985,53 @@ class TestKernelMemoryGuard:
             tracemalloc.stop()
         assert peak <= 1.1 * need
 
+    @staticmethod
+    def _walk_peak(kernel, M, visit_site, stay_in):
+        t = kernel.t_max
+        tracemalloc.start()
+        try:
+            rk._ring_paths_batch(kernel, kernel.n // 2, t, M, RngState(0).generator(),
+                                 visit_site, stay_in)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
     def test_walk_peak_memory_is_its_layout(self):
         # one walk allocates the parity halves of rows 1..s*+1 and their
-        # padding, not the (t + 1)(n + 1) step table (16.8 MB here)
+        # padding, not the (t + 1)(n + 1) step table (16.8 MB here); on top
+        # of them it holds one block law with its step buffer, one search
+        # table and 42 bytes per walker
         n, M = 80, 16
         t = rk.ring_time_scale(n, 1.0)
         kernel = rk.SurvivalKernel(n, t)
         pad, rows, width = rk._walk_shape(n, t, len(kernel._log_z) - 1)
         layout = 2 * 8 * (pad + rows * width)
         assert rows == rk._settled_steps(n) + 1
-        tracemalloc.start()
-        try:
-            rk._ring_paths_batch(kernel, n // 2, t, M, RngState(0).generator(),
-                                 visit_site=2, stay_in=(2, n - 1))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert layout <= peak <= 1.1 * layout
+        law = rk._block_law(kernel._walk_layout(t), n, t, rk._BLOCK, 0, 2, (2, n - 1))
+        table = rk._search_table(law)[0]
+        peak = self._walk_peak(kernel, M, 2, (2, n - 1))
+        # the layout build's temporaries: 10% of the layout
+        assert layout <= peak <= 1.1 * layout + 2 * (law.nbytes + table.nbytes) + 64 * M
         assert 2 * layout < 8 * (t + 1) * (n + 1)
+
+    def test_stay_in_walk_peak_memory(self, monkeypatch):
+        # the n = 80 vacant-set walk of the benchmark: the layout, at most
+        # two search tables' worth of block law and table, and O(M)
+        def no_step_table(self):
+            raise AssertionError("the walk must not build the step table")
+
+        monkeypatch.setattr(rk.SurvivalKernel, "_step_up_table", no_step_table)
+        n, M = 80, 4000
+        t = rk.ring_time_scale(n, 1.0)
+        kernel = rk.SurvivalKernel(n, t)
+        pad, rows, width = rk._walk_shape(n, t, len(kernel._log_z) - 1)
+        layout = 2 * 8 * (pad + rows * width)
+        law = rk._block_law(kernel._walk_layout(t), n, t, rk._BLOCK, 0, None, (2, n - 1))
+        table = rk._search_table(law)[0]
+        assert law.nbytes <= table.nbytes == 8 * width * 128
+        peak = self._walk_peak(kernel, M, None, (2, n - 1))
+        assert layout <= peak <= layout + 2 * table.nbytes + 64 * M
 
 
 def _settled_reference(n):
