@@ -1,6 +1,6 @@
 """Run a change against its parent commit in alternating pairs of benchmark runs.
 
-Run from the root of a checkout. The three committed files came from::
+Run from the root of a checkout. The committed files came from::
 
     python3 scripts/bench_pairs.py --parent-rev e806b13 --claim exact-scale \\
         --seed0 931 --sweep kernel_build --out BENCH_kernel_cut.json
@@ -8,6 +8,8 @@ Run from the root of a checkout. The three committed files came from::
         --seed0 961 --sweep ring_walk --out BENCH_ring_walk.json
     python3 scripts/bench_pairs.py --parent-rev 7bfabde --claim sampling-scale \\
         --seed0 991 --sweep ring_walk --out BENCH_ring_blocks.json
+    python3 scripts/bench_pairs.py --parent-rev 93a5997 --claim selftest \\
+        --seed0 1021 --sweep absorb --out BENCH_absorb_blocks.json
 
 The parent revision is exported with ``git archive`` into a temporary
 directory; both sides run from their own source tree with the same benchmark
@@ -29,7 +31,11 @@ seed0 + i. The output holds:
     refuses it;
   - ``ring_walk``: the median of WALK_REPEATS calls of ``_ring_paths_batch``
     on the ring walks the benchmark and the acceptance suite make, in ns per
-    walker-step, with a hash of the outputs and of the generator state.
+    walker-step, with a hash of the outputs and of the generator state;
+  - ``absorb``: the median of ABSORB_REPEATS runs of each absorbing walk of
+    ABSORB_CASES, in ns per walker-step (the expected number of steps the
+    walkers take before absorption or the horizon, from the exact law),
+    with a hash of the outputs.
 """
 
 from __future__ import annotations
@@ -100,6 +106,74 @@ for rep in range(reps):
     digest.update(repr(gen.bit_generator.state).encode())
 print(json.dumps({"t": t, "s": statistics.median(times),
                   "ns_per_walker_step": 1e9 * statistics.median(times) / (M * t),
+                  "outputs_sha256": digest.hexdigest()}))
+"""
+
+#: (call, arguments): the three Monte Carlo calls of check 13 at M = 1e5, and
+#: one absorbing walk of M = 2e4 walkers far from the origin
+ABSORB_CASES = (("simulate_hit_before", [5, 2, 12, 100000]),
+                ("estimate_hit_prob", [5, 2, 100000]),
+                ("estimate_escape_prob", [3, 100000]),
+                ("_absorb", [1000000, 999997, None, 500, 20000]))
+ABSORB_REPEATS = 3
+ABSORB_SNIPPET = """
+import hashlib, json, statistics, sys, time
+import numpy as np
+sys.path.insert(0, "src")
+from ri1d import core_walks as cw
+from ri1d.rngs import RngState
+name, args, reps = json.loads(sys.argv[1])
+
+def live_steps(start, lo, hi, steps):
+    # expected steps per walker before absorption or the horizon: the sum
+    # over steps of the exact mass still active
+    top = start + steps + 1 if hi is None else hi
+    sites = np.arange(lo, top + 1)
+    up = (sites + 1) / (2 * np.maximum(sites, 1))
+    law = np.zeros(sites.size)
+    law[start - lo] = 1.0
+    total = 0.0
+    for _ in range(steps):
+        mass = law.sum()
+        if mass < 1e-15:
+            break
+        total += mass
+        nxt = np.zeros_like(law)
+        nxt[1:] = law[:-1] * up[:-1]
+        nxt[:-1] += law[1:] * (1 - up[1:])
+        nxt[0] = nxt[-1] = 0.0
+        law = nxt
+    return total
+
+if name == "simulate_hit_before":
+    y, x, N, M = args
+    per_walker = live_steps(y, x, N, cw.ABSORPTION_STEP_CAP)
+    call = lambda rep: cw.simulate_hit_before(y, x, N, M, RngState(rep, 101))
+elif name == "estimate_hit_prob":
+    y, x, M = args
+    per_walker = live_steps(y, x, None, cw.ESTIMATOR_HORIZON)
+    call = lambda rep: cw.estimate_hit_prob(y, x, M, RngState(rep, 102))
+elif name == "estimate_escape_prob":
+    x, M = args
+    per_walker = 1 + cw.step_up_prob(x) * live_steps(x + 1, x, None,
+                                                     cw.ESTIMATOR_HORIZON)
+    call = lambda rep: cw.estimate_escape_prob(x, M, RngState(rep, 103))
+else:
+    start, lo, hi, steps, M = args
+    per_walker = live_steps(start, lo, hi, steps)
+
+    def call(rep):
+        gen = RngState(rep, 104).generator()
+        hits, pos = cw._absorb(gen, np.full(M, start), lo, hi, steps)
+        return [hits, pos.tobytes().hex(), repr(gen.bit_generator.state)]
+times, digest = [], hashlib.sha256()
+for rep in range(reps):
+    start_s = time.perf_counter()
+    value = call(rep)
+    times.append(time.perf_counter() - start_s)
+    digest.update(repr(value).encode())
+print(json.dumps({"walker_steps": M * per_walker, "s": statistics.median(times),
+                  "ns_per_walker_step": 1e9 * statistics.median(times) / (M * per_walker),
                   "outputs_sha256": digest.hexdigest()}))
 """
 
@@ -179,7 +253,15 @@ def ring_walks(trees: dict) -> list[dict]:
                   for n, M, x0, site, bounds in WALK_CASES])
 
 
-SWEEPS = {"kernel_build": kernel_builds, "ring_walk": ring_walks}
+def absorb_walks(trees: dict) -> list[dict]:
+    return sweep(trees, ABSORB_SNIPPET,
+                 [({"call": name, "args": args},
+                   [json.dumps([name, args, ABSORB_REPEATS])])
+                  for name, args in ABSORB_CASES])
+
+
+SWEEPS = {"kernel_build": kernel_builds, "ring_walk": ring_walks,
+          "absorb": absorb_walks}
 
 
 def main() -> int:

@@ -66,7 +66,7 @@ def _environment(args) -> dict:
 
 def _verdict_dict(v: Verdict) -> dict:
     return {"name": v.name, "statistic": v.statistic, "threshold": v.threshold,
-            "passed": v.passed, "context": v.context}
+            "margin": v.margin, "passed": v.passed, "context": v.context}
 
 
 class _Run:

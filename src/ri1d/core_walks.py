@@ -4,7 +4,10 @@ The conditioned walk steps from x to x+1 with probability (x+1)/(2x) and to
 x-1 otherwise; 1/x along the stopped trajectory is a martingale, which yields
 closed forms for hitting and escape probabilities. The module also provides
 reflection-principle path counting for the walk avoiding the origin and a
-brute-force enumeration oracle for it.
+brute-force enumeration oracle for it. Its Monte Carlo estimators run the
+walk absorbed at one or two sites in blocks of 32 steps, each walker's block
+drawn by inverse CDF from the block's exact law; the inverse-CDF table and
+its binary search also serve the block walk of the conditioned ring walk.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .rngs import RngState
 
@@ -193,58 +197,169 @@ def endpoint_leq_prob(x: int, delta: int, y: int) -> tuple[float, float]:
 
 # -- Monte Carlo helpers (vectorized over replicates) -------------------------
 
+#: Steps per block of the block walks: each walker draws one uniform per block.
+_BLOCK = 32
+
+
+def _search_table(law: np.ndarray):
+    """Inverse-CDF table of a block law law[r, ...]: (cdf, K, *coords).
+
+    The outcomes kept are the cells of law[r] of positive mass in some row,
+    in law's order; K is the least power of two that holds them and coords
+    their coordinates, one array per outcome axis, padded to K. Row r of the
+    flat cdf holds the running sums of row r over those outcomes at r*K..,
+    with +inf from its last outcome of positive mass on: the first entry
+    above a uniform u is an outcome of positive mass, and u < 1 never passes
+    the row's end.
+    """
+    kept = np.nonzero((law > 0).any(axis=0))
+    size = len(kept[0])
+    k = 1 << max(size - 1, 0).bit_length()
+    cdf = np.full((law.shape[0], k), np.inf)
+    body = cdf[:, :size]
+    body[...] = law[(slice(None), *kept)]
+    live = body > 0
+    last = np.where(live.any(axis=1), size - 1 - np.argmax(live[:, ::-1], axis=1), 0)
+    np.cumsum(body, axis=1, out=body)
+    cdf[np.arange(k) >= last[:, None]] = np.inf
+    coords = [np.zeros(k, dtype=np.intp) for _ in kept]
+    for dst, src in zip(coords, kept):
+        dst[:size] = src
+    return (cdf.ravel(), k, *coords)
+
+
+def _search(cdf: np.ndarray, k: int, row: np.ndarray, u: np.ndarray,
+            pos: np.ndarray, thr: np.ndarray, bit: np.ndarray) -> np.ndarray:
+    """Outcome of each walker's uniform u in its row of a :func:`_search_table`.
+
+    A fixed-depth binary search for the first running sum above u: each of
+    the log2 K levels is one gather, one compare, one shift and one add.
+    Writes the outcome's index in the kept outcomes to pos (which may be
+    row) and returns it; thr and bit are scratch arrays of the same length.
+    """
+    np.left_shift(row, k.bit_length() - 1, out=pos)
+    h = k >> 1
+    while h:
+        # pos stays in its row, so mode="clip" never clips; it skips the
+        # bounds check
+        cdf[h - 1:].take(pos, out=thr, mode="clip")
+        np.less_equal(thr, u, out=bit)
+        np.left_shift(bit, h.bit_length() - 1, out=bit)
+        pos += bit
+        h >>= 1
+    np.bitwise_and(pos, k - 1, out=pos)
+    return pos
+
+
+def _absorb_law(first: int, count: int, lo: int, hi: int | None,
+                steps: int) -> np.ndarray:
+    """Law of one block of the conditioned walk absorbed at lo and hi.
+
+    Returns law[r, o] for the walker that starts the block at site first + r,
+    lo < first + r < hi (hi=None absorbs at lo only): o = 0 is absorption
+    at lo, o = 1 + j survival of the block's ``steps`` steps with j up-steps
+    (at first + r - steps + 2j), and o = steps + 2 absorption at hi.
+
+    A forward recursion over the block on w[r, j], the mass with j up-steps
+    so far, stepping up from site s with (s+1)/(2s). Before step i + 1 the
+    cell (r, j) sits at first + r - i + 2j, so the step's up-steps are one
+    window view of a table over the sites, and the cells that land on a
+    bound, r + 2j = const, are every (2 span - 1)-th entry of the flat w,
+    span = steps + 1: their mass moves to the bound's absorption cell.
+    """
+    span = steps + 1
+    law = np.zeros((count, steps + 3))
+    w = np.zeros((count, span))
+    w[:, 0] = 1.0
+    flat = w.reshape(-1)
+    moved = np.empty_like(w)
+    # sites first - steps .. first + count + 2 steps - 1; those below lo
+    # carry no mass, so the clamp to 1 only keeps the division finite
+    sites = np.maximum(np.arange(first - steps, first + count + 2 * steps), 1)
+    p_up = (sites + 1) / (2 * sites)
+    up, down = (sliding_window_view(p, 2 * steps + 1)[:, ::2] for p in (p_up, 1.0 - p_up))
+
+    def on_site(y: int, i: int):
+        """(flat cells of w, rows of law) on site y after i steps."""
+        c = y - first + i
+        r0, r1 = max(c - 2 * steps, c % 2), min(c, count - 1)
+        r1 -= (r1 - r0) % 2
+        return None if r1 < r0 else (
+            slice(r0 * span + (c - r0) // 2, r1 * span + (c - r1) // 2 + 1, 2 * span - 1),
+            slice(r0, r1 + 1, 2))
+
+    for i in range(steps):
+        rows = slice(steps - i, steps - i + count)
+        np.multiply(w, up[rows], out=moved)
+        w *= down[rows]
+        w[:, 1:] += moved[:, :-1]
+        for side, site in ((0, lo), (steps + 2, hi)):
+            cells = None if site is None else on_site(site, i + 1)
+            if cells is not None:
+                law[cells[1], side] += flat[cells[0]]
+                flat[cells[0]] = 0.0
+    law[:, 1:span + 1] = w
+    return law
+
+
 def _absorb(gen: np.random.Generator, pos: np.ndarray, lo: int, hi: int | None,
             max_steps: int):
-    """Step conditioned walkers until they are absorbed at lo or hi.
+    """Run conditioned walkers until they are absorbed at lo or hi.
 
     The walkers start strictly inside (lo, hi); hi=None absorbs at lo only.
-    Stops after max_steps steps or once every walker is absorbed, drawing
-    one uniform per active walker and step and nothing for absorbed ones.
-    Returns (number absorbed at lo, positions of the walkers still active,
-    in their input order).
+    Stops after max_steps steps or once every walker is absorbed. Returns
+    (number absorbed at lo, positions of the walkers still active, in their
+    input order).
 
-    Walkers step in place on preallocated buffers, without rebuilding the
-    walker array each step, and are compacted only in a step where one of
-    them reached lo or hi. They are held as offsets q = p - base from the
-    lowest site they can reach, and the up-step probability (s+1)/(2s) is
-    read with np.take from a table over the sites they can reach in
-    max_steps, so the table's size depends on the horizon and the spread of
-    the starts, not on where they start.
+    The walk runs in blocks of _BLOCK steps (the last may be shorter): per
+    block each active walker draws one uniform, in walker order, and takes
+    its block outcome (absorbed at lo, still active with j up-steps, or
+    absorbed at hi) from the block's exact law (:func:`_absorb_law`) by
+    inverse CDF (:func:`_search`). The law's rows cover only the sites the
+    walkers have reached: when one leaves them, the rows are rebuilt around
+    the walkers with a margin of at least the old span, so memory is
+    O(M + K x reached span), independent of hi and of where the walkers
+    start.
+
+    Raises ValueError if a start is not strictly inside (lo, hi).
     """
     p = np.array(pos, dtype=np.int64)
-    if not p.size:
-        return 0, p
-    base = max(lo, int(p.min()) - max_steps)
-    top = int(p.max()) + max_steps
-    if hi is not None:
-        top = min(top, hi)
-    sites = np.arange(base, top + 1, dtype=np.int64)
-    # site 0 (= lo) is never read: walkers there are compacted first
-    p_up = (sites + 1) / (2 * np.maximum(sites, 1))
-    q = p - base
-    q_lo = lo - base
-    q_hi = None if hi is None else hi - base
-    u = np.empty(q.size)
-    thr = np.empty(q.size)
-    up = np.empty(q.size, dtype=bool)
+    if p.size and (p.min() <= lo or (hi is not None and p.max() >= hi)):
+        raise ValueError(f"starts must lie strictly inside ({lo}, {hi})")
+    u = np.empty(p.size)
+    thr = np.empty(p.size)
+    idx = np.empty(p.size, dtype=np.intp)
+    bit = np.empty(p.size, dtype=np.intp)
     hits = 0
-    for _ in range(max_steps):
-        k = q.size
-        if not k:
+    table_steps = base = top = 0  # the table's block length and sites
+    for k0 in range(0, max_steps, _BLOCK):
+        m = p.size
+        if not m:
             break
-        gen.random(out=u[:k])
-        np.take(p_up, q, out=thr[:k])
-        np.less(u[:k], thr[:k], out=up[:k])
-        q += up[:k]  # +1 for an up-step, -1 for a down-step
-        q += up[:k]
-        q -= 1
-        if q.min() == q_lo or (q_hi is not None and q.max() == q_hi):
-            done = q == q_lo
+        steps = min(_BLOCK, max_steps - k0)
+        low, high = int(p.min()), int(p.max())
+        if steps != table_steps or low < base or high > top:
+            pad = max(steps, top - base + 1)
+            base, top = max(lo + 1, low - pad), high + pad
+            if hi is not None:
+                top = min(top, hi - 1)
+            cdf = outcome = None  # free the last table before the next
+            cdf, k, outcome = _search_table(_absorb_law(base, top - base + 1, lo, hi, steps))
+            table_steps = steps
+        gen.random(out=u[:m])
+        np.subtract(p, base, out=idx[:m])
+        _search(cdf, k, idx[:m], u[:m], idx[:m], thr[:m], bit[:m])
+        o = outcome.take(idx[:m], out=bit[:m], mode="clip")
+        p += o  # p - steps + 2j for the walkers still active
+        p += o
+        p -= steps + 2
+        if o.min() == 0 or (hi is not None and o.max() == steps + 2):
+            done = o == 0
             hits += int(np.count_nonzero(done))
-            if q_hi is not None:
-                done |= q == q_hi
-            q = q[~done]
-    return hits, q + base
+            if hi is not None:
+                done |= o == steps + 2
+            p = p[~done]
+    return hits, p
 
 
 def _walkers(start: int, M: int) -> np.ndarray:

@@ -59,6 +59,11 @@ class Verdict:
     def passed(self) -> bool:
         return bool(self.statistic <= self.threshold)
 
+    @property
+    def margin(self) -> float:
+        """threshold - statistic: nonnegative iff the verdict passes."""
+        return self.threshold - self.statistic
+
     def line(self) -> str:
         state = "PASS" if self.passed else "FAIL"
         ctx = f" [{self.context}]" if self.context else ""

@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .config import in_cond_regime
-from .core_walks import WalkPath
+from .core_walks import _BLOCK, WalkPath, _search, _search_table
 from .rngs import RngState
 
 #: Memory budget in bytes for a kernel table plus the walk layout, or the
@@ -469,10 +469,6 @@ def _ring_steps(kernel: SurvivalKernel, x0: int, t: int, M: int,
         yield ups
 
 
-#: Steps per block of the batch walk: each walker draws one uniform per block.
-_BLOCK = 32
-
-
 def _block_law(layout, n: int, s0: int, steps: int, parity: int,
                visit_site: int | None = None,
                stay_in: tuple[int, int] | None = None) -> np.ndarray:
@@ -538,32 +534,6 @@ def _block_law(layout, n: int, s0: int, steps: int, parity: int,
     return w.reshape(n_c, -1, width, span).transpose(2, 3, 0, 1)
 
 
-def _search_table(law: np.ndarray):
-    """Inverse-CDF table of a block law: (cdf, K, d, c, f).
-
-    The outcomes kept are the (d, c, f) cells of positive mass in some row,
-    in law's order; K is the least power of two that holds them and d, c,
-    f their coordinates, padded to K. Row r of the flat cdf holds the
-    running sums of row r over those outcomes at r*K.., with +inf from its
-    last outcome of positive mass on: the first entry above a uniform u is
-    an outcome of positive mass, and u < 1 never passes the row's end.
-    """
-    kept = np.nonzero((law > 0).any(axis=0))
-    size = len(kept[0])
-    k = 1 << max(size - 1, 0).bit_length()
-    cdf = np.full((law.shape[0], k), np.inf)
-    body = cdf[:, :size]
-    body[...] = law[:, kept[0], kept[1], kept[2]]
-    live = body > 0
-    last = np.where(live.any(axis=1), size - 1 - np.argmax(live[:, ::-1], axis=1), 0)
-    np.cumsum(body, axis=1, out=body)
-    cdf[np.arange(k) >= last[:, None]] = np.inf
-    coords = [np.zeros(k, dtype=np.intp) for _ in kept]
-    for dst, src in zip(coords, kept):
-        dst[:size] = src
-    return (cdf.ravel(), k, *coords)
-
-
 def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
                       gen: np.random.Generator, visit_site: int | None = None,
                       stay_in: tuple[int, int] | None = None):
@@ -576,12 +546,12 @@ def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
     draws one uniform, in walker order, and takes its block outcome (up-step
     count, visits, whether it sat on a bound) from the block's exact joint
     law (:func:`_block_law`) by inverse CDF. Blocks start on the parity of
-    x0, so a walker is its row r = x // 2 in the law. The search is a
-    fixed-depth binary search over the row's running sums
-    (:func:`_search_table`): each level is one gather, one compare, one
-    shift and one add. Blocks whose every step reads the settled row share
-    one table; the others come after them and build theirs as the walk
-    reaches them, one table alive at a time. Memory is the layout,
+    x0, so a walker is its row r = x // 2 in the law. The search is the
+    fixed-depth binary search of :func:`~ri1d.core_walks._search` over the
+    row's running sums (:func:`~ri1d.core_walks._search_table`), which the
+    absorbing walk of :mod:`ri1d.core_walks` shares. Blocks whose every
+    step reads the settled row share one table; the others come after them
+    and build theirs as the walk reaches them, one table alive at a time. Memory is the layout,
     O(n min(t, s*) + t), plus O(n K + M).
 
     Raises ValueError if t exceeds the kernel's horizon, x0 is not in 1..n-1
@@ -616,18 +586,8 @@ def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
             cdf, k, d, c, f = _search_table(_block_law(layout, n, t - k0, steps, x0 % 2,
                                                        visit_site, stay_in))
             table_key = key
-        np.left_shift(row, k.bit_length() - 1, out=pos)
         gen.random(out=u)
-        h = k >> 1
-        while h:
-            # the first running sum above u: pos stays in its row, so
-            # mode="clip" never clips; it skips the bounds check
-            cdf[h - 1:].take(pos, out=thr, mode="clip")
-            np.less_equal(thr, u, out=bit)
-            np.left_shift(bit, h.bit_length() - 1, out=bit)
-            pos += bit
-            h >>= 1
-        np.bitwise_and(pos, k - 1, out=pos)
+        _search(cdf, k, row, u, pos, thr, bit)
         if visits is not None:
             visits += c.take(pos, out=bit)
         if inside is not None:

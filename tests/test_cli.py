@@ -12,6 +12,7 @@ import pytest
 from ri1d import __version__
 from ri1d import cli
 from ri1d.cli import main
+from ri1d.mc import Verdict
 
 
 def run(capsys, *argv):
@@ -176,6 +177,27 @@ class TestOutputs:
             assert env["workers"] == workers
             assert env["cpu_count"] == os.cpu_count()
             assert env["numpy"] == np.__version__
+
+    def test_json_verdict_margin(self, tmp_path, capsys, monkeypatch):
+        # every --out verdict carries threshold - statistic, negative on a
+        # failure; stdout does not change
+        monkeypatch.setattr(cli.acceptance, "ALL_CHECKS", [
+            lambda seed, workers: [Verdict("a", 0.25, 1.0, "ctx"),
+                                   Verdict("b", 2.0, 1.5)]])
+        out = tmp_path / "r.json"
+        _, plain = run(capsys, "selftest")
+        code, printed = run(capsys, "selftest", "--out", str(out))
+        assert code == 1 and printed == plain
+        verdicts = json.loads(out.read_text())["verdicts"]
+        assert [(v["name"], v["margin"], v["passed"]) for v in verdicts] == \
+            [("a", 0.75, True), ("b", -0.5, False)]
+
+        out_clt = tmp_path / "clt.json"
+        run(capsys, "verify", "clt", "--alpha", "1", "--x", "50",
+            "--samples", "2000", "--seed", "7", "--out", str(out_clt))
+        for v in json.loads(out_clt.read_text())["verdicts"]:
+            assert v["margin"] == v["threshold"] - v["statistic"]
+            assert (v["margin"] >= 0) == v["passed"]
 
     def test_json_pmf_table(self, tmp_path, capsys):
         out = tmp_path / "r.json"

@@ -210,8 +210,8 @@ class TestEndpointLeqProb:
 
 
 def _absorb_loop(gen, pos, lo, hi, max_steps):
-    """Reference absorption loop, with five new arrays and a compaction per
-    step: the oracle for the in-place :func:`ri1d.core_walks._absorb`."""
+    """Reference absorption loop, one uniform per walker and step: the
+    oracle of the law of :func:`ri1d.core_walks._absorb`."""
     hits = 0
     for _ in range(max_steps):
         if not pos.size:
@@ -226,65 +226,294 @@ def _absorb_loop(gen, pos, lo, hi, max_steps):
     return hits, pos
 
 
+def _enumerated_absorb_law(first, count, lo, hi, steps):
+    """law[r, o] of one absorbing block from all 2**steps step sequences.
+
+    A depth-first walk over the sequences, each weighted by the exact
+    product of its step probabilities (s+1)/(2s) and 1 minus it as
+    fractions; a sequence that lands on lo or hi stops there, so all the
+    sequences that share that prefix count once.
+    """
+    law = np.zeros((count, steps + 3))
+    for r in range(count):
+        cells = {}
+
+        def walk(y, i, j, prob):
+            if y == lo or y == hi:
+                o = 0 if y == lo else steps + 2
+            elif i == steps:
+                o = 1 + j
+            else:
+                up = Fraction(y + 1, 2 * y)
+                walk(y + 1, i + 1, j + 1, prob * up)
+                walk(y - 1, i + 1, j, prob * (1 - up))
+                return
+            cells[o] = cells.get(o, 0) + prob
+
+        walk(first + r, 0, 0, Fraction(1))
+        for o, prob in cells.items():
+            law[r, o] = float(prob)
+    return law
+
+
+def _killed_law(start, lo, hi, steps):
+    """Exact law of the conditioned walk from start after ``steps`` steps,
+    absorbed at lo and hi: (mass absorbed at lo, at hi, mass on each site
+    lo, lo + 1, .., the highest reachable)."""
+    top = start + steps + 1 if hi is None else hi
+    sites = np.arange(lo, top + 1)
+    up = (sites + 1) / (2 * np.maximum(sites, 1))
+    up[-1] = 0.0  # past the reachable sites, or hi
+    law = np.zeros(sites.size)
+    law[start - lo] = 1.0
+    at_lo = at_hi = 0.0
+    for _ in range(steps):
+        nxt = np.zeros_like(law)
+        nxt[1:] = law[:-1] * up[:-1]
+        nxt[:-1] += law[1:] * (1 - up[1:])
+        at_lo += nxt[0]
+        nxt[0] = 0.0
+        if hi is not None:
+            at_hi += nxt[-1]
+            nxt[-1] = 0.0
+        law = nxt
+    return at_lo, at_hi, law
+
+
+def _binomial_z(count, M, p):
+    """z of a binomial count; a count of mass-0 outcomes is 0 or infinitely off."""
+    if p == 0:
+        return 0.0 if count == 0 else math.inf
+    return (count - M * p) / math.sqrt(M * p * (1 - p))
+
+
+#: |z| bound of every binomial comparison with an exact law, fixed from the
+#: normal approximation before any seed ran: one cell exceeds it by chance
+#: with probability 6e-7, some cell of a hundred with 6e-5
+Z_MAX = 5.0
+
+
+class TestAbsorbBlockLaw:
+    """The block law behind _absorb and its inverse-CDF search."""
+
+    eps = np.finfo(float).eps
+
+    # (lo, hi, first start, rows): starts next to lo and next to hi, no hi
+    # with lo = 0 (site 1 steps up surely), and far starts with and without hi
+    CASES = [(2, 12, 3, 9), (0, None, 1, 4), (10**6 - 3, None, 10**6 - 2, 5),
+             (10**6 - 3, 10**6 + 4, 10**6 - 2, 6)]
+
+    @pytest.mark.parametrize("steps", [1, 5, 12])
+    @pytest.mark.parametrize("lo,hi,first,count", CASES)
+    def test_matches_enumeration(self, lo, hi, first, count, steps):
+        law = cw._absorb_law(first, count, lo, hi, steps)
+        ref = _enumerated_absorb_law(first, count, lo, hi, steps)
+        assert law.shape == (count, steps + 3)
+        assert np.max(np.abs(law - ref)) <= 4 * self.eps
+        assert np.max(np.abs(law.sum(axis=1) - 1)) <= 8 * self.eps
+        if hi is None:
+            assert np.all(law[:, -1] == 0.0)
+
+    def test_full_block_against_reflection(self):
+        # 32 steps with no upper bound: a surviving path from s to k has
+        # probability k/(s 2^b), and the reflection principle counts the
+        # paths that avoid lo
+        b, lo = cw._BLOCK, 2
+        law = cw._absorb_law(3, 57, lo, None, b)
+        for r in range(57):
+            s = 3 + r
+            for j in range(b + 1):
+                k = s - b + 2 * j
+                jr = j + s - lo  # up-steps from the reflected start 2lo - s
+                paths = math.comb(b, j) - (math.comb(b, jr) if jr <= b else 0)
+                ref = k * paths / (s << b) if k > lo else 0.0
+                assert abs(law[r, 1 + j] - ref) <= 4 * self.eps
+        assert np.all(law[:, -1] == 0.0)
+
+    @pytest.mark.parametrize("lo,hi,steps", [(2, 12, 5), (2, None, cw._BLOCK),
+                                             (0, None, 1), (4, 7, 3)])
+    def test_search_edges(self, lo, hi, steps):
+        # u = 0 and the largest u below 1 take each row's first and last
+        # outcome of positive mass; without hi the last is j = steps, never
+        # absorption at hi
+        first = lo + 1
+        count = (hi if hi is not None else lo + 60) - first
+        law = cw._absorb_law(first, count, lo, hi, steps)
+        cdf, k, outcome = cw._search_table(law)
+        rows = np.arange(count, dtype=np.intp)
+        for u0, pick in ((0.0, 0), (np.nextafter(1.0, 0.0), -1)):
+            u = np.full(count, u0)
+            pos = np.empty(count, dtype=np.intp)
+            got = outcome[cw._search(cdf, k, rows, u, pos, np.empty(count),
+                                     np.empty(count, dtype=np.intp))]
+            want = [np.flatnonzero(row > 0)[pick] for row in law]
+            assert np.array_equal(got, want)
+            if hi is None and pick == -1:
+                assert np.all(got == steps + 1)
+
+    def test_search_inverts_the_law(self):
+        # a uniform grid of u reproduces every row's law to the grid step
+        law = cw._absorb_law(3, 9, 2, 12, 5)
+        cdf, k, outcome = cw._search_table(law)
+        grid = (np.arange(2**16) + 0.5) / 2**16
+        for r in range(9):
+            rows = np.full(grid.size, r, dtype=np.intp)
+            pos = np.empty(grid.size, dtype=np.intp)
+            got = outcome[cw._search(cdf, k, rows, grid, pos, np.empty(grid.size),
+                                     np.empty(grid.size, dtype=np.intp))]
+            freq = np.bincount(got, minlength=law.shape[1]) / grid.size
+            assert np.max(np.abs(freq - law[r])) <= 1 / 2**16
+
+
 class TestAbsorbOracle:
-    """_absorb draws the same stream and returns the same walkers as the loop."""
+    """_absorb against the exact law of the absorbed walk and against the
+    per-step loop."""
 
     M = 20000
 
-    @classmethod
-    def both(cls, seed, legs):
-        """Run the legs (start or None for the last survivors, lo, hi, steps)
-        through both loops, each on its own generator from the same stream."""
-        out = []
-        for absorb in (cw._absorb, _absorb_loop):
-            gen = RngState(seed, 102).generator()
-            pos, hits = None, []
-            for start, lo, hi, steps in legs:
-                if start is not None:
-                    pos = np.full(cls.M, start, dtype=np.int64)
-                h, pos = absorb(gen, pos, lo, hi, steps)
-                hits.append(h)
-            out.append((hits, pos, gen.random()))
-        return out
-
-    def assert_same(self, seed, legs):
-        (hits, pos, nxt), (hits_o, pos_o, nxt_o) = self.both(seed, legs)
-        assert hits == hits_o
-        assert pos.dtype == pos_o.dtype and np.array_equal(pos, pos_o)
-        assert nxt == nxt_o  # the generator is left in the same state
-        return hits, pos
+    @staticmethod
+    def assert_law(hits, pos, M, start, lo, hi, steps):
+        """Hits, absorptions at hi and the survivors' histogram of M walkers
+        against the exact law: every cell with M p >= 25 and the pooled rest
+        within Z_MAX."""
+        at_lo, at_hi, law = _killed_law(start, lo, hi, steps)
+        assert abs(_binomial_z(hits, M, at_lo)) <= Z_MAX
+        if hi is None:
+            assert hits + pos.size == M
+        else:
+            assert abs(_binomial_z(M - hits - pos.size, M, at_hi)) <= Z_MAX
+        assert pos.dtype == np.int64 and np.all(pos > lo)
+        assert hi is None or np.all(pos < hi)
+        counts = np.bincount(pos - lo, minlength=law.size)
+        assert counts.size == law.size
+        big = M * law >= 25
+        for c, p in zip(counts[big], law[big]):
+            assert abs(_binomial_z(c, M, p)) <= Z_MAX
+        assert abs(_binomial_z(counts[~big].sum(), M, law[~big].sum())) <= Z_MAX
+        return big.sum()
 
     @pytest.mark.parametrize("y,x", [(5, 2), (9, 3)])
     def test_hit_prob_horizon(self, y, x):
-        _, pos = self.assert_same(7, [(y, x, None, cw.ESTIMATOR_HORIZON)])
-        assert pos.size > 0
+        # estimate_hit_prob's walk (13d's inputs first) at M = 4e5
+        M = 400_000
+        hits, pos = cw._absorb(RngState(7, 102).generator(), np.full(M, y), x,
+                               None, cw.ESTIMATOR_HORIZON)
+        assert self.assert_law(hits, pos, M, y, x, None, cw.ESTIMATOR_HORIZON) >= 50
 
-    def test_hit_before_to_absorption(self):
-        _, pos = self.assert_same(7, [(5, 2, 12, cw.ABSORPTION_STEP_CAP)])
-        assert pos.size == 0
+    @pytest.mark.parametrize("start,lo,hi,steps", [
+        (5, 2, 12, 100),  # 3 blocks of 32 and one of 4, both bounds
+        (100, 2, None, 300),  # walkers leave the first rows upward
+        (40, 2, 41, 1000),  # and downward to lo, the rows capped below hi
+    ])
+    def test_against_killed_propagation(self, start, lo, hi, steps):
+        M = 400_000
+        hits, pos = cw._absorb(RngState(11, 5).generator(), np.full(M, start),
+                               lo, hi, steps)
+        assert self.assert_law(hits, pos, M, start, lo, hi, steps) >= 5
 
     @pytest.mark.parametrize("x", [1, 3])
     def test_escape_legs(self, x):
-        self.assert_same(8, [(x, x - 1, None, 1),
-                             (None, x, None, cw.ESTIMATOR_HORIZON)])
+        # the first leg is one 1-step block: absorbed at x - 1 with
+        # probability 1 - (x+1)/(2x), every survivor at x + 1 (from 1 the
+        # walk steps up surely); the survivors then run to the horizon
+        gen = RngState(8, 103).generator()
+        hits, pos = cw._absorb(gen, np.full(self.M, x), x - 1, None, 1)
+        assert np.all(pos == x + 1) and hits + pos.size == self.M
+        if x == 1:
+            assert hits == 0
+        else:
+            assert abs(_binomial_z(hits, self.M, cw.step_down_prob(x))) <= Z_MAX
+        left = pos.size
+        hits, pos = cw._absorb(gen, pos, x, None, cw.ESTIMATOR_HORIZON)
+        self.assert_law(hits, pos, left, x + 1, x, None, cw.ESTIMATOR_HORIZON)
+
+    def test_every_walker_absorbed(self):
+        # from 2 with lo = 1 and hi = 3, the first step absorbs everyone, so
+        # the walk draws one uniform per walker and no more
+        gen = RngState(7, 102).generator()
+        hits, pos = cw._absorb(gen, np.full(self.M, 2), 1, 3, 50)
+        assert pos.size == 0
+        assert abs(_binomial_z(hits, self.M, 0.25)) <= Z_MAX
+        ref = RngState(7, 102).generator()
+        ref.random(self.M)
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+    def test_hit_before_to_absorption(self):
+        # runs to absorption: the block walk and the per-step loop agree on
+        # the hit-before law (two independent samples)
+        gens = [RngState(7, s).generator() for s in (1, 2)]
+        (h1, p1), (h2, p2) = (
+            absorb(g, np.full(self.M, 5), 2, 12, cw.ABSORPTION_STEP_CAP)
+            for absorb, g in zip((cw._absorb, _absorb_loop), gens))
+        assert p1.size == p2.size == 0
+        p = (h1 + h2) / (2 * self.M)
+        assert abs(h1 - h2) / math.sqrt(2 * self.M * p * (1 - p)) <= Z_MAX
+        assert abs(_binomial_z(h1, self.M, cw.hit_before_prob(5, 2, 12))) <= Z_MAX
+
+    def test_survivors_in_input_order(self):
+        # far starts 70 apart in a scrambled order among 20 walkers next to
+        # lo, some of which are absorbed: a walker moves at most 32 in one
+        # block, so the survivors are a subsequence of the starts
+        sites = 3 + 70 * ((np.arange(100) * 37) % 100)
+        starts = np.where(np.arange(100) % 5 == 0, 3, sites)
+        hits, pos = cw._absorb(RngState(7).generator(), starts, 2, None, cw._BLOCK)
+        assert hits > 0 and hits + pos.size == starts.size
+        rest = iter(starts)
+        assert all(any(abs(p - s) <= cw._BLOCK for s in rest) for p in pos)
+
+    def test_one_uniform_per_live_walker_and_block(self):
+        # a 33-step walk is the 32-step walk plus a 1-step block for its
+        # survivors: it draws M + (survivors of the first block) uniforms
+        start = np.full(self.M, 5)
+        _, pos = cw._absorb(RngState(7, 1).generator(), start, 2, 12, cw._BLOCK)
+        gen = RngState(7, 1).generator()
+        cw._absorb(gen, start, 2, 12, cw._BLOCK + 1)
+        ref = RngState(7, 1).generator()
+        ref.random(self.M + pos.size)
+        assert 0 < pos.size < self.M
+        assert gen.bit_generator.state == ref.bit_generator.state
 
     def test_far_start(self):
-        # the step table spans the sites reachable within the horizon, so its
-        # size does not grow with the start site
-        start = 10**6
+        # the law's rows cover only the sites the walkers reached, so memory
+        # does not grow with the start site
+        start, lo, steps = 10**6, 10**6 - 3, 500
         tracemalloc.start()
         try:
-            hits, pos = self.assert_same(7, [(start, start - 3, None, 500)])
+            hits, pos = cw._absorb(RngState(7, 102).generator(),
+                                   np.full(self.M, start), lo, None, steps)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert 0 < hits[0] < self.M and pos.size > 0
-        assert peak < 4 * 2**20  # both loops; a table from site 0 alone is 8 MB
+        assert 0 < hits < self.M and pos.size == self.M - hits
+        assert peak < 4 * 2**20  # a table from site 0 alone is 8 MB
+        at_lo, _, _ = _killed_law(start, lo, None, steps)
+        assert abs(_binomial_z(hits, self.M, at_lo)) <= Z_MAX
 
-    def test_every_walker_absorbed(self):
-        # from 2 with lo = 1 and hi = 3, the first step absorbs everyone
-        hits, pos = self.assert_same(7, [(2, 1, 3, 50)])
-        assert pos.size == 0 and 0 < hits[0] < self.M
+    def test_memory_independent_of_hi(self, monkeypatch):
+        # a bound at 1e6 costs nothing: a row per site of (2, 1e6) would be
+        # 512 MB
+        monkeypatch.setattr(cw, "ABSORPTION_STEP_CAP", 200)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="within 200 steps"):
+                cw.simulate_hit_before(5, 2, 10**6, 1000, RngState(5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("starts,lo,hi", [
+        ([5, 2], 2, None), ([5, 1], 2, None), ([3], 3, 12),
+        ([5, 12], 2, 12), ([13], 2, 12)])
+    def test_starts_outside_raise(self, starts, lo, hi):
+        with pytest.raises(ValueError, match="strictly inside"):
+            cw._absorb(RngState(7).generator(), np.array(starts), lo, hi, 10)
+
+    def test_no_walkers(self):
+        gen = RngState(7).generator()
+        state = gen.bit_generator.state
+        hits, pos = cw._absorb(gen, np.empty(0, dtype=np.int64), 2, None, 100)
+        assert hits == 0 and pos.size == 0 and gen.bit_generator.state == state
 
 
 class TestMonteCarloHelpers:

@@ -122,6 +122,11 @@ class TestVerdict:
         assert Verdict("v", 1.0, 1.0).passed
         assert not Verdict("v", 1.0 + 1e-12, 1.0).passed
 
+    def test_margin(self):
+        assert Verdict("v", 0.25, 1.0).margin == 0.75
+        assert Verdict("v", 1.0, 1.0).margin == 0.0
+        assert Verdict("v", 2.0, 1.5).margin == -0.5
+
     def test_line_format(self):
         line = Verdict("check", 0.5, 1.0, "ctx").line()
         assert line.startswith("PASS") and "check" in line and "ctx" in line
