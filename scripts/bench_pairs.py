@@ -10,6 +10,8 @@ Run from the root of a checkout. The committed files came from::
         --seed0 991 --sweep ring_walk --out BENCH_ring_blocks.json
     python3 scripts/bench_pairs.py --parent-rev 93a5997 --claim selftest \\
         --seed0 1021 --sweep absorb --out BENCH_absorb_blocks.json
+    python3 scripts/bench_pairs.py --parent-rev 376e067 --claim sampling-scale \\
+        --seed0 1051 --sweep ring_walk --sweep absorb --out BENCH_block_engine.json
 
 The parent revision is exported with ``git archive`` into a temporary
 directory; both sides run from their own source tree with the same benchmark
@@ -23,8 +25,10 @@ seed0 + i. The output holds:
 - per workload, whether the fingerprints (every checked output, bit for bit)
   of the two sides are equal at each seed, and the names of the operations
   whose statistic, threshold or pass flag differ;
-- the sweep, if one is named, measured in a fresh interpreter per side and
-  case, alternating which side runs first:
+- each sweep named (``--sweep`` may be given more than once), measured in a
+  fresh interpreter per side and case, alternating which side runs first;
+  a row whose cases print an ``outputs_sha256`` also says whether the two
+  sides' hashes are equal (``outputs_equal``):
   - ``kernel_build``: the median of BUILD_REPEATS builds of
     ``SurvivalKernel(n, ring_time_scale(n, alpha))``, with the rows it
     stores, or the MemoryError when the budget (half of physical memory)
@@ -235,6 +239,9 @@ def sweep(trees: dict, snippet: str, cases: list[tuple[dict, list[str]]]) -> lis
                                   cwd=trees[side], capture_output=True, text=True,
                                   check=True)
             row[side] = json.loads(proc.stdout)
+        if "outputs_sha256" in row["parent"]:
+            row["outputs_equal"] = (row["parent"]["outputs_sha256"]
+                                    == row["change"]["outputs_sha256"])
         rows.append(row)
         print("sweep", row, file=sys.stderr)
     return rows
@@ -272,7 +279,7 @@ def main() -> int:
     parser.add_argument("--out", required=True)
     parser.add_argument("--seed0", type=int, required=True,
                         help="pair i runs at seed seed0 + i")
-    parser.add_argument("--sweep", choices=sorted(SWEEPS))
+    parser.add_argument("--sweep", choices=sorted(SWEEPS), action="append", default=[])
     args = parser.parse_args()
     rev = subprocess.run(["git", "rev-parse", args.parent_rev], cwd=ROOT,
                          capture_output=True, text=True, check=True).stdout.strip()
@@ -291,8 +298,8 @@ def main() -> int:
         for workload in sorted(WORKLOADS, key=lambda w: w != args.claim):
             pairs = PAIRS if workload == args.claim else OTHER_PAIRS
             doc[workload] = compare(workload, trees, pairs, args.seed0)
-        if args.sweep:
-            doc[args.sweep] = SWEEPS[args.sweep](trees)
+        for name in args.sweep:
+            doc[name] = SWEEPS[name](trees)
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     return 0
 

@@ -6,8 +6,9 @@ closed forms for hitting and escape probabilities. The module also provides
 reflection-principle path counting for the walk avoiding the origin and a
 brute-force enumeration oracle for it. Its Monte Carlo estimators run the
 walk absorbed at one or two sites in blocks of 32 steps, each walker's block
-drawn by inverse CDF from the block's exact law; the inverse-CDF table and
-its binary search also serve the block walk of the conditioned ring walk.
+drawn by inverse CDF from the block's exact law. The forward recursion that
+builds a block law, the inverse-CDF table and its binary search also serve
+the block walk of the conditioned ring walk.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .rngs import RngState
 
@@ -251,6 +251,71 @@ def _search(cdf: np.ndarray, k: int, row: np.ndarray, u: np.ndarray,
     return pos
 
 
+def _block_recursion(mass: np.ndarray, first: int, stride: int, steps: int, up_at,
+                     absorb=(), visit: int | None = None, contact=()):
+    """Forward recursion over one block of a walk, from every start row at once.
+
+    Row r starts at site first + stride*r with mass[r]; w[c, f, r, j] is its
+    mass with j up-steps so far. Step i goes up with table[start + r + g j],
+    g = 2 // stride, for (table, start) = up_at(i), and down with 1 minus it.
+    After each step the marks move the mass on their sites:
+
+    - absorb: to sinks[k, c, f, r] from the site absorb[k] (None: no site);
+    - visit: one slot up the c axis, which has a slot per arrival time on the
+      site's parity and one more (one slot for None);
+    - contact: from f = 0 to f = 1 (one f slot without contact sites).
+
+    Returns (w, sinks). The steps run on the flat w[c, f, r*J + j], J =
+    steps + 1: an up-step moves mass to the next slot, and none sits at
+    j = J - 1 before the last step, so no shift crosses a row. After i steps
+    the cell (r, j) sits at first + stride*r - i + 2j, so the cells on a site
+    y, r + g j = (y - first + i) / stride, are every (g J - 1)-th slot.
+    """
+    count, span, g = len(mass), steps + 1, 2 // stride
+    n_c = 1 if visit is None else 1 + sum(
+        (visit - first + i) % stride == 0 for i in range(1, span))
+    w = np.zeros((n_c, 2 if contact else 1, count * span))
+    w[0, 0, ::span] = mass
+    sinks = np.zeros((len(absorb), *w.shape[:2], count))
+    hankel = np.add.outer(np.arange(count), g * np.arange(span)).ravel()
+    up, down, moved = np.empty(count * span), np.empty(count * span), np.empty_like(w)
+
+    def on_site(y: int, i: int):
+        """(flat cells of w, rows) on site y after i steps, or None."""
+        c, off = divmod(y - first + i, stride)
+        r0, r1 = max(c - g * i, c % g), min(c, count - 1)
+        r1 -= (r1 - r0) % g
+        return None if off or r1 < r0 else (
+            slice(r0 * span + (c - r0) // g, r1 * span + (c - r1) // g + 1, g * span - 1),
+            slice(r0, r1 + 1, g))
+
+    live_c = 1  # visit counts reachable so far
+    for i in range(steps):
+        table, start = up_at(i)
+        # cells off the walk's sites carry no mass: mode="clip" only keeps
+        # the gather inside the table
+        table[start:].take(hankel, out=up, mode="clip")
+        np.subtract(1.0, up, out=down)
+        live = w[:live_c]
+        np.multiply(live, up, out=moved[:live_c])
+        live *= down
+        live[:, :, 1:] += moved[:live_c, :, :-1]
+        for sink, y in zip(sinks, absorb):
+            if y is not None and (cells := on_site(y, i + 1)) is not None:
+                sink[:, :, cells[1]] += w[:, :, cells[0]]
+                w[:, :, cells[0]] = 0.0
+        if visit is not None and (visit - first + i + 1) % stride == 0:
+            if (cells := on_site(visit, i + 1)) is not None:
+                w[1:live_c + 1, :, cells[0]] = w[:live_c, :, cells[0]]
+                w[0, :, cells[0]] = 0.0
+            live_c += 1
+        for y in contact:
+            if (cells := on_site(y, i + 1)) is not None:
+                w[:, 1, cells[0]] += w[:, 0, cells[0]]
+                w[:, 0, cells[0]] = 0.0
+    return w.reshape(n_c, -1, count, span), sinks
+
+
 def _absorb_law(first: int, count: int, lo: int, hi: int | None,
                 steps: int) -> np.ndarray:
     """Law of one block of the conditioned walk absorbed at lo and hi.
@@ -260,46 +325,17 @@ def _absorb_law(first: int, count: int, lo: int, hi: int | None,
     at lo, o = 1 + j survival of the block's ``steps`` steps with j up-steps
     (at first + r - steps + 2j), and o = steps + 2 absorption at hi.
 
-    A forward recursion over the block on w[r, j], the mass with j up-steps
-    so far, stepping up from site s with (s+1)/(2s). Before step i + 1 the
-    cell (r, j) sits at first + r - i + 2j, so the step's up-steps are one
-    window view of a table over the sites, and the cells that land on a
-    bound, r + 2j = const, are every (2 span - 1)-th entry of the flat w,
-    span = steps + 1: their mass moves to the bound's absorption cell.
+    The block's :func:`_block_recursion` from the rows first + r, stepping
+    up from site s with (s+1)/(2s), read from a table over the sites from
+    first - steps.
     """
-    span = steps + 1
-    law = np.zeros((count, steps + 3))
-    w = np.zeros((count, span))
-    w[:, 0] = 1.0
-    flat = w.reshape(-1)
-    moved = np.empty_like(w)
     # sites first - steps .. first + count + 2 steps - 1; those below lo
     # carry no mass, so the clamp to 1 only keeps the division finite
     sites = np.maximum(np.arange(first - steps, first + count + 2 * steps), 1)
     p_up = (sites + 1) / (2 * sites)
-    up, down = (sliding_window_view(p, 2 * steps + 1)[:, ::2] for p in (p_up, 1.0 - p_up))
-
-    def on_site(y: int, i: int):
-        """(flat cells of w, rows of law) on site y after i steps."""
-        c = y - first + i
-        r0, r1 = max(c - 2 * steps, c % 2), min(c, count - 1)
-        r1 -= (r1 - r0) % 2
-        return None if r1 < r0 else (
-            slice(r0 * span + (c - r0) // 2, r1 * span + (c - r1) // 2 + 1, 2 * span - 1),
-            slice(r0, r1 + 1, 2))
-
-    for i in range(steps):
-        rows = slice(steps - i, steps - i + count)
-        np.multiply(w, up[rows], out=moved)
-        w *= down[rows]
-        w[:, 1:] += moved[:, :-1]
-        for side, site in ((0, lo), (steps + 2, hi)):
-            cells = None if site is None else on_site(site, i + 1)
-            if cells is not None:
-                law[cells[1], side] += flat[cells[0]]
-                flat[cells[0]] = 0.0
-    law[:, 1:span + 1] = w
-    return law
+    w, sinks = _block_recursion(np.ones(count), first, 1, steps,
+                                lambda i: (p_up, steps - i), absorb=(lo, hi))
+    return np.column_stack((sinks[0, 0, 0], w[0, 0], sinks[1, 0, 0]))
 
 
 def _absorb(gen: np.random.Generator, pos: np.ndarray, lo: int, hi: int | None,
@@ -315,11 +351,12 @@ def _absorb(gen: np.random.Generator, pos: np.ndarray, lo: int, hi: int | None,
     block each active walker draws one uniform, in walker order, and takes
     its block outcome (absorbed at lo, still active with j up-steps, or
     absorbed at hi) from the block's exact law (:func:`_absorb_law`) by
-    inverse CDF (:func:`_search`). The law's rows cover only the sites the
-    walkers have reached: when one leaves them, the rows are rebuilt around
-    the walkers with a margin of at least the old span, so memory is
-    O(M + K x reached span), independent of hi and of where the walkers
-    start.
+    inverse CDF (:func:`_search`). The law's rows cover every site from the
+    lowest walker to the highest, with a margin on each side of at least the
+    block and the old rows' span: when a walker leaves them, they are rebuilt
+    around the walkers. So memory is O(M + K x (highest - lowest + margin)),
+    independent of hi and of how far from lo the walkers start, but starts
+    spread far apart pay a row for every site between them.
 
     Raises ValueError if a start is not strictly inside (lo, hi).
     """

@@ -27,9 +27,9 @@ is one gather of U from a per-step slice of one half, one compare and one
 add. The batch walk behind the vacant-set and local-time samplers reads
 the same up-steps in blocks of 32 steps: each walker draws one uniform per
 block and inverts it against the block's exact joint law of up-steps,
-visits to a site and contact with an interval's bounds, a table built by a
-forward recursion over the block, once for all settled blocks and once for
-each block before them.
+visits to a site and contact with an interval's bounds, a table built by
+the block recursion of :mod:`ri1d.core_walks` that the absorbing walk also
+runs, once for all settled blocks and once for each block before them.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .config import in_cond_regime
-from .core_walks import _BLOCK, WalkPath, _search, _search_table
+from .core_walks import _BLOCK, WalkPath, _block_recursion, _search, _search_table
 from .rngs import RngState
 
 #: Memory budget in bytes for a kernel table plus the walk layout, or the
@@ -358,6 +358,18 @@ class SurvivalKernel:
         r, log_z = self._row(t)
         return float(self._table[r, x] * math.exp(log_z))
 
+    def _check_start(self, x0: int, t: int) -> None:
+        """Raise ValueError unless a conditioned walk can run t steps from x0.
+
+        t must be within the table's horizon, x0 in 1..n-1 and h_n(x0, t) > 0.
+        """
+        if t > self.t_max:
+            raise ValueError(f"horizon {t} exceeds table horizon {self.t_max}")
+        if not 0 < x0 < self.n:
+            raise ValueError(f"need 0 < x0 < n, got x0={x0}, n={self.n}")
+        if self._table[self._row(t)[0], x0] == 0.0:
+            raise ValueError("conditioning on survival is impossible from this start")
+
     def _step_up_table(self) -> np.ndarray:
         """Up-step probabilities h(x+1, s-1) / (2 h(x, s)) as P[s, x].
 
@@ -441,16 +453,9 @@ def _ring_steps(kernel: SurvivalKernel, x0: int, t: int, M: int,
     every slice start nonnegative. Memory is O(n min(t, s*) + t + M) and
     time O(M t).
 
-    Raises ValueError if x0 is not in 1..n-1 or no walk from x0 survives t
-    steps (h_n(x0, t) = 0).
+    Raises ValueError where :meth:`SurvivalKernel._check_start` does.
     """
-    n = kernel.n
-    if t > kernel.t_max:
-        raise ValueError(f"horizon {t} exceeds table horizon {kernel.t_max}")
-    if not 0 < x0 < n:
-        raise ValueError(f"need 0 < x0 < n, got x0={x0}, n={n}")
-    if kernel._table[kernel._row(t)[0], x0] == 0.0:
-        raise ValueError("conditioning on survival is impossible from this start")
+    kernel._check_start(x0, t)
     halves, pad, rows, width = kernel._walk_layout(t)
     ups = np.zeros(M, dtype=np.intp)
     u = np.empty(M)
@@ -482,56 +487,18 @@ def _block_law(layout, n: int, s0: int, steps: int, parity: int,
     slot when visit_site is None and the f axis one when stay_in is None.
     Rows whose start is off 1..n-1 are 0.
 
-    A forward recursion over the block's steps on w[c, f, r*J + j], J =
-    steps + 1, the mass with j up-steps so far. The up-step of step i is the
-    layout's entry for s0 - i steps to go at x - i + 2j, the down-step 1
-    minus it: all such sites share the parity of x - i, so the step's
-    up-steps are one Hankel slice of one layout row. An up-step moves mass
-    from j to j + 1, i.e. from r*J + j to the next slot; no mass sits at
-    j = J - 1 before the last step, so the shift never crosses a row. After
-    i steps the cells on a site y lie on the antidiagonal r + j = q,
-    q = (y - parity + i) / 2, which is every (J - 1)-th slot from q.
+    The block's :func:`~ri1d.core_walks._block_recursion` from the rows
+    x = 2r + parity. Step i reads the layout's up-steps for s0 - i steps to
+    go from the half of the parity of x - i, which all its cells share.
     """
     halves, pad, rows, width = layout
-    span = steps + 1
-    n_c = 1
-    if visit_site is not None:
-        n_c += sum((visit_site - parity + i) % 2 == 0 for i in range(1, steps + 1))
-    w = np.zeros((n_c, 1 if stay_in is None else 2, width * span))
     x = 2 * np.arange(width) + parity
-    w[0, 0, ::span] = (0 < x) & (x < n)
-    hankel = np.add.outer(np.arange(width), np.arange(span)).ravel()
-    up, down, moved = np.empty(width * span), np.empty(width * span), np.empty_like(w)
-
-    def on_site(y: int, i: int):
-        q, odd = divmod(y - parity + i, 2)
-        lo, hi = max(0, q - i), min(width - 1, q)
-        return None if odd or lo > hi else slice(
-            lo * (span - 1) + q, hi * (span - 1) + q + 1, span - 1)
-
-    live_c = 1  # visit counts reachable so far
-    for i in range(steps):
-        start = pad + (min(s0 - i, rows) - 1) * width + (parity - i) // 2
-        # walkers off the sites carry no mass: mode="clip" only keeps the
-        # gather inside the layout
-        halves[(parity - i) % 2].take(hankel + start, out=up, mode="clip")
-        np.subtract(1.0, up, out=down)
-        live = w[:live_c]
-        np.multiply(live, up, out=moved[:live_c])
-        live *= down
-        live[:, :, 1:] += moved[:live_c, :, :-1]
-        if visit_site is not None and (visit_site - parity + i + 1) % 2 == 0:
-            cells = on_site(visit_site, i + 1)
-            if cells is not None:
-                w[1:live_c + 1, :, cells] = w[:live_c, :, cells]
-                w[0, :, cells] = 0.0
-            live_c += 1
-        for bound in stay_in or ():
-            cells = on_site(bound, i + 1)
-            if cells is not None:
-                w[:, 1, cells] += w[:, 0, cells]
-                w[:, 0, cells] = 0.0
-    return w.reshape(n_c, -1, width, span).transpose(2, 3, 0, 1)
+    w, _ = _block_recursion(
+        (0 < x) & (x < n), parity, 2, steps,
+        lambda i: (halves[(parity - i) % 2],
+                   pad + (min(s0 - i, rows) - 1) * width + (parity - i) // 2),
+        visit=visit_site, contact=stay_in or ())
+    return w.transpose(2, 3, 0, 1)
 
 
 def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
@@ -551,19 +518,12 @@ def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
     row's running sums (:func:`~ri1d.core_walks._search_table`), which the
     absorbing walk of :mod:`ri1d.core_walks` shares. Blocks whose every
     step reads the settled row share one table; the others come after them
-    and build theirs as the walk reaches them, one table alive at a time. Memory is the layout,
-    O(n min(t, s*) + t), plus O(n K + M).
+    and build theirs as the walk reaches them, one table alive at a time.
+    Memory is the layout, O(n min(t, s*) + t), plus O(n K + M).
 
-    Raises ValueError if t exceeds the kernel's horizon, x0 is not in 1..n-1
-    or no walk from x0 survives t steps (h_n(x0, t) = 0).
+    Raises ValueError where :meth:`SurvivalKernel._check_start` does.
     """
-    n = kernel.n
-    if t > kernel.t_max:
-        raise ValueError(f"horizon {t} exceeds table horizon {kernel.t_max}")
-    if not 0 < x0 < n:
-        raise ValueError(f"need 0 < x0 < n, got x0={x0}, n={n}")
-    if kernel._table[kernel._row(t)[0], x0] == 0.0:
-        raise ValueError("conditioning on survival is impossible from this start")
+    kernel._check_start(x0, t)
     visits = np.zeros(M, dtype=np.int64) if visit_site is not None else None
     inside = np.full(M, stay_in[0] < x0 < stay_in[1]) if stay_in is not None else None
     if t == 0:
@@ -583,8 +543,8 @@ def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
         key = "settled" if settled else k0
         if key != table_key:
             cdf = d = c = f = None  # free the last table before the next
-            cdf, k, d, c, f = _search_table(_block_law(layout, n, t - k0, steps, x0 % 2,
-                                                       visit_site, stay_in))
+            cdf, k, d, c, f = _search_table(_block_law(layout, kernel.n, t - k0, steps,
+                                                       x0 % 2, visit_site, stay_in))
             table_key = key
         gen.random(out=u)
         _search(cdf, k, row, u, pos, thr, bit)

@@ -314,6 +314,16 @@ class TestAbsorbBlockLaw:
         if hi is None:
             assert np.all(law[:, -1] == 0.0)
 
+    @pytest.mark.parametrize("steps", [1, 5, 12, 32])
+    @pytest.mark.parametrize("lo,hi,first,count", CASES)
+    def test_rows_are_independent(self, lo, hi, first, count, steps):
+        # row r is the one-row law from first + r, bit for bit: no mass
+        # crosses a row in the flat recursion, and _absorb draws the same
+        # outcomes whichever site its rebuilt table starts from
+        law = cw._absorb_law(first, count, lo, hi, steps)
+        for r in range(count):
+            assert np.array_equal(law[r], cw._absorb_law(first + r, 1, lo, hi, steps)[0])
+
     def test_full_block_against_reflection(self):
         # 32 steps with no upper bound: a surviving path from s to k has
         # probability k/(s 2^b), and the reflection principle counts the

@@ -258,6 +258,13 @@ class TestRingWalk:
         with pytest.raises(ValueError):
             next(rk._ring_steps(kernel, 3, 20, 1, RngState(0).generator()))
 
+    @pytest.mark.parametrize("walk", ["_ring_steps", "_ring_paths_batch"])
+    def test_horizon_past_the_table_raises(self, walk):
+        kernel = rk.SurvivalKernel(6, 10)
+        with pytest.raises(ValueError, match="exceeds table horizon"):
+            # _ring_steps is a generator: its check runs at the first step
+            next(iter(getattr(rk, walk)(kernel, 3, 11, 1, RngState(0).generator())))
+
     def test_batch_rejects_start_off_the_segment(self):
         kernel = rk.SurvivalKernel(6, 10)
         for x0 in (0, 6, -1, 9):
