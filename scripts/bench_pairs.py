@@ -12,6 +12,11 @@ Run from the root of a checkout. The committed files came from::
         --seed0 1021 --sweep absorb --out BENCH_absorb_blocks.json
     python3 scripts/bench_pairs.py --parent-rev 376e067 --claim sampling-scale \\
         --seed0 1051 --sweep ring_walk --sweep absorb --out BENCH_block_engine.json
+    python3 scripts/bench_pairs.py --parent-rev e9ff33f --claim sampling-scale \\
+        --seed0 1081 --sweep ring_walk --sweep ring_path --sweep absorb \\
+        --out BENCH_walk_rows.json
+
+(the files before BENCH_walk_rows.json ran one pair per sweep case).
 
 The parent revision is exported with ``git archive`` into a temporary
 directory; both sides run from their own source tree with the same benchmark
@@ -25,10 +30,12 @@ seed0 + i. The output holds:
 - per workload, whether the fingerprints (every checked output, bit for bit)
   of the two sides are equal at each seed, and the names of the operations
   whose statistic, threshold or pass flag differ;
-- each sweep named (``--sweep`` may be given more than once), measured in a
-  fresh interpreter per side and case, alternating which side runs first;
-  a row whose cases print an ``outputs_sha256`` also says whether the two
-  sides' hashes are equal (``outputs_equal``):
+- each sweep named (``--sweep`` may be given more than once): SWEEP_PAIRS
+  pairs per case, each run in a fresh interpreter, pair i running the
+  parent first when i is even. A row gives each side's median and
+  quartiles of every timing (TIMINGS) and the other fields of its first
+  run; a row whose cases print an ``outputs_sha256`` also says whether
+  every run of both sides printed the same hash (``outputs_equal``):
   - ``kernel_build``: the median of BUILD_REPEATS builds of
     ``SurvivalKernel(n, ring_time_scale(n, alpha))``, with the rows it
     stores, or the MemoryError when the budget (half of physical memory)
@@ -36,6 +43,9 @@ seed0 + i. The output holds:
   - ``ring_walk``: the median of WALK_REPEATS calls of ``_ring_paths_batch``
     on the ring walks the benchmark and the acceptance suite make, in ns per
     walker-step, with a hash of the outputs and of the generator state;
+  - ``ring_path``: the median of PATH_REPEATS calls of ``sample_ring_path``
+    from the middle of the ring at the sizes of PATH_CASES, alpha = 1,
+    kernel build included, in ns per step, with a hash of the paths;
   - ``absorb``: the median of ABSORB_REPEATS runs of each absorbing walk of
     ABSORB_CASES, in ns per walker-step (the expected number of steps the
     walkers take before absorption or the horizon, from the exact law),
@@ -60,6 +70,8 @@ PAIRS = 10
 OTHER_PAIRS = 5
 METRICS = ("wall_s", "setup_s", "peak_rss_mb", "pass_ratio", "ops")
 LOWER_IS_BETTER = ("wall_s", "setup_s", "peak_rss_mb")
+SWEEP_PAIRS = 5
+TIMINGS = ("build_s", "s", "ns_per_walker_step", "ns_per_step")
 
 BUILD_CASES = ((40, 1.0), (80, 1.0), (160, 1.0), (400, 1.0), (400, 0.1))
 BUILD_REPEATS = 3
@@ -110,6 +122,28 @@ for rep in range(reps):
     digest.update(repr(gen.bit_generator.state).encode())
 print(json.dumps({"t": t, "s": statistics.median(times),
                   "ns_per_walker_step": 1e9 * statistics.median(times) / (M * t),
+                  "outputs_sha256": digest.hexdigest()}))
+"""
+
+#: ring sizes of the path sampler: the ring of check 07b and the n = 80 ring
+#: of sampling-scale
+PATH_CASES = (40, 80)
+PATH_REPEATS = 3
+PATH_SNIPPET = """
+import hashlib, json, statistics, sys, time
+sys.path.insert(0, "src")
+from ri1d import ring_kernel as rk
+from ri1d.rngs import RngState
+n, reps = int(sys.argv[1]), int(sys.argv[2])
+t = rk.ring_time_scale(n, 1.0)
+times, digest = [], hashlib.sha256()
+for rep in range(reps):
+    start = time.perf_counter()
+    path = rk.sample_ring_path(n, t, n // 2, RngState(rep))
+    times.append(time.perf_counter() - start)
+    digest.update(repr(path.positions).encode())
+print(json.dumps({"t": t, "s": statistics.median(times),
+                  "ns_per_step": 1e9 * statistics.median(times) / t,
                   "outputs_sha256": digest.hexdigest()}))
 """
 
@@ -232,16 +266,21 @@ def compare(workload: str, trees: dict, pairs: int, seed0: int) -> dict:
 
 def sweep(trees: dict, snippet: str, cases: list[tuple[dict, list[str]]]) -> list[dict]:
     rows = []
-    for i, (case, args) in enumerate(cases):
+    for case, args in cases:
+        runs = {"parent": [], "change": []}
+        for i in range(SWEEP_PAIRS):
+            for side in sides(i):
+                proc = subprocess.run([sys.executable, "-c", snippet, *args],
+                                      cwd=trees[side], capture_output=True, text=True,
+                                      check=True)
+                runs[side].append(json.loads(proc.stdout))
         row = dict(case)
-        for side in sides(i):
-            proc = subprocess.run([sys.executable, "-c", snippet, *args],
-                                  cwd=trees[side], capture_output=True, text=True,
-                                  check=True)
-            row[side] = json.loads(proc.stdout)
-        if "outputs_sha256" in row["parent"]:
-            row["outputs_equal"] = (row["parent"]["outputs_sha256"]
-                                    == row["change"]["outputs_sha256"])
+        for side, got in runs.items():
+            row[side] = {k: summary([r[k] for r in got]) if k in TIMINGS else v
+                         for k, v in got[0].items()}
+        if "outputs_sha256" in runs["parent"][0]:
+            row["outputs_equal"] = len({r["outputs_sha256"] for got in runs.values()
+                                        for r in got}) == 1
         rows.append(row)
         print("sweep", row, file=sys.stderr)
     return rows
@@ -260,6 +299,11 @@ def ring_walks(trees: dict) -> list[dict]:
                   for n, M, x0, site, bounds in WALK_CASES])
 
 
+def ring_paths(trees: dict) -> list[dict]:
+    return sweep(trees, PATH_SNIPPET,
+                 [({"n": n}, [str(n), str(PATH_REPEATS)]) for n in PATH_CASES])
+
+
 def absorb_walks(trees: dict) -> list[dict]:
     return sweep(trees, ABSORB_SNIPPET,
                  [({"call": name, "args": args},
@@ -268,7 +312,7 @@ def absorb_walks(trees: dict) -> list[dict]:
 
 
 SWEEPS = {"kernel_build": kernel_builds, "ring_walk": ring_walks,
-          "absorb": absorb_walks}
+          "ring_path": ring_paths, "absorb": absorb_walks}
 
 
 def main() -> int:

@@ -251,14 +251,16 @@ def _search(cdf: np.ndarray, k: int, row: np.ndarray, u: np.ndarray,
     return pos
 
 
-def _block_recursion(mass: np.ndarray, first: int, stride: int, steps: int, up_at,
-                     absorb=(), visit: int | None = None, contact=()):
+def _block_recursion(mass: np.ndarray, first: int, stride: int, steps: int,
+                     up: np.ndarray, absorb=(), visit: int | None = None, contact=()):
     """Forward recursion over one block of a walk, from every start row at once.
 
     Row r starts at site first + stride*r with mass[r]; w[c, f, r, j] is its
-    mass with j up-steps so far. Step i goes up with table[start + r + g j],
-    g = 2 // stride, for (table, start) = up_at(i), and down with 1 minus it.
-    After each step the marks move the mass on their sites:
+    mass with j up-steps so far. up is a (steps, sites) table of up-steps
+    whose column 0 is site first - steps: step i goes up from site y with
+    up[i, y - first + steps] and down with 1 minus it, and so the cell (r, j)
+    reads up[i, steps - i + stride*r + 2j]. After each step the marks move
+    the mass on their sites:
 
     - absorb: to sinks[k, c, f, r] from the site absorb[k] (None: no site);
     - visit: one slot up the c axis, which has a slot per arrival time on the
@@ -277,8 +279,8 @@ def _block_recursion(mass: np.ndarray, first: int, stride: int, steps: int, up_a
     w = np.zeros((n_c, 2 if contact else 1, count * span))
     w[0, 0, ::span] = mass
     sinks = np.zeros((len(absorb), *w.shape[:2], count))
-    hankel = np.add.outer(np.arange(count), g * np.arange(span)).ravel()
-    up, down, moved = np.empty(count * span), np.empty(count * span), np.empty_like(w)
+    hankel = np.add.outer(stride * np.arange(count), 2 * np.arange(span)).ravel()
+    p, down, moved = np.empty(count * span), np.empty(count * span), np.empty_like(w)
 
     def on_site(y: int, i: int):
         """(flat cells of w, rows) on site y after i steps, or None."""
@@ -291,13 +293,12 @@ def _block_recursion(mass: np.ndarray, first: int, stride: int, steps: int, up_a
 
     live_c = 1  # visit counts reachable so far
     for i in range(steps):
-        table, start = up_at(i)
         # cells off the walk's sites carry no mass: mode="clip" only keeps
         # the gather inside the table
-        table[start:].take(hankel, out=up, mode="clip")
-        np.subtract(1.0, up, out=down)
+        up[i, steps - i:].take(hankel, out=p, mode="clip")
+        np.subtract(1.0, p, out=down)
         live = w[:live_c]
-        np.multiply(live, up, out=moved[:live_c])
+        np.multiply(live, p, out=moved[:live_c])
         live *= down
         live[:, :, 1:] += moved[:live_c, :, :-1]
         for sink, y in zip(sinks, absorb):
@@ -326,15 +327,15 @@ def _absorb_law(first: int, count: int, lo: int, hi: int | None,
     (at first + r - steps + 2j), and o = steps + 2 absorption at hi.
 
     The block's :func:`_block_recursion` from the rows first + r, stepping
-    up from site s with (s+1)/(2s), read from a table over the sites from
-    first - steps.
+    up from site s with (s+1)/(2s) at every step: one row over the sites from
+    first - steps, broadcast over the steps.
     """
     # sites first - steps .. first + count + 2 steps - 1; those below lo
     # carry no mass, so the clamp to 1 only keeps the division finite
     sites = np.maximum(np.arange(first - steps, first + count + 2 * steps), 1)
     p_up = (sites + 1) / (2 * sites)
     w, sinks = _block_recursion(np.ones(count), first, 1, steps,
-                                lambda i: (p_up, steps - i), absorb=(lo, hi))
+                                np.broadcast_to(p_up, (steps, p_up.size)), absorb=(lo, hi))
     return np.column_stack((sinks[0, 0, 0], w[0, 0], sinks[1, 0, 0]))
 
 

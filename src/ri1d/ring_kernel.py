@@ -17,19 +17,17 @@ the remaining time s* ~ 0.93 n^2 (even n) or 2.5 n^2 (odd n) from which
 h_n(., s) is its two slowest modes to 2**-53, so its memory is
 O(n min(t, s*)); later times are that settled row times a power of
 cos(pi/n). On top of the kernel table sit the time-inhomogeneous conditioned
-ring walk and its exact vacant-set and local-time functionals. The walk
-tracks each walker's up-step count U instead of its position: after k steps
-from x0 it sits at x0 - k + 2U, so all walkers share the parity of x0 - k.
-Its up-steps are laid out by the parity of the site, each half front-padded
-and holding the kernel rows 1..min(t, s* + 1), the last of which, the
-settled Doob step, stands for every later row; a step of the path sampler
-is one gather of U from a per-step slice of one half, one compare and one
-add. The batch walk behind the vacant-set and local-time samplers reads
-the same up-steps in blocks of 32 steps: each walker draws one uniform per
-block and inverts it against the block's exact joint law of up-steps,
-visits to a site and contact with an interval's bounds, a table built by
-the block recursion of :mod:`ri1d.core_walks` that the absorbing walk also
-runs, once for all settled blocks and once for each block before them.
+ring walk and its exact vacant-set and local-time functionals. Both walks
+read their up-steps from one source, the kernel's site-indexed up-step rows
+of a block of 32 steps (:meth:`SurvivalKernel._up_rows`), in which the
+settled row, the Doob step, stands for every time past the stored rows. The
+path sampler draws one uniform per step and compares it with the row of
+its step. The batch walk behind the vacant-set and local-time samplers
+draws one uniform per walker per block and inverts it against the block's
+exact joint law of up-steps, visits to a site and contact with an
+interval's bounds, a table built by the block recursion of
+:mod:`ri1d.core_walks` that the absorbing walk also runs, once for all
+settled blocks and once for each block before them.
 """
 
 from __future__ import annotations
@@ -45,8 +43,8 @@ from .config import in_cond_regime
 from .core_walks import _BLOCK, WalkPath, _block_recursion, _search, _search_table
 from .rngs import RngState
 
-#: Memory budget in bytes for a kernel table plus the walk layout, or the
-#: up-step table, derived from it: half of the physical memory.
+#: Memory budget in bytes for a kernel table, or for the kernel table plus
+#: the up-step table derived from it: half of the physical memory.
 KERNEL_BYTES_BUDGET = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
@@ -257,22 +255,20 @@ def _settled_steps(n: int) -> int:
     return math.ceil(53 * _LN2 / (_log_cos(math.pi / n) - _log_cos(k * math.pi / n)))
 
 
-def _up_steps(table: np.ndarray, log_z: np.ndarray, out: np.ndarray,
-              first: int = 1, step: int = 1) -> None:
-    """out[i, j] = h(x+1, s-1) / (2 h(x, s)) at s = i+1, x = first + j*step, in place.
+def _up_steps(table: np.ndarray, log_z: np.ndarray, out: np.ndarray) -> None:
+    """out[i, x-1] = h(x+1, s-1) / (2 h(x, s)) at s = s0+i, x = 1..n-1, in place.
 
-    table and log_z are the kernel rows 0..len(out) in the scaled form of
-    :class:`SurvivalKernel`, and x runs over first, first+step, ... below n.
-    Every log_z is e ln 2 for an integer e (:func:`_killed_steps`), so the
-    ratio of two row scales is the exact power of two 2**(e[s-1] - e[s]):
-    at x = 1, where h(1, s) = h(2, s-1)/2, the up-step is exactly 1, and at
-    x = n-1 it is exactly 0.
+    table and log_z are the consecutive kernel rows s0-1..s0+len(out)-1 in
+    the scaled form of :class:`SurvivalKernel`. Every log_z is e ln 2 for an
+    integer e (:func:`_killed_steps`), so the ratio of two row scales is the
+    exact power of two 2**(e[s-1] - e[s]): at x = 1, where h(1, s) =
+    h(2, s-1)/2, the up-step is exactly 1, and at x = n-1 it is exactly 0.
     """
     n = table.shape[1] - 1
     e = np.rint(log_z / _LN2).astype(np.int64)
     ratio = np.ldexp(1.0, e[:-1] - e[1:])
-    np.multiply(table[:-1, first + 1:n + 1:step], ratio[:, None], out=out)
-    np.divide(out, table[1:, first:n:step], out=out)
+    np.multiply(table[:-1, 2:], ratio[:, None], out=out)
+    np.divide(out, table[1:, 1:n], out=out)
     out *= 0.5
 
 
@@ -281,15 +277,6 @@ def _check_budget(need: int, what: str) -> None:
         raise MemoryError(
             f"{what} need {need} bytes, over the budget of {KERNEL_BYTES_BUDGET} "
             f"(half of physical memory); use h_spectral for point values")
-
-
-def _walk_shape(n: int, t: int, r: int) -> tuple[int, int, int]:
-    """(pad, rows, width) of each parity half of the walk layout.
-
-    A half holds pad zeros, then the up-step rows s = 1..rows, rows =
-    min(t, r) for the kernel's last stored row r, each width entries long.
-    """
-    return (t + 1) // 2, min(t, r), n // 2 + 1
 
 
 class SurvivalKernel:
@@ -304,19 +291,15 @@ class SurvivalKernel:
     sin(pi(x+1)/n) / (2 cos(pi/n) sin(pi x/n)). The build checks row R's
     up-step against it and raises RuntimeError on a miss. So the conditioned
     walk can be stepped at any time without recomputation. Memory is
-    O(n min(t_max, s*)) for the kernel and O(n min(t_max, s*) + t_max) for
-    the layout a walk of t_max steps derives from it (:meth:`_walk_layout`);
-    both must fit in KERNEL_BYTES_BUDGET together. Immutable after
-    construction.
+    O(n min(t_max, s*)), which must fit in KERNEL_BYTES_BUDGET. Immutable
+    after construction.
     """
 
     def __init__(self, n: int, t_max: int):
         _check_domain(n, 0, t_max)
         settled = _settled_steps(n)
         rows = min(t_max, settled + 1)
-        pad, walk_rows, width = _walk_shape(n, t_max, rows)
-        _check_budget(8 * ((rows + 1) * (n + 2) + 2 * (pad + walk_rows * width)),
-                      f"kernel and walk tables for n={n}, t_max={t_max}")
+        _check_budget(8 * (rows + 1) * (n + 2), f"kernel rows for n={n}, t_max={t_max}")
         self.n = n
         self.t_max = t_max
         # cos(pi/2) = 0 kills everything in one step at n = 2
@@ -376,8 +359,8 @@ class SurvivalKernel:
         Row 0 and the killed columns 0 and n are 0, and so is every entry at
         n = 2, where h(1, s) = 0 for s >= 1. Rows past the stored R repeat
         row R, the Doob step. O(n t_max) memory, checked with the kernel rows
-        against KERNEL_BYTES_BUDGET before it is allocated; the walk reads
-        the smaller :meth:`_walk_layout` instead.
+        against KERNEL_BYTES_BUDGET before it is allocated; the walks read
+        a block's rows at a time from :meth:`_up_rows` instead.
         """
         n, t = self.n, self.t_max
         r = len(self._log_z) - 1
@@ -389,32 +372,24 @@ class SurvivalKernel:
             p[r + 1:] = p[r]
         return p
 
-    def _walk_layout(self, t: int) -> tuple[tuple[np.ndarray, np.ndarray], int, int, int]:
-        """The up-steps of a t-step walk, split by the parity of the site.
+    def _up_rows(self, s0: int, steps: int) -> np.ndarray:
+        """Up-steps P[i, x] from x with s0 - i steps to go, for i < steps.
 
-        Returns (halves, pad, rows, width) from :func:`_walk_shape`:
-        halves[x % 2][pad + (s-1) width + x // 2] is the up-step from x with
-        s <= rows steps to go; row rows, the settled Doob step when rows =
-        R < t, stands for every s > rows. Entries off the sites 1..n-1 are 0.
-        The up-step at x = 1 must be exactly 1 and at x = n-1 exactly 0, so
-        that no walker leaves 1..n-1; a build where either is not raises
-        RuntimeError.
+        The rows of :meth:`_step_up_table` for s = s0, s0-1, ..., s0-steps+1,
+        steps <= s0, with shape (steps, n+1): the sites 0 and n read 0, and a
+        time past the stored row R reads row R, the Doob step. Each distinct
+        row is computed once. The up-step at x = 1 must be exactly 1 and at
+        x = n-1 exactly 0, so that no walker leaves 1..n-1; a build where
+        either is not raises RuntimeError.
         """
-        n = self.n
-        pad, rows, width = _walk_shape(n, t, len(self._log_z) - 1)
-        halves = (np.zeros(pad + rows * width), np.zeros(pad + rows * width))
-        table, log_z = self._table[:rows + 1], self._log_z[:rows + 1]
-        blocks = [half[pad:].reshape(rows, width) for half in halves]
-        for first in (1, 2):
-            block = blocks[first % 2]
-            cols = len(range(first, n, 2))
-            _up_steps(table, log_z, block[:, first // 2:first // 2 + cols], first, 2)
-        edge_up, edge_down = blocks[1][:, 0], blocks[(n - 1) % 2][:, (n - 1) // 2]
-        if not ((edge_up == 1.0).all() and (edge_down == 0.0).all()):
-            raise RuntimeError(
-                f"up-steps of n={n} at the edge sites 1 and {n - 1} are not "
-                f"exactly 1 and 0")
-        return halves, pad, rows, width
+        n, r = self.n, len(self._log_z) - 1
+        lo, hi = min(s0 - steps + 1, r), min(s0, r)
+        rows = np.zeros((hi - lo + 1, n + 1))
+        _up_steps(self._table[lo - 1:hi + 1], self._log_z[lo - 1:hi + 1], rows[:, 1:n])
+        if not ((rows[:, 1] == 1.0).all() and (rows[:, n - 1] == 0.0).all()):
+            raise RuntimeError(f"up-steps of n={n} at the edge sites 1 and {n - 1} "
+                               "are not exactly 1 and 0")
+        return rows[np.minimum(np.arange(s0, s0 - steps, -1), r) - lo]
 
 
 def ring_time_scale(n: int, alpha: float) -> int:
@@ -428,76 +403,52 @@ def ring_time_scale(n: int, alpha: float) -> int:
 
 
 def sample_ring_path(n: int, t_total: int, x0: int, rng: RngState) -> WalkPath:
-    """One trajectory of the conditioned ring walk from x0, all t_total steps."""
-    if t_total < 0:
-        raise ValueError(f"need t_total >= 0, got {t_total}")
-    steps = _ring_steps(SurvivalKernel(n, t_total), x0, t_total, 1, rng.generator())
-    return WalkPath((x0,) + tuple(x0 - k + 2 * int(ups[0])
-                                  for k, ups in enumerate(steps, 1)))
+    """One trajectory of the conditioned ring walk from x0, all t_total steps.
 
-
-def _ring_steps(kernel: SurvivalKernel, x0: int, t: int, M: int,
-                gen: np.random.Generator):
-    """Yield the up-step counts of M conditioned ring walkers after each of t steps.
-
-    The walkers start at x0 with t steps to go; after the k-th yield a walker
-    whose count is U sits at x0 - k + 2U. Every yield is the same int array,
-    updated in place. A step draws M uniforms, one per walker in walker
-    order, and compares each with its walker's up-step, read from the
-    kernel's :meth:`~SurvivalKernel._walk_layout`: before step k + 1 all
-    walkers share the parity of y = x0 - k, so they read one parity half,
-    and the walker with count U reads entry y // 2 + U of that half's row
-    min(s, rows) for s = t - k steps to go. The settled row stands for every
-    s past the stored rows. So a step is one gather from a per-step slice,
-    one compare and one add, and allocates nothing. The front padding keeps
-    every slice start nonnegative. Memory is O(n min(t, s*) + t + M) and
-    time O(M t).
-
+    Each step draws one uniform and steps up iff it is below the up-step of
+    the walker's site with the steps still to go, read from the kernel's
+    :meth:`~SurvivalKernel._up_rows` one block of _BLOCK steps at a time.
     Raises ValueError where :meth:`SurvivalKernel._check_start` does.
     """
-    kernel._check_start(x0, t)
-    halves, pad, rows, width = kernel._walk_layout(t)
-    ups = np.zeros(M, dtype=np.intp)
-    u = np.empty(M)
-    thr = np.empty(M)
-    up = np.empty(M, dtype=bool)
-    for k in range(t):
-        y = x0 - k
-        start = pad + (min(t - k, rows) - 1) * width + y // 2
-        gen.random(out=u)
-        # every index lies in the row (the edge up-steps are exact), so
-        # mode="clip" never clips; it skips the bounds check and the copy of
-        # out that mode="raise" makes
-        halves[y % 2][start:].take(ups, out=thr, mode="clip")
-        np.less(u, thr, out=up)
-        ups += up
-        yield ups
+    if t_total < 0:
+        raise ValueError(f"need t_total >= 0, got {t_total}")
+    kernel = SurvivalKernel(n, t_total)
+    kernel._check_start(x0, t_total)
+    gen = rng.generator()
+    pos = [x0]
+    for k0 in range(0, t_total, _BLOCK):
+        rows = kernel._up_rows(t_total - k0, min(_BLOCK, t_total - k0))
+        for row, u in zip(rows, gen.random(len(rows))):
+            x = pos[-1]
+            pos.append(x + 1 if u < row[x] else x - 1)
+    return WalkPath(tuple(pos))
 
 
-def _block_law(layout, n: int, s0: int, steps: int, parity: int,
+def _block_law(kernel: SurvivalKernel, s0: int, steps: int, parity: int,
                visit_site: int | None = None,
                stay_in: tuple[int, int] | None = None) -> np.ndarray:
     """Joint law of one block of the conditioned walk from every start site.
 
-    layout is :meth:`SurvivalKernel._walk_layout`; the block takes ``steps``
-    steps from a site x = 2r + parity with s0 >= steps steps to go. Returns
-    law[r, d, c, f], the probability of d up-steps, c visits to visit_site at
-    the block's arrival times 1..steps, and f = 1 if the walker sat on a
-    bound of stay_in at one of them (f = 0 otherwise). The c axis has one
-    slot when visit_site is None and the f axis one when stay_in is None.
-    Rows whose start is off 1..n-1 are 0.
+    The block takes ``steps`` steps from a site x = 2r + parity, 0 <= r <=
+    n/2, with s0 >= steps steps to go. Returns law[r, d, c, f], the
+    probability of d up-steps, c visits to visit_site at the block's arrival
+    times 1..steps, and f = 1 if the walker sat on a bound of stay_in at one
+    of them (f = 0 otherwise). The c axis has one slot when visit_site is
+    None and the f axis one when stay_in is None. Rows whose start is off
+    1..n-1 are 0.
 
     The block's :func:`~ri1d.core_walks._block_recursion` from the rows
-    x = 2r + parity. Step i reads the layout's up-steps for s0 - i steps to
-    go from the half of the parity of x - i, which all its cells share.
+    x = 2r + parity, reading the kernel's :meth:`~SurvivalKernel._up_rows`.
+    The engine's table starts at site parity - steps, so the rows get
+    steps - parity zero columns in front: a gather from a negative start
+    would wrap around instead.
     """
-    halves, pad, rows, width = layout
-    x = 2 * np.arange(width) + parity
-    w, _ = _block_recursion(
-        (0 < x) & (x < n), parity, 2, steps,
-        lambda i: (halves[(parity - i) % 2],
-                   pad + (min(s0 - i, rows) - 1) * width + (parity - i) // 2),
-        visit=visit_site, contact=stay_in or ())
+    n = kernel.n
+    x = 2 * np.arange(n // 2 + 1) + parity
+    up = np.zeros((steps, steps - parity + n + 1))
+    up[:, steps - parity:] = kernel._up_rows(s0, steps)
+    w, _ = _block_recursion((0 < x) & (x < n), parity, 2, steps, up,
+                            visit=visit_site, contact=stay_in or ())
     return w.transpose(2, 3, 0, 1)
 
 
@@ -519,7 +470,7 @@ def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
     absorbing walk of :mod:`ri1d.core_walks` shares. Blocks whose every
     step reads the settled row share one table; the others come after them
     and build theirs as the walk reaches them, one table alive at a time.
-    Memory is the layout, O(n min(t, s*) + t), plus O(n K + M).
+    Memory on top of the kernel is O(n K + M).
 
     Raises ValueError where :meth:`SurvivalKernel._check_start` does.
     """
@@ -528,8 +479,7 @@ def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
     inside = np.full(M, stay_in[0] < x0 < stay_in[1]) if stay_in is not None else None
     if t == 0:
         return visits, inside
-    layout = kernel._walk_layout(t)
-    rows = layout[2]
+    last = len(kernel._log_z) - 1  # the settled row, when t reaches past it
     row = np.full(M, x0 // 2, dtype=np.intp)
     pos = np.empty(M, dtype=np.intp)
     bit = np.empty(M, dtype=np.intp)
@@ -539,12 +489,12 @@ def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
     cdf = d = c = f = table_key = None
     for k0 in range(0, t, _BLOCK):
         steps = min(_BLOCK, t - k0)
-        settled = steps == _BLOCK and t - k0 - steps + 1 >= rows
+        settled = steps == _BLOCK and t - k0 - steps + 1 >= last
         key = "settled" if settled else k0
         if key != table_key:
             cdf = d = c = f = None  # free the last table before the next
-            cdf, k, d, c, f = _search_table(_block_law(layout, kernel.n, t - k0, steps,
-                                                       x0 % 2, visit_site, stay_in))
+            cdf, k, d, c, f = _search_table(_block_law(kernel, t - k0, steps, x0 % 2,
+                                                       visit_site, stay_in))
             table_key = key
         gen.random(out=u)
         _search(cdf, k, row, u, pos, thr, bit)

@@ -7,12 +7,11 @@ generator state. The single-draw samplers and the Monte Carlo estimators
 The batch samplers (``sample_local_times``, ``_simulate_window_batch``,
 ``ring_local_time_batch``) take a ``numpy.random.Generator``: the replicate
 harness builds one from the ``RngState`` of each chunk's stream. Each draws
-its uniforms in a fixed order. Two walks draw one uniform per live walker
-per block of 32 steps, in walker order, not one per step: the conditioned
-ring walk behind ``ring_local_time_batch`` and the ring vacant-set checks
-(so its streams differ from the per-step walk of ``sample_ring_path``), and
-the absorbing conditioned walk behind ``simulate_hit_before``,
-``estimate_hit_prob`` and ``estimate_escape_prob``.
+its uniforms in a fixed order. ``sample_ring_path`` draws one uniform per
+step. Two walks draw one uniform per live walker per block of 32 steps, in
+walker order: the conditioned ring walk behind ``ring_local_time_batch`` and
+the ring vacant-set checks, and the absorbing conditioned walk behind
+``simulate_hit_before``, ``estimate_hit_prob`` and ``estimate_escape_prob``.
 
 A state is a (seed, stream) pair; the same pair always reproduces the same
 draws, and distinct stream indices give independent-in-practice substreams

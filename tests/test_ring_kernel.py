@@ -222,8 +222,9 @@ class TestRingWalk:
         assert all(0 < p < 6 for p in a.positions)
 
     def test_sample_path_matches_scalar_walk(self):
-        # reference: one uniform per step against h(x+1, s-1) / (2 h(x, s))
-        for n, t, x0 in ((6, 30, 3), (20, 500, 7)):
+        # reference: one uniform per step against h(x+1, s-1) / (2 h(x, s));
+        # check 08's ring crosses R (s* = 2129) and ends on a 2-step block
+        for n, t, x0 in ((6, 30, 3), (20, 500, 7), (48, 5602, 24)):
             kernel = rk.SurvivalKernel(n, t)
             for seed in range(3):
                 gen = RngState(seed, 1).generator()
@@ -235,35 +236,11 @@ class TestRingWalk:
                 path = rk.sample_ring_path(n, t, x0, RngState(seed, 1))
                 assert list(path.positions) == pos
 
-    def test_batch_steps_match_scalar_walks(self):
-        # reference: M walkers draw one uniform each per step, in walker order
-        n, t, x0, M = 12, 200, 5, 7
-        kernel = rk.SurvivalKernel(n, t)
-        gen = RngState(4, 2).generator()
-        ref = [x0] * M
-        expected = []
-        for s in range(t, 0, -1):
-            for i in range(M):
-                x = ref[i]
-                up = kernel.h(x + 1, s - 1) / (2 * kernel.h(x, s))
-                ref[i] = x + 1 if gen.random() < up else x - 1
-            expected.append(list(ref))
-        steps = rk._ring_steps(kernel, x0, t, M, RngState(4, 2).generator())
-        # after k steps a walker with up-step count U sits at x0 - k + 2U
-        assert [(x0 - k + 2 * ups).tolist()
-                for k, ups in enumerate(steps, 1)] == expected
-
-    def test_horizon_guard(self):
-        kernel = rk.SurvivalKernel(6, 10)
-        with pytest.raises(ValueError):
-            next(rk._ring_steps(kernel, 3, 20, 1, RngState(0).generator()))
-
-    @pytest.mark.parametrize("walk", ["_ring_steps", "_ring_paths_batch"])
+    @pytest.mark.parametrize("walk", ["_ring_paths_batch"])
     def test_horizon_past_the_table_raises(self, walk):
         kernel = rk.SurvivalKernel(6, 10)
         with pytest.raises(ValueError, match="exceeds table horizon"):
-            # _ring_steps is a generator: its check runs at the first step
-            next(iter(getattr(rk, walk)(kernel, 3, 11, 1, RngState(0).generator())))
+            getattr(rk, walk)(kernel, 3, 11, 1, RngState(0).generator())
 
     def test_batch_rejects_start_off_the_segment(self):
         kernel = rk.SurvivalKernel(6, 10)
@@ -323,7 +300,7 @@ class TestRingWalk:
 
 def _position_steps(kernel, x0, t, M, gen):
     """Positions of M conditioned walkers after each step, read from the full
-    (t + 1)(n + 1) step table: the oracle of the up-count path sampler."""
+    (t + 1)(n + 1) step table: the oracle of the path sampler."""
     p_up = kernel._step_up_table()[:t + 1]
     pos = np.full(M, x0, dtype=np.int64)
     u = np.empty(M)
@@ -340,23 +317,20 @@ def _position_steps(kernel, x0, t, M, gen):
 
 
 class TestUpCountWalk:
-    """The up-count path sampler against the position walk, bit for bit."""
+    """The path sampler and the up-step rows the walks read, against the
+    step table, bit for bit."""
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 12, 41, 48])
     def test_matches_position_walk(self, n):
         s_star = rk._settled_steps(n)
-        x0, M = n // 2, 40
+        x0 = n // 2
         # t = s* keeps every row, t > s* + 1 reads the settled row
         for t in (max(s_star, 1), 3 * s_star + 40):
             kernel = rk.SurvivalKernel(n, t)
             for seed in range(5):
-                ref_gen = RngState(seed, 2).generator()
-                gen = RngState(seed, 2).generator()
-                ref = _position_steps(kernel, x0, t, M, ref_gen)
-                got = rk._ring_steps(kernel, x0, t, M, gen)
-                for k, (pos, ups) in enumerate(zip(ref, got, strict=True), 1):
-                    assert np.array_equal(pos, x0 - k + 2 * ups)
-                assert gen.bit_generator.state == ref_gen.bit_generator.state
+                ref = _position_steps(kernel, x0, t, 1, RngState(seed, 2).generator())
+                path = rk.sample_ring_path(n, t, x0, RngState(seed, 2))
+                assert list(path.positions) == [x0] + [int(pos[0]) for pos in ref]
 
     def test_start_outside_interval_is_outside(self):
         # the whole path, its start included, must stay strictly inside; in
@@ -368,18 +342,19 @@ class TestUpCountWalk:
                                              stay_in=bounds)
             assert not inside.any()
 
-    @pytest.mark.parametrize("n, t", [(3, 9), (4, 9), (5, 120), (6, 30), (12, 400),
-                                      (41, 5000), (48, 5602)])
+    @pytest.mark.parametrize("n, t", [(3, 9), (4, 9), (5, 120), (6, 30), (7, 180),
+                                      (12, 400), (41, 5000), (48, 5602)])
     def test_layout_holds_the_step_table(self, n, t):
+        # the up-step rows of every block, before, across and past the last
+        # stored row R, are the step table's rows s0, s0 - 1, ... bit for bit
         kernel = rk.SurvivalKernel(n, t)
         p_up = kernel._step_up_table()
-        halves, pad, rows, width = kernel._walk_layout(t)
-        assert rows == len(kernel._log_z) - 1 == min(t, rk._settled_steps(n) + 1)
-        s = np.arange(1, t + 1)[:, None]
-        x = np.arange(1, n)[None, :]
-        idx = pad + (np.minimum(s, rows) - 1) * width + x // 2
-        got = np.where(x % 2 == 0, halves[0][idx], halves[1][idx])
-        assert np.array_equal(got, p_up[1:, 1:n])
+        R = len(kernel._log_z) - 1
+        assert R == min(t, rk._settled_steps(n) + 1) < t
+        for steps in (1, 5, min(rk._BLOCK, t)):
+            for s0 in {min(max(s, steps), t) for s in (0, R - steps, R + 1, R + steps, t)}:
+                rows = kernel._up_rows(s0, steps)
+                assert np.array_equal(rows, p_up[s0:s0 - steps:-1])
         # the edges are exact: a walker at 1 always steps up, at n - 1 down
         assert np.all(p_up[1:, 1] == 1.0) and np.all(p_up[1:, n - 1] == 0.0)
 
@@ -388,27 +363,27 @@ class TestUpCountWalk:
         # at 0.9999999999999973 in most rows of n = 48
         kernel = rk.SurvivalKernel(48, 5602)
 
-        def exp_ratio(table, log_z, out, first=1, step=1):
+        def exp_ratio(table, log_z, out):
             n = table.shape[1] - 1
             ratio = np.exp(log_z[:-1] - log_z[1:])
-            np.multiply(table[:-1, first + 1:n + 1:step], ratio[:, None], out=out)
-            np.divide(out, table[1:, first:n:step], out=out)
+            np.multiply(table[:-1, 2:], ratio[:, None], out=out)
+            np.divide(out, table[1:, 1:n], out=out)
             out *= 0.5
 
         monkeypatch.setattr(rk, "_up_steps", exp_ratio)
         with pytest.raises(RuntimeError, match="n=48 at the edge sites 1 and 47"):
-            next(rk._ring_steps(kernel, 24, 5602, 1, RngState(0).generator()))
+            rk._ring_paths_batch(kernel, 24, 5602, 1, RngState(0).generator())
 
 
-def _enumerated_block_law(layout, n, s0, steps, parity, visit_site, stay_in, shape):
+def _enumerated_block_law(kernel, s0, steps, parity, visit_site, stay_in, shape):
     """law[r, d, c, f] summed over all 2**steps step sequences from each start,
-    each weighted by the layout's up-steps (down = 1 - up); the sums run in
-    extended precision, so each cell is off by the rounding of its
+    each weighted by the step table's up-steps (down = 1 - up); the sums run
+    in extended precision, so each cell is off by the rounding of its
     products, at most steps eps relative."""
-    halves, pad, rows, width = layout
+    n, p_up = kernel.n, kernel._step_up_table()
     ups = (np.arange(2**steps)[:, None] >> np.arange(steps)) & 1
     law = np.zeros(shape, dtype=np.longdouble)
-    for r in range(width):
+    for r in range(n // 2 + 1):
         x = 2 * r + parity
         if not 0 < x < n:
             continue
@@ -417,9 +392,7 @@ def _enumerated_block_law(layout, n, s0, steps, parity, visit_site, stay_in, sha
         weight = np.ones(len(ups))
         for i in range(steps):
             # a sequence that leaves 1..n-1 has a step of weight exactly 0
-            idx = pad + (min(s0 - i, rows) - 1) * width + before[:, i] // 2
-            up = np.where(before[:, i] % 2 == 0, halves[0].take(idx, mode="clip"),
-                          halves[1].take(idx, mode="clip"))
+            up = p_up[s0 - i].take(before[:, i], mode="clip")
             weight *= np.where(ups[:, i] == 1, up, 1.0 - up)
         c = (y == visit_site).sum(axis=1) if visit_site is not None else 0
         f = np.isin(y, stay_in).any(axis=1) if stay_in is not None else 0
@@ -453,25 +426,23 @@ class TestBlockLaw:
         # and inside
         t = 3 * rk._settled_steps(n) + 40
         kernel = rk.SurvivalKernel(n, t)
-        layout = kernel._walk_layout(t)
-        R = layout[2]
+        R = len(kernel._log_z) - 1
         cases = [(1, (0, n)), (n - 1, (-2, n + 3)), (n // 2, (1, n - 1)),
                  (None, (2, n - 2)), (n // 2 + 1, None), (None, None)]
         for steps in (1, 5, 12):
             for s0 in sorted({steps, max(steps, R - steps // 2), R + 3 + steps}):
                 for parity in (0, 1):
                     for site, bounds in cases:
-                        law = rk._block_law(layout, n, s0, steps, parity, site, bounds)
-                        ref = _enumerated_block_law(layout, n, s0, steps, parity,
+                        law = rk._block_law(kernel, s0, steps, parity, site, bounds)
+                        ref = _enumerated_block_law(kernel, s0, steps, parity,
                                                     site, bounds, law.shape)
                         k = rk._search_table(law)[1]
                         assert np.max(np.abs(law - ref)) <= k * np.finfo(float).eps
 
     def test_shape_and_rows(self):
         kernel = rk.SurvivalKernel(12, 400)
-        layout = kernel._walk_layout(400)
         # arrivals 1..5 from even starts: site 3 can be met at times 1, 3, 5
-        law = rk._block_law(layout, 12, 400, 5, 0, 3, (2, 9))
+        law = rk._block_law(kernel, 400, 5, 0, 3, (2, 9))
         assert law.shape == (7, 6, 4, 2)
         sums = law.sum(axis=(1, 2, 3))
         assert sums[0] == sums[6] == 0.0  # starts 0 and 12 are off the segment
@@ -479,7 +450,7 @@ class TestBlockLaw:
 
     def test_search_table(self):
         kernel = rk.SurvivalKernel(12, 400)
-        law = rk._block_law(kernel._walk_layout(400), 12, 400, 12, 1, 5, (2, 9))
+        law = rk._block_law(kernel, 400, 12, 1, 5, (2, 9))
         cdf, k, d, c, f = rk._search_table(law)
         rows = law.shape[0]
         kept = (law > 0).any(axis=0)
@@ -506,9 +477,9 @@ class TestBlockLaw:
         R = len(kernel._log_z) - 1
         built = []
 
-        def record(layout, n, s0, steps, *args):
+        def record(kernel, s0, steps, *args):
             built.append((s0, steps))
-            return block_law(layout, n, s0, steps, *args)
+            return block_law(kernel, s0, steps, *args)
 
         block_law = rk._block_law
         monkeypatch.setattr(rk, "_block_law", record)
@@ -933,21 +904,19 @@ def _full_table(n, t):
 class TestKernelMemoryGuard:
     def test_budget_covers_both_tables(self, monkeypatch):
         # n = 10 settles at s* = 77: the kernel keeps rows 0..78 with their
-        # log scale, (78 + 1)(10 + 2) doubles. The walk layout has two
-        # halves of 50 pad entries and 78 rows of 6, 2 (50 + 78 * 6)
-        # doubles; the step table is (100 + 1)(10 + 1) doubles on top of the
-        # kernel rows and is checked only when it is built
+        # log scale, (78 + 1)(10 + 2) doubles; the step table is
+        # (100 + 1)(10 + 1) doubles on top of the kernel rows and is checked
+        # only when it is built
         n, t = 10, 100
-        kernel_rows = 79 * 12
-        walk = 8 * (kernel_rows + 2 * (50 + 78 * 6))
-        steps = 8 * (kernel_rows + 101 * 11)
-        monkeypatch.setattr(rk, "KERNEL_BYTES_BUDGET", walk)
+        kernel_rows = 8 * 79 * 12
+        steps = kernel_rows + 8 * 101 * 11
+        monkeypatch.setattr(rk, "KERNEL_BYTES_BUDGET", kernel_rows)
         kernel = rk.SurvivalKernel(n, t)
         with pytest.raises(MemoryError, match="step tables for n=10"):
             kernel._step_up_table()
         monkeypatch.setattr(rk, "KERNEL_BYTES_BUDGET", steps)
         assert kernel._step_up_table().shape == (t + 1, n + 1)
-        monkeypatch.setattr(rk, "KERNEL_BYTES_BUDGET", walk - 1)
+        monkeypatch.setattr(rk, "KERNEL_BYTES_BUDGET", kernel_rows - 1)
         with pytest.raises(MemoryError, match="h_spectral"):
             rk.SurvivalKernel(n, t)
 
@@ -1005,26 +974,24 @@ class TestKernelMemoryGuard:
         return peak
 
     def test_walk_peak_memory_is_its_layout(self):
-        # one walk allocates the parity halves of rows 1..s*+1 and their
-        # padding, not the (t + 1)(n + 1) step table (16.8 MB here); on top
-        # of them it holds one block law with its step buffer, one search
-        # table and 42 bytes per walker
+        # one walk allocates neither the (t + 1)(n + 1) step table (16.8 MB
+        # here) nor any O(n s*) copy of the kernel rows: it holds one block
+        # law with its step buffer, one search table, one block of up-step
+        # rows and its padded copy, and 42 bytes per walker
         n, M = 80, 16
         t = rk.ring_time_scale(n, 1.0)
         kernel = rk.SurvivalKernel(n, t)
-        pad, rows, width = rk._walk_shape(n, t, len(kernel._log_z) - 1)
-        layout = 2 * 8 * (pad + rows * width)
-        assert rows == rk._settled_steps(n) + 1
-        law = rk._block_law(kernel._walk_layout(t), n, t, rk._BLOCK, 0, 2, (2, n - 1))
+        law = rk._block_law(kernel, t, rk._BLOCK, 0, 2, (2, n - 1))
         table = rk._search_table(law)[0]
+        rows = 2 * 8 * rk._BLOCK * (n + 1 + rk._BLOCK)
         peak = self._walk_peak(kernel, M, 2, (2, n - 1))
-        # the layout build's temporaries: 10% of the layout
-        assert layout <= peak <= 1.1 * layout + 2 * (law.nbytes + table.nbytes) + 64 * M
-        assert 2 * layout < 8 * (t + 1) * (n + 1)
+        assert table.nbytes <= peak <= 2 * (law.nbytes + table.nbytes) + rows + 64 * M
+        assert peak < kernel._table.nbytes
 
     def test_stay_in_walk_peak_memory(self, monkeypatch):
-        # the n = 80 vacant-set walk of the benchmark: the layout, at most
-        # two search tables' worth of block law and table, and O(M)
+        # the n = 80 vacant-set walk of the benchmark: at most two search
+        # tables' worth of block law and table, one block of up-step rows
+        # and its padded copy, and O(M)
         def no_step_table(self):
             raise AssertionError("the walk must not build the step table")
 
@@ -1032,13 +999,12 @@ class TestKernelMemoryGuard:
         n, M = 80, 4000
         t = rk.ring_time_scale(n, 1.0)
         kernel = rk.SurvivalKernel(n, t)
-        pad, rows, width = rk._walk_shape(n, t, len(kernel._log_z) - 1)
-        layout = 2 * 8 * (pad + rows * width)
-        law = rk._block_law(kernel._walk_layout(t), n, t, rk._BLOCK, 0, None, (2, n - 1))
+        law = rk._block_law(kernel, t, rk._BLOCK, 0, None, (2, n - 1))
         table = rk._search_table(law)[0]
-        assert law.nbytes <= table.nbytes == 8 * width * 128
+        assert law.nbytes <= table.nbytes == 8 * (n // 2 + 1) * 128
+        rows = 2 * 8 * rk._BLOCK * (n + 1 + rk._BLOCK)
         peak = self._walk_peak(kernel, M, None, (2, n - 1))
-        assert layout <= peak <= layout + 2 * table.nbytes + 64 * M
+        assert table.nbytes <= peak <= 2 * table.nbytes + rows + 64 * M
 
 
 def _settled_reference(n):
