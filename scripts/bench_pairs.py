@@ -15,8 +15,13 @@ Run from the root of a checkout. The committed files came from::
     python3 scripts/bench_pairs.py --parent-rev e9ff33f --claim sampling-scale \\
         --seed0 1081 --sweep ring_walk --sweep ring_path --sweep absorb \\
         --out BENCH_walk_rows.json
+    python3 scripts/bench_pairs.py --parent-rev 4991ae4 --claim sampling-scale \\
+        --seed0 1111 --sweep window --sweep ring_walk --sweep absorb \\
+        --out BENCH_window_chain.json
 
-(the files before BENCH_walk_rows.json ran one pair per sweep case).
+(the files before BENCH_walk_rows.json ran one pair per sweep case;
+BENCH_window_chain.json claims no gain: there --claim only picks the workload
+that gets PAIRS pairs).
 
 The parent revision is exported with ``git archive`` into a temporary
 directory; both sides run from their own source tree with the same benchmark
@@ -40,6 +45,9 @@ seed0 + i. The output holds:
     ``SurvivalKernel(n, ring_time_scale(n, alpha))``, with the rows it
     stores, or the MemoryError when the budget (half of physical memory)
     refuses it;
+  - ``window``: the median of WINDOW_REPEATS calls of
+    ``_simulate_window_batch`` at alpha = 1 at the sizes of WINDOW_CASES, in
+    ns per replicate, with a hash of the visit and trajectory counts;
   - ``ring_walk``: the median of WALK_REPEATS calls of ``_ring_paths_batch``
     on the ring walks the benchmark and the acceptance suite make, in ns per
     walker-step, with a hash of the outputs and of the generator state;
@@ -71,7 +79,7 @@ OTHER_PAIRS = 5
 METRICS = ("wall_s", "setup_s", "peak_rss_mb", "pass_ratio", "ops")
 LOWER_IS_BETTER = ("wall_s", "setup_s", "peak_rss_mb")
 SWEEP_PAIRS = 5
-TIMINGS = ("build_s", "s", "ns_per_walker_step", "ns_per_step")
+TIMINGS = ("build_s", "s", "ns_per_walker_step", "ns_per_step", "ns_per_replicate")
 
 BUILD_CASES = ((40, 1.0), (80, 1.0), (160, 1.0), (400, 1.0), (400, 0.1))
 BUILD_REPEATS = 3
@@ -95,6 +103,29 @@ try:
 except MemoryError as err:
     out["refused"] = str(err)
 print(json.dumps(out))
+"""
+
+#: (L, M): the two harness chunks (mc.CHUNK_SIZE and the rest of 1e5) of
+#: checks 01 and 02b, and the window sweep of sampling-scale
+WINDOW_CASES = ((8, 65536), (8, 34464), (16, 4000), (32, 2000), (64, 1000))
+WINDOW_REPEATS = 3
+WINDOW_SNIPPET = """
+import hashlib, json, statistics, sys, time
+sys.path.insert(0, "src")
+from ri1d import interlacements as il
+from ri1d.rngs import RngState
+L, M, reps = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+times, digest = [], hashlib.sha256()
+for rep in range(reps):
+    gen = RngState(rep).generator()
+    start = time.perf_counter()
+    counts, n_traj, _ = il._simulate_window_batch(1.0, L, M, gen)
+    times.append(time.perf_counter() - start)
+    digest.update(counts.tobytes())
+    digest.update(n_traj.tobytes())
+print(json.dumps({"s": statistics.median(times),
+                  "ns_per_replicate": 1e9 * statistics.median(times) / M,
+                  "outputs_sha256": digest.hexdigest()}))
 """
 
 #: (n, M, x0, visit_site, stay_in): check 07b, the ring local time of check
@@ -292,6 +323,12 @@ def kernel_builds(trees: dict) -> list[dict]:
                   for n, alpha in BUILD_CASES])
 
 
+def windows(trees: dict) -> list[dict]:
+    return sweep(trees, WINDOW_SNIPPET,
+                 [({"L": L, "M": M}, [str(L), str(M), str(WINDOW_REPEATS)])
+                  for L, M in WINDOW_CASES])
+
+
 def ring_walks(trees: dict) -> list[dict]:
     return sweep(trees, WALK_SNIPPET,
                  [({"n": n, "M": M, "x0": x0, "visit_site": site, "stay_in": bounds},
@@ -311,7 +348,7 @@ def absorb_walks(trees: dict) -> list[dict]:
                   for name, args in ABSORB_CASES])
 
 
-SWEEPS = {"kernel_build": kernel_builds, "ring_walk": ring_walks,
+SWEEPS = {"kernel_build": kernel_builds, "window": windows, "ring_walk": ring_walks,
           "ring_path": ring_paths, "absorb": absorb_walks}
 
 

@@ -73,15 +73,21 @@ def check_03_moments(seed: int, workers: int | None = None) -> list[Verdict]:
     ]
 
 
-def check_04_clt(seed: int, workers: int | None = None) -> list[Verdict]:
-    """KS distance of standardized local times at x=400 to the normal."""
-    alpha, x, M = 1.0, 400, 10**5
+def clt_verdict(name: str, alpha: float, x: int, M: int, seed: int,
+                workers: int | None, context: str) -> Verdict:
+    """KS distance of M standardized local times at x to the normal, against 0.02."""
     summary = run_replicates(
         Experiment("local-time", lambda g, m: il.sample_local_times(x, alpha, m, g)),
         M, seed, workers, keep_sample=True)
     z = il.standardize_local_time(summary.sample, x, alpha)
-    return [Verdict("04 CLT (KS to normal)", ks_distance_to_normal(z), 0.02,
-                    f"x={x}, M=1e5")]
+    return Verdict(name, ks_distance_to_normal(z), 0.02, context)
+
+
+def check_04_clt(seed: int, workers: int | None = None) -> list[Verdict]:
+    """KS distance of standardized local times at x=400 to the normal."""
+    alpha, x, M = 1.0, 400, 10**5
+    return [clt_verdict("04 CLT (KS to normal)", alpha, x, M, seed, workers,
+                        f"x={x}, M=1e5")]
 
 
 def check_05_kernel_oracle(seed: int, workers: int | None = None) -> list[Verdict]:

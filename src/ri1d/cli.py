@@ -33,8 +33,7 @@ from . import core_walks as cw
 from . import interlacements as il
 from . import ring_kernel as rk
 from .capacity import IntervalSet, capacity, capacity_hat, equilibrium_measure
-from .mc import (Experiment, Verdict, default_workers, ks_distance_to_normal,
-                 run_replicates)
+from .mc import Experiment, Verdict, default_workers, run_replicates
 from .rngs import RngState
 
 #: Parsed arguments that select or steer a run but are not among its inputs.
@@ -221,12 +220,9 @@ VERIFY_CHECKS = {
 
 def cmd_verify_clt(args, run: _Run) -> None:
     alpha, x, M = args.alpha, args.x, args.samples
-    summary = run_replicates(
-        Experiment("local-time", lambda g, m: il.sample_local_times(x, alpha, m, g)),
-        M, args.seed, args.workers, keep_sample=True)
-    ks = ks_distance_to_normal(il.standardize_local_time(summary.sample, x, alpha))
-    run.verdicts.append(Verdict("clt KS to normal", ks, 0.02,
-                                f"alpha={alpha}, x={x}, M={M}"))
+    run.verdicts.append(acceptance.clt_verdict(
+        "clt KS to normal", alpha, x, M, args.seed, args.workers,
+        f"alpha={alpha}, x={x}, M={M}"))
 
 
 def cmd_verify(args, run: _Run) -> None:

@@ -10,8 +10,9 @@ a sum of N geometrics on {1, 2, ...} with success probability p has the law
 of N + NegBin(N, p), where NegBin counts failures. The local-time sampler is
 that identity at one site. The window sampler runs it along the edge
 up-crossing counts of each half-line (the Ray-Knight description of walk
-local times): one negative-binomial draw per site, O(L) draws per window,
-and the joint law of all visit counts in [-L, L] is exact.
+local times): one chain per side of each window, whatever its number of
+trajectories, and one negative-binomial draw per site on it, so O(L) draws
+per window, and the joint law of all visit counts in [-L, L] is exact.
 
 The exact local-time pmf is Panjer's compound-Poisson recursion. Geometric
 severity lets two running sums carry its convolution, so the pmf to s_max
@@ -110,14 +111,12 @@ def _negbin(gen: np.random.Generator, n: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _simulate_window_batch(alpha: float, L: int, M: int,
-                           gen: np.random.Generator, track_site: int | None = None):
+def _simulate_window_batch(alpha: float, L: int, M: int, gen: np.random.Generator):
     """Draw M independent window samples as edge up-crossing chains.
 
-    Returns (visit counts, trajectory counts per replicate, and, when
-    track_site is given, the per-replicate number of trajectories that touch
-    that site). Visit counts are indexed by site + L, so column L (site 0) is
-    always zero.
+    Returns (visit counts, trajectory counts per replicate, None). Visit
+    counts are indexed by site + L, so column L (site 0) is always zero. The
+    third value is a placeholder kept for callers that unpack three values.
 
     Each side of the window receives Poisson(alpha*L/2) trajectories, which
     enter at -L or +L and follow the conditioned walk on their half-line.
@@ -129,32 +128,21 @@ def _simulate_window_batch(alpha: float, L: int, M: int,
     upward, so U_{x-1} = NegBin(U_x, (x+1)/(2x)), counting failures, and
     U_0 = 0. Site x is visited U_x + U_{x-1} times. Negative binomials with
     the same p add, so one chain per (side, replicate) gives the joint law of
-    all the window's visit counts in L draws. With track_site the chain runs
-    once per trajectory instead, and a trajectory touches x iff its U_x > 0.
+    all the window's visit counts in L draws.
     """
     if L < 1:
         raise ValueError(f"half-width must be >= 1, got {L}")
     n_side = gen.poisson(alpha * L / 2, 2 * M)  # slots 0..M-1: sites < 0
     n_traj = n_side[:M] + n_side[M:]
-    if track_site is None:
-        owner = np.arange(2 * M)
-        u = n_side
-    else:
-        owner = np.repeat(np.arange(2 * M), n_side)
-        u = np.ones(owner.size, dtype=np.int64)
-    u = u + _negbin(gen, u, 1 / (L + 1))
+    u = n_side + _negbin(gen, n_side, 1 / (L + 1))
     counts = np.zeros((M, 2 * L + 1), dtype=np.int64)
-    hits = np.zeros(M, dtype=np.int64)
     for x in range(L, 0, -1):
         below = _negbin(gen, u, (x + 1) / (2 * x))  # p = 1 at x = 1
-        v = np.bincount(owner, weights=u + below, minlength=2 * M).astype(np.int64)
+        v = u + below
         counts[:, L - x] = v[:M]
         counts[:, L + x] = v[M:]
-        if track_site is not None and abs(track_site) == x:
-            touched = np.bincount(owner[u > 0], minlength=2 * M)
-            hits = touched[M:] if track_site > 0 else touched[:M]
         u = below
-    return counts, n_traj, (hits if track_site is not None else None)
+    return counts, n_traj, None
 
 
 def sample_window(level, L: int, rng: RngState) -> WindowSample:

@@ -7,12 +7,12 @@ import pytest
 from scipy.special import ndtr
 
 from ri1d import interlacements as il
-from ri1d.capacity import IntervalSet, capacity_hat
+from ri1d.capacity import IntervalSet
 from ri1d.mc import tv_distance
 from ri1d.rngs import RngState
 
 
-def _window_walk(alpha, L, M, gen, track_site=None):
+def _window_walk(alpha, L, M, gen):
     """Reference window sampler: every trajectory simulated step by step.
 
     Same return shape as ``il._simulate_window_batch``. Each trajectory
@@ -26,12 +26,7 @@ def _window_walk(alpha, L, M, gen, track_site=None):
     rep = np.repeat(np.arange(M, dtype=np.int64), n_traj)
     sign = np.where(gen.random(total) < 0.5, 1, -1).astype(np.int64)
     pos = np.full(total, L, dtype=np.int64)
-    hit_tracked = np.zeros(M, dtype=np.int64)
-    touched = np.zeros(total, dtype=bool)
     np.add.at(counts, (rep, L + sign * L), 1)  # entrance counts as a visit
-    if track_site is not None:
-        touched |= sign * pos == track_site
-        np.add.at(hit_tracked, rep[touched], 1)
     return_p = L / (L + 1)
     while pos.size:
         u = gen.random(pos.size)
@@ -42,13 +37,8 @@ def _window_walk(alpha, L, M, gen, track_site=None):
             nxt[out] = np.where(back, L, -1)  # -1 marks a finished trajectory
         alive = nxt >= 1
         pos, rep, sign = nxt[alive], rep[alive], sign[alive]
-        if track_site is not None:
-            touched = touched[alive]
-            newly = (sign * pos == track_site) & ~touched
-            touched |= newly
-            np.add.at(hit_tracked, rep[newly], 1)
         np.add.at(counts, (rep, L + sign * pos), 1)
-    return counts, n_traj, (hit_tracked if track_site is not None else None)
+    return counts, n_traj, None
 
 
 def _local_times_geometric(x, alpha, M, gen):
@@ -113,24 +103,6 @@ class TestVacantExact:
                     il.vacant_prob_exact(IntervalSet(0, x), alpha), rel=1e-14)
 
 
-class TestTrajectoryCount:
-    # window trajectories touching x are those hitting A = [0, x]
-    def test_origin_always_zero(self):
-        for s in range(5):
-            _, _, hits = il._simulate_window_batch(
-                2.0, 5, 20, RngState(s).generator(), track_site=0)
-            assert not hits.any()
-
-    def test_poisson_moments(self):
-        _, _, draws = il._simulate_window_batch(
-            1.0, 6, 2000, RngState(3).generator(), track_site=2)
-        lam = capacity_hat(IntervalSet(0, 2))
-        assert abs(draws.mean() - lam) <= 4 * math.sqrt(lam / 2000)
-        p0 = float(np.mean(draws == 0))
-        target = il.vacant_prob_exact(IntervalSet(0, 2), 1.0)
-        assert abs(p0 - target) <= 4 * math.sqrt(target * (1 - target) / 2000)
-
-
 class TestWindowSampler:
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -162,22 +134,19 @@ class TestWindowSampler:
 
     def test_vacant_and_mean_visits(self):
         L, M = 8, 10**5
-        counts, _, hits = il._simulate_window_batch(
-            1.0, L, M, RngState(7).generator(), track_site=3)
+        counts, _, _ = il._simulate_window_batch(1.0, L, M, RngState(7).generator())
         vac = float(np.mean((counts[:, L + 1] == 0) & (counts[:, L + 2] == 0)))
         target = math.exp(-1)
         assert abs(vac - target) <= 4 * math.sqrt(target * (1 - target) / M)
         assert abs(counts[:, L + 3].mean() / 9.0 - 1) <= 0.01
 
     def test_thinning_consistency(self):
-        # trajectories hitting x form a Poisson(alpha x / 2) thinning
+        # trajectories hitting x form a Poisson(alpha x / 2) thinning, so
+        # x is vacant with probability exp(-alpha x / 2)
         L, M, x = 8, 10**5, 3
-        counts, _, hits = il._simulate_window_batch(
-            1.0, L, M, RngState(11).generator(), track_site=x)
-        lam = x / 2
-        assert abs(hits.mean() - lam) <= 4 * math.sqrt(lam / M)
-        p0 = float(np.mean(hits == 0))
-        t0 = math.exp(-lam)
+        counts, _, _ = il._simulate_window_batch(1.0, L, M, RngState(11).generator())
+        p0 = float(np.mean(counts[:, L + x] == 0))
+        t0 = math.exp(-x / 2)
         assert abs(p0 - t0) <= 4 * math.sqrt(t0 * (1 - t0) / M)
         # and the window local time agrees in law with the direct sampler
         law = il.local_time_pmf(x, 1.0)
@@ -249,23 +218,6 @@ class TestWindowChainVsWalk:
             assert abs(n.mean() - lam) <= 4 * math.sqrt(lam / M)
             assert abs(n.var(ddof=1) - lam) <= 4 * math.sqrt((lam + 2 * lam**2) / M)
 
-    def test_tracked_site_both_sides(self):
-        for site in (-3, 3):
-            _, _, hits = il._simulate_window_batch(
-                self.ALPHA, 8, 10**5, RngState(23).generator(), track_site=site)
-            lam = self.ALPHA * abs(site) / 2
-            assert abs(hits.mean() - lam) <= 4 * math.sqrt(lam / 10**5)
-
-    def test_window_edge_always_touched(self):
-        # the tracked site changes no draw, and every trajectory visits its
-        # entrance, so the hits at -L and +L add up to the trajectory count
-        L = 5
-        _, n_traj, pos = il._simulate_window_batch(
-            2.0, L, 2000, RngState(24).generator(), track_site=L)
-        _, _, neg = il._simulate_window_batch(
-            2.0, L, 2000, RngState(24).generator(), track_site=-L)
-        assert np.array_equal(pos + neg, n_traj)
-
     def test_large_window(self):
         # process level at a size the step-by-step walk cannot reach
         L, M = 2048, 2000
@@ -280,9 +232,9 @@ class TestWindowChainVsWalk:
         assert abs(vac - target) <= 4 * math.sqrt(target * (1 - target) / M)
 
     def test_no_trajectories(self):
-        counts, n_traj, hits = il._simulate_window_batch(
-            1e-6, 4, 100, RngState(26).generator(), track_site=2)
-        assert not n_traj.any() and not counts.any() and not hits.any()
+        counts, n_traj, _ = il._simulate_window_batch(
+            1e-6, 4, 100, RngState(26).generator())
+        assert not n_traj.any() and not counts.any()
 
 
 class TestLocalTimeSampler:
