@@ -18,6 +18,9 @@ Run from the root of a checkout. The committed files came from::
     python3 scripts/bench_pairs.py --parent-rev 4991ae4 --claim sampling-scale \\
         --seed0 1111 --sweep window --sweep ring_walk --sweep absorb \\
         --out BENCH_window_chain.json
+    python3 scripts/bench_pairs.py --parent-rev 65f9388 --claim sampling-scale \\
+        --seed0 1141 --sweep ring_walk --sweep absorb --sweep window \\
+        --out BENCH_block_batches.json
 
 (the files before BENCH_walk_rows.json ran one pair per sweep case;
 BENCH_window_chain.json claims no gain: there --claim only picks the workload

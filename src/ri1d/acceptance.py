@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -22,22 +23,47 @@ from .rngs import RngState
 DEFAULT_SEED = 7
 
 
-def _window_experiment(alpha: float, L: int, reducer) -> Experiment:
+#: Draws shared by the checks of one :func:`run_all` call, keyed by what
+#: they draw; None outside run_all, where every check draws for itself.
+_RUN_DRAWS: ContextVar[dict | None] = ContextVar("run_draws", default=None)
+
+
+def _window_draw(seed: int, workers: int | None) -> tuple[float, np.ndarray]:
+    """(empirical P[sites 1 and 2 vacant], empirical pmf of the visits to 3).
+
+    The window draw of checks 01 and 02b: M = 1e5 windows at alpha = 1,
+    L = 8, run once through the replicate harness as the codes
+    2 V_3 + 1{sites 1 and 2 vacant}. It serves both checks once per
+    :func:`run_all` call, which keeps only these two summaries, and each
+    check called alone draws it for itself.
+    """
+    draws = _RUN_DRAWS.get()
+    key = ("window", seed, workers)
+    if draws is not None and key in draws:
+        return draws[key]
+    L = 8
+
     def sample(gen, m):
-        counts, _, _ = il._simulate_window_batch(alpha, L, m, gen)
-        return reducer(counts)
-    return Experiment("window", sample)
+        counts, _, _ = il._simulate_window_batch(1.0, L, m, gen)
+        vacant = (counts[:, L + 1] == 0) & (counts[:, L + 2] == 0)
+        return 2 * counts[:, L + 3] + vacant
+
+    codes = run_replicates(Experiment("window", sample), 10**5, seed, workers,
+                           keep_sample=True).sample
+    # a mean of 0/1 values is exact in any order
+    law = float(np.mean(codes & 1)), np.bincount(codes >> 1) / len(codes)
+    if draws is not None:
+        draws[key] = law
+    return law
 
 
 def check_01_vacant_window(seed: int, workers: int | None = None) -> list[Verdict]:
     """Empirical P[{0,2} vacant] from the window sampler vs exp(-1)."""
-    alpha, L, M = 1.0, 8, 10**5
-    exp = _window_experiment(alpha, L,
-                             lambda c: ((c[:, L + 1] == 0) & (c[:, L + 2] == 0)).astype(np.int64))
-    summary = run_replicates(exp, M, seed, workers)
+    alpha = 1.0
+    p_hat, _ = _window_draw(seed, workers)
     target = il.vacant_prob_exact(IntervalSet(0, 2), alpha)
-    return [Verdict("01 vacant-set law", abs(summary.mean - target), 0.006,
-                    f"p_hat={summary.mean:.6f} vs e^-1={target:.6f}")]
+    return [Verdict("01 vacant-set law", abs(p_hat - target), 0.006,
+                    f"p_hat={p_hat:.6f} vs e^-1={target:.6f}")]
 
 
 def check_02_local_time_law(seed: int, workers: int | None = None) -> list[Verdict]:
@@ -47,14 +73,12 @@ def check_02_local_time_law(seed: int, workers: int | None = None) -> list[Verdi
     direct = run_replicates(
         Experiment("local-time", lambda g, m: il.sample_local_times(x, alpha, m, g)),
         10**6, seed, workers)
-    L = 8
-    window = run_replicates(
-        _window_experiment(alpha, L, lambda c: c[:, L + x]), 10**5, seed, workers)
+    _, window = _window_draw(seed, workers)
     return [
         Verdict("02a local-time TV (direct sampler)", tv_distance(direct, law),
                 0.005, f"x={x}, M=1e6"),
         Verdict("02b local-time TV (window sampler)", tv_distance(window, law),
-                0.01, f"x={x}, L={L}, M=1e5"),
+                0.01, f"x={x}, L=8, M=1e5"),
     ]
 
 
@@ -330,11 +354,19 @@ ALL_CHECKS = [
 def run_all(seed: int = DEFAULT_SEED, workers: int | None = None
             ) -> tuple[list[Verdict], list[tuple[str, float]]]:
     """Run checks 1-13; return every verdict and one (check name, wall
-    seconds) row per check."""
+    seconds) row per check.
+
+    Checks 01 and 02b share one window draw (:func:`_window_draw`), which
+    lives only as long as this call.
+    """
     verdicts: list[Verdict] = []
     timings: list[tuple[str, float]] = []
-    for check in ALL_CHECKS:
-        start = time.perf_counter()
-        verdicts.extend(check(seed, workers))
-        timings.append((check.__name__, time.perf_counter() - start))
+    token = _RUN_DRAWS.set({})
+    try:
+        for check in ALL_CHECKS:
+            start = time.perf_counter()
+            verdicts.extend(check(seed, workers))
+            timings.append((check.__name__, time.perf_counter() - start))
+    finally:
+        _RUN_DRAWS.reset(token)
     return verdicts, timings

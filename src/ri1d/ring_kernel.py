@@ -26,8 +26,10 @@ its step. The batch walk behind the vacant-set and local-time samplers
 draws one uniform per walker per block and inverts it against the block's
 exact joint law of up-steps, visits to a site and contact with an
 interval's bounds, a table built by the block recursion of
-:mod:`ri1d.core_walks` that the absorbing walk also runs, once for all
-settled blocks and once for each block before them.
+:mod:`ri1d.core_walks` that the absorbing walk also runs: once for all
+settled blocks, and for the blocks after them in runs of up to 8
+consecutive blocks per recursion, one run alive at a time within a budget
+of _BATCH_CELLS cells.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .config import in_cond_regime
-from .core_walks import _BLOCK, WalkPath, _block_recursion, _search, _search_table
+from .core_walks import (_BLOCK, WalkPath, _block_recursion, _search, _search_table,
+                         _visit_slots)
 from .rngs import RngState
 
 #: Memory budget in bytes for a kernel table, or for the kernel table plus
@@ -424,32 +427,54 @@ def sample_ring_path(n: int, t_total: int, x0: int, rng: RngState) -> WalkPath:
     return WalkPath(tuple(pos))
 
 
-def _block_law(kernel: SurvivalKernel, s0: int, steps: int, parity: int,
+#: Cells (8-byte words) one batch of _block_law may hold in _ring_paths_batch:
+#: its blocks' up-step rows, recursion masses and step buffers, and search
+#: tables (:func:`_batch_blocks`). 2 MiB.
+_BATCH_CELLS = 1 << 18
+
+
+def _batch_blocks(n: int, parity: int, visit_site: int | None,
+                  stay_in: tuple[int, int] | None) -> int:
+    """Full blocks per batch of :func:`_block_law`: 1 to 8, within _BATCH_CELLS.
+
+    One block of the batch holds its rows of up-steps and four times its
+    law's cells: the recursion's mass, its step buffer, and the search table,
+    whose width is at most twice the law's outcomes.
+    """
+    law = (_visit_slots(parity, 2, _BLOCK, visit_site) * (2 if stay_in else 1)
+           * (n // 2 + 1) * (_BLOCK + 1))
+    up = _BLOCK * (_BLOCK - parity + n + 1)
+    return min(8, max(1, _BATCH_CELLS // (up + 4 * law)))
+
+
+def _block_law(kernel: SurvivalKernel, s0s, steps: int, parity: int,
                visit_site: int | None = None,
                stay_in: tuple[int, int] | None = None) -> np.ndarray:
-    """Joint law of one block of the conditioned walk from every start site.
+    """Joint laws of a batch of blocks of the conditioned walk from every start.
 
-    The block takes ``steps`` steps from a site x = 2r + parity, 0 <= r <=
-    n/2, with s0 >= steps steps to go. Returns law[r, d, c, f], the
+    Block b takes ``steps`` steps from a site x = 2r + parity, 0 <= r <=
+    n/2, with s0s[b] >= steps steps to go. Returns law[b, r, d, c, f], the
     probability of d up-steps, c visits to visit_site at the block's arrival
     times 1..steps, and f = 1 if the walker sat on a bound of stay_in at one
     of them (f = 0 otherwise). The c axis has one slot when visit_site is
     None and the f axis one when stay_in is None. Rows whose start is off
     1..n-1 are 0.
 
-    The block's :func:`~ri1d.core_walks._block_recursion` from the rows
-    x = 2r + parity, reading the kernel's :meth:`~SurvivalKernel._up_rows`.
-    The engine's table starts at site parity - steps, so the rows get
+    One :func:`~ri1d.core_walks._block_recursion` over the batch from the
+    rows x = 2r + parity, reading the kernel's :meth:`~SurvivalKernel._up_rows`
+    of each block; each block's law has the bits of a batch of one. The
+    engine's table starts at site parity - steps, so the rows get
     steps - parity zero columns in front: a gather from a negative start
     would wrap around instead.
     """
     n = kernel.n
     x = 2 * np.arange(n // 2 + 1) + parity
-    up = np.zeros((steps, steps - parity + n + 1))
-    up[:, steps - parity:] = kernel._up_rows(s0, steps)
+    up = np.zeros((len(s0s), steps, steps - parity + n + 1))
+    for rows, s0 in zip(up, s0s):
+        rows[:, steps - parity:] = kernel._up_rows(s0, steps)
     w, _ = _block_recursion((0 < x) & (x < n), parity, 2, steps, up,
                             visit=visit_site, contact=stay_in or ())
-    return w.transpose(2, 3, 0, 1)
+    return w.transpose(0, 3, 4, 1, 2)
 
 
 def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
@@ -467,10 +492,14 @@ def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
     x0, so a walker is its row r = x // 2 in the law. The search is the
     fixed-depth binary search of :func:`~ri1d.core_walks._search` over the
     row's running sums (:func:`~ri1d.core_walks._search_table`), which the
-    absorbing walk of :mod:`ri1d.core_walks` shares. Blocks whose every
-    step reads the settled row share one table; the others come after them
-    and build theirs as the walk reaches them, one table alive at a time.
-    Memory on top of the kernel is O(n K + M).
+    absorbing walk of :mod:`ri1d.core_walks` shares.
+
+    Blocks whose every step reads the settled row share one table, built
+    once; the others come after them. The walk builds their tables when it
+    reaches them, in runs of up to :func:`_batch_blocks` consecutive full
+    blocks from one recursion, and the short last block alone; each run's
+    tables are freed before the next run is built. So memory on top of the
+    kernel is one batch within _BATCH_CELLS, and O(M).
 
     Raises ValueError where :meth:`SurvivalKernel._check_start` does.
     """
@@ -480,22 +509,31 @@ def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
     if t == 0:
         return visits, inside
     last = len(kernel._log_z) - 1  # the settled row, when t reaches past it
+    batch = _batch_blocks(kernel.n, x0 % 2, visit_site, stay_in)
     row = np.full(M, x0 // 2, dtype=np.intp)
     pos = np.empty(M, dtype=np.intp)
     bit = np.empty(M, dtype=np.intp)
     u = np.empty(M)
     thr = np.empty(M)
     keep = np.empty(M, dtype=bool)
-    cdf = d = c = f = table_key = None
+    settled = None
+    run = []  # search tables of the run's blocks still ahead, last block first
     for k0 in range(0, t, _BLOCK):
         steps = min(_BLOCK, t - k0)
-        settled = steps == _BLOCK and t - k0 - steps + 1 >= last
-        key = "settled" if settled else k0
-        if key != table_key:
-            cdf = d = c = f = None  # free the last table before the next
-            cdf, k, d, c, f = _search_table(_block_law(kernel, t - k0, steps, x0 % 2,
-                                                       visit_site, stay_in))
-            table_key = key
+        if steps == _BLOCK and t - k0 - steps + 1 >= last:
+            if settled is None:
+                settled = _search_table(_block_law(kernel, [t - k0], steps, x0 % 2,
+                                                   visit_site, stay_in)[0])
+            cdf, k, d, c, f = settled
+        else:
+            if not run:
+                # free the settled or last run's table before the next run
+                settled = cdf = d = c = f = None
+                blocks = max(1, min(batch, (t - k0) // _BLOCK))
+                s0s = range(t - k0, t - k0 - blocks * steps, -steps)
+                run = [_search_table(law) for law in
+                       _block_law(kernel, s0s, steps, x0 % 2, visit_site, stay_in)[::-1]]
+            cdf, k, d, c, f = run.pop()
         gen.random(out=u)
         _search(cdf, k, row, u, pos, thr, bit)
         if visits is not None:

@@ -10,6 +10,7 @@ import pytest
 
 from ri1d import acceptance
 from ri1d import core_walks as cw
+from ri1d import interlacements as il
 from ri1d import ring_kernel as rk
 
 SEED = acceptance.DEFAULT_SEED
@@ -96,6 +97,32 @@ def test_selftest_aggregates_everything():
     assert len(names) == len(verdicts) == 26
     failed = [v.line() for v in verdicts if not v.passed]
     assert not failed, "; ".join(failed)
+
+
+def test_checks_01_and_02_share_one_window_draw(monkeypatch):
+    # run_all draws the window sample of checks 01 and 02b once, as its two
+    # harness chunks, and a second run_all draws it again; each check called
+    # alone draws for itself and gives the verdicts it gives in run_all
+    chunks = []
+    draw = il._simulate_window_batch
+
+    def record(alpha, L, M, gen):
+        chunks.append(M)
+        return draw(alpha, L, M, gen)
+
+    monkeypatch.setattr(il, "_simulate_window_batch", record)
+    runs = []
+    for _ in range(2):
+        runs.append(acceptance.run_all(SEED, 1)[0])
+        assert chunks == [65536, 34464]
+        chunks.clear()
+    assert runs[0] == runs[1]
+    alone = []
+    for check in (acceptance.check_01_vacant_window, acceptance.check_02_local_time_law):
+        alone += check(SEED, 1)
+        assert chunks == [65536, 34464]
+        chunks.clear()
+    assert alone == [v for v in runs[0] if v.name[:2] in ("01", "02")]
 
 
 def test_ring_vacant_first_order_correction():

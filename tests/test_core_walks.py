@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -302,6 +303,20 @@ class TestAbsorbBlockLaw:
     # with lo = 0 (site 1 steps up surely), and far starts with and without hi
     CASES = [(2, 12, 3, 9), (0, None, 1, 4), (10**6 - 3, None, 10**6 - 2, 5),
              (10**6 - 3, 10**6 + 4, 10**6 - 2, 6)]
+    #: sha256 of each case's laws at 1, 5, 12 and 32 steps, as the one-block
+    #: engine of the unbatched walk built them
+    CASES_SHA256 = [
+        "841c0b38caacc6dfd742f325fad5e63ce156bbfb62ac3c4498975699cdeb3108",
+        "88db09830a6f0d19d1233e54111bab7873deac0f3120eff9da308f97c078df9a",
+        "cac8e2f14e630bd8cf49f685770fa303b445ba9fc0f913a473e2ef883546a6de",
+        "3c72d84d5d0e8c4599ecf10e630d3ccc5c73bd7f50cb13abaeafbd4e969bd92e"]
+
+    @pytest.mark.parametrize("case,digest", zip(CASES, CASES_SHA256),
+                             ids=[str(case) for case in CASES])
+    def test_laws_keep_their_bits(self, case, digest):
+        lo, hi, first, count = case
+        laws = [cw._absorb_law(first, count, lo, hi, steps) for steps in (1, 5, 12, 32)]
+        assert hashlib.sha256(b"".join(law.tobytes() for law in laws)).hexdigest() == digest
 
     @pytest.mark.parametrize("steps", [1, 5, 12])
     @pytest.mark.parametrize("lo,hi,first,count", CASES)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -414,6 +415,25 @@ def _visit_law_exact(n, x0, t, site):
     return mass / mass.sum()
 
 
+#: sha256 of the one-block laws of test_batches_keep_the_one_block_bits, as
+#: the one-block engine of the unbatched walk built them
+BLOCK_LAW_SHA256 = {
+    3: "d3c70b61d0408d9a941c5330c9c1002a4771c88fc167fd7be95cbbde8a5919dc",
+    4: "0e2c37d1331b035d826900d1c4b0893306d6636b73ef8d37a949ea43348b51f9",
+    5: "bef47989653296aa8753df1b8650d842bad518909da5b7a8573f9d03e689721c",
+    6: "85ce9cf184d1b158957676f7d77eb079ded43c53aa21bc2c5e151a2d322ddd2b",
+    7: "c02f9b2771574eb3539c66600a6991fafef0c159f578b512578f1f577cf59013",
+    8: "500ce947e5c2f6d8186954356f091407687b538a4d6fd0fb96dac001074dbc26",
+    9: "6e07453da89565dfabc4381b3fb603792725817af48ecb621dd8d7f777b698bd",
+    10: "c513745c90b45ef7212e12c3674ad422aaca60371605276ed8827998cdf87164",
+    11: "f9a1fb3dd7222faf3531be08a9715dbe1c8e9c6a73ac9ba709d1e94d93c3a2a4",
+    12: "8ab00f1a31ca0b23f3ac3b64b6f661834a451542f8767ba0dce2c69d5df81c23",
+    40: "246c81d16a9551de7d698fc5a05f115591540ce4f3eee79f39f040adc6469129",
+    48: "a9b49e5d27287c9afa6d62b59c5030c0bf11902bfe9d27b4f80c4f3e8b07dd58",
+    80: "644d60187ef8641e250d12ae4842a652a17faf3c41579be6fe3cecf064fbd804",
+}
+
+
 class TestBlockLaw:
     """The block law behind the batch walk, and the walk's visit law."""
 
@@ -428,10 +448,11 @@ class TestBlockLaw:
         cases = [(1, (0, n)), (n - 1, (-2, n + 3)), (n // 2, (1, n - 1)),
                  (None, (2, n - 2)), (n // 2 + 1, None), (None, None)]
         for steps in (1, 5, 12):
-            for s0 in sorted({steps, max(steps, R - steps // 2), R + 3 + steps}):
-                for parity in (0, 1):
-                    for site, bounds in cases:
-                        law = rk._block_law(kernel, s0, steps, parity, site, bounds)
+            s0s = sorted({steps, max(steps, R - steps // 2), R + 3 + steps})
+            for parity in (0, 1):
+                for site, bounds in cases:
+                    laws = rk._block_law(kernel, s0s, steps, parity, site, bounds)
+                    for s0, law in zip(s0s, laws):
                         ref = _enumerated_block_law(kernel, s0, steps, parity,
                                                     site, bounds, law.shape)
                         k = rk._search_table(law)[1]
@@ -440,7 +461,7 @@ class TestBlockLaw:
     def test_shape_and_rows(self):
         kernel = rk.SurvivalKernel(12, 400)
         # arrivals 1..5 from even starts: site 3 can be met at times 1, 3, 5
-        law = rk._block_law(kernel, 400, 5, 0, 3, (2, 9))
+        law, = rk._block_law(kernel, [400], 5, 0, 3, (2, 9))
         assert law.shape == (7, 6, 4, 2)
         sums = law.sum(axis=(1, 2, 3))
         assert sums[0] == sums[6] == 0.0  # starts 0 and 12 are off the segment
@@ -448,7 +469,7 @@ class TestBlockLaw:
 
     def test_search_table(self):
         kernel = rk.SurvivalKernel(12, 400)
-        law = rk._block_law(kernel, 400, 12, 1, 5, (2, 9))
+        law, = rk._block_law(kernel, [400], 12, 1, 5, (2, 9))
         cdf, k, d, c, f = rk._search_table(law)
         rows = law.shape[0]
         kept = (law > 0).any(axis=0)
@@ -467,26 +488,66 @@ class TestBlockLaw:
             assert np.all(np.diff(cdf[r, :last]) >= 0)
 
     def test_one_settled_table_then_one_per_block(self, monkeypatch):
-        # blocks whose 32 steps all read the settled row R share one table;
-        # each later block builds its own when the walk reaches it
-        n = 12
-        t = 3 * rk._settled_steps(n) + 40
+        # blocks whose 32 steps all read the settled row R share one table,
+        # built first and once; every later block's law is built exactly
+        # once, in walk order, in runs of consecutive full blocks as long as
+        # the batch budget allows, and the short last block alone
+        block_law = rk._block_law
+        for n, x0, site, bounds in ((12, 6, 2, (1, 9)), (40, 20, None, (2, 39))):
+            t = 3 * rk._settled_steps(n) + 40
+            kernel = rk.SurvivalKernel(n, t)
+            R = len(kernel._log_z) - 1
+            runs = []
+
+            def record(kernel, s0s, steps, *args):
+                runs.append(([*s0s], steps))
+                return block_law(kernel, s0s, steps, *args)
+
+            monkeypatch.setattr(rk, "_block_law", record)
+            rk._ring_paths_batch(kernel, x0, t, 5, RngState(0).generator(), site, bounds)
+            monkeypatch.setattr(rk, "_block_law", block_law)
+            blocks = [(t - k0, min(rk._BLOCK, t - k0)) for k0 in range(0, t, rk._BLOCK)]
+            later = [(s0, steps) for s0, steps in blocks
+                     if s0 - steps + 1 < R or steps < rk._BLOCK]
+            assert [(s0, steps) for s0s, steps in runs for s0 in s0s] == [blocks[0]] + later
+            assert blocks[0] not in later and len(later) <= R // rk._BLOCK + 2
+            # every run holds the batch's blocks, or the full blocks left
+            batch = rk._batch_blocks(n, x0 % 2, site, bounds)
+            full = sum(steps == rk._BLOCK for _, steps in later)
+            assert [len(s0s) for s0s, _ in runs[1:]] == \
+                [min(batch, full - k) for k in range(0, full, batch)] + [1] * (t % rk._BLOCK > 0)
+            # and fits the budget, unless it is one block
+            law = block_law(kernel, [t], rk._BLOCK, x0 % 2, site, bounds)[0]
+            cells = rk._BLOCK * (rk._BLOCK - x0 % 2 + n + 1) + 4 * law.size
+            assert batch == 1 or batch * cells <= rk._BATCH_CELLS
+            assert 1 < batch <= 8 and (batch == 8 or (batch + 1) * cells > rk._BATCH_CELLS)
+
+    @pytest.mark.parametrize("n", sorted(BLOCK_LAW_SHA256))
+    def test_batches_keep_the_one_block_bits(self, n):
+        # ten consecutive full blocks from two past R down, the third across
+        # R: built one at a time, two at a time and the budget's batch at a
+        # time, both parities, with no mark, a visit and a contact; every law
+        # has the bits of a batch of one, and those of the unbatched engine
+        t = 3 * rk._settled_steps(n) + 40 if n <= 12 else rk.ring_time_scale(n, 1.0)
         kernel = rk.SurvivalKernel(n, t)
         R = len(kernel._log_z) - 1
-        built = []
-
-        def record(kernel, s0, steps, *args):
-            built.append((s0, steps))
-            return block_law(kernel, s0, steps, *args)
-
-        block_law = rk._block_law
-        monkeypatch.setattr(rk, "_block_law", record)
-        rk._ring_paths_batch(kernel, 6, t, 5, RngState(0).generator(), 2, (1, 9))
-        blocks = [(t - k0, min(rk._BLOCK, t - k0)) for k0 in range(0, t, rk._BLOCK)]
-        later = [(s0, steps) for s0, steps in blocks
-                 if s0 - steps + 1 < R or steps < rk._BLOCK]
-        assert built == [blocks[0]] + later
-        assert blocks[0] not in later and len(later) <= R // rk._BLOCK + 2
+        s0s = list(range(R + 2 * rk._BLOCK + 3, rk._BLOCK - 1, -rk._BLOCK))[:10]
+        digest = hashlib.sha256()
+        for parity in (0, 1):
+            for site, bounds in ((None, None), (max(1, n // 3), None), (None, (1, n - 2))):
+                one = [np.ascontiguousarray(
+                    rk._block_law(kernel, [s0], rk._BLOCK, parity, site, bounds)[0])
+                    for s0 in s0s]
+                for b in (2, rk._batch_blocks(n, parity, site, bounds)):
+                    for k in range(0, len(s0s), b):
+                        laws = rk._block_law(kernel, s0s[k:k + b], rk._BLOCK, parity,
+                                             site, bounds)
+                        assert len(laws) == len(one[k:k + b])
+                        for law, ref in zip(laws, one[k:k + b]):
+                            assert np.ascontiguousarray(law).tobytes() == ref.tobytes()
+                for law in one:
+                    digest.update(law.tobytes())
+        assert digest.hexdigest() == BLOCK_LAW_SHA256[n]
 
     def test_extreme_uniforms_take_outcomes_of_positive_mass(self):
         # u = 0 takes a block's first outcome of positive mass, never a
@@ -971,25 +1032,37 @@ class TestKernelMemoryGuard:
             tracemalloc.stop()
         return peak
 
+    @staticmethod
+    def _batch_bytes(kernel, law, visit_site, stay_in):
+        """Bytes of the walk's batch of block laws as the budget counts them:
+        _BATCH_CELLS, or one block's cells when one alone is over it."""
+        n = kernel.n
+        cells = rk._BLOCK * (rk._BLOCK + n + 1) + 4 * law.size
+        batch = rk._batch_blocks(n, 0, visit_site, stay_in)
+        assert batch * cells <= max(rk._BATCH_CELLS, cells)
+        return 8 * max(rk._BATCH_CELLS, cells)
+
     def test_walk_peak_memory_is_its_layout(self):
         # one walk allocates neither the (t + 1)(n + 1) step table (16.8 MB
-        # here) nor any O(n s*) copy of the kernel rows: it holds one block
-        # law with its step buffer, one search table, one block of up-step
-        # rows and its padded copy, and 42 bytes per walker
+        # here) nor any O(n s*) copy of the kernel rows: it holds one batch
+        # of block laws with their step buffer, up-step rows and search
+        # tables, within the batch budget, one block of up-step rows and its
+        # padded copy, and 42 bytes per walker
         n, M = 80, 16
         t = rk.ring_time_scale(n, 1.0)
         kernel = rk.SurvivalKernel(n, t)
-        law = rk._block_law(kernel, t, rk._BLOCK, 0, 2, (2, n - 1))
+        law, = rk._block_law(kernel, [t], rk._BLOCK, 0, 2, (2, n - 1))
         table = rk._search_table(law)[0]
         rows = 2 * 8 * rk._BLOCK * (n + 1 + rk._BLOCK)
         peak = self._walk_peak(kernel, M, 2, (2, n - 1))
-        assert table.nbytes <= peak <= 2 * (law.nbytes + table.nbytes) + rows + 64 * M
+        budget = self._batch_bytes(kernel, law, 2, (2, n - 1))
+        assert table.nbytes <= peak <= budget + rows + 64 * M
         assert peak < kernel._table.nbytes
 
     def test_stay_in_walk_peak_memory(self, monkeypatch):
-        # the n = 80 vacant-set walk of the benchmark: at most two search
-        # tables' worth of block law and table, one block of up-step rows
-        # and its padded copy, and O(M)
+        # the n = 80 vacant-set walk of the benchmark: one batch of block
+        # laws and search tables within the batch budget, one block of
+        # up-step rows and its padded copy, and O(M)
         def no_step_table(self):
             raise AssertionError("the walk must not build the step table")
 
@@ -997,12 +1070,14 @@ class TestKernelMemoryGuard:
         n, M = 80, 4000
         t = rk.ring_time_scale(n, 1.0)
         kernel = rk.SurvivalKernel(n, t)
-        law = rk._block_law(kernel, t, rk._BLOCK, 0, None, (2, n - 1))
+        law, = rk._block_law(kernel, [t], rk._BLOCK, 0, None, (2, n - 1))
         table = rk._search_table(law)[0]
         assert law.nbytes <= table.nbytes == 8 * (n // 2 + 1) * 128
         rows = 2 * 8 * rk._BLOCK * (n + 1 + rk._BLOCK)
         peak = self._walk_peak(kernel, M, None, (2, n - 1))
-        assert table.nbytes <= peak <= 2 * table.nbytes + rows + 64 * M
+        budget = self._batch_bytes(kernel, law, None, (2, n - 1))
+        assert table.nbytes <= peak <= budget + rows + 64 * M
+        assert peak < kernel._table.nbytes
 
 
 def _settled_reference(n):
