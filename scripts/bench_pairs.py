@@ -21,6 +21,8 @@ Run from the root of a checkout. The committed files came from::
     python3 scripts/bench_pairs.py --parent-rev 65f9388 --claim sampling-scale \\
         --seed0 1141 --sweep ring_walk --sweep absorb --sweep window \\
         --out BENCH_block_batches.json
+    python3 scripts/bench_pairs.py --parent-rev 38147e3 --claim selftest \\
+        --seed0 1171 --out BENCH_no_scipy.json
 
 (the files before BENCH_walk_rows.json ran one pair per sweep case;
 BENCH_window_chain.json claims no gain: there --claim only picks the workload

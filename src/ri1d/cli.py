@@ -4,9 +4,10 @@ Each subcommand only computes: it fills the values, tables and verdicts of
 one run. :func:`main` records the run. It prints every value with 12
 significant digits and every verdict line, and with --out also writes one
 JSON object: the command, its inputs (the parsed arguments), the version,
-seed and wall time, the environment (Python, numpy and scipy versions, CPU
-count, and the resolved worker count of a harness command, else null), and
-the values, tables and verdicts.
+seed and wall time, the environment (Python and numpy versions, the scipy
+version read from package metadata or null, CPU count, and the resolved
+worker count of a harness command, else null), and the values, tables and
+verdicts.
 
 The samplers and the harness commands take --seed. Only the four commands
 that run the replicate harness take --workers: sample-localtime,
@@ -26,7 +27,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 from . import __version__, acceptance
 from . import core_walks as cw
@@ -54,12 +54,22 @@ def _json_scalar(obj):
 
 
 def _environment(args) -> dict:
-    """Versions, CPU count and the harness worker count (None off the harness)."""
+    """Versions, CPU count and the harness worker count (None off the harness).
+
+    scipy's version is read from its package metadata, None when scipy is
+    absent: the program does not use scipy, and reading the metadata does
+    not import it.
+    """
+    import importlib.metadata  # paid only by a run that writes its record
+    try:
+        scipy_version = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy_version = None
     workers = None
     if hasattr(args, "workers"):
         workers = default_workers() if args.workers is None else args.workers
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+            "scipy": scipy_version, "cpu_count": os.cpu_count(),
             "workers": workers}
 
 

@@ -4,18 +4,19 @@ Replicates are drawn in fixed-size chunks, each chunk on its own RNG stream,
 and merged in chunk order, so results are bit-identical across worker counts
 and scheduling. Comparators: empirical moments and pmf, total-variation
 distance against exact pmfs, and a Kolmogorov-Smirnov distance to the
-standard normal (used as a distance with fixed thresholds, not a p-value).
+standard normal, whose CDF comes from math.erfc (used as a distance with
+fixed thresholds, not a p-value).
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .rngs import RngState
 
@@ -145,13 +146,28 @@ def tv_distance(emp, ref) -> float:
     return 0.5 * (float(np.abs(p - q).sum()) + slack)
 
 
+def _normal_cdf_sorted(z: np.ndarray) -> np.ndarray:
+    """Standard normal CDF 0.5 erfc(-z/sqrt 2) of a sorted array.
+
+    Each run of equal values is evaluated once, through math.erfc, and the
+    values are spread back over their runs: standardized local times repeat
+    (1e6 of them at x = 400 hold about 87,000 distinct values).
+    """
+    start = np.empty(len(z), dtype=bool)
+    start[:1] = True
+    np.not_equal(z[1:], z[:-1], out=start[1:])
+    u = (-z[start] / math.sqrt(2.0)).tolist()
+    phi = 0.5 * np.fromiter(map(math.erfc, u), dtype=np.float64, count=len(u))
+    return phi[np.cumsum(start) - 1]
+
+
 def ks_distance_to_normal(sample: np.ndarray) -> float:
     """Sup distance between the empirical CDF and the standard normal CDF."""
     z = np.sort(np.asarray(sample, dtype=np.float64))
     m = len(z)
     if m < 100:
         raise ValueError(f"need at least 100 points for KS, got {m}")
-    phi = ndtr(z)
+    phi = _normal_cdf_sorted(z)
     upper = np.arange(1, m + 1) / m - phi
     lower = phi - np.arange(0, m) / m
     return float(max(upper.max(), lower.max()))

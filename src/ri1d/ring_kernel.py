@@ -9,7 +9,8 @@ from the all-ones vector it gives h_n(x,t) = P_x[tau_{0,n} > t] (:func:`h_dp`
 and the :class:`SurvivalKernel` table); run forward from a point mass it
 gives the first-leg law behind the no-hit and mid-tail checks.
 Point values also have closed forms: the odd-mode spectral sum in signed log
-domain, read only through :func:`_log_h`, and the first-mode asymptotic
+domain (summed by :func:`_logsumexp`, a numpy port of scipy's log-sum-exp),
+read only through :func:`_log_h`, and the first-mode asymptotic
 (4/pi) cos^t(pi/n) sin(pi x/n), valid once t >= (4/pi^2) n^2 ln n. The pi/4
 value of :func:`verify_pi4` needs no propagation: sin(pi x/n) is an
 eigenvector of the killed walk. The :class:`SurvivalKernel` table stops at
@@ -39,7 +40,6 @@ import os
 import warnings
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .config import in_cond_regime
 from .core_walks import (_BLOCK, WalkPath, _block_recursion, _search, _search_table,
@@ -60,6 +60,41 @@ def _check_domain(n: int, x: int, t: int) -> None:
         raise ValueError(f"need 0 <= x <= n, got x={x}, n={n}")
     if t < 0:
         raise ValueError(f"need t >= 0, got {t}")
+
+
+def _logsumexp(a, b=None, axis=-1, return_sign=False):
+    """log|sum b e^a| along axis, and with return_sign its sign (0 for 0).
+
+    The algorithm of scipy 1.17.1's ``scipy.special.logsumexp`` for real
+    input (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41(4), 2021),
+    with the same bits: every element tied at the maximum is split out with
+    weight m, the rest is summed shifted and scaled to s, and the result is
+    log1p(s) + log|m| + max. Where that is not finite (an all-zero sum, an
+    empty one, infinite terms) the direct log|sum b e^a| stands, so an
+    all-zero sum gives (-inf, 0). Without return_sign a negative sum gives
+    nan.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.ones_like(a) if b is None else np.asarray(b, dtype=np.float64)
+    a, b = np.broadcast_arrays(a, b)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        direct = np.sum(b * np.exp(a), axis=axis, keepdims=True)
+        a = np.where(b == 0, -np.inf, a)
+        a_max = np.max(a, axis=axis, keepdims=True, initial=-np.inf)
+        tied = a == a_max
+        m = np.sum(b * tied, axis=axis, keepdims=True)
+        s = np.sum(b * np.exp(np.where(tied, -np.inf, a) - a_max), axis=axis,
+                   keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        sign = np.sign(s + 1) * np.sign(m)
+        s = np.where(s < -1, -s - 2, s)
+        out = np.log1p(s) + np.log(np.abs(m)) + a_max
+        finite = np.isfinite(out)
+        out = np.where(finite, out, np.log(np.abs(direct)))
+        sign = np.where(finite, sign, np.sign(direct))
+    if not return_sign:
+        return np.squeeze(np.where(sign < 0, np.nan, out), axis=axis)[()]
+    return np.squeeze(out, axis=axis)[()], np.squeeze(sign, axis=axis)[()]
 
 
 def _spectral_log_terms(n: int, x, t):
@@ -106,7 +141,7 @@ def h_spectral_log(n: int, x, t):
     those of x (:func:`_spectral_log_terms`).
     """
     log_abs, sign = _spectral_log_terms(n, x, t)
-    return logsumexp(log_abs, b=sign, axis=-1, return_sign=True)
+    return _logsumexp(log_abs, b=sign, return_sign=True)
 
 
 def _log_h(n: int, x, t: int):
@@ -616,7 +651,7 @@ def _first_leg_prob(n: int, x0: int, t: int, delta: int, kill: int) -> float:
     for v, log_z in _killed_steps(v, delta, (kill,)):
         pass
     sites = np.flatnonzero(v)  # none once everything is dead: log_num = -inf
-    log_num = logsumexp(np.log(v[sites]) + _log_h(n, sites, t - delta))
+    log_num = _logsumexp(np.log(v[sites]) + _log_h(n, sites, t - delta))
     return math.exp(log_z + float(log_num) - _log_h(n, x0, t))
 
 

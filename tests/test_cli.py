@@ -1,4 +1,6 @@
+import argparse
 import functools
+import importlib.metadata
 import json
 import math
 import os
@@ -332,3 +334,50 @@ class TestModuleRun:
 
     def test_unknown_command_exits_2(self):
         assert self.run_module("no-such-command").returncode == 2
+
+
+class TestNoScipy:
+    """The program runs, and records its environment, with scipy unimportable."""
+
+    @staticmethod
+    def run_python(code):
+        """Run code in a fresh interpreter; its last output line, as JSON."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_selftest_with_scipy_blocked(self, tmp_path):
+        # None in sys.modules makes every import of scipy raise ImportError
+        out = str(tmp_path / "r.json")
+        code = "\n".join([
+            "import importlib, json, pkgutil, sys",
+            "sys.modules['scipy'] = None",
+            "import ri1d",
+            "for info in pkgutil.iter_modules(ri1d.__path__):",
+            "    importlib.import_module('ri1d.' + info.name)",
+            "from ri1d import cli",
+            f"print(json.dumps(cli.main(['selftest', '--seed', '7', '--out', {out!r}])))",
+        ])
+        assert self.run_python(code) == 0
+        doc = json.loads(Path(out).read_text())
+        assert [v["passed"] for v in doc["verdicts"]] == [True] * 26
+        assert "scipy" in doc["environment"]
+
+    def test_cli_import_leaves_scipy_out(self):
+        assert self.run_python(
+            "import json, sys, ri1d.cli; print(json.dumps('scipy' in sys.modules))"
+        ) is False
+
+    def test_environment_without_scipy(self, monkeypatch):
+        def not_found(name):
+            raise importlib.metadata.PackageNotFoundError(name)
+
+        monkeypatch.setattr(importlib.metadata, "version", not_found)
+        env = cli._environment(argparse.Namespace())
+        assert env["scipy"] is None
+        assert set(env) == {"python", "numpy", "scipy", "cpu_count", "workers"}

@@ -677,6 +677,38 @@ class TestVacantRing:
         assert abs(est - exact) <= 4 * math.sqrt(exact * (1 - exact) / M)
 
 
+class TestVacantRatioLevels:
+    """n log r_n of the vacant set [-1, 2] tends to -27 alpha / 4 at every level.
+
+    r_n is the exact ring vacant probability at x0 = n/2, averaged over the
+    horizons t and t + 1 (t = ring_time_scale(n, alpha)) to cancel the
+    parity mode, over its limit e^{-3 alpha/2}. The Richardson steps
+    R_n = 2 r_{2n} - r_n at n = 80, 160, 320 measured, as gaps to the limit:
+    alpha = 1/4: 3.6e-3, 1.1e-3, 2.2e-4; alpha = 1: 1.5e-2, 2.6e-3, 7.7e-4;
+    alpha = 4: 4.5e-2, 1.2e-2, 3.0e-3. That is a positive O(n^-2) residual:
+    each doubling divides it by 3.4 to 5.7, and the last gap is 1.10e-4 to
+    1.31e-4 of the limit. The bands admit ratios in (2.8, 8), which rejects
+    an O(1/n) residual (ratio 2), and a last gap below 2.5e-4 of the limit.
+    """
+
+    @staticmethod
+    def richardson_gaps(alpha):
+        r = {}
+        for n in (80, 160, 320, 640):
+            t = rk.ring_time_scale(n, alpha)
+            p = 0.5 * (rk.vacant_prob_ring_exact(n, t, n // 2, 1, 2)
+                       + rk.vacant_prob_ring_exact(n, t + 1, n // 2, 1, 2))
+            r[n] = n * (math.log(p) + 1.5 * alpha)
+        return [2 * r[2 * n] - r[n] + 27 * alpha / 4 for n in (80, 160, 320)]
+
+    @pytest.mark.parametrize("alpha", [0.25, 1.0, 4.0])
+    def test_richardson_steps_approach_the_limit(self, alpha):
+        gaps = self.richardson_gaps(alpha)
+        assert all(g > 0 for g in gaps)
+        assert all(2.8 < g / g_next < 8 for g, g_next in zip(gaps, gaps[1:]))
+        assert gaps[-1] < 2.5e-4 * (27 * alpha / 4)
+
+
 class TestRingLocalTime:
     def test_determinism(self):
         a = rk.ring_local_time_batch(6, 1.0, 2, 5, RngState(8, 4).generator())

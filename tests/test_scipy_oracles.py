@@ -1,0 +1,94 @@
+"""The numpy log-sum and normal CDF of ``src/`` against scipy as an oracle.
+
+The program does not depend on scipy; these tests skip without it.
+"""
+
+import numpy as np
+import pytest
+
+special = pytest.importorskip("scipy.special", exc_type=ImportError)
+
+from ri1d import acceptance
+from ri1d import interlacements as il
+from ri1d import mc
+from ri1d import ring_kernel as rk
+from ri1d.rngs import RngState
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("n", [*range(2, 41), 80, 97, 160, 400])
+    def test_spectral_terms_match_scipy(self, n):
+        # every x, including the killed sites whose terms all have sign 0;
+        # t < 60 (at t = 0 the cos = 0 mode carries weight), and a few
+        # horizons up to 10 n^3
+        xs = np.arange(n + 1)
+        ts = np.concatenate([np.arange(60), [n * n, 3 * n * n + 1, n**3, 10 * n**3]])
+        for chunk in np.array_split(ts, max(1, len(ts) * n * n // 400_000)):
+            log_abs, sign = rk._spectral_log_terms(n, xs, chunk)
+            out, sgn = rk._logsumexp(log_abs, b=sign, return_sign=True)
+            ref, ref_sgn = special.logsumexp(log_abs, b=sign, axis=-1,
+                                             return_sign=True)
+            assert _same_bits(out, ref) and _same_bits(sgn, ref_sgn)
+
+    def test_unsigned_random_inputs_match_scipy(self):
+        rng = np.random.default_rng(11)
+        for shape in ((1,), (2,), (7,), (1000,), (13, 40), (3, 5, 257)):
+            for spread in (1e-3, 1.0, 30.0, 800.0):
+                a = spread * rng.standard_normal(shape)
+                a[rng.random(shape) < 0.1] = -np.inf
+                assert _same_bits(rk._logsumexp(a),
+                                  special.logsumexp(a, axis=-1))
+                b = rng.random(shape)
+                assert _same_bits(rk._logsumexp(a, b=b),
+                                  special.logsumexp(a, b=b, axis=-1))
+
+    def test_edge_cases_match_scipy(self):
+        inf = np.inf
+        signed = [
+            ([1.0, 1.0, 0.5], [1.0, 1.0, 1.0]),  # two ties at the maximum
+            ([1.0, 1.0, 0.5], [1.0, -1.0, 1.0]),  # tied weights cancel
+            ([2.0, 2.0, 2.0, -1.0], [-1.0, -1.0, 1.0, 1.0]),  # negative sum
+            ([0.0, 0.0], [1.0, -1.0]),  # an exact zero
+            ([0.3, -4.0, 7.0], [0.0, 0.0, 0.0]),  # an all-zero sign row
+            ([-inf, -inf], [1.0, -1.0]),  # all -inf
+            ([5.0, -inf, 5.0], [0.0, 1.0, 1.0]),  # a zero weight at the max
+            ([inf, 0.0, np.nan], [0.0, 1.0, 0.0]),  # zero weights on inf, nan
+        ]
+        for a, b in signed:
+            out, sgn = rk._logsumexp(np.array(a), b=np.array(b), return_sign=True)
+            ref, ref_sgn = special.logsumexp(a, b=b, return_sign=True)
+            assert _same_bits(out, ref) and _same_bits(sgn, ref_sgn), (a, b)
+        assert rk._logsumexp(np.zeros(3), b=np.zeros(3), return_sign=True) == \
+            (-inf, 0.0)
+        for a in ([-inf, -inf, -inf], [4.0, 4.0, 4.0], [], [-inf]):
+            a = np.array(a)
+            assert _same_bits(rk._logsumexp(a), special.logsumexp(a))
+        assert rk._logsumexp(np.array([])) == -inf
+
+
+class TestNormalCdf:
+    @pytest.mark.parametrize("M", [10**5, 10**6])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_ks_matches_ndtr_reference(self, M, seed):
+        # math.erfc and ndtr differ by at most one unit in the last place of
+        # values in [1/2, 1) (2^-52); the statistic moved by 1.1e-16 at some
+        # draws, so it is pinned within 1e-15, not bit for bit
+        sample = il.sample_local_times(400, 1.0, M, RngState(seed).generator())
+        z = np.sort(il.standardize_local_time(sample, 400, 1.0))
+        ref_cdf = special.ndtr(z)
+        assert np.abs(mc._normal_cdf_sorted(z) - ref_cdf).max() <= 2.0**-52
+        ref = max((np.arange(1, M + 1) / M - ref_cdf).max(),
+                  (ref_cdf - np.arange(M) / M).max())
+        assert abs(mc.ks_distance_to_normal(z) - ref) <= 1e-15
+
+    def test_check_04_keeps_its_bits(self):
+        # the statistic of check 04 when its normal CDF was scipy's ndtr
+        expected = {7: "0x1.19595341974a0p-7", 8: "0x1.6c68d57d76700p-7"}
+        for seed, bits in expected.items():
+            [verdict] = acceptance.check_04_clt(seed, 1)
+            assert verdict.statistic.hex() == bits
