@@ -23,6 +23,9 @@ Run from the root of a checkout. The committed files came from::
         --out BENCH_block_batches.json
     python3 scripts/bench_pairs.py --parent-rev 38147e3 --claim selftest \\
         --seed0 1171 --out BENCH_no_scipy.json
+    python3 scripts/bench_pairs.py --parent-rev bb8a1b8 --claim sampling-scale \\
+        --seed0 1201 --sweep ring_walk --sweep absorb --sweep search \\
+        --out BENCH_guide_search.json
 
 (the files before BENCH_walk_rows.json ran one pair per sweep case;
 BENCH_window_chain.json claims no gain: there --claim only picks the workload
@@ -62,7 +65,13 @@ seed0 + i. The output holds:
   - ``absorb``: the median of ABSORB_REPEATS runs of each absorbing walk of
     ABSORB_CASES, in ns per walker-step (the expected number of steps the
     walkers take before absorption or the horizon, from the exact law),
-    with a hash of the outputs.
+    with a hash of the outputs;
+  - ``search``: ``_search`` alone on the block-walk tables of SEARCH_TABLES
+    (check 08's settled block and a block before it, the n = 80 vacant
+    walk's, check 07b's, and check 13's absorbing table), M walkers spread
+    evenly over the rows with mass, at the sizes of SEARCH_CASES: the median
+    of SEARCH_REPEATS calls in ns per walker and of as many table builds,
+    with a hash of the outcomes.
 """
 
 from __future__ import annotations
@@ -84,7 +93,8 @@ OTHER_PAIRS = 5
 METRICS = ("wall_s", "setup_s", "peak_rss_mb", "pass_ratio", "ops")
 LOWER_IS_BETTER = ("wall_s", "setup_s", "peak_rss_mb")
 SWEEP_PAIRS = 5
-TIMINGS = ("build_s", "s", "ns_per_walker_step", "ns_per_step", "ns_per_replicate")
+TIMINGS = ("build_s", "s", "ns_per_walker_step", "ns_per_step", "ns_per_replicate",
+           "ns_per_walker")
 
 BUILD_CASES = ((40, 1.0), (80, 1.0), (160, 1.0), (400, 1.0), (400, 0.1))
 BUILD_REPEATS = 3
@@ -252,6 +262,57 @@ print(json.dumps({"walker_steps": M * per_walker, "s": statistics.median(times),
 """
 
 
+#: (name, M): _search alone on the tables of the block walks, at the walker
+#: counts of the n = 80 vacant walk, check 07b's chunk and one full chunk
+SEARCH_TABLES = ("08 settled", "08 block", "vacant n80", "07b", "absorb")
+SEARCH_CASES = tuple((name, M) for name in SEARCH_TABLES for M in (4000, 20000, 65536))
+SEARCH_REPEATS = 21
+SEARCH_SNIPPET = """
+import hashlib, json, statistics, sys, time
+import numpy as np
+sys.path.insert(0, "src")
+from ri1d import core_walks as cw
+from ri1d import ring_kernel as rk
+from ri1d.rngs import RngState
+name, M, reps = json.loads(sys.argv[1])
+if name == "absorb":
+    # check 13's hit-before walk: absorbed at 2 and 12
+    law = cw._absorb_law(3, 9, 2, 12, cw._BLOCK)
+else:
+    # (n, s0, visit site, bounds); s0 None is the settled block
+    n, s0, site, bounds = {"08 settled": (48, None, 2, None),
+                           "08 block": (48, 1000, 2, None),
+                           "vacant n80": (80, 3000, None, (2, 79)),
+                           "07b": (40, 700, None, (2, 39))}[name]
+    kernel = rk.SurvivalKernel(n, rk.ring_time_scale(n, 1.0))
+    s0 = len(kernel._log_z) - 1 + cw._BLOCK if s0 is None else s0
+    law, = rk._block_law(kernel, [s0], cw._BLOCK, 0, site, bounds)
+builds = []
+for _ in range(reps):
+    start = time.perf_counter()
+    table = cw._search_table(law)
+    builds.append(time.perf_counter() - start)
+# the table's head before its law.ndim - 1 outcome coordinates: what _search
+# takes, with or without a guide
+head = table[:len(table) - (law.ndim - 1)]
+gen = RngState(2203).generator()
+# walkers spread evenly over the rows with mass
+live = np.flatnonzero(law.reshape(len(law), -1).sum(axis=1) > 0)
+rows = gen.choice(live, M).astype(np.intp)
+pos, thr, bit = np.empty(M, dtype=np.intp), np.empty(M), np.empty(M, dtype=np.intp)
+times, digest = [], hashlib.sha256()
+for _ in range(reps):
+    u = gen.random(M)
+    start = time.perf_counter()
+    cw._search(*head, rows, u, pos, thr, bit)
+    times.append(time.perf_counter() - start)
+    digest.update(pos.tobytes())
+print(json.dumps({"K": head[-1], "rows": len(law), "build_s": statistics.median(builds),
+                  "s": statistics.median(times),
+                  "ns_per_walker": 1e9 * statistics.median(times) / M,
+                  "outputs_sha256": digest.hexdigest()}))
+"""
+
 def run_bench(tree: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", "20", "--trace", "0"]
@@ -353,8 +414,14 @@ def absorb_walks(trees: dict) -> list[dict]:
                   for name, args in ABSORB_CASES])
 
 
+def searches(trees: dict) -> list[dict]:
+    return sweep(trees, SEARCH_SNIPPET,
+                 [({"table": name, "M": M}, [json.dumps([name, M, SEARCH_REPEATS])])
+                  for name, M in SEARCH_CASES])
+
+
 SWEEPS = {"kernel_build": kernel_builds, "window": windows, "ring_walk": ring_walks,
-          "ring_path": ring_paths, "absorb": absorb_walks}
+          "ring_path": ring_paths, "absorb": absorb_walks, "search": searches}
 
 
 def main() -> int:

@@ -8,8 +8,9 @@ brute-force enumeration oracle for it. Its Monte Carlo estimators run the
 walk absorbed at one or two sites in blocks of 32 steps, each walker's block
 drawn by inverse CDF from the block's exact law. The forward recursion that
 builds block laws, one block or a batch of blocks at once, the inverse-CDF
-table and its binary search also serve the block walk of the conditioned
-ring walk.
+table and its search (a guide table that places most walkers with one
+probe, and a binary search for the rest) also serve the block walk of the
+conditioned ring walk.
 """
 
 from __future__ import annotations
@@ -203,7 +204,7 @@ _BLOCK = 32
 
 
 def _search_table(law: np.ndarray):
-    """Inverse-CDF table of a block law law[r, ...]: (cdf, K, *coords).
+    """Inverse-CDF table of a block law law[r, ...]: (cdf, guide, K, *coords).
 
     The outcomes kept are the cells of law[r] of positive mass in some row,
     in law's order; K is the least power of two that holds them and coords
@@ -212,6 +213,17 @@ def _search_table(law: np.ndarray):
     with +inf from its last outcome of positive mass on: the first entry
     above a uniform u is an outcome of positive mass, and u < 1 never passes
     the row's end.
+
+    The guide (the cutpoint method; Devroye 1986, Non-Uniform Random
+    Variate Generation, III.2.4) cuts [0, 1) into K bins per row:
+    guide[r*K + b] = r*K + #{i : cdf[r, i] <= b/K}, the flat index of the
+    first running sum of row r above b/K. Running sum i of row r is at most
+    b/K in the bins b >= ceil(K cdf[r, i]) (K is a power of two, so K cdf
+    and its ceiling are exact). So one bincount of the flat slots r*K +
+    min(ceil(K cdf), K) and one running sum over the whole table give the
+    guide: each row's count includes the K entries of every row before it,
+    and slot r*K + K, a sum above every bin of row r, is the first bin of
+    row r + 1.
     """
     kept = np.nonzero((law > 0).any(axis=0))
     size = len(kept[0])
@@ -223,31 +235,50 @@ def _search_table(law: np.ndarray):
     last = np.where(live.any(axis=1), size - 1 - np.argmax(live[:, ::-1], axis=1), 0)
     np.cumsum(body, axis=1, out=body)
     cdf[np.arange(k) >= last[:, None]] = np.inf
+    slots = np.minimum(np.ceil(cdf * k), k).astype(np.intp)
+    slots += k * np.arange(len(cdf))[:, None]
+    guide = np.bincount(slots.ravel(), minlength=cdf.size + 1)
+    np.cumsum(guide, out=guide)
     coords = [np.zeros(k, dtype=np.intp) for _ in kept]
     for dst, src in zip(coords, kept):
         dst[:size] = src
-    return (cdf.ravel(), k, *coords)
+    return (cdf.ravel(), guide[:cdf.size], k, *coords)
 
 
-def _search(cdf: np.ndarray, k: int, row: np.ndarray, u: np.ndarray,
+def _search(cdf: np.ndarray, guide: np.ndarray, k: int, row: np.ndarray, u: np.ndarray,
             pos: np.ndarray, thr: np.ndarray, bit: np.ndarray) -> np.ndarray:
     """Outcome of each walker's uniform u in its row of a :func:`_search_table`.
 
-    A fixed-depth binary search for the first running sum above u: each of
-    the log2 K levels is one gather, one compare, one shift and one add.
-    Writes the outcome's index in the kept outcomes to pos (which may be
-    row) and returns it; thr and bit are scratch arrays of the same length.
+    The outcome is the first running sum above u. The guide's bin
+    floor(u K) of the walker's row (exact: K is a power of two) holds the
+    first running sum above the bin's left edge, which is at most u, so no
+    sum before it is above u: when it is itself above u, it is the outcome,
+    found with one gather and one compare. The walkers whose guided sum is
+    at most u (2 to 14 per cent in the walks' tables) go on to a fixed-depth
+    binary search over their row: each of the log2 K levels is one gather,
+    one compare, one shift and one add. Either way the outcome is the one
+    the binary search alone finds. Writes the outcome's index in the kept
+    outcomes to pos (which may be row) and returns it; thr and bit are
+    scratch arrays of the same length.
     """
+    # u >= 0, so the cast to an integer is the floor; u K is exact
+    np.multiply(u, k, out=bit, casting="unsafe")
     np.left_shift(row, k.bit_length() - 1, out=pos)
-    h = k >> 1
-    while h:
-        # pos stays in its row, so mode="clip" never clips; it skips the
-        # bounds check
-        cdf[h - 1:].take(pos, out=thr, mode="clip")
-        np.less_equal(thr, u, out=bit)
-        np.left_shift(bit, h.bit_length() - 1, out=bit)
-        pos += bit
-        h >>= 1
+    bit += pos
+    # the bin is in its row, so mode="clip" never clips; it skips the
+    # bounds check
+    guide.take(bit, out=pos, mode="clip")
+    cdf.take(pos, out=thr, mode="clip")
+    miss = np.flatnonzero(thr <= u)
+    if miss.size:
+        at, v = pos[miss], u[miss]
+        np.bitwise_and(at, -k, out=at)  # the row's first entry
+        h = k >> 1
+        while h:
+            step = cdf[h - 1:].take(at, mode="clip") <= v
+            at += step.astype(np.intp) << (h.bit_length() - 1)
+            h >>= 1
+        pos[miss] = at
     np.bitwise_and(pos, k - 1, out=pos)
     return pos
 
@@ -366,12 +397,13 @@ def _absorb(gen: np.random.Generator, pos: np.ndarray, lo: int, hi: int | None,
     block each active walker draws one uniform, in walker order, and takes
     its block outcome (absorbed at lo, still active with j up-steps, or
     absorbed at hi) from the block's exact law (:func:`_absorb_law`) by
-    inverse CDF (:func:`_search`). The law's rows cover every site from the
-    lowest walker to the highest, with a margin on each side of at least the
-    block and the old rows' span: when a walker leaves them, they are rebuilt
-    around the walkers. So memory is O(M + K x (highest - lowest + margin)),
-    independent of hi and of how far from lo the walkers start, but starts
-    spread far apart pay a row for every site between them.
+    inverse CDF: the table's guide, and a binary search for the walkers it
+    does not place (:func:`_search`). The law's rows cover every site from
+    the lowest walker to the highest, with a margin on each side of at least
+    the block and the old rows' span: when a walker leaves them, they are
+    rebuilt around the walkers. So memory is O(M + K x (highest - lowest +
+    margin)), independent of hi and of how far from lo the walkers start,
+    but starts spread far apart pay a row for every site between them.
 
     Raises ValueError if a start is not strictly inside (lo, hi).
     """
@@ -395,12 +427,13 @@ def _absorb(gen: np.random.Generator, pos: np.ndarray, lo: int, hi: int | None,
             base, top = max(lo + 1, low - pad), high + pad
             if hi is not None:
                 top = min(top, hi - 1)
-            cdf = outcome = None  # free the last table before the next
-            cdf, k, outcome = _search_table(_absorb_law(base, top - base + 1, lo, hi, steps))
+            cdf = guide = outcome = None  # free the last table before the next
+            cdf, guide, k, outcome = _search_table(
+                _absorb_law(base, top - base + 1, lo, hi, steps))
             table_steps = steps
         gen.random(out=u[:m])
         np.subtract(p, base, out=idx[:m])
-        _search(cdf, k, idx[:m], u[:m], idx[:m], thr[:m], bit[:m])
+        _search(cdf, guide, k, idx[:m], u[:m], idx[:m], thr[:m], bit[:m])
         o = outcome.take(idx[:m], out=bit[:m], mode="clip")
         p += o  # p - steps + 2j for the walkers still active
         p += o

@@ -26,7 +26,8 @@ path sampler draws one uniform per step and compares it with the row of
 its step. The batch walk behind the vacant-set and local-time samplers
 draws one uniform per walker per block and inverts it against the block's
 exact joint law of up-steps, visits to a site and contact with an
-interval's bounds, a table built by the block recursion of
+interval's bounds (a guide table first, a binary search for the walkers it
+does not place), a table built by the block recursion of
 :mod:`ri1d.core_walks` that the absorbing walk also runs: once for all
 settled blocks, and for the blocks after them in runs of up to 8
 consecutive blocks per recursion, one run alive at a time within a budget
@@ -464,7 +465,7 @@ def sample_ring_path(n: int, t_total: int, x0: int, rng: RngState) -> WalkPath:
 
 #: Cells (8-byte words) one batch of _block_law may hold in _ring_paths_batch:
 #: its blocks' up-step rows, recursion masses and step buffers, and search
-#: tables (:func:`_batch_blocks`). 2 MiB.
+#: tables with their guides (:func:`_batch_blocks`). 2 MiB.
 _BATCH_CELLS = 1 << 18
 
 
@@ -472,14 +473,15 @@ def _batch_blocks(n: int, parity: int, visit_site: int | None,
                   stay_in: tuple[int, int] | None) -> int:
     """Full blocks per batch of :func:`_block_law`: 1 to 8, within _BATCH_CELLS.
 
-    One block of the batch holds its rows of up-steps and four times its
-    law's cells: the recursion's mass, its step buffer, and the search table,
-    whose width is at most twice the law's outcomes.
+    One block of the batch holds its rows of up-steps and six times its
+    law's cells: the recursion's mass, its step buffer, and the search
+    table's running sums and guide, each at most twice the law's outcomes
+    wide.
     """
     law = (_visit_slots(parity, 2, _BLOCK, visit_site) * (2 if stay_in else 1)
            * (n // 2 + 1) * (_BLOCK + 1))
     up = _BLOCK * (_BLOCK - parity + n + 1)
-    return min(8, max(1, _BATCH_CELLS // (up + 4 * law)))
+    return min(8, max(1, _BATCH_CELLS // (up + 6 * law)))
 
 
 def _block_law(kernel: SurvivalKernel, s0s, steps: int, parity: int,
@@ -524,10 +526,13 @@ def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
     draws one uniform, in walker order, and takes its block outcome (up-step
     count, visits, whether it sat on a bound) from the block's exact joint
     law (:func:`_block_law`) by inverse CDF. Blocks start on the parity of
-    x0, so a walker is its row r = x // 2 in the law. The search is the
-    fixed-depth binary search of :func:`~ri1d.core_walks._search` over the
-    row's running sums (:func:`~ri1d.core_walks._search_table`), which the
-    absorbing walk of :mod:`ri1d.core_walks` shares.
+    x0, so a walker is its row r = x // 2 in the law. The search,
+    :func:`~ri1d.core_walks._search` over the row's running sums
+    (:func:`~ri1d.core_walks._search_table`), reads the table's guide and
+    places most walkers with one gather and one compare; the rest take a
+    fixed-depth binary search over their row. The absorbing walk of
+    :mod:`ri1d.core_walks` shares both. Each table carries its up-step
+    counts as the row's move, d - steps // 2.
 
     Blocks whose every step reads the settled row share one table, built
     once; the others come after them. The walk builds their tables when it
@@ -553,31 +558,37 @@ def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
     keep = np.empty(M, dtype=bool)
     settled = None
     run = []  # search tables of the run's blocks still ahead, last block first
+
+    def table(law, steps):
+        """The law's search table with its up-step counts d as the row's
+        move, d - steps // 2."""
+        cdf, guide, k, d, c, f = _search_table(law)
+        return cdf, guide, k, d - steps // 2, c, f
+
     for k0 in range(0, t, _BLOCK):
         steps = min(_BLOCK, t - k0)
         if steps == _BLOCK and t - k0 - steps + 1 >= last:
             if settled is None:
-                settled = _search_table(_block_law(kernel, [t - k0], steps, x0 % 2,
-                                                   visit_site, stay_in)[0])
-            cdf, k, d, c, f = settled
+                settled = table(_block_law(kernel, [t - k0], steps, x0 % 2,
+                                           visit_site, stay_in)[0], steps)
+            cdf, guide, k, move, c, f = settled
         else:
             if not run:
                 # free the settled or last run's table before the next run
-                settled = cdf = d = c = f = None
+                settled = cdf = guide = move = c = f = None
                 blocks = max(1, min(batch, (t - k0) // _BLOCK))
                 s0s = range(t - k0, t - k0 - blocks * steps, -steps)
-                run = [_search_table(law) for law in
+                run = [table(law, steps) for law in
                        _block_law(kernel, s0s, steps, x0 % 2, visit_site, stay_in)[::-1]]
-            cdf, k, d, c, f = run.pop()
+            cdf, guide, k, move, c, f = run.pop()
         gen.random(out=u)
-        _search(cdf, k, row, u, pos, thr, bit)
+        _search(cdf, guide, k, row, u, pos, thr, bit)
         if visits is not None:
             visits += c.take(pos, out=bit)
         if inside is not None:
             np.equal(f.take(pos, out=bit), 0, out=keep)
             inside &= keep
-        row += d.take(pos, out=bit)
-        row -= steps // 2
+        row += move.take(pos, out=bit)
     return visits, inside
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ri1d import core_walks as cw
+from ri1d import ring_kernel as rk
 from ri1d.rngs import RngState
 
 
@@ -364,12 +365,12 @@ class TestAbsorbBlockLaw:
         first = lo + 1
         count = (hi if hi is not None else lo + 60) - first
         law = cw._absorb_law(first, count, lo, hi, steps)
-        cdf, k, outcome = cw._search_table(law)
+        cdf, guide, k, outcome = cw._search_table(law)
         rows = np.arange(count, dtype=np.intp)
         for u0, pick in ((0.0, 0), (np.nextafter(1.0, 0.0), -1)):
             u = np.full(count, u0)
             pos = np.empty(count, dtype=np.intp)
-            got = outcome[cw._search(cdf, k, rows, u, pos, np.empty(count),
+            got = outcome[cw._search(cdf, guide, k, rows, u, pos, np.empty(count),
                                      np.empty(count, dtype=np.intp))]
             want = [np.flatnonzero(row > 0)[pick] for row in law]
             assert np.array_equal(got, want)
@@ -379,15 +380,98 @@ class TestAbsorbBlockLaw:
     def test_search_inverts_the_law(self):
         # a uniform grid of u reproduces every row's law to the grid step
         law = cw._absorb_law(3, 9, 2, 12, 5)
-        cdf, k, outcome = cw._search_table(law)
+        cdf, guide, k, outcome = cw._search_table(law)
         grid = (np.arange(2**16) + 0.5) / 2**16
         for r in range(9):
             rows = np.full(grid.size, r, dtype=np.intp)
             pos = np.empty(grid.size, dtype=np.intp)
-            got = outcome[cw._search(cdf, k, rows, grid, pos, np.empty(grid.size),
+            got = outcome[cw._search(cdf, guide, k, rows, grid, pos, np.empty(grid.size),
                                      np.empty(grid.size, dtype=np.intp))]
             freq = np.bincount(got, minlength=law.shape[1]) / grid.size
             assert np.max(np.abs(freq - law[r])) <= 1 / 2**16
+
+
+def _guided(table, rows, u):
+    """Outcome index of each (row, u) by the table's guided search."""
+    cdf, guide, k = table[:3]
+    pos = np.empty(len(u), dtype=np.intp)
+    return cw._search(cdf, guide, k, np.asarray(rows, dtype=np.intp), u, pos,
+                      np.empty(len(u)), np.empty(len(u), dtype=np.intp))
+
+
+def _oracle_uniforms(row, k):
+    """Every finite running sum of the row and every bin edge b/k, each with
+    both neighbours, 0, the largest double below 1: the u in [0, 1) where a
+    guided search can go wrong."""
+    edges = np.concatenate([row[np.isfinite(row)], np.arange(k) / k])
+    u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0),
+                        [0.0, np.nextafter(1.0, 0.0)]])
+    return u[(u >= 0) & (u < 1)]
+
+
+def _assert_guided_is_searchsorted(table, uniforms):
+    """The guide and the search of a table against np.searchsorted, row by
+    row, at the row's own edge cases and at the shared uniforms."""
+    cdf, guide, k = table[:3]
+    rows = cdf.reshape(-1, k)
+    assert np.array_equal(guide.reshape(-1, k) - k * np.arange(len(rows))[:, None],
+                          [np.searchsorted(row, np.arange(k) / k, side="right")
+                           for row in rows])
+    for r, row in enumerate(rows):
+        u = np.concatenate([_oracle_uniforms(row, k), uniforms])
+        assert np.array_equal(_guided(table, np.full(u.size, r), u),
+                              np.searchsorted(row, u, side="right"))
+
+
+class TestGuidedSearch:
+    """_search's guide and binary search against np.searchsorted on the
+    tables the walks build."""
+
+    #: seeded uniforms tried in every row of every table
+    UNIFORMS = RngState(2201).generator().random(10**5)
+
+    @staticmethod
+    def ring_table(n, s0, parity, visit_site, stay_in):
+        kernel = rk.SurvivalKernel(n, rk.ring_time_scale(n, 1.0))
+        s0 = s0 if s0 is not None else len(kernel._log_z) - 1 + cw._BLOCK
+        law, = rk._block_law(kernel, [s0], cw._BLOCK, parity, visit_site, stay_in)
+        return cw._search_table(law)
+
+    @pytest.mark.parametrize("n,s0,visit_site,stay_in", [
+        (48, None, 2, None),  # check 08: the settled block
+        (48, 1000, 2, None),  # and one before the settled row
+        (80, 3000, None, (2, 79)),  # the vacant walk of the benchmark
+        (40, 700, None, (2, 39)),  # check 07b
+    ])
+    def test_ring_tables(self, n, s0, visit_site, stay_in):
+        table = self.ring_table(n, s0, 0, visit_site, stay_in)
+        assert table[2] >= 128
+        _assert_guided_is_searchsorted(table, self.UNIFORMS)
+
+    def test_absorb_table(self):
+        # check 13's hit-before walk: absorbed at 2 and 12, full blocks
+        table = cw._search_table(cw._absorb_law(3, 9, 2, 12, cw._BLOCK))
+        _assert_guided_is_searchsorted(table, self.UNIFORMS)
+
+    def test_one_outcome(self):
+        # K = 1: every row, with or without mass, takes outcome 0
+        table = cw._search_table(np.array([[1.0], [0.0], [1.0]]))
+        assert table[2] == 1
+        _assert_guided_is_searchsorted(table, self.UNIFORMS)
+        u = self.UNIFORMS[:3]
+        assert np.array_equal(_guided(table, [0, 1, 2], u), [0, 0, 0])
+
+    def test_all_mass_on_one_outcome(self):
+        # a row with all its mass on one outcome takes it for every u, even
+        # where the other rows' outcomes are many
+        law = RngState(2202).generator().random((3, 37))
+        law /= law.sum(axis=1, keepdims=True)
+        law[1] = 0.0
+        law[1, 20] = 1.0
+        table = cw._search_table(law)
+        _assert_guided_is_searchsorted(table, self.UNIFORMS)
+        got = _guided(table, np.ones(self.UNIFORMS.size), self.UNIFORMS)
+        assert np.all(got == 20)
 
 
 class TestAbsorbOracle:

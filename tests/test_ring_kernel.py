@@ -455,7 +455,7 @@ class TestBlockLaw:
                     for s0, law in zip(s0s, laws):
                         ref = _enumerated_block_law(kernel, s0, steps, parity,
                                                     site, bounds, law.shape)
-                        k = rk._search_table(law)[1]
+                        k = rk._search_table(law)[2]
                         assert np.max(np.abs(law - ref)) <= k * np.finfo(float).eps
 
     def test_shape_and_rows(self):
@@ -470,7 +470,7 @@ class TestBlockLaw:
     def test_search_table(self):
         kernel = rk.SurvivalKernel(12, 400)
         law, = rk._block_law(kernel, [400], 12, 1, 5, (2, 9))
-        cdf, k, d, c, f = rk._search_table(law)
+        cdf, _, k, d, c, f = rk._search_table(law)
         rows = law.shape[0]
         kept = (law > 0).any(axis=0)
         assert k == 1 << (int(kept.sum()) - 1).bit_length() and cdf.shape == (rows * k,)
@@ -518,7 +518,7 @@ class TestBlockLaw:
                 [min(batch, full - k) for k in range(0, full, batch)] + [1] * (t % rk._BLOCK > 0)
             # and fits the budget, unless it is one block
             law = block_law(kernel, [t], rk._BLOCK, x0 % 2, site, bounds)[0]
-            cells = rk._BLOCK * (rk._BLOCK - x0 % 2 + n + 1) + 4 * law.size
+            cells = rk._BLOCK * (rk._BLOCK - x0 % 2 + n + 1) + 6 * law.size
             assert batch == 1 or batch * cells <= rk._BATCH_CELLS
             assert 1 < batch <= 8 and (batch == 8 or (batch + 1) * cells > rk._BATCH_CELLS)
 
@@ -1069,7 +1069,7 @@ class TestKernelMemoryGuard:
         """Bytes of the walk's batch of block laws as the budget counts them:
         _BATCH_CELLS, or one block's cells when one alone is over it."""
         n = kernel.n
-        cells = rk._BLOCK * (rk._BLOCK + n + 1) + 4 * law.size
+        cells = rk._BLOCK * (rk._BLOCK + n + 1) + 6 * law.size
         batch = rk._batch_blocks(n, 0, visit_site, stay_in)
         assert batch * cells <= max(rk._BATCH_CELLS, cells)
         return 8 * max(rk._BATCH_CELLS, cells)
@@ -1078,17 +1078,17 @@ class TestKernelMemoryGuard:
         # one walk allocates neither the (t + 1)(n + 1) step table (16.8 MB
         # here) nor any O(n s*) copy of the kernel rows: it holds one batch
         # of block laws with their step buffer, up-step rows and search
-        # tables, within the batch budget, one block of up-step rows and its
-        # padded copy, and 42 bytes per walker
+        # tables with their guides, within the batch budget, one block of
+        # up-step rows and its padded copy, and 42 bytes per walker
         n, M = 80, 16
         t = rk.ring_time_scale(n, 1.0)
         kernel = rk.SurvivalKernel(n, t)
         law, = rk._block_law(kernel, [t], rk._BLOCK, 0, 2, (2, n - 1))
-        table = rk._search_table(law)[0]
+        cdf, guide = rk._search_table(law)[:2]
         rows = 2 * 8 * rk._BLOCK * (n + 1 + rk._BLOCK)
         peak = self._walk_peak(kernel, M, 2, (2, n - 1))
         budget = self._batch_bytes(kernel, law, 2, (2, n - 1))
-        assert table.nbytes <= peak <= budget + rows + 64 * M
+        assert cdf.nbytes + guide.nbytes <= peak <= budget + rows + 64 * M
         assert peak < kernel._table.nbytes
 
     def test_stay_in_walk_peak_memory(self, monkeypatch):
@@ -1103,12 +1103,12 @@ class TestKernelMemoryGuard:
         t = rk.ring_time_scale(n, 1.0)
         kernel = rk.SurvivalKernel(n, t)
         law, = rk._block_law(kernel, [t], rk._BLOCK, 0, None, (2, n - 1))
-        table = rk._search_table(law)[0]
-        assert law.nbytes <= table.nbytes == 8 * (n // 2 + 1) * 128
+        cdf, guide = rk._search_table(law)[:2]
+        assert law.nbytes <= cdf.nbytes == guide.nbytes == 8 * (n // 2 + 1) * 128
         rows = 2 * 8 * rk._BLOCK * (n + 1 + rk._BLOCK)
         peak = self._walk_peak(kernel, M, None, (2, n - 1))
         budget = self._batch_bytes(kernel, law, None, (2, n - 1))
-        assert table.nbytes <= peak <= budget + rows + 64 * M
+        assert cdf.nbytes + guide.nbytes <= peak <= budget + rows + 64 * M
         assert peak < kernel._table.nbytes
 
 
