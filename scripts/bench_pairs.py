@@ -26,6 +26,9 @@ Run from the root of a checkout. The committed files came from::
     python3 scripts/bench_pairs.py --parent-rev bb8a1b8 --claim sampling-scale \\
         --seed0 1201 --sweep ring_walk --sweep absorb --sweep search \\
         --out BENCH_guide_search.json
+    OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev ca1f151 \\
+        --claim exact-scale --seed0 1231 --sweep killed_walk --sweep kernel_build \\
+        --out BENCH_killed_runs.json
 
 (the files before BENCH_walk_rows.json ran one pair per sweep case;
 BENCH_window_chain.json claims no gain: there --claim only picks the workload
@@ -71,7 +74,13 @@ seed0 + i. The output holds:
     walk's, check 07b's, and check 13's absorbing table), M walkers spread
     evenly over the rows with mass, at the sizes of SEARCH_CASES: the median
     of SEARCH_REPEATS calls in ns per walker and of as many table builds,
-    with a hash of the outcomes.
+    with a hash of the outcomes;
+  - ``killed_walk``: the killed walk of KILLED_CASES, the median of
+    KILLED_REPEATS calls in ns per step, with a hash of the values: ``h_dp``
+    from the middle of the segment of n sites over KILLED_STEPS steps, and
+    the first leg of ``no_hit_prob_exact`` on the ring of 2 n_half sites,
+    delta = ceil(cond_threshold(2 n_half)) steps killed at site 1, as
+    exact-scale runs it at n_half = 120.
 """
 
 from __future__ import annotations
@@ -313,6 +322,34 @@ print(json.dumps({"K": head[-1], "rows": len(law), "build_s": statistics.median(
                   "outputs_sha256": digest.hexdigest()}))
 """
 
+#: (call, size): h_dp at n = size, and the first leg at n_half = size
+KILLED_CASES = (("h_dp", 200), ("h_dp", 1000), ("first_leg", 60), ("first_leg", 120))
+KILLED_STEPS = 250000
+KILLED_REPEATS = 3
+KILLED_SNIPPET = """
+import hashlib, json, math, statistics, sys, time
+import numpy as np
+sys.path.insert(0, "src")
+from ri1d import config
+from ri1d import ring_kernel as rk
+name, size, steps, reps = json.loads(sys.argv[1])
+if name == "h_dp":
+    call = lambda: rk.h_dp(size, size // 2, steps)
+else:
+    steps = math.ceil(config.cond_threshold(2 * size))
+    call = lambda: rk.no_hit_prob_exact(size, 2 * steps, steps, 1)[0]
+times, digest = [], hashlib.sha256()
+for _ in range(reps):
+    start = time.perf_counter()
+    value = call()
+    times.append(time.perf_counter() - start)
+    digest.update(np.float64(value).tobytes())
+print(json.dumps({"steps": steps, "s": statistics.median(times),
+                  "ns_per_step": 1e9 * statistics.median(times) / steps,
+                  "outputs_sha256": digest.hexdigest()}))
+"""
+
+
 def run_bench(tree: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", "20", "--trace", "0"]
@@ -420,8 +457,16 @@ def searches(trees: dict) -> list[dict]:
                   for name, M in SEARCH_CASES])
 
 
+def killed_walks(trees: dict) -> list[dict]:
+    return sweep(trees, KILLED_SNIPPET,
+                 [({"call": name, "size": size},
+                   [json.dumps([name, size, KILLED_STEPS, KILLED_REPEATS])])
+                  for name, size in KILLED_CASES])
+
+
 SWEEPS = {"kernel_build": kernel_builds, "window": windows, "ring_walk": ring_walks,
-          "ring_path": ring_paths, "absorb": absorb_walks, "search": searches}
+          "ring_path": ring_paths, "absorb": absorb_walks, "search": searches,
+          "killed_walk": killed_walks}
 
 
 def main() -> int:

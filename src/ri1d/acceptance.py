@@ -121,12 +121,9 @@ def check_05_kernel_oracle(seed: int, workers: int | None = None) -> list[Verdic
         # every step of the recursion: SurvivalKernel stops at the settled row
         v = np.ones(n + 1)
         v[0] = v[n] = 0.0
-        rows, log_z = [v[1:n]], [0.0]
-        for w, z in rk._killed_steps(v, 200):
-            rows.append(w[1:n].copy())
-            log_z.append(z)
+        rows, log_z = rk._killed_walk(v, 200)
         scale = np.array([math.exp(z) for z in log_z])
-        dp = np.array(rows) * scale[:, None]
+        dp = rows[:, 1:n] * scale[:, None]
         log_abs, sign = rk.h_spectral_log(n, np.arange(1, n), np.arange(201))
         sp = sign * np.exp(log_abs)
         rel = np.abs(sp - dp) / np.maximum(dp, 1e-300)

@@ -223,10 +223,12 @@ def _search_table(law: np.ndarray):
     min(ceil(K cdf), K) and one running sum over the whole table give the
     guide: each row's count includes the K entries of every row before it,
     and slot r*K + K, a sum above every bin of row r, is the first bin of
-    row r + 1.
+    row r + 1. A law with no cell of positive mass raises ValueError.
     """
     kept = np.nonzero((law > 0).any(axis=0))
     size = len(kept[0])
+    if size == 0:
+        raise ValueError(f"law of shape {law.shape} has no cell of positive mass")
     k = 1 << max(size - 1, 0).bit_length()
     cdf = np.full((law.shape[0], k), np.inf)
     body = cdf[:, :size]
@@ -235,7 +237,10 @@ def _search_table(law: np.ndarray):
     last = np.where(live.any(axis=1), size - 1 - np.argmax(live[:, ::-1], axis=1), 0)
     np.cumsum(body, axis=1, out=body)
     cdf[np.arange(k) >= last[:, None]] = np.inf
-    slots = np.minimum(np.ceil(cdf * k), k).astype(np.intp)
+    slots = np.multiply(cdf, k)
+    np.ceil(slots, out=slots)
+    np.minimum(slots, k, out=slots)
+    slots = slots.astype(np.intp)
     slots += k * np.arange(len(cdf))[:, None]
     guide = np.bincount(slots.ravel(), minlength=cdf.size + 1)
     np.cumsum(guide, out=guide)

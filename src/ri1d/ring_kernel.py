@@ -2,12 +2,15 @@
 
 The ring of n sites with a forbidden origin is represented as the segment
 {1..n-1} with killing at 0 and n (ring site -a is line site n-a). One
-killed-walk step, :func:`_killed_steps`, computes every exact ring quantity:
-the simple walk killed at 0, n and optional extra sites, stepped in place as
-unhalved sums with its scale carried as an exact power of two. Run backward
-from the all-ones vector it gives h_n(x,t) = P_x[tau_{0,n} > t] (:func:`h_dp`
-and the :class:`SurvivalKernel` table); run forward from a point mass it
-gives the first-leg law behind the no-hit and mid-tail checks.
+killed-walk engine, :func:`_killed_walk`, computes every exact ring quantity:
+the simple walk killed at 0, n and optional extra sites, stepped as unhalved
+sums with its scale carried as an exact power of two. It steps in runs of
+32 through a run buffer whose views are built once, so a step is one np.add,
+and rescales once a run; it returns every row, or only the last. Run
+backward from the all-ones vector it gives h_n(x,t) = P_x[tau_{0,n} > t]
+(:func:`h_dp`, and the :class:`SurvivalKernel` table, copied in one slice
+a run); run forward from a point mass it gives the first-leg law behind the
+no-hit and mid-tail checks.
 Point values also have closed forms: the odd-mode spectral sum in signed log
 domain (summed by :func:`_logsumexp`, a numpy port of scipy's log-sum-exp),
 read only through :func:`_log_h`, and the first-mode asymptotic
@@ -173,58 +176,92 @@ def h_spectral(n: int, x: int, t: int) -> float:
     return min(float(np.exp(_log_h(n, x, t))), 1.0)
 
 
-#: Steps between two rescalings in :func:`_killed_steps`. One unhalved step
-#: at most doubles the max, so it stays below 2**32 between rescalings.
+#: Steps in one run of :func:`_killed_walk`, between two rescalings. One
+#: unhalved step at most doubles the max, so it stays below 2**32 in a run.
 _RESCALE_EVERY = 32
 _LN2 = math.log(2.0)
 
 
-def _killed_steps(v: np.ndarray, steps: int, extra_kill: tuple[int, ...] = ()):
-    """Yield (v, log_z) after each of ``steps`` steps of the killed walk.
+def _rescale(row: np.ndarray) -> float:
+    """Scale row in place by the power of two 2**-e that brings its max into
+    [1/2, 1) and return e; an all-zero row stays zero and gives -inf."""
+    m = row.max()
+    if m == 0.0:
+        return -math.inf
+    shift = math.frexp(m)[1]
+    np.ldexp(row, -shift, out=row)
+    return shift
+
+
+def _killed_walk(v: np.ndarray, steps: int, extra_kill: tuple[int, ...] = (),
+                 every_row: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, log_z): the killed walk from v after 0..steps steps.
 
     One step maps v to 0.5 (v[x-1] + v[x+1]) on 1..n-1 (n = len(v) - 1) and
     to 0 at 0, n and the extra_kill sites; the input v is nonnegative and
     read as 0 at those sites. The walk is symmetric, so this is both the
     backward survival recursion and the forward transport of a distribution.
 
-    Each yielded v stands for v * exp(log_z) with log_z = e * ln 2 for an
+    Row s stands for rows[s] * exp(log_z[s]) with log_z[s] = e ln 2 for an
     integer e. A step stores the unhalved sums v[x-1] + v[x+1] and counts the
-    factor 1/2 in e, so the add is the only rounding. At the first step,
-    every _RESCALE_EVERY steps after it and at the last step, v is scaled by
-    the exact power of two that brings its max into [1/2, 1). Only the first
-    step can kill everything: a live site with a live neighbour keeps both
-    alive, so after it the max never falls. Once nothing survives, v is zero
-    and log_z is -inf.
+    factor 1/2 in e, so the add is the only rounding. The walk steps in runs
+    of _RESCALE_EVERY steps through a buffer of _RESCALE_EVERY + 1 rows whose
+    row 0 holds the row the run starts from, with the views of every step
+    built once: a step is one np.add plus one scalar store per extra killed
+    site. The first step of each run and the last step scale their row by
+    the exact power of two that brings its max into [1/2, 1)
+    (:func:`_rescale`), and each run is copied out with one slice
+    assignment. Only the first step can kill everything: a live site with a
+    live neighbour keeps both alive, so after it the max never falls. Once
+    nothing survives, every row is zero and its log_z -inf.
 
-    Every yielded v is one of two buffers that later steps overwrite; copy it
-    to keep it.
+    rows has shape (steps + 1, n + 1) and row 0 is the input, zeroed at the
+    killed sites. With every_row False it is the last row alone, shape
+    (1, n + 1), and the steps alternate between two buffer rows, which stay
+    in cache where 33 rows of a large n do not.
     """
     n = len(v) - 1
+    depth = _RESCALE_EVERY + 1 if every_row else 2
+    buf = np.zeros((depth, n + 1))  # the ends 0 and n are never written
+    buf[0, 1:n] = v[1:n]
     kill = list(extra_kill)
-    a, b = np.zeros(n + 1), np.zeros(n + 1)  # ends 0 and n are never written
-    a[1:n] = v[1:n]
-    a[kill] = 0.0
-    # each buffer with its views of the sites x-1, x+1 and x, for x in 1..n-1;
-    # source and target swap after every step
-    src, dst = (a, a[:n - 1], a[2:], a[1:n]), (b, b[:n - 1], b[2:], b[1:n])
-    e = 0
-    for step in range(steps):
-        np.add(src[1], src[2], out=dst[3])
-        w = dst[0]
-        for k in kill:
-            w[k] = 0.0
-        src, dst = dst, src
-        e -= 1
-        if step % _RESCALE_EVERY == 0 or step == steps - 1:
-            m = w.max()
-            if m == 0.0:
-                for _ in range(step, steps):
-                    yield w, -math.inf
-                return
-            shift = math.frexp(m)[1]
-            np.ldexp(w, -shift, out=w)
-            e += shift
-        yield w, e * _LN2
+    buf[0, kill] = 0.0
+    # step i of a run: the views of the sites x-1 and x+1 it reads, of 1..n-1
+    # it writes, and the whole row it writes
+    ops = [(buf[i % depth, :n - 1], buf[i % depth, 2:], buf[(i + 1) % depth, 1:n],
+            buf[(i + 1) % depth]) for i in range(_RESCALE_EVERY)]
+    halvings = np.arange(_RESCALE_EVERY + 1.0)  # of the rows 0..k of a run
+    rows = np.empty((steps + 1 if every_row else 1, n + 1))
+    log_z = np.empty(len(rows))
+    rows[0], log_z[0] = buf[0], 0.0
+    add = np.add
+    e = 0  # the scale exponent of buffer row 0
+    for s0 in range(0, steps, _RESCALE_EVERY):
+        k = min(_RESCALE_EVERY, steps - s0)
+        if s0 and every_row:
+            buf[0] = buf[_RESCALE_EVERY]
+        a, b, out, row = ops[0]
+        add(a, b, out)
+        for x in kill:
+            row[x] = 0.0
+        shift = _rescale(row)
+        for a, b, out, row in ops[1:k]:
+            add(a, b, out)
+            for x in kill:
+                row[x] = 0.0
+        last = _rescale(row) if k > 1 and s0 + k == steps else 0
+        e_end = e + shift - k + last
+        if every_row:
+            rows[s0 + 1:s0 + k + 1] = buf[1:k + 1]
+            z = log_z[s0 + 1:s0 + k + 1]
+            np.subtract(e + shift, halvings[1:k + 1], out=z)
+            z[-1] = e_end
+            z *= _LN2
+        e = e_end
+    if not every_row and steps:
+        # _RESCALE_EVERY is even: every run starts in buffer row 0
+        rows[0], log_z[0] = buf[k % 2], e * _LN2
+    return rows, log_z
 
 
 def h_dp(n: int, x: int, t: int) -> float:
@@ -232,10 +269,8 @@ def h_dp(n: int, x: int, t: int) -> float:
     _check_domain(n, x, t)
     v = np.ones(n + 1)
     v[0] = v[n] = 0.0
-    log_z = 0.0
-    for v, log_z in _killed_steps(v, t):
-        pass
-    return float(v[x] * math.exp(log_z))
+    rows, log_z = _killed_walk(v, t, every_row=False)
+    return float(rows[0, x] * math.exp(log_z[0]))
 
 
 def h_asymptotic(n: int, x: int, t: int) -> tuple[float, bool]:
@@ -299,7 +334,7 @@ def _up_steps(table: np.ndarray, log_z: np.ndarray, out: np.ndarray) -> None:
 
     table and log_z are the consecutive kernel rows s0-1..s0+len(out)-1 in
     the scaled form of :class:`SurvivalKernel`. Every log_z is e ln 2 for an
-    integer e (:func:`_killed_steps`), so the ratio of two row scales is the
+    integer e (:func:`_killed_walk`), so the ratio of two row scales is the
     exact power of two 2**(e[s-1] - e[s]): at x = 1, where h(1, s) =
     h(2, s-1)/2, the up-step is exactly 1, and at x = n-1 it is exactly 0.
     """
@@ -345,12 +380,7 @@ class SurvivalKernel:
         self._log_cos = -math.inf if n == 2 else _log_cos(math.pi / n)
         v = np.ones(n + 1)
         v[0] = v[n] = 0.0
-        self._table = np.empty((rows + 1, n + 1))
-        self._table[0] = v
-        self._log_z = np.zeros(rows + 1)
-        for s, (v, log_z) in enumerate(_killed_steps(v, rows), 1):
-            self._table[s] = v
-            self._log_z[s] = log_z
+        self._table, self._log_z = _killed_walk(v, rows)
         if rows > settled and n > 2:
             # rounding in the rows grows like n**2 eps: the gap measured up
             # to n = 400 stays below 0.13 n**2 eps
@@ -658,12 +688,11 @@ def _first_leg_prob(n: int, x0: int, t: int, delta: int, kill: int) -> float:
     """
     v = np.zeros(n + 1)
     v[x0] = 1.0
-    log_z = 0.0
-    for v, log_z in _killed_steps(v, delta, (kill,)):
-        pass
+    rows, log_z = _killed_walk(v, delta, (kill,), every_row=False)
+    v = rows[0]
     sites = np.flatnonzero(v)  # none once everything is dead: log_num = -inf
     log_num = _logsumexp(np.log(v[sites]) + _log_h(n, sites, t - delta))
-    return math.exp(log_z + float(log_num) - _log_h(n, x0, t))
+    return math.exp(float(log_z[0]) + float(log_num) - _log_h(n, x0, t))
 
 
 def no_hit_prob_exact(n_half: int, t: int, delta: int, x: int):

@@ -461,6 +461,12 @@ class TestGuidedSearch:
         u = self.UNIFORMS[:3]
         assert np.array_equal(_guided(table, [0, 1, 2], u), [0, 0, 0])
 
+    def test_no_mass_raises(self):
+        # a law with no cell of positive mass has no outcome to draw
+        for law in (np.zeros((3, 4)), np.zeros((2, 0)), np.zeros((1, 3, 2))):
+            with pytest.raises(ValueError, match="no cell of positive mass"):
+                cw._search_table(law)
+
     def test_all_mass_on_one_outcome(self):
         # a row with all its mass on one outcome takes it for every u, even
         # where the other rows' outcomes are many

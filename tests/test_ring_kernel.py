@@ -27,13 +27,12 @@ def _propagate_killed(length: int, start: int, steps: int,
         raise ValueError(f"start {start} is a killed site")
     w = np.zeros(length + 1)
     w[start] = 1.0
-    log_z = 0.0
-    for w, log_z in rk._killed_steps(w, steps, extra_kill):
-        pass
+    rows, log_z = rk._killed_walk(w, steps, extra_kill, every_row=False)
+    w = rows[0]
     total = w.sum()
     if total == 0.0:
         return w, -math.inf
-    return w / total, log_z + math.log(total)
+    return w / total, float(log_z[0]) + math.log(total)
 
 
 class TestKernelBackends:
@@ -906,7 +905,7 @@ class TestKilledWalkOracles:
         assert abs(log_mass - float(rk.h_spectral_log(120, 60, delta)[0])) <= 1e-9
 
     # the engine rescales at step 1, every 32 steps after it and at the last
-    # step; yields between rescalings are unnormalized sums
+    # step; the rows between rescalings are unnormalized sums
     RESCALE_STEPS = (1, 2, 31, 32, 33, 34, 64, 65, 97, 100)
 
     def test_across_rescale_boundaries(self):
@@ -981,15 +980,128 @@ class TestKilledWalkOracles:
             [np.asarray(v).tobytes() for v in second]
 
 
+def _killed_steps_loop(v, steps, kill):
+    """Rows 0..steps of the killed walk and their log scales, one step and
+    one rescale test at a time: the reference of :func:`rk._killed_walk`.
+
+    Every step stores the unhalved sums and counts the halving in the
+    exponent e; the first step, every 32nd after it and the last scale the
+    row by the power of two that brings its max into [1/2, 1).
+    """
+    n = len(v) - 1
+    w = np.zeros(n + 1)
+    w[1:n] = v[1:n]
+    w[list(kill)] = 0.0
+    rows, log_z, e = [w], [0.0], 0
+    for step in range(steps):
+        w = np.concatenate(([0.0], w[:n - 1] + w[2:], [0.0]))
+        w[list(kill)] = 0.0
+        e -= 1
+        if step % 32 == 0 or step == steps - 1:
+            m = w.max()
+            if m == 0.0:
+                e = -math.inf
+            else:
+                shift = math.frexp(m)[1]
+                w = np.ldexp(w, -shift)
+                e += shift
+        rows.append(w)
+        log_z.append(e * math.log(2.0))
+    return np.array(rows), np.array(log_z)
+
+
+#: sha256 of the float64 bytes of SurvivalKernel(160, ring_time_scale(160, 1))
+#: (its _table, then its _log_z), of h_dp(1000, 500, 250000) and of
+#: no_hit_prob_exact(120, 2 delta, delta, 1) with delta = ceil(cond_threshold(240)),
+#: as the per-step killed walk computed them before it stepped in runs
+KILLED_WALK_SHA256 = {
+    "kernel_table": "6c81bed9fe2f049d4a0adb284b87e643fdfe99b6a2b3f41982bc493a8fb8da7f",
+    "kernel_log_z": "ceaebef47ecbd24ca20dc8ff417e5c31b73b92e86f43ca2aa47016fff42f737a",
+    "h_dp": "4de3be5d4ca766bc53c02d9a25a9480b9c6e4388737826a2e9dcddd9ebfdebb9",
+    "no_hit": "621f8b44ef39509105a60decec3252892cc7a9337ab750ff154d77c19867832c",
+}
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(np.asarray(value, dtype=np.float64).tobytes()).hexdigest()
+
+
+class TestKilledWalkRuns:
+    """_killed_walk's runs of 32 steps against the one-step loop, bit for bit."""
+
+    #: a walk's first and last steps around the first three rescalings
+    STEPS = (0, 1, 31, 32, 33, 64, 65)
+
+    #: (n, start, extra killed sites); start None is the all-ones vector
+    CASES = [(12, None, ()), (41, None, ()), (41, 30, (9,)), (41, 20, (9, 33)),
+             (200, 1, (150,))]
+
+    @staticmethod
+    def start_vector(n, start, kill):
+        v = np.zeros(n + 1)
+        if start is None:
+            v[1:n] = 1.0
+        else:
+            v[start] = 1.0
+        return v
+
+    @pytest.mark.parametrize("n,start,kill", CASES)
+    def test_rows_are_the_loop(self, n, start, kill):
+        v = self.start_vector(n, start, kill)
+        for steps in self.STEPS:
+            ref_rows, ref_z = _killed_steps_loop(v, steps, kill)
+            rows, log_z = rk._killed_walk(v, steps, kill)
+            assert rows.tobytes() == ref_rows.tobytes()
+            assert log_z.tobytes() == ref_z.tobytes()
+            last, last_z = rk._killed_walk(v, steps, kill, every_row=False)
+            assert last.shape == (1, n + 1)
+            assert last.tobytes() == ref_rows[-1].tobytes()
+            assert last_z.tobytes() == ref_z[-1:].tobytes()
+
+    @pytest.mark.parametrize("n,start,kill", CASES)
+    def test_rows_vs_fraction_oracle(self, n, start, kill):
+        v = self.start_vector(n, start, kill)
+        exact = _exact_killed_steps([Fraction(int(p)) for p in v], 70, kill)
+        rows, log_z = rk._killed_walk(v, 70, kill)
+        for s in range(71):
+            ref = [float(p) for p in exact[s]]
+            np.testing.assert_allclose(rows[s] * math.exp(log_z[s]), ref,
+                                       rtol=1e-13, atol=0)
+
+    def test_all_dead_from_step_one(self):
+        # n = 2: the walk from 1 dies at step 1, and every row after it is
+        # zero with log scale -inf
+        v = np.array([0.0, 1.0, 0.0])
+        for steps in (1, 2, 33, 70):
+            rows, log_z = rk._killed_walk(v, steps)
+            assert rows[0].tolist() == [0.0, 1.0, 0.0] and log_z[0] == 0.0
+            assert not rows[1:].any()
+            assert np.all(log_z[1:] == -math.inf)
+            last, last_z = rk._killed_walk(v, steps, every_row=False)
+            assert not last.any() and last_z[0] == -math.inf
+
+    def test_input_is_not_written(self):
+        v = self.start_vector(41, 30, (9,))
+        before = v.copy()
+        rk._killed_walk(v, 40, (9,))
+        rk._killed_walk(v, 40, (9,), every_row=False)
+        assert v.tobytes() == before.tobytes()
+
+    def test_digests(self):
+        kernel = rk.SurvivalKernel(160, rk.ring_time_scale(160, 1.0))
+        assert _sha256(kernel._table) == KILLED_WALK_SHA256["kernel_table"]
+        assert _sha256(kernel._log_z) == KILLED_WALK_SHA256["kernel_log_z"]
+        assert _sha256(rk.h_dp(1000, 500, 250000)) == KILLED_WALK_SHA256["h_dp"]
+        delta = math.ceil(config.cond_threshold(240))
+        exact, _, _ = rk.no_hit_prob_exact(120, 2 * delta, delta, 1)
+        assert _sha256(exact) == KILLED_WALK_SHA256["no_hit"]
+
+
 def _full_table(n, t):
     """Every row 0..t of the recursion, as SurvivalKernel scales them."""
     v = np.ones(n + 1)
     v[0] = v[n] = 0.0
-    rows, log_z = [v], [0.0]
-    for w, z in rk._killed_steps(v, t):
-        rows.append(w.copy())
-        log_z.append(z)
-    return np.array(rows), np.array(log_z)
+    return rk._killed_walk(v, t)
 
 
 class TestKernelMemoryGuard:
