@@ -29,14 +29,20 @@ Run from the root of a checkout. The committed files came from::
     OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev ca1f151 \\
         --claim exact-scale --seed0 1231 --sweep killed_walk --sweep kernel_build \\
         --out BENCH_killed_runs.json
+    OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev 1df6b97 \\
+        --claim sampling-scale --seed0 1261 --sweep harness \\
+        --out BENCH_harness_memory.json
 
 (the files before BENCH_walk_rows.json ran one pair per sweep case;
 BENCH_window_chain.json claims no gain: there --claim only picks the workload
 that gets PAIRS pairs).
 
-The parent revision is exported with ``git archive`` into a temporary
-directory; both sides run from their own source tree with the same benchmark
-settings (``perfbench/run.py --seconds 20 --trace 0``). Pair i runs the
+The parent revision and the change are each exported with ``git archive``
+into a temporary directory of their own, so neither side runs in the
+checkout. The change is the checkout's tracked files as they stand, staged or
+not (``git stash create``; HEAD when nothing differs from it): add a new file
+to the index before a run, or it is left out. Both sides run with the same
+benchmark settings (``perfbench/run.py --seconds 20 --trace 0``). Pair i runs the
 parent first when i is even and the change first when i is odd, at seed
 seed0 + i. The output holds:
 
@@ -49,8 +55,8 @@ seed0 + i. The output holds:
 - each sweep named (``--sweep`` may be given more than once): SWEEP_PAIRS
   pairs per case, each run in a fresh interpreter, pair i running the
   parent first when i is even. A row gives each side's median and
-  quartiles of every timing (TIMINGS) and the other fields of its first
-  run; a row whose cases print an ``outputs_sha256`` also says whether
+  quartiles of every timing and peak (TIMINGS) and the other fields of its
+  first run; a row whose cases print an ``outputs_sha256`` also says whether
   every run of both sides printed the same hash (``outputs_equal``):
   - ``kernel_build``: the median of BUILD_REPEATS builds of
     ``SurvivalKernel(n, ring_time_scale(n, alpha))``, with the rows it
@@ -80,7 +86,15 @@ seed0 + i. The output holds:
     from the middle of the segment of n sites over KILLED_STEPS steps, and
     the first leg of ``no_hit_prob_exact`` on the ring of 2 n_half sites,
     delta = ceil(cond_threshold(2 n_half)) steps killed at site 1, as
-    exact-scale runs it at n_half = 120.
+    exact-scale runs it at n_half = 120;
+  - ``harness``: the replicate harness on the local-time sampler at
+    x = 400 of check 04 and sampling-scale, at the cases of HARNESS_CASES:
+    ``run_replicates`` at M replicates with ``keep_sample`` off and on at 1
+    and 2 workers, the median of HARNESS_REPEATS untraced calls and the
+    tracemalloc peak of one more call in bytes per replicate; and
+    ``ks_distance_to_normal`` on KS_POINTS standardized local times, sorted
+    and shuffled, in ns per point, with its tracemalloc peak in bytes. Each
+    row hashes the summaries or the statistic.
 """
 
 from __future__ import annotations
@@ -103,7 +117,7 @@ METRICS = ("wall_s", "setup_s", "peak_rss_mb", "pass_ratio", "ops")
 LOWER_IS_BETTER = ("wall_s", "setup_s", "peak_rss_mb")
 SWEEP_PAIRS = 5
 TIMINGS = ("build_s", "s", "ns_per_walker_step", "ns_per_step", "ns_per_replicate",
-           "ns_per_walker")
+           "ns_per_walker", "ns_per_point", "peak_bytes", "peak_bytes_per_replicate")
 
 BUILD_CASES = ((40, 1.0), (80, 1.0), (160, 1.0), (400, 1.0), (400, 0.1))
 BUILD_REPEATS = 3
@@ -349,6 +363,58 @@ print(json.dumps({"steps": steps, "s": statistics.median(times),
                   "outputs_sha256": digest.hexdigest()}))
 """
 
+#: (call, M, keep_sample, workers): run_replicates at the M of check 04 and of
+#: sampling-scale; ks at KS_POINTS points
+HARNESS_CASES = tuple(("run_replicates", M, keep, workers) for M in (10**5, 10**6)
+                      for keep in (False, True) for workers in (1, 2)) + \
+    (("ks sorted", None, None, None), ("ks shuffled", None, None, None))
+HARNESS_REPEATS = 5
+KS_POINTS = 10**6
+HARNESS_SNIPPET = """
+import hashlib, json, statistics, sys, time, tracemalloc
+import numpy as np
+sys.path.insert(0, "src")
+from ri1d import interlacements as il
+from ri1d import mc
+name, M, keep, workers, points, reps = json.loads(sys.argv[1])
+exp = mc.Experiment("local-time", lambda g, m: il.sample_local_times(400, 1.0, m, g))
+digest = hashlib.sha256()
+if name == "run_replicates":
+    call = lambda: mc.run_replicates(exp, M, 7, workers, keep_sample=keep)
+
+    def record(s):
+        for v in (s.mean, s.variance):
+            digest.update(v.hex().encode())
+        digest.update(s.pmf.tobytes())
+        if keep:
+            digest.update(s.sample.tobytes())
+else:
+    z = il.standardize_local_time(mc.run_replicates(exp, points, 7, 1, keep_sample=True)
+                                  .sample, 400, 1.0)
+    if name == "ks shuffled":
+        z = np.random.default_rng(7).permutation(z)
+    call = lambda: mc.ks_distance_to_normal(z)
+    record = lambda ks: digest.update(ks.hex().encode())
+times = []
+for _ in range(reps):
+    start = time.perf_counter()
+    out = call()
+    times.append(time.perf_counter() - start)
+    record(out)
+    out = None
+tracemalloc.start()
+out = call()
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+record(out)
+out = {"s": statistics.median(times), "outputs_sha256": digest.hexdigest()}
+if name == "run_replicates":
+    out["peak_bytes_per_replicate"] = peak / M
+else:
+    out.update(ns_per_point=1e9 * statistics.median(times) / points, peak_bytes=peak)
+print(json.dumps(out))
+"""
+
 
 def run_bench(tree: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -464,9 +530,30 @@ def killed_walks(trees: dict) -> list[dict]:
                   for name, size in KILLED_CASES])
 
 
+def harness(trees: dict) -> list[dict]:
+    return sweep(trees, HARNESS_SNIPPET,
+                 [({"call": name, "M": M if M else KS_POINTS, "keep_sample": keep,
+                    "workers": workers},
+                   [json.dumps([name, M, keep, workers, KS_POINTS, HARNESS_REPEATS])])
+                  for name, M, keep, workers in HARNESS_CASES])
+
+
 SWEEPS = {"kernel_build": kernel_builds, "window": windows, "ring_walk": ring_walks,
           "ring_path": ring_paths, "absorb": absorb_walks, "search": searches,
-          "killed_walk": killed_walks}
+          "killed_walk": killed_walks, "harness": harness}
+
+
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def export(rev: str, tree: Path) -> None:
+    """Write the files of rev into the directory tree."""
+    tree.mkdir()
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
 
 
 def main() -> int:
@@ -479,17 +566,17 @@ def main() -> int:
                         help="pair i runs at seed seed0 + i")
     parser.add_argument("--sweep", choices=sorted(SWEEPS), action="append", default=[])
     args = parser.parse_args()
-    rev = subprocess.run(["git", "rev-parse", args.parent_rev], cwd=ROOT,
-                         capture_output=True, text=True, check=True).stdout.strip()
+    rev = git("rev-parse", args.parent_rev)
+    # a commit of the tracked files as they stand; empty when none differs from HEAD
+    change = git("stash", "create") or git("rev-parse", "HEAD")
     with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp)
-        archive = subprocess.run(["git", "archive", rev], cwd=ROOT,
-                                 capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
-        trees = {"parent": parent, "change": ROOT}
+        trees = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+        export(rev, trees["parent"])
+        export(change, trees["change"])
         doc = {
             "command": " ".join(["python3", "scripts/bench_pairs.py", *sys.argv[1:]]),
             "parent_commit": rev,
+            "change_commit": change,
             "machine": {"python": platform.python_version(),
                         "machine": platform.machine(), "nproc": os.cpu_count()},
         }

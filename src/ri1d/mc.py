@@ -6,6 +6,13 @@ and scheduling. Comparators: empirical moments and pmf, total-variation
 distance against exact pmfs, and a Kolmogorov-Smirnov distance to the
 standard normal, whose CDF comes from math.erfc (used as a distance with
 fixed thresholds, not a p-value).
+
+Memory: the runner copies each chunk into one array of M values as it
+arrives, so a run holds that array, numpy's temporary of M floats inside the
+variance, and the few chunks in flight. The KS distance reads the sorted
+sample one run of equal values at a time: besides one byte per point it
+holds arrays as long as the number of distinct values, plus a sorted copy
+only when its input is not sorted.
 """
 
 from __future__ import annotations
@@ -87,8 +94,12 @@ def run_replicates(experiment: Experiment, M: int, seed: int,
     """Draw M replicates of the experiment, deterministically under seed.
 
     Work is split into CHUNK_SIZE pieces; chunk j always runs on stream j of
-    the seed, and chunks are concatenated in index order, so the summary is
-    identical for any worker count.
+    the seed, and chunks are copied in index order into one array of M
+    values, so the summary is identical for any worker count. Every chunk
+    must have the first chunk's dtype. Peak memory is that array plus
+    numpy's variance temporary of M floats plus the chunks in flight (and a
+    second array of M values when the draws are not int64); with
+    keep_sample the array is sorted in place and kept as the sample.
     """
     if M < 1:
         raise ValueError(f"need M >= 1, got {M}")
@@ -106,26 +117,37 @@ def run_replicates(experiment: Experiment, M: int, seed: int,
                 f"expected ({m},)")
         return out
 
+    def merge(chunks) -> np.ndarray:
+        data = None
+        for (j, m), out in zip(sizes, chunks):
+            if data is None:
+                data = np.empty(M, dtype=out.dtype)
+            elif out.dtype != data.dtype:
+                raise RuntimeError(
+                    f"experiment {experiment.name!r} returned dtype {out.dtype} "
+                    f"in chunk {j}, expected {data.dtype} as in chunk 0")
+            data[j * CHUNK_SIZE:j * CHUNK_SIZE + m] = out
+        return data
+
     if workers > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(draw, sizes))
+            data = merge(pool.map(draw, sizes))
     else:
-        chunks = [draw(job) for job in sizes]
-    data = np.concatenate(chunks)
-    values = data.astype(np.int64)
-    if np.any(values != data):
+        data = merge(map(draw, sizes))
+    values = data.astype(np.int64, copy=False)
+    if values is not data and np.any(values != data):
         raise RuntimeError(f"experiment {experiment.name!r} is integer "
                            "valued but produced non-integer values")
-    if np.any(values < 0):
+    if values.min() < 0:
         raise RuntimeError(f"experiment {experiment.name!r} produced "
                            "negative integer values")
-    return EmpiricalSummary(
-        count=M,
-        mean=float(data.mean()),
-        variance=float(data.var(ddof=1)) if M > 1 else 0.0,
-        pmf=np.bincount(values) / M,
-        sample=np.sort(data) if keep_sample else None,
-    )
+    mean = float(data.mean())
+    variance = float(data.var(ddof=1)) if M > 1 else 0.0
+    pmf = np.bincount(values) / M
+    if keep_sample:
+        data.sort()
+    return EmpiricalSummary(count=M, mean=mean, variance=variance, pmf=pmf,
+                            sample=data if keep_sample else None)
 
 
 def _as_pmf(obj) -> np.ndarray:
@@ -146,28 +168,42 @@ def tv_distance(emp, ref) -> float:
     return 0.5 * (float(np.abs(p - q).sum()) + slack)
 
 
-def _normal_cdf_sorted(z: np.ndarray) -> np.ndarray:
-    """Standard normal CDF 0.5 erfc(-z/sqrt 2) of a sorted array.
-
-    Each run of equal values is evaluated once, through math.erfc, and the
-    values are spread back over their runs: standardized local times repeat
-    (1e6 of them at x = 400 hold about 87,000 distinct values).
-    """
-    start = np.empty(len(z), dtype=bool)
-    start[:1] = True
-    np.not_equal(z[1:], z[:-1], out=start[1:])
-    u = (-z[start] / math.sqrt(2.0)).tolist()
-    phi = 0.5 * np.fromiter(map(math.erfc, u), dtype=np.float64, count=len(u))
-    return phi[np.cumsum(start) - 1]
-
-
 def ks_distance_to_normal(sample: np.ndarray) -> float:
-    """Sup distance between the empirical CDF and the standard normal CDF."""
-    z = np.sort(np.asarray(sample, dtype=np.float64))
+    """Sup distance between the empirical CDF and the standard normal CDF.
+
+    The input is not written; it is sorted into a copy only when it is not
+    sorted already. Over a run i0..i1 of equal sorted values, with normal
+    CDF phi = 0.5 erfc(-z/sqrt 2) taken once per run through math.erfc, the
+    largest gaps are (i1 + 1)/m - phi above and phi - i0/m below: k/m and
+    a - phi round monotonically, so the maximum over the runs has the bits
+    of the maximum over all m points. Standardized local times repeat (1e6
+    of them at x = 400 hold about 87,000 distinct values). NaN raises
+    ValueError; -inf and +inf have phi exactly 0 and 1.
+    """
+    z = np.asarray(sample, dtype=np.float64)
     m = len(z)
     if m < 100:
         raise ValueError(f"need at least 100 points for KS, got {m}")
-    phi = _normal_cdf_sorted(z)
-    upper = np.arange(1, m + 1) / m - phi
-    lower = phi - np.arange(0, m) / m
-    return float(max(upper.max(), lower.max()))
+    step = np.empty(m, dtype=bool)
+    step[:1] = True
+    # NaN compares false, so a sample holding one is sorted into a copy,
+    # which puts every NaN at the end
+    if not np.less_equal(z[:-1], z[1:], out=step[1:]).all():
+        z = np.sort(z)
+    if np.isnan(z[-1]):
+        raise ValueError("KS sample holds NaN")
+    np.not_equal(z[1:], z[:-1], out=step[1:])
+    first = np.flatnonzero(step)  # i0 of every run
+    del step
+    gap = z[first]
+    np.negative(gap, out=gap)
+    gap /= math.sqrt(2.0)
+    phi = np.fromiter(map(math.erfc, memoryview(gap)), dtype=np.float64,
+                      count=len(gap))
+    phi *= 0.5
+    np.subtract(phi, np.divide(first, m, out=gap), out=gap)
+    lower = gap.max()
+    # i1 + 1 of every run: the next run's i0, and m for the last run
+    np.divide(first[1:], m, out=gap[:-1])
+    gap[-1] = 1.0
+    return float(max(np.subtract(gap, phi, out=gap).max(), lower))
