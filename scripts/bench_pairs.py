@@ -32,10 +32,13 @@ Run from the root of a checkout. The committed files came from::
     OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev 1df6b97 \\
         --claim sampling-scale --seed0 1261 --sweep harness \\
         --out BENCH_harness_memory.json
+    OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev de7204e \\
+        --claim sampling-scale --seed0 1291 --sweep ring_walk \\
+        --out BENCH_block_schedule.json
 
 (the files before BENCH_walk_rows.json ran one pair per sweep case;
-BENCH_window_chain.json claims no gain: there --claim only picks the workload
-that gets PAIRS pairs).
+BENCH_window_chain.json and BENCH_block_schedule.json claim no gain: there
+--claim only picks the workload that gets PAIRS pairs).
 
 The parent revision and the change are each exported with ``git archive``
 into a temporary directory of their own, so neither side runs in the
@@ -67,7 +70,8 @@ seed0 + i. The output holds:
     ns per replicate, with a hash of the visit and trajectory counts;
   - ``ring_walk``: the median of WALK_REPEATS calls of ``_ring_paths_batch``
     on the ring walks the benchmark and the acceptance suite make, in ns per
-    walker-step, with a hash of the outputs and of the generator state;
+    walker-step, and the tracemalloc peak of one more call in bytes, with a
+    hash of the outputs and of the generator state;
   - ``ring_path``: the median of PATH_REPEATS calls of ``sample_ring_path``
     from the middle of the ring at the sizes of PATH_CASES, alpha = 1,
     kernel build included, in ns per step, with a hash of the paths;
@@ -172,7 +176,7 @@ WALK_CASES = ((40, 20000, 20, None, (2, 39)), (48, 65536, 24, 2, None),
               (80, 4000, 40, None, (2, 79)))
 WALK_REPEATS = 3
 WALK_SNIPPET = """
-import hashlib, json, statistics, sys, time
+import hashlib, json, statistics, sys, time, tracemalloc
 sys.path.insert(0, "src")
 from ri1d import ring_kernel as rk
 from ri1d.rngs import RngState
@@ -189,9 +193,17 @@ for rep in range(reps):
         if a is not None:
             digest.update(a.tobytes())
     digest.update(repr(gen.bit_generator.state).encode())
+tracemalloc.start()
+visits, inside = rk._ring_paths_batch(kernel, x0, t, M, RngState(reps).generator(), site,
+                                      bounds)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+for a in (visits, inside):
+    if a is not None:
+        digest.update(a.tobytes())
 print(json.dumps({"t": t, "s": statistics.median(times),
                   "ns_per_walker_step": 1e9 * statistics.median(times) / (M * t),
-                  "outputs_sha256": digest.hexdigest()}))
+                  "peak_bytes": peak, "outputs_sha256": digest.hexdigest()}))
 """
 
 #: ring sizes of the path sampler: the ring of check 07b and the n = 80 ring

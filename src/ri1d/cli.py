@@ -247,13 +247,20 @@ def cmd_selftest(args, run: _Run) -> None:
 
 # -- parser --------------------------------------------------------------------
 
+def _worker_count(text: str) -> int:
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 worker, got {workers}")
+    return workers
+
+
 def _add_common(p: argparse.ArgumentParser, func, seed: bool = False,
                 workers: bool = False) -> None:
     p.add_argument("--out", default=None, help="write the run as JSON to this file")
     if seed:
         p.add_argument("--seed", type=int, default=acceptance.DEFAULT_SEED)
     if workers:
-        p.add_argument("--workers", type=int, default=None,
+        p.add_argument("--workers", type=_worker_count, default=None,
                        help="parallel streams (default: RI1D_WORKERS or 1)")
     p.set_defaults(func=func)
 

@@ -80,12 +80,18 @@ class Verdict:
 
 
 def default_workers() -> int:
-    """Worker count from RI1D_WORKERS, defaulting to 1."""
+    """Worker count from RI1D_WORKERS, 1 when it is unset or empty.
+
+    Raises ValueError when it is set to anything but a positive integer.
+    """
     raw = os.environ.get("RI1D_WORKERS", "")
     try:
-        return max(1, int(raw))
+        workers = int(raw) if raw else 1
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"RI1D_WORKERS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def run_replicates(experiment: Experiment, M: int, seed: int,
@@ -99,12 +105,16 @@ def run_replicates(experiment: Experiment, M: int, seed: int,
     must have the first chunk's dtype. Peak memory is that array plus
     numpy's variance temporary of M floats plus the chunks in flight (and a
     second array of M values when the draws are not int64); with
-    keep_sample the array is sorted in place and kept as the sample.
+    keep_sample the array is sorted in place and kept as the sample. M or
+    workers below 1 raises ValueError; workers None reads RI1D_WORKERS
+    (:func:`default_workers`).
     """
     if M < 1:
         raise ValueError(f"need M >= 1, got {M}")
     if workers is None:
         workers = default_workers()
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
     sizes = [(j, min(CHUNK_SIZE, M - j * CHUNK_SIZE))
              for j in range((M + CHUNK_SIZE - 1) // CHUNK_SIZE)]
 

@@ -31,10 +31,12 @@ draws one uniform per walker per block and inverts it against the block's
 exact joint law of up-steps, visits to a site and contact with an
 interval's bounds (a guide table first, a binary search for the walkers it
 does not place), a table built by the block recursion of
-:mod:`ri1d.core_walks` that the absorbing walk also runs: once for all
-settled blocks, and for the blocks after them in runs of up to 8
-consecutive blocks per recursion, one run alive at a time within a budget
-of _BATCH_CELLS cells.
+:mod:`ri1d.core_walks` that the absorbing walk also runs. One generator,
+:func:`_block_laws`, owns the schedule of those laws: the law of all settled
+blocks once, the blocks after them in runs of up to 8 consecutive blocks
+per recursion, one run alive at a time within a budget of _BATCH_CELLS
+cells, and the short last block. The walk reads it, and so do the tests
+that compose the same laws into the exact law of the walk's output.
 """
 
 from __future__ import annotations
@@ -506,7 +508,9 @@ def _batch_blocks(n: int, parity: int, visit_site: int | None,
     One block of the batch holds its rows of up-steps and six times its
     law's cells: the recursion's mass, its step buffer, and the search
     table's running sums and guide, each at most twice the law's outcomes
-    wide.
+    wide. Since :func:`_block_laws` hands the walk one law at a time, only
+    one search table is alive at once, so the count overstates the tables;
+    the formula is kept because a new one would change the run sizes.
     """
     law = (_visit_slots(parity, 2, _BLOCK, visit_site) * (2 if stay_in else 1)
            * (n // 2 + 1) * (_BLOCK + 1))
@@ -544,6 +548,38 @@ def _block_law(kernel: SurvivalKernel, s0s, steps: int, parity: int,
     return w.transpose(0, 3, 4, 1, 2)
 
 
+def _block_laws(kernel: SurvivalKernel, x0: int, t: int, visit_site: int | None,
+                stay_in: tuple[int, int] | None):
+    """The block schedule of a t-step walk from x0: (steps, law, blocks).
+
+    Yields the laws of :func:`_block_law` in walk order, each to be taken
+    ``blocks`` times in a row. First the law of the blocks whose 32 steps all
+    read the settled row R of the kernel, once, with their count; then each
+    later full block, with blocks = 1, from runs of :func:`_batch_blocks`
+    consecutive blocks per recursion; last the short block, alone. A run's
+    laws are freed before the next run's recursion starts, so a caller that
+    drops each law before it asks for the next holds one batch at a time.
+    """
+    parity = x0 % 2
+    # blocks i = 0, 1, ... from s0 = t - 32 i read only rows at or past the
+    # settled row R = len(_log_z) - 1 while s0 - 31 >= R
+    settled = max(0, (t - len(kernel._log_z) + 2) // _BLOCK)
+    if settled:
+        yield (_BLOCK, _block_law(kernel, [t], _BLOCK, parity, visit_site, stay_in)[0],
+               settled)
+    s0 = t - settled * _BLOCK
+    batch = _batch_blocks(kernel.n, parity, visit_site, stay_in)
+    while s0 >= _BLOCK:
+        s0s = range(s0, s0 - min(batch, s0 // _BLOCK) * _BLOCK, -_BLOCK)
+        # not a for loop here: its variable would hold the run's batch
+        # alive while the next run's recursion builds its own
+        yield from ((_BLOCK, law, 1) for law in
+                    _block_law(kernel, s0s, _BLOCK, parity, visit_site, stay_in))
+        s0 -= len(s0s) * _BLOCK
+    if s0:
+        yield s0, _block_law(kernel, [s0], s0, parity, visit_site, stay_in)[0], 1
+
+
 def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
                       gen: np.random.Generator, visit_site: int | None = None,
                       stay_in: tuple[int, int] | None = None):
@@ -564,61 +600,36 @@ def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
     :mod:`ri1d.core_walks` shares both. Each table carries its up-step
     counts as the row's move, d - steps // 2.
 
-    Blocks whose every step reads the settled row share one table, built
-    once; the others come after them. The walk builds their tables when it
-    reaches them, in runs of up to :func:`_batch_blocks` consecutive full
-    blocks from one recursion, and the short last block alone; each run's
-    tables are freed before the next run is built. So memory on top of the
-    kernel is one batch within _BATCH_CELLS, and O(M).
+    The laws come from :func:`_block_laws`, in walk order: the walk builds
+    one search table per law and takes it for the law's blocks, and frees
+    law and table before it asks for the next. So memory on top of the
+    kernel is one batch of laws within _BATCH_CELLS, one table, and O(M).
 
     Raises ValueError where :meth:`SurvivalKernel._check_start` does.
     """
     kernel._check_start(x0, t)
     visits = np.zeros(M, dtype=np.int64) if visit_site is not None else None
     inside = np.full(M, stay_in[0] < x0 < stay_in[1]) if stay_in is not None else None
-    if t == 0:
-        return visits, inside
-    last = len(kernel._log_z) - 1  # the settled row, when t reaches past it
-    batch = _batch_blocks(kernel.n, x0 % 2, visit_site, stay_in)
     row = np.full(M, x0 // 2, dtype=np.intp)
     pos = np.empty(M, dtype=np.intp)
     bit = np.empty(M, dtype=np.intp)
     u = np.empty(M)
     thr = np.empty(M)
     keep = np.empty(M, dtype=bool)
-    settled = None
-    run = []  # search tables of the run's blocks still ahead, last block first
-
-    def table(law, steps):
-        """The law's search table with its up-step counts d as the row's
-        move, d - steps // 2."""
-        cdf, guide, k, d, c, f = _search_table(law)
-        return cdf, guide, k, d - steps // 2, c, f
-
-    for k0 in range(0, t, _BLOCK):
-        steps = min(_BLOCK, t - k0)
-        if steps == _BLOCK and t - k0 - steps + 1 >= last:
-            if settled is None:
-                settled = table(_block_law(kernel, [t - k0], steps, x0 % 2,
-                                           visit_site, stay_in)[0], steps)
-            cdf, guide, k, move, c, f = settled
-        else:
-            if not run:
-                # free the settled or last run's table before the next run
-                settled = cdf = guide = move = c = f = None
-                blocks = max(1, min(batch, (t - k0) // _BLOCK))
-                s0s = range(t - k0, t - k0 - blocks * steps, -steps)
-                run = [table(law, steps) for law in
-                       _block_law(kernel, s0s, steps, x0 % 2, visit_site, stay_in)[::-1]]
-            cdf, guide, k, move, c, f = run.pop()
-        gen.random(out=u)
-        _search(cdf, guide, k, row, u, pos, thr, bit)
-        if visits is not None:
-            visits += c.take(pos, out=bit)
-        if inside is not None:
-            np.equal(f.take(pos, out=bit), 0, out=keep)
-            inside &= keep
-        row += move.take(pos, out=bit)
+    for steps, law, blocks in _block_laws(kernel, x0, t, visit_site, stay_in):
+        cdf, guide, k, move, c, f = _search_table(law)
+        move -= steps // 2  # d up-steps move the row by d - steps // 2
+        del law
+        for _ in range(blocks):
+            gen.random(out=u)
+            _search(cdf, guide, k, row, u, pos, thr, bit)
+            if visits is not None:
+                visits += c.take(pos, out=bit)
+            if inside is not None:
+                np.equal(f.take(pos, out=bit), 0, out=keep)
+                inside &= keep
+            row += move.take(pos, out=bit)
+        del cdf, guide, move, c, f  # before the next law is built
     return visits, inside
 
 

@@ -113,6 +113,31 @@ class TestErrors:
             main(argv.split())
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        "sample-localtime --alpha 1 --x 3 --samples 100 --workers -2",
+        "sample-localtime --alpha 1 --x 3 --samples 100 --workers 0",
+        "verify pi4 --workers 0",
+        "selftest --workers -1",
+    ])
+    def test_workers_below_one_exit_2(self, argv, tmp_path, capsys):
+        # refused at parse time, so no command runs and no record is written
+        out = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as e:
+            main([*argv.split(), "--out", str(out)])
+        assert e.value.code == 2
+        assert "need at least 1 worker" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", ["0", "-2", "two"])
+    def test_bad_worker_variable_exit_2(self, raw, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("RI1D_WORKERS", raw)
+        out = tmp_path / "r.json"
+        code = main(["sample-localtime", "--alpha", "1", "--x", "3", "--samples", "100",
+                     "--out", str(out)])
+        assert code == 2
+        assert "RI1D_WORKERS must be a positive integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_horizon_exit_2(self, capsys):
         code = main(["ring-vacant-exact", "--n", "10", "--t", "-5", "--x0", "5",
                      "--a", "1", "--b", "1"])

@@ -6,8 +6,8 @@ import pytest
 from scipy.special import ndtri
 
 from ri1d import interlacements as il
-from ri1d.mc import (CHUNK_SIZE, Experiment, Verdict, ks_distance_to_normal,
-                     run_replicates, tv_distance)
+from ri1d.mc import (CHUNK_SIZE, Experiment, Verdict, default_workers,
+                     ks_distance_to_normal, run_replicates, tv_distance)
 from ri1d.rngs import RngState
 
 
@@ -98,6 +98,30 @@ class TestRunReplicates:
     def test_bad_m(self):
         with pytest.raises(ValueError):
             run_replicates(poisson_exp(), 0, seed=1)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_raise(self, workers):
+        # before any chunk is drawn, at one chunk or two
+        def sample(g, m):
+            raise AssertionError("no chunk may be drawn")
+        for M in (10, CHUNK_SIZE + 10):
+            with pytest.raises(ValueError, match=f"need workers >= 1, got {workers}"):
+                run_replicates(Experiment("refused", sample), M, seed=1, workers=workers)
+
+    @pytest.mark.parametrize("raw", ["0", "-2", "abc", "1.5", " "])
+    def test_bad_worker_variable_raises(self, raw, monkeypatch):
+        monkeypatch.setenv("RI1D_WORKERS", raw)
+        with pytest.raises(ValueError, match="RI1D_WORKERS must be a positive integer"):
+            default_workers()
+        with pytest.raises(ValueError, match="RI1D_WORKERS"):
+            run_replicates(poisson_exp(), 10, seed=1)
+
+    def test_worker_variable(self, monkeypatch):
+        monkeypatch.delenv("RI1D_WORKERS", raising=False)
+        assert default_workers() == 1
+        for raw, workers in (("", 1), ("1", 1), ("3", 3), (" 2 ", 2)):
+            monkeypatch.setenv("RI1D_WORKERS", raw)
+            assert default_workers() == workers
 
     def test_mixed_dtype_chunks_raise(self):
         # chunk 0 sets the dtype; a later chunk of another dtype is refused
