@@ -35,6 +35,9 @@ Run from the root of a checkout. The committed files came from::
     OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev de7204e \\
         --claim sampling-scale --seed0 1291 --sweep ring_walk \\
         --out BENCH_block_schedule.json
+    OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev a4958c8 \\
+        --claim exact-scale --seed0 1321 --sweep killed_walk --sweep kernel_build \\
+        --out BENCH_killed_lean.json
 
 (the files before BENCH_walk_rows.json ran one pair per sweep case;
 BENCH_window_chain.json and BENCH_block_schedule.json claim no gain: there
@@ -90,7 +93,9 @@ seed0 + i. The output holds:
     from the middle of the segment of n sites over KILLED_STEPS steps, and
     the first leg of ``no_hit_prob_exact`` on the ring of 2 n_half sites,
     delta = ceil(cond_threshold(2 n_half)) steps killed at site 1, as
-    exact-scale runs it at n_half = 120;
+    exact-scale runs it at n_half = 120, and ``mid_tail``, the first leg of
+    ``mid_tail_check`` from x = n_half / 2, killed at n_half to its right,
+    over as many steps, as check 11 runs it at n_half = 40 and x = 20;
   - ``harness``: the replicate harness on the local-time sampler at
     x = 400 of check 04 and sampling-scale, at the cases of HARNESS_CASES:
     ``run_replicates`` at M replicates with ``keep_sample`` off and on at 1
@@ -348,8 +353,10 @@ print(json.dumps({"K": head[-1], "rows": len(law), "build_s": statistics.median(
                   "outputs_sha256": digest.hexdigest()}))
 """
 
-#: (call, size): h_dp at n = size, and the first leg at n_half = size
-KILLED_CASES = (("h_dp", 200), ("h_dp", 1000), ("first_leg", 60), ("first_leg", 120))
+#: (call, size): h_dp at n = size, and the first leg of the no-hit or the
+#: mid-tail check at n_half = size
+KILLED_CASES = (("h_dp", 200), ("h_dp", 1000), ("first_leg", 60), ("first_leg", 120),
+                ("mid_tail", 40))
 KILLED_STEPS = 250000
 KILLED_REPEATS = 3
 KILLED_SNIPPET = """
@@ -363,7 +370,10 @@ if name == "h_dp":
     call = lambda: rk.h_dp(size, size // 2, steps)
 else:
     steps = math.ceil(config.cond_threshold(2 * size))
-    call = lambda: rk.no_hit_prob_exact(size, 2 * steps, steps, 1)[0]
+    if name == "first_leg":
+        call = lambda: rk.no_hit_prob_exact(size, 2 * steps, steps, 1)[0]
+    else:
+        call = lambda: rk.mid_tail_check(size, 2 * steps, steps, size // 2)[0]
 times, digest = [], hashlib.sha256()
 for _ in range(reps):
     start = time.perf_counter()

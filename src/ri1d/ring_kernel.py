@@ -3,14 +3,15 @@
 The ring of n sites with a forbidden origin is represented as the segment
 {1..n-1} with killing at 0 and n (ring site -a is line site n-a). One
 killed-walk engine, :func:`_killed_walk`, computes every exact ring quantity:
-the simple walk killed at 0, n and optional extra sites, stepped as unhalved
-sums with its scale carried as an exact power of two. It steps in runs of
-32 through a run buffer whose views are built once, so a step is one np.add,
-and rescales once a run; it returns every row, or only the last. Run
-backward from the all-ones vector it gives h_n(x,t) = P_x[tau_{0,n} > t]
-(:func:`h_dp`, and the :class:`SurvivalKernel` table, copied in one slice
-a run); run forward from a point mass it gives the first-leg law behind the
-no-hit and mid-tail checks.
+the simple walk killed at 0 and n, stepped as unhalved sums with its scale
+carried as an exact power of two. It steps in runs of 32 through a run
+buffer whose views are built once, so a step is one np.add, steps 2..32 of
+a run are one C-level loop, and it rescales once a run; it returns every
+row, or only the last. Run backward from the all-ones vector it gives
+h_n(x,t) = P_x[tau_{0,n} > t] (:func:`h_dp`, and the :class:`SurvivalKernel`
+table, copied in one slice a run); run forward from a point mass, on the
+part of the segment that a killed site cuts off, it gives the first-leg law
+behind the no-hit and mid-tail checks.
 Point values also have closed forms: the odd-mode spectral sum in signed log
 domain (summed by :func:`_logsumexp`, a numpy port of scipy's log-sum-exp),
 read only through :func:`_log_h`, and the first-mode asymptotic
@@ -44,6 +45,8 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from collections import deque
+from itertools import starmap
 
 import numpy as np
 
@@ -195,63 +198,55 @@ def _rescale(row: np.ndarray) -> float:
     return shift
 
 
-def _killed_walk(v: np.ndarray, steps: int, extra_kill: tuple[int, ...] = (),
+def _killed_walk(v: np.ndarray, steps: int,
                  every_row: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """(rows, log_z): the killed walk from v after 0..steps steps.
 
     One step maps v to 0.5 (v[x-1] + v[x+1]) on 1..n-1 (n = len(v) - 1) and
-    to 0 at 0, n and the extra_kill sites; the input v is nonnegative and
-    read as 0 at those sites. The walk is symmetric, so this is both the
-    backward survival recursion and the forward transport of a distribution.
+    to 0 at 0 and n; the input v is nonnegative and read as 0 at both ends.
+    The walk is symmetric, so this is both the backward survival recursion
+    and the forward transport of a distribution.
 
     Row s stands for rows[s] * exp(log_z[s]) with log_z[s] = e ln 2 for an
     integer e. A step stores the unhalved sums v[x-1] + v[x+1] and counts the
     factor 1/2 in e, so the add is the only rounding. The walk steps in runs
     of _RESCALE_EVERY steps through a buffer of _RESCALE_EVERY + 1 rows whose
     row 0 holds the row the run starts from, with the views of every step
-    built once: a step is one np.add plus one scalar store per extra killed
-    site. The first step of each run and the last step scale their row by
-    the exact power of two that brings its max into [1/2, 1)
-    (:func:`_rescale`), and each run is copied out with one slice
-    assignment. Only the first step can kill everything: a live site with a
-    live neighbour keeps both alive, so after it the max never falls. Once
-    nothing survives, every row is zero and its log_z -inf.
+    built once: a step is one np.add, and steps 2..k of a run go through one
+    C-level iterator, with no Python statement run per step. The first step
+    of each run and the last step scale their row by the exact power of two
+    that brings its max into [1/2, 1) (:func:`_rescale`), and each run is
+    copied out with one slice assignment. Only the first step can kill
+    everything: a live site with a live neighbour keeps both alive, so after
+    it the max never falls. Once nothing survives, every row is zero and its
+    log_z -inf.
 
     rows has shape (steps + 1, n + 1) and row 0 is the input, zeroed at the
-    killed sites. With every_row False it is the last row alone, shape
-    (1, n + 1), and the steps alternate between two buffer rows, which stay
-    in cache where 33 rows of a large n do not.
+    ends. With every_row False it is the last row alone, shape (1, n + 1),
+    and the steps alternate between two buffer rows, which stay in cache
+    where 33 rows of a large n do not.
     """
     n = len(v) - 1
     depth = _RESCALE_EVERY + 1 if every_row else 2
     buf = np.zeros((depth, n + 1))  # the ends 0 and n are never written
     buf[0, 1:n] = v[1:n]
-    kill = list(extra_kill)
-    buf[0, kill] = 0.0
-    # step i of a run: the views of the sites x-1 and x+1 it reads, of 1..n-1
-    # it writes, and the whole row it writes
-    ops = [(buf[i % depth, :n - 1], buf[i % depth, 2:], buf[(i + 1) % depth, 1:n],
-            buf[(i + 1) % depth]) for i in range(_RESCALE_EVERY)]
+    # step i of a run: the views of the sites x-1 and x+1 it reads and of
+    # 1..n-1 it writes; its whole row is buf[(i + 1) % depth]
+    ops = [(buf[i % depth, :n - 1], buf[i % depth, 2:], buf[(i + 1) % depth, 1:n])
+           for i in range(_RESCALE_EVERY)]
     halvings = np.arange(_RESCALE_EVERY + 1.0)  # of the rows 0..k of a run
     rows = np.empty((steps + 1 if every_row else 1, n + 1))
     log_z = np.empty(len(rows))
     rows[0], log_z[0] = buf[0], 0.0
-    add = np.add
     e = 0  # the scale exponent of buffer row 0
     for s0 in range(0, steps, _RESCALE_EVERY):
         k = min(_RESCALE_EVERY, steps - s0)
         if s0 and every_row:
             buf[0] = buf[_RESCALE_EVERY]
-        a, b, out, row = ops[0]
-        add(a, b, out)
-        for x in kill:
-            row[x] = 0.0
-        shift = _rescale(row)
-        for a, b, out, row in ops[1:k]:
-            add(a, b, out)
-            for x in kill:
-                row[x] = 0.0
-        last = _rescale(row) if k > 1 and s0 + k == steps else 0
+        np.add(*ops[0])
+        shift = _rescale(buf[1])
+        deque(starmap(np.add, ops[1:k]), maxlen=0)
+        last = _rescale(buf[k % depth]) if k > 1 and s0 + k == steps else 0
         e_end = e + shift - k + last
         if every_row:
             rows[s0 + 1:s0 + k + 1] = buf[1:k + 1]
@@ -692,15 +687,20 @@ def verify_pi4(n: int, delta: int, a: int) -> tuple[float, bool]:
 def _first_leg_prob(n: int, x0: int, t: int, delta: int, kill: int) -> float:
     """P[the first delta steps from x0 avoid kill] under the t-horizon law.
 
-    Runs the walk killed at 0, n and kill forward from x0 and weights where
-    it ends by the remaining-time kernel:
+    The killed site cuts the segment in two and a point mass never leaves
+    its part, so the walk runs forward from x0 on the part that kill cuts
+    off around it, [kill, n] when x0 > kill and [0, kill] otherwise, and its
+    last row is put back onto the n + 1 sites (the other part holds only
+    zeros). Where it ends is weighted by the remaining-time kernel:
     sum_z P_x0[X_delta = z, alive] h_n(z, t-delta) / h_n(x0, t). Every weight
     is positive, so the sum is one unsigned log-sum.
     """
+    lo, hi = (kill, n) if x0 > kill else (0, kill)
+    v = np.zeros(hi - lo + 1)
+    v[x0 - lo] = 1.0
+    rows, log_z = _killed_walk(v, delta, every_row=False)
     v = np.zeros(n + 1)
-    v[x0] = 1.0
-    rows, log_z = _killed_walk(v, delta, (kill,), every_row=False)
-    v = rows[0]
+    v[lo:hi + 1] = rows[0]
     sites = np.flatnonzero(v)  # none once everything is dead: log_num = -inf
     log_num = _logsumexp(np.log(v[sites]) + _log_h(n, sites, t - delta))
     return math.exp(float(log_z[0]) + float(log_num) - _log_h(n, x0, t))

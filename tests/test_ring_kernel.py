@@ -15,19 +15,38 @@ from ri1d.mc import tv_distance
 from ri1d.rngs import RngState
 
 
+def _start_part(length: int, start: int, kill) -> tuple[int, int]:
+    """The ends (lo, hi) of the part of 0..length that the killed sites
+    nearest start cut off around it."""
+    lo = max((k for k in kill if k < start), default=0)
+    hi = min((k for k in kill if k > start), default=length)
+    return lo, hi
+
+
+def _walk_part(v, steps: int, kill, start, every_row: bool = True):
+    """rk._killed_walk on the part of v that holds start, its rows put back
+    onto all of v's sites: the walk killed at 0, len(v) - 1 and kill."""
+    lo, hi = _start_part(len(v) - 1, start, kill)
+    rows, log_z = rk._killed_walk(v[lo:hi + 1], steps, every_row)
+    full = np.zeros((len(rows), len(v)))
+    full[:, lo:hi + 1] = rows
+    return full, log_z
+
+
 def _propagate_killed(length: int, start: int, steps: int,
                       extra_kill: tuple[int, ...] = ()):
     """Distribution of the simple walk killed at {0, length} + extra sites.
 
     Returns (weights summing to 1 over 0..length, log of the surviving mass)
     after ``steps`` steps from ``start``, or (zeros, -inf) once nothing
-    survives.
+    survives. The walk runs on the part between the killed sites nearest
+    start.
     """
     if start in (0, length) or start in extra_kill:
         raise ValueError(f"start {start} is a killed site")
     w = np.zeros(length + 1)
     w[start] = 1.0
-    rows, log_z = rk._killed_walk(w, steps, extra_kill, every_row=False)
+    rows, log_z = _walk_part(w, steps, extra_kill, start, every_row=False)
     w = rows[0]
     total = w.sum()
     if total == 0.0:
@@ -1180,7 +1199,11 @@ def _sha256(value) -> str:
 
 
 class TestKilledWalkRuns:
-    """_killed_walk's runs of 32 steps against the one-step loop, bit for bit."""
+    """_killed_walk's runs of 32 steps against the one-step loop, bit for bit.
+
+    A walk with killed sites inside the segment runs on its start's part
+    (:func:`_walk_part`) and is compared on the full row.
+    """
 
     #: a walk's first and last steps around the first three rescalings
     STEPS = (0, 1, 31, 32, 33, 64, 65)
@@ -1203,10 +1226,10 @@ class TestKilledWalkRuns:
         v = self.start_vector(n, start, kill)
         for steps in self.STEPS:
             ref_rows, ref_z = _killed_steps_loop(v, steps, kill)
-            rows, log_z = rk._killed_walk(v, steps, kill)
+            rows, log_z = _walk_part(v, steps, kill, start)
             assert rows.tobytes() == ref_rows.tobytes()
             assert log_z.tobytes() == ref_z.tobytes()
-            last, last_z = rk._killed_walk(v, steps, kill, every_row=False)
+            last, last_z = _walk_part(v, steps, kill, start, every_row=False)
             assert last.shape == (1, n + 1)
             assert last.tobytes() == ref_rows[-1].tobytes()
             assert last_z.tobytes() == ref_z[-1:].tobytes()
@@ -1215,7 +1238,7 @@ class TestKilledWalkRuns:
     def test_rows_vs_fraction_oracle(self, n, start, kill):
         v = self.start_vector(n, start, kill)
         exact = _exact_killed_steps([Fraction(int(p)) for p in v], 70, kill)
-        rows, log_z = rk._killed_walk(v, 70, kill)
+        rows, log_z = _walk_part(v, 70, kill, start)
         for s in range(71):
             ref = [float(p) for p in exact[s]]
             np.testing.assert_allclose(rows[s] * math.exp(log_z[s]), ref,
@@ -1236,8 +1259,8 @@ class TestKilledWalkRuns:
     def test_input_is_not_written(self):
         v = self.start_vector(41, 30, (9,))
         before = v.copy()
-        rk._killed_walk(v, 40, (9,))
-        rk._killed_walk(v, 40, (9,), every_row=False)
+        rk._killed_walk(v, 40)
+        rk._killed_walk(v, 40, every_row=False)
         assert v.tobytes() == before.tobytes()
 
     def test_digests(self):
@@ -1248,6 +1271,69 @@ class TestKilledWalkRuns:
         delta = math.ceil(config.cond_threshold(240))
         exact, _, _ = rk.no_hit_prob_exact(120, 2 * delta, delta, 1)
         assert _sha256(exact) == KILLED_WALK_SHA256["no_hit"]
+
+
+class TestFirstLegCut:
+    """_first_leg_prob walks only the part of the segment that its killed
+    site cuts off around x0; its last row, put back onto the n + 1 sites,
+    its log scale and its probability are those of the one-step loop on the
+    full row with the killed site, bit for bit."""
+
+    @staticmethod
+    def reference(n, x0, t, delta, kill):
+        v = np.zeros(n + 1)
+        v[x0] = 1.0
+        rows, log_z = _killed_steps_loop(v, delta, (kill,))
+        row, z = rows[-1], log_z[-1:]
+        sites = np.flatnonzero(row)
+        log_num = rk._logsumexp(np.log(row[sites]) + rk._log_h(n, sites, t - delta))
+        return row, z, math.exp(float(z[0]) + float(log_num) - rk._log_h(n, x0, t))
+
+    @staticmethod
+    def first_leg(monkeypatch, n, x0, t, delta, kill):
+        """(last row on the full row, its log scale, the probability) of
+        _first_leg_prob, the row read from the engine's one call, which must
+        walk the part of x0."""
+        walk, calls = rk._killed_walk, []
+
+        def spy(v, steps, every_row=True):
+            calls.append(walk(v, steps, every_row))
+            return calls[-1]
+
+        monkeypatch.setattr(rk, "_killed_walk", spy)
+        prob = rk._first_leg_prob(n, x0, t, delta, kill)
+        monkeypatch.undo()
+        (rows, log_z), = calls
+        lo, hi = _start_part(n, x0, (kill,))
+        assert rows.shape == (1, hi - lo + 1)
+        row = np.zeros(n + 1)
+        row[lo:hi + 1] = rows[0]
+        return row, log_z, prob
+
+    # check 10's no-hit leg (kill left of x0) and check 11's mid-tail legs
+    # (kill right of x0)
+    CASES = [(60, 60, 1), (40, 10, 40), (40, 20, 40), (40, 30, 40)]
+
+    @pytest.mark.parametrize("n_half,x0,kill", CASES)
+    def test_matches_full_row_loop(self, monkeypatch, n_half, x0, kill):
+        n = 2 * n_half
+        delta = math.ceil(config.cond_threshold(n))
+        t = 2 * delta
+        row, log_z, prob = self.first_leg(monkeypatch, n, x0, t, delta, kill)
+        ref_row, ref_z, ref_prob = self.reference(n, x0, t, delta, kill)
+        assert row.tobytes() == ref_row.tobytes()
+        assert log_z.tobytes() == ref_z.tobytes()
+        assert np.float64(prob).tobytes() == np.float64(ref_prob).tobytes()
+        public = (rk.no_hit_prob_exact(n_half, t, delta, kill)[0] if x0 > kill
+                  else rk.mid_tail_check(n_half, t, delta, x0)[0])
+        assert public == prob
+
+    def test_one_site_part_gives_zero(self, monkeypatch):
+        # x0 = 1 with the site 2 killed: the part is [0, 2], dead at step 1
+        for delta in (1, 2, 33):
+            row, log_z, prob = self.first_leg(monkeypatch, 40, 1, 500, delta, 2)
+            assert not row.any() and log_z[0] == -math.inf
+            assert prob == 0.0
 
 
 def _full_table(n, t):
