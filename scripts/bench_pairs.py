@@ -38,6 +38,9 @@ Run from the root of a checkout. The committed files came from::
     OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev a4958c8 \\
         --claim exact-scale --seed0 1321 --sweep killed_walk --sweep kernel_build \\
         --out BENCH_killed_lean.json
+    OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev fd7a142 \\
+        --claim sampling-scale --seed0 1351 --sweep ring_walk \\
+        --out BENCH_settled_blocks.json
 
 (the files before BENCH_walk_rows.json ran one pair per sweep case;
 BENCH_window_chain.json and BENCH_block_schedule.json claim no gain: there
@@ -73,8 +76,9 @@ seed0 + i. The output holds:
     ns per replicate, with a hash of the visit and trajectory counts;
   - ``ring_walk``: the median of WALK_REPEATS calls of ``_ring_paths_batch``
     on the ring walks the benchmark and the acceptance suite make, in ns per
-    walker-step, and the tracemalloc peak of one more call in bytes, with a
-    hash of the outputs and of the generator state;
+    walker-step, the draws per walker of one call (its ``_search`` rounds)
+    and the tracemalloc peak of one more call in bytes, with a hash of the
+    outputs and of the generator state;
   - ``ring_path``: the median of PATH_REPEATS calls of ``sample_ring_path``
     from the middle of the ring at the sizes of PATH_CASES, alpha = 1,
     kernel build included, in ns per step, with a hash of the paths;
@@ -188,9 +192,20 @@ from ri1d.rngs import RngState
 n, M, x0, site, bounds, reps = json.loads(sys.argv[1])
 t = rk.ring_time_scale(n, 1.0)
 kernel = rk.SurvivalKernel(n, t)
+search, rounds = rk._search, []
+
+
+def counted(*args):
+    # one search per draw: every walker draws one uniform per round
+    rounds.append(None)
+    return search(*args)
+
+
+rk._search = counted
 times, digest = [], hashlib.sha256()
 for rep in range(reps):
     gen = RngState(rep).generator()
+    rounds.clear()
     start = time.perf_counter()
     visits, inside = rk._ring_paths_batch(kernel, x0, t, M, gen, site, bounds)
     times.append(time.perf_counter() - start)
@@ -198,6 +213,7 @@ for rep in range(reps):
         if a is not None:
             digest.update(a.tobytes())
     digest.update(repr(gen.bit_generator.state).encode())
+draws = len(rounds)
 tracemalloc.start()
 visits, inside = rk._ring_paths_batch(kernel, x0, t, M, RngState(reps).generator(), site,
                                       bounds)
@@ -206,7 +222,7 @@ tracemalloc.stop()
 for a in (visits, inside):
     if a is not None:
         digest.update(a.tobytes())
-print(json.dumps({"t": t, "s": statistics.median(times),
+print(json.dumps({"t": t, "draws_per_walker": draws, "s": statistics.median(times),
                   "ns_per_walker_step": 1e9 * statistics.median(times) / (M * t),
                   "peak_bytes": peak, "outputs_sha256": digest.hexdigest()}))
 """

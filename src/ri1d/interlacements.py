@@ -99,15 +99,23 @@ def vacant_prob_exact(A: IntervalSet, level) -> float:
 
 # -- window sampler -----------------------------------------------------------
 
-def _negbin(gen: np.random.Generator, n: np.ndarray, p: float) -> np.ndarray:
+def _negbin(gen: np.random.Generator, n: np.ndarray, p: float,
+            out: np.ndarray | None = None) -> np.ndarray:
     """NegBin(n, p) failure counts, 0 where n = 0 (which numpy rejects).
 
-    n + NegBin(n, p) is the sum of n geometrics on {1, 2, ...} with success
-    probability p.
+    The draws are added into out in place (a new array of zeros by default;
+    out may be n) and out is returned, so out = n gives n + NegBin(n, p), the
+    sum of n geometrics on {1, 2, ...} with success probability p. Where
+    every n is positive, numpy draws from n itself; otherwise from a copy
+    of the positive entries, and only those entries of out are written.
     """
-    out = np.zeros_like(n)
+    if out is None:
+        out = np.zeros_like(n)
     live = n > 0
-    out[live] = gen.negative_binomial(n[live], p)
+    if live.all():
+        out += gen.negative_binomial(n, p)
+    else:
+        out[live] += gen.negative_binomial(n[live], p)
     return out
 
 
@@ -134,10 +142,12 @@ def _simulate_window_batch(alpha: float, L: int, M: int, gen: np.random.Generato
         raise ValueError(f"half-width must be >= 1, got {L}")
     n_side = gen.poisson(alpha * L / 2, 2 * M)  # slots 0..M-1: sites < 0
     n_traj = n_side[:M] + n_side[M:]
-    u = n_side + _negbin(gen, n_side, 1 / (L + 1))
+    u = _negbin(gen, n_side, 1 / (L + 1), out=n_side)
     counts = np.zeros((M, 2 * L + 1), dtype=np.int64)
     for x in range(L, 0, -1):
-        below = _negbin(gen, u, (x + 1) / (2 * x))  # p = 1 at x = 1
+        # p = 1 at x = 1, where U_0 = NegBin(U_1, 1) = 0: the chain's last
+        # draw is skipped, and the draws before it keep their bits
+        below = _negbin(gen, u, (x + 1) / (2 * x)) if x > 1 else 0
         v = u + below
         counts[:, L - x] = v[:M]
         counts[:, L + x] = v[M:]
@@ -169,12 +179,12 @@ def sample_local_times(x: int, level, M: int, gen: np.random.Generator) -> np.nd
 
     The local time is a sum of n ~ Poisson(alpha*x/2) geometric visit counts
     on {1, 2, ...} with success probability 1/(2x); that sum is drawn in one
-    step as n + NegBin(n, 1/(2x)), counting failures.
+    step as n + NegBin(n, 1/(2x)), counting failures, added into n in place.
     """
     if x < 1:
         raise ValueError(f"site must be >= 1, got {x}")
     n = gen.poisson(_alpha(level) * x / 2, M)
-    return n + _negbin(gen, n, 1 / (2 * x))
+    return _negbin(gen, n, 1 / (2 * x), out=n)
 
 
 def local_time_cf(x: int, level, t) -> complex:

@@ -28,16 +28,21 @@ of a block of 32 steps (:meth:`SurvivalKernel._up_rows`), in which the
 settled row, the Doob step, stands for every time past the stored rows. The
 path sampler draws one uniform per step and compares it with the row of
 its step. The batch walk behind the vacant-set and local-time samplers
-draws one uniform per walker per block and inverts it against the block's
-exact joint law of up-steps, visits to a site and contact with an
+draws one uniform per walker per law and inverts it against the law's
+exact joint law of the walker's move, visits to a site and contact with an
 interval's bounds (a guide table first, a binary search for the walkers it
-does not place), a table built by the block recursion of
-:mod:`ri1d.core_walks` that the absorbing walk also runs. One generator,
-:func:`_block_laws`, owns the schedule of those laws: the law of all settled
-blocks once, the blocks after them in runs of up to 8 consecutive blocks
-per recursion, one run alive at a time within a budget of _BATCH_CELLS
-cells, and the short last block. The walk reads it, and so do the tests
-that compose the same laws into the exact law of the walk's output.
+does not place). A block's law is a table built by the block recursion of
+:mod:`ri1d.core_walks` that the absorbing walk also runs. The settled
+blocks all take one time-homogeneous law, which :func:`_compose` composes
+with itself by exact doubling into the law of 2**j blocks: rows through the
+end row, visit counts by convolution, contact flags by or, every cell a sum
+of nonnegative products. One generator, :func:`_block_laws`, owns the
+schedule of those laws: the settled blocks as a few draws of such powers
+(:func:`_settled_laws`), the blocks after them in runs of up to 8
+consecutive blocks per recursion, one run alive at a time within a budget
+of _BATCH_CELLS cells, and the short last block. The walk reads it, and so
+do the tests that compose the same laws into the exact law of the walk's
+output.
 """
 
 from __future__ import annotations
@@ -491,8 +496,9 @@ def sample_ring_path(n: int, t_total: int, x0: int, rng: RngState) -> WalkPath:
 
 
 #: Cells (8-byte words) one batch of _block_law may hold in _ring_paths_batch:
-#: its blocks' up-step rows, recursion masses and step buffers, and search
-#: tables with their guides (:func:`_batch_blocks`). 2 MiB.
+#: its blocks' up-step rows, recursion masses and step buffers, and the one
+#: search table alive with its guide (:func:`_batch_blocks`); and twice the
+#: cells of a composed settled law (:func:`_settled_laws`). 2 MiB.
 _BATCH_CELLS = 1 << 18
 
 
@@ -500,17 +506,16 @@ def _batch_blocks(n: int, parity: int, visit_site: int | None,
                   stay_in: tuple[int, int] | None) -> int:
     """Full blocks per batch of :func:`_block_law`: 1 to 8, within _BATCH_CELLS.
 
-    One block of the batch holds its rows of up-steps and six times its
-    law's cells: the recursion's mass, its step buffer, and the search
-    table's running sums and guide, each at most twice the law's outcomes
-    wide. Since :func:`_block_laws` hands the walk one law at a time, only
-    one search table is alive at once, so the count overstates the tables;
-    the formula is kept because a new one would change the run sizes.
+    One block of the batch holds its rows of up-steps and twice its law's
+    cells, the recursion's mass and its step buffer. The walk builds one
+    search table at a time, its running sums and guide each at most twice
+    the law's outcomes wide, so a run counts one table of four times a
+    law's cells on top of its blocks.
     """
     law = (_visit_slots(parity, 2, _BLOCK, visit_site) * (2 if stay_in else 1)
            * (n // 2 + 1) * (_BLOCK + 1))
     up = _BLOCK * (_BLOCK - parity + n + 1)
-    return min(8, max(1, _BATCH_CELLS // (up + 6 * law)))
+    return min(8, max(1, (_BATCH_CELLS - 4 * law) // (up + 2 * law)))
 
 
 def _block_law(kernel: SurvivalKernel, s0s, steps: int, parity: int,
@@ -543,25 +548,109 @@ def _block_law(kernel: SurvivalKernel, s0s, steps: int, parity: int,
     return w.transpose(0, 3, 4, 1, 2)
 
 
+def _by_end_row(law: np.ndarray) -> np.ndarray:
+    """The law law[r, e, c, f] from row r to row e of a law law[r, m, c, f]
+    whose move m is centred: e = r + m - (law.shape[1] - 1) // 2. The walk
+    never leaves the rows, so no mass is dropped."""
+    rows, width = law.shape[:2]
+    r, m = np.indices((rows, width))
+    end = r + m - (width - 1) // 2
+    held = (0 <= end) & (end < rows)
+    out = np.zeros((rows, rows) + law.shape[2:])
+    out[r[held], end[held]] = law[held]
+    return out
+
+
+def _by_move(law: np.ndarray, steps: int) -> np.ndarray:
+    """The law law[r, m, c, f] of a steps-step law law[r, e, c, f] from row r
+    to row e, with its move centred: m = e - r + half, half = min(steps // 2,
+    rows - 1), the farthest a walker can move in rows."""
+    rows = len(law)
+    half = min(steps // 2, rows - 1)
+    r, e = np.indices((rows, rows))
+    held = abs(e - r) <= half
+    out = np.zeros((rows, 2 * half + 1) + law.shape[2:])
+    out[r[held], (e - r + half)[held]] = law[held]
+    return out
+
+
+def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The law of a's steps then b's, both laws w[r, e, c, f] by end row.
+
+    The rows compose through a's end row, which is b's start, the visit
+    counts add (a convolution along c) and the contact flags or. Every cell
+    is a sum of nonnegative products: one matrix product over the middle row
+    per slot (c, f) of a, added into the slots c..c + len(b's c axis) - 1.
+    """
+    rows, _, slots, flags = a.shape
+    out = np.zeros((rows, rows, slots + b.shape[2] - 1, flags))
+    rest = b.reshape(rows, -1)
+    for c in range(slots):
+        dst = out[:, :, c:c + b.shape[2]]
+        dst += (a[:, :, c, 0] @ rest).reshape(b.shape)
+        if flags > 1:
+            dst[..., 1] += (a[:, :, c, 1] @ rest).reshape(b.shape).sum(axis=3)
+    return out
+
+
+def _settled_laws(law: np.ndarray, blocks: int):
+    """The settled phase of ``blocks`` blocks of the settled law: (steps, law,
+    draws) in walk order, each law by centred move (:func:`_by_move`).
+
+    The settled blocks all take the one time-homogeneous Doob law, so the
+    law of 2**j of them is the law of one composed with itself by j
+    doublings (:func:`_compose`). The doubling stops at the top power J,
+    where the next power would pass blocks or twice its law's cells would
+    pass _BATCH_CELLS. That cap is measured: it stops check 08's visit walk,
+    whose c axis grows 16 slots a block, at 4 blocks, and 8 blocks took no
+    less time there (the larger composition and search table cost what the
+    fewer draws save); the vacant walks' laws never grow, so they double up
+    to blocks. The walk takes the top power blocks >> J times, then once
+    the remainder, the composition of the powers of the set bits of blocks
+    below J.
+    """
+    rows, _, slots, flags = law.shape
+
+    def cells(k: int) -> int:
+        """Cells of the law of k blocks by centred move."""
+        return rows * min(2 * rows - 1, _BLOCK * k + 1) * (k * (slots - 1) + 1) * flags
+
+    top, j, rest = _by_end_row(law), 0, None
+    while 2 << j <= blocks and 2 * cells(2 << j) <= _BATCH_CELLS:
+        if blocks >> j & 1:
+            rest = top if rest is None else _compose(rest, top)
+        top = _compose(top, top)
+        j += 1
+    yield _BLOCK << j, _by_move(top, _BLOCK << j), blocks >> j
+    if rest is not None:
+        del top  # before the walk builds the remainder's table
+        steps = _BLOCK * (blocks % (1 << j))
+        yield steps, _by_move(rest, steps), 1
+
+
 def _block_laws(kernel: SurvivalKernel, x0: int, t: int, visit_site: int | None,
                 stay_in: tuple[int, int] | None):
-    """The block schedule of a t-step walk from x0: (steps, law, blocks).
+    """The block schedule of a t-step walk from x0: (steps, law, draws).
 
-    Yields the laws of :func:`_block_law` in walk order, each to be taken
-    ``blocks`` times in a row. First the law of the blocks whose 32 steps all
-    read the settled row R of the kernel, once, with their count; then each
-    later full block, with blocks = 1, from runs of :func:`_batch_blocks`
-    consecutive blocks per recursion; last the short block, alone. A run's
-    laws are freed before the next run's recursion starts, so a caller that
-    drops each law before it asks for the next holds one batch at a time.
+    Yields laws law[r, m, c, f] in walk order, each of ``steps`` steps and to
+    be drawn ``draws`` times in a row; the law's move m is centred, so a
+    walker in row r moves to row r + m - (law.shape[1] - 1) // 2. That is
+    d - steps // 2 for a block law of :func:`_block_law`, whose m is its
+    up-step count d. First the blocks whose 32 steps all read the settled
+    row R of the kernel: their one law composed into super-blocks of 2**j
+    blocks (:func:`_settled_laws`). Then each later full block, once, from
+    runs of :func:`_batch_blocks` consecutive blocks per recursion; last the
+    short block, alone. A run's laws are freed before the next run's
+    recursion starts, so a caller that drops each law before it asks for the
+    next holds one batch at a time.
     """
     parity = x0 % 2
     # blocks i = 0, 1, ... from s0 = t - 32 i read only rows at or past the
     # settled row R = len(_log_z) - 1 while s0 - 31 >= R
     settled = max(0, (t - len(kernel._log_z) + 2) // _BLOCK)
     if settled:
-        yield (_BLOCK, _block_law(kernel, [t], _BLOCK, parity, visit_site, stay_in)[0],
-               settled)
+        yield from _settled_laws(
+            _block_law(kernel, [t], _BLOCK, parity, visit_site, stay_in)[0], settled)
     s0 = t - settled * _BLOCK
     batch = _batch_blocks(kernel.n, parity, visit_site, stay_in)
     while s0 >= _BLOCK:
@@ -582,23 +671,24 @@ def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
 
     Returns (visit counts at visit_site over times 1..t, indicator that the
     whole path, start included, stays strictly inside the open interval
-    stay_in); either may be None when not requested. The walk runs in
-    blocks of _BLOCK steps (the last may be shorter): per block each walker
-    draws one uniform, in walker order, and takes its block outcome (up-step
-    count, visits, whether it sat on a bound) from the block's exact joint
-    law (:func:`_block_law`) by inverse CDF. Blocks start on the parity of
-    x0, so a walker is its row r = x // 2 in the law. The search,
+    stay_in); either may be None when not requested. The walk takes the
+    laws of :func:`_block_laws` in order: a super-block of 2**j settled
+    blocks, the remainder of the settled blocks, then blocks of _BLOCK steps
+    (the last may be shorter). Per draw of a law each walker draws one
+    uniform, in walker order, and takes its outcome (move, visits, whether
+    it sat on a bound) from the law by inverse CDF. Every law starts on the
+    parity of x0, so a walker is its row r = x // 2 in the law. The search,
     :func:`~ri1d.core_walks._search` over the row's running sums
     (:func:`~ri1d.core_walks._search_table`), reads the table's guide and
     places most walkers with one gather and one compare; the rest take a
     fixed-depth binary search over their row. The absorbing walk of
-    :mod:`ri1d.core_walks` shares both. Each table carries its up-step
-    counts as the row's move, d - steps // 2.
+    :mod:`ri1d.core_walks` shares both. Each table carries its move in rows
+    on the law's centred axis, index - (law.shape[1] - 1) // 2.
 
-    The laws come from :func:`_block_laws`, in walk order: the walk builds
-    one search table per law and takes it for the law's blocks, and frees
-    law and table before it asks for the next. So memory on top of the
-    kernel is one batch of laws within _BATCH_CELLS, one table, and O(M).
+    The walk builds one search table per law and takes it for the law's
+    draws, and frees law and table before it asks for the next. So memory
+    on top of the kernel is one batch of laws within _BATCH_CELLS, or the
+    settled powers being composed, one table, and O(M).
 
     Raises ValueError where :meth:`SurvivalKernel._check_start` does.
     """
@@ -611,11 +701,11 @@ def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
     u = np.empty(M)
     thr = np.empty(M)
     keep = np.empty(M, dtype=bool)
-    for steps, law, blocks in _block_laws(kernel, x0, t, visit_site, stay_in):
+    for _, law, draws in _block_laws(kernel, x0, t, visit_site, stay_in):
         cdf, guide, k, move, c, f = _search_table(law)
-        move -= steps // 2  # d up-steps move the row by d - steps // 2
+        move -= (law.shape[1] - 1) // 2  # the law's move is centred
         del law
-        for _ in range(blocks):
+        for _ in range(draws):
             gen.random(out=u)
             _search(cdf, guide, k, row, u, pos, thr, bit)
             if visits is not None:

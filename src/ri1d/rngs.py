@@ -8,10 +8,13 @@ The batch samplers (``sample_local_times``, ``_simulate_window_batch``,
 ``ring_local_time_batch``) take a ``numpy.random.Generator``: the replicate
 harness builds one from the ``RngState`` of each chunk's stream. Each draws
 its uniforms in a fixed order. ``sample_ring_path`` draws one uniform per
-step. Two walks draw one uniform per live walker per block of 32 steps, in
-walker order: the conditioned ring walk behind ``ring_local_time_batch`` and
-the ring vacant-set checks, and the absorbing conditioned walk behind
-``simulate_hit_before``, ``estimate_hit_prob`` and ``estimate_escape_prob``.
+step. The absorbing conditioned walk behind ``simulate_hit_before``,
+``estimate_hit_prob`` and ``estimate_escape_prob`` draws one uniform per live
+walker per block of 32 steps, in walker order. The conditioned ring walk
+behind ``ring_local_time_batch`` and the ring vacant-set checks draws one
+uniform per walker, in walker order, per law of its schedule: a super-block
+of 2**j settled blocks, the remainder of the settled blocks, then each
+later block of 32 steps and the short last block.
 
 A state is a (seed, stream) pair; the same pair always reproduces the same
 draws, and distinct stream indices give independent-in-practice substreams

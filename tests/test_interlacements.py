@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import tracemalloc
 
@@ -236,6 +237,13 @@ class TestWindowChainVsWalk:
             1e-6, 4, 100, RngState(26).generator())
         assert not n_traj.any() and not counts.any()
 
+    def test_counts_digest(self):
+        # the counts of the chain that drew NegBin(U_1, 1) = 0 at x = 1: the
+        # skipped draw is the chain's last, so no count moves
+        counts, _, _ = il._simulate_window_batch(1.0, 8, 65536, RngState(7).generator())
+        assert hashlib.sha256(counts.tobytes()).hexdigest() == \
+            "e8253f27c5426698f1ad6ce1e06bf974328cd751867a41f8c960da2fe6c922b3"
+
 
 class TestLocalTimeSampler:
     def test_domain(self):
@@ -267,6 +275,20 @@ class TestLocalTimeSampler:
     def test_no_trajectories(self):
         s = il.sample_local_times(3, 1e-6, 100, RngState(0).generator())
         assert s.shape == (100,) and not s.any()
+
+    def test_peak_memory(self):
+        # the Poisson counts that the draws are added into (8 bytes a draw),
+        # the live mask (1) and numpy's negative_binomial, which holds 24 on
+        # its own: 33.2 bytes a draw measured at x = 400, where every count
+        # is positive (the sampler held 60 before it added in place)
+        M = 65536
+        tracemalloc.start()
+        try:
+            il.sample_local_times(400, 1.0, M, RngState(3).generator())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 34 * M
 
 
 class TestPmf:

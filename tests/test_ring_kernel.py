@@ -444,36 +444,40 @@ def _visit_law_exact(n, x0, t, site, cap=None, bounds=None):
 
 def _composed_law(kernel, x0, t, visit_site=None, stay_in=None, cap=0):
     """Exact law of the batch walk's output, composed from the walk's own
-    block laws in the walk's own order (rk._block_laws), with no sampling.
+    laws in the walk's own order (rk._block_laws), with no sampling.
 
     The state is w[r, k, f], the mass at row r (site 2r + x0 % 2 between
-    blocks) with k visits to visit_site (k >= cap lumped in row cap) and f =
-    1 once the walk sat on a bound of stay_in or started outside it. A block
-    takes row r to r + d - steps // 2, as the walk moves its walkers, adds
-    its c visits and ors in its f. Returns (law[k, f] summed over the rows,
-    a bound on the roundings in one of its cells). Every term is positive,
-    so nothing cancels and a cell's relative error is at most eps times the
-    roundings on its longest chain. Per block that is 4 a step for the law
-    (the up-step, a ratio of two kernel rows whose products telescope along
-    a path to one rounding a step, and the recursion's multiply and add)
-    plus one per outcome of a row for the composition's sum: each start row
-    reaches an end row through one d, so a cell sums at most the law's
-    cells of one row.
+    laws) with k visits to visit_site (k >= cap lumped in row cap) and f =
+    1 once the walk sat on a bound of stay_in or started outside it. A law
+    takes row r to r + m - (law.shape[1] - 1) // 2, as the walk moves its
+    walkers, adds its c visits and ors in its f. Returns (law[k, f] summed
+    over the rows, a bound on the roundings in one of its cells). Every term
+    is positive, so nothing cancels and a cell's relative error is at most
+    eps times the roundings on its longest chain. Per block that is 4 a
+    step for the law (the up-step, a ratio of two kernel rows whose products
+    telescope along a path to one rounding a step, and the recursion's
+    multiply and add). A settled law of B blocks is B - 1 compositions
+    (rk._compose), each at most rows * C * F**2 roundings: one product and
+    a sum of at most that many products, C and F the law's c and f slots,
+    one per middle row, earlier visit count and pair of flags. Drawing a
+    law adds one rounding per outcome of a row for the composition's sum
+    here: each start row reaches an end row through one m, so a cell sums
+    at most the law's cells of one row.
     """
     rows = kernel.n // 2 + 1
     w = np.zeros((rows, cap + 1, 2))
     w[x0 // 2, 0, int(stay_in is not None and not stay_in[0] < x0 < stay_in[1])] = 1.0
     roundings = 0
-    for steps, law, blocks in rk._block_laws(kernel, x0, t, visit_site, stay_in):
-        r, d = np.indices(law.shape[:2])
-        end = r + d - steps // 2
+    for steps, law, draws in rk._block_laws(kernel, x0, t, visit_site, stay_in):
+        r, m = np.indices(law.shape[:2])
+        end = r + m - (law.shape[1] - 1) // 2
         held = (0 <= end) & (end < rows)
         assert not law[~held].any()
         a = np.zeros((rows, rows) + law.shape[2:])
         a[r[held], end[held]] = law[held]
         slots, flags = law.shape[2:]
         a = a.transpose(2, 3, 1, 0).reshape(-1, rows)  # a[(c, f, end), start]
-        for _ in range(blocks):
+        for _ in range(draws):
             moved = (a @ w.reshape(rows, -1)).reshape(slots, flags, rows, cap + 1, 2)
             w = np.zeros_like(w)
             for c, f in product(range(slots), range(flags)):
@@ -481,7 +485,9 @@ def _composed_law(kernel, x0, t, visit_site=None, stay_in=None, cap=0):
                 k = min(c, cap)
                 w[:, k:, f:] += m[:, :cap + 1 - k]
                 w[:, cap, f:] += m[:, cap + 1 - k:].sum(axis=1)
-        roundings += blocks * (4 * steps + law[0].size)
+        blocks = -(-steps // rk._BLOCK)
+        roundings += draws * (4 * steps + (blocks - 1) * rows * slots * flags**2
+                              + law[0].size)
     return w.sum(axis=0), roundings
 
 
@@ -571,10 +577,10 @@ class TestBlockLaw:
 
     def test_one_settled_table_then_one_per_block(self):
         # blocks whose 32 steps all read the settled row R share one law,
-        # yielded first and once with their count; every later block's law
-        # is yielded exactly once, in walk order, from runs of consecutive
-        # full blocks as long as the batch budget allows, and the short last
-        # block alone
+        # composed into a top power of 2**j blocks drawn settled >> j times
+        # and the remainder once; every later block's law is yielded exactly
+        # once, in walk order, from runs of consecutive full blocks as long
+        # as the batch budget allows, and the short last block alone
         for n, x0, site, bounds in ((12, 6, 2, (1, 9)), (40, 20, None, (2, 39))):
             t = 3 * rk._settled_steps(n) + 40
             kernel = rk.SurvivalKernel(n, t)
@@ -583,42 +589,59 @@ class TestBlockLaw:
             blocks = [(t - k0, min(rk._BLOCK, t - k0)) for k0 in range(0, t, rk._BLOCK)]
             later = [(s0, steps) for s0, steps in blocks
                      if s0 - steps + 1 < R or steps < rk._BLOCK]
-            assert [(steps, b) for steps, _, b in yields] == \
-                [(rk._BLOCK, len(blocks) - len(later))] + [(steps, 1) for _, steps in later]
+            settled = len(blocks) - len(later)
             assert blocks[0] not in later and len(later) <= R // rk._BLOCK + 2
-            # each law has the bits of its block's law, built alone
-            for (s0, steps), (_, law, _) in zip([blocks[0]] + later, yields):
+            head, tail = yields[:len(yields) - len(later)], yields[len(yields) - len(later):]
+            top = head[0][0] // rk._BLOCK
+            rest = settled % top
+            assert [(steps, b) for steps, _, b in head] == \
+                [(rk._BLOCK * top, settled // top)] + [(rk._BLOCK * rest, 1)] * (rest > 0)
+            # the top power is the last that fits the budget, or all of them
+            law = rk._block_law(kernel, [t], rk._BLOCK, x0 % 2, site, bounds)[0]
+            rows, _, slots, flags = law.shape
+            cells = [2 * rows * flags * (j * (slots - 1) + 1) * min(2 * rows - 1, 32 * j + 1)
+                     for j in (top, 2 * top)]
+            assert top == 1 or cells[0] <= rk._BATCH_CELLS
+            assert 2 * top > settled or cells[1] > rk._BATCH_CELLS
+            assert [(steps, b) for steps, _, b in tail] == [(steps, 1) for _, steps in later]
+            # each later law has the bits of its block's law, built alone
+            for (s0, steps), (_, law, _) in zip(later, tail):
                 ref = rk._block_law(kernel, [s0], steps, x0 % 2, site, bounds)[0]
                 assert np.ascontiguousarray(law).tobytes() == ref.tobytes()
             # every run holds the batch's blocks, or the full blocks left
             batch = rk._batch_blocks(n, x0 % 2, site, bounds)
             full = sum(steps == rk._BLOCK for _, steps in later)
-            assert _run_lengths(yields) == [1] + \
+            assert _run_lengths(tail) == \
                 [min(batch, full - k) for k in range(0, full, batch)] + [1] * (t % rk._BLOCK > 0)
-            # and fits the budget, unless it is one block
+            # and fits the budget with one search table, unless it is one block
             law = rk._block_law(kernel, [t], rk._BLOCK, x0 % 2, site, bounds)[0]
-            cells = rk._BLOCK * (rk._BLOCK - x0 % 2 + n + 1) + 6 * law.size
-            assert batch == 1 or batch * cells <= rk._BATCH_CELLS
-            assert 1 < batch <= 8 and (batch == 8 or (batch + 1) * cells > rk._BATCH_CELLS)
+            cells = rk._BLOCK * (rk._BLOCK - x0 % 2 + n + 1) + 2 * law.size
+            assert batch == 1 or batch * cells + 4 * law.size <= rk._BATCH_CELLS
+            assert 1 < batch <= 8 and \
+                (batch == 8 or (batch + 1) * cells + 4 * law.size > rk._BATCH_CELLS)
 
     @pytest.mark.parametrize("t, settled", [(0, 0), (20, 0), (119, 0), (149, 0), (150, 1),
                                             (320, 6), (1000, 27)])
     def test_schedule_edges(self, t, settled):
         # n = 12 stores the rows up to R = s* + 1 = 119: t < 32 is one short
         # block, t <= R + 30 has no settled block, t = R + 31 has exactly
-        # one, and a multiple of 32 has no short block; the blocks cover t
+        # one, and a multiple of 32 has no short block; the laws cover t.
+        # n = 12's laws are small enough that the settled blocks take the
+        # largest power of two at most their count once and the rest once:
+        # 6 = 4 + 2 and 27 = 16 + 11
         kernel = rk.SurvivalKernel(12, 1000)
         assert len(kernel._log_z) - 1 == 119
+        top = 1 << max(settled.bit_length() - 1, 0)
+        powers = [(rk._BLOCK * top, 1), (rk._BLOCK * (settled - top), 1)][:(settled > 0)
+                                                                         + (settled > top)]
         for x0, site, bounds in ((6, None, None), (5, 3, (1, 11))):
             yields = list(rk._block_laws(kernel, x0, t, site, bounds))
             schedule = [(steps, b) for steps, _, b in yields]
-            assert sum(b for _, b in schedule) == -(-t // rk._BLOCK)
             assert sum(steps * b for steps, b in schedule) == t
             full, short = divmod(t - settled * rk._BLOCK, rk._BLOCK)
-            assert schedule == [(rk._BLOCK, settled)] * (settled > 0) + \
-                [(rk._BLOCK, 1)] * full + [(short, 1)] * (short > 0)
+            assert schedule == powers + [(rk._BLOCK, 1)] * full + [(short, 1)] * (short > 0)
             batch = rk._batch_blocks(12, x0 % 2, site, bounds)
-            assert _run_lengths(yields) == [1] * (settled > 0) + \
+            assert _run_lengths(yields[len(powers):]) == \
                 [min(batch, full - k) for k in range(0, full, batch)] + [1] * (short > 0)
 
     @pytest.mark.parametrize("n", sorted(BLOCK_LAW_SHA256))
@@ -669,8 +692,11 @@ class TestBlockLaw:
         visits, inside = rk._ring_paths_batch(kernel, 1, 32, 3, top, 1, (0, 11))
         assert visits.tolist() == [11] * 3 and not inside.any()
 
-    @pytest.mark.parametrize("n, x0, t, site", [(12, 6, 203, 2), (13, 5, 150, 9)])
+    @pytest.mark.parametrize("n, x0, t, site", [(12, 6, 203, 2), (13, 5, 150, 9),
+                                                (12, 6, 480, 2)])
     def test_visit_law_matches_propagation(self, n, x0, t, site):
+        # the last walk has 11 settled blocks: one draw of a power of 8 and
+        # one of the remainder, 3 blocks composed from the powers 1 and 2
         # noise model, fixed before any seed ran: each count of M draws is
         # binomial; a cell with M p >= 25 gets z = (count - M p) / sqrt(M p
         # (1 - p)), the cells below pool into one. Each |z| <= 5 fails with
@@ -713,8 +739,9 @@ class TestComposedBlockLaws:
     @pytest.mark.parametrize("n, x0, a, b", [(40, 20, 1, 2), (80, 40, 1, 2), (80, 40, 5, 9)])
     def test_vacant_walk(self, n, x0, a, b):
         # check 07b's walk, and sampling-scale's n = 80 walk with a near and
-        # a far interval. Tolerance at n = 80: 811 blocks of 128 + 66
-        # roundings, 3.5e-11; the gaps measured were 3.0e-15 and 1.5e-14
+        # a far interval. Tolerance at n = 80: 811 blocks of 128 roundings,
+        # 622 compositions of 164 and 189 draws of at most 162, 4.9e-11; the
+        # gaps measured were 3.7e-15 and 1.6e-14
         gap, tol = self.vacant_gap(n, x0, a, b)
         assert gap <= tol
 
@@ -725,8 +752,9 @@ class TestComposedBlockLaws:
         # the last is check 08's walk (2n = 48, x = 2, alpha = 1), visits
         # above 200 lumped on both sides. The reference adds once a step
         # (the halving is exact) and divides once; at 2n = 48 the tolerance
-        # is 176 blocks of at most 128 + 561 roundings plus 5603, 2.8e-11 on
-        # a cell of at most 1; the gap measured was 4.9e-15
+        # is 176 blocks of 128 roundings, 81 compositions of at most 1,625
+        # and 95 draws of at most 3,185, plus 5603: 6.3e-11 on a cell of at
+        # most 1; the gap measured was 4.6e-15
         kernel = rk.SurvivalKernel(n, t)
         law, roundings = _composed_law(kernel, x0, t, visit_site=site,
                                        cap=t if cap is None else cap)
@@ -746,6 +774,54 @@ class TestComposedBlockLaws:
         exact = _visit_law_exact(n, x0, t, site, bounds=bounds)
         assert law[:, 0].sum() > 1e-8 and law[:, 1].sum() > 0.5
         assert np.max(np.abs(law - exact)) <= (roundings + t + 1) * self.EPS
+
+    @pytest.mark.parametrize("n", [12, 13, 40])
+    def test_settled_powers_match_direct_blocks(self, n):
+        """The 2- and 4-block settled laws, composed (rk._settled_laws),
+        against rk._block_law run directly over 64 and 128 settled steps.
+
+        Both read the same up-step bits, the settled row R, and the same
+        down-steps 1 - p, so in exact arithmetic a cell of either is the
+        same sum over paths of products of those steps. The recursion rounds
+        a path's mass at most three times a step: the multiply, the add of
+        the masses that meet in a cell, and the contact's add. So a block law
+        over s steps is within 3 s eps of that sum, relative, to first order.
+        A composition adds one product and a sum of at most rows * C * F**2
+        products (one per middle row, earlier visit count and pair of flags,
+        C and F the composed law's c and f slots): at most rows * C * F**2
+        roundings on top of its factors'. A law of B blocks composed from B
+        blocks of 32 steps is within 3 * 32 B + (B - 1) rows C F**2 eps, the
+        direct law within 3 * 32 B eps, and each cell's gap within their sum
+        times the cell.
+        """
+        t = rk._settled_steps(n) + 200
+        kernel = rk.SurvivalKernel(n, t)
+        R = len(kernel._log_z) - 1
+        assert t - 4 * rk._BLOCK + 1 >= R
+        gaps = []
+        for parity in (0, 1):
+            for site, bounds in ((n // 3, (1, n - 2)), (n // 2 + 1, None), (None, (2, n))):
+                law = rk._block_law(kernel, [t], rk._BLOCK, parity, site, bounds)[0]
+                for blocks in (2, 4):
+                    (steps, composed, draws), = rk._settled_laws(law, blocks)
+                    assert (steps, draws) == (blocks * rk._BLOCK, 1)
+                    direct = rk._block_law(kernel, [t], steps, parity, site, bounds)[0]
+                    # the direct law's move is d - steps // 2, d = 0..steps;
+                    # the composed one stops at the farthest row
+                    half = (composed.shape[1] - 1) // 2
+                    mid = steps // 2
+                    assert not direct[:, :mid - half].any()
+                    assert not direct[:, mid + half + 1:].any()
+                    direct = direct[:, mid - half:mid + half + 1]
+                    assert composed.shape == direct.shape
+                    rows, _, slots, flags = composed.shape
+                    tol = (6 * steps + (blocks - 1) * rows * slots * flags**2) * self.EPS
+                    assert np.array_equal(composed > 0, direct > 0)
+                    live = direct > 0
+                    gap = np.abs(composed[live] / direct[live] - 1)
+                    assert gap.max() <= tol
+                    gaps.append(gap.max() / tol)
+        assert max(gaps) > 0
 
     def test_planted_up_step_defect(self, monkeypatch):
         # up-steps 1e-6 too high at site 20 of every row, a defect that
@@ -1417,13 +1493,14 @@ class TestKernelMemoryGuard:
 
     @staticmethod
     def _batch_bytes(kernel, law, visit_site, stay_in):
-        """Bytes of the walk's batch of block laws as the budget counts them:
-        _BATCH_CELLS, or one block's cells when one alone is over it."""
+        """Bytes of the walk's batch of block laws and its one search table
+        as the budget counts them: _BATCH_CELLS, or one block's cells and
+        its table when they alone are over it."""
         n = kernel.n
-        cells = rk._BLOCK * (rk._BLOCK + n + 1) + 6 * law.size
+        cells = rk._BLOCK * (rk._BLOCK + n + 1) + 2 * law.size
         batch = rk._batch_blocks(n, 0, visit_site, stay_in)
-        assert batch * cells <= max(rk._BATCH_CELLS, cells)
-        return 8 * max(rk._BATCH_CELLS, cells)
+        assert batch * cells + 4 * law.size <= max(rk._BATCH_CELLS, cells + 4 * law.size)
+        return 8 * max(rk._BATCH_CELLS, cells + 4 * law.size)
 
     def test_walk_peak_memory_is_its_layout(self):
         # one walk allocates neither the (t + 1)(n + 1) step table (16.8 MB
