@@ -41,6 +41,9 @@ Run from the root of a checkout. The committed files came from::
     OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev fd7a142 \\
         --claim sampling-scale --seed0 1351 --sweep ring_walk \\
         --out BENCH_settled_blocks.json
+    OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev 67dd7fb \\
+        --claim selftest --seed0 1381 --sweep window --sweep local_times \\
+        --out BENCH_negbin_tables.json
 
 (the files before BENCH_walk_rows.json ran one pair per sweep case;
 BENCH_window_chain.json and BENCH_block_schedule.json claim no gain: there
@@ -107,7 +110,12 @@ seed0 + i. The output holds:
     tracemalloc peak of one more call in bytes per replicate; and
     ``ks_distance_to_normal`` on KS_POINTS standardized local times, sorted
     and shuffled, in ns per point, with its tracemalloc peak in bytes. Each
-    row hashes the summaries or the statistic.
+    row hashes the summaries or the statistic;
+  - ``local_times``: ``sample_local_times`` at alpha = 1 at the sites of
+    LOCAL_TIME_CASES and M = LOCAL_TIME_M (x = 3 and 5 of checks 02a and 03,
+    x = 400 of check 04 and sampling-scale), the median of
+    LOCAL_TIME_REPEATS calls in ns per draw and the tracemalloc peak of one
+    more call in bytes per draw, with a hash of the draws.
 """
 
 from __future__ import annotations
@@ -130,7 +138,8 @@ METRICS = ("wall_s", "setup_s", "peak_rss_mb", "pass_ratio", "ops")
 LOWER_IS_BETTER = ("wall_s", "setup_s", "peak_rss_mb")
 SWEEP_PAIRS = 5
 TIMINGS = ("build_s", "s", "ns_per_walker_step", "ns_per_step", "ns_per_replicate",
-           "ns_per_walker", "ns_per_point", "peak_bytes", "peak_bytes_per_replicate")
+           "ns_per_walker", "ns_per_point", "ns_per_draw", "peak_bytes",
+           "peak_bytes_per_replicate", "peak_bytes_per_draw")
 
 BUILD_CASES = ((40, 1.0), (80, 1.0), (160, 1.0), (400, 1.0), (400, 0.1))
 BUILD_REPEATS = 3
@@ -453,6 +462,34 @@ else:
 print(json.dumps(out))
 """
 
+#: sites of the local-time sweep, at M draws, one chunk of the harness
+LOCAL_TIME_CASES = (3, 5, 400)
+LOCAL_TIME_M = 65536
+LOCAL_TIME_REPEATS = 5
+LOCAL_TIME_SNIPPET = """
+import hashlib, json, statistics, sys, time, tracemalloc
+sys.path.insert(0, "src")
+from ri1d import interlacements as il
+from ri1d.rngs import RngState
+x, M, reps = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
+times, digest = [], hashlib.sha256()
+for rep in range(reps):
+    gen = RngState(rep).generator()
+    start = time.perf_counter()
+    s = il.sample_local_times(x, 1.0, M, gen)
+    times.append(time.perf_counter() - start)
+    digest.update(s.tobytes())
+gen = RngState(reps).generator()
+tracemalloc.start()
+s = il.sample_local_times(x, 1.0, M, gen)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+digest.update(s.tobytes())
+print(json.dumps({"s": statistics.median(times),
+                  "ns_per_draw": 1e9 * statistics.median(times) / M,
+                  "peak_bytes_per_draw": peak / M, "outputs_sha256": digest.hexdigest()}))
+"""
+
 
 def run_bench(tree: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -576,9 +613,16 @@ def harness(trees: dict) -> list[dict]:
                   for name, M, keep, workers in HARNESS_CASES])
 
 
+def local_times(trees: dict) -> list[dict]:
+    return sweep(trees, LOCAL_TIME_SNIPPET,
+                 [({"x": x, "M": LOCAL_TIME_M},
+                   [str(x), str(LOCAL_TIME_M), str(LOCAL_TIME_REPEATS)])
+                  for x in LOCAL_TIME_CASES])
+
+
 SWEEPS = {"kernel_build": kernel_builds, "window": windows, "ring_walk": ring_walks,
           "ring_path": ring_paths, "absorb": absorb_walks, "search": searches,
-          "killed_walk": killed_walks, "harness": harness}
+          "killed_walk": killed_walks, "harness": harness, "local_times": local_times}
 
 
 def git(*args: str) -> str:

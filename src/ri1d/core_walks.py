@@ -10,7 +10,8 @@ drawn by inverse CDF from the block's exact law. The forward recursion that
 builds block laws, one block or a batch of blocks at once, the inverse-CDF
 table and its search (a guide table that places most walkers with one
 probe, and a binary search for the rest) also serve the block walk of the
-conditioned ring walk.
+conditioned ring walk; the table and its search also draw the interlacement
+samplers' small negative binomials.
 """
 
 from __future__ import annotations
@@ -203,6 +204,10 @@ def endpoint_leq_prob(x: int, delta: int, y: int) -> tuple[float, float]:
 _BLOCK = 32
 
 
+#: Cells of rows per slice of a search table's slots (:func:`_search_table`).
+_SLOT_CELLS = 16384
+
+
 def _search_table(law: np.ndarray):
     """Inverse-CDF table of a block law law[r, ...]: (cdf, guide, K, *coords).
 
@@ -223,7 +228,10 @@ def _search_table(law: np.ndarray):
     min(ceil(K cdf), K) and one running sum over the whole table give the
     guide: each row's count includes the K entries of every row before it,
     and slot r*K + K, a sum above every bin of row r, is the first bin of
-    row r + 1. A law with no cell of positive mass raises ValueError.
+    row r + 1. The slots are made and counted _SLOT_CELLS cells of rows at a
+    time, so the build holds cdf, the guide and one slice of slots: a slice
+    from row r0 on counts its own slots, and adds r0*K. A law with no cell
+    of positive mass raises ValueError.
     """
     kept = np.nonzero((law > 0).any(axis=0))
     size = len(kept[0])
@@ -237,17 +245,23 @@ def _search_table(law: np.ndarray):
     last = np.where(live.any(axis=1), size - 1 - np.argmax(live[:, ::-1], axis=1), 0)
     np.cumsum(body, axis=1, out=body)
     cdf[np.arange(k) >= last[:, None]] = np.inf
-    slots = np.multiply(cdf, k)
-    np.ceil(slots, out=slots)
-    np.minimum(slots, k, out=slots)
-    slots = slots.astype(np.intp)
-    slots += k * np.arange(len(cdf))[:, None]
-    guide = np.bincount(slots.ravel(), minlength=cdf.size + 1)
-    np.cumsum(guide, out=guide)
+    guide = np.empty(cdf.size, dtype=np.intp)
+    step = max(1, _SLOT_CELLS // k)
+    for r0 in range(0, len(cdf), step):
+        slots = np.multiply(cdf[r0:r0 + step], k)
+        np.ceil(slots, out=slots)
+        np.minimum(slots, k, out=slots)
+        slots = slots.astype(np.intp)
+        slots += k * np.arange(len(slots))[:, None]
+        # the rows before r0 add their r0*K entries to every bin from here
+        # on; the last slot is the next row's first bin, counted there
+        part = guide[r0 * k:r0 * k + slots.size]
+        np.cumsum(np.bincount(slots.ravel(), minlength=slots.size + 1)[:-1], out=part)
+        part += r0 * k
     coords = [np.zeros(k, dtype=np.intp) for _ in kept]
     for dst, src in zip(coords, kept):
         dst[:size] = src
-    return (cdf.ravel(), guide[:cdf.size], k, *coords)
+    return (cdf.ravel(), guide, k, *coords)
 
 
 def _search(cdf: np.ndarray, guide: np.ndarray, k: int, row: np.ndarray, u: np.ndarray,

@@ -13,6 +13,10 @@ up-crossing counts of each half-line (the Ray-Knight description of walk
 local times): one chain per side of each window, whatever its number of
 trajectories, and one negative-binomial draw per site on it, so O(L) draws
 per window, and the joint law of all visit counts in [-L, L] is exact.
+Both draw a batch of negative binomials with one p by inverting its exact
+pmf table, one uniform per draw through a guide table, when the table has at
+most half as many cells as the batch has draws (small x and counts); larger
+ones, as at x = 400, by numpy's negative_binomial.
 
 The exact local-time pmf is Panjer's compound-Poisson recursion. Geometric
 severity lets two running sums carry its convolution, so the pmf to s_max
@@ -29,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .capacity import IntervalSet, capacity_hat
+from .core_walks import _search, _search_table
 from .rngs import RngState
 
 
@@ -99,23 +104,106 @@ def vacant_prob_exact(A: IntervalSet, level) -> float:
 
 # -- window sampler -----------------------------------------------------------
 
+#: Entries of n per slice of a table draw (:func:`_negbin`): its uniforms and
+#: search scratch are four arrays of this length, reused slice after slice.
+_NEGBIN_SLICE = 8192
+
+
+def _negbin_law(n_max: int, p: float, draws: int) -> np.ndarray | None:
+    """law[k, j] = P[NegBin(k, p) = j] for k <= n_max, or None past the budget.
+
+    Each row runs the ratio recurrence from law[k, 0] = p**k: law[k, j] =
+    law[k, j-1] r_j with r_j = q (k + j - 1) / j, q = 1 - p. For k >= 1, r_j
+    does not increase in j, so the mass past column J is at most
+    law[k, J] / (1 - r_{J+1}) once r_{J+1} < 1; and NegBin(k, p) grows
+    stochastically with k, so the bound of row n_max holds for every row.
+    The table keeps the columns 0..J-1 of the least J at which that bound is
+    below 2**-60, under the rounding of a running sum near 1, so a uniform
+    that passes the last column's running sum takes the last column.
+
+    The table is built only when it has at most half as many cells as the
+    draws it serves, so the build stays O(draws). The bound needs
+    r_{J+1} < 1, that is J > (q n_max - 1) / p, so a budget of fewer columns
+    returns None at once. Otherwise row n_max alone is run first, to widths
+    that double up to the widest table the budget allows; a bound still too
+    large there, or a start p**n_max below the normal range, returns None.
+    """
+    q = 1 - p
+    cap = draws // (2 * (n_max + 1))
+    start = p ** n_max
+    if cap <= (q * n_max - 1) / p or start < 2.0**-1022:
+        return None
+    width = 0
+    while True:
+        if width == cap:
+            return None
+        width = min(cap, 2 * width + 64)
+        j = np.arange(1.0, width + 2)
+        ratio = q * (n_max - 1 + j) / j  # r_1 .. r_{width+1}
+        row = np.concatenate(([start], ratio))
+        np.multiply.accumulate(row, out=row)
+        # the bound at J = 1 .. width: row[J] / (1 - r_{J+1})
+        below = (ratio[1:] < 1) & (row[1:-1] < 2.0**-60 * (1 - ratio[1:]))
+        if below.any():
+            break
+    cols = 1 + int(np.argmax(below))
+    law = np.empty((n_max + 1, cols))
+    np.add.outer(np.arange(n_max + 1.0), np.arange(cols - 1.0), out=law[:, 1:])
+    law[:, 1:] *= q
+    law[:, 1:] /= np.arange(1, cols)
+    law[:, 0] = p ** np.arange(n_max + 1.0)
+    np.multiply.accumulate(law, axis=1, out=law)
+    return law
+
+
+def _negbin_scratch():
+    """The uniforms and search scratch of :func:`_negbin`'s table draws."""
+    return (np.empty(_NEGBIN_SLICE), np.empty(_NEGBIN_SLICE),
+            np.empty(_NEGBIN_SLICE, dtype=np.intp), np.empty(_NEGBIN_SLICE, dtype=np.intp))
+
+
 def _negbin(gen: np.random.Generator, n: np.ndarray, p: float,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """NegBin(n, p) failure counts, 0 where n = 0 (which numpy rejects).
+            out: np.ndarray | None = None, scratch: tuple | None = None) -> np.ndarray:
+    """NegBin(n, p) failure counts, 0 where n = 0.
 
     The draws are added into out in place (a new array of zeros by default;
     out may be n) and out is returned, so out = n gives n + NegBin(n, p), the
     sum of n geometrics on {1, 2, ...} with success probability p. Where
-    every n is positive, numpy draws from n itself; otherwise from a copy
-    of the positive entries, and only those entries of out are written.
+    every n is 0, nothing is drawn.
+
+    Where the exact table of :func:`_negbin_law` fits its budget, each entry
+    of n, in order, draws one uniform and inverts it in row n of the table
+    through the guide table of :func:`~ri1d.core_walks._search_table` (the
+    cutpoint method: one gather and one compare for most draws). The
+    entries go _NEGBIN_SLICE at a time through the buffers of scratch,
+    which a caller that draws many batches makes once by
+    :func:`_negbin_scratch` (None makes them here). Otherwise numpy's
+    negative_binomial draws, from n itself where every n is positive, else
+    from a copy of the positive entries.
     """
     if out is None:
         out = np.zeros_like(n)
-    live = n > 0
-    if live.all():
-        out += gen.negative_binomial(n, p)
-    else:
-        out[live] += gen.negative_binomial(n[live], p)
+    n_max = int(n.max()) if n.size else 0
+    if n_max == 0:
+        return out
+    law = _negbin_law(n_max, p, n.size)
+    if law is None:
+        live = n > 0
+        if live.all():
+            out += gen.negative_binomial(n, p)
+        else:
+            out[live] += gen.negative_binomial(n[live], p)
+        return out
+    # row n_max has mass in every column, so the table keeps them all and an
+    # outcome's index is its failure count
+    cdf, guide, k, _ = _search_table(law)
+    del law
+    u, thr, pos, bit = _negbin_scratch() if scratch is None else scratch
+    for lo in range(0, n.size, _NEGBIN_SLICE):
+        row = n[lo:lo + _NEGBIN_SLICE]
+        m = row.size
+        gen.random(out=u[:m])
+        out[lo:lo + m] += _search(cdf, guide, k, row, u[:m], pos[:m], thr[:m], bit[:m])
     return out
 
 
@@ -137,21 +225,30 @@ def _simulate_window_batch(alpha: float, L: int, M: int, gen: np.random.Generato
     U_0 = 0. Site x is visited U_x + U_{x-1} times. Negative binomials with
     the same p add, so one chain per (side, replicate) gives the joint law of
     all the window's visit counts in L draws.
+
+    The stream draws the 2M Poisson counts first, so the trajectory counts
+    do not depend on how the chain is drawn. Then the entry draw of U_L and
+    each level x = L, ..., 2 draw their 2M negative binomials by
+    :func:`_negbin`: by the exact table and one uniform per entry where the
+    table fits, else by numpy. The table draws share one set of slice
+    buffers.
     """
     if L < 1:
         raise ValueError(f"half-width must be >= 1, got {L}")
-    n_side = gen.poisson(alpha * L / 2, 2 * M)  # slots 0..M-1: sites < 0
-    n_traj = n_side[:M] + n_side[M:]
-    u = _negbin(gen, n_side, 1 / (L + 1), out=n_side)
+    u = gen.poisson(alpha * L / 2, 2 * M)  # slots 0..M-1: sites < 0
+    n_traj = u[:M] + u[M:]
+    scratch = _negbin_scratch()
+    _negbin(gen, u, 1 / (L + 1), out=u, scratch=scratch)
     counts = np.zeros((M, 2 * L + 1), dtype=np.int64)
-    for x in range(L, 0, -1):
-        # p = 1 at x = 1, where U_0 = NegBin(U_1, 1) = 0: the chain's last
-        # draw is skipped, and the draws before it keep their bits
-        below = _negbin(gen, u, (x + 1) / (2 * x)) if x > 1 else 0
-        v = u + below
-        counts[:, L - x] = v[:M]
-        counts[:, L + x] = v[M:]
+    for x in range(L, 1, -1):
+        below = _negbin(gen, u, (x + 1) / (2 * x), scratch=scratch)
+        np.add(u[:M], below[:M], out=counts[:, L - x])
+        np.add(u[M:], below[M:], out=counts[:, L + x])
         u = below
+    # p = 1 at x = 1, where U_0 = NegBin(U_1, 1) = 0: the chain's last draw
+    # is skipped, and the draws before it keep their bits
+    counts[:, L - 1] = u[:M]
+    counts[:, L + 1] = u[M:]
     return counts, n_traj, None
 
 
@@ -180,6 +277,10 @@ def sample_local_times(x: int, level, M: int, gen: np.random.Generator) -> np.nd
     The local time is a sum of n ~ Poisson(alpha*x/2) geometric visit counts
     on {1, 2, ...} with success probability 1/(2x); that sum is drawn in one
     step as n + NegBin(n, 1/(2x)), counting failures, added into n in place.
+    The stream draws the M Poisson counts first, then the negative binomials
+    by :func:`_negbin`: where its exact table fits (small x, as at x = 3 and
+    5 with M = 65,536), one uniform per draw inverted in the table; else
+    numpy's negative_binomial (large x, as at x = 400).
     """
     if x < 1:
         raise ValueError(f"site must be >= 1, got {x}")

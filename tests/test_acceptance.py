@@ -12,6 +12,8 @@ from ri1d import acceptance
 from ri1d import core_walks as cw
 from ri1d import interlacements as il
 from ri1d import ring_kernel as rk
+from ri1d.mc import tv_distance
+from ri1d.rngs import RngState
 
 SEED = acceptance.DEFAULT_SEED
 
@@ -143,3 +145,17 @@ def test_endpoint_lattice_asymptotic(x, delta, y):
     exact, _ = cw.endpoint_leq_prob(x, delta, y)
     assert exact == pytest.approx(acceptance.endpoint_lattice_asymptotic(x, delta, y),
                                   rel=0.02)
+
+
+def test_02b_null_false_alarm_rate():
+    # 02b's TV statistic under the exact law, with no sampler involved: 2,000
+    # multinomial draws of its M = 1e5 from local_time_pmf(3, 1). 10 of them
+    # (0.5%) pass its threshold 0.01, the rate at which a correct window
+    # sampler fails 02b (0.62% over 40,000 such draws); the statistic's
+    # median is 0.0075
+    law = il.local_time_pmf(3, 1.0)
+    M, draws, threshold = 10**5, 2000, 0.01
+    counts = RngState(SEED).generator().multinomial(M, law.pmf, size=draws)
+    alarms = sum(tv_distance(c / M, law) > threshold for c in counts)
+    assert alarms == 10
+    assert alarms <= 0.01 * draws

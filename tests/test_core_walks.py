@@ -448,6 +448,48 @@ class TestGuidedSearch:
         assert table[2] >= 128
         _assert_guided_is_searchsorted(table, self.UNIFORMS)
 
+    #: sha256 of the search tables of every law of the ring walks of the
+    #: benchmark's ring_walk sweep, (n, x0, visit site, bounds), as the
+    #: table build that held all the slots at once made them
+    WALK_TABLES_SHA256 = {
+        (40, 20, None, (2, 39)):
+            "d2be465a810f47a79dce154dd136da7eccd4bb2532d759a6ce62c6b1e1858c19",
+        (48, 24, 2, None):
+            "6393bea073acc855303e256cc32bc44e74d008fb2c1c2946b49e7e55d09f4fc1",
+        (80, 40, None, (2, 79)):
+            "65e2bcc3c0e7b2a4bea32f18cb6512a32176a4ecd61d72c36cd2d7a57428ae7a",
+    }
+
+    @pytest.mark.parametrize("walk", sorted(WALK_TABLES_SHA256, key=str), ids=str)
+    def test_walk_tables_keep_their_bits(self, walk):
+        n, x0, site, bounds = walk
+        t = rk.ring_time_scale(n, 1.0)
+        digest = hashlib.sha256()
+        for _, law, _ in rk._block_laws(rk.SurvivalKernel(n, t), x0, t, site, bounds):
+            for part in cw._search_table(law):
+                digest.update(np.asarray(part).tobytes())
+        assert digest.hexdigest() == self.WALK_TABLES_SHA256[walk]
+
+    def test_build_peak_memory(self):
+        # check 08's 128-step settled power: 25 rows of K = 4096 running
+        # sums. The build holds the table it returns (cdf, guide and
+        # coordinates, 1.74 MB) and one slice of slots: 2.02 MB over the
+        # law, where the slots of the whole table at once took 2.68 MB
+        n = 48
+        t = rk.ring_time_scale(n, 1.0)
+        steps, law, _ = next(rk._block_laws(rk.SurvivalKernel(n, t), n // 2, t, 2, None))
+        assert steps == 128
+        tracemalloc.start()
+        try:
+            table = cw._search_table(law)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cdf, _, k = table[:3]
+        assert k == 4096 and cdf.size == 25 * k
+        held = sum(np.asarray(part).nbytes for part in table)
+        assert peak <= held + cdf.nbytes / 2
+
     def test_absorb_table(self):
         # check 13's hit-before walk: absorbed at 2 and 12, full blocks
         table = cw._search_table(cw._absorb_law(3, 9, 2, 12, cw._BLOCK))

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -237,12 +238,38 @@ class TestWindowChainVsWalk:
             1e-6, 4, 100, RngState(26).generator())
         assert not n_traj.any() and not counts.any()
 
+    @pytest.mark.parametrize("L, M", [(1, 1000), (8, 65536), (16, 4000)])
+    def test_trajectory_counts_come_first(self, L, M):
+        # the stream's first 2M draws are the Poisson counts of each side,
+        # however the chain's negative binomials are drawn after them
+        _, n_traj, _ = il._simulate_window_batch(self.ALPHA, L, M, RngState(7).generator())
+        n_side = RngState(7).generator().poisson(self.ALPHA * L / 2, 2 * M)
+        assert np.array_equal(n_traj, n_side[:M] + n_side[M:])
+
+    def test_peak_memory(self):
+        # the counts (136 bytes a window at L = 8) and 7.8 arrays of the
+        # chain's 2M counts, reached at level 8, which passes its table's
+        # budget and draws by numpy (6 of the arrays are that draw's); the
+        # table levels after it peak at 3.0 to 4.9 arrays. With numpy at
+        # every level, and two more chain arrays alive, the peak was 9.5.
+        L, M = 8, 65536
+        tracemalloc.start()
+        try:
+            counts, _, _ = il._simulate_window_batch(self.ALPHA, L, M,
+                                                     RngState(3).generator())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= counts.nbytes + 8.5 * 2 * M * 8
+
     def test_counts_digest(self):
-        # the counts of the chain that drew NegBin(U_1, 1) = 0 at x = 1: the
-        # skipped draw is the chain's last, so no count moves
+        # the counts of the chain whose entry draw U_8 = N + NegBin(N, 1/9)
+        # and levels x = 7..2 invert exact tables (level 8, at n_max = 214,
+        # passes the budget and draws by numpy); the skipped draw at x = 1 is
+        # the chain's last, so no count moves
         counts, _, _ = il._simulate_window_batch(1.0, 8, 65536, RngState(7).generator())
         assert hashlib.sha256(counts.tobytes()).hexdigest() == \
-            "e8253f27c5426698f1ad6ce1e06bf974328cd751867a41f8c960da2fe6c922b3"
+            "8f9491131c3319eb780f5c7aa8a90634a6f03f81120234d7e607407a15529eb1"
 
 
 class TestLocalTimeSampler:
@@ -277,18 +304,190 @@ class TestLocalTimeSampler:
         assert s.shape == (100,) and not s.any()
 
     def test_peak_memory(self):
-        # the Poisson counts that the draws are added into (8 bytes a draw),
-        # the live mask (1) and numpy's negative_binomial, which holds 24 on
-        # its own: 33.2 bytes a draw measured at x = 400, where every count
-        # is positive (the sampler held 60 before it added in place)
+        # x = 400 draws by numpy: the Poisson counts that the draws are added
+        # into (8 bytes a draw), the live mask (1) and numpy's
+        # negative_binomial, which holds 24 on its own: 33.2 bytes a draw,
+        # where every count is positive (the sampler held 60 before it added
+        # in place). x = 3 inverts its table: the counts, the slice buffers
+        # (4 bytes a draw at this M) and the 10-row table: 14.4 bytes a draw
+        # (40.3 by numpy)
         M = 65536
-        tracemalloc.start()
-        try:
-            il.sample_local_times(400, 1.0, M, RngState(3).generator())
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 34 * M
+        for x, bound in ((400, 34), (3, 16)):
+            tracemalloc.start()
+            try:
+                il.sample_local_times(x, 1.0, M, RngState(3).generator())
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound * M, x
+
+    def test_numpy_path_keeps_its_bits(self):
+        # at x = 400 the table would pass its budget, so numpy draws as it
+        # did before the tables, bit for bit
+        s = il.sample_local_times(400, 1.0, 65536, RngState(3).generator())
+        assert hashlib.sha256(s.tobytes()).hexdigest() == \
+            "e5d61cc2e5c383e85ef936e86e1f4e2a8bd1bd6be6bacffeba7a7aeb99477016"
+
+    def test_no_replicates(self):
+        gen = RngState(0).generator()
+        state = gen.bit_generator.state
+        assert il.sample_local_times(3, 1.0, 0, gen).shape == (0,)
+        counts, n_traj, _ = il._simulate_window_batch(1.0, 8, 0, gen)
+        assert counts.shape == (0, 17) and n_traj.shape == (0,)
+        assert gen.bit_generator.state == state
+
+
+#: unit roundoff of float64
+_U = 2.0**-53
+
+
+def _negbin_pmf_exact(k, p, cols):
+    """Exact P[NegBin(k, p) = j] for j < cols, at the float p's exact value.
+
+    p is a/2**e exactly (Fraction(p)), so q = (2**e - a)/2**e and the pmf is
+    C(k+j-1, j) a**k (2**e - a)**j / 2**(e (k + j)): returned as the
+    numerators, with the denominators' exponents e (k + j).
+    """
+    P = Fraction(p)
+    a, den = P.numerator, P.denominator
+    e = den.bit_length() - 1
+    b = den - a
+    numerators, term = [], a**k
+    for j in range(cols):
+        numerators.append(term if k else int(j == 0))
+        term = term * (k + j) // (j + 1) * b  # C(k+j, j+1) a**k b**(j+1)
+    return numerators, [e * (k + j) for j in range(cols)]
+
+
+def _rel_errors(row, numerators, exponents):
+    """|row[j] / exact[j] - 1| for the cells of positive exact mass, each
+    from one exactly rounded division of integers."""
+    out = []
+    for x, num, e in zip(row, numerators, exponents):
+        if num:
+            m, d = float(x).as_integer_ratio()
+            out.append(abs(m * 2**e - num * d) / (num * d))
+        else:
+            assert x == 0.0
+            out.append(0.0)
+    return np.array(out)
+
+
+class TestNegBinTable:
+    """The exact NegBin table of _negbin_law against exact arithmetic."""
+
+    PS = (1 / 6, 1 / 10, 9 / 16, 3 / 4)
+    K = 12
+    #: a budget the tables of these rows never reach
+    DRAWS = 10**9
+
+    @staticmethod
+    def _tolerance(cols):
+        # cell (k, j) is p**k (one pow, within an ulp: 2u) times j ratios
+        # q (k + j - 1) / j (q = 1 - p within u, then a multiply and a
+        # divide: 3u) with a rounded product each (u): (4j + 2)u, and u
+        # more for the higher-order terms
+        return (4 * np.arange(cols) + 3) * _U
+
+    @pytest.mark.parametrize("p", PS)
+    def test_matches_exact_pmf(self, p):
+        law = il._negbin_law(self.K, p, self.DRAWS)
+        tol = self._tolerance(law.shape[1])
+        for k in range(self.K + 1):
+            rel = _rel_errors(law[k], *_negbin_pmf_exact(k, p, law.shape[1]))
+            assert np.all(rel <= tol), (k, float(np.max(rel / tol)))
+
+    @pytest.mark.parametrize("p", PS)
+    def test_planted_p_moves_the_table(self, p):
+        # p(1 + 1e-6) moves cell (k, j) by about (k - j p/q) 1e-6 relative: some
+        # cell of the table by more than a million tolerances
+        law = il._negbin_law(self.K, p * (1 + 1e-6), self.DRAWS)
+        tol = self._tolerance(law.shape[1])
+        worst = max(float(np.max(_rel_errors(law[k], *_negbin_pmf_exact(k, p, law.shape[1]))
+                                 / tol)) for k in range(1, self.K + 1))
+        assert worst >= 1e6
+
+    @pytest.mark.parametrize("p", PS)
+    def test_tail_past_the_table(self, p):
+        # every row's mass past the last column is below 2**-60, by the
+        # regularized incomplete beta P[NegBin(k, p) >= J] = I_q(J, k) in
+        # 40 digits; and one column fewer would leave row 12 more
+        mpmath = pytest.importorskip("mpmath")
+        cols = il._negbin_law(self.K, p, self.DRAWS).shape[1]
+        P = Fraction(p)
+        with mpmath.workdps(40):
+            q = 1 - mpmath.mpf(P.numerator) / P.denominator
+            for k in range(1, self.K + 1):
+                assert mpmath.betainc(cols, k, 0, q, regularized=True) < mpmath.mpf(2)**-60
+            assert mpmath.betainc(cols - 1, self.K, 0, q, regularized=True) >= \
+                mpmath.mpf(2)**-60
+
+    @staticmethod
+    def _largest_table_row(p, draws):
+        """The largest n_max whose table fits the budget of draws draws."""
+        n_max = 1
+        while il._negbin_law(n_max + 1, p, draws) is not None:
+            n_max += 1
+        return n_max
+
+    def test_budget_edges(self):
+        # one uniform per entry where the table fits; numpy's draws, bit for
+        # bit, one row past it
+        p, draws = 1 / 6, 4096
+        top = self._largest_table_row(p, draws)
+        rows, cols = il._negbin_law(top, p, draws).shape
+        assert rows * cols <= draws // 2
+        rows, cols = il._negbin_law(top + 1, p, self.DRAWS).shape
+        assert rows * cols > draws // 2
+        n = np.arange(draws) % (top + 1)
+        gen, ref = RngState(31).generator(), RngState(31).generator()
+        out = il._negbin(gen, n, p)
+        ref.random(draws)
+        assert gen.bit_generator.state == ref.bit_generator.state
+        assert out.min() == 0 and out.max() < cols
+        n = np.arange(draws) % (top + 2)
+        gen, ref = RngState(31).generator(), RngState(31).generator()
+        out = il._negbin(gen, n, p)
+        want = np.zeros_like(n)
+        want[n > 0] = ref.negative_binomial(n[n > 0], p)
+        assert np.array_equal(out, want)
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+    def test_budget_counts_the_draws(self):
+        # the same row on either side of the budget as the draws grow
+        p = 1 / 6
+        rows, cols = il._negbin_law(9, p, self.DRAWS).shape
+        assert il._negbin_law(9, p, 2 * rows * cols) is not None
+        assert il._negbin_law(9, p, 2 * rows * cols - 1) is None
+
+    @pytest.mark.parametrize("n", [np.zeros(0, dtype=np.int64),
+                                   np.zeros(100, dtype=np.int64)])
+    def test_nothing_to_draw(self, n):
+        # no entry, or every entry 0: nothing is drawn and nothing added
+        gen = RngState(32).generator()
+        state = gen.bit_generator.state
+        out = np.arange(len(n))
+        assert il._negbin(gen, n, 0.3, out=out) is out
+        assert np.array_equal(out, np.arange(len(n)))
+        assert gen.bit_generator.state == state
+
+    def test_underflowing_start_draws_by_numpy(self):
+        # p**n_max below the normal range has no table
+        assert il._negbin_law(400, 1 / 6, self.DRAWS) is None
+        assert il._negbin_law(390, 1 / 6, self.DRAWS) is not None
+
+    def test_slices_draw_one_stream(self):
+        # an n longer than a slice draws the uniforms of one long call, in
+        # order: entry i takes the outcome of the i-th uniform in its row
+        p, size = 1 / 6, 3 * il._NEGBIN_SLICE + 5
+        n = np.arange(size) % 10
+        out = il._negbin(RngState(33).generator(), n, p)
+        law = il._negbin_law(9, p, size)
+        cdf = np.cumsum(law, axis=1)
+        u = RngState(33).generator().random(size)
+        want = np.array([min(np.searchsorted(cdf[k], v, side="right"), law.shape[1] - 1)
+                         for k, v in zip(n, u)])
+        assert np.array_equal(out, want)
 
 
 class TestPmf:
