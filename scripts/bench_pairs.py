@@ -44,10 +44,13 @@ Run from the root of a checkout. The committed files came from::
     OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev 67dd7fb \\
         --claim selftest --seed0 1381 --sweep window --sweep local_times \\
         --out BENCH_negbin_tables.json
+    OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev 8ec472f \\
+        --claim sampling-scale --seed0 1411 --sweep ring_walk --sweep window \\
+        --sweep local_times --out BENCH_law_layout.json
 
 (the files before BENCH_walk_rows.json ran one pair per sweep case;
-BENCH_window_chain.json and BENCH_block_schedule.json claim no gain: there
---claim only picks the workload that gets PAIRS pairs).
+BENCH_window_chain.json, BENCH_block_schedule.json and BENCH_law_layout.json
+claim no gain: there --claim only picks the workload that gets PAIRS pairs).
 
 The parent revision and the change are each exported with ``git archive``
 into a temporary directory of their own, so neither side runs in the

@@ -156,14 +156,8 @@ def _negbin_law(n_max: int, p: float, draws: int) -> np.ndarray | None:
     return law
 
 
-def _negbin_scratch():
-    """The uniforms and search scratch of :func:`_negbin`'s table draws."""
-    return (np.empty(_NEGBIN_SLICE), np.empty(_NEGBIN_SLICE),
-            np.empty(_NEGBIN_SLICE, dtype=np.intp), np.empty(_NEGBIN_SLICE, dtype=np.intp))
-
-
 def _negbin(gen: np.random.Generator, n: np.ndarray, p: float,
-            out: np.ndarray | None = None, scratch: tuple | None = None) -> np.ndarray:
+            out: np.ndarray | None = None) -> np.ndarray:
     """NegBin(n, p) failure counts, 0 where n = 0.
 
     The draws are added into out in place (a new array of zeros by default;
@@ -175,11 +169,10 @@ def _negbin(gen: np.random.Generator, n: np.ndarray, p: float,
     of n, in order, draws one uniform and inverts it in row n of the table
     through the guide table of :func:`~ri1d.core_walks._search_table` (the
     cutpoint method: one gather and one compare for most draws). The
-    entries go _NEGBIN_SLICE at a time through the buffers of scratch,
-    which a caller that draws many batches makes once by
-    :func:`_negbin_scratch` (None makes them here). Otherwise numpy's
-    negative_binomial draws, from n itself where every n is positive, else
-    from a copy of the positive entries.
+    entries go _NEGBIN_SLICE at a time through four buffers of that length
+    (256 KB), made once a call. Otherwise numpy's negative_binomial draws,
+    from n itself where every n is positive, else from a copy of the
+    positive entries.
     """
     if out is None:
         out = np.zeros_like(n)
@@ -198,7 +191,8 @@ def _negbin(gen: np.random.Generator, n: np.ndarray, p: float,
     # outcome's index is its failure count
     cdf, guide, k, _ = _search_table(law)
     del law
-    u, thr, pos, bit = _negbin_scratch() if scratch is None else scratch
+    u, thr = np.empty(_NEGBIN_SLICE), np.empty(_NEGBIN_SLICE)
+    pos, bit = np.empty(_NEGBIN_SLICE, dtype=np.intp), np.empty(_NEGBIN_SLICE, dtype=np.intp)
     for lo in range(0, n.size, _NEGBIN_SLICE):
         row = n[lo:lo + _NEGBIN_SLICE]
         m = row.size
@@ -230,18 +224,16 @@ def _simulate_window_batch(alpha: float, L: int, M: int, gen: np.random.Generato
     do not depend on how the chain is drawn. Then the entry draw of U_L and
     each level x = L, ..., 2 draw their 2M negative binomials by
     :func:`_negbin`: by the exact table and one uniform per entry where the
-    table fits, else by numpy. The table draws share one set of slice
-    buffers.
+    table fits, else by numpy.
     """
     if L < 1:
         raise ValueError(f"half-width must be >= 1, got {L}")
     u = gen.poisson(alpha * L / 2, 2 * M)  # slots 0..M-1: sites < 0
     n_traj = u[:M] + u[M:]
-    scratch = _negbin_scratch()
-    _negbin(gen, u, 1 / (L + 1), out=u, scratch=scratch)
+    _negbin(gen, u, 1 / (L + 1), out=u)
     counts = np.zeros((M, 2 * L + 1), dtype=np.int64)
     for x in range(L, 1, -1):
-        below = _negbin(gen, u, (x + 1) / (2 * x), scratch=scratch)
+        below = _negbin(gen, u, (x + 1) / (2 * x))
         np.add(u[:M], below[:M], out=counts[:, L - x])
         np.add(u[M:], below[M:], out=counts[:, L + x])
         u = below

@@ -29,20 +29,21 @@ settled row, the Doob step, stands for every time past the stored rows. The
 path sampler draws one uniform per step and compares it with the row of
 its step. The batch walk behind the vacant-set and local-time samplers
 draws one uniform per walker per law and inverts it against the law's
-exact joint law of the walker's move, visits to a site and contact with an
-interval's bounds (a guide table first, a binary search for the walkers it
-does not place). A block's law is a table built by the block recursion of
-:mod:`ri1d.core_walks` that the absorbing walk also runs. The settled
-blocks all take one time-homogeneous law, which :func:`_compose` composes
-with itself by exact doubling into the law of 2**j blocks: rows through the
-end row, visit counts by convolution, contact flags by or, every cell a sum
-of nonnegative products. One generator, :func:`_block_laws`, owns the
-schedule of those laws: the settled blocks as a few draws of such powers
-(:func:`_settled_laws`), the blocks after them in runs of up to 8
-consecutive blocks per recursion, one run alive at a time within a budget
-of _BATCH_CELLS cells, and the short last block. The walk reads it, and so
-do the tests that compose the same laws into the exact law of the walk's
-output.
+exact joint law of the walker's end row, visits to a site and contact with
+an interval's bounds (a guide table first, a binary search for the walkers
+it does not place). A block's law is a table built by the block recursion
+of :mod:`ri1d.core_walks` that the absorbing walk also runs, by up-step
+count, and taken by end row (:func:`_by_end_row`), the one layout of every
+law the walk draws. The settled blocks all take one time-homogeneous law,
+which :func:`_compose` composes with itself by exact doubling into the law
+of 2**j blocks: rows through the end row, visit counts by convolution,
+contact flags by or, every cell a sum of nonnegative products. One
+generator, :func:`_block_laws`, owns the schedule of those laws: the
+settled blocks as a few draws of such powers (:func:`_settled_laws`), the
+blocks after them in runs of up to 8 consecutive blocks per recursion, one
+run alive at a time within a budget of _BATCH_CELLS cells, and the short
+last block. The walk reads it, and so do the tests that compose the same
+laws into the exact law of the walk's output.
 """
 
 from __future__ import annotations
@@ -549,29 +550,23 @@ def _block_law(kernel: SurvivalKernel, s0s, steps: int, parity: int,
 
 
 def _by_end_row(law: np.ndarray) -> np.ndarray:
-    """The law law[r, e, c, f] from row r to row e of a law law[r, m, c, f]
-    whose move m is centred: e = r + m - (law.shape[1] - 1) // 2. The walk
-    never leaves the rows, so no mass is dropped."""
+    """The law law[r, e, c, f] from row r to end row e of a block law
+    law[r, d, c, f] of :func:`_block_law` over steps = law.shape[1] - 1
+    steps: d up-steps take row r, the site x = 2r + parity, to e = r + d -
+    steps // 2, the site x + 2d - steps = 2e + parity - steps % 2 (an odd
+    step count is the short last block, whose end row no law reads).
+
+    One strided copy: a zero buffer of rows (rows + steps + 1) cells per
+    mark slot (c, f), viewed so that row r's d lands in column r + d, whose
+    window of the columns steps // 2 .. steps // 2 + rows - 1 is the result.
+    The walk never leaves the rows, so the window drops no mass.
+    """
     rows, width = law.shape[:2]
-    r, m = np.indices((rows, width))
-    end = r + m - (width - 1) // 2
-    held = (0 <= end) & (end < rows)
-    out = np.zeros((rows, rows) + law.shape[2:])
-    out[r[held], end[held]] = law[held]
-    return out
-
-
-def _by_move(law: np.ndarray, steps: int) -> np.ndarray:
-    """The law law[r, m, c, f] of a steps-step law law[r, e, c, f] from row r
-    to row e, with its move centred: m = e - r + half, half = min(steps // 2,
-    rows - 1), the farthest a walker can move in rows."""
-    rows = len(law)
-    half = min(steps // 2, rows - 1)
-    r, e = np.indices((rows, rows))
-    held = abs(e - r) <= half
-    out = np.zeros((rows, 2 * half + 1) + law.shape[2:])
-    out[r[held], (e - r + half)[held]] = law[held]
-    return out
+    buf = np.zeros((rows, rows + width) + law.shape[2:])
+    strides = (buf.strides[0] + buf.strides[1],) + buf.strides[1:]
+    np.lib.stride_tricks.as_strided(buf, law.shape, strides)[...] = law
+    half = (width - 1) // 2
+    return buf[:, half:half + rows]
 
 
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -594,14 +589,17 @@ def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _settled_laws(law: np.ndarray, blocks: int):
-    """The settled phase of ``blocks`` blocks of the settled law: (steps, law,
-    draws) in walk order, each law by centred move (:func:`_by_move`).
+    """The settled phase of ``blocks`` blocks of the settled block law law[r,
+    d, c, f]: (steps, law, draws) in walk order, each law by end row as
+    :func:`_compose` returns it.
 
     The settled blocks all take the one time-homogeneous Doob law, so the
-    law of 2**j of them is the law of one composed with itself by j
-    doublings (:func:`_compose`). The doubling stops at the top power J,
-    where the next power would pass blocks or twice its law's cells would
-    pass _BATCH_CELLS. That cap is measured: it stops check 08's visit walk,
+    law of 2**j of them is the law of one (:func:`_by_end_row`) composed
+    with itself by j doublings (:func:`_compose`). The doubling stops at the
+    top power J, where the next power would pass blocks or twice its count
+    would pass _BATCH_CELLS; the count is rows x the moves the power can
+    reach (at most 2 rows - 1) x its slots, not its end-row law's rows x
+    rows x slots. That cap is measured: it stops check 08's visit walk,
     whose c axis grows 16 slots a block, at 4 blocks, and 8 blocks took no
     less time there (the larger composition and search table cost what the
     fewer draws save); the vacant walks' laws never grow, so they double up
@@ -612,7 +610,7 @@ def _settled_laws(law: np.ndarray, blocks: int):
     rows, _, slots, flags = law.shape
 
     def cells(k: int) -> int:
-        """Cells of the law of k blocks by centred move."""
+        """Rows x moves that k blocks can reach x slots of their law."""
         return rows * min(2 * rows - 1, _BLOCK * k + 1) * (k * (slots - 1) + 1) * flags
 
     top, j, rest = _by_end_row(law), 0, None
@@ -621,28 +619,26 @@ def _settled_laws(law: np.ndarray, blocks: int):
             rest = top if rest is None else _compose(rest, top)
         top = _compose(top, top)
         j += 1
-    yield _BLOCK << j, _by_move(top, _BLOCK << j), blocks >> j
+    yield _BLOCK << j, top, blocks >> j
     if rest is not None:
         del top  # before the walk builds the remainder's table
-        steps = _BLOCK * (blocks % (1 << j))
-        yield steps, _by_move(rest, steps), 1
+        yield _BLOCK * (blocks % (1 << j)), rest, 1
 
 
 def _block_laws(kernel: SurvivalKernel, x0: int, t: int, visit_site: int | None,
                 stay_in: tuple[int, int] | None):
     """The block schedule of a t-step walk from x0: (steps, law, draws).
 
-    Yields laws law[r, m, c, f] in walk order, each of ``steps`` steps and to
-    be drawn ``draws`` times in a row; the law's move m is centred, so a
-    walker in row r moves to row r + m - (law.shape[1] - 1) // 2. That is
-    d - steps // 2 for a block law of :func:`_block_law`, whose m is its
-    up-step count d. First the blocks whose 32 steps all read the settled
-    row R of the kernel: their one law composed into super-blocks of 2**j
-    blocks (:func:`_settled_laws`). Then each later full block, once, from
-    runs of :func:`_batch_blocks` consecutive blocks per recursion; last the
-    short block, alone. A run's laws are freed before the next run's
-    recursion starts, so a caller that drops each law before it asks for the
-    next holds one batch at a time.
+    Yields laws law[r, e, c, f] in walk order, each of ``steps`` steps and to
+    be drawn ``draws`` times in a row, every one by end row: a walker in
+    row r ends in row e, the layout :func:`_compose` composes. First the
+    blocks whose 32 steps all read the settled row R of the kernel: their
+    one law composed into super-blocks of 2**j blocks
+    (:func:`_settled_laws`). Then each later full block, once, from runs of
+    :func:`_batch_blocks` consecutive blocks per recursion; last the short
+    block, alone; each through :func:`_by_end_row`. A run's laws are freed
+    before the next run's recursion starts, so a caller that drops each law
+    before it asks for the next holds one batch at a time.
     """
     parity = x0 % 2
     # blocks i = 0, 1, ... from s0 = t - 32 i read only rows at or past the
@@ -657,11 +653,12 @@ def _block_laws(kernel: SurvivalKernel, x0: int, t: int, visit_site: int | None,
         s0s = range(s0, s0 - min(batch, s0 // _BLOCK) * _BLOCK, -_BLOCK)
         # not a for loop here: its variable would hold the run's batch
         # alive while the next run's recursion builds its own
-        yield from ((_BLOCK, law, 1) for law in
+        yield from ((_BLOCK, _by_end_row(law), 1) for law in
                     _block_law(kernel, s0s, _BLOCK, parity, visit_site, stay_in))
         s0 -= len(s0s) * _BLOCK
     if s0:
-        yield s0, _block_law(kernel, [s0], s0, parity, visit_site, stay_in)[0], 1
+        yield s0, _by_end_row(
+            _block_law(kernel, [s0], s0, parity, visit_site, stay_in)[0]), 1
 
 
 def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
@@ -675,15 +672,15 @@ def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
     laws of :func:`_block_laws` in order: a super-block of 2**j settled
     blocks, the remainder of the settled blocks, then blocks of _BLOCK steps
     (the last may be shorter). Per draw of a law each walker draws one
-    uniform, in walker order, and takes its outcome (move, visits, whether
-    it sat on a bound) from the law by inverse CDF. Every law starts on the
-    parity of x0, so a walker is its row r = x // 2 in the law. The search,
+    uniform, in walker order, and takes its outcome (end row, visits,
+    whether it sat on a bound) from the law by inverse CDF. Every law starts
+    on the parity of x0, so a walker is its row r = x // 2 in the law, and
+    its outcome's end row is its row in the next. The search,
     :func:`~ri1d.core_walks._search` over the row's running sums
     (:func:`~ri1d.core_walks._search_table`), reads the table's guide and
     places most walkers with one gather and one compare; the rest take a
     fixed-depth binary search over their row. The absorbing walk of
-    :mod:`ri1d.core_walks` shares both. Each table carries its move in rows
-    on the law's centred axis, index - (law.shape[1] - 1) // 2.
+    :mod:`ri1d.core_walks` shares both.
 
     The walk builds one search table per law and takes it for the law's
     draws, and frees law and table before it asks for the next. So memory
@@ -702,8 +699,7 @@ def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
     thr = np.empty(M)
     keep = np.empty(M, dtype=bool)
     for _, law, draws in _block_laws(kernel, x0, t, visit_site, stay_in):
-        cdf, guide, k, move, c, f = _search_table(law)
-        move -= (law.shape[1] - 1) // 2  # the law's move is centred
+        cdf, guide, k, end, c, f = _search_table(law)
         del law
         for _ in range(draws):
             gen.random(out=u)
@@ -713,8 +709,8 @@ def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
             if inside is not None:
                 np.equal(f.take(pos, out=bit), 0, out=keep)
                 inside &= keep
-            row += move.take(pos, out=bit)
-        del cdf, guide, move, c, f  # before the next law is built
+            end.take(pos, out=row)
+        del cdf, guide, end, c, f  # before the next law is built
     return visits, inside
 
 

@@ -6,6 +6,7 @@ same checks back ``ri1d selftest``.
 
 import math
 
+import numpy as np
 import pytest
 
 from ri1d import acceptance
@@ -148,14 +149,33 @@ def test_endpoint_lattice_asymptotic(x, delta, y):
 
 
 def test_02b_null_false_alarm_rate():
-    # 02b's TV statistic under the exact law, with no sampler involved: 2,000
-    # multinomial draws of its M = 1e5 from local_time_pmf(3, 1). 10 of them
-    # (0.5%) pass its threshold 0.01, the rate at which a correct window
-    # sampler fails 02b (0.62% over 40,000 such draws); the statistic's
-    # median is 0.0075
+    # the TV statistics of 02b and 02a under the exact law, with no sampler
+    # involved: 2,000 multinomial draws of each check's M from
+    # local_time_pmf(3, 1). For 02b (M = 1e5) 10 of them (0.5%) pass its
+    # threshold 0.01, the rate at which a correct window sampler fails 02b
+    # (0.62% over 40,000 such draws); the statistic's median is 0.0075.
+    # For 02a (M = 1e6) none pass 0.005: the median is 0.00238 and the 99th
+    # percentile 0.00312
     law = il.local_time_pmf(3, 1.0)
-    M, draws, threshold = 10**5, 2000, 0.01
-    counts = RngState(SEED).generator().multinomial(M, law.pmf, size=draws)
-    alarms = sum(tv_distance(c / M, law) > threshold for c in counts)
-    assert alarms == 10
-    assert alarms <= 0.01 * draws
+    draws = 2000
+    for M, threshold, want in ((10**5, 0.01, 10), (10**6, 0.005, 0)):
+        counts = RngState(SEED).generator().multinomial(M, law.pmf, size=draws)
+        alarms = sum(tv_distance(c / M, law) > threshold for c in counts)
+        assert alarms == want
+        assert alarms <= 0.01 * draws
+
+
+def test_01_null_false_alarm_rate():
+    # 01's statistic |p_hat - e^-1| under the exact law: p_hat is K / M with
+    # K ~ Binomial(M = 1e5, e^-1), the vacancy of sites 1 and 2 in M
+    # independent windows, so its false-alarm rate is the binomial tail
+    # past the threshold 0.006, summed here from log-gamma pmf terms
+    M, p, threshold = 10**5, math.exp(-1), 0.006
+    k = np.arange(M + 1)
+    log_pmf = (math.lgamma(M + 1) - np.array([math.lgamma(i + 1) + math.lgamma(M - i + 1)
+                                              for i in range(M + 1)])
+               + k * math.log(p) + (M - k) * math.log1p(-p))
+    pmf = np.exp(log_pmf)
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-8)
+    rate = pmf[np.abs(k / M - p) > threshold].sum()
+    assert rate == pytest.approx(8.3e-5, rel=0.01)

@@ -449,15 +449,15 @@ class TestGuidedSearch:
         _assert_guided_is_searchsorted(table, self.UNIFORMS)
 
     #: sha256 of the search tables of every law of the ring walks of the
-    #: benchmark's ring_walk sweep, (n, x0, visit site, bounds), as the
-    #: table build that held all the slots at once made them
+    #: benchmark's ring_walk sweep, (n, x0, visit site, bounds), every law
+    #: by end row
     WALK_TABLES_SHA256 = {
         (40, 20, None, (2, 39)):
-            "d2be465a810f47a79dce154dd136da7eccd4bb2532d759a6ce62c6b1e1858c19",
+            "4ad14c2b2cacff5262a6f761c05d6995e01a4cffe2ef9e61bcd85d600d914f80",
         (48, 24, 2, None):
-            "6393bea073acc855303e256cc32bc44e74d008fb2c1c2946b49e7e55d09f4fc1",
+            "8c62240fae2bfd2cb239f993139049ce6ad018f676fab832a5a0ea4f50372dc6",
         (80, 40, None, (2, 79)):
-            "65e2bcc3c0e7b2a4bea32f18cb6512a32176a4ecd61d72c36cd2d7a57428ae7a",
+            "139e53c44f5ab7c5884a13a3056654077ad621f2cbea71ba429250c9621c26af",
     }
 
     @pytest.mark.parametrize("walk", sorted(WALK_TABLES_SHA256, key=str), ids=str)
@@ -471,10 +471,11 @@ class TestGuidedSearch:
         assert digest.hexdigest() == self.WALK_TABLES_SHA256[walk]
 
     def test_build_peak_memory(self):
-        # check 08's 128-step settled power: 25 rows of K = 4096 running
+        # check 08's 128-step settled power: 25 rows of K = 2048 running
         # sums. The build holds the table it returns (cdf, guide and
-        # coordinates, 1.74 MB) and one slice of slots: 2.02 MB over the
-        # law, where the slots of the whole table at once took 2.68 MB
+        # coordinates, 0.87 MB) and one slice of slots, a float, an integer
+        # and a count array of _SLOT_CELLS cells: 1.14 MB over the law, where
+        # the slots of the whole table at once took 1.70 MB
         n = 48
         t = rk.ring_time_scale(n, 1.0)
         steps, law, _ = next(rk._block_laws(rk.SurvivalKernel(n, t), n // 2, t, 2, None))
@@ -486,9 +487,9 @@ class TestGuidedSearch:
         finally:
             tracemalloc.stop()
         cdf, _, k = table[:3]
-        assert k == 4096 and cdf.size == 25 * k
+        assert k == 2048 and cdf.size == 25 * k
         held = sum(np.asarray(part).nbytes for part in table)
-        assert peak <= held + cdf.nbytes / 2
+        assert peak <= held + 3 * 8 * cw._SLOT_CELLS
 
     def test_absorb_table(self):
         # check 13's hit-before walk: absorbed at 2 and 12, full blocks

@@ -449,7 +449,7 @@ def _composed_law(kernel, x0, t, visit_site=None, stay_in=None, cap=0):
     The state is w[r, k, f], the mass at row r (site 2r + x0 % 2 between
     laws) with k visits to visit_site (k >= cap lumped in row cap) and f =
     1 once the walk sat on a bound of stay_in or started outside it. A law
-    takes row r to r + m - (law.shape[1] - 1) // 2, as the walk moves its
+    law[r, e, c, f] takes row r to its end row e, as the walk moves its
     walkers, adds its c visits and ors in its f. Returns (law[k, f] summed
     over the rows, a bound on the roundings in one of its cells). Every term
     is positive, so nothing cancels and a cell's relative error is at most
@@ -461,22 +461,16 @@ def _composed_law(kernel, x0, t, visit_site=None, stay_in=None, cap=0):
     a sum of at most that many products, C and F the law's c and f slots,
     one per middle row, earlier visit count and pair of flags. Drawing a
     law adds one rounding per outcome of a row for the composition's sum
-    here: each start row reaches an end row through one m, so a cell sums
-    at most the law's cells of one row.
+    here: a cell sums at most the law's cells of one row.
     """
     rows = kernel.n // 2 + 1
     w = np.zeros((rows, cap + 1, 2))
     w[x0 // 2, 0, int(stay_in is not None and not stay_in[0] < x0 < stay_in[1])] = 1.0
     roundings = 0
     for steps, law, draws in rk._block_laws(kernel, x0, t, visit_site, stay_in):
-        r, m = np.indices(law.shape[:2])
-        end = r + m - (law.shape[1] - 1) // 2
-        held = (0 <= end) & (end < rows)
-        assert not law[~held].any()
-        a = np.zeros((rows, rows) + law.shape[2:])
-        a[r[held], end[held]] = law[held]
+        assert law.shape[:2] == (rows, rows)
         slots, flags = law.shape[2:]
-        a = a.transpose(2, 3, 1, 0).reshape(-1, rows)  # a[(c, f, end), start]
+        a = law.transpose(2, 3, 1, 0).reshape(-1, rows)  # a[(c, f, end), start]
         for _ in range(draws):
             moved = (a @ w.reshape(rows, -1)).reshape(slots, flags, rows, cap + 1, 2)
             w = np.zeros_like(w)
@@ -491,16 +485,50 @@ def _composed_law(kernel, x0, t, visit_site=None, stay_in=None, cap=0):
     return w.sum(axis=0), roundings
 
 
-def _run_lengths(yields):
-    """Lengths of the runs of consecutive laws from one recursion: the laws
-    of a batch of rk._block_law are views of one array."""
-    runs = []
-    for _, law, _ in yields:
-        if runs and law.base is runs[-1][-1].base:
-            runs[-1].append(law)
-        else:
-            runs.append([law])
-    return [len(run) for run in runs]
+def _laws_and_runs(monkeypatch, kernel, x0, t, site, bounds):
+    """(rk._block_laws' yields, the blocks of each rk._block_law call that
+    built them): a call's blocks are one run of consecutive laws from one
+    recursion."""
+    runs, block_law = [], rk._block_law
+
+    def counted(kernel, s0s, *args):
+        runs.append(len(s0s))
+        return block_law(kernel, s0s, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rk, "_block_law", counted)
+        yields = list(rk._block_laws(kernel, x0, t, site, bounds))
+    return yields, runs
+
+
+def _by_end_row_scatter(law):
+    """Reference for rk._by_end_row: a fancy-index scatter of each cell of
+    law[r, d, c, f] to row r + d - (law.shape[1] - 1) // 2, asserting that
+    no mass falls outside the rows."""
+    rows, width = law.shape[:2]
+    r, d = np.indices((rows, width))
+    end = r + d - (width - 1) // 2
+    held = (0 <= end) & (end < rows)
+    assert not law[~held].any()
+    out = np.zeros((rows, rows) + law.shape[2:])
+    out[r[held], end[held]] = law[held]
+    return out
+
+
+#: (n, x0, visit site, bounds, M): the ring walks of the benchmark's
+#: ring_walk sweep, check 07b, check 08 at one chunk, and sampling-scale's
+#: n = 80 vacant walk
+SWEEP_WALKS = ((40, 20, None, (2, 39), 20000), (48, 24, 2, None, 65536),
+               (80, 40, None, (2, 79), 4000))
+
+#: sha256 of the visits, inside flags and generator state of one walk of
+#: each of SWEEP_WALKS at alpha = 1 from RngState(0), as the walk that held
+#: its laws by centred move drew them
+WALK_OUTPUTS_SHA256 = {
+    40: "14887986948d6640160f80646a5eccd402f3bc3d40fb89c0ba462e27cc8e7e95",
+    48: "57d4231d72443e77d86d6cadd2e3dd47260aa77dcada392284f99c87fce40c5e",
+    80: "561cb19395f2788977fb27d3b0b6665e3f1b4c42afacd514cc8aaf56f9005849",
+}
 
 
 #: sha256 of the one-block laws of test_batches_keep_the_one_block_bits, as
@@ -575,7 +603,7 @@ class TestBlockLaw:
             assert np.array_equal(cdf[r, :last], np.cumsum(pmf)[:last])
             assert np.all(np.diff(cdf[r, :last]) >= 0)
 
-    def test_one_settled_table_then_one_per_block(self):
+    def test_one_settled_table_then_one_per_block(self, monkeypatch):
         # blocks whose 32 steps all read the settled row R share one law,
         # composed into a top power of 2**j blocks drawn settled >> j times
         # and the remainder once; every later block's law is yielded exactly
@@ -585,7 +613,7 @@ class TestBlockLaw:
             t = 3 * rk._settled_steps(n) + 40
             kernel = rk.SurvivalKernel(n, t)
             R = len(kernel._log_z) - 1
-            yields = list(rk._block_laws(kernel, x0, t, site, bounds))
+            yields, runs = _laws_and_runs(monkeypatch, kernel, x0, t, site, bounds)
             blocks = [(t - k0, min(rk._BLOCK, t - k0)) for k0 in range(0, t, rk._BLOCK)]
             later = [(s0, steps) for s0, steps in blocks
                      if s0 - steps + 1 < R or steps < rk._BLOCK]
@@ -607,11 +635,12 @@ class TestBlockLaw:
             # each later law has the bits of its block's law, built alone
             for (s0, steps), (_, law, _) in zip(later, tail):
                 ref = rk._block_law(kernel, [s0], steps, x0 % 2, site, bounds)[0]
-                assert np.ascontiguousarray(law).tobytes() == ref.tobytes()
-            # every run holds the batch's blocks, or the full blocks left
+                assert law.tobytes() == rk._by_end_row(ref).tobytes()
+            # the settled blocks build one law; every later run holds the
+            # batch's blocks, or the full blocks left
             batch = rk._batch_blocks(n, x0 % 2, site, bounds)
             full = sum(steps == rk._BLOCK for _, steps in later)
-            assert _run_lengths(tail) == \
+            assert runs == [1] + \
                 [min(batch, full - k) for k in range(0, full, batch)] + [1] * (t % rk._BLOCK > 0)
             # and fits the budget with one search table, unless it is one block
             law = rk._block_law(kernel, [t], rk._BLOCK, x0 % 2, site, bounds)[0]
@@ -622,7 +651,7 @@ class TestBlockLaw:
 
     @pytest.mark.parametrize("t, settled", [(0, 0), (20, 0), (119, 0), (149, 0), (150, 1),
                                             (320, 6), (1000, 27)])
-    def test_schedule_edges(self, t, settled):
+    def test_schedule_edges(self, t, settled, monkeypatch):
         # n = 12 stores the rows up to R = s* + 1 = 119: t < 32 is one short
         # block, t <= R + 30 has no settled block, t = R + 31 has exactly
         # one, and a multiple of 32 has no short block; the laws cover t.
@@ -635,13 +664,13 @@ class TestBlockLaw:
         powers = [(rk._BLOCK * top, 1), (rk._BLOCK * (settled - top), 1)][:(settled > 0)
                                                                          + (settled > top)]
         for x0, site, bounds in ((6, None, None), (5, 3, (1, 11))):
-            yields = list(rk._block_laws(kernel, x0, t, site, bounds))
+            yields, runs = _laws_and_runs(monkeypatch, kernel, x0, t, site, bounds)
             schedule = [(steps, b) for steps, _, b in yields]
             assert sum(steps * b for steps, b in schedule) == t
             full, short = divmod(t - settled * rk._BLOCK, rk._BLOCK)
             assert schedule == powers + [(rk._BLOCK, 1)] * full + [(short, 1)] * (short > 0)
             batch = rk._batch_blocks(12, x0 % 2, site, bounds)
-            assert _run_lengths(yields[len(powers):]) == \
+            assert runs == [1] * (settled > 0) + \
                 [min(batch, full - k) for k in range(0, full, batch)] + [1] * (short > 0)
 
     @pytest.mark.parametrize("n", sorted(BLOCK_LAW_SHA256))
@@ -670,6 +699,41 @@ class TestBlockLaw:
                 for law in one:
                     digest.update(law.tobytes())
         assert digest.hexdigest() == BLOCK_LAW_SHA256[n]
+
+    @pytest.mark.parametrize("walk", SWEEP_WALKS, ids=str)
+    def test_end_rows_match_the_scatter(self, walk, monkeypatch):
+        # every block law the walk builds, the settled one, each later
+        # block's and the short last block's, takes its end rows with the
+        # bits of the scatter, which finds no mass outside the rows
+        n, x0, site, bounds, _ = walk
+        t = rk.ring_time_scale(n, 1.0)
+        block_law, checked = rk._block_law, []
+
+        def compared(*args):
+            laws = block_law(*args)
+            for law in laws:
+                assert rk._by_end_row(law).tobytes() == _by_end_row_scatter(law).tobytes()
+            checked.append(len(laws))
+            return laws
+
+        monkeypatch.setattr(rk, "_block_law", compared)
+        for _ in rk._block_laws(rk.SurvivalKernel(n, t), x0, t, site, bounds):
+            pass
+        assert checked[0] == 1 and len(checked) > 1
+
+    @pytest.mark.parametrize("walk", SWEEP_WALKS, ids=str)
+    def test_walk_outputs_keep_their_bits(self, walk):
+        n, x0, site, bounds, M = walk
+        t = rk.ring_time_scale(n, 1.0)
+        gen = RngState(0).generator()
+        visits, inside = rk._ring_paths_batch(rk.SurvivalKernel(n, t), x0, t, M, gen,
+                                              site, bounds)
+        digest = hashlib.sha256()
+        for a in (visits, inside):
+            if a is not None:
+                digest.update(a.tobytes())
+        digest.update(repr(gen.bit_generator.state).encode())
+        assert digest.hexdigest() == WALK_OUTPUTS_SHA256[n]
 
     def test_extreme_uniforms_take_outcomes_of_positive_mass(self):
         # u = 0 takes a block's first outcome of positive mass, never a
@@ -806,14 +870,10 @@ class TestComposedBlockLaws:
                     (steps, composed, draws), = rk._settled_laws(law, blocks)
                     assert (steps, draws) == (blocks * rk._BLOCK, 1)
                     direct = rk._block_law(kernel, [t], steps, parity, site, bounds)[0]
-                    # the direct law's move is d - steps // 2, d = 0..steps;
-                    # the composed one stops at the farthest row
-                    half = (composed.shape[1] - 1) // 2
-                    mid = steps // 2
-                    assert not direct[:, :mid - half].any()
-                    assert not direct[:, mid + half + 1:].any()
-                    direct = direct[:, mid - half:mid + half + 1]
-                    assert composed.shape == direct.shape
+                    # by end row, with every cell of positive mass kept
+                    kept = (direct > 0).sum()
+                    direct = rk._by_end_row(direct)
+                    assert composed.shape == direct.shape and (direct > 0).sum() == kept
                     rows, _, slots, flags = composed.shape
                     tol = (6 * steps + (blocks - 1) * rows * slots * flags**2) * self.EPS
                     assert np.array_equal(composed > 0, direct > 0)
