@@ -47,6 +47,11 @@ Run from the root of a checkout. The committed files came from::
     OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev 8ec472f \\
         --claim sampling-scale --seed0 1411 --sweep ring_walk --sweep window \\
         --sweep local_times --out BENCH_law_layout.json
+    OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev c3cfc82 \\
+        --claim sampling-scale --seed0 1441 --sweep ring_walk --sweep search \\
+        --out BENCH_doob_laws.json
+    OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev c3cfc82 \\
+        --claim sampling-scale --seed0 1471 --out BENCH_doob_laws_2.json
 
 (the files before BENCH_walk_rows.json ran one pair per sweep case;
 BENCH_window_chain.json, BENCH_block_schedule.json and BENCH_law_layout.json
@@ -82,9 +87,9 @@ seed0 + i. The output holds:
     ns per replicate, with a hash of the visit and trajectory counts;
   - ``ring_walk``: the median of WALK_REPEATS calls of ``_ring_paths_batch``
     on the ring walks the benchmark and the acceptance suite make, in ns per
-    walker-step, the draws per walker of one call (its ``_search`` rounds)
-    and the tracemalloc peak of one more call in bytes, with a hash of the
-    outputs and of the generator state;
+    walker-step, the draws per walker of one call (its ``_search`` rounds),
+    the search tables it builds and the tracemalloc peak of one more call
+    in bytes, with a hash of the outputs and of the generator state;
   - ``ring_path``: the median of PATH_REPEATS calls of ``sample_ring_path``
     from the middle of the ring at the sizes of PATH_CASES, alpha = 1,
     kernel build included, in ns per step, with a hash of the paths;
@@ -92,10 +97,12 @@ seed0 + i. The output holds:
     ABSORB_CASES, in ns per walker-step (the expected number of steps the
     walkers take before absorption or the horizon, from the exact law),
     with a hash of the outputs;
-  - ``search``: ``_search`` alone on the block-walk tables of SEARCH_TABLES
-    (check 08's settled block and a block before it, the n = 80 vacant
-    walk's, check 07b's, and check 13's absorbing table), M walkers spread
-    evenly over the rows with mass, at the sizes of SEARCH_CASES: the median
+  - ``search``: ``_search`` alone on the block-walk tables of SEARCH_TABLES,
+    the ring walks' as ``_block_laws`` yields them (check 08's first law,
+    its settled power, and its law at 1000 steps to go; the first laws of
+    the n = 80 vacant walk and of check 07b) and check 13's absorbing
+    table, M walkers spread evenly over the rows with mass, at the sizes of
+    SEARCH_CASES: the median
     of SEARCH_REPEATS calls in ns per walker and of as many table builds,
     with a hash of the outcomes;
   - ``killed_walk``: the killed walk of KILLED_CASES, the median of
@@ -204,7 +211,7 @@ from ri1d.rngs import RngState
 n, M, x0, site, bounds, reps = json.loads(sys.argv[1])
 t = rk.ring_time_scale(n, 1.0)
 kernel = rk.SurvivalKernel(n, t)
-search, rounds = rk._search, []
+search, search_table, rounds, tables = rk._search, rk._search_table, [], []
 
 
 def counted(*args):
@@ -213,11 +220,17 @@ def counted(*args):
     return search(*args)
 
 
-rk._search = counted
+def built(law):
+    tables.append(None)
+    return search_table(law)
+
+
+rk._search, rk._search_table = counted, built
 times, digest = [], hashlib.sha256()
 for rep in range(reps):
     gen = RngState(rep).generator()
     rounds.clear()
+    tables.clear()
     start = time.perf_counter()
     visits, inside = rk._ring_paths_batch(kernel, x0, t, M, gen, site, bounds)
     times.append(time.perf_counter() - start)
@@ -225,7 +238,7 @@ for rep in range(reps):
         if a is not None:
             digest.update(a.tobytes())
     digest.update(repr(gen.bit_generator.state).encode())
-draws = len(rounds)
+draws, n_tables = len(rounds), len(tables)
 tracemalloc.start()
 visits, inside = rk._ring_paths_batch(kernel, x0, t, M, RngState(reps).generator(), site,
                                       bounds)
@@ -234,7 +247,8 @@ tracemalloc.stop()
 for a in (visits, inside):
     if a is not None:
         digest.update(a.tobytes())
-print(json.dumps({"t": t, "draws_per_walker": draws, "s": statistics.median(times),
+print(json.dumps({"t": t, "draws_per_walker": draws, "tables": n_tables,
+                  "s": statistics.median(times),
                   "ns_per_walker_step": 1e9 * statistics.median(times) / (M * t),
                   "peak_bytes": peak, "outputs_sha256": digest.hexdigest()}))
 """
@@ -347,14 +361,18 @@ if name == "absorb":
     # check 13's hit-before walk: absorbed at 2 and 12
     law = cw._absorb_law(3, 9, 2, 12, cw._BLOCK)
 else:
-    # (n, s0, visit site, bounds); s0 None is the settled block
+    # (n, s0, visit site, bounds): the law the walk from n // 2 draws with
+    # s0 steps to go, None its first
     n, s0, site, bounds = {"08 settled": (48, None, 2, None),
                            "08 block": (48, 1000, 2, None),
-                           "vacant n80": (80, 3000, None, (2, 79)),
-                           "07b": (40, 700, None, (2, 39))}[name]
-    kernel = rk.SurvivalKernel(n, rk.ring_time_scale(n, 1.0))
-    s0 = len(kernel._log_z) - 1 + cw._BLOCK if s0 is None else s0
-    law, = rk._block_law(kernel, [s0], cw._BLOCK, 0, site, bounds)
+                           "vacant n80": (80, None, None, (2, 79)),
+                           "07b": (40, None, None, (2, 39))}[name]
+    t = rk.ring_time_scale(n, 1.0)
+    for steps, law, draws in rk._block_laws(rk.SurvivalKernel(n, t), n // 2, t, site,
+                                            bounds):
+        if s0 is None or t - steps * draws < s0:
+            break
+        t -= steps * draws
 builds = []
 for _ in range(reps):
     start = time.perf_counter()

@@ -7,11 +7,11 @@ reflection-principle path counting for the walk avoiding the origin and a
 brute-force enumeration oracle for it. Its Monte Carlo estimators run the
 walk absorbed at one or two sites in blocks of 32 steps, each walker's block
 drawn by inverse CDF from the block's exact law. The forward recursion that
-builds block laws, one block or a batch of blocks at once, the inverse-CDF
-table and its search (a guide table that places most walkers with one
-probe, and a binary search for the rest) also serve the block walk of the
-conditioned ring walk; the table and its search also draw the interlacement
-samplers' small negative binomials.
+builds a block's law with its marks, the inverse-CDF table and its search
+(a guide table that places most walkers with one probe, and a binary search
+for the rest) also serve the conditioned ring walk, whose recursion is the
+walk killed at the ring's ends; the table and its search also draw the
+interlacement samplers' small negative binomials.
 """
 
 from __future__ import annotations
@@ -311,40 +311,34 @@ def _visit_slots(first: int, stride: int, steps: int, visit: int | None) -> int:
 
 def _block_recursion(mass: np.ndarray, first: int, stride: int, steps: int,
                      up: np.ndarray, absorb=(), visit: int | None = None, contact=()):
-    """Forward recursion over a batch of blocks of a walk, from every start row.
+    """Forward recursion over one block of a walk, from every start row.
 
-    up is a (B, steps, sites) table of up-steps, one (steps, sites) slice per
-    block of the batch, and every block runs from the same start rows. Row r
-    starts at site first + stride*r with mass[r]; w[b, c, f, r, j] is its
-    mass in block b with j up-steps so far. Column 0 of up is site
-    first - steps: step i goes up from site y with up[b, i, y - first + steps]
-    and down with 1 minus it, and so the cell (r, j) reads
-    up[b, i, steps - i + stride*r + 2j]. After each step the marks move the
-    mass on their sites:
+    up is a row of up-steps over the sites from first - steps, the same at
+    every step of the block. Row r starts at site first + stride*r with
+    mass[r]; w[c, f, r, j] is its mass with j up-steps so far. Step i goes
+    up from site y with up[y - first + steps] and down with 1 minus it, and
+    so the cell (r, j) reads up[steps - i + stride*r + 2j]. After each step
+    the marks move the mass on their sites:
 
-    - absorb: to sinks[b, k, c, f, r] from the site absorb[k] (None: no site);
+    - absorb: to sinks[k, c, f, r] from the site absorb[k] (None: no site);
     - visit: one slot up the c axis, which has a slot per arrival time on the
       site's parity and one more (:func:`_visit_slots`);
     - contact: from f = 0 to f = 1 (one f slot without contact sites).
 
-    Returns (w, sinks). The steps run on the flat w[b, c, f, r*J + j], J =
-    steps + 1, every cell through the same multiply, subtract and shift-add
-    whatever the batch: an up-step moves mass to the next slot, and none
-    sits at j = J - 1 before the last step, so no shift crosses a row or a
-    block. After i steps the cell (r, j) sits at first + stride*r - i + 2j,
-    so the cells on a site y, r + g j = (y - first + i) / stride, are every
-    (g J - 1)-th slot.
+    Returns (w, sinks). The steps run on the flat w[c, f, r*J + j], J =
+    steps + 1, every cell through the same multiply, subtract and shift-add:
+    an up-step moves mass to the next slot, and none sits at j = J - 1
+    before the last step, so no shift crosses a row. After i steps the cell
+    (r, j) sits at first + stride*r - i + 2j, so the cells on a site y,
+    r + g j = (y - first + i) / stride, are every (g J - 1)-th slot.
     """
     count, span, g = len(mass), steps + 1, 2 // stride
-    w = np.zeros((len(up), _visit_slots(first, stride, steps, visit),
-                  2 if contact else 1, count * span))
-    w[:, 0, 0, ::span] = mass
-    sinks = np.zeros((len(up), len(absorb), *w.shape[1:3], count))
+    w = np.zeros((_visit_slots(first, stride, steps, visit), 2 if contact else 1,
+                  count * span))
+    w[0, 0, ::span] = mass
+    sinks = np.zeros((len(absorb), *w.shape[:2], count))
     hankel = np.add.outer(stride * np.arange(count), 2 * np.arange(span)).ravel()
-    p, moved = np.empty((len(up), count * span)), np.empty_like(w)
-    down = np.empty_like(p)
-    # p and down broadcast over the c and f axes
-    p_cells, down_cells = p[:, None, None], down[:, None, None]
+    p, down, moved = np.empty(count * span), np.empty(count * span), np.empty_like(w)
 
     def on_site(y: int, i: int):
         """(flat cells of w, rows) on site y after i steps, or None."""
@@ -358,27 +352,27 @@ def _block_recursion(mass: np.ndarray, first: int, stride: int, steps: int,
     live_c = 1  # visit counts reachable so far
     for i in range(steps):
         # cells off the walk's sites carry no mass: mode="clip" only keeps
-        # the gather inside the table
-        np.take(up[:, i, steps - i:], hankel, axis=1, out=p, mode="clip")
+        # the gather inside the row
+        np.take(up[steps - i:], hankel, out=p, mode="clip")
         np.subtract(1.0, p, out=down)
-        live = w[:, :live_c]
-        np.multiply(live, p_cells, out=moved[:, :live_c])
-        live *= down_cells
-        live[..., 1:] += moved[:, :live_c, :, :-1]
+        live = w[:live_c]
+        np.multiply(live, p, out=moved[:live_c])
+        live *= down
+        live[..., 1:] += moved[:live_c, :, :-1]
         for k, y in enumerate(absorb):
             if y is not None and (cells := on_site(y, i + 1)) is not None:
-                sinks[:, k, ..., cells[1]] += w[..., cells[0]]
+                sinks[k, ..., cells[1]] += w[..., cells[0]]
                 w[..., cells[0]] = 0.0
         if visit is not None and (visit - first + i + 1) % stride == 0:
             if (cells := on_site(visit, i + 1)) is not None:
-                w[:, 1:live_c + 1, :, cells[0]] = w[:, :live_c, :, cells[0]]
-                w[:, 0, :, cells[0]] = 0.0
+                w[1:live_c + 1, :, cells[0]] = w[:live_c, :, cells[0]]
+                w[0, :, cells[0]] = 0.0
             live_c += 1
         for y in contact:
             if (cells := on_site(y, i + 1)) is not None:
-                w[:, :, 1, cells[0]] += w[:, :, 0, cells[0]]
-                w[:, :, 0, cells[0]] = 0.0
-    return w.reshape(*w.shape[:3], count, span), sinks
+                w[:, 1, cells[0]] += w[:, 0, cells[0]]
+                w[:, 0, cells[0]] = 0.0
+    return w.reshape(*w.shape[:2], count, span), sinks
 
 
 def _absorb_law(first: int, count: int, lo: int, hi: int | None,
@@ -390,17 +384,15 @@ def _absorb_law(first: int, count: int, lo: int, hi: int | None,
     at lo, o = 1 + j survival of the block's ``steps`` steps with j up-steps
     (at first + r - steps + 2j), and o = steps + 2 absorption at hi.
 
-    The :func:`_block_recursion` of a batch of one block from the rows
-    first + r, stepping up from site s with (s+1)/(2s) at every step: one
-    row over the sites from first - steps, broadcast over the steps.
+    The :func:`_block_recursion` from the rows first + r, stepping up from
+    site s with (s+1)/(2s): one row over the sites from first - steps.
     """
     # sites first - steps .. first + count + 2 steps - 1; those below lo
     # carry no mass, so the clamp to 1 only keeps the division finite
     sites = np.maximum(np.arange(first - steps, first + count + 2 * steps), 1)
     p_up = (sites + 1) / (2 * sites)
-    w, sinks = _block_recursion(np.ones(count), first, 1, steps,
-                                np.broadcast_to(p_up, (1, steps, p_up.size)), absorb=(lo, hi))
-    return np.column_stack((sinks[0, 0, 0, 0], w[0, 0, 0], sinks[0, 1, 0, 0]))
+    w, sinks = _block_recursion(np.ones(count), first, 1, steps, p_up, absorb=(lo, hi))
+    return np.column_stack((sinks[0, 0, 0], w[0, 0], sinks[1, 0, 0]))
 
 
 def _absorb(gen: np.random.Generator, pos: np.ndarray, lo: int, hi: int | None,

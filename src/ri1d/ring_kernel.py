@@ -22,28 +22,31 @@ the remaining time s* ~ 0.93 n^2 (even n) or 2.5 n^2 (odd n) from which
 h_n(., s) is its two slowest modes to 2**-53, so its memory is
 O(n min(t, s*)); later times are that settled row times a power of
 cos(pi/n). On top of the kernel table sit the time-inhomogeneous conditioned
-ring walk and its exact vacant-set and local-time functionals. Both walks
-read their up-steps from one source, the kernel's site-indexed up-step rows
-of a block of 32 steps (:meth:`SurvivalKernel._up_rows`), in which the
-settled row, the Doob step, stands for every time past the stored rows. The
-path sampler draws one uniform per step and compares it with the row of
-its step. The batch walk behind the vacant-set and local-time samplers
-draws one uniform per walker per law and inverts it against the law's
-exact joint law of the walker's end row, visits to a site and contact with
-an interval's bounds (a guide table first, a binary search for the walkers
-it does not place). A block's law is a table built by the block recursion
-of :mod:`ri1d.core_walks` that the absorbing walk also runs, by up-step
-count, and taken by end row (:func:`_by_end_row`), the one layout of every
-law the walk draws. The settled blocks all take one time-homogeneous law,
-which :func:`_compose` composes with itself by exact doubling into the law
-of 2**j blocks: rows through the end row, visit counts by convolution,
-contact flags by or, every cell a sum of nonnegative products. One
-generator, :func:`_block_laws`, owns the schedule of those laws: the
-settled blocks as a few draws of such powers (:func:`_settled_laws`), the
-blocks after them in runs of up to 8 consecutive blocks per recursion, one
-run alive at a time within a budget of _BATCH_CELLS cells, and the short
-last block. The walk reads it, and so do the tests that compose the same
-laws into the exact law of the walk's output.
+ring walk and its exact vacant-set and local-time functionals. The path
+sampler reads the kernel's site-indexed up-step rows of a block of 32 steps
+(:meth:`SurvivalKernel._up_rows`), in which the settled row, the Doob step,
+stands for every time past the stored rows; it draws one uniform per step
+and compares it with the row of its step. The batch walk behind the
+vacant-set and local-time samplers is built as the paper builds the
+conditioned walk, a Doob h-transform of the walk killed at 0 and n: along a
+path that stays in 1..n-1 the up-steps telescope, so the law of any
+stretch of L steps, with its marks, is the killed law K_L (2**-L times a
+count of killed paths, the same at every time) times h at the stretch's
+end over h at its start. One block recursion of :mod:`ri1d.core_walks`,
+the one the absorbing walk also runs, gives the exact killed law of one
+block of 32 steps (:func:`_killed_block`), by end row (:func:`_by_end_row`):
+its joint law of the walker's end row, visits to a site and contact with an
+interval's bounds. :func:`_compose` composes it with itself by doubling
+into the killed laws of 2**j blocks: rows through the end row, visit counts
+by convolution, contact flags by or, every cell a sum of nonnegative
+products. One generator, :func:`_block_laws`, owns the schedule: the top
+power while it fits, the set bits of the rest, the short last block, each
+h-transformed to its stretch by one broadcast multiply with a kernel row
+(:func:`_h_transform`); the stretches that end past the kernel's stored
+rows share one law. The walk draws one uniform per walker per draw of a
+law and inverts it against the law (a guide table first, a binary search
+for the walkers it does not place); the tests compose the same laws into
+the exact law of the walk's output.
 """
 
 from __future__ import annotations
@@ -57,8 +60,7 @@ from itertools import starmap
 import numpy as np
 
 from .config import in_cond_regime
-from .core_walks import (_BLOCK, WalkPath, _block_recursion, _search, _search_table,
-                         _visit_slots)
+from .core_walks import _BLOCK, WalkPath, _block_recursion, _search, _search_table
 from .rngs import RngState
 
 #: Memory budget in bytes for a kernel table, or for the kernel table plus
@@ -431,8 +433,9 @@ class SurvivalKernel:
         Row 0 and the killed columns 0 and n are 0, and so is every entry at
         n = 2, where h(1, s) = 0 for s >= 1. Rows past the stored R repeat
         row R, the Doob step. O(n t_max) memory, checked with the kernel rows
-        against KERNEL_BYTES_BUDGET before it is allocated; the walks read
-        a block's rows at a time from :meth:`_up_rows` instead.
+        against KERNEL_BYTES_BUDGET before it is allocated; the path sampler
+        reads a block's rows at a time from :meth:`_up_rows` instead, and the
+        batch walk one kernel row a law (:func:`_h_transform`).
         """
         n, t = self.n, self.t_max
         r = len(self._log_z) - 1
@@ -496,77 +499,49 @@ def sample_ring_path(n: int, t_total: int, x0: int, rng: RngState) -> WalkPath:
     return WalkPath(tuple(pos))
 
 
-#: Cells (8-byte words) one batch of _block_law may hold in _ring_paths_batch:
-#: its blocks' up-step rows, recursion masses and step buffers, and the one
-#: search table alive with its guide (:func:`_batch_blocks`); and twice the
-#: cells of a composed settled law (:func:`_settled_laws`). 2 MiB.
+#: Cells (8-byte words) of a composed power of the killed block law that the
+#: walk may hold with its search table: the doubling in :func:`_block_laws`
+#: stops where twice the cells a power can reach would pass it. 2 MiB.
 _BATCH_CELLS = 1 << 18
 
 
-def _batch_blocks(n: int, parity: int, visit_site: int | None,
-                  stay_in: tuple[int, int] | None) -> int:
-    """Full blocks per batch of :func:`_block_law`: 1 to 8, within _BATCH_CELLS.
+def _killed_block(n: int, steps: int, parity: int, visit_site: int | None,
+                  stay_in: tuple[int, int] | None) -> np.ndarray:
+    """K[r, e, c, f]: 2**-steps times the number of paths of ``steps`` steps
+    that stay in 1..n-1, from the site x = 2r + parity to the end row e
+    (:func:`_by_end_row`), with c visits to visit_site at the arrival times
+    1..steps and f = 1 if they sat on a bound of stay_in at one of them.
 
-    One block of the batch holds its rows of up-steps and twice its law's
-    cells, the recursion's mass and its step buffer. The walk builds one
-    search table at a time, its running sums and guide each at most twice
-    the law's outcomes wide, so a run counts one table of four times a
-    law's cells on top of its blocks.
+    One :func:`~ri1d.core_walks._block_recursion` from the rows x = 2r +
+    parity, 0 <= r <= n/2, with every up-step 1/2, absorbed at 0 and n. After
+    i steps every mass is a count of at most 2**i paths times 2**-i, so for
+    steps <= 32 every cell is exact. Rows whose start is off 1..n-1 are 0.
     """
-    law = (_visit_slots(parity, 2, _BLOCK, visit_site) * (2 if stay_in else 1)
-           * (n // 2 + 1) * (_BLOCK + 1))
-    up = _BLOCK * (_BLOCK - parity + n + 1)
-    return min(8, max(1, (_BATCH_CELLS - 4 * law) // (up + 2 * law)))
-
-
-def _block_law(kernel: SurvivalKernel, s0s, steps: int, parity: int,
-               visit_site: int | None = None,
-               stay_in: tuple[int, int] | None = None) -> np.ndarray:
-    """Joint laws of a batch of blocks of the conditioned walk from every start.
-
-    Block b takes ``steps`` steps from a site x = 2r + parity, 0 <= r <=
-    n/2, with s0s[b] >= steps steps to go. Returns law[b, r, d, c, f], the
-    probability of d up-steps, c visits to visit_site at the block's arrival
-    times 1..steps, and f = 1 if the walker sat on a bound of stay_in at one
-    of them (f = 0 otherwise). The c axis has one slot when visit_site is
-    None and the f axis one when stay_in is None. Rows whose start is off
-    1..n-1 are 0.
-
-    One :func:`~ri1d.core_walks._block_recursion` over the batch from the
-    rows x = 2r + parity, reading the kernel's :meth:`~SurvivalKernel._up_rows`
-    of each block; each block's law has the bits of a batch of one. The
-    engine's table starts at site parity - steps, so the rows get
-    steps - parity zero columns in front: a gather from a negative start
-    would wrap around instead.
-    """
-    n = kernel.n
     x = 2 * np.arange(n // 2 + 1) + parity
-    up = np.zeros((len(s0s), steps, steps - parity + n + 1))
-    for rows, s0 in zip(up, s0s):
-        rows[:, steps - parity:] = kernel._up_rows(s0, steps)
-    w, _ = _block_recursion((0 < x) & (x < n), parity, 2, steps, up,
+    half = np.full(2 * steps + n + 2, 0.5)
+    w, _ = _block_recursion((0 < x) & (x < n), parity, 2, steps, half, absorb=(0, n),
                             visit=visit_site, contact=stay_in or ())
-    return w.transpose(0, 3, 4, 1, 2)
+    return _by_end_row(w.transpose(2, 3, 0, 1))
 
 
 def _by_end_row(law: np.ndarray) -> np.ndarray:
     """The law law[r, e, c, f] from row r to end row e of a block law
-    law[r, d, c, f] of :func:`_block_law` over steps = law.shape[1] - 1
-    steps: d up-steps take row r, the site x = 2r + parity, to e = r + d -
-    steps // 2, the site x + 2d - steps = 2e + parity - steps % 2 (an odd
-    step count is the short last block, whose end row no law reads).
+    law[r, d, c, f] by up-step count over steps = law.shape[1] - 1 steps: d
+    up-steps take row r, the site x = 2r + parity, to e = r + d - steps // 2,
+    the site x + 2d - steps = 2e + parity - steps % 2 (an odd step count is
+    the short last block, whose end row no law reads).
 
-    One strided copy: a zero buffer of rows (rows + steps + 1) cells per
-    mark slot (c, f), viewed so that row r's d lands in column r + d, whose
-    window of the columns steps // 2 .. steps // 2 + rows - 1 is the result.
-    The walk never leaves the rows, so the window drops no mass.
+    One slice copy a row, into a zero array of the result's shape: row r's
+    d lands in column r + d - steps // 2, for the d that keep it in 0..rows
+    - 1. The walk never leaves the rows, so no mass is dropped.
     """
     rows, width = law.shape[:2]
-    buf = np.zeros((rows, rows + width) + law.shape[2:])
-    strides = (buf.strides[0] + buf.strides[1],) + buf.strides[1:]
-    np.lib.stride_tricks.as_strided(buf, law.shape, strides)[...] = law
     half = (width - 1) // 2
-    return buf[:, half:half + rows]
+    out = np.zeros((rows, rows) + law.shape[2:])
+    for r in range(rows):
+        lo, hi = max(0, half - r), min(width, rows + half - r)
+        out[r, r + lo - half:r + hi - half] = law[r, lo:hi]
+    return out
 
 
 def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -588,90 +563,108 @@ def _compose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _settled_laws(law: np.ndarray, blocks: int):
-    """The settled phase of ``blocks`` blocks of the settled block law law[r,
-    d, c, f]: (steps, law, draws) in walk order, each law by end row as
-    :func:`_compose` returns it.
+def _h_transform(kernel: SurvivalKernel, law: np.ndarray, s1: int,
+                 first: int) -> np.ndarray:
+    """The conditioned law of a stretch that ends with s1 steps to go, from
+    the killed law law[r, e, c, f] of its steps (:func:`_killed_block`, in
+    any positive scale): law[r, e, c, f] h(y, s1) / h(x, s1 + steps), with
+    the end row e at the site y = first + 2e.
 
-    The settled blocks all take the one time-homogeneous Doob law, so the
-    law of 2**j of them is the law of one (:func:`_by_end_row`) composed
-    with itself by j doublings (:func:`_compose`). The doubling stops at the
-    top power J, where the next power would pass blocks or twice its count
-    would pass _BATCH_CELLS; the count is rows x the moves the power can
-    reach (at most 2 rows - 1) x its slots, not its end-row law's rows x
-    rows x slots. That cap is measured: it stops check 08's visit walk,
-    whose c axis grows 16 slots a block, at 4 blocks, and 8 blocks took no
-    less time there (the larger composition and search table cost what the
-    fewer draws save); the vacant walks' laws never grow, so they double up
-    to blocks. The walk takes the top power blocks >> J times, then once
-    the remainder, the composition of the powers of the set bits of blocks
-    below J.
+    The conditioned walk is the walk killed at 0 and n, reweighted by h (a
+    Doob h-transform): its up-step from x with s to go is h(x+1, s-1) /
+    (2 h(x, s)), so along a path that stays in 1..n-1 the steps telescope to
+    2**-steps h(y, s1) / h(x, s1 + steps). The killed walk's own step makes
+    the denominator the sum of the killed law times h(y, s1) over row r's
+    outcomes, so each row is that product, one broadcast multiply by the
+    kernel row of s1 (:meth:`SurvivalKernel._row`), divided by its sum: the
+    law's sums over the marks, times h, summed over the end row. The scales
+    of the law and of the kernel row cancel, and so does the power of
+    cos(pi/n) that h carries past the stored rows: the law reads h at its
+    end alone, takes no exp, and every row sums to 1 within the rounding of
+    its sum. Rows whose site is off 1..n-1 stay 0.
     """
-    rows, _, slots, flags = law.shape
-
-    def cells(k: int) -> int:
-        """Rows x moves that k blocks can reach x slots of their law."""
-        return rows * min(2 * rows - 1, _BLOCK * k + 1) * (k * (slots - 1) + 1) * flags
-
-    top, j, rest = _by_end_row(law), 0, None
-    while 2 << j <= blocks and 2 * cells(2 << j) <= _BATCH_CELLS:
-        if blocks >> j & 1:
-            rest = top if rest is None else _compose(rest, top)
-        top = _compose(top, top)
-        j += 1
-    yield _BLOCK << j, top, blocks >> j
-    if rest is not None:
-        del top  # before the walk builds the remainder's table
-        yield _BLOCK * (blocks % (1 << j)), rest, 1
+    n, rows = kernel.n, law.shape[0]
+    r, _ = kernel._row(s1)
+    y = 2 * np.arange(rows) + first
+    on = (0 < y) & (y < n)
+    h = np.zeros(rows)
+    h[on] = kernel._table[r, y[on]]
+    total = law.sum(axis=(2, 3)) @ h
+    total[total == 0.0] = 1.0  # the rows off the segment
+    out = law * h[:, None, None]
+    out /= total[:, None, None, None]
+    return out
 
 
 def _block_laws(kernel: SurvivalKernel, x0: int, t: int, visit_site: int | None,
                 stay_in: tuple[int, int] | None):
-    """The block schedule of a t-step walk from x0: (steps, law, draws).
+    """The super-block schedule of a t-step walk from x0: (steps, law, draws).
 
     Yields laws law[r, e, c, f] in walk order, each of ``steps`` steps and to
-    be drawn ``draws`` times in a row, every one by end row: a walker in
-    row r ends in row e, the layout :func:`_compose` composes. First the
-    blocks whose 32 steps all read the settled row R of the kernel: their
-    one law composed into super-blocks of 2**j blocks
-    (:func:`_settled_laws`). Then each later full block, once, from runs of
-    :func:`_batch_blocks` consecutive blocks per recursion; last the short
-    block, alone; each through :func:`_by_end_row`. A run's laws are freed
-    before the next run's recursion starts, so a caller that drops each law
-    before it asks for the next holds one batch at a time.
+    be drawn ``draws`` times in a row, every one by end row: a walker in row
+    r ends in row e, the layout :func:`_compose` composes. Every law is the
+    killed law of its steps, h-transformed to its stretch of the walk
+    (:func:`_h_transform`). The killed law of 2**j full blocks is the
+    block's exact one (:func:`_killed_block`) composed with itself by j
+    doublings, each rescaled by the exact power of two that brings its max
+    into [1/2, 1), so that no power underflows. The doubling stops at the
+    top power J, where the next power would pass the t // 32 full blocks or
+    twice its count would pass _BATCH_CELLS; the count is rows x the moves
+    the power can reach (at most 2 rows - 1) x its slots. That cap stops
+    check 08's visit walk, whose c axis grows 16 slots a block, at 4 blocks;
+    the vacant walks' laws never grow, so they double up to the full blocks.
+
+    The walk takes the top power (t // 32) >> J times, then one super-block
+    per set bit of the full blocks below J, in descending order, then the
+    short last block, with its own killed law and h(., 0) = 1. A law reads
+    h only at its end, and every end at or past the kernel's row R - 1
+    reads the stored row of t's parity: the top powers that end there share
+    one law, drawn once per super-block. Each law is built when the walk
+    asks for it and held by no one here, so a walk holds the powers, one law
+    and one table.
     """
-    parity = x0 % 2
-    # blocks i = 0, 1, ... from s0 = t - 32 i read only rows at or past the
-    # settled row R = len(_log_z) - 1 while s0 - 31 >= R
-    settled = max(0, (t - len(kernel._log_z) + 2) // _BLOCK)
-    if settled:
-        yield from _settled_laws(
-            _block_law(kernel, [t], _BLOCK, parity, visit_site, stay_in)[0], settled)
-    s0 = t - settled * _BLOCK
-    batch = _batch_blocks(kernel.n, parity, visit_site, stay_in)
-    while s0 >= _BLOCK:
-        s0s = range(s0, s0 - min(batch, s0 // _BLOCK) * _BLOCK, -_BLOCK)
-        # not a for loop here: its variable would hold the run's batch
-        # alive while the next run's recursion builds its own
-        yield from ((_BLOCK, _by_end_row(law), 1) for law in
-                    _block_law(kernel, s0s, _BLOCK, parity, visit_site, stay_in))
-        s0 -= len(s0s) * _BLOCK
-    if s0:
-        yield s0, _by_end_row(
-            _block_law(kernel, [s0], s0, parity, visit_site, stay_in)[0]), 1
+    n, parity = kernel.n, x0 % 2
+    blocks, short = divmod(t, _BLOCK)
+    if blocks:
+        powers = [_killed_block(n, _BLOCK, parity, visit_site, stay_in)]
+        rows, _, slots, flags = powers[0].shape
+
+        def cells(k: int) -> int:
+            """Rows x moves that k blocks can reach x slots of their law."""
+            return rows * min(2 * rows - 1, _BLOCK * k + 1) * (k * (slots - 1) + 1) * flags
+
+        top = 0
+        while 2 << top <= blocks and 2 * cells(2 << top) <= _BATCH_CELLS:
+            powers.append(_compose(powers[top], powers[top]))
+            _rescale(powers[-1])
+            top += 1
+        steps = _BLOCK << top
+        # super-block i = 0, 1, ... ends at t - (i + 1) steps >= R - 1
+        shared = min(blocks >> top, max(0, (t - len(kernel._log_z) + 2) // steps))
+        if shared:
+            yield steps, _h_transform(kernel, powers[top], t - steps, parity), shared
+        s1 = t - shared * steps  # steps to go at the end of the last law
+        for j in [top] * ((blocks >> top) - shared) + \
+                [j for j in range(top - 1, -1, -1) if blocks >> j & 1]:
+            s1 -= _BLOCK << j
+            yield _BLOCK << j, _h_transform(kernel, powers[j], s1, parity), 1
+        del powers
+    if short:
+        yield short, _h_transform(kernel, _killed_block(n, short, parity, visit_site, stay_in),
+                                  0, parity - short % 2), 1
 
 
 def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
                       gen: np.random.Generator, visit_site: int | None = None,
                       stay_in: tuple[int, int] | None = None):
-    """M conditioned ring paths, vectorized over replicates, in blocks of steps.
+    """M conditioned ring paths, vectorized over replicates, in super-blocks.
 
     Returns (visit counts at visit_site over times 1..t, indicator that the
     whole path, start included, stays strictly inside the open interval
     stay_in); either may be None when not requested. The walk takes the
-    laws of :func:`_block_laws` in order: a super-block of 2**j settled
-    blocks, the remainder of the settled blocks, then blocks of _BLOCK steps
-    (the last may be shorter). Per draw of a law each walker draws one
+    laws of :func:`_block_laws` in order: super-blocks of 2**j blocks of
+    _BLOCK steps, the top power first and the set bits of the rest after
+    it, then the short last block. Per draw of a law each walker draws one
     uniform, in walker order, and takes its outcome (end row, visits,
     whether it sat on a bound) from the law by inverse CDF. Every law starts
     on the parity of x0, so a walker is its row r = x // 2 in the law, and
@@ -684,8 +677,8 @@ def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
 
     The walk builds one search table per law and takes it for the law's
     draws, and frees law and table before it asks for the next. So memory
-    on top of the kernel is one batch of laws within _BATCH_CELLS, or the
-    settled powers being composed, one table, and O(M).
+    on top of the kernel is the killed-law powers, one law, one table and
+    O(M).
 
     Raises ValueError where :meth:`SurvivalKernel._check_start` does.
     """

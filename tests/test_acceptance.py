@@ -179,3 +179,22 @@ def test_01_null_false_alarm_rate():
     assert pmf.sum() == pytest.approx(1.0, abs=1e-8)
     rate = pmf[np.abs(k / M - p) > threshold].sum()
     assert rate == pytest.approx(8.3e-5, rel=0.01)
+
+
+def test_07b_null_false_alarm_rate():
+    # 07b's statistic |p_hat - p| under the exact law: p_hat is K / M with
+    # K ~ Binomial(M = 2e4, p), p the exact vacancy of [-1, 2] on the ring
+    # of 40 sites from 20 (vacant_prob_ring_exact), so its false-alarm rate
+    # is the binomial tail past the threshold of four standard errors,
+    # summed from log-gamma pmf terms: 6.3e-5
+    n, x0, a, b, M = 40, 20, 1, 2, 2 * 10**4
+    p = rk.vacant_prob_ring_exact(n, rk.ring_time_scale(n, 1.0), x0, a, b)
+    threshold = 4 * math.sqrt(p * (1 - p) / M)
+    k = np.arange(M + 1)
+    log_pmf = (math.lgamma(M + 1) - np.array([math.lgamma(i + 1) + math.lgamma(M - i + 1)
+                                              for i in range(M + 1)])
+               + k * math.log(p) + (M - k) * math.log1p(-p))
+    pmf = np.exp(log_pmf)
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-8)
+    rate = pmf[np.abs(k / M - p) > threshold].sum()
+    assert rate == pytest.approx(6.3e-5, rel=0.01)

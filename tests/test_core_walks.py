@@ -431,33 +431,40 @@ class TestGuidedSearch:
     UNIFORMS = RngState(2201).generator().random(10**5)
 
     @staticmethod
-    def ring_table(n, s0, parity, visit_site, stay_in):
-        kernel = rk.SurvivalKernel(n, rk.ring_time_scale(n, 1.0))
-        s0 = s0 if s0 is not None else len(kernel._log_z) - 1 + cw._BLOCK
-        law, = rk._block_law(kernel, [s0], cw._BLOCK, parity, visit_site, stay_in)
-        return cw._search_table(law)
+    def ring_table(n, x0, s0, visit_site, stay_in):
+        """The search table of the law that the ring walk of n sites from x0
+        at alpha = 1 draws with s0 steps to go (None: its first law)."""
+        t = rk.ring_time_scale(n, 1.0)
+        for steps, law, draws in rk._block_laws(rk.SurvivalKernel(n, t), x0, t, visit_site,
+                                                stay_in):
+            if s0 is None or t - steps * draws < s0:
+                return cw._search_table(law)
+            t -= steps * draws
+
+    #: the K of each walk table of test_ring_tables, as measured
+    RING_TABLE_K = {(48, None): 2048, (48, 1000): 2048, (80, 3000): 128, (40, 700): 64}
 
     @pytest.mark.parametrize("n,s0,visit_site,stay_in", [
-        (48, None, 2, None),  # check 08: the settled block
-        (48, 1000, 2, None),  # and one before the settled row
-        (80, 3000, None, (2, 79)),  # the vacant walk of the benchmark
-        (40, 700, None, (2, 39)),  # check 07b
+        (48, None, 2, None),  # check 08: the shared power of 4 blocks past R
+        (48, 1000, 2, None),  # and a later super-block, before the settled row
+        (80, 3000, None, (2, 79)),  # the vacant walk of the benchmark: 256 blocks
+        (40, 700, None, (2, 39)),  # check 07b: 32 blocks
     ])
     def test_ring_tables(self, n, s0, visit_site, stay_in):
-        table = self.ring_table(n, s0, 0, visit_site, stay_in)
-        assert table[2] >= 128
+        table = self.ring_table(n, n // 2, s0, visit_site, stay_in)
+        assert table[2] == self.RING_TABLE_K[n, s0]
         _assert_guided_is_searchsorted(table, self.UNIFORMS)
 
     #: sha256 of the search tables of every law of the ring walks of the
     #: benchmark's ring_walk sweep, (n, x0, visit site, bounds), every law
-    #: by end row
+    #: an h-transformed killed law of a super-block, by end row
     WALK_TABLES_SHA256 = {
         (40, 20, None, (2, 39)):
-            "4ad14c2b2cacff5262a6f761c05d6995e01a4cffe2ef9e61bcd85d600d914f80",
+            "332bcb860f843f8005648e201969ea659a1d4b19746ad869a3786699533184a2",
         (48, 24, 2, None):
-            "8c62240fae2bfd2cb239f993139049ce6ad018f676fab832a5a0ea4f50372dc6",
+            "f061fd9c7a599ee34ccd3f3d3958f482812a80a62bf7bca8c16abf45511a8776",
         (80, 40, None, (2, 79)):
-            "139e53c44f5ab7c5884a13a3056654077ad621f2cbea71ba429250c9621c26af",
+            "2f5da64cd36f69670f4c7db5215f33962b232d2526ae07f0f0ed54b6346265f2",
     }
 
     @pytest.mark.parametrize("walk", sorted(WALK_TABLES_SHA256, key=str), ids=str)
@@ -471,7 +478,7 @@ class TestGuidedSearch:
         assert digest.hexdigest() == self.WALK_TABLES_SHA256[walk]
 
     def test_build_peak_memory(self):
-        # check 08's 128-step settled power: 25 rows of K = 2048 running
+        # check 08's 128-step shared power: 25 rows of K = 2048 running
         # sums. The build holds the table it returns (cdf, guide and
         # coordinates, 0.87 MB) and one slice of slots, a float, an integer
         # and a count array of _SLOT_CELLS cells: 1.14 MB over the law, where
