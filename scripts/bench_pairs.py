@@ -52,6 +52,8 @@ Run from the root of a checkout. The committed files came from::
         --out BENCH_doob_laws.json
     OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev c3cfc82 \\
         --claim sampling-scale --seed0 1471 --out BENCH_doob_laws_2.json
+    OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev 47bcfcb \\
+        --claim selftest --seed0 1501 --sweep absorb --out BENCH_half_line_law.json
 
 (the files before BENCH_walk_rows.json ran one pair per sweep case;
 BENCH_window_chain.json, BENCH_block_schedule.json and BENCH_law_layout.json
@@ -96,7 +98,8 @@ seed0 + i. The output holds:
   - ``absorb``: the median of ABSORB_REPEATS runs of each absorbing walk of
     ABSORB_CASES, in ns per walker-step (the expected number of steps the
     walkers take before absorption or the horizon, from the exact law),
-    with a hash of the outputs;
+    the draws per walker of one run (its ``_search`` calls), with a hash
+    of the outputs;
   - ``search``: ``_search`` alone on the block-walk tables of SEARCH_TABLES,
     the ring walks' as ``_block_laws`` yields them (check 08's first law,
     its settled power, and its law at 1000 steps to go; the first laws of
@@ -289,6 +292,16 @@ sys.path.insert(0, "src")
 from ri1d import core_walks as cw
 from ri1d.rngs import RngState
 name, args, reps = json.loads(sys.argv[1])
+search, rounds = cw._search, []
+
+
+def counted(*args):
+    # one search per draw: every live walker draws one uniform per draw
+    rounds.append(None)
+    return search(*args)
+
+
+cw._search = counted
 
 def live_steps(start, lo, hi, steps):
     # expected steps per walker before absorption or the horizon: the sum
@@ -334,11 +347,13 @@ else:
         return [hits, pos.tobytes().hex(), repr(gen.bit_generator.state)]
 times, digest = [], hashlib.sha256()
 for rep in range(reps):
+    rounds.clear()
     start_s = time.perf_counter()
     value = call(rep)
     times.append(time.perf_counter() - start_s)
     digest.update(repr(value).encode())
-print(json.dumps({"walker_steps": M * per_walker, "s": statistics.median(times),
+print(json.dumps({"walker_steps": M * per_walker, "draws_per_walker": len(rounds),
+                  "s": statistics.median(times),
                   "ns_per_walker_step": 1e9 * statistics.median(times) / (M * per_walker),
                   "outputs_sha256": digest.hexdigest()}))
 """

@@ -5,12 +5,19 @@ x-1 otherwise; 1/x along the stopped trajectory is a martingale, which yields
 closed forms for hitting and escape probabilities. The module also provides
 reflection-principle path counting for the walk avoiding the origin and a
 brute-force enumeration oracle for it. Its Monte Carlo estimators run the
-walk absorbed at one or two sites in blocks of 32 steps, each walker's block
-drawn by inverse CDF from the block's exact law. The forward recursion that
-builds a block's law with its marks, the inverse-CDF table and its search
-(a guide table that places most walkers with one probe, and a binary search
-for the rest) also serve the conditioned ring walk, whose recursion is the
-walk killed at the ring's ends; the table and its search also draw the
+walk absorbed at one or two sites. The walk is the Doob h-transform, h(x) =
+x, of the simple walk killed at those sites, so the law of any stretch of
+steps is the killed law times y/x from x to y, and lo/x and hi/x into the
+sinks. Absorbed at lo alone, that law has a closed form for any number of
+steps by the reflection principle, and the walk takes as many steps as one
+law's cells afford in one draw per walker, usually all of them. Absorbed at
+lo and hi, it walks in blocks of 32 steps, each the h-transform of the
+exact killed law of one block. Each walker's outcome is drawn by inverse
+CDF from its row of the law. The forward recursion that builds a killed
+block law with its marks, the inverse-CDF table and its search (a guide
+table that places most walkers with one probe, and a binary search for the
+rest) also serve the conditioned ring walk, whose recursion is the walk
+killed at the ring's ends; the table and its search also draw the
 interlacement samplers' small negative binomials.
 """
 
@@ -178,9 +185,13 @@ def endpoint_leq_prob(x: int, delta: int, y: int) -> tuple[float, float]:
     """P[X_delta <= y] for the conditioned walk from x: (exact, asymptotic).
 
     The exact value sums k * N_k / (x * 2^delta) over endpoints k <= y with
-    N_k from :func:`count_paths`; the sum is kept in exact integer arithmetic
-    and divided once at the end, so no intermediate overflow or underflow is
-    possible. The asymptotic companion is sqrt(2/pi) * y^3 / (3 delta^{3/2}),
+    N_k the :func:`count_paths` count C(delta, m) - C(delta, m - k), m =
+    (delta + k - x)/2; the sum is kept in exact integer arithmetic and
+    divided once at the end, so no intermediate overflow or underflow is
+    possible. Every binomial index it reads lies in one window of about y
+    indices, so one math.comb at the window's foot and exact integer ratio
+    steps C(delta, i+1) = C(delta, i)(delta - i)/(i + 1) give them all. The
+    asymptotic companion is sqrt(2/pi) * y^3 / (3 delta^{3/2}),
     valid as y -> infinity with y^2 = o(delta). At fixed y the local limit
     theorem gives sqrt(2/pi) * y*(y*+1)(y*+2) / (3 delta^{3/2}) instead, where
     y* is the largest k <= y with k = x + delta (mod 2); the smooth form
@@ -188,11 +199,20 @@ def endpoint_leq_prob(x: int, delta: int, y: int) -> tuple[float, float]:
     """
     if x < 1 or y < 1 or delta < 1:
         raise ValueError(f"need x >= 1, y >= 1, delta >= 1, got x={x}, y={y}, delta={delta}")
+    # the reachable endpoints k <= y: k = x + delta (mod 2), |k - x| <= delta
+    k_lo = max(1, x - delta)
+    k_lo += (k_lo + x + delta) % 2
+    k_hi = min(y, x + delta)
+    k_hi -= (k_hi + x + delta) % 2
     numerator = 0
-    for k in range(1, min(y, x + delta) + 1):
-        nk = count_paths(x, delta, k)
-        if nk:
-            numerator += k * nk
+    if k_lo <= k_hi:
+        foot = max(0, (delta - x - k_hi) // 2)  # the lowest m - k >= 0
+        binom = [math.comb(delta, foot)]
+        for i in range(foot, (delta + k_hi - x) // 2):
+            binom.append(binom[-1] * (delta - i) // (i + 1))
+        for k in range(k_lo, k_hi + 1, 2):
+            m = (delta + k - x) // 2
+            numerator += k * (binom[m - foot] - (binom[m - k - foot] if m >= k else 0))
     exact = float(Fraction(numerator, x << delta))
     asym = math.sqrt(2 / math.pi) * y**3 / (3 * delta**1.5)
     return exact, asym
@@ -200,8 +220,16 @@ def endpoint_leq_prob(x: int, delta: int, y: int) -> tuple[float, float]:
 
 # -- Monte Carlo helpers (vectorized over replicates) -------------------------
 
-#: Steps per block of the block walks: each walker draws one uniform per block.
+#: Steps per block of the killed block laws: the block of the ring walk's
+#: killed law, and of the walk absorbed at two sites, which draws one uniform
+#: per walker and block.
 _BLOCK = 32
+
+#: Cells (8-byte words) of one law that a walk may hold with its search
+#: table: the ring walk's doubling stops where twice the cells a power can
+#: reach would pass it, and the walk absorbed at one site takes the longest
+#: stretch whose law fits it. 2 MiB.
+_BATCH_CELLS = 1 << 18
 
 
 #: Cells of rows per slice of a search table's slots (:func:`_search_table`).
@@ -310,26 +338,26 @@ def _visit_slots(first: int, stride: int, steps: int, visit: int | None) -> int:
 
 
 def _block_recursion(mass: np.ndarray, first: int, stride: int, steps: int,
-                     up: np.ndarray, absorb=(), visit: int | None = None, contact=()):
-    """Forward recursion over one block of a walk, from every start row.
+                     absorb=(), visit: int | None = None, contact=()):
+    """Forward recursion of the simple walk over one block, from every start row.
 
-    up is a row of up-steps over the sites from first - steps, the same at
-    every step of the block. Row r starts at site first + stride*r with
-    mass[r]; w[c, f, r, j] is its mass with j up-steps so far. Step i goes
-    up from site y with up[y - first + steps] and down with 1 minus it, and
-    so the cell (r, j) reads up[steps - i + stride*r + 2j]. After each step
-    the marks move the mass on their sites:
+    Row r starts at site first + stride*r with mass[r]; w[c, f, r, j] is its
+    mass with j up-steps so far. Each step goes up and down with 1/2: it
+    halves every cell and adds it to the next slot. So from a mass of 1
+    every cell after i steps is a count of at most 2**i paths times 2**-i,
+    exact for a block of at most 32 steps. After each step the marks move
+    the mass on their sites:
 
-    - absorb: to sinks[k, c, f, r] from the site absorb[k] (None: no site);
+    - absorb: to sinks[k, c, f, r] from the site absorb[k];
     - visit: one slot up the c axis, which has a slot per arrival time on the
       site's parity and one more (:func:`_visit_slots`);
     - contact: from f = 0 to f = 1 (one f slot without contact sites).
 
     Returns (w, sinks). The steps run on the flat w[c, f, r*J + j], J =
-    steps + 1, every cell through the same multiply, subtract and shift-add:
-    an up-step moves mass to the next slot, and none sits at j = J - 1
-    before the last step, so no shift crosses a row. After i steps the cell
-    (r, j) sits at first + stride*r - i + 2j, so the cells on a site y,
+    steps + 1, every cell through the same halving and shift-add: an
+    up-step moves mass to the next slot, and none sits at j = J - 1 before
+    the last step, so no shift crosses a row. After i steps the cell (r, j)
+    sits at first + stride*r - i + 2j, so the cells on a site y,
     r + g j = (y - first + i) / stride, are every (g J - 1)-th slot.
     """
     count, span, g = len(mass), steps + 1, 2 // stride
@@ -337,8 +365,6 @@ def _block_recursion(mass: np.ndarray, first: int, stride: int, steps: int,
                   count * span))
     w[0, 0, ::span] = mass
     sinks = np.zeros((len(absorb), *w.shape[:2], count))
-    hankel = np.add.outer(stride * np.arange(count), 2 * np.arange(span)).ravel()
-    p, down, moved = np.empty(count * span), np.empty(count * span), np.empty_like(w)
 
     def on_site(y: int, i: int):
         """(flat cells of w, rows) on site y after i steps, or None."""
@@ -351,16 +377,11 @@ def _block_recursion(mass: np.ndarray, first: int, stride: int, steps: int,
 
     live_c = 1  # visit counts reachable so far
     for i in range(steps):
-        # cells off the walk's sites carry no mass: mode="clip" only keeps
-        # the gather inside the row
-        np.take(up[steps - i:], hankel, out=p, mode="clip")
-        np.subtract(1.0, p, out=down)
         live = w[:live_c]
-        np.multiply(live, p, out=moved[:live_c])
-        live *= down
-        live[..., 1:] += moved[:live_c, :, :-1]
+        live *= 0.5
+        live[..., 1:] += live[..., :-1]  # numpy buffers the overlapping input
         for k, y in enumerate(absorb):
-            if y is not None and (cells := on_site(y, i + 1)) is not None:
+            if (cells := on_site(y, i + 1)) is not None:
                 sinks[k, ..., cells[1]] += w[..., cells[0]]
                 w[..., cells[0]] = 0.0
         if visit is not None and (visit - first + i + 1) % stride == 0:
@@ -375,24 +396,68 @@ def _block_recursion(mass: np.ndarray, first: int, stride: int, steps: int,
     return w.reshape(*w.shape[:2], count, span), sinks
 
 
+def _half_line_law(sites: np.ndarray, lo: int, steps: int) -> np.ndarray:
+    """Law of ``steps`` steps of the conditioned walk absorbed at lo, from
+    each of the sites (all above lo), in the layout of :func:`_absorb_law`.
+
+    The walk is the h-transform, h(x) = x, of the simple walk killed at lo,
+    so by the reflection principle (Feller, vol. 1, III.1) it goes from x
+    to y = x - L + 2j > lo in L steps with probability 2**-L [C(L, j) -
+    C(L, j + x - lo)] y/x. The absorbed mass is the rest: the simple walk
+    stopped at lo is a martingale, so its paths' ends sum to x 2**L, and
+    lo times the absorbed paths is x 2**L minus the survivors' y-weighted
+    counts: the absorbed mass is lo/x (P[S_L <= lo - x] + P[S_L < lo - x])
+    for the simple walk S_L from 0. Every cell is an exact integer over
+    x 2**L, divided once, so correctly rounded. Each row steps its two
+    binomials from one math.comb each by exact integer ratios, so the build
+    holds a few integers of L bits beside the law, and costs O(rows L)
+    operations on integers of L / 64 + 1 words.
+    """
+    law = np.zeros((len(sites), steps + 3))
+    for row, x in zip(law, sites.tolist()):
+        d, den = x - lo, x << steps
+        j0 = max(0, (steps - d) // 2 + 1)  # the first end above lo
+        # C(L, j) and its reflection C(L, j + d), 0 once j + d passes L
+        a, b = math.comb(steps, j0), math.comb(steps, j0 + d)
+        cells, total = [], 0
+        for j in range(j0, steps + 1):
+            num = (x - steps + 2 * j) * (a - b)
+            cells.append(num / den)
+            total += num
+            a = a * (steps - j) // (j + 1)
+            b = b * (steps - j - d) // (j + d + 1)
+        row[1 + j0:steps + 2] = cells
+        row[0] = (den - total) / den
+    return law
+
+
 def _absorb_law(first: int, count: int, lo: int, hi: int | None,
                 steps: int) -> np.ndarray:
-    """Law of one block of the conditioned walk absorbed at lo and hi.
+    """Law of one stretch of the conditioned walk absorbed at lo and hi.
 
-    Returns law[r, o] for the walker that starts the block at site first + r,
-    lo < first + r < hi (hi=None absorbs at lo only): o = 0 is absorption
-    at lo, o = 1 + j survival of the block's ``steps`` steps with j up-steps
-    (at first + r - steps + 2j), and o = steps + 2 absorption at hi.
+    Returns law[r, o] for the walker that starts the stretch at site
+    first + r, lo < first + r < hi (hi=None absorbs at lo only): o = 0 is
+    absorption at lo, o = 1 + j survival of the stretch's ``steps`` steps
+    with j up-steps (at first + r - steps + 2j), and o = steps + 2
+    absorption at hi.
 
-    The :func:`_block_recursion` from the rows first + r, stepping up from
-    site s with (s+1)/(2s): one row over the sites from first - steps.
+    The walk is the h-transform, h(x) = x, of the simple walk killed at lo
+    and hi. Without hi, the law is :func:`_half_line_law`'s closed form.
+    With hi, it is the exact killed law of the stretch, one
+    :func:`_block_recursion` of at most _BLOCK steps from the rows first + r,
+    times y/x from x to y, and its sinks times lo/x and hi/x: each product
+    of a dyadic of at most 32 bits and a site below 2**21 is exact, and
+    divided once by x.
     """
-    # sites first - steps .. first + count + 2 steps - 1; those below lo
-    # carry no mass, so the clamp to 1 only keeps the division finite
-    sites = np.maximum(np.arange(first - steps, first + count + 2 * steps), 1)
-    p_up = (sites + 1) / (2 * sites)
-    w, sinks = _block_recursion(np.ones(count), first, 1, steps, p_up, absorb=(lo, hi))
-    return np.column_stack((sinks[0, 0, 0], w[0, 0], sinks[1, 0, 0]))
+    x = first + np.arange(count)
+    if hi is None:
+        return _half_line_law(x, lo, steps)
+    w, sinks = _block_recursion(np.ones(count), first, 1, steps, absorb=(lo, hi))
+    # the cells at or below lo carry no mass; 0 keeps their products +0.0
+    y = np.maximum(x[:, None] - steps + 2 * np.arange(steps + 1), 0)
+    law = np.column_stack((sinks[0, 0, 0] * lo, w[0, 0] * y, sinks[1, 0, 0] * hi))
+    law /= x[:, None]
+    return law
 
 
 def _absorb(gen: np.random.Generator, pos: np.ndarray, lo: int, hi: int | None,
@@ -404,17 +469,24 @@ def _absorb(gen: np.random.Generator, pos: np.ndarray, lo: int, hi: int | None,
     (number absorbed at lo, positions of the walkers still active, in their
     input order).
 
-    The walk runs in blocks of _BLOCK steps (the last may be shorter): per
-    block each active walker draws one uniform, in walker order, and takes
-    its block outcome (absorbed at lo, still active with j up-steps, or
-    absorbed at hi) from the block's exact law (:func:`_absorb_law`) by
-    inverse CDF: the table's guide, and a binary search for the walkers it
-    does not place (:func:`_search`). The law's rows cover every site from
-    the lowest walker to the highest, with a margin on each side of at least
-    the block and the old rows' span: when a walker leaves them, they are
-    rebuilt around the walkers. So memory is O(M + K x (highest - lowest +
-    margin)), independent of hi and of how far from lo the walkers start,
-    but starts spread far apart pay a row for every site between them.
+    The walk runs in stretches: per stretch each active walker draws one
+    uniform, in walker order, and takes its outcome (absorbed at lo, still
+    active with j up-steps, or absorbed at hi) from the stretch's exact law
+    (:func:`_absorb_law`) by inverse CDF: the table's guide, and a binary
+    search for the walkers it does not place (:func:`_search`).
+
+    - Without hi, a stretch is every step still to go, or the most steps
+      whose law, rows x (steps + 3) cells, fits _BATCH_CELLS, from one row
+      per occupied site (np.unique), each walker reading its site's row.
+      So most calls draw once per walker, and memory is O(M + the law),
+      however far apart the walkers are.
+    - With hi, a stretch is a block of _BLOCK steps (the last may be
+      shorter). The law's rows cover every site from the lowest walker to
+      the highest, with a margin on each side of at least the block and the
+      old rows' span: when a walker leaves them, they are rebuilt around
+      the walkers, capped below hi. So memory is O(M + K x (highest - lowest
+      + margin)), independent of hi and of how far from lo the walkers
+      start.
 
     Raises ValueError if a start is not strictly inside (lo, hi).
     """
@@ -426,29 +498,33 @@ def _absorb(gen: np.random.Generator, pos: np.ndarray, lo: int, hi: int | None,
     idx = np.empty(p.size, dtype=np.intp)
     bit = np.empty(p.size, dtype=np.intp)
     hits = 0
-    table_steps = base = top = 0  # the table's block length and sites
-    for k0 in range(0, max_steps, _BLOCK):
+    table_steps = base = top = 0  # the interval table's block length and sites
+    k0 = 0
+    while k0 < max_steps and p.size:
         m = p.size
-        if not m:
-            break
-        steps = min(_BLOCK, max_steps - k0)
-        low, high = int(p.min()), int(p.max())
-        if steps != table_steps or low < base or high > top:
-            pad = max(steps, top - base + 1)
-            base, top = max(lo + 1, low - pad), high + pad
-            if hi is not None:
-                top = min(top, hi - 1)
+        if hi is None:
             cdf = guide = outcome = None  # free the last table before the next
-            cdf, guide, k, outcome = _search_table(
-                _absorb_law(base, top - base + 1, lo, hi, steps))
-            table_steps = steps
+            sites, idx[:m] = np.unique(p, return_inverse=True)
+            steps = min(max_steps - k0, max(1, _BATCH_CELLS // len(sites) - 3))
+            cdf, guide, k, outcome = _search_table(_half_line_law(sites, lo, steps))
+        else:
+            steps = min(_BLOCK, max_steps - k0)
+            low, high = int(p.min()), int(p.max())
+            if steps != table_steps or low < base or high > top:
+                pad = max(steps, top - base + 1)
+                base, top = max(lo + 1, low - pad), min(high + pad, hi - 1)
+                cdf = guide = outcome = None
+                cdf, guide, k, outcome = _search_table(
+                    _absorb_law(base, top - base + 1, lo, hi, steps))
+                table_steps = steps
+            np.subtract(p, base, out=idx[:m])
         gen.random(out=u[:m])
-        np.subtract(p, base, out=idx[:m])
         _search(cdf, guide, k, idx[:m], u[:m], idx[:m], thr[:m], bit[:m])
         o = outcome.take(idx[:m], out=bit[:m], mode="clip")
         p += o  # p - steps + 2j for the walkers still active
         p += o
         p -= steps + 2
+        k0 += steps
         if o.min() == 0 or (hi is not None and o.max() == steps + 2):
             done = o == 0
             hits += int(np.count_nonzero(done))

@@ -33,20 +33,20 @@ path that stays in 1..n-1 the up-steps telescope, so the law of any
 stretch of L steps, with its marks, is the killed law K_L (2**-L times a
 count of killed paths, the same at every time) times h at the stretch's
 end over h at its start. One block recursion of :mod:`ri1d.core_walks`,
-the one the absorbing walk also runs, gives the exact killed law of one
-block of 32 steps (:func:`_killed_block`), by end row (:func:`_by_end_row`):
-its joint law of the walker's end row, visits to a site and contact with an
-interval's bounds. :func:`_compose` composes it with itself by doubling
-into the killed laws of 2**j blocks: rows through the end row, visit counts
-by convolution, contact flags by or, every cell a sum of nonnegative
-products. One generator, :func:`_block_laws`, owns the schedule: the top
-power while it fits, the set bits of the rest, the short last block, each
-h-transformed to its stretch by one broadcast multiply with a kernel row
-(:func:`_h_transform`); the stretches that end past the kernel's stored
-rows share one law. The walk draws one uniform per walker per draw of a
-law and inverts it against the law (a guide table first, a binary search
-for the walkers it does not place); the tests compose the same laws into
-the exact law of the walk's output.
+the one the walk absorbed at two sites also runs, gives the exact killed
+law of one block of 32 steps (:func:`_killed_block`), by end row
+(:func:`_by_end_row`): its joint law of the walker's end row, visits to a
+site and contact with an interval's bounds. :func:`_compose` composes it
+with itself by doubling into the killed laws of 2**j blocks: rows through
+the end row, visit counts by convolution, contact flags by or, every cell a
+sum of nonnegative products. One generator, :func:`_block_laws`, owns the
+schedule: the top power while it fits, the set bits of the rest, the short
+last block, each h-transformed to its stretch by one broadcast multiply
+with a kernel row (:func:`_h_transform`); the stretches that end past the
+kernel's stored rows share one law. The walk draws one uniform per walker
+per draw of a law and inverts it against the law (a guide table first, a
+binary search for the walkers it does not place); the tests compose the
+same laws into the exact law of the walk's output.
 """
 
 from __future__ import annotations
@@ -60,7 +60,8 @@ from itertools import starmap
 import numpy as np
 
 from .config import in_cond_regime
-from .core_walks import _BLOCK, WalkPath, _block_recursion, _search, _search_table
+from .core_walks import (_BATCH_CELLS, _BLOCK, WalkPath, _block_recursion, _search,
+                         _search_table)
 from .rngs import RngState
 
 #: Memory budget in bytes for a kernel table, or for the kernel table plus
@@ -499,12 +500,6 @@ def sample_ring_path(n: int, t_total: int, x0: int, rng: RngState) -> WalkPath:
     return WalkPath(tuple(pos))
 
 
-#: Cells (8-byte words) of a composed power of the killed block law that the
-#: walk may hold with its search table: the doubling in :func:`_block_laws`
-#: stops where twice the cells a power can reach would pass it. 2 MiB.
-_BATCH_CELLS = 1 << 18
-
-
 def _killed_block(n: int, steps: int, parity: int, visit_site: int | None,
                   stay_in: tuple[int, int] | None) -> np.ndarray:
     """K[r, e, c, f]: 2**-steps times the number of paths of ``steps`` steps
@@ -512,14 +507,13 @@ def _killed_block(n: int, steps: int, parity: int, visit_site: int | None,
     (:func:`_by_end_row`), with c visits to visit_site at the arrival times
     1..steps and f = 1 if they sat on a bound of stay_in at one of them.
 
-    One :func:`~ri1d.core_walks._block_recursion` from the rows x = 2r +
-    parity, 0 <= r <= n/2, with every up-step 1/2, absorbed at 0 and n. After
-    i steps every mass is a count of at most 2**i paths times 2**-i, so for
+    One :func:`~ri1d.core_walks._block_recursion` of the simple walk from
+    the rows x = 2r + parity, 0 <= r <= n/2, absorbed at 0 and n. After i
+    steps every mass is a count of at most 2**i paths times 2**-i, so for
     steps <= 32 every cell is exact. Rows whose start is off 1..n-1 are 0.
     """
     x = 2 * np.arange(n // 2 + 1) + parity
-    half = np.full(2 * steps + n + 2, 0.5)
-    w, _ = _block_recursion((0 < x) & (x < n), parity, 2, steps, half, absorb=(0, n),
+    w, _ = _block_recursion((0 < x) & (x < n), parity, 2, steps, absorb=(0, n),
                             visit=visit_site, contact=stay_in or ())
     return _by_end_row(w.transpose(2, 3, 0, 1))
 

@@ -17,11 +17,14 @@ otherwise numpy's negative_binomial draws for the positive counts. A batch
 whose counts are all 0 draws nothing. ``sample_ring_path`` draws one uniform
 per step. The absorbing conditioned walk behind ``simulate_hit_before``,
 ``estimate_hit_prob`` and ``estimate_escape_prob`` draws one uniform per live
-walker per block of 32 steps, in walker order. The conditioned ring walk
-behind ``ring_local_time_batch`` and the ring vacant-set checks draws one
-uniform per walker, in walker order, per law of its schedule: a super-block
-of 2**j settled blocks, the remainder of the settled blocks, then each
-later block of 32 steps and the short last block.
+walker per law, in walker order: absorbed at two sites, one law per block of
+32 steps; absorbed at one site, one law for every step still to go, or for
+as many as its cells allow, so ``estimate_hit_prob`` draws once per walker
+and ``estimate_escape_prob`` once per walker and leg. The conditioned ring
+walk behind ``ring_local_time_batch`` and the ring vacant-set checks draws
+one uniform per walker, in walker order, per law of its schedule: a
+super-block of 2**j settled blocks, the remainder of the settled blocks,
+then each later block of 32 steps and the short last block.
 
 A state is a (seed, stream) pair; the same pair always reproduces the same
 draws, and distinct stream indices give independent-in-practice substreams

@@ -148,6 +148,18 @@ def test_endpoint_lattice_asymptotic(x, delta, y):
                                   rel=0.02)
 
 
+def _binomial_tail_rate(M, p, threshold):
+    """P[|K / M - p| > threshold] for K ~ Binomial(M, p), summed from
+    log-gamma pmf terms."""
+    k = np.arange(M + 1)
+    log_pmf = (math.lgamma(M + 1) - np.array([math.lgamma(i + 1) + math.lgamma(M - i + 1)
+                                              for i in range(M + 1)])
+               + k * math.log(p) + (M - k) * math.log1p(-p))
+    pmf = np.exp(log_pmf)
+    assert pmf.sum() == pytest.approx(1.0, abs=1e-8)
+    return pmf[np.abs(k / M - p) > threshold].sum()
+
+
 def test_02b_null_false_alarm_rate():
     # the TV statistics of 02b and 02a under the exact law, with no sampler
     # involved: 2,000 multinomial draws of each check's M from
@@ -171,14 +183,7 @@ def test_01_null_false_alarm_rate():
     # independent windows, so its false-alarm rate is the binomial tail
     # past the threshold 0.006, summed here from log-gamma pmf terms
     M, p, threshold = 10**5, math.exp(-1), 0.006
-    k = np.arange(M + 1)
-    log_pmf = (math.lgamma(M + 1) - np.array([math.lgamma(i + 1) + math.lgamma(M - i + 1)
-                                              for i in range(M + 1)])
-               + k * math.log(p) + (M - k) * math.log1p(-p))
-    pmf = np.exp(log_pmf)
-    assert pmf.sum() == pytest.approx(1.0, abs=1e-8)
-    rate = pmf[np.abs(k / M - p) > threshold].sum()
-    assert rate == pytest.approx(8.3e-5, rel=0.01)
+    assert _binomial_tail_rate(M, p, threshold) == pytest.approx(8.3e-5, rel=0.01)
 
 
 def test_07b_null_false_alarm_rate():
@@ -190,11 +195,64 @@ def test_07b_null_false_alarm_rate():
     n, x0, a, b, M = 40, 20, 1, 2, 2 * 10**4
     p = rk.vacant_prob_ring_exact(n, rk.ring_time_scale(n, 1.0), x0, a, b)
     threshold = 4 * math.sqrt(p * (1 - p) / M)
-    k = np.arange(M + 1)
-    log_pmf = (math.lgamma(M + 1) - np.array([math.lgamma(i + 1) + math.lgamma(M - i + 1)
-                                              for i in range(M + 1)])
-               + k * math.log(p) + (M - k) * math.log1p(-p))
-    pmf = np.exp(log_pmf)
-    assert pmf.sum() == pytest.approx(1.0, abs=1e-8)
-    rate = pmf[np.abs(k / M - p) > threshold].sum()
-    assert rate == pytest.approx(6.3e-5, rel=0.01)
+    assert _binomial_tail_rate(M, p, threshold) == pytest.approx(6.3e-5, rel=0.01)
+
+
+def test_13c_null_false_alarm_rate():
+    # 13c's statistic |p_hat - p| under the exact law: p_hat is K / M with
+    # K ~ Binomial(M = 1e5, p), p = hit_before_prob(5, 2, 12) = 0.28, the
+    # walkers that hit 2 before 12; the threshold is four standard errors,
+    # so the false-alarm rate is the binomial tail past it: 6.4e-5
+    M, p = 10**5, cw.hit_before_prob(5, 2, 12)
+    threshold = 4 * math.sqrt(p * (1 - p) / M)
+    assert _binomial_tail_rate(M, p, threshold) == pytest.approx(6.42e-5, rel=0.01)
+
+
+def _estimator_term_law(check):
+    """(values, probabilities, target) of one walker's term in the estimate
+    of 13d or 13e, from the laws the walk draws: 13d's walker from 5 is
+    absorbed at 2 (term 1) or ends the horizon at y (term 2/y); 13e's
+    walker from 3 steps down (term 0) or up to 4, from where it is absorbed
+    at 3 (term 0) or ends at y (term 1 - 3/y)."""
+    L = cw.ESTIMATOR_HORIZON
+    if check == "13d":
+        row = cw._half_line_law(np.array([5]), 2, L)[0]
+        ends = 5 - L + 2 * np.arange(L + 1)
+        values = np.concatenate([[1.0], 2 / np.maximum(ends, 1)])
+        return values, row[:-1], cw.hit_prob(5, 2)
+    first = cw._half_line_law(np.array([3]), 2, 1)[0]  # absorbed, or at 4
+    row = cw._half_line_law(np.array([4]), 3, L)[0]
+    ends = 4 - L + 2 * np.arange(L + 1)
+    values = np.concatenate([[0.0, 0.0], 1 - 3 / np.maximum(ends, 1)])
+    probs = np.concatenate([[first[0], first[2] * row[0]], first[2] * row[1:-1]])
+    return values, probs, cw.escape_prob(3)
+
+
+@pytest.mark.parametrize("check,chernoff,normal", [("13d", 3.20e-4, 2.90e-5),
+                                                   ("13e", 4.04e-4, 3.71e-5)])
+def test_13d_13e_null_false_alarm_rate(check, chernoff, normal):
+    # 13d's and 13e's statistic |mean of M = 1e5 terms - p| under the exact
+    # law of one walker's term, which takes finitely many values (the ends
+    # with mass of the one law the walk draws). Its mean is p, and its
+    # variance is below the binomial p(1 - p) that sets the threshold of
+    # four standard errors (Rao-Blackwell: the term is the conditional
+    # hitting probability given the walk at the horizon). The rate is at
+    # most the Chernoff bound, summed over both tails and maximised over a
+    # grid of lambda; the normal approximation with the term's own variance
+    # is about a tenth of it
+    M = 10**5
+    values, probs, p = _estimator_term_law(check)
+    keep = probs > 0
+    values, probs = values[keep], probs[keep]
+    assert probs.sum() == pytest.approx(1.0, abs=1e-13)
+    assert probs @ values == pytest.approx(p, abs=1e-14)
+    var = probs @ (values - p) ** 2
+    assert var < p * (1 - p)
+    threshold = 4 * math.sqrt(p * (1 - p) / M)
+    bound = 0.0
+    for lam in (np.linspace(1e-3, 1, 1000), -np.linspace(1e-3, 1, 1000)):
+        log_mgf = np.log(np.exp(np.outer(lam, values - p)) @ probs)
+        bound += math.exp(-M * np.max(np.abs(lam) * threshold - log_mgf))
+    assert bound == pytest.approx(chernoff, rel=0.01)
+    assert bound <= 0.01
+    assert math.erfc(threshold / math.sqrt(2 * var / M)) == pytest.approx(normal, rel=0.01)

@@ -205,6 +205,17 @@ class TestEndpointLeqProb:
         exact, _ = cw.endpoint_leq_prob(x, delta, y)
         assert exact == pytest.approx(law[:y + 1].sum(), rel=1e-12)
 
+    @pytest.mark.parametrize("x,delta,y", [
+        (2, 10**4, 10),  # check 12b
+        (3, 10**4 + 1, 9), (1, 1, 1), (1, 2, 1), (5, 3, 1), (5, 3, 2), (4, 3, 50),
+        (9, 6, 4), (2, 7, 100), (30, 12, 25)])
+    def test_exact_equals_the_per_endpoint_sum(self, x, delta, y):
+        # one binomial stepped by integer ratios gives the numerator of the
+        # sum of k count_paths(x, delta, k) over k <= y, so the same double
+        numerator = sum(k * cw.count_paths(x, delta, k) for k in range(1, y + 1))
+        exact, _ = cw.endpoint_leq_prob(x, delta, y)
+        assert exact == float(Fraction(numerator, x << delta))
+
     def test_asymptotic_value(self):
         _, asym = cw.endpoint_leq_prob(2, 10**4, 10)
         assert asym == pytest.approx(math.sqrt(2 / math.pi) * 1000 / (3 * 10**6),
@@ -258,6 +269,29 @@ def _enumerated_absorb_law(first, count, lo, hi, steps):
     return law
 
 
+def _fraction_absorb_law(first, count, lo, hi, steps):
+    """law[r, o] of one absorbing stretch, each cell the double nearest its
+    exact value: the conditioned walk propagated in fractions, the mass on
+    each (site, up-steps) pair, absorbed on lo and hi."""
+    law = np.zeros((count, steps + 3))
+    for r in range(count):
+        mass, sinks = {(first + r, 0): Fraction(1)}, [Fraction(0), Fraction(0)]
+        for _ in range(steps):
+            nxt = {}
+            for (y, j), m in mass.items():
+                up = Fraction(y + 1, 2 * y)
+                for z, dj, p in ((y + 1, 1, up), (y - 1, 0, 1 - up)):
+                    if z == lo or z == hi:
+                        sinks[z == hi] += m * p
+                    else:
+                        nxt[z, j + dj] = nxt.get((z, j + dj), 0) + m * p
+            mass = nxt
+        for (_, j), m in mass.items():
+            law[r, 1 + j] = float(m)
+        law[r, 0], law[r, -1] = float(sinks[0]), float(sinks[1])
+    return law
+
+
 def _killed_law(start, lo, hi, steps):
     """Exact law of the conditioned walk from start after ``steps`` steps,
     absorbed at lo and hi: (mass absorbed at lo, at hi, mass on each site
@@ -304,13 +338,15 @@ class TestAbsorbBlockLaw:
     # with lo = 0 (site 1 steps up surely), and far starts with and without hi
     CASES = [(2, 12, 3, 9), (0, None, 1, 4), (10**6 - 3, None, 10**6 - 2, 5),
              (10**6 - 3, 10**6 + 4, 10**6 - 2, 6)]
-    #: sha256 of each case's laws at 1, 5, 12 and 32 steps, as the one-block
-    #: engine of the unbatched walk built them
+    #: sha256 of each case's laws at 1, 5, 12 and 32 steps: without hi the
+    #: reflection-principle closed form, with hi the h-transformed killed
+    #: block. test_matches_enumeration and test_cells_are_correctly_rounded
+    #: hold every cell to the double nearest its exact value
     CASES_SHA256 = [
-        "841c0b38caacc6dfd742f325fad5e63ce156bbfb62ac3c4498975699cdeb3108",
-        "88db09830a6f0d19d1233e54111bab7873deac0f3120eff9da308f97c078df9a",
-        "cac8e2f14e630bd8cf49f685770fa303b445ba9fc0f913a473e2ef883546a6de",
-        "3c72d84d5d0e8c4599ecf10e630d3ccc5c73bd7f50cb13abaeafbd4e969bd92e"]
+        "268d5abc105e3a1fe5e9243736af349122a4870014cd4e0857c818534e6239c3",
+        "c4164ce94b980f4daa52764a4f5f8462062c17799430ed89233f101736a81f85",
+        "a6383886267a3158d8c109d45b614fa509028ff00c9e0c6c9342ef59cbea20c1",
+        "17626f5430b96637b0d26f3023b8911f1c55aab177cbdf4e7e903c7a1358b08e"]
 
     @pytest.mark.parametrize("case,digest", zip(CASES, CASES_SHA256),
                              ids=[str(case) for case in CASES])
@@ -319,13 +355,23 @@ class TestAbsorbBlockLaw:
         laws = [cw._absorb_law(first, count, lo, hi, steps) for steps in (1, 5, 12, 32)]
         assert hashlib.sha256(b"".join(law.tobytes() for law in laws)).hexdigest() == digest
 
-    @pytest.mark.parametrize("steps", [1, 5, 12])
+    @pytest.mark.parametrize("steps", [20, 32])
     @pytest.mark.parametrize("lo,hi,first,count", CASES)
+    def test_cells_are_correctly_rounded(self, lo, hi, first, count, steps):
+        # every cell is an exact integer (or dyadic times a site) over x
+        # 2**steps divided once, so it is the double nearest the exact law;
+        # test_matches_enumeration holds the shorter laws to the same
+        law = cw._absorb_law(first, count, lo, hi, steps)
+        assert np.array_equal(law, _fraction_absorb_law(first, count, lo, hi, steps))
+
+    @pytest.mark.parametrize("steps", [1, 5, 12])
+    @pytest.mark.parametrize("lo,hi,first,count", CASES + [(2, None, 20, 3), (0, None, 9, 2)])
     def test_matches_enumeration(self, lo, hi, first, count, steps):
+        # (2, None, 20, 3): rows too far from lo to reach it in 12 steps
         law = cw._absorb_law(first, count, lo, hi, steps)
         ref = _enumerated_absorb_law(first, count, lo, hi, steps)
         assert law.shape == (count, steps + 3)
-        assert np.max(np.abs(law - ref)) <= 4 * self.eps
+        assert np.array_equal(law, ref)
         assert np.max(np.abs(law.sum(axis=1) - 1)) <= 8 * self.eps
         if hi is None:
             assert np.all(law[:, -1] == 0.0)
@@ -340,10 +386,21 @@ class TestAbsorbBlockLaw:
         for r in range(count):
             assert np.array_equal(law[r], cw._absorb_law(first + r, 1, lo, hi, steps)[0])
 
+    @pytest.mark.parametrize("steps", [1, 12, 31, 32])
+    @pytest.mark.parametrize("lo,first,count", [(2, 3, 40), (0, 1, 5), (10**6 - 3, 10**6 - 2, 6)])
+    def test_closed_form_is_the_killed_block(self, lo, first, count, steps):
+        # with hi past every row's reach the interval law is the h-transform
+        # of the killed block, and it equals the closed form bit for bit
+        hi = first + count + steps
+        block = cw._absorb_law(first, count, lo, hi, steps)
+        assert np.all(block[:, -1] == 0.0)
+        assert np.array_equal(block, cw._absorb_law(first, count, lo, None, steps))
+
     def test_full_block_against_reflection(self):
         # 32 steps with no upper bound: a surviving path from s to k has
         # probability k/(s 2^b), and the reflection principle counts the
-        # paths that avoid lo
+        # paths that avoid lo; the absorbed mass is lo/s times the simple
+        # walk's P[S_b <= lo - s] + P[S_b < lo - s]
         b, lo = cw._BLOCK, 2
         law = cw._absorb_law(3, 57, lo, None, b)
         for r in range(57):
@@ -352,9 +409,42 @@ class TestAbsorbBlockLaw:
                 k = s - b + 2 * j
                 jr = j + s - lo  # up-steps from the reflected start 2lo - s
                 paths = math.comb(b, j) - (math.comb(b, jr) if jr <= b else 0)
-                ref = k * paths / (s << b) if k > lo else 0.0
-                assert abs(law[r, 1 + j] - ref) <= 4 * self.eps
+                assert law[r, 1 + j] == (k * paths / (s << b) if k > lo else 0.0)
+            # S_b = 2J - b for J ~ Binomial(b, 1/2) up-steps
+            below = sum(math.comb(b, i) * ((2 * i - b <= lo - s) + (2 * i - b < lo - s))
+                        for i in range(b + 1))
+            assert law[r, 0] == lo * below / (s << b)
         assert np.all(law[:, -1] == 0.0)
+
+    #: (lo, rows): rows next to lo, and rows L + 1 and 3L past it, which
+    #: reach it only just or not at all
+    LONG_STARTS = [(0, lambda L: [1, 2, 3, L + 1, 3 * L]),
+                   (2, lambda L: [3, 4, 7, L + 3, 3 * L]),
+                   (10**6 - 3, lambda L: [10**6 - 2, 10**6 - 1, 10**6 + L - 2, 10**6 + 3 * L])]
+
+    @pytest.mark.parametrize("L", [33, 100, 500, 2000])
+    @pytest.mark.parametrize("lo,starts", LONG_STARTS, ids=["lo=0", "lo=2", "lo far"])
+    def test_long_half_line_law(self, lo, starts, L):
+        # the closed form of a whole stretch against L steps of float
+        # propagation (_killed_law). The closed form is correctly rounded;
+        # each propagated cell is a sum of nonnegative products of rounded
+        # step probabilities, 2 eps of relative error a step, and its
+        # absorbed mass adds one rounding a step: within 3 L eps relative,
+        # and within the smallest normal double where the mass underflows
+        sites = np.array(starts(L))
+        law = cw._half_line_law(sites, lo, L)
+        assert law.shape == (sites.size, L + 3)
+        for row, x in zip(law, sites):
+            at_lo, _, ref = _killed_law(int(x), lo, None, L)
+            y = x - L + 2 * np.arange(L + 1)
+            want = np.where(y > lo, ref[np.clip(y - lo, 0, ref.size - 1)], 0.0)
+            tol = 3 * L * self.eps
+            assert abs(row[0] - at_lo) <= tol * at_lo + np.finfo(float).tiny
+            assert np.all(np.abs(row[1:-1] - want) <= tol * want + np.finfo(float).tiny)
+            assert row[-1] == 0.0
+            assert row[0] == 0.0 if lo == 0 or x - lo > L else row[0] > 0
+        # the cells are correctly rounded, so a row's sum is 1 to their count
+        assert np.max(np.abs(law.sum(axis=1) - 1)) <= (L + 3) * self.eps
 
     @pytest.mark.parametrize("lo,hi,steps", [(2, 12, 5), (2, None, cw._BLOCK),
                                              (0, None, 1), (4, 7, 3)])
@@ -639,8 +729,8 @@ class TestAbsorbOracle:
         assert gen.bit_generator.state == ref.bit_generator.state
 
     def test_far_start(self):
-        # the law's rows cover only the sites the walkers reached, so memory
-        # does not grow with the start site
+        # the law has a row per occupied site, one here, so memory does not
+        # grow with the start site
         start, lo, steps = 10**6, 10**6 - 3, 500
         tracemalloc.start()
         try:
@@ -653,6 +743,90 @@ class TestAbsorbOracle:
         assert peak < 4 * 2**20  # a table from site 0 alone is 8 MB
         at_lo, _, _ = _killed_law(start, lo, None, steps)
         assert abs(_binomial_z(hits, self.M, at_lo)) <= Z_MAX
+
+    def test_rows_for_occupied_sites_only(self, monkeypatch):
+        # 200 walkers 100 sites apart, 3..19,903: the one law has a row per
+        # walker's site, not one per site between the lowest and the highest
+        # (20,000 rows and 0.7 s of tables for one 32-step block). The build
+        # holds the law (35 outcomes a row), its table (K = 64: running sums,
+        # guide and one slice of slots) and the walkers' arrays, within 6
+        # words a cell of the table
+        built, law_of = [], cw._half_line_law
+
+        def record(sites, lo, steps):
+            built.append((sites.tolist(), steps))
+            return law_of(sites, lo, steps)
+
+        monkeypatch.setattr(cw, "_half_line_law", record)
+        starts = 3 + 100 * np.arange(200)
+        gen = RngState(7).generator()
+        tracemalloc.start()
+        try:
+            hits, pos = cw._absorb(gen, starts, 2, None, cw._BLOCK)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built == [(starts.tolist(), cw._BLOCK)]
+        assert peak <= 6 * 8 * starts.size * 64
+        # one draw: only the walker at 3 can reach 2 in 32 steps, and every
+        # survivor is within 32 of its start, in input order
+        ref = RngState(7).generator()
+        ref.random(starts.size)
+        assert gen.bit_generator.state == ref.bit_generator.state
+        assert hits + pos.size == starts.size and hits <= 1
+        assert np.all(np.abs(pos - starts[hits:]) <= cw._BLOCK)
+
+    def test_one_draw_per_walker(self):
+        # the estimators' walks each fit one law: estimate_hit_prob (13d)
+        # draws one uniform per walker, and estimate_escape_prob (13e) one
+        # more per walker that survives its first step
+        M = 1000
+        gen, ref = RngState(7, 102).generator(), RngState(7, 102).generator()
+        cw._absorb(gen, np.full(M, 5), 2, None, cw.ESTIMATOR_HORIZON)
+        ref.random(M)
+        assert gen.bit_generator.state == ref.bit_generator.state
+        gen, ref = RngState(7, 103).generator(), RngState(7, 103).generator()
+        _, pos = cw._absorb(gen, np.full(M, 3), 2, None, 1)
+        cw._absorb(gen, pos, 3, None, cw.ESTIMATOR_HORIZON)
+        ref.random(M + pos.size)
+        assert 0 < pos.size < M and gen.bit_generator.state == ref.bit_generator.state
+
+    def test_stretches_split_by_cells(self, monkeypatch):
+        # with room for 600 cells, walkers on 5 sites take stretches of the
+        # most steps whose law, rows x (steps + 3) cells, fits them (at least
+        # 1), and end in the exact law of the whole walk
+        monkeypatch.setattr(cw, "_BATCH_CELLS", 600)
+        built, law_of = [], cw._half_line_law
+
+        def record(sites, lo, steps):
+            built.append((len(sites), steps))
+            return law_of(sites, lo, steps)
+
+        monkeypatch.setattr(cw, "_half_line_law", record)
+        M, steps, sites = 50_000, 300, (3, 5, 8, 13, 21)
+        hits, pos = cw._absorb(RngState(11, 7).generator(), np.repeat(sites, M // 5), 2,
+                               None, steps)
+        def fit(rows, to_go):
+            return min(to_go, max(1, 600 // rows - 3))
+
+        assert len(built) >= 2 and built[0] == (5, fit(5, steps))
+        for i, (rows, L) in enumerate(built):
+            assert L == fit(rows, steps - sum(b[1] for b in built[:i]))
+        assert sum(L for _, L in built) == steps
+        # the survivors' histogram against the mixture of the starts' laws
+        at_lo, law = 0.0, np.zeros(max(sites) + steps)
+        for x in sites:
+            a, _, row = _killed_law(x, 2, None, steps)
+            at_lo += a / len(sites)
+            law[:row.size] += row / len(sites)
+        assert hits + pos.size == M
+        assert abs(_binomial_z(hits, M, at_lo)) <= Z_MAX
+        counts = np.bincount(pos - 2, minlength=law.size)
+        big = M * law >= 25
+        assert big.sum() >= 20
+        for c, p in zip(counts[big], law[big]):
+            assert abs(_binomial_z(c, M, p)) <= Z_MAX
+        assert abs(_binomial_z(counts[~big].sum(), M, law[~big].sum())) <= Z_MAX
 
     def test_memory_independent_of_hi(self, monkeypatch):
         # a bound at 1e6 costs nothing: a row per site of (2, 1e6) would be
