@@ -54,6 +54,9 @@ Run from the root of a checkout. The committed files came from::
         --claim sampling-scale --seed0 1471 --out BENCH_doob_laws_2.json
     OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev 47bcfcb \\
         --claim selftest --seed0 1501 --sweep absorb --out BENCH_half_line_law.json
+    OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev 580d6e8 \\
+        --claim selftest --seed0 1561 --sweep local_times --sweep window \\
+        --out BENCH_poisson_tables.json
 
 (the files before BENCH_walk_rows.json ran one pair per sweep case;
 BENCH_window_chain.json, BENCH_block_schedule.json and BENCH_law_layout.json
@@ -86,7 +89,8 @@ seed0 + i. The output holds:
     refuses it;
   - ``window``: the median of WINDOW_REPEATS calls of
     ``_simulate_window_batch`` at alpha = 1 at the sizes of WINDOW_CASES, in
-    ns per replicate, with a hash of the visit and trajectory counts;
+    ns per replicate, and the tracemalloc peak of one more call in bytes per
+    window, with a hash of the visit and trajectory counts;
   - ``ring_walk``: the median of WALK_REPEATS calls of ``_ring_paths_batch``
     on the ring walks the benchmark and the acceptance suite make, in ns per
     walker-step, the draws per walker of one call (its ``_search`` rounds),
@@ -183,7 +187,7 @@ print(json.dumps(out))
 WINDOW_CASES = ((8, 65536), (8, 34464), (16, 4000), (32, 2000), (64, 1000))
 WINDOW_REPEATS = 3
 WINDOW_SNIPPET = """
-import hashlib, json, statistics, sys, time
+import hashlib, json, statistics, sys, time, tracemalloc
 sys.path.insert(0, "src")
 from ri1d import interlacements as il
 from ri1d.rngs import RngState
@@ -196,8 +200,16 @@ for rep in range(reps):
     times.append(time.perf_counter() - start)
     digest.update(counts.tobytes())
     digest.update(n_traj.tobytes())
+gen = RngState(reps).generator()
+tracemalloc.start()
+counts, n_traj, _ = il._simulate_window_batch(1.0, L, M, gen)
+peak = tracemalloc.get_traced_memory()[1]
+tracemalloc.stop()
+digest.update(counts.tobytes())
+digest.update(n_traj.tobytes())
 print(json.dumps({"s": statistics.median(times),
                   "ns_per_replicate": 1e9 * statistics.median(times) / M,
+                  "peak_bytes_per_replicate": peak / M,
                   "outputs_sha256": digest.hexdigest()}))
 """
 

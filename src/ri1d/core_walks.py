@@ -146,39 +146,44 @@ def count_paths(x: int, delta: int, k: int) -> int:
     return first - second
 
 
-def enumerate_paths(x: int, delta: int) -> np.ndarray:
+def enumerate_paths(x, delta: int) -> np.ndarray:
     """Brute-force oracle for :func:`count_paths` (all 2**delta step sequences).
 
     Returns the int64 vector N[0..x+delta]: N[k] is the number of
     length-delta nearest-neighbour paths from x that end at k and never
     touch 0, so N[0] = 0 and N[k] = count_paths(x, delta, k) for k >= 1.
+    x may be an array of starts: row i of the result is then the vector of
+    start x[i], padded with zeros to the length max(x) + delta + 1.
+
+    The sequences are walked once, whatever the starts: each keeps its end
+    offset and its running minimum, and the paths from x are the sequences
+    whose minimum is at least 1 - x, ending at x plus the offset.
     """
-    if x < 1 or delta < 0:
+    starts = np.atleast_1d(np.asarray(x, dtype=np.int64))
+    if starts.size == 0 or starts.min() < 1 or delta < 0:
         raise ValueError(f"need x >= 1, delta >= 0, got x={x}, delta={delta}")
     if delta > ENUMERATION_MAX_STEPS:
         raise ValueError(f"enumeration budget is delta <= {ENUMERATION_MAX_STEPS}, got {delta}")
-    counts = np.zeros(x + delta + 1, dtype=np.int64)
-    if delta == 0:
-        counts[x] = 1
-        return counts
+    counts = np.zeros((starts.size, int(starts.max()) + delta + 1), dtype=np.int64)
     total = 1 << delta
     chunk = min(total, 1 << 20)
-    # sequence i takes an up-step at step j iff bit j of i is set; its
-    # position and running minimum are int16 columns, stepped one j at a time
-    pos = np.empty(chunk, dtype=np.int16)
+    # sequence i takes an up-step at step j iff bit j of i is set; its end
+    # offset and running minimum are int16 columns, stepped one j at a time
+    end = np.empty(chunk, dtype=np.int16)
     low = np.empty(chunk, dtype=np.int16)
     for lo in range(0, total, chunk):
         idx = np.arange(lo, lo + chunk, dtype=np.uint32)
-        pos.fill(x)
-        low.fill(x)
+        end.fill(0)
+        low.fill(0)
         for j in range(delta):
             up = (idx >> j) & 1
-            pos += up
-            pos += up
-            pos -= 1
-            np.minimum(low, pos, out=low)
-        counts += np.bincount(pos[low >= 1], minlength=counts.size)
-    return counts
+            end += up
+            end += up
+            end -= 1
+            np.minimum(low, end, out=low)
+        for row, start in zip(counts, starts):
+            row += np.bincount(end[low >= 1 - start] + start, minlength=row.size)
+    return counts[0] if np.ndim(x) == 0 else counts
 
 
 def endpoint_leq_prob(x: int, delta: int, y: int) -> tuple[float, float]:

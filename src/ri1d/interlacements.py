@@ -13,10 +13,13 @@ up-crossing counts of each half-line (the Ray-Knight description of walk
 local times): one chain per side of each window, whatever its number of
 trajectories, and one negative-binomial draw per site on it, so O(L) draws
 per window, and the joint law of all visit counts in [-L, L] is exact.
-Both draw a batch of negative binomials with one p by inverting its exact
-pmf table, one uniform per draw through a guide table, when the table has at
-most half as many cells as the batch has draws (small x and counts); larger
-ones, as at x = 400, by numpy's negative_binomial.
+Both draw their Poisson trajectory counts first, and then a batch of
+negative binomials with one p for each step of the identity. Each batch,
+Poisson or negative binomial, inverts the exact pmf table of its law, one
+uniform per draw through a guide table, when the table has at most half as
+many cells as the batch has draws; otherwise numpy draws it, as for the
+Poisson counts of a single window and the negative binomials of large x and
+counts (at x = 400, and at a window's outer levels).
 
 The exact local-time pmf is Panjer's compound-Poisson recursion. Geometric
 severity lets two running sums carry its convolution, so the pmf to s_max
@@ -104,9 +107,51 @@ def vacant_prob_exact(A: IntervalSet, level) -> float:
 
 # -- window sampler -----------------------------------------------------------
 
-#: Entries of n per slice of a table draw (:func:`_negbin`): its uniforms and
+#: Draws per slice of a table draw (:func:`_table_draws`): its uniforms and
 #: search scratch are four arrays of this length, reused slice after slice.
-_NEGBIN_SLICE = 8192
+_DRAW_SLICE = 8192
+
+
+def _cut_row(start: float, ratio, least: float, cap: int) -> np.ndarray | None:
+    """The row start, start r_1, start r_1 r_2, ... cut where its tail is
+    below 2**-60, or None past the budget of cap columns.
+
+    ratio(j) gives r_j for a float array j, and r_j does not increase in j,
+    so the mass from column J on is at most row[J] / (1 - r_{J+1}) once
+    r_{J+1} < 1. The row keeps the columns 0..J-1 of the least J at which
+    that bound is below 2**-60, under the rounding of a running sum near 1,
+    so a uniform that passes the last column's running sum takes the last
+    column. The bound needs r_{J+1} < 1, that is J > least, so a cap of at
+    most least returns None at once, as does a start below the normal range.
+    Otherwise the row is run to widths that double up to cap; a bound still
+    too large there returns None.
+    """
+    if cap <= least or start < 2.0**-1022:
+        return None
+    width = 0
+    while True:
+        if width == cap:
+            return None
+        width = min(cap, 2 * width + 64)
+        r = ratio(np.arange(1.0, width + 2))  # r_1 .. r_{width+1}
+        row = np.concatenate(([start], r))
+        np.multiply.accumulate(row, out=row)
+        # the bound at J = 1 .. width: row[J] / (1 - r_{J+1})
+        below = (r[1:] < 1) & (row[1:-1] < 2.0**-60 * (1 - r[1:]))
+        if below.any():
+            return row[:1 + int(np.argmax(below))]
+
+
+def _poisson_law(lam: float, draws: int) -> np.ndarray | None:
+    """law[0, j] = P[Poisson(lam) = j], or None past the budget.
+
+    The row runs the ratio recurrence r_j = lam / j from e**-lam and is cut
+    by :func:`_cut_row`, within a budget of half as many cells as the draws
+    it serves, so the build stays O(draws). Its bound needs J > lam - 1;
+    e**-lam below the normal range (lam above about 708) returns None.
+    """
+    row = _cut_row(math.exp(-lam), lambda j: lam / j, lam - 1, draws // 2)
+    return None if row is None else row[None]
 
 
 def _negbin_law(n_max: int, p: float, draws: int) -> np.ndarray | None:
@@ -114,39 +159,18 @@ def _negbin_law(n_max: int, p: float, draws: int) -> np.ndarray | None:
 
     Each row runs the ratio recurrence from law[k, 0] = p**k: law[k, j] =
     law[k, j-1] r_j with r_j = q (k + j - 1) / j, q = 1 - p. For k >= 1, r_j
-    does not increase in j, so the mass past column J is at most
-    law[k, J] / (1 - r_{J+1}) once r_{J+1} < 1; and NegBin(k, p) grows
-    stochastically with k, so the bound of row n_max holds for every row.
-    The table keeps the columns 0..J-1 of the least J at which that bound is
-    below 2**-60, under the rounding of a running sum near 1, so a uniform
-    that passes the last column's running sum takes the last column.
-
-    The table is built only when it has at most half as many cells as the
-    draws it serves, so the build stays O(draws). The bound needs
-    r_{J+1} < 1, that is J > (q n_max - 1) / p, so a budget of fewer columns
-    returns None at once. Otherwise row n_max alone is run first, to widths
-    that double up to the widest table the budget allows; a bound still too
-    large there, or a start p**n_max below the normal range, returns None.
+    does not increase in j, and NegBin(k, p) grows stochastically with k, so
+    the cut of row n_max by :func:`_cut_row` holds for every row. The table
+    is built only when it has at most half as many cells as the draws it
+    serves, so the build stays O(draws). The bound needs r_{J+1} < 1, that
+    is J > (q n_max - 1) / p; p**n_max below the normal range returns None.
     """
     q = 1 - p
-    cap = draws // (2 * (n_max + 1))
-    start = p ** n_max
-    if cap <= (q * n_max - 1) / p or start < 2.0**-1022:
+    top = _cut_row(p ** n_max, lambda j: q * (n_max - 1 + j) / j,
+                   (q * n_max - 1) / p, draws // (2 * (n_max + 1)))
+    if top is None:
         return None
-    width = 0
-    while True:
-        if width == cap:
-            return None
-        width = min(cap, 2 * width + 64)
-        j = np.arange(1.0, width + 2)
-        ratio = q * (n_max - 1 + j) / j  # r_1 .. r_{width+1}
-        row = np.concatenate(([start], ratio))
-        np.multiply.accumulate(row, out=row)
-        # the bound at J = 1 .. width: row[J] / (1 - r_{J+1})
-        below = (ratio[1:] < 1) & (row[1:-1] < 2.0**-60 * (1 - ratio[1:]))
-        if below.any():
-            break
-    cols = 1 + int(np.argmax(below))
+    cols = len(top)
     law = np.empty((n_max + 1, cols))
     np.add.outer(np.arange(n_max + 1.0), np.arange(cols - 1.0), out=law[:, 1:])
     law[:, 1:] *= q
@@ -154,6 +178,44 @@ def _negbin_law(n_max: int, p: float, draws: int) -> np.ndarray | None:
     law[:, 0] = p ** np.arange(n_max + 1.0)
     np.multiply.accumulate(law, axis=1, out=law)
     return law
+
+
+def _table_draws(gen: np.random.Generator, table: tuple, rows: np.ndarray | None,
+                 out: np.ndarray) -> np.ndarray:
+    """Add to each entry of out, in order, one uniform's outcome in its row.
+
+    table is a :func:`~ri1d.core_walks._search_table` of a law with mass in
+    every column, so an outcome's index is its column; entry i reads row
+    rows[i], or row 0 when rows is None. Each uniform is inverted through
+    the guide table (the cutpoint method: one gather and one compare for
+    most draws). The entries go _DRAW_SLICE at a time through four buffers
+    of that length (256 KB), made once a call, and the uniforms are those of
+    one gen.random call over all of out. Returns out.
+    """
+    cdf, guide, k, _ = table
+    u, thr = np.empty(_DRAW_SLICE), np.empty(_DRAW_SLICE)
+    pos, bit = np.empty(_DRAW_SLICE, dtype=np.intp), np.empty(_DRAW_SLICE, dtype=np.intp)
+    zero = np.zeros(_DRAW_SLICE, dtype=np.intp) if rows is None else None
+    for lo in range(0, out.size, _DRAW_SLICE):
+        m = min(_DRAW_SLICE, out.size - lo)
+        row = zero[:m] if rows is None else rows[lo:lo + m]
+        gen.random(out=u[:m])
+        out[lo:lo + m] += _search(cdf, guide, k, row, u[:m], pos[:m], thr[:m], bit[:m])
+    return out
+
+
+def _poisson(gen: np.random.Generator, lam: float, size: int) -> np.ndarray:
+    """size Poisson(lam) counts, int64.
+
+    Where the table of :func:`_poisson_law` fits its budget, one uniform per
+    count, in order, inverted in it by :func:`_table_draws`; otherwise
+    numpy's poisson, as for a single window or a table too large for the
+    batch.
+    """
+    law = _poisson_law(lam, size)
+    if law is None:
+        return gen.poisson(lam, size)
+    return _table_draws(gen, _search_table(law), None, np.zeros(size, dtype=np.int64))
 
 
 def _negbin(gen: np.random.Generator, n: np.ndarray, p: float,
@@ -167,10 +229,7 @@ def _negbin(gen: np.random.Generator, n: np.ndarray, p: float,
 
     Where the exact table of :func:`_negbin_law` fits its budget, each entry
     of n, in order, draws one uniform and inverts it in row n of the table
-    through the guide table of :func:`~ri1d.core_walks._search_table` (the
-    cutpoint method: one gather and one compare for most draws). The
-    entries go _NEGBIN_SLICE at a time through four buffers of that length
-    (256 KB), made once a call. Otherwise numpy's negative_binomial draws,
+    by :func:`_table_draws`. Otherwise numpy's negative_binomial draws,
     from n itself where every n is positive, else from a copy of the
     positive entries.
     """
@@ -187,26 +246,20 @@ def _negbin(gen: np.random.Generator, n: np.ndarray, p: float,
         else:
             out[live] += gen.negative_binomial(n[live], p)
         return out
-    # row n_max has mass in every column, so the table keeps them all and an
-    # outcome's index is its failure count
-    cdf, guide, k, _ = _search_table(law)
+    # row n_max has mass in every column, so the table keeps them all
+    table = _search_table(law)
     del law
-    u, thr = np.empty(_NEGBIN_SLICE), np.empty(_NEGBIN_SLICE)
-    pos, bit = np.empty(_NEGBIN_SLICE, dtype=np.intp), np.empty(_NEGBIN_SLICE, dtype=np.intp)
-    for lo in range(0, n.size, _NEGBIN_SLICE):
-        row = n[lo:lo + _NEGBIN_SLICE]
-        m = row.size
-        gen.random(out=u[:m])
-        out[lo:lo + m] += _search(cdf, guide, k, row, u[:m], pos[:m], thr[:m], bit[:m])
-    return out
+    return _table_draws(gen, table, n, out)
 
 
 def _simulate_window_batch(alpha: float, L: int, M: int, gen: np.random.Generator):
     """Draw M independent window samples as edge up-crossing chains.
 
     Returns (visit counts, trajectory counts per replicate, None). Visit
-    counts are indexed by site + L, so column L (site 0) is always zero. The
-    third value is a placeholder kept for callers that unpack three values.
+    counts are indexed by site + L, so column L (site 0) is always zero. They
+    are stored site by site, as the transpose of a (2L + 1, M) array, so each
+    site's column is contiguous. The third value is a placeholder kept for
+    callers that unpack three values.
 
     Each side of the window receives Poisson(alpha*L/2) trajectories, which
     enter at -L or +L and follow the conditioned walk on their half-line.
@@ -220,18 +273,20 @@ def _simulate_window_batch(alpha: float, L: int, M: int, gen: np.random.Generato
     the same p add, so one chain per (side, replicate) gives the joint law of
     all the window's visit counts in L draws.
 
-    The stream draws the 2M Poisson counts first, so the trajectory counts
-    do not depend on how the chain is drawn. Then the entry draw of U_L and
-    each level x = L, ..., 2 draw their 2M negative binomials by
-    :func:`_negbin`: by the exact table and one uniform per entry where the
-    table fits, else by numpy.
+    The stream draws the 2M Poisson counts first, by :func:`_poisson`, so
+    the trajectory counts do not depend on how the chain is drawn: one
+    uniform per count through the exact Poisson table where it fits (every
+    batch of the harness), else numpy's poisson (a single window). Then the
+    entry draw of U_L and each level x = L, ..., 2 draw their 2M negative
+    binomials by :func:`_negbin`: by the exact table and one uniform per
+    entry where the table fits, else by numpy.
     """
     if L < 1:
         raise ValueError(f"half-width must be >= 1, got {L}")
-    u = gen.poisson(alpha * L / 2, 2 * M)  # slots 0..M-1: sites < 0
+    u = _poisson(gen, alpha * L / 2, 2 * M)  # slots 0..M-1: sites < 0
     n_traj = u[:M] + u[M:]
     _negbin(gen, u, 1 / (L + 1), out=u)
-    counts = np.zeros((M, 2 * L + 1), dtype=np.int64)
+    counts = np.zeros((2 * L + 1, M), dtype=np.int64).T
     for x in range(L, 1, -1):
         below = _negbin(gen, u, (x + 1) / (2 * x))
         np.add(u[:M], below[:M], out=counts[:, L - x])
@@ -269,14 +324,16 @@ def sample_local_times(x: int, level, M: int, gen: np.random.Generator) -> np.nd
     The local time is a sum of n ~ Poisson(alpha*x/2) geometric visit counts
     on {1, 2, ...} with success probability 1/(2x); that sum is drawn in one
     step as n + NegBin(n, 1/(2x)), counting failures, added into n in place.
-    The stream draws the M Poisson counts first, then the negative binomials
-    by :func:`_negbin`: where its exact table fits (small x, as at x = 3 and
-    5 with M = 65,536), one uniform per draw inverted in the table; else
+    The stream draws the M Poisson counts first, by :func:`_poisson`: one
+    uniform per count inverted in the exact Poisson table where it fits (as
+    at x = 3, 5 and 400 with M = 65,536), else numpy's poisson. Then the
+    negative binomials by :func:`_negbin`: where its exact table fits (small
+    x, as at x = 3 and 5), one uniform per draw inverted in the table; else
     numpy's negative_binomial (large x, as at x = 400).
     """
     if x < 1:
         raise ValueError(f"site must be >= 1, got {x}")
-    n = gen.poisson(_alpha(level) * x / 2, M)
+    n = _poisson(gen, _alpha(level) * x / 2, M)
     return _negbin(gen, n, 1 / (2 * x), out=n)
 
 

@@ -11,16 +11,19 @@ its uniforms in a fixed order. ``sample_local_times`` draws its M Poisson
 trajectory counts, then one negative binomial per count, and
 ``_simulate_window_batch`` its 2M Poisson counts, then one negative binomial
 per count at each level of its chain, the entry draw at L first, then
-levels L, ..., 2. A batch of negative binomials whose exact table fits its
-budget draws one uniform per count, in order, counts of 0 included;
-otherwise numpy's negative_binomial draws for the positive counts. A batch
-whose counts are all 0 draws nothing. ``sample_ring_path`` draws one uniform
-per step. The absorbing conditioned walk behind ``simulate_hit_before``,
-``estimate_hit_prob`` and ``estimate_escape_prob`` draws one uniform per live
-walker per law, in walker order: absorbed at two sites, one law per block of
-32 steps; absorbed at one site, one law for every step still to go, or for
-as many as its cells allow, so ``estimate_hit_prob`` draws once per walker
-and ``estimate_escape_prob`` once per walker and leg. The conditioned ring
+levels L, ..., 2. A batch of Poisson counts whose exact table fits its
+budget draws one uniform per count, in order; otherwise numpy's poisson
+draws them (a single window's two counts). A batch of negative binomials
+whose exact table fits its budget draws one uniform per count, in order,
+counts of 0 included; otherwise numpy's negative_binomial draws for the
+positive counts. A batch whose counts are all 0 draws nothing.
+``sample_ring_path`` draws one uniform per step. The absorbing conditioned
+walk behind ``simulate_hit_before``, ``estimate_hit_prob`` and
+``estimate_escape_prob`` draws one uniform per live walker per law, in walker
+order: absorbed at two sites, one law per block of 32 steps; absorbed at
+one site, one law for every step still to go, or for as many as its cells
+allow, so ``estimate_hit_prob`` draws once per walker and
+``estimate_escape_prob`` once per walker and leg. The conditioned ring
 walk behind ``ring_local_time_batch`` and the ring vacant-set checks draws
 one uniform per walker, in walker order, per law of its schedule: a
 super-block of 2**j settled blocks, the remainder of the settled blocks,

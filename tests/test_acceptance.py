@@ -256,3 +256,54 @@ def test_13d_13e_null_false_alarm_rate(check, chernoff, normal):
     assert bound == pytest.approx(chernoff, rel=0.01)
     assert bound <= 0.01
     assert math.erfc(threshold / math.sqrt(2 * var / M)) == pytest.approx(normal, rel=0.01)
+
+
+def test_03_null_false_alarm_rate():
+    # 03a's and 03b's statistics under the exact law of local_time_pmf(5, 1),
+    # from the pmf's own moments: the mean of M = 1e6 draws has variance
+    # sigma^2 / M, and the sample variance (kappa_4 + 2 sigma^4) / M, with
+    # kappa_4 = mu_4 - 3 sigma^4 the fourth cumulant (2.28 sigma^4 here).
+    # The thresholds, 0.005 of the mean and 0.02 of the variance, are
+    # z = 5.74 and 9.67 of those standard errors, so the false-alarm rates
+    # by the normal approximation are 9.7e-9 and 4.0e-22
+    M = 10**6
+    law = il.local_time_pmf(5, 1.0)
+    s = np.arange(len(law.pmf), dtype=np.float64)
+    mean = law.pmf @ s
+    var = law.pmf @ (s - mean) ** 2
+    kappa4 = law.pmf @ (s - mean) ** 4 - 3 * var**2
+    target_mean, target_var = il.local_time_mean(5, 1.0), il.local_time_variance(5, 1.0)
+    assert mean == pytest.approx(target_mean, rel=1e-10)
+    assert var == pytest.approx(target_var, rel=1e-10)
+    rates = []
+    for threshold, center, se in (
+            (0.005 * target_mean, mean - target_mean, math.sqrt(var / M)),
+            (0.02 * target_var, var - target_var, math.sqrt((kappa4 + 2 * var**2) / M))):
+        rates.append(0.5 * math.erfc((threshold - center) / (se * math.sqrt(2)))
+                     + 0.5 * math.erfc((threshold + center) / (se * math.sqrt(2))))
+    assert rates[0] == pytest.approx(9.73e-9, rel=0.01)
+    assert rates[1] == pytest.approx(3.96e-22, rel=0.01)
+    assert max(rates) <= 0.01
+
+
+def test_04_null_false_alarm_rate():
+    # 04's statistic, the KS distance of M = 1e5 standardized draws to the
+    # normal, under the exact law of local_time_pmf(400, 1): it is at most
+    # the law's own distance D to the normal, sup |F - Phi| over the
+    # lattice's points and left limits (0.00999, about the Edgeworth term of
+    # its skewness 0.15), plus the empirical cdf's distance to F, which
+    # passes 0.02 - D with probability at most 2 exp(-2 M (0.02 - D)^2)
+    # (DKW with Massart's constant): 3.9e-9. The pmf's truncated tail,
+    # 4e-12, moves neither
+    M, x, threshold = 10**5, 400, 0.02
+    law = il.local_time_pmf(x, 1.0)
+    assert abs(law.tail_mass) < 1e-11
+    z = il.standardize_local_time(np.arange(len(law.pmf)), x, 1.0)
+    phi = 0.5 * np.fromiter(map(math.erfc, -z / math.sqrt(2)), dtype=np.float64,
+                            count=len(z))
+    cdf = np.cumsum(law.pmf)
+    dist = max(np.max(np.abs(cdf - phi)), np.max(np.abs(cdf[:-1] - phi[1:])), phi[0])
+    assert dist == pytest.approx(0.00999, rel=0.01)
+    bound = 2 * math.exp(-2 * M * (threshold - dist) ** 2)
+    assert bound == pytest.approx(3.93e-9, rel=0.01)
+    assert bound <= 0.01

@@ -153,6 +153,20 @@ class TestPathCounting:
         with pytest.raises(ValueError):
             cw.enumerate_paths(1, 25)
 
+    def test_array_of_starts(self):
+        # one pass over the sequences gives each start's vector, padded with
+        # zeros to the longest; a start below 1 anywhere raises
+        starts = [3, 1, 6]
+        for delta in (0, 1, 9):
+            got = cw.enumerate_paths(starts, delta)
+            assert got.shape == (3, 6 + delta + 1)
+            for row, x in zip(got, starts):
+                for k in range(1, x + delta + 1):
+                    assert row[k] == cw.count_paths(x, delta, k), (x, delta, k)
+                assert row[0] == 0 and not row[x + delta + 1:].any()
+        with pytest.raises(ValueError):
+            cw.enumerate_paths([2, 0], 3)
+
     def test_counts_define_probabilities(self):
         # k/ (x 2^delta) weighted counts sum to 1 over all endpoints
         for x in (1, 3):

@@ -51,6 +51,15 @@ def _local_times_geometric(x, alpha, M, gen):
                        minlength=M).astype(np.int64)
 
 
+def _poisson_inversion(lam, u):
+    """Reference Poisson(lam) counts of the uniforms u by inverse CDF: the
+    first count whose running sum of exp(j log lam - lam - lgamma(j + 1)),
+    summed in float64 to far past the mass, is above each uniform."""
+    top = int(lam + 20 * math.sqrt(lam) + 40)
+    pmf = [math.exp(j * math.log(lam) - lam - math.lgamma(j + 1)) for j in range(top)]
+    return np.searchsorted(np.cumsum(pmf), u, side="right")
+
+
 def _pmf(values):
     return np.bincount(values) / len(values)
 
@@ -240,10 +249,13 @@ class TestWindowChainVsWalk:
 
     @pytest.mark.parametrize("L, M", [(1, 1000), (8, 65536), (16, 4000)])
     def test_trajectory_counts_come_first(self, L, M):
-        # the stream's first 2M draws are the Poisson counts of each side,
-        # however the chain's negative binomials are drawn after them
+        # the stream's first 2M uniforms are the Poisson counts of each side,
+        # one uniform a count inverted in the exact Poisson table, however
+        # the chain's negative binomials are drawn after them
+        lam = self.ALPHA * L / 2
+        assert il._poisson_law(lam, 2 * M) is not None
         _, n_traj, _ = il._simulate_window_batch(self.ALPHA, L, M, RngState(7).generator())
-        n_side = RngState(7).generator().poisson(self.ALPHA * L / 2, 2 * M)
+        n_side = _poisson_inversion(lam, RngState(7).generator().random(2 * M))
         assert np.array_equal(n_traj, n_side[:M] + n_side[M:])
 
     def test_peak_memory(self):
@@ -263,13 +275,33 @@ class TestWindowChainVsWalk:
         assert peak <= counts.nbytes + 8.5 * 2 * M * 8
 
     def test_counts_digest(self):
-        # the counts of the chain whose entry draw U_8 = N + NegBin(N, 1/9)
-        # and levels x = 7..2 invert exact tables (level 8, at n_max = 214,
-        # passes the budget and draws by numpy); the skipped draw at x = 1 is
-        # the chain's last, so no count moves
-        counts, _, _ = il._simulate_window_batch(1.0, 8, 65536, RngState(7).generator())
+        # the counts of the chain whose 2M Poisson counts, entry draw
+        # U_8 = N + NegBin(N, 1/9) and levels x = 7..2 invert exact tables
+        # (level 8 passes the budget and draws by numpy); the skipped draw at
+        # x = 1 is the chain's last, so no count moves. The reference draws
+        # the Poisson counts by its own inversion and runs the chain level by
+        # level into a row-major array
+        L, M = 8, 65536
+        counts, _, _ = il._simulate_window_batch(1.0, L, M, RngState(7).generator())
         assert hashlib.sha256(counts.tobytes()).hexdigest() == \
-            "8f9491131c3319eb780f5c7aa8a90634a6f03f81120234d7e607407a15529eb1"
+            "fadb95d47b4676011cbe645f38549ac0de1138ff77c6934e74685f0e5c33a5c5"
+        gen = RngState(7).generator()
+        u = _poisson_inversion(L / 2, gen.random(2 * M))
+        il._negbin(gen, u, 1 / (L + 1), out=u)
+        want = np.zeros((M, 2 * L + 1), dtype=np.int64)
+        for x in range(L, 1, -1):
+            below = il._negbin(gen, u, (x + 1) / (2 * x))
+            want[:, L - x], want[:, L + x] = u[:M] + below[:M], u[M:] + below[M:]
+            u = below
+        want[:, L - 1], want[:, L + 1] = u[:M], u[M:]
+        assert np.array_equal(counts, want)
+
+    def test_counts_stored_site_by_site(self):
+        # each site's column is contiguous; values and bytes as row-major
+        counts, _, _ = il._simulate_window_batch(1.0, 4, 1000, RngState(8).generator())
+        assert counts.shape == (1000, 9) and counts.flags.f_contiguous
+        assert counts[:, 5].flags.c_contiguous
+        assert counts.tobytes() == np.ascontiguousarray(counts).tobytes()
 
 
 class TestLocalTimeSampler:
@@ -304,13 +336,14 @@ class TestLocalTimeSampler:
         assert s.shape == (100,) and not s.any()
 
     def test_peak_memory(self):
-        # x = 400 draws by numpy: the Poisson counts that the draws are added
-        # into (8 bytes a draw), the live mask (1) and numpy's
-        # negative_binomial, which holds 24 on its own: 33.2 bytes a draw,
-        # where every count is positive (the sampler held 60 before it added
-        # in place). x = 3 inverts its table: the counts, the slice buffers
-        # (4 bytes a draw at this M) and the 10-row table: 14.4 bytes a draw
-        # (40.3 by numpy)
+        # x = 400 draws its negative binomials by numpy: the Poisson counts
+        # that the draws are added into (8 bytes a draw), the live mask (1)
+        # and numpy's negative_binomial, which holds 24 on its own: 33.2
+        # bytes a draw, where every count is positive (the sampler held 60
+        # before it added in place). x = 3 inverts its table: the counts, the
+        # slice buffers (4 bytes a draw at this M) and the 10-row table: 14.4
+        # bytes a draw (40.3 by numpy). The Poisson tables' draws before them
+        # hold the counts, the slice buffers and a zero row: 13 bytes a draw
         M = 65536
         for x, bound in ((400, 34), (3, 16)):
             tracemalloc.start()
@@ -322,11 +355,17 @@ class TestLocalTimeSampler:
             assert peak <= bound * M, x
 
     def test_numpy_path_keeps_its_bits(self):
-        # at x = 400 the table would pass its budget, so numpy draws as it
-        # did before the tables, bit for bit
-        s = il.sample_local_times(400, 1.0, 65536, RngState(3).generator())
+        # at x = 400 the M Poisson counts invert their exact table (337
+        # cells), and the negative binomials would pass their table's
+        # budget, so numpy draws them after the M uniforms, bit for bit
+        M, p = 65536, 1 / 800
+        s = il.sample_local_times(400, 1.0, M, RngState(3).generator())
         assert hashlib.sha256(s.tobytes()).hexdigest() == \
-            "e5d61cc2e5c383e85ef936e86e1f4e2a8bd1bd6be6bacffeba7a7aeb99477016"
+            "a1cd57bd2a7e7401ac53abf49c4d44a5dca0f879ccc8d4bfbcc84b9d481c9a77"
+        gen = RngState(3).generator()
+        n = _poisson_inversion(200.0, gen.random(M))
+        assert n.min() > 0 and il._negbin_law(int(n.max()), p, M) is None
+        assert np.array_equal(s, n + gen.negative_binomial(n, p))
 
     def test_no_replicates(self):
         gen = RngState(0).generator()
@@ -479,7 +518,7 @@ class TestNegBinTable:
     def test_slices_draw_one_stream(self):
         # an n longer than a slice draws the uniforms of one long call, in
         # order: entry i takes the outcome of the i-th uniform in its row
-        p, size = 1 / 6, 3 * il._NEGBIN_SLICE + 5
+        p, size = 1 / 6, 3 * il._DRAW_SLICE + 5
         n = np.arange(size) % 10
         out = il._negbin(RngState(33).generator(), n, p)
         law = il._negbin_law(9, p, size)
@@ -488,6 +527,92 @@ class TestNegBinTable:
         want = np.array([min(np.searchsorted(cdf[k], v, side="right"), law.shape[1] - 1)
                          for k, v in zip(n, u)])
         assert np.array_equal(out, want)
+
+
+class TestPoissonTable:
+    """The exact Poisson table of _poisson_law and its draws."""
+
+    LAMS = (1e-6, 0.5, 1.5, 4.0, 200.0, 708.0)
+    #: a budget the tables of these rates never reach
+    DRAWS = 10**9
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_matches_mpmath(self, lam):
+        # cell j is e**-lam (math.exp, within an ulp: 2u) times j ratios
+        # lam / j (one divide: u) with a rounded product each (u): (2j + 2)u,
+        # and u more for the higher-order terms; against e**-lam lam**j / j!
+        # in 50 digits at the float lam's exact value
+        mpmath = pytest.importorskip("mpmath")
+        law = il._poisson_law(lam, self.DRAWS)
+        assert law.shape[0] == 1 and np.all(law > 0)
+        with mpmath.workdps(50):
+            rate = mpmath.mpf(lam)
+            term = mpmath.exp(-rate)
+            for j, cell in enumerate(law[0]):
+                if j:
+                    term = term * rate / j
+                assert abs(mpmath.mpf(float(cell)) / term - 1) <= (2 * j + 3) * _U, j
+
+    @pytest.mark.parametrize("lam", LAMS)
+    def test_tail_past_the_table(self, lam):
+        # the mass from the last column on is below 2**-60, by mpmath's
+        # regularized lower incomplete gamma P[Poisson(lam) >= J] = P(J, lam)
+        # in 50 digits; one column fewer would leave more
+        mpmath = pytest.importorskip("mpmath")
+        cols = il._poisson_law(lam, self.DRAWS).shape[1]
+        with mpmath.workdps(50):
+            rate = mpmath.mpf(lam)
+            assert mpmath.gammainc(cols, 0, rate, regularized=True) < mpmath.mpf(2)**-60
+            assert mpmath.gammainc(cols - 1, 0, rate, regularized=True) >= \
+                mpmath.mpf(2)**-60
+
+    def test_budget_edges(self):
+        # one uniform per count where the table has at most half as many
+        # cells as the draws; numpy's poisson, bit for bit, one draw fewer
+        lam = 4.0
+        cols = il._poisson_law(lam, self.DRAWS).shape[1]
+        assert il._poisson_law(lam, 2 * cols) is not None
+        assert il._poisson_law(lam, 2 * cols - 1) is None
+        gen, ref = RngState(34).generator(), RngState(34).generator()
+        out = il._poisson(gen, lam, 2 * cols)
+        assert np.array_equal(out, _poisson_inversion(lam, ref.random(2 * cols)))
+        assert gen.bit_generator.state == ref.bit_generator.state
+        gen, ref = RngState(34).generator(), RngState(34).generator()
+        out = il._poisson(gen, lam, 2 * cols - 1)
+        assert np.array_equal(out, ref.poisson(lam, 2 * cols - 1))
+        assert gen.bit_generator.state == ref.bit_generator.state
+        assert hashlib.sha256(out.tobytes()).hexdigest() == \
+            "d60ff69e43be2e669a7a11171056c216b23a7e6b16694413fec722c7334ee358"
+
+    def test_underflowing_start_draws_by_numpy(self):
+        # e**-lam below the normal range has no table, and numpy draws
+        assert il._poisson_law(708.0, self.DRAWS) is not None
+        assert il._poisson_law(709.0, self.DRAWS) is None
+        gen, ref = RngState(35).generator(), RngState(35).generator()
+        out = il._poisson(gen, 710.0, 4096)
+        assert np.array_equal(out, ref.poisson(710.0, 4096))
+        assert gen.bit_generator.state == ref.bit_generator.state
+        assert hashlib.sha256(out.tobytes()).hexdigest() == \
+            "d5b31c9b8326a892ece889f6b1e338eab6277500f1bcfa495fc8c42f6134cff7"
+
+    def test_single_window_draws_by_numpy(self):
+        # a single window's two counts have no table: numpy's poisson
+        gen, ref = RngState(36).generator(), RngState(36).generator()
+        _, n_traj, _ = il._simulate_window_batch(1.0, 8, 1, gen)
+        assert n_traj[0] == ref.poisson(4.0, 2).sum()
+
+    def test_slices_draw_one_stream(self):
+        # counts longer than a slice draw the uniforms of one long call, in
+        # order, one a count, whatever the rate
+        size = 3 * il._DRAW_SLICE + 5
+        for lam in (0.5, 200.0):
+            gen, ref = RngState(37).generator(), RngState(37).generator()
+            out = il._poisson(gen, lam, size)
+            cdf = np.cumsum(il._poisson_law(lam, size)[0])
+            want = np.minimum(np.searchsorted(cdf, ref.random(size), side="right"),
+                              len(cdf) - 1)
+            assert out.dtype == np.int64 and np.array_equal(out, want)
+            assert gen.bit_generator.state == ref.bit_generator.state
 
 
 class TestPmf:

@@ -92,8 +92,17 @@ class TestNormalCdf:
         assert abs(mc.ks_distance_to_normal(z) - ref) <= 1e-15
 
     def test_check_04_keeps_its_bits(self):
-        # the statistic of check 04 when its normal CDF was scipy's ndtr
-        expected = {7: "0x1.19595341974a0p-7", 8: "0x1.6c68d57d76700p-7"}
+        # the statistic of check 04 is the KS distance that scipy's ndtr
+        # gives on the same harness draw, bit for bit at these seeds
+        expected = {7: "0x1.049dad57cc880p-7", 8: "0x1.633b5d4d95880p-7"}
         for seed, bits in expected.items():
             [verdict] = acceptance.check_04_clt(seed, 1)
             assert verdict.statistic.hex() == bits
+            sample = mc.run_replicates(
+                mc.Experiment("local-time",
+                              lambda g, m: il.sample_local_times(400, 1.0, m, g)),
+                10**5, seed, 1, keep_sample=True).sample
+            cdf = special.ndtr(np.sort(il.standardize_local_time(sample, 400, 1.0)))
+            M = len(cdf)
+            ref = max((np.arange(1, M + 1) / M - cdf).max(), (cdf - np.arange(M) / M).max())
+            assert ref.hex() == bits
