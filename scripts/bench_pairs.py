@@ -57,6 +57,9 @@ Run from the root of a checkout. The committed files came from::
     OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev 580d6e8 \\
         --claim selftest --seed0 1561 --sweep local_times --sweep window \\
         --out BENCH_poisson_tables.json
+    OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev 6f546b6 \\
+        --claim exact-scale --seed0 1591 --sweep killed_walk \\
+        --out BENCH_killed_band.json
 
 (the files before BENCH_walk_rows.json ran one pair per sweep case;
 BENCH_window_chain.json, BENCH_block_schedule.json and BENCH_law_layout.json
@@ -115,6 +118,7 @@ seed0 + i. The output holds:
   - ``killed_walk``: the killed walk of KILLED_CASES, the median of
     KILLED_REPEATS calls in ns per step, with a hash of the values: ``h_dp``
     from the middle of the segment of n sites over KILLED_STEPS steps, and
+    over 64 at n = 20,000 (a short walk on a long segment), and
     the first leg of ``no_hit_prob_exact`` on the ring of 2 n_half sites,
     delta = ceil(cond_threshold(2 n_half)) steps killed at site 1, as
     exact-scale runs it at n_half = 120, and ``mid_tail``, the first leg of
@@ -426,11 +430,13 @@ print(json.dumps({"K": head[-1], "rows": len(law), "build_s": statistics.median(
                   "outputs_sha256": digest.hexdigest()}))
 """
 
-#: (call, size): h_dp at n = size, and the first leg of the no-hit or the
-#: mid-tail check at n_half = size
-KILLED_CASES = (("h_dp", 200), ("h_dp", 1000), ("first_leg", 60), ("first_leg", 120),
-                ("mid_tail", 40))
 KILLED_STEPS = 250000
+#: (call, size, steps): h_dp at n = size over steps steps, and the first leg
+#: of the no-hit or the mid-tail check at n_half = size (its steps are its
+#: delta)
+KILLED_CASES = (("h_dp", 200, KILLED_STEPS), ("h_dp", 1000, KILLED_STEPS),
+                ("h_dp", 20000, 64), ("first_leg", 60, None), ("first_leg", 120, None),
+                ("mid_tail", 40, None))
 KILLED_REPEATS = 3
 KILLED_SNIPPET = """
 import hashlib, json, math, statistics, sys, time
@@ -649,8 +655,8 @@ def searches(trees: dict) -> list[dict]:
 def killed_walks(trees: dict) -> list[dict]:
     return sweep(trees, KILLED_SNIPPET,
                  [({"call": name, "size": size},
-                   [json.dumps([name, size, KILLED_STEPS, KILLED_REPEATS])])
-                  for name, size in KILLED_CASES])
+                   [json.dumps([name, size, steps, KILLED_REPEATS])])
+                  for name, size, steps in KILLED_CASES])
 
 
 def harness(trees: dict) -> list[dict]:

@@ -1,17 +1,20 @@
 """Survival kernels h_n(x,t) for the walk killed at {0,n} and the ring walk.
 
 The ring of n sites with a forbidden origin is represented as the segment
-{1..n-1} with killing at 0 and n (ring site -a is line site n-a). One
-killed-walk engine, :func:`_killed_walk`, computes every exact ring quantity:
-the simple walk killed at 0 and n, stepped as unhalved sums with its scale
-carried as an exact power of two. It steps in runs of 32 through a run
-buffer whose views are built once, so a step is one np.add, steps 2..32 of
-a run are one C-level loop, and it rescales once a run; it returns every
-row, or only the last. Run backward from the all-ones vector it gives
-h_n(x,t) = P_x[tau_{0,n} > t] (:func:`h_dp`, and the :class:`SurvivalKernel`
-table, copied in one slice a run); run forward from a point mass, on the
-part of the segment that a killed site cuts off, it gives the first-leg law
-behind the no-hit and mid-tail checks.
+{1..n-1} with killing at 0 and n (ring site -a is line site n-a). Every
+exact ring quantity is the simple walk killed at 0 and n, in two engines.
+:func:`_killed_walk` returns every row: stepped as unhalved sums with its
+scale carried as an exact power of two, in runs of 32 steps through a run
+buffer whose views are built once, one np.add a step. Run backward from the
+all-ones vector it gives h_n(., s) = P_.[tau_{0,n} > s] at every s, the
+:class:`SurvivalKernel` table (copied in one slice a run) and check 05.
+:func:`_killed_row` returns the last row of the walk from a point mass: 32
+steps at a time, one batched matmul through the exact band of the 32-step
+killed law K_32 (:func:`_killed_band`), gathered once into one 48 x 16
+matrix per 16 rows, on the sites in reach only. The mass it keeps from x is
+h_n(x, t) (:func:`h_dp`), and its row on the part of the segment that a
+killed site cuts off is the first-leg law behind the no-hit and mid-tail
+checks.
 Point values also have closed forms: the odd-mode spectral sum in signed log
 domain (summed by :func:`_logsumexp`, a numpy port of scipy's log-sum-exp),
 read only through :func:`_log_h`, and the first-mode asymptotic
@@ -34,9 +37,10 @@ stretch of L steps, with its marks, is the killed law K_L (2**-L times a
 count of killed paths, the same at every time) times h at the stretch's
 end over h at its start. One block recursion of :mod:`ri1d.core_walks`,
 the one the walk absorbed at two sites also runs, gives the exact killed
-law of one block of 32 steps (:func:`_killed_block`), by end row
-(:func:`_by_end_row`): its joint law of the walker's end row, visits to a
-site and contact with an interval's bounds. :func:`_compose` composes it
+law of one block of 32 steps (:func:`_killed_band`, the row walk's band),
+by end row (:func:`_killed_block`, :func:`_by_end_row`): its joint law of
+the walker's end row, visits to a site and contact with an interval's
+bounds. :func:`_compose` composes it
 with itself by doubling into the killed laws of 2**j blocks: rows through
 the end row, visit counts by convolution, contact flags by or, every cell a
 sum of nonnegative products. One generator, :func:`_block_laws`, owns the
@@ -58,6 +62,7 @@ from collections import deque
 from itertools import starmap
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import in_cond_regime
 from .core_walks import (_BATCH_CELLS, _BLOCK, WalkPath, _block_recursion, _search,
@@ -207,14 +212,14 @@ def _rescale(row: np.ndarray) -> float:
     return shift
 
 
-def _killed_walk(v: np.ndarray, steps: int,
-                 every_row: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, log_z): the killed walk from v after 0..steps steps.
+def _killed_walk(v: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, log_z): every row of the killed walk from v, after 0..steps steps.
 
     One step maps v to 0.5 (v[x-1] + v[x+1]) on 1..n-1 (n = len(v) - 1) and
     to 0 at 0 and n; the input v is nonnegative and read as 0 at both ends.
-    The walk is symmetric, so this is both the backward survival recursion
-    and the forward transport of a distribution.
+    Run from the all-ones vector it is the backward survival recursion: row
+    s is h_n(., s), the rows of the :class:`SurvivalKernel` table and of
+    check 05. A last row alone comes from :func:`_killed_row`.
 
     Row s stands for rows[s] * exp(log_z[s]) with log_z[s] = e ln 2 for an
     integer e. A step stores the unhalved sums v[x-1] + v[x+1] and counts the
@@ -231,52 +236,126 @@ def _killed_walk(v: np.ndarray, steps: int,
     log_z -inf.
 
     rows has shape (steps + 1, n + 1) and row 0 is the input, zeroed at the
-    ends. With every_row False it is the last row alone, shape (1, n + 1),
-    and the steps alternate between two buffer rows, which stay in cache
-    where 33 rows of a large n do not.
+    ends.
     """
     n = len(v) - 1
-    depth = _RESCALE_EVERY + 1 if every_row else 2
-    buf = np.zeros((depth, n + 1))  # the ends 0 and n are never written
+    # the ends 0 and n are never written
+    buf = np.zeros((_RESCALE_EVERY + 1, n + 1))
     buf[0, 1:n] = v[1:n]
     # step i of a run: the views of the sites x-1 and x+1 it reads and of
-    # 1..n-1 it writes; its whole row is buf[(i + 1) % depth]
-    ops = [(buf[i % depth, :n - 1], buf[i % depth, 2:], buf[(i + 1) % depth, 1:n])
-           for i in range(_RESCALE_EVERY)]
+    # 1..n-1 it writes; its whole row is buf[i + 1]
+    ops = [(buf[i, :n - 1], buf[i, 2:], buf[i + 1, 1:n]) for i in range(_RESCALE_EVERY)]
     halvings = np.arange(_RESCALE_EVERY + 1.0)  # of the rows 0..k of a run
-    rows = np.empty((steps + 1 if every_row else 1, n + 1))
-    log_z = np.empty(len(rows))
+    rows = np.empty((steps + 1, n + 1))
+    log_z = np.empty(steps + 1)
     rows[0], log_z[0] = buf[0], 0.0
     e = 0  # the scale exponent of buffer row 0
     for s0 in range(0, steps, _RESCALE_EVERY):
         k = min(_RESCALE_EVERY, steps - s0)
-        if s0 and every_row:
+        if s0:
             buf[0] = buf[_RESCALE_EVERY]
         np.add(*ops[0])
         shift = _rescale(buf[1])
         deque(starmap(np.add, ops[1:k]), maxlen=0)
-        last = _rescale(buf[k % depth]) if k > 1 and s0 + k == steps else 0
+        last = _rescale(buf[k]) if k > 1 and s0 + k == steps else 0
         e_end = e + shift - k + last
-        if every_row:
-            rows[s0 + 1:s0 + k + 1] = buf[1:k + 1]
-            z = log_z[s0 + 1:s0 + k + 1]
-            np.subtract(e + shift, halvings[1:k + 1], out=z)
-            z[-1] = e_end
-            z *= _LN2
+        rows[s0 + 1:s0 + k + 1] = buf[1:k + 1]
+        z = log_z[s0 + 1:s0 + k + 1]
+        np.subtract(e + shift, halvings[1:k + 1], out=z)
+        z[-1] = e_end
+        z *= _LN2
         e = e_end
-    if not every_row and steps:
-        # _RESCALE_EVERY is even: every run starts in buffer row 0
-        rows[0], log_z[0] = buf[k % 2], e * _LN2
     return rows, log_z
 
 
+#: Blocks of _BLOCK steps in one run of :func:`_killed_row`, between two
+#: rescalings. While anything survives, a block keeps at least 2**-_BLOCK of
+#: the row's max (the max site's mass along one surviving path), so from a
+#: max in [1/2, 1] the max stays a normal double for 30 blocks; the count is
+#: even, so every run starts in the same buffer.
+_BAND_RUN = 30
+
+
+def _band_blocks(band: np.ndarray) -> np.ndarray:
+    """M[b, i, k]: the mass that row 16b - 16 + i sends to row 16b + k in one
+    block of _BLOCK = 32 steps, from the band band[r, j] of the block's
+    killed law (:func:`_killed_band`: row r to row r + j - 16), for the
+    blocks b of 16 rows that cover the band's rows.
+
+    A walker moves at most 16 rows in a block, so the rows 16b..16b + 15
+    read the 48 rows from 16b - 16 on: the row's window there times M[b] is
+    the block's step for them. Rows off 0..len(band) - 1 send nothing. Every
+    block inside the segment is the same binomial band; the corner blocks,
+    by 0 and n, carry the killing.
+    """
+    rows, half = len(band), _BLOCK // 2
+    r = half * np.arange(-(-rows // half))[:, None, None] - half \
+        + np.arange(3 * half)[:, None]
+    j = _BLOCK + np.arange(half) - np.arange(3 * half)[:, None]
+    mats = band[np.clip(r, 0, rows - 1), np.clip(j, 0, _BLOCK)]
+    mats[(r < 0) | (r >= rows) | (j < 0) | (j > _BLOCK)] = 0.0
+    return mats
+
+
+def _killed_row(n: int, x: int, steps: int) -> tuple[int, np.ndarray, int]:
+    """(lo, row, e): the walk killed at 0 and n from the point mass at x,
+    0 < x < n, after ``steps`` steps: P_x[X_steps = lo + i, alive] =
+    row[i] 2**e, for the sites lo + i in reach.
+
+    The walk runs on the sites in reach, lo = max(0, x - steps - 1) to
+    min(n, x + steps + 1), killed at both: it cannot reach a cut end, so the
+    law is unchanged, and a short walk on a long segment costs its length.
+    A walker on the sites of x's parity is in row r, the site lo + 2r +
+    parity. One block of _BLOCK steps takes it to a row within 16 of r, with
+    the exact mass of the killed law K_32 (:func:`_killed_band`: counts of
+    paths over 2**32), gathered once into one 48 x 16 matrix per 16 rows
+    (:func:`_band_blocks`). A block is one batched np.matmul over the row's
+    overlapping windows of 48 rows, from one buffer into the other, with the
+    views of both built once; a run of _BAND_RUN blocks goes through one
+    starmap, with no Python statement per block, and ends with the exact
+    power of two that brings the row's max into [1/2, 1) (:func:`_rescale`).
+    The short last block, steps % 32 steps (0 leaves the row as it is), goes
+    through its own band, one slice add per up-step count. Every cell is a
+    sum of nonnegative products, and no array of rows x rows is built. Once
+    nothing survives, the row is zero.
+    """
+    lo, hi = max(0, x - steps - 1), min(n, x + steps + 1)
+    n, x = hi - lo, x - lo
+    parity, rows, half = x % 2, n // 2 + 1, _BLOCK // 2
+    blocks, short = divmod(steps, _BLOCK)
+    e, u = 0, np.zeros(rows)
+    u[x // 2] = 1.0
+    if blocks:
+        mats = _band_blocks(_killed_band(n, _BLOCK, parity)[:, :, 0, 0])
+        width = half * len(mats)
+        bufs = np.zeros((2, width + 2 * half))  # zero pads: rows -16..-1 and past
+        bufs[0, half:half + rows] = u
+        wins = [sliding_window_view(buf, 3 * half)[::half, None] for buf in bufs]
+        outs = [buf[half:half + width].reshape(-1, 1, half) for buf in bufs]
+        ops = [(wins[0], mats, outs[1]), (wins[1], mats, outs[0])] * (_BAND_RUN // 2)
+        for b0 in range(0, blocks, _BAND_RUN):
+            k = min(_BAND_RUN, blocks - b0)
+            deque(starmap(np.matmul, ops[:k]), maxlen=0)
+            shift = _rescale(bufs[k % 2])
+            if shift == -math.inf:  # nothing survives: the row stays zero
+                break
+            e += shift
+        u = bufs[k % 2, half:half + rows]
+    out = np.zeros(n + 2 + 2 * short)  # the site lo + y at out[y + short]
+    band = _killed_band(n, short, parity)[:, :, 0, 0]  # the short last block's
+    for j in range(short + 1):
+        out[parity + 2 * j:parity + 2 * j + 2 * rows:2] += band[:, j] * u
+    return lo, out[short:short + n + 1], e
+
+
 def h_dp(n: int, x: int, t: int) -> float:
-    """Survival probability via the exact killed-walk recursion."""
+    """Survival probability P_x[tau_{0,n} > t]: the mass that the row walk
+    from x (:func:`_killed_row`) keeps after t steps."""
     _check_domain(n, x, t)
-    v = np.ones(n + 1)
-    v[0] = v[n] = 0.0
-    rows, log_z = _killed_walk(v, t, every_row=False)
-    return float(rows[0, x] * math.exp(log_z[0]))
+    if x in (0, n):
+        return 0.0
+    _, row, e = _killed_row(n, x, t)
+    return math.ldexp(float(row.sum()), e)
 
 
 def h_asymptotic(n: int, x: int, t: int) -> tuple[float, bool]:
@@ -500,22 +579,31 @@ def sample_ring_path(n: int, t_total: int, x0: int, rng: RngState) -> WalkPath:
     return WalkPath(tuple(pos))
 
 
-def _killed_block(n: int, steps: int, parity: int, visit_site: int | None,
-                  stay_in: tuple[int, int] | None) -> np.ndarray:
-    """K[r, e, c, f]: 2**-steps times the number of paths of ``steps`` steps
-    that stay in 1..n-1, from the site x = 2r + parity to the end row e
-    (:func:`_by_end_row`), with c visits to visit_site at the arrival times
-    1..steps and f = 1 if they sat on a bound of stay_in at one of them.
+def _killed_band(n: int, steps: int, parity: int, visit_site: int | None = None,
+                 stay_in: tuple[int, int] | None = None) -> np.ndarray:
+    """K[r, d, c, f]: 2**-steps times the number of paths of ``steps`` steps
+    that stay in 1..n-1, from the site x = 2r + parity with d up-steps, so
+    to the site x + 2d - steps, with c visits to visit_site at the arrival
+    times 1..steps and f = 1 if they sat on a bound of stay_in at one of
+    them.
 
     One :func:`~ri1d.core_walks._block_recursion` of the simple walk from
     the rows x = 2r + parity, 0 <= r <= n/2, absorbed at 0 and n. After i
     steps every mass is a count of at most 2**i paths times 2**-i, so for
-    steps <= 32 every cell is exact. Rows whose start is off 1..n-1 are 0.
+    steps <= 32 every cell is exact. Rows whose start is off 1..n-1 are 0,
+    and so is every cell whose end is.
     """
     x = 2 * np.arange(n // 2 + 1) + parity
     w, _ = _block_recursion((0 < x) & (x < n), parity, 2, steps, absorb=(0, n),
                             visit=visit_site, contact=stay_in or ())
-    return _by_end_row(w.transpose(2, 3, 0, 1))
+    return w.transpose(2, 3, 0, 1)
+
+
+def _killed_block(n: int, steps: int, parity: int, visit_site: int | None,
+                  stay_in: tuple[int, int] | None) -> np.ndarray:
+    """K[r, e, c, f]: the killed law of :func:`_killed_band`, from row r to
+    the end row e (:func:`_by_end_row`)."""
+    return _by_end_row(_killed_band(n, steps, parity, visit_site, stay_in))
 
 
 def _by_end_row(law: np.ndarray) -> np.ndarray:
@@ -760,23 +848,19 @@ def verify_pi4(n: int, delta: int, a: int) -> tuple[float, bool]:
 def _first_leg_prob(n: int, x0: int, t: int, delta: int, kill: int) -> float:
     """P[the first delta steps from x0 avoid kill] under the t-horizon law.
 
-    The killed site cuts the segment in two and a point mass never leaves
-    its part, so the walk runs forward from x0 on the part that kill cuts
-    off around it, [kill, n] when x0 > kill and [0, kill] otherwise, and its
-    last row is put back onto the n + 1 sites (the other part holds only
-    zeros). Where it ends is weighted by the remaining-time kernel:
-    sum_z P_x0[X_delta = z, alive] h_n(z, t-delta) / h_n(x0, t). Every weight
-    is positive, so the sum is one unsigned log-sum.
+    The killed site cuts the segment in two and the walk from x0 never
+    leaves its part, [kill, n] when x0 > kill and [0, kill] otherwise, so
+    the row walk on that part (:func:`_killed_row`) gives
+    P_x0[X_delta = z, alive] at the sites z in reach. Weighted by the
+    remaining-time kernel, the probability is
+    sum_z P_x0[X_delta = z, alive] h_n(z, t-delta) / h_n(x0, t). Every
+    weight is positive, so the sum is one unsigned log-sum.
     """
     lo, hi = (kill, n) if x0 > kill else (0, kill)
-    v = np.zeros(hi - lo + 1)
-    v[x0 - lo] = 1.0
-    rows, log_z = _killed_walk(v, delta, every_row=False)
-    v = np.zeros(n + 1)
-    v[lo:hi + 1] = rows[0]
-    sites = np.flatnonzero(v)  # none once everything is dead: log_num = -inf
-    log_num = _logsumexp(np.log(v[sites]) + _log_h(n, sites, t - delta))
-    return math.exp(float(log_z[0]) + float(log_num) - _log_h(n, x0, t))
+    cut, row, e = _killed_row(hi - lo, x0 - lo, delta)
+    live = np.flatnonzero(row)  # none once everything is dead: log_num = -inf
+    log_num = _logsumexp(np.log(row[live]) + _log_h(n, lo + cut + live, t - delta))
+    return math.exp(e * _LN2 + float(log_num) - _log_h(n, x0, t))
 
 
 def no_hit_prob_exact(n_half: int, t: int, delta: int, x: int):

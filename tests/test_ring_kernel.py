@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from collections import deque
 from fractions import Fraction
 from itertools import product
 
@@ -24,11 +25,11 @@ def _start_part(length: int, start: int, kill) -> tuple[int, int]:
     return lo, hi
 
 
-def _walk_part(v, steps: int, kill, start, every_row: bool = True):
+def _walk_part(v, steps: int, kill, start):
     """rk._killed_walk on the part of v that holds start, its rows put back
     onto all of v's sites: the walk killed at 0, len(v) - 1 and kill."""
     lo, hi = _start_part(len(v) - 1, start, kill)
-    rows, log_z = rk._killed_walk(v[lo:hi + 1], steps, every_row)
+    rows, log_z = rk._killed_walk(v[lo:hi + 1], steps)
     full = np.zeros((len(rows), len(v)))
     full[:, lo:hi + 1] = rows
     return full, log_z
@@ -40,19 +41,19 @@ def _propagate_killed(length: int, start: int, steps: int,
 
     Returns (weights summing to 1 over 0..length, log of the surviving mass)
     after ``steps`` steps from ``start``, or (zeros, -inf) once nothing
-    survives. The walk runs on the part between the killed sites nearest
-    start.
+    survives. The row walk (rk._killed_row) runs on the part between the
+    killed sites nearest start.
     """
     if start in (0, length) or start in extra_kill:
         raise ValueError(f"start {start} is a killed site")
+    lo, hi = _start_part(length, start, extra_kill)
+    cut, row, e = rk._killed_row(hi - lo, start - lo, steps)
     w = np.zeros(length + 1)
-    w[start] = 1.0
-    rows, log_z = _walk_part(w, steps, extra_kill, start, every_row=False)
-    w = rows[0]
+    w[lo + cut:lo + cut + len(row)] = row
     total = w.sum()
     if total == 0.0:
         return w, -math.inf
-    return w / total, float(log_z[0]) + math.log(total)
+    return w / total, e * math.log(2.0) + math.log(total)
 
 
 class TestKernelBackends:
@@ -1374,22 +1375,24 @@ class TestKilledWalkOracles:
             [np.asarray(v).tobytes() for v in second]
 
 
-def _killed_steps_loop(v, steps, kill):
-    """Rows 0..steps of the killed walk and their log scales, one step and
-    one rescale test at a time: the reference of :func:`rk._killed_walk`.
+def _killed_steps(v, steps, kill):
+    """Rows 0..steps of the killed walk and their log scales, yielded one
+    step and one rescale test at a time: the reference of rk._killed_walk.
 
     Every step stores the unhalved sums and counts the halving in the
     exponent e; the first step, every 32nd after it and the last scale the
     row by the power of two that brings its max into [1/2, 1).
     """
-    n = len(v) - 1
+    n, kill = len(v) - 1, list(kill)
     w = np.zeros(n + 1)
     w[1:n] = v[1:n]
-    w[list(kill)] = 0.0
-    rows, log_z, e = [w], [0.0], 0
+    w[kill] = 0.0
+    e = 0
+    yield w, 0.0
     for step in range(steps):
-        w = np.concatenate(([0.0], w[:n - 1] + w[2:], [0.0]))
-        w[list(kill)] = 0.0
+        prev, w = w, np.zeros(n + 1)
+        np.add(prev[:n - 1], prev[2:], out=w[1:n])
+        w[kill] = 0.0
         e -= 1
         if step % 32 == 0 or step == steps - 1:
             m = w.max()
@@ -1399,20 +1402,51 @@ def _killed_steps_loop(v, steps, kill):
                 shift = math.frexp(m)[1]
                 w = np.ldexp(w, -shift)
                 e += shift
-        rows.append(w)
-        log_z.append(e * math.log(2.0))
+        yield w, e * math.log(2.0)
+
+
+def _killed_steps_loop(v, steps, kill):
+    """Every row of :func:`_killed_steps`, as (rows, log_z) arrays."""
+    rows, log_z = zip(*_killed_steps(v, steps, kill))
     return np.array(rows), np.array(log_z)
 
 
+def _killed_steps_last(v, steps, kill):
+    """The last row of :func:`_killed_steps` and its log scale, holding one
+    row at a time."""
+    return deque(_killed_steps(v, steps, kill), maxlen=1)[0]
+
+
+def _leg_prob(n, x0, t, delta, row, log_z):
+    """The first-leg probability from the row of P_x0[X_delta = z, alive]
+    over the n + 1 sites, times exp(log_z): the sum of _first_leg_prob,
+    row by row weighted by h_n(z, t - delta), over h_n(x0, t)."""
+    sites = np.flatnonzero(row)
+    log_num = rk._logsumexp(np.log(row[sites]) + rk._log_h(n, sites, t - delta))
+    return math.exp(log_z + float(log_num) - rk._log_h(n, x0, t))
+
+
+def _spectral_h_mpmath(n, x, t):
+    """h_n(x, t) from the odd-mode spectral sum at 40 digits, as a float."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        theta = [mpmath.pi * (2 * j - 1) / n for j in range(1, n // 2 + 1)]
+        return float(sum(2 * mpmath.cos(th)**t * mpmath.cot(th / 2) * mpmath.sin(x * th)
+                         for th in theta) / n)
+
+
 #: sha256 of the float64 bytes of SurvivalKernel(160, ring_time_scale(160, 1))
-#: (its _table, then its _log_z), of h_dp(1000, 500, 250000) and of
-#: no_hit_prob_exact(120, 2 delta, delta, 1) with delta = ceil(cond_threshold(240)),
-#: as the per-step killed walk computed them before it stepped in runs
+#: (its _table, then its _log_z), as the per-step killed walk computed them
+#: before it stepped in runs, and of h_dp(1000, 500, 250000) and of
+#: no_hit_prob_exact(120, 2 delta, delta, 1) with delta =
+#: ceil(cond_threshold(240)), as the row walk through K_32's band computes
+#: them; TestKilledRow.test_digested_values_vs_references holds the last two
+#: to independent references
 KILLED_WALK_SHA256 = {
     "kernel_table": "6c81bed9fe2f049d4a0adb284b87e643fdfe99b6a2b3f41982bc493a8fb8da7f",
     "kernel_log_z": "ceaebef47ecbd24ca20dc8ff417e5c31b73b92e86f43ca2aa47016fff42f737a",
-    "h_dp": "4de3be5d4ca766bc53c02d9a25a9480b9c6e4388737826a2e9dcddd9ebfdebb9",
-    "no_hit": "621f8b44ef39509105a60decec3252892cc7a9337ab750ff154d77c19867832c",
+    "h_dp": "4e2372254f9d970369ab6ae05a1464af71aa1cea025cc4e432a154aafbf5fd2f",
+    "no_hit": "b449e4d11e1bb3280aee531c3944f3dcead6837f3cec176a4734a8a7a726501c",
 }
 
 
@@ -1451,10 +1485,6 @@ class TestKilledWalkRuns:
             rows, log_z = _walk_part(v, steps, kill, start)
             assert rows.tobytes() == ref_rows.tobytes()
             assert log_z.tobytes() == ref_z.tobytes()
-            last, last_z = _walk_part(v, steps, kill, start, every_row=False)
-            assert last.shape == (1, n + 1)
-            assert last.tobytes() == ref_rows[-1].tobytes()
-            assert last_z.tobytes() == ref_z[-1:].tobytes()
 
     @pytest.mark.parametrize("n,start,kill", CASES)
     def test_rows_vs_fraction_oracle(self, n, start, kill):
@@ -1475,14 +1505,11 @@ class TestKilledWalkRuns:
             assert rows[0].tolist() == [0.0, 1.0, 0.0] and log_z[0] == 0.0
             assert not rows[1:].any()
             assert np.all(log_z[1:] == -math.inf)
-            last, last_z = rk._killed_walk(v, steps, every_row=False)
-            assert not last.any() and last_z[0] == -math.inf
 
     def test_input_is_not_written(self):
         v = self.start_vector(41, 30, (9,))
         before = v.copy()
         rk._killed_walk(v, 40)
-        rk._killed_walk(v, 40, every_row=False)
         assert v.tobytes() == before.tobytes()
 
     def test_digests(self):
@@ -1495,42 +1522,116 @@ class TestKilledWalkRuns:
         assert _sha256(exact) == KILLED_WALK_SHA256["no_hit"]
 
 
-class TestFirstLegCut:
-    """_first_leg_prob walks only the part of the segment that its killed
-    site cuts off around x0; its last row, put back onto the n + 1 sites,
-    its log scale and its probability are those of the one-step loop on the
-    full row with the killed site, bit for bit."""
+def _row_on_sites(n, lo, row, e):
+    """The row walk's (lo, row, e) as probabilities over the sites 0..n."""
+    full = np.zeros(n + 1)
+    full[lo:lo + len(row)] = np.ldexp(row, e)
+    return full
+
+
+class TestKilledRow:
+    """The row walk through K_32's band (rk._killed_row) against exact
+    rationals, the spectral sum and the one-step loop."""
+
+    #: around the rescale after the 30 blocks of the first run (960 steps)
+    #: and the blocks next to it, with even and odd short last blocks
+    STEPS = (0, 1, 2, 31, 32, 33, 63, 64, 95, 927, 959, 960, 961, 991, 992, 993, 1000)
+
+    @pytest.mark.parametrize("n,x", [(12, 5), (12, 6), (41, 20), (41, 21), (41, 1)])
+    def test_vs_exact_rationals(self, n, x):
+        # the exact law is Fraction(c, 2**steps) for the integer counts c of
+        # the killed paths from x, stepped as sums of integers
+        counts = [int(y == x) for y in range(n + 1)]
+        for steps in range(max(self.STEPS) + 1):
+            if steps in self.STEPS:
+                ref = [float(Fraction(c, 1 << steps)) for c in counts]
+                lo, row, e = rk._killed_row(n, x, steps)
+                assert lo == max(0, x - steps - 1)
+                assert len(row) == min(n, x + steps + 1) - lo + 1
+                np.testing.assert_allclose(_row_on_sites(n, lo, row, e), ref,
+                                           rtol=1e-13, atol=0)
+                assert rk.h_dp(n, x, steps) == pytest.approx(
+                    float(Fraction(sum(counts), 1 << steps)), rel=1e-13, abs=0)
+            counts = [0] + [counts[y - 1] + counts[y + 1] for y in range(1, n)] + [0]
+
+    def test_all_dead(self):
+        # n = 2, and the part of one live site between two killed sites:
+        # the walk dies at step 1 and every later row is zero
+        for steps in (1, 2, 31, 32, 33, 70, 961, 1000):
+            _, row, _ = rk._killed_row(2, 1, steps)
+            assert not row.any()
+            assert rk.h_dp(2, 1, steps) == 0.0
+            w, log_mass = _propagate_killed(10, 4, steps, (3, 5))
+            assert not w.any() and log_mass == -math.inf
+
+    def test_n3_halves_every_step(self):
+        # at n = 3 the walk from 1 keeps one path of 2**-t: the row is one
+        # power of two, at 1 or 2 by t's parity, and its log2 is exactly -t
+        for t in (5000, 5001):
+            lo, row, e = rk._killed_row(3, 1, t)
+            assert lo == 0 and row[[0, 3]].tolist() == [0.0, 0.0]
+            (site,) = np.flatnonzero(row)
+            assert site == 1 + t % 2
+            mant, exp = math.frexp(row[site])
+            assert mant == 0.5 and exp - 1 + e == -t
 
     @staticmethod
-    def reference(n, x0, t, delta, kill):
-        v = np.zeros(n + 1)
-        v[x0] = 1.0
-        rows, log_z = _killed_steps_loop(v, delta, (kill,))
-        row, z = rows[-1], log_z[-1:]
-        sites = np.flatnonzero(row)
-        log_num = rk._logsumexp(np.log(row[sites]) + rk._log_h(n, sites, t - delta))
-        return row, z, math.exp(float(z[0]) + float(log_num) - rk._log_h(n, x0, t))
+    def traced_peak(*args):
+        tracemalloc.start()
+        try:
+            rk.h_dp(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_is_linear(self):
+        # the band's recursion (33 doubles a row), its 48 x 16 matrices (48
+        # a row) and two row buffers: about 1 kB a row at n = 1000, where
+        # one rows x rows array would be 4 kB a row
+        rows = 1000 // 2 + 1
+        assert self.traced_peak(1000, 500, 250000) <= 1200 * rows
+        # 64 steps reach 65 sites either way: the walk on 20,001 sites
+        # holds what it holds on 131
+        assert self.traced_peak(20000, 10000, 64) <= 1.1 * self.traced_peak(130, 65, 64)
+
+    def test_digested_values_vs_references(self):
+        # the digested h_dp against a 40-digit spectral sum, and the
+        # digested no-hit first leg against the one-step loop's
+        assert abs(rk.h_dp(1000, 500, 250000) / _spectral_h_mpmath(1000, 500, 250000)
+                   - 1) <= 1e-13
+        delta = math.ceil(config.cond_threshold(240))
+        v = np.zeros(241)
+        v[120] = 1.0
+        ref = _leg_prob(240, 120, 2 * delta, delta, *_killed_steps_last(v, delta, (1,)))
+        exact, _, _ = rk.no_hit_prob_exact(120, 2 * delta, delta, 1)
+        assert abs(exact / ref - 1) <= 1e-13
+
+
+class TestFirstLegCut:
+    """_first_leg_prob walks only the part of the segment that its killed
+    site cuts off around x0, with one call of the row walk; its row, put
+    back onto the n + 1 sites, and its probability are within 1e-13 of the
+    one-step loop's on the full row with the killed site, and at desk sizes
+    of exact rationals."""
 
     @staticmethod
     def first_leg(monkeypatch, n, x0, t, delta, kill):
-        """(last row on the full row, its log scale, the probability) of
-        _first_leg_prob, the row read from the engine's one call, which must
-        walk the part of x0."""
-        walk, calls = rk._killed_walk, []
+        """(the row over the n + 1 sites, the probability) of
+        _first_leg_prob, the row read from the row walk's one call, which
+        must walk the part of x0."""
+        walk, calls = rk._killed_row, []
 
-        def spy(v, steps, every_row=True):
-            calls.append(walk(v, steps, every_row))
-            return calls[-1]
+        def spy(*args):
+            calls.append((args, walk(*args)))
+            return calls[-1][1]
 
-        monkeypatch.setattr(rk, "_killed_walk", spy)
+        monkeypatch.setattr(rk, "_killed_row", spy)
         prob = rk._first_leg_prob(n, x0, t, delta, kill)
         monkeypatch.undo()
-        (rows, log_z), = calls
+        ((m, x, steps), (cut, row, e)), = calls
         lo, hi = _start_part(n, x0, (kill,))
-        assert rows.shape == (1, hi - lo + 1)
-        row = np.zeros(n + 1)
-        row[lo:hi + 1] = rows[0]
-        return row, log_z, prob
+        assert (m, x, steps) == (hi - lo, x0 - lo, delta)
+        return _row_on_sites(n, lo + cut, row, e), prob
 
     # check 10's no-hit leg (kill left of x0) and check 11's mid-tail legs
     # (kill right of x0)
@@ -1541,20 +1642,34 @@ class TestFirstLegCut:
         n = 2 * n_half
         delta = math.ceil(config.cond_threshold(n))
         t = 2 * delta
-        row, log_z, prob = self.first_leg(monkeypatch, n, x0, t, delta, kill)
-        ref_row, ref_z, ref_prob = self.reference(n, x0, t, delta, kill)
-        assert row.tobytes() == ref_row.tobytes()
-        assert log_z.tobytes() == ref_z.tobytes()
-        assert np.float64(prob).tobytes() == np.float64(ref_prob).tobytes()
+        row, prob = self.first_leg(monkeypatch, n, x0, t, delta, kill)
+        v = np.zeros(n + 1)
+        v[x0] = 1.0
+        ref_row, ref_z = _killed_steps_last(v, delta, (kill,))
+        np.testing.assert_allclose(row, ref_row * math.exp(ref_z), rtol=1e-13, atol=0)
+        assert prob == pytest.approx(_leg_prob(n, x0, t, delta, ref_row, ref_z),
+                                     rel=1e-13, abs=0)
         public = (rk.no_hit_prob_exact(n_half, t, delta, kill)[0] if x0 > kill
                   else rk.mid_tail_check(n_half, t, delta, x0)[0])
         assert public == prob
 
+    @pytest.mark.parametrize("n,x0,kill,delta", [(24, 12, 1, 70), (24, 6, 12, 70),
+                                                 (16, 8, 3, 41), (40, 20, 1, 97)])
+    def test_matches_fraction_oracle(self, monkeypatch, n, x0, kill, delta):
+        t = 2 * delta
+        row, prob = self.first_leg(monkeypatch, n, x0, t, delta, kill)
+        exact = _exact_killed_steps([Fraction(int(y == x0)) for y in range(n + 1)],
+                                    delta, (kill,))[-1]
+        ref = np.array([float(p) for p in exact])
+        np.testing.assert_allclose(row, ref, rtol=1e-13, atol=0)
+        assert prob == pytest.approx(_leg_prob(n, x0, t, delta, ref, 0.0),
+                                     rel=1e-13, abs=0)
+
     def test_one_site_part_gives_zero(self, monkeypatch):
         # x0 = 1 with the site 2 killed: the part is [0, 2], dead at step 1
         for delta in (1, 2, 33):
-            row, log_z, prob = self.first_leg(monkeypatch, 40, 1, 500, delta, 2)
-            assert not row.any() and log_z[0] == -math.inf
+            row, prob = self.first_leg(monkeypatch, 40, 1, 500, delta, 2)
+            assert not row.any()
             assert prob == 0.0
 
 

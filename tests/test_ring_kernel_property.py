@@ -29,6 +29,22 @@ def test_kernel_matches_spectral_property(n, data):
     assert rel.max() <= 2 * (n * n + s) * np.finfo(float).eps
 
 
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(3, 400), share=st.floats(0.0, 1.0), data=st.data())
+def test_row_walk_matches_spectral_property(n, share, data):
+    # Error model: h_spectral rounds t ln cos(pi/n) to about eps relative,
+    # an error of t |ln cos(pi/n)| eps in h. The row walk rounds every cell
+    # once a block of 32 steps, each a sum of nonnegative products, so its
+    # relative error drifts like sqrt(t/32) eps; the row's sum and the
+    # spectral log-sum add a few eps. Up to n = 400 and t = 4e6 the measured
+    # error stays below a sixth of the bound.
+    t = int(share * rk.ring_time_scale(n, 2.0))
+    x = data.draw(st.integers(1, n - 1), label="x")
+    bound = (2 * t * abs(rk._log_cos(np.pi / n)) + 4 * np.sqrt(t / 32) + 32) \
+        * np.finfo(float).eps
+    assert abs(rk.h_dp(n, x, t) / rk.h_spectral(n, x, t) - 1) <= bound
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(rows=st.integers(1, 6), size=st.integers(1, 4096), hole=st.floats(0.0, 0.9),
        spread=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
