@@ -60,10 +60,14 @@ Run from the root of a checkout. The committed files came from::
     OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev 6f546b6 \\
         --claim exact-scale --seed0 1591 --sweep killed_walk \\
         --out BENCH_killed_band.json
+    OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev 5b68f1d \\
+        --claim selftest --seed0 1621 --sweep absorb --sweep ring_walk --sweep search \\
+        --out BENCH_absorb_images.json
 
 (the files before BENCH_walk_rows.json ran one pair per sweep case;
-BENCH_window_chain.json, BENCH_block_schedule.json and BENCH_law_layout.json
-claim no gain: there --claim only picks the workload that gets PAIRS pairs).
+BENCH_window_chain.json, BENCH_block_schedule.json, BENCH_law_layout.json and
+BENCH_absorb_images.json claim no gain: there --claim only picks the workload
+that gets PAIRS pairs).
 
 The parent revision and the change are each exported with ``git archive``
 into a temporary directory of their own, so neither side runs in the
@@ -294,12 +298,15 @@ print(json.dumps({"t": t, "s": statistics.median(times),
                   "outputs_sha256": digest.hexdigest()}))
 """
 
-#: (call, arguments): the three Monte Carlo calls of check 13 at M = 1e5, and
-#: one absorbing walk of M = 2e4 walkers far from the origin
+#: (call, arguments): the three Monte Carlo calls of check 13 at M = 1e5,
+#: one absorbing walk of M = 2e4 walkers far from the origin, and one of 200
+#: walkers spread over the sites 3, 103, .., 19,903 (a start [first, stop,
+#: step] is np.arange's, one walker a site)
 ABSORB_CASES = (("simulate_hit_before", [5, 2, 12, 100000]),
                 ("estimate_hit_prob", [5, 2, 100000]),
                 ("estimate_escape_prob", [3, 100000]),
-                ("_absorb", [1000000, 999997, None, 500, 20000]))
+                ("_absorb", [1000000, 999997, None, 500, 20000]),
+                ("_absorb", [[3, 19904, 100], 2, None, 2000, 200]))
 ABSORB_REPEATS = 3
 ABSORB_SNIPPET = """
 import hashlib, json, statistics, sys, time
@@ -355,11 +362,15 @@ elif name == "estimate_escape_prob":
     call = lambda rep: cw.estimate_escape_prob(x, M, RngState(rep, 103))
 else:
     start, lo, hi, steps, M = args
-    per_walker = live_steps(start, lo, hi, steps)
+    starts = np.arange(*start) if isinstance(start, list) else np.full(M, start)
+    # per distinct start; a walker out of lo's reach takes every step
+    sites, count = np.unique(starts, return_counts=True)
+    per_walker = sum(c * (live_steps(int(s), lo, hi, steps) if s - lo <= steps else steps)
+                     for s, c in zip(sites, count)) / M
 
     def call(rep):
         gen = RngState(rep, 104).generator()
-        hits, pos = cw._absorb(gen, np.full(M, start), lo, hi, steps)
+        hits, pos = cw._absorb(gen, starts, lo, hi, steps)
         return [hits, pos.tobytes().hex(), repr(gen.bit_generator.state)]
 times, digest = [], hashlib.sha256()
 for rep in range(reps):
@@ -381,7 +392,7 @@ SEARCH_TABLES = ("08 settled", "08 block", "vacant n80", "07b", "absorb")
 SEARCH_CASES = tuple((name, M) for name in SEARCH_TABLES for M in (4000, 20000, 65536))
 SEARCH_REPEATS = 21
 SEARCH_SNIPPET = """
-import hashlib, json, statistics, sys, time
+import hashlib, inspect, json, statistics, sys, time
 import numpy as np
 sys.path.insert(0, "src")
 from ri1d import core_walks as cw
@@ -389,8 +400,12 @@ from ri1d import ring_kernel as rk
 from ri1d.rngs import RngState
 name, M, reps = json.loads(sys.argv[1])
 if name == "absorb":
-    # check 13's hit-before walk: absorbed at 2 and 12
-    law = cw._absorb_law(3, 9, 2, 12, cw._BLOCK)
+    # check 13's hit-before walk: absorbed at 2 and 12, from the sites 3..11
+    # (older trees take them as first site and count)
+    if "sites" in inspect.signature(cw._absorb_law).parameters:
+        law = cw._absorb_law(np.arange(3, 12), 2, 12, cw._BLOCK)
+    else:
+        law = cw._absorb_law(3, 9, 2, 12, cw._BLOCK)
 else:
     # (n, s0, visit site, bounds): the law the walk from n // 2 draws with
     # s0 steps to go, None its first

@@ -8,22 +8,23 @@ brute-force enumeration oracle for it. Its Monte Carlo estimators run the
 walk absorbed at one or two sites. The walk is the Doob h-transform, h(x) =
 x, of the simple walk killed at those sites, so the law of any stretch of
 steps is the killed law times y/x from x to y, and lo/x and hi/x into the
-sinks. Absorbed at lo alone, that law has a closed form for any number of
-steps by the reflection principle, and the walk takes as many steps as one
-law's cells afford in one draw per walker, usually all of them. Absorbed at
-lo and hi, it walks in blocks of 32 steps, each the h-transform of the
-exact killed law of one block. Each walker's outcome is drawn by inverse
-CDF from its row of the law. The forward recursion that builds a killed
-block law with its marks, the inverse-CDF table and its search (a guide
-table that places most walkers with one probe, and a binary search for the
-rest) also serve the conditioned ring walk, whose recursion is the walk
-killed at the ring's ends; the table and its search also draw the
-interlacement samplers' small negative binomials.
+sinks. One closed form gives that law for any number of steps: the killed
+path counts by the method of images (the reflection principle at one or two
+barriers), and the absorbed counts from conservation and the stopped walk's
+martingale, exact integers divided once (:func:`_absorb_law`). Absorbed at
+lo alone, the walk takes as many steps as one law's cells afford in one
+draw per walker, usually all of them; absorbed at lo and hi, it walks in
+blocks of 32 steps. Each walker's outcome is drawn by inverse CDF from its
+row of the law. The inverse-CDF table and its search (a guide table that
+places most walkers with one probe, and a binary search for the rest) also
+serve the conditioned ring walk and draw the interlacement samplers' small
+negative binomials.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -225,9 +226,9 @@ def endpoint_leq_prob(x: int, delta: int, y: int) -> tuple[float, float]:
 
 # -- Monte Carlo helpers (vectorized over replicates) -------------------------
 
-#: Steps per block of the killed block laws: the block of the ring walk's
-#: killed law, and of the walk absorbed at two sites, which draws one uniform
-#: per walker and block.
+#: Steps per block: the ring walk's exact killed law K_32, and the stretch
+#: of the walk absorbed at two sites, which draws one uniform per walker and
+#: block.
 _BLOCK = 32
 
 #: Cells (8-byte words) of one law that a walk may hold with its search
@@ -335,133 +336,64 @@ def _search(cdf: np.ndarray, guide: np.ndarray, k: int, row: np.ndarray, u: np.n
     return pos
 
 
-def _visit_slots(first: int, stride: int, steps: int, visit: int | None) -> int:
-    """Slots of a block recursion's visit axis: one per arrival time on the
-    visit site's parity, and one more (one slot for no site)."""
-    return 1 if visit is None else 1 + sum(
-        (visit - first + i) % stride == 0 for i in range(1, steps + 1))
+def _periodic(fold: list, width: int, start: int, count: int) -> list:
+    """fold[i % width] for i = start..start + count - 1, 0 where i % width
+    is past the end of fold."""
+    out = []
+    while len(out) < count:
+        r = start % width
+        take = min(count - len(out), width - r)
+        part = fold[r:r + take]
+        out += part + [0] * (take - len(part))
+        start += take
+    return out
 
 
-def _block_recursion(mass: np.ndarray, first: int, stride: int, steps: int,
-                     absorb=(), visit: int | None = None, contact=()):
-    """Forward recursion of the simple walk over one block, from every start row.
+def _absorb_law(sites: np.ndarray, lo: int, hi: int | None, steps: int) -> np.ndarray:
+    """Law of ``steps`` steps of the conditioned walk absorbed at lo and hi.
 
-    Row r starts at site first + stride*r with mass[r]; w[c, f, r, j] is its
-    mass with j up-steps so far. Each step goes up and down with 1/2: it
-    halves every cell and adds it to the next slot. So from a mass of 1
-    every cell after i steps is a count of at most 2**i paths times 2**-i,
-    exact for a block of at most 32 steps. After each step the marks move
-    the mass on their sites:
-
-    - absorb: to sinks[k, c, f, r] from the site absorb[k];
-    - visit: one slot up the c axis, which has a slot per arrival time on the
-      site's parity and one more (:func:`_visit_slots`);
-    - contact: from f = 0 to f = 1 (one f slot without contact sites).
-
-    Returns (w, sinks). The steps run on the flat w[c, f, r*J + j], J =
-    steps + 1, every cell through the same halving and shift-add: an
-    up-step moves mass to the next slot, and none sits at j = J - 1 before
-    the last step, so no shift crosses a row. After i steps the cell (r, j)
-    sits at first + stride*r - i + 2j, so the cells on a site y,
-    r + g j = (y - first + i) / stride, are every (g J - 1)-th slot.
-    """
-    count, span, g = len(mass), steps + 1, 2 // stride
-    w = np.zeros((_visit_slots(first, stride, steps, visit), 2 if contact else 1,
-                  count * span))
-    w[0, 0, ::span] = mass
-    sinks = np.zeros((len(absorb), *w.shape[:2], count))
-
-    def on_site(y: int, i: int):
-        """(flat cells of w, rows) on site y after i steps, or None."""
-        c, off = divmod(y - first + i, stride)
-        r0, r1 = max(c - g * i, c % g), min(c, count - 1)
-        r1 -= (r1 - r0) % g
-        return None if off or r1 < r0 else (
-            slice(r0 * span + (c - r0) // g, r1 * span + (c - r1) // g + 1, g * span - 1),
-            slice(r0, r1 + 1, g))
-
-    live_c = 1  # visit counts reachable so far
-    for i in range(steps):
-        live = w[:live_c]
-        live *= 0.5
-        live[..., 1:] += live[..., :-1]  # numpy buffers the overlapping input
-        for k, y in enumerate(absorb):
-            if (cells := on_site(y, i + 1)) is not None:
-                sinks[k, ..., cells[1]] += w[..., cells[0]]
-                w[..., cells[0]] = 0.0
-        if visit is not None and (visit - first + i + 1) % stride == 0:
-            if (cells := on_site(visit, i + 1)) is not None:
-                w[1:live_c + 1, :, cells[0]] = w[:live_c, :, cells[0]]
-                w[0, :, cells[0]] = 0.0
-            live_c += 1
-        for y in contact:
-            if (cells := on_site(y, i + 1)) is not None:
-                w[:, 1, cells[0]] += w[:, 0, cells[0]]
-                w[:, 0, cells[0]] = 0.0
-    return w.reshape(*w.shape[:2], count, span), sinks
-
-
-def _half_line_law(sites: np.ndarray, lo: int, steps: int) -> np.ndarray:
-    """Law of ``steps`` steps of the conditioned walk absorbed at lo, from
-    each of the sites (all above lo), in the layout of :func:`_absorb_law`.
-
-    The walk is the h-transform, h(x) = x, of the simple walk killed at lo,
-    so by the reflection principle (Feller, vol. 1, III.1) it goes from x
-    to y = x - L + 2j > lo in L steps with probability 2**-L [C(L, j) -
-    C(L, j + x - lo)] y/x. The absorbed mass is the rest: the simple walk
-    stopped at lo is a martingale, so its paths' ends sum to x 2**L, and
-    lo times the absorbed paths is x 2**L minus the survivors' y-weighted
-    counts: the absorbed mass is lo/x (P[S_L <= lo - x] + P[S_L < lo - x])
-    for the simple walk S_L from 0. Every cell is an exact integer over
-    x 2**L, divided once, so correctly rounded. Each row steps its two
-    binomials from one math.comb each by exact integer ratios, so the build
-    holds a few integers of L bits beside the law, and costs O(rows L)
-    operations on integers of L / 64 + 1 words.
-    """
-    law = np.zeros((len(sites), steps + 3))
-    for row, x in zip(law, sites.tolist()):
-        d, den = x - lo, x << steps
-        j0 = max(0, (steps - d) // 2 + 1)  # the first end above lo
-        # C(L, j) and its reflection C(L, j + d), 0 once j + d passes L
-        a, b = math.comb(steps, j0), math.comb(steps, j0 + d)
-        cells, total = [], 0
-        for j in range(j0, steps + 1):
-            num = (x - steps + 2 * j) * (a - b)
-            cells.append(num / den)
-            total += num
-            a = a * (steps - j) // (j + 1)
-            b = b * (steps - j - d) // (j + d + 1)
-        row[1 + j0:steps + 2] = cells
-        row[0] = (den - total) / den
-    return law
-
-
-def _absorb_law(first: int, count: int, lo: int, hi: int | None,
-                steps: int) -> np.ndarray:
-    """Law of one stretch of the conditioned walk absorbed at lo and hi.
-
-    Returns law[r, o] for the walker that starts the stretch at site
-    first + r, lo < first + r < hi (hi=None absorbs at lo only): o = 0 is
-    absorption at lo, o = 1 + j survival of the stretch's ``steps`` steps
-    with j up-steps (at first + r - steps + 2j), and o = steps + 2
+    Returns law[r, o] for the walker that starts at sites[r], lo < sites[r]
+    < hi (hi=None absorbs at lo only): o = 0 is absorption at lo, o = 1 + j
+    survival with j up-steps (at sites[r] - steps + 2j), and o = steps + 2
     absorption at hi.
 
     The walk is the h-transform, h(x) = x, of the simple walk killed at lo
-    and hi. Without hi, the law is :func:`_half_line_law`'s closed form.
-    With hi, it is the exact killed law of the stretch, one
-    :func:`_block_recursion` of at most _BLOCK steps from the rows first + r,
-    times y/x from x to y, and its sinks times lo/x and hi/x: each product
-    of a dyadic of at most 32 bits and a site below 2**21 is exact, and
-    divided once by x.
+    and hi, so it goes from x to y = x - L + 2j in L = steps steps with
+    probability K 2**-L y/x, K the number of killed paths. By the method of
+    images (Feller, vol. 1, III and XIV), K = sum_s [C(L, j + sW) - C(L, j
+    + u + sW)] with u = x - lo and W = hi - lo, and each sum over s is the
+    binomial row folded mod W at j or j + u. hi=None is read as a hi out of
+    every row's reach: W passes every index, and only s = 0 is left. The
+    absorbed path counts follow from two exact identities: A_lo + A_hi =
+    2**L - sum K, and, as the simple walk stopped at lo and hi is a
+    martingale, lo A_lo + hi A_hi = x 2**L - sum y K. Every cell is an
+    exact integer over x 2**L, divided once, so correctly rounded. One
+    binomial row of exact integers, folded once, serves every row: the
+    build holds it and one row's products, O(L**2) bits, beside the law,
+    and costs O(rows L) operations on integers of L / 64 + 1 words.
     """
-    x = first + np.arange(count)
     if hi is None:
-        return _half_line_law(x, lo, steps)
-    w, sinks = _block_recursion(np.ones(count), first, 1, steps, absorb=(lo, hi))
-    # the cells at or below lo carry no mass; 0 keeps their products +0.0
-    y = np.maximum(x[:, None] - steps + 2 * np.arange(steps + 1), 0)
-    law = np.column_stack((sinks[0, 0, 0] * lo, w[0, 0] * y, sinks[1, 0, 0] * hi))
-    law /= x[:, None]
+        hi = int(sites.max()) + steps + 1
+    width, total = hi - lo, 1 << steps
+    fold = [1]  # C(L, j) for j <= L/2, then the rest by symmetry
+    for j in range(steps // 2):
+        fold.append(fold[-1] * (steps - j) // (j + 1))
+    fold += fold[:(steps + 1) // 2][::-1]
+    for k in range(width, steps + 1):  # C(L, k) onto its residue mod W
+        fold[k % width] += fold[k]
+    del fold[width:]
+    law = np.zeros((len(sites), steps + 3))
+    for row, x in zip(law, sites.tolist()):
+        u, den = x - lo, x << steps
+        j0 = max(0, (steps - u) // 2 + 1)  # the first end above lo
+        n = min(steps, (hi - x + steps - 1) // 2) + 1 - j0  # the ends below hi
+        paths, images = _periodic(fold, width, j0, n), _periodic(fold, width, j0 + u, n)
+        nums = list(map(operator.mul, range(x - steps + 2 * j0, hi, 2),
+                        map(operator.sub, paths, images)))
+        row[1 + j0:1 + j0 + n] = [num / den for num in nums]
+        rest = den - sum(nums)  # lo A_lo + hi A_hi
+        at_hi = hi * ((rest - lo * (total - sum(paths) + sum(images))) // width)
+        row[0], row[-1] = (rest - at_hi) / den, at_hi / den
     return law
 
 
@@ -477,8 +409,9 @@ def _absorb(gen: np.random.Generator, pos: np.ndarray, lo: int, hi: int | None,
     The walk runs in stretches: per stretch each active walker draws one
     uniform, in walker order, and takes its outcome (absorbed at lo, still
     active with j up-steps, or absorbed at hi) from the stretch's exact law
-    (:func:`_absorb_law`) by inverse CDF: the table's guide, and a binary
-    search for the walkers it does not place (:func:`_search`).
+    (:func:`_absorb_law`, with or without hi) by inverse CDF: the table's
+    guide, and a binary search for the walkers it does not place
+    (:func:`_search`).
 
     - Without hi, a stretch is every step still to go, or the most steps
       whose law, rows x (steps + 3) cells, fits _BATCH_CELLS, from one row
@@ -511,7 +444,7 @@ def _absorb(gen: np.random.Generator, pos: np.ndarray, lo: int, hi: int | None,
             cdf = guide = outcome = None  # free the last table before the next
             sites, idx[:m] = np.unique(p, return_inverse=True)
             steps = min(max_steps - k0, max(1, _BATCH_CELLS // len(sites) - 3))
-            cdf, guide, k, outcome = _search_table(_half_line_law(sites, lo, steps))
+            cdf, guide, k, outcome = _search_table(_absorb_law(sites, lo, None, steps))
         else:
             steps = min(_BLOCK, max_steps - k0)
             low, high = int(p.min()), int(p.max())
@@ -520,7 +453,7 @@ def _absorb(gen: np.random.Generator, pos: np.ndarray, lo: int, hi: int | None,
                 base, top = max(lo + 1, low - pad), min(high + pad, hi - 1)
                 cdf = guide = outcome = None
                 cdf, guide, k, outcome = _search_table(
-                    _absorb_law(base, top - base + 1, lo, hi, steps))
+                    _absorb_law(np.arange(base, top + 1), lo, hi, steps))
                 table_steps = steps
             np.subtract(p, base, out=idx[:m])
         gen.random(out=u[:m])

@@ -35,12 +35,13 @@ conditioned walk, a Doob h-transform of the walk killed at 0 and n: along a
 path that stays in 1..n-1 the up-steps telescope, so the law of any
 stretch of L steps, with its marks, is the killed law K_L (2**-L times a
 count of killed paths, the same at every time) times h at the stretch's
-end over h at its start. One block recursion of :mod:`ri1d.core_walks`,
-the one the walk absorbed at two sites also runs, gives the exact killed
-law of one block of 32 steps (:func:`_killed_band`, the row walk's band),
-by end row (:func:`_killed_block`, :func:`_by_end_row`): its joint law of
-the walker's end row, visits to a site and contact with an interval's
-bounds. :func:`_compose` composes it
+end over h at its start. One block recursion (:func:`_block_recursion`:
+the simple walk killed at a few sites, with a visit mark) gives the exact
+killed law of one block of 32 steps (:func:`_killed_band`, the row walk's
+band), by end row (:func:`_killed_block`, :func:`_by_end_row`): its joint
+law of the walker's end row, visits to a site and contact with an
+interval's bounds, the contact flag as the difference of the law killed at
+0 and n and the law killed at the bounds too. :func:`_compose` composes it
 with itself by doubling into the killed laws of 2**j blocks: rows through
 the end row, visit counts by convolution, contact flags by or, every cell a
 sum of nonnegative products. One generator, :func:`_block_laws`, owns the
@@ -65,8 +66,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import in_cond_regime
-from .core_walks import (_BATCH_CELLS, _BLOCK, WalkPath, _block_recursion, _search,
-                         _search_table)
+from .core_walks import _BATCH_CELLS, _BLOCK, WalkPath, _search, _search_table
 from .rngs import RngState
 
 #: Memory budget in bytes for a kernel table, or for the kernel table plus
@@ -579,24 +579,75 @@ def sample_ring_path(n: int, t_total: int, x0: int, rng: RngState) -> WalkPath:
     return WalkPath(tuple(pos))
 
 
+def _block_recursion(mass: np.ndarray, first: int, steps: int, killed: tuple[int, ...],
+                     visit: int | None = None) -> np.ndarray:
+    """w[c, r, j]: the simple walk killed at the sites ``killed`` over one
+    block, from the rows r at first + 2r with mass[r], after ``steps``
+    steps with j up-steps and c visits to visit (one slot per arrival time
+    on its parity, and one more; one slot without a visit site).
+
+    Each step halves every cell and adds it to the next slot, zeroes the
+    cells on the killed sites and moves those on visit one slot up the c
+    axis. From a mass of 1, every cell after i steps is a count of at most
+    2**i paths times 2**-i, exact for at most 32 steps. The steps run on the
+    flat w[c, r*J + j], J = steps + 1: no up-step crosses a row, as none
+    sits at j = J - 1 before the last step, and the cells on a site y after
+    i steps, r + j = (y - first + i) / 2, are every (J - 1)-th slot.
+    """
+    count, span = len(mass), steps + 1
+    slots = 1 if visit is None else 1 + (steps + (first - visit) % 2) // 2
+    w = np.zeros((slots, count * span))
+    w[0, ::span] = mass
+
+    def on_site(y: int, i: int) -> slice | None:
+        """The flat cells of w on site y after i steps, or None."""
+        c, off = divmod(y - first + i, 2)
+        r0, r1 = max(c - i, 0), min(c, count - 1)
+        if off or r1 < r0:
+            return None
+        return slice(r0 * span + c - r0, r1 * span + c - r1 + 1, span - 1)
+
+    live_c = 1  # visit counts reachable so far
+    for i in range(1, steps + 1):
+        live = w[:live_c]
+        live *= 0.5
+        live[:, 1:] += live[:, :-1]  # numpy buffers the overlapping input
+        for y in killed:
+            if (cells := on_site(y, i)) is not None:
+                w[:, cells] = 0.0
+        if visit is not None and (visit - first + i) % 2 == 0:
+            if (cells := on_site(visit, i)) is not None:
+                w[1:live_c + 1, cells] = w[:live_c, cells]
+                w[0, cells] = 0.0
+            live_c += 1
+    return w.reshape(len(w), count, span)
+
+
 def _killed_band(n: int, steps: int, parity: int, visit_site: int | None = None,
                  stay_in: tuple[int, int] | None = None) -> np.ndarray:
-    """K[r, d, c, f]: 2**-steps times the number of paths of ``steps`` steps
-    that stay in 1..n-1, from the site x = 2r + parity with d up-steps, so
-    to the site x + 2d - steps, with c visits to visit_site at the arrival
-    times 1..steps and f = 1 if they sat on a bound of stay_in at one of
-    them.
+    """K[r, d, c, f]: 2**-steps times the number of paths of ``steps`` <=
+    _BLOCK steps that stay in 1..n-1, from the site x = 2r + parity with d
+    up-steps, so to the site x + 2d - steps, with c visits to visit_site at
+    the arrival times 1..steps and f = 1 if they sat on a bound of stay_in
+    at one of them.
 
-    One :func:`~ri1d.core_walks._block_recursion` of the simple walk from
-    the rows x = 2r + parity, 0 <= r <= n/2, absorbed at 0 and n. After i
-    steps every mass is a count of at most 2**i paths times 2**-i, so for
-    steps <= 32 every cell is exact. Rows whose start is off 1..n-1 are 0,
-    and so is every cell whose end is.
+    One :func:`_block_recursion` of the simple walk from the rows x = 2r +
+    parity, 0 <= r <= n/2, killed at 0 and n. With stay_in = (a, b), f = 0
+    is the recursion killed at 0, n, a and b, and f = 1 the law killed at 0
+    and n minus it. Every cell is a count of at most 2**32 paths times
+    2**-steps, so exact, and so is the difference. Rows whose start is off
+    1..n-1 are 0, and so is every cell whose end is. More than _BLOCK steps
+    raise ValueError.
     """
+    if steps > _BLOCK:
+        raise ValueError(f"a killed band has at most {_BLOCK} steps, got {steps}")
     x = 2 * np.arange(n // 2 + 1) + parity
-    w, _ = _block_recursion((0 < x) & (x < n), parity, 2, steps, absorb=(0, n),
-                            visit=visit_site, contact=stay_in or ())
-    return w.transpose(2, 3, 0, 1)
+    mass = (0 < x) & (x < n)
+    w = _block_recursion(mass, parity, steps, (0, n), visit_site)[..., None]
+    if stay_in:
+        inside = _block_recursion(mass, parity, steps, (0, n, *stay_in), visit_site)
+        w = np.concatenate((inside[..., None], w - inside[..., None]), axis=-1)
+    return w.transpose(1, 2, 0, 3)
 
 
 def _killed_block(n: int, steps: int, parity: int, visit_site: int | None,

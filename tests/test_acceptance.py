@@ -216,12 +216,12 @@ def _estimator_term_law(check):
     at 3 (term 0) or ends at y (term 1 - 3/y)."""
     L = cw.ESTIMATOR_HORIZON
     if check == "13d":
-        row = cw._half_line_law(np.array([5]), 2, L)[0]
+        row = cw._absorb_law(np.array([5]), 2, None, L)[0]
         ends = 5 - L + 2 * np.arange(L + 1)
         values = np.concatenate([[1.0], 2 / np.maximum(ends, 1)])
         return values, row[:-1], cw.hit_prob(5, 2)
-    first = cw._half_line_law(np.array([3]), 2, 1)[0]  # absorbed, or at 4
-    row = cw._half_line_law(np.array([4]), 3, L)[0]
+    first = cw._absorb_law(np.array([3]), 2, None, 1)[0]  # absorbed, or at 4
+    row = cw._absorb_law(np.array([4]), 3, None, L)[0]
     ends = 4 - L + 2 * np.arange(L + 1)
     values = np.concatenate([[0.0, 0.0], 1 - 3 / np.maximum(ends, 1)])
     probs = np.concatenate([[first[0], first[2] * row[0]], first[2] * row[1:-1]])

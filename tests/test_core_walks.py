@@ -352,10 +352,9 @@ class TestAbsorbBlockLaw:
     # with lo = 0 (site 1 steps up surely), and far starts with and without hi
     CASES = [(2, 12, 3, 9), (0, None, 1, 4), (10**6 - 3, None, 10**6 - 2, 5),
              (10**6 - 3, 10**6 + 4, 10**6 - 2, 6)]
-    #: sha256 of each case's laws at 1, 5, 12 and 32 steps: without hi the
-    #: reflection-principle closed form, with hi the h-transformed killed
-    #: block. test_matches_enumeration and test_cells_are_correctly_rounded
-    #: hold every cell to the double nearest its exact value
+    #: sha256 of each case's laws at 1, 5, 12 and 32 steps.
+    #: test_matches_enumeration and test_cells_are_correctly_rounded hold
+    #: every cell to the double nearest its exact value
     CASES_SHA256 = [
         "268d5abc105e3a1fe5e9243736af349122a4870014cd4e0857c818534e6239c3",
         "c4164ce94b980f4daa52764a4f5f8462062c17799430ed89233f101736a81f85",
@@ -366,23 +365,36 @@ class TestAbsorbBlockLaw:
                              ids=[str(case) for case in CASES])
     def test_laws_keep_their_bits(self, case, digest):
         lo, hi, first, count = case
-        laws = [cw._absorb_law(first, count, lo, hi, steps) for steps in (1, 5, 12, 32)]
+        sites = np.arange(first, first + count)
+        laws = [cw._absorb_law(sites, lo, hi, steps) for steps in (1, 5, 12, 32)]
         assert hashlib.sha256(b"".join(law.tobytes() for law in laws)).hexdigest() == digest
 
+    #: every row of intervals of width W = 2, 3 and 4, where each count sums
+    #: images of lo and hi every W up-steps (at W = 2 none survives a step)
+    NARROW = [(0, 2, 1, 1), (5, 7, 6, 1), (0, 3, 1, 2), (4, 7, 5, 2), (0, 4, 1, 3),
+              (10, 14, 11, 3)]
+    #: every row of two intervals near 3e6, above 2**21: a sink's count of
+    #: up to 32 bits times a site of 22 bits may need 54, so a float product
+    #: before the division by x would round twice. At 32 steps it does for
+    #: the sink at lo of the row from 2999999 in the first and the sink at
+    #: hi of the row from 3000011 in the second, one ulp off the exact law
+    ABOVE_2_21 = [(2999997, 3000012, 2999998, 14), (2999998, 3000013, 2999999, 14)]
+
     @pytest.mark.parametrize("steps", [20, 32])
-    @pytest.mark.parametrize("lo,hi,first,count", CASES)
+    @pytest.mark.parametrize("lo,hi,first,count", CASES + NARROW + ABOVE_2_21)
     def test_cells_are_correctly_rounded(self, lo, hi, first, count, steps):
-        # every cell is an exact integer (or dyadic times a site) over x
-        # 2**steps divided once, so it is the double nearest the exact law;
-        # test_matches_enumeration holds the shorter laws to the same
-        law = cw._absorb_law(first, count, lo, hi, steps)
+        # every cell is an exact integer over x 2**steps divided once, so it
+        # is the double nearest the exact law; test_matches_enumeration
+        # holds the shorter laws to the same
+        law = cw._absorb_law(np.arange(first, first + count), lo, hi, steps)
         assert np.array_equal(law, _fraction_absorb_law(first, count, lo, hi, steps))
 
     @pytest.mark.parametrize("steps", [1, 5, 12])
-    @pytest.mark.parametrize("lo,hi,first,count", CASES + [(2, None, 20, 3), (0, None, 9, 2)])
+    @pytest.mark.parametrize("lo,hi,first,count",
+                             CASES + NARROW + [(2, None, 20, 3), (0, None, 9, 2)])
     def test_matches_enumeration(self, lo, hi, first, count, steps):
         # (2, None, 20, 3): rows too far from lo to reach it in 12 steps
-        law = cw._absorb_law(first, count, lo, hi, steps)
+        law = cw._absorb_law(np.arange(first, first + count), lo, hi, steps)
         ref = _enumerated_absorb_law(first, count, lo, hi, steps)
         assert law.shape == (count, steps + 3)
         assert np.array_equal(law, ref)
@@ -393,22 +405,26 @@ class TestAbsorbBlockLaw:
     @pytest.mark.parametrize("steps", [1, 5, 12, 32])
     @pytest.mark.parametrize("lo,hi,first,count", CASES)
     def test_rows_are_independent(self, lo, hi, first, count, steps):
-        # row r is the one-row law from first + r, bit for bit: no mass
-        # crosses a row in the flat recursion, and _absorb draws the same
-        # outcomes whichever site its rebuilt table starts from
-        law = cw._absorb_law(first, count, lo, hi, steps)
+        # row r is the one-row law from first + r, bit for bit: each row
+        # reads only its own site (without hi, whatever the highest site
+        # is), and _absorb draws the same outcomes whichever site its
+        # rebuilt table starts from
+        law = cw._absorb_law(np.arange(first, first + count), lo, hi, steps)
         for r in range(count):
-            assert np.array_equal(law[r], cw._absorb_law(first + r, 1, lo, hi, steps)[0])
+            one = cw._absorb_law(np.array([first + r]), lo, hi, steps)
+            assert np.array_equal(law[r], one[0])
 
     @pytest.mark.parametrize("steps", [1, 12, 31, 32])
     @pytest.mark.parametrize("lo,first,count", [(2, 3, 40), (0, 1, 5), (10**6 - 3, 10**6 - 2, 6)])
     def test_closed_form_is_the_killed_block(self, lo, first, count, steps):
-        # with hi past every row's reach the interval law is the h-transform
-        # of the killed block, and it equals the closed form bit for bit
+        # with hi past every row's reach no image of hi reaches a cell and
+        # nothing is absorbed there: the interval law is the half-line law
+        # bit for bit
         hi = first + count + steps
-        block = cw._absorb_law(first, count, lo, hi, steps)
+        sites = np.arange(first, first + count)
+        block = cw._absorb_law(sites, lo, hi, steps)
         assert np.all(block[:, -1] == 0.0)
-        assert np.array_equal(block, cw._absorb_law(first, count, lo, None, steps))
+        assert np.array_equal(block, cw._absorb_law(sites, lo, None, steps))
 
     def test_full_block_against_reflection(self):
         # 32 steps with no upper bound: a surviving path from s to k has
@@ -416,7 +432,7 @@ class TestAbsorbBlockLaw:
         # paths that avoid lo; the absorbed mass is lo/s times the simple
         # walk's P[S_b <= lo - s] + P[S_b < lo - s]
         b, lo = cw._BLOCK, 2
-        law = cw._absorb_law(3, 57, lo, None, b)
+        law = cw._absorb_law(np.arange(3, 60), lo, None, b)
         for r in range(57):
             s = 3 + r
             for j in range(b + 1):
@@ -446,7 +462,7 @@ class TestAbsorbBlockLaw:
         # absorbed mass adds one rounding a step: within 3 L eps relative,
         # and within the smallest normal double where the mass underflows
         sites = np.array(starts(L))
-        law = cw._half_line_law(sites, lo, L)
+        law = cw._absorb_law(sites, lo, None, L)
         assert law.shape == (sites.size, L + 3)
         for row, x in zip(law, sites):
             at_lo, _, ref = _killed_law(int(x), lo, None, L)
@@ -468,7 +484,7 @@ class TestAbsorbBlockLaw:
         # absorption at hi
         first = lo + 1
         count = (hi if hi is not None else lo + 60) - first
-        law = cw._absorb_law(first, count, lo, hi, steps)
+        law = cw._absorb_law(np.arange(first, first + count), lo, hi, steps)
         cdf, guide, k, outcome = cw._search_table(law)
         rows = np.arange(count, dtype=np.intp)
         for u0, pick in ((0.0, 0), (np.nextafter(1.0, 0.0), -1)):
@@ -483,7 +499,7 @@ class TestAbsorbBlockLaw:
 
     def test_search_inverts_the_law(self):
         # a uniform grid of u reproduces every row's law to the grid step
-        law = cw._absorb_law(3, 9, 2, 12, 5)
+        law = cw._absorb_law(np.arange(3, 12), 2, 12, 5)
         cdf, guide, k, outcome = cw._search_table(law)
         grid = (np.arange(2**16) + 0.5) / 2**16
         for r in range(9):
@@ -604,7 +620,7 @@ class TestGuidedSearch:
 
     def test_absorb_table(self):
         # check 13's hit-before walk: absorbed at 2 and 12, full blocks
-        table = cw._search_table(cw._absorb_law(3, 9, 2, 12, cw._BLOCK))
+        table = cw._search_table(cw._absorb_law(np.arange(3, 12), 2, 12, cw._BLOCK))
         _assert_guided_is_searchsorted(table, self.UNIFORMS)
 
     def test_one_outcome(self):
@@ -765,13 +781,13 @@ class TestAbsorbOracle:
         # holds the law (35 outcomes a row), its table (K = 64: running sums,
         # guide and one slice of slots) and the walkers' arrays, within 6
         # words a cell of the table
-        built, law_of = [], cw._half_line_law
+        built, law_of = [], cw._absorb_law
 
-        def record(sites, lo, steps):
-            built.append((sites.tolist(), steps))
-            return law_of(sites, lo, steps)
+        def record(sites, lo, hi, steps):
+            built.append((sites.tolist(), hi, steps))
+            return law_of(sites, lo, hi, steps)
 
-        monkeypatch.setattr(cw, "_half_line_law", record)
+        monkeypatch.setattr(cw, "_absorb_law", record)
         starts = 3 + 100 * np.arange(200)
         gen = RngState(7).generator()
         tracemalloc.start()
@@ -780,7 +796,7 @@ class TestAbsorbOracle:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert built == [(starts.tolist(), cw._BLOCK)]
+        assert built == [(starts.tolist(), None, cw._BLOCK)]
         assert peak <= 6 * 8 * starts.size * 64
         # one draw: only the walker at 3 can reach 2 in 32 steps, and every
         # survivor is within 32 of its start, in input order
@@ -810,13 +826,14 @@ class TestAbsorbOracle:
         # most steps whose law, rows x (steps + 3) cells, fits them (at least
         # 1), and end in the exact law of the whole walk
         monkeypatch.setattr(cw, "_BATCH_CELLS", 600)
-        built, law_of = [], cw._half_line_law
+        built, law_of = [], cw._absorb_law
 
-        def record(sites, lo, steps):
+        def record(sites, lo, hi, steps):
+            assert hi is None
             built.append((len(sites), steps))
-            return law_of(sites, lo, steps)
+            return law_of(sites, lo, hi, steps)
 
-        monkeypatch.setattr(cw, "_half_line_law", record)
+        monkeypatch.setattr(cw, "_absorb_law", record)
         M, steps, sites = 50_000, 300, (3, 5, 8, 13, 21)
         hits, pos = cw._absorb(RngState(11, 7).generator(), np.repeat(sites, M // 5), 2,
                                None, steps)

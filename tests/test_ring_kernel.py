@@ -443,6 +443,32 @@ def _visit_law_exact(n, x0, t, site, cap=None, bounds=None):
     return law / law.sum()
 
 
+def _killed_law_direct(n, steps, parity, site, bounds, slots):
+    """law[r, e, c, f] of the walk killed at 0 and n over an even number of
+    steps, from every start row r (site 2r + parity) to the end row e (site
+    2e + parity), with c visits to site and f = 1 if it sat on a bound of
+    bounds, both at the arrival times 1..steps: the killed walk stepped one
+    step at a time in floats with both marks, as _visit_law_exact steps it,
+    w[r, f, c, y] the mass at y. c < slots holds every visit count."""
+    rows = n // 2 + 1
+    x = 2 * np.arange(rows) + parity
+    on = np.flatnonzero((0 < x) & (x < n))
+    w = np.zeros((rows, 2 if bounds else 1, slots, 2 * rows + 2))
+    w[on, 0, 0, x[on]] = 1.0
+    for _ in range(steps):
+        nxt = np.zeros_like(w)
+        nxt[..., 1:n] = 0.5 * (w[..., :n - 1] + w[..., 2:n + 1])  # 0 and n stay empty
+        if site is not None:
+            nxt[..., 1:, site] = nxt[..., :-1, site].copy()
+            nxt[..., 0, site] = 0.0
+        for y in bounds or ():
+            if 0 < y < n:
+                nxt[:, 1, :, y] += nxt[:, 0, :, y]
+                nxt[:, 0, :, y] = 0.0
+        w = nxt
+    return w[..., parity::2][..., :rows].transpose(0, 3, 2, 1)
+
+
 def _composed_law(kernel, x0, t, visit_site=None, stay_in=None, cap=0):
     """Exact law of the batch walk's output, composed from the walk's own
     laws in the walk's own order (rk._block_laws), with no sampling.
@@ -767,6 +793,14 @@ class TestBlockLaw:
                     # no path is left out: every count with the start's parity is in ref
                     assert ref.sum() == counts[x[on_x]].sum()
 
+    def test_band_stops_at_one_block(self):
+        # past _BLOCK steps a count of paths may pass 2**53, so a band's
+        # cells would no longer be exact: the band refuses them
+        for steps in (rk._BLOCK + 1, 2 * rk._BLOCK):
+            with pytest.raises(ValueError, match="at most 32 steps"):
+                rk._killed_band(12, steps, 0)
+        assert rk._killed_band(12, rk._BLOCK, 0).shape == (7, rk._BLOCK + 1, 1, 1)
+
     @pytest.mark.parametrize("walk", SWEEP_WALKS, ids=str)
     def test_end_rows_match_the_scatter(self, walk, monkeypatch):
         # both killed laws the walk builds, the block's and the short last
@@ -913,13 +947,16 @@ class TestComposedBlockLaws:
     @pytest.mark.parametrize("n", [12, 13, 40])
     def test_settled_powers_match_direct_blocks(self, n):
         """The 2- and 4-block killed laws, composed as rk._block_laws
-        doubles them (rk._compose), against rk._killed_block run directly
-        over 64 and 128 steps, and their laws h-transformed past R.
+        doubles them (rk._compose), against the killed walk stepped directly
+        over 64 and 128 steps (_killed_law_direct), and their laws
+        h-transformed past R.
 
-        With every up-step 1/2 the recursion's products are exact and a
-        path's mass rounds at most twice a step, the add of the masses that
-        meet in a cell and the contact's add: the direct law is within
-        2 steps eps of the path sum, relative, to first order. The composed
+        The direct walk's step is a sum of two cells times 1/2: the halving
+        is exact, the add rounds once, the visit mark moves mass without
+        arithmetic, and the contact mark adds once more. Every term is
+        positive, so a path's mass rounds at most twice a step and the
+        direct law is within 2 steps eps of the path sum, relative, to first
+        order. The composed
         law of B = 2**j blocks is within (B - 1)(rows + 2F) + F j (C - 1) / 2
         (:func:`_composed_law`); each cell's gap within their sum. The
         h-transform scales both by the same row and divides by their row
@@ -936,7 +973,8 @@ class TestComposedBlockLaws:
                 for blocks, j in ((2, 1), (4, 2)):
                     steps = blocks * rk._BLOCK
                     composed = rk._compose(composed, composed)
-                    direct = rk._killed_block(n, steps, parity, site, bounds)
+                    direct = _killed_law_direct(n, steps, parity, site, bounds,
+                                                composed.shape[2])
                     assert composed.shape == direct.shape
                     rows, _, slots, flags = composed.shape
                     tol = (2 * steps + (blocks - 1) * (rows + 2 * flags)
