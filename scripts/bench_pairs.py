@@ -63,6 +63,9 @@ Run from the root of a checkout. The committed files came from::
     OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev 5b68f1d \\
         --claim selftest --seed0 1621 --sweep absorb --sweep ring_walk --sweep search \\
         --out BENCH_absorb_images.json
+    OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev 2d3dbd7 \\
+        --claim exact-scale --seed0 1651 --sweep killed_walk \\
+        --out BENCH_killed_pair.json
 
 (the files before BENCH_walk_rows.json ran one pair per sweep case;
 BENCH_window_chain.json, BENCH_block_schedule.json, BENCH_law_layout.json and
@@ -121,8 +124,10 @@ seed0 + i. The output holds:
     with a hash of the outcomes;
   - ``killed_walk``: the killed walk of KILLED_CASES, the median of
     KILLED_REPEATS calls in ns per step, with a hash of the values: ``h_dp``
-    from the middle of the segment of n sites over KILLED_STEPS steps, and
-    over 64 at n = 20,000 (a short walk on a long segment), and
+    from the middle of the segment of n sites over KILLED_STEPS steps, over
+    KILLED_STEPS + 32 at n = 1000 (an odd block count), over 64 at n =
+    20,000 (a short walk on a long segment), and over 40 at n = 12 and 100
+    at n = 41 (short walks on short segments), and
     the first leg of ``no_hit_prob_exact`` on the ring of 2 n_half sites,
     delta = ceil(cond_threshold(2 n_half)) steps killed at site 1, as
     exact-scale runs it at n_half = 120, and ``mid_tail``, the first leg of
@@ -450,7 +455,8 @@ KILLED_STEPS = 250000
 #: of the no-hit or the mid-tail check at n_half = size (its steps are its
 #: delta)
 KILLED_CASES = (("h_dp", 200, KILLED_STEPS), ("h_dp", 1000, KILLED_STEPS),
-                ("h_dp", 20000, 64), ("first_leg", 60, None), ("first_leg", 120, None),
+                ("h_dp", 1000, KILLED_STEPS + 32), ("h_dp", 20000, 64), ("h_dp", 12, 40),
+                ("h_dp", 41, 100), ("first_leg", 60, None), ("first_leg", 120, None),
                 ("mid_tail", 40, None))
 KILLED_REPEATS = 3
 KILLED_SNIPPET = """
@@ -669,7 +675,7 @@ def searches(trees: dict) -> list[dict]:
 
 def killed_walks(trees: dict) -> list[dict]:
     return sweep(trees, KILLED_SNIPPET,
-                 [({"call": name, "size": size},
+                 [({"call": name, "size": size, "steps": steps},
                    [json.dumps([name, size, steps, KILLED_REPEATS])])
                   for name, size, steps in KILLED_CASES])
 

@@ -8,13 +8,15 @@ scale carried as an exact power of two, in runs of 32 steps through a run
 buffer whose views are built once, one np.add a step. Run backward from the
 all-ones vector it gives h_n(., s) = P_.[tau_{0,n} > s] at every s, the
 :class:`SurvivalKernel` table (copied in one slice a run) and check 05.
-:func:`_killed_row` returns the last row of the walk from a point mass: 32
-steps at a time, one batched matmul through the exact band of the 32-step
-killed law K_32 (:func:`_killed_band`), gathered once into one 48 x 16
-matrix per 16 rows, on the sites in reach only. The mass it keeps from x is
-h_n(x, t) (:func:`h_dp`), and its row on the part of the segment that a
-killed site cuts off is the first-leg law behind the no-hit and mid-tail
-checks.
+:func:`_killed_sum` returns sum_y P_x[X_t = y, alive] weight(y) by meeting
+in the middle: the point mass at x walks half the blocks of 32 steps
+forward and the weight row the other half back (the killed law is
+symmetric), both rows through one batched matmul a block over the exact
+band of the 32-step killed law K_32 (:func:`_killed_band`), gathered once
+into one 48 x 16 matrix per 16 rows, on the sites in reach only; the sum is
+their dot product. Against the weight 1 it is h_n(x, t) (:func:`h_dp`), and
+on the part of the segment that a killed site cuts off, against h_n(.,
+t - delta), the first leg behind the no-hit and mid-tail checks.
 Point values also have closed forms: the odd-mode spectral sum in signed log
 domain (summed by :func:`_logsumexp`, a numpy port of scipy's log-sum-exp),
 read only through :func:`_log_h`, and the first-mode asymptotic
@@ -35,11 +37,12 @@ conditioned walk, a Doob h-transform of the walk killed at 0 and n: along a
 path that stays in 1..n-1 the up-steps telescope, so the law of any
 stretch of L steps, with its marks, is the killed law K_L (2**-L times a
 count of killed paths, the same at every time) times h at the stretch's
-end over h at its start. One block recursion (:func:`_block_recursion`:
-the simple walk killed at a few sites, with a visit mark) gives the exact
-killed law of one block of 32 steps (:func:`_killed_band`, the row walk's
-band), by end row (:func:`_killed_block`, :func:`_by_end_row`): its joint
-law of the walker's end row, visits to a site and contact with an
+end over h at its start. The exact killed law of one block of 32 steps
+(:func:`_killed_band`, the killed sum's band) is the method of images in
+closed form without a mark, and with a mark one block recursion
+(:func:`_block_recursion`: the simple walk killed at a few sites, with a
+visit mark). By end row (:func:`_killed_block`, :func:`_by_end_row`) it is
+the joint law of the walker's end row, visits to a site and contact with an
 interval's bounds, the contact flag as the difference of the law killed at
 0 and n and the law killed at the bounds too. :func:`_compose` composes it
 with itself by doubling into the killed laws of 2**j blocks: rows through
@@ -85,39 +88,42 @@ def _check_domain(n: int, x: int, t: int) -> None:
         raise ValueError(f"need t >= 0, got {t}")
 
 
-def _logsumexp(a, b=None, axis=-1, return_sign=False):
-    """log|sum b e^a| along axis, and with return_sign its sign (0 for 0).
+def _logsumexp(a, b=None, return_sign=False):
+    """log|sum b e^a| along the last axis, and with return_sign its sign (0
+    for 0).
 
     The algorithm of scipy 1.17.1's ``scipy.special.logsumexp`` for real
     input (Blanchard, Higham & Higham, IMA J. Numer. Anal. 41(4), 2021),
     with the same bits: every element tied at the maximum is split out with
     weight m, the rest is summed shifted and scaled to s, and the result is
     log1p(s) + log|m| + max. Where that is not finite (an all-zero sum, an
-    empty one, infinite terms) the direct log|sum b e^a| stands, so an
-    all-zero sum gives (-inf, 0). Without return_sign a negative sum gives
-    nan.
+    empty one, infinite terms) the direct log|sum b e^a| stands, computed
+    for those sums alone (each along its own contiguous row, so with the
+    bits of the whole array's), and an all-zero sum gives (-inf, 0).
+    Without return_sign a negative sum gives nan.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.ones_like(a) if b is None else np.asarray(b, dtype=np.float64)
     a, b = np.broadcast_arrays(a, b)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = np.sum(b * np.exp(a), axis=axis, keepdims=True)
-        a = np.where(b == 0, -np.inf, a)
-        a_max = np.max(a, axis=axis, keepdims=True, initial=-np.inf)
-        tied = a == a_max
-        m = np.sum(b * tied, axis=axis, keepdims=True)
-        s = np.sum(b * np.exp(np.where(tied, -np.inf, a) - a_max), axis=axis,
+        live = np.where(b == 0, -np.inf, a)
+        a_max = np.max(live, axis=-1, keepdims=True, initial=-np.inf)
+        tied = live == a_max
+        m = np.sum(b * tied, axis=-1, keepdims=True)
+        s = np.sum(b * np.exp(np.where(tied, -np.inf, live) - a_max), axis=-1,
                    keepdims=True)
         s = np.where(s == 0, s, s / m)
-        sign = np.sign(s + 1) * np.sign(m)
+        sign = (np.sign(s + 1) * np.sign(m))[..., 0]
         s = np.where(s < -1, -s - 2, s)
-        out = np.log1p(s) + np.log(np.abs(m)) + a_max
-        finite = np.isfinite(out)
-        out = np.where(finite, out, np.log(np.abs(direct)))
-        sign = np.where(finite, sign, np.sign(direct))
+        out = (np.log1p(s) + np.log(np.abs(m)) + a_max)[..., 0]
+        bad = ~np.isfinite(out)
+        if bad.any():
+            direct = np.sum(b[bad] * np.exp(a[bad]), axis=-1)
+            out[bad] = np.log(np.abs(direct))
+            sign[bad] = np.sign(direct)
     if not return_sign:
-        return np.squeeze(np.where(sign < 0, np.nan, out), axis=axis)[()]
-    return np.squeeze(out, axis=axis)[()], np.squeeze(sign, axis=axis)[()]
+        return np.where(sign < 0, np.nan, out)[()]
+    return out[()], sign[()]
 
 
 def _spectral_log_terms(n: int, x, t):
@@ -219,7 +225,8 @@ def _killed_walk(v: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
     to 0 at 0 and n; the input v is nonnegative and read as 0 at both ends.
     Run from the all-ones vector it is the backward survival recursion: row
     s is h_n(., s), the rows of the :class:`SurvivalKernel` table and of
-    check 05. A last row alone comes from :func:`_killed_row`.
+    check 05. A last row alone, summed against weights, comes from
+    :func:`_killed_sum`.
 
     Row s stands for rows[s] * exp(log_z[s]) with log_z[s] = e ln 2 for an
     integer e. A step stores the unhalved sums v[x-1] + v[x+1] and counts the
@@ -268,11 +275,12 @@ def _killed_walk(v: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, log_z
 
 
-#: Blocks of _BLOCK steps in one run of :func:`_killed_row`, between two
+#: Blocks of _BLOCK steps in one run of :func:`_killed_sum`, between two
 #: rescalings. While anything survives, a block keeps at least 2**-_BLOCK of
-#: the row's max (the max site's mass along one surviving path), so from a
-#: max in [1/2, 1] the max stays a normal double for 30 blocks; the count is
-#: even, so every run starts in the same buffer.
+#: a row's max (the max site's mass along one surviving path), so from a max
+#: in [1/2, 1] the max stays a normal double for 31 blocks (a run and the
+#: point mass's extra block); the count is even, so every run starts in the
+#: same buffer.
 _BAND_RUN = 30
 
 
@@ -283,10 +291,11 @@ def _band_blocks(band: np.ndarray) -> np.ndarray:
     blocks b of 16 rows that cover the band's rows.
 
     A walker moves at most 16 rows in a block, so the rows 16b..16b + 15
-    read the 48 rows from 16b - 16 on: the row's window there times M[b] is
-    the block's step for them. Rows off 0..len(band) - 1 send nothing. Every
-    block inside the segment is the same binomial band; the corner blocks,
-    by 0 and n, carry the killing.
+    read the 48 rows from 16b - 16 on: a row's window there times M[b] is
+    the block's step for them, and a stack of rows' windows times M[b] is
+    the step of each. Rows off 0..len(band) - 1 send nothing. Every block
+    inside the segment is the same binomial band; the corner blocks, by 0
+    and n, carry the killing.
     """
     rows, half = len(band), _BLOCK // 2
     r = half * np.arange(-(-rows // half))[:, None, None] - half \
@@ -297,65 +306,88 @@ def _band_blocks(band: np.ndarray) -> np.ndarray:
     return mats
 
 
-def _killed_row(n: int, x: int, steps: int) -> tuple[int, np.ndarray, int]:
-    """(lo, row, e): the walk killed at 0 and n from the point mass at x,
-    0 < x < n, after ``steps`` steps: P_x[X_steps = lo + i, alive] =
-    row[i] 2**e, for the sites lo + i in reach.
+def _killed_sum(n: int, x: int, steps: int, weight) -> tuple[float, int]:
+    """(s, e): sum_y P_x[X_steps = y, alive] weight(y) = s 2**e, for the walk
+    killed at 0 and n from x, 0 < x < n. ``weight`` maps an array of sites
+    y, 0 < y < n, to nonnegative weights; it is called once, on the sites
+    of the parity of x + steps in reach.
 
-    The walk runs on the sites in reach, lo = max(0, x - steps - 1) to
-    min(n, x + steps + 1), killed at both: it cannot reach a cut end, so the
-    law is unchanged, and a short walk on a long segment costs its length.
-    A walker on the sites of x's parity is in row r, the site lo + 2r +
-    parity. One block of _BLOCK steps takes it to a row within 16 of r, with
-    the exact mass of the killed law K_32 (:func:`_killed_band`: counts of
-    paths over 2**32), gathered once into one 48 x 16 matrix per 16 rows
-    (:func:`_band_blocks`). A block is one batched np.matmul over the row's
-    overlapping windows of 48 rows, from one buffer into the other, with the
-    views of both built once; a run of _BAND_RUN blocks goes through one
-    starmap, with no Python statement per block, and ends with the exact
-    power of two that brings the row's max into [1/2, 1) (:func:`_rescale`).
-    The short last block, steps % 32 steps (0 leaves the row as it is), goes
-    through its own band, one slice add per up-step count. Every cell is a
-    sum of nonnegative products, and no array of rows x rows is built. Once
-    nothing survives, the row is zero.
+    The walk meets in the middle. Of the B = steps // 32 full blocks, the
+    point mass at x walks ceil(B/2) forward, and the weight row, after the
+    short last block of steps % 32 steps, walks the other floor(B/2): the
+    killed law is symmetric, P_x[X_L = y, alive] = P_y[X_L = x, alive], so
+    moving the weights back through a block is the same band product as
+    moving mass forward, and both rows end on the rows r, the sites lo + 2r
+    + parity of x. The sum is their dot product. A block takes a row to rows
+    within 16, with the exact mass of the killed law K_32
+    (:func:`_killed_band`: counts of paths over 2**32), gathered once into
+    one 48 x 16 matrix per 16 rows (:func:`_band_blocks`). A block of both
+    rows is one batched np.matmul over their overlapping windows of 48 rows,
+    two rows a window, from one buffer into the other, with the views of
+    both built once; a run of _BAND_RUN blocks goes through one starmap,
+    with no Python statement per block, and ends with each row scaled by its
+    own power of two, the one that brings its max into [1/2, 1)
+    (:func:`_rescale`). When B is odd, the point mass takes its extra block
+    first, alone. The short block gathers the weights through its own band.
+    Every cell is a sum of nonnegative products, and no array of rows x rows
+    is built. Once nothing survives, or no weight is positive, s is 0.
+
+    The walk runs on the sites lo = max(0, x - steps - 1) to min(n, x +
+    steps + 1) only, killed at both, so a short walk on a long segment costs
+    its length. The sum is unchanged: after its blocks the point mass sits
+    within 32 ceil(B/2) of x, and the weight row's walk of the other steps
+    from there cannot reach a cut end, more than steps from x, so every cell
+    of the weight row that meets the point mass is the one on the whole
+    segment.
     """
     lo, hi = max(0, x - steps - 1), min(n, x + steps + 1)
     n, x = hi - lo, x - lo
     parity, rows, half = x % 2, n // 2 + 1, _BLOCK // 2
     blocks, short = divmod(steps, _BLOCK)
-    e, u = 0, np.zeros(rows)
-    u[x // 2] = 1.0
-    if blocks:
-        mats = _band_blocks(_killed_band(n, _BLOCK, parity)[:, :, 0, 0])
-        width = half * len(mats)
-        bufs = np.zeros((2, width + 2 * half))  # zero pads: rows -16..-1 and past
-        bufs[0, half:half + rows] = u
-        wins = [sliding_window_view(buf, 3 * half)[::half, None] for buf in bufs]
-        outs = [buf[half:half + width].reshape(-1, 1, half) for buf in bufs]
-        ops = [(wins[0], mats, outs[1]), (wins[1], mats, outs[0])] * (_BAND_RUN // 2)
-        for b0 in range(0, blocks, _BAND_RUN):
-            k = min(_BAND_RUN, blocks - b0)
-            deque(starmap(np.matmul, ops[:k]), maxlen=0)
-            shift = _rescale(bufs[k % 2])
-            if shift == -math.inf:  # nothing survives: the row stays zero
-                break
-            e += shift
-        u = bufs[k % 2, half:half + rows]
-    out = np.zeros(n + 2 + 2 * short)  # the site lo + y at out[y + short]
-    band = _killed_band(n, short, parity)[:, :, 0, 0]  # the short last block's
-    for j in range(short + 1):
-        out[parity + 2 * j:parity + 2 * j + 2 * rows:2] += band[:, j] * u
-    return lo, out[short:short + n + 1], e
+    ends = np.zeros(n + 2 + 2 * short)  # the weight of site y at ends[y + short]
+    y = np.arange(2 - (parity + short) % 2, n, 2)
+    ends[y + short] = weight(lo + y)
+    # the short block from row r reads the ends parity + 2r + 2j - short
+    reach = sliding_window_view(ends[parity:], 2 * short + 1)[:2 * rows:2, ::2]
+    v = (_killed_band(n, short, parity)[:, :, 0, 0] * reach).sum(axis=1)
+    e = _rescale(v)
+    if e == -math.inf:
+        return 0.0, 0
+    if not blocks:
+        return float(v[x // 2]), e
+    mats = _band_blocks(_killed_band(n, _BLOCK, parity)[:, :, 0, 0])
+    width = half * len(mats)
+    bufs = np.zeros((2, 2, width + 2 * half))  # [buffer, point mass or weights]
+    wins = [sliding_window_view(buf, 3 * half, axis=1)[:, ::half].transpose(1, 0, 2)
+            for buf in bufs]
+    outs = [buf[:, half:half + width].reshape(2, -1, half).transpose(1, 0, 2)
+            for buf in bufs]
+    odd = blocks % 2
+    bufs[0, 0, half + x // 2] = 1.0
+    bufs[odd, 1, half:half + rows] = v
+    if odd:
+        np.matmul(wins[0][:, :1], mats, out=outs[1][:, :1])
+    ops = [(wins[odd], mats, outs[1 - odd]), (wins[1 - odd], mats, outs[odd])] \
+        * (_BAND_RUN // 2)
+    at = odd  # the buffer that holds both rows
+    for b0 in range(0, blocks // 2, _BAND_RUN):
+        k = min(_BAND_RUN, blocks // 2 - b0)
+        deque(starmap(np.matmul, ops[:k]), maxlen=0)
+        at ^= k % 2
+        shifts = _rescale(bufs[at, 0]) + _rescale(bufs[at, 1])
+        if shifts == -math.inf:  # nothing survives
+            return 0.0, 0
+        e += shifts
+    return float(np.dot(*bufs[at, :, half:half + rows])), e
 
 
 def h_dp(n: int, x: int, t: int) -> float:
-    """Survival probability P_x[tau_{0,n} > t]: the mass that the row walk
-    from x (:func:`_killed_row`) keeps after t steps."""
+    """Survival probability P_x[tau_{0,n} > t]: the walk from x summed
+    against the weight 1 (:func:`_killed_sum`)."""
     _check_domain(n, x, t)
     if x in (0, n):
         return 0.0
-    _, row, e = _killed_row(n, x, t)
-    return math.ldexp(float(row.sum()), e)
+    return math.ldexp(*_killed_sum(n, x, t, np.ones_like))
 
 
 def h_asymptotic(n: int, x: int, t: int) -> tuple[float, bool]:
@@ -629,19 +661,32 @@ def _killed_band(n: int, steps: int, parity: int, visit_site: int | None = None,
     _BLOCK steps that stay in 1..n-1, from the site x = 2r + parity with d
     up-steps, so to the site x + 2d - steps, with c visits to visit_site at
     the arrival times 1..steps and f = 1 if they sat on a bound of stay_in
-    at one of them.
+    at one of them. Rows whose start is off 1..n-1 are 0, and so is every
+    cell whose end is. More than _BLOCK steps raise ValueError.
 
-    One :func:`_block_recursion` of the simple walk from the rows x = 2r +
-    parity, 0 <= r <= n/2, killed at 0 and n. With stay_in = (a, b), f = 0
-    is the recursion killed at 0, n, a and b, and f = 1 the law killed at 0
-    and n minus it. Every cell is a count of at most 2**32 paths times
-    2**-steps, so exact, and so is the difference. Rows whose start is off
-    1..n-1 are 0, and so is every cell whose end is. More than _BLOCK steps
-    raise ValueError.
+    Without a mark the counts are in closed form, by the method of images
+    (Feller, vol. 1, III and XIV): from x, the paths of L = steps steps with
+    d up-steps that stay in 1..n-1 number sum_k [C(L, d + kn) - C(L, x + d +
+    kn)] over every integer k, the binomial row folded mod n read at d and
+    at x + d, as :func:`~ri1d.core_walks._absorb_law` reads it. With a mark
+    they come from one :func:`_block_recursion` of the simple walk from the
+    rows x = 2r + parity, 0 <= r <= n/2, killed at 0 and n; with stay_in =
+    (a, b), f = 0 is the recursion killed at 0, n, a and b, and f = 1 the
+    law killed at 0 and n minus it. Either way every count is an integer
+    below 2**32, so every cell, a count times 2**-steps, is exact, and so is
+    the difference.
     """
     if steps > _BLOCK:
         raise ValueError(f"a killed band has at most {_BLOCK} steps, got {steps}")
     x = 2 * np.arange(n // 2 + 1) + parity
+    if visit_site is None and not stay_in:
+        fold = np.bincount(np.arange(steps + 1) % n, minlength=n,
+                           weights=[math.comb(steps, d) for d in range(steps + 1)])
+        ext = fold[np.arange(n + steps + 2) % n]  # fold[i % n] for every x + d
+        count = ext[:steps + 1] - sliding_window_view(ext, steps + 1)[parity::2][:len(x)]
+        end = x[:, None] + 2 * np.arange(steps + 1) - steps
+        count[(x[:, None] >= n) | (end <= 0) | (end >= n)] = 0.0
+        return np.ldexp(count, -steps, out=count)[:, :, None, None]
     mass = (0 < x) & (x < n)
     w = _block_recursion(mass, parity, steps, (0, n), visit_site)[..., None]
     if stay_in:
@@ -901,17 +946,25 @@ def _first_leg_prob(n: int, x0: int, t: int, delta: int, kill: int) -> float:
 
     The killed site cuts the segment in two and the walk from x0 never
     leaves its part, [kill, n] when x0 > kill and [0, kill] otherwise, so
-    the row walk on that part (:func:`_killed_row`) gives
-    P_x0[X_delta = z, alive] at the sites z in reach. Weighted by the
-    remaining-time kernel, the probability is
-    sum_z P_x0[X_delta = z, alive] h_n(z, t-delta) / h_n(x0, t). Every
-    weight is positive, so the sum is one unsigned log-sum.
+    the probability is sum_z P_x0[X_delta = z, alive] h_n(z, t-delta) /
+    h_n(x0, t) with the walk killed at the part's ends: one
+    :func:`_killed_sum` on the part, its weights h_n(., t-delta) from the
+    spectral sum scaled by their max, which the result puts back in log
+    domain. Every weight is positive.
     """
     lo, hi = (kill, n) if x0 > kill else (0, kill)
-    cut, row, e = _killed_row(hi - lo, x0 - lo, delta)
-    live = np.flatnonzero(row)  # none once everything is dead: log_num = -inf
-    log_num = _logsumexp(np.log(row[live]) + _log_h(n, lo + cut + live, t - delta))
-    return math.exp(e * _LN2 + float(log_num) - _log_h(n, x0, t))
+    top = -math.inf
+
+    def weight(z: np.ndarray) -> np.ndarray:
+        nonlocal top
+        log_h = _log_h(n, lo + z, t - delta)
+        top = log_h.max(initial=-math.inf)
+        return np.exp(log_h - top)
+
+    s, e = _killed_sum(hi - lo, x0 - lo, delta, weight)
+    if s == 0.0:
+        return 0.0
+    return math.exp(e * _LN2 + math.log(s) + top - _log_h(n, x0, t))
 
 
 def no_hit_prob_exact(n_half: int, t: int, delta: int, x: int):

@@ -41,19 +41,17 @@ def _propagate_killed(length: int, start: int, steps: int,
 
     Returns (weights summing to 1 over 0..length, log of the surviving mass)
     after ``steps`` steps from ``start``, or (zeros, -inf) once nothing
-    survives. The row walk (rk._killed_row) runs on the part between the
-    killed sites nearest start.
+    survives: the last row of the one-step loop (:func:`_killed_steps_last`).
     """
     if start in (0, length) or start in extra_kill:
         raise ValueError(f"start {start} is a killed site")
-    lo, hi = _start_part(length, start, extra_kill)
-    cut, row, e = rk._killed_row(hi - lo, start - lo, steps)
-    w = np.zeros(length + 1)
-    w[lo + cut:lo + cut + len(row)] = row
+    v = np.zeros(length + 1)
+    v[start] = 1.0
+    w, log_z = _killed_steps_last(v, steps, extra_kill)
     total = w.sum()
     if total == 0.0:
         return w, -math.inf
-    return w / total, e * math.log(2.0) + math.log(total)
+    return w / total, log_z + math.log(total)
 
 
 class TestKernelBackends:
@@ -801,6 +799,18 @@ class TestBlockLaw:
                 rk._killed_band(12, steps, 0)
         assert rk._killed_band(12, rk._BLOCK, 0).shape == (7, rk._BLOCK + 1, 1, 1)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 12, 13, 24, 31, 32, 33, 40, 48, 80,
+                                   96, 160, 1000])
+    def test_unmarked_band_is_the_recursion(self, n):
+        # the method of images gives the step-by-step recursion killed at 0
+        # and n bit for bit: both are exact
+        for steps, parity in product((1, 5, 10, 17, 31, 32), (0, 1)):
+            x = 2 * np.arange(n // 2 + 1) + parity
+            ref = rk._block_recursion((0 < x) & (x < n), parity, steps, (0, n))
+            band = rk._killed_band(n, steps, parity)
+            assert band.shape == (len(x), steps + 1, 1, 1)
+            assert np.array_equal(band[:, :, 0, 0], ref[0])
+
     @pytest.mark.parametrize("walk", SWEEP_WALKS, ids=str)
     def test_end_rows_match_the_scatter(self, walk, monkeypatch):
         # both killed laws the walk builds, the block's and the short last
@@ -1477,13 +1487,13 @@ def _spectral_h_mpmath(n, x, t):
 #: (its _table, then its _log_z), as the per-step killed walk computed them
 #: before it stepped in runs, and of h_dp(1000, 500, 250000) and of
 #: no_hit_prob_exact(120, 2 delta, delta, 1) with delta =
-#: ceil(cond_threshold(240)), as the row walk through K_32's band computes
-#: them; TestKilledRow.test_digested_values_vs_references holds the last two
-#: to independent references
+#: ceil(cond_threshold(240)), as the killed sum through K_32's band computes
+#: them, meeting in the middle; TestKilledRow.test_digested_values_vs_references
+#: holds the last two to independent references
 KILLED_WALK_SHA256 = {
     "kernel_table": "6c81bed9fe2f049d4a0adb284b87e643fdfe99b6a2b3f41982bc493a8fb8da7f",
     "kernel_log_z": "ceaebef47ecbd24ca20dc8ff417e5c31b73b92e86f43ca2aa47016fff42f737a",
-    "h_dp": "4e2372254f9d970369ab6ae05a1464af71aa1cea025cc4e432a154aafbf5fd2f",
+    "h_dp": "d6ee17c08447ae27933e534e3ef1eadeb5545ea08ef91cbdde9e71d1b0743a8e",
     "no_hit": "b449e4d11e1bb3280aee531c3944f3dcead6837f3cec176a4734a8a7a726501c",
 }
 
@@ -1560,58 +1570,95 @@ class TestKilledWalkRuns:
         assert _sha256(exact) == KILLED_WALK_SHA256["no_hit"]
 
 
-def _row_on_sites(n, lo, row, e):
-    """The row walk's (lo, row, e) as probabilities over the sites 0..n."""
-    full = np.zeros(n + 1)
-    full[lo:lo + len(row)] = np.ldexp(row, e)
-    return full
+def _unit(y):
+    """The weight of the site y alone, for rk._killed_sum."""
+    return lambda z: (z == y).astype(float)
 
 
 class TestKilledRow:
-    """The row walk through K_32's band (rk._killed_row) against exact
-    rationals, the spectral sum and the one-step loop."""
+    """The killed walk's last row summed against weights by meeting in the
+    middle (rk._killed_sum), against exact rationals, the spectral sum and
+    the one-step loop."""
 
-    #: around the rescale after the 30 blocks of the first run (960 steps)
-    #: and the blocks next to it, with even and odd short last blocks
-    STEPS = (0, 1, 2, 31, 32, 33, 63, 64, 95, 927, 959, 960, 961, 991, 992, 993, 1000)
+    #: odd and even block counts, and the first rescale of both rows after
+    #: a run of 30 two-row blocks (1920 steps, 1952 with the point mass's
+    #: extra block) and the blocks next to it, with even and odd short last
+    #: blocks
+    STEPS = (0, 1, 2, 31, 32, 33, 63, 64, 65, 95, 96, 97, 927, 959, 960, 961, 991,
+             992, 993, 1000, 1919, 1920, 1921, 1952, 1984, 1985, 2000)
 
-    @pytest.mark.parametrize("n,x", [(12, 5), (12, 6), (41, 20), (41, 21), (41, 1)])
+    #: one fixed positive-integer weight a site, for the sites 0..41
+    WEIGHTS = np.random.default_rng(37).integers(1, 1000, 42)
+
+    @pytest.mark.parametrize("n,x", [(2, 1), (3, 1), (3, 2), (12, 5), (12, 6), (41, 20),
+                                     (41, 21), (41, 1)])
     def test_vs_exact_rationals(self, n, x):
         # the exact law is Fraction(c, 2**steps) for the integer counts c of
-        # the killed paths from x, stepped as sums of integers
+        # the killed paths from x, stepped as sums of integers; the sum
+        # against the weight 1, each unit weight and one integer weight
         counts = [int(y == x) for y in range(n + 1)]
+        weights = self.WEIGHTS[:n + 1]
         for steps in range(max(self.STEPS) + 1):
             if steps in self.STEPS:
-                ref = [float(Fraction(c, 1 << steps)) for c in counts]
-                lo, row, e = rk._killed_row(n, x, steps)
-                assert lo == max(0, x - steps - 1)
-                assert len(row) == min(n, x + steps + 1) - lo + 1
-                np.testing.assert_allclose(_row_on_sites(n, lo, row, e), ref,
-                                           rtol=1e-13, atol=0)
+                def exact(w):
+                    return float(Fraction(sum(c * int(v) for c, v in zip(counts, w)),
+                                          1 << steps))
+
+                def killed_sum(weight):
+                    return math.ldexp(*rk._killed_sum(n, x, steps, weight))
+
                 assert rk.h_dp(n, x, steps) == pytest.approx(
-                    float(Fraction(sum(counts), 1 << steps)), rel=1e-13, abs=0)
+                    exact([1] * (n + 1)), rel=1e-13, abs=0)
+                assert killed_sum(np.ones_like) == rk.h_dp(n, x, steps)
+                for y in range(n + 1):
+                    assert killed_sum(_unit(y)) == pytest.approx(
+                        float(Fraction(counts[y], 1 << steps)), rel=1e-13, abs=0)
+                assert killed_sum(lambda z: weights[z].astype(float)) == pytest.approx(
+                    exact(weights), rel=1e-13, abs=0)
             counts = [0] + [counts[y - 1] + counts[y + 1] for y in range(1, n)] + [0]
+
+    def test_weight_reads_the_ends_in_reach(self):
+        # one call, on the sites of the end's parity inside the segment
+        # that the walk can reach
+        for n, x, steps in ((41, 20, 5), (41, 20, 100), (12, 5, 40), (2, 1, 1), (200, 100, 97)):
+            seen = []
+            rk._killed_sum(n, x, steps, lambda z: seen.append(z.copy()) or np.ones(len(z)))
+            (z,) = seen
+            reach = np.arange(max(1, x - steps), min(n - 1, x + steps) + 1)
+            assert z.tolist() == reach[(reach - x - steps) % 2 == 0].tolist()
 
     def test_all_dead(self):
         # n = 2, and the part of one live site between two killed sites:
-        # the walk dies at step 1 and every later row is zero
+        # the walk dies at step 1 and every later sum is zero
         for steps in (1, 2, 31, 32, 33, 70, 961, 1000):
-            _, row, _ = rk._killed_row(2, 1, steps)
-            assert not row.any()
+            assert rk._killed_sum(2, 1, steps, np.ones_like)[0] == 0.0
             assert rk.h_dp(2, 1, steps) == 0.0
             w, log_mass = _propagate_killed(10, 4, steps, (3, 5))
             assert not w.any() and log_mass == -math.inf
 
     def test_n3_halves_every_step(self):
-        # at n = 3 the walk from 1 keeps one path of 2**-t: the row is one
-        # power of two, at 1 or 2 by t's parity, and its log2 is exactly -t
+        # at n = 3 the walk from 1 keeps one path of 2**-t, on 1 or 2 by t's
+        # parity: the sum against the weight 1 is one power of two, exactly
+        # 2**-t
         for t in (5000, 5001):
-            lo, row, e = rk._killed_row(3, 1, t)
-            assert lo == 0 and row[[0, 3]].tolist() == [0.0, 0.0]
-            (site,) = np.flatnonzero(row)
-            assert site == 1 + t % 2
-            mant, exp = math.frexp(row[site])
+            s, e = rk._killed_sum(3, 1, t, np.ones_like)
+            mant, exp = math.frexp(s)
             assert mant == 0.5 and exp - 1 + e == -t
+
+    def test_crop_is_the_walk_on_its_reach(self):
+        # 64 steps from 10,000 reach 9,936..10,064, so the walk on 20,001
+        # sites runs on 9,935..10,065: h_dp(130, 65, 64)'s walk, bit for bit
+        assert rk.h_dp(20000, 10000, 64) == rk.h_dp(130, 65, 64)
+        # and a cut walk with blocks on both sides of the middle is the
+        # exact law of the uncut one
+        n, x = 200, 100
+        counts = [int(y == x) for y in range(n + 1)]
+        for steps in range(98):
+            if steps in (33, 64, 65, 96, 97):
+                for y in range(x - steps, x + steps + 1, 2):
+                    assert math.ldexp(*rk._killed_sum(n, x, steps, _unit(y))) == \
+                        pytest.approx(float(Fraction(counts[y], 1 << steps)), rel=1e-13, abs=0)
+            counts = [0] + [counts[y - 1] + counts[y + 1] for y in range(1, n)] + [0]
 
     @staticmethod
     def traced_peak(*args):
@@ -1623,8 +1670,9 @@ class TestKilledRow:
             tracemalloc.stop()
 
     def test_memory_is_linear(self):
-        # the band's recursion (33 doubles a row), its 48 x 16 matrices (48
-        # a row) and two row buffers: about 1 kB a row at n = 1000, where
+        # the band's closed form (its counts, end sites and masks, about
+        # 0.8 kB a row while built), its 48 x 16 matrices (48 doubles a row)
+        # and two buffers of two rows: about 1 kB a row at n = 1000, where
         # one rows x rows array would be 4 kB a row
         rows = 1000 // 2 + 1
         assert self.traced_peak(1000, 500, 250000) <= 1200 * rows
@@ -1647,29 +1695,33 @@ class TestKilledRow:
 
 class TestFirstLegCut:
     """_first_leg_prob walks only the part of the segment that its killed
-    site cuts off around x0, with one call of the row walk; its row, put
-    back onto the n + 1 sites, and its probability are within 1e-13 of the
-    one-step loop's on the full row with the killed site, and at desk sizes
-    of exact rationals."""
+    site cuts off around x0, with one call of the killed sum; that sum and
+    the probability are within 1e-13 of the one-step loop's on the full row
+    with the killed site, and at desk sizes of exact rationals."""
 
     @staticmethod
     def first_leg(monkeypatch, n, x0, t, delta, kill):
-        """(the row over the n + 1 sites, the probability) of
-        _first_leg_prob, the row read from the row walk's one call, which
-        must walk the part of x0."""
-        walk, calls = rk._killed_row, []
+        """(the sites and weights of _first_leg_prob's one call of the killed
+        sum, its sum, the probability); the call must walk the part of x0."""
+        walk, calls = rk._killed_sum, []
 
-        def spy(*args):
-            calls.append((args, walk(*args)))
-            return calls[-1][1]
+        def spy(m, x, steps, weight):
+            seen = []
 
-        monkeypatch.setattr(rk, "_killed_row", spy)
+            def recorded(z):
+                seen.append((z.copy(), weight(z)))
+                return seen[-1][1]
+
+            calls.append(((m, x, steps), seen, walk(m, x, steps, recorded)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(rk, "_killed_sum", spy)
         prob = rk._first_leg_prob(n, x0, t, delta, kill)
         monkeypatch.undo()
-        ((m, x, steps), (cut, row, e)), = calls
+        ((args, [(z, w)], (s, e)),) = calls
         lo, hi = _start_part(n, x0, (kill,))
-        assert (m, x, steps) == (hi - lo, x0 - lo, delta)
-        return _row_on_sites(n, lo + cut, row, e), prob
+        assert args == (hi - lo, x0 - lo, delta)
+        return lo + z, w, math.ldexp(s, e), prob
 
     # check 10's no-hit leg (kill left of x0) and check 11's mid-tail legs
     # (kill right of x0)
@@ -1680,11 +1732,13 @@ class TestFirstLegCut:
         n = 2 * n_half
         delta = math.ceil(config.cond_threshold(n))
         t = 2 * delta
-        row, prob = self.first_leg(monkeypatch, n, x0, t, delta, kill)
+        sites, w, total, prob = self.first_leg(monkeypatch, n, x0, t, delta, kill)
         v = np.zeros(n + 1)
         v[x0] = 1.0
         ref_row, ref_z = _killed_steps_last(v, delta, (kill,))
-        np.testing.assert_allclose(row, ref_row * math.exp(ref_z), rtol=1e-13, atol=0)
+        assert set(np.flatnonzero(ref_row)) <= set(sites.tolist())
+        assert total == pytest.approx(float(ref_row[sites] @ w) * math.exp(ref_z),
+                                      rel=1e-13, abs=0)
         assert prob == pytest.approx(_leg_prob(n, x0, t, delta, ref_row, ref_z),
                                      rel=1e-13, abs=0)
         public = (rk.no_hit_prob_exact(n_half, t, delta, kill)[0] if x0 > kill
@@ -1695,19 +1749,22 @@ class TestFirstLegCut:
                                                  (16, 8, 3, 41), (40, 20, 1, 97)])
     def test_matches_fraction_oracle(self, monkeypatch, n, x0, kill, delta):
         t = 2 * delta
-        row, prob = self.first_leg(monkeypatch, n, x0, t, delta, kill)
+        sites, w, total, prob = self.first_leg(monkeypatch, n, x0, t, delta, kill)
         exact = _exact_killed_steps([Fraction(int(y == x0)) for y in range(n + 1)],
                                     delta, (kill,))[-1]
+        assert not any(exact[y] for y in set(range(n + 1)) - set(sites.tolist()))
+        assert total == pytest.approx(
+            float(sum(exact[y] * Fraction(float(wy)) for y, wy in zip(sites, w))),
+            rel=1e-13, abs=0)
         ref = np.array([float(p) for p in exact])
-        np.testing.assert_allclose(row, ref, rtol=1e-13, atol=0)
         assert prob == pytest.approx(_leg_prob(n, x0, t, delta, ref, 0.0),
                                      rel=1e-13, abs=0)
 
     def test_one_site_part_gives_zero(self, monkeypatch):
         # x0 = 1 with the site 2 killed: the part is [0, 2], dead at step 1
         for delta in (1, 2, 33):
-            row, prob = self.first_leg(monkeypatch, 40, 1, 500, delta, 2)
-            assert not row.any()
+            _, _, total, prob = self.first_leg(monkeypatch, 40, 1, 500, delta, 2)
+            assert total == 0.0
             assert prob == 0.0
 
 

@@ -33,11 +33,12 @@ def test_kernel_matches_spectral_property(n, data):
 @given(n=st.integers(3, 400), share=st.floats(0.0, 1.0), data=st.data())
 def test_row_walk_matches_spectral_property(n, share, data):
     # Error model: h_spectral rounds t ln cos(pi/n) to about eps relative,
-    # an error of t |ln cos(pi/n)| eps in h. The row walk rounds every cell
+    # an error of t |ln cos(pi/n)| eps in h. The killed sum walks the point
+    # mass and the weight row half the blocks each and rounds every cell
     # once a block of 32 steps, each a sum of nonnegative products, so its
-    # relative error drifts like sqrt(t/32) eps; the row's sum and the
-    # spectral log-sum add a few eps. Up to n = 400 and t = 4e6 the measured
-    # error stays below a sixth of the bound.
+    # relative error drifts like sqrt(t/32) eps; the rows' dot product and
+    # the spectral log-sum add a few eps. In 150 random cases up to n = 400
+    # and t = 4e6 the measured error stayed below 0.3 of the bound.
     t = int(share * rk.ring_time_scale(n, 2.0))
     x = data.draw(st.integers(1, n - 1), label="x")
     bound = (2 * t * abs(rk._log_cos(np.pi / n)) + 4 * np.sqrt(t / 32) + 32) \
