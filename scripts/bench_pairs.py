@@ -66,6 +66,8 @@ Run from the root of a checkout. The committed files came from::
     OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev 2d3dbd7 \\
         --claim exact-scale --seed0 1651 --sweep killed_walk \\
         --out BENCH_killed_pair.json
+    OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev 6cf2c26 \\
+        --claim selftest --seed0 1681 --sweep harness --out BENCH_harness_counts.json
 
 (the files before BENCH_walk_rows.json ran one pair per sweep case;
 BENCH_window_chain.json, BENCH_block_schedule.json, BENCH_law_layout.json and
@@ -137,7 +139,9 @@ seed0 + i. The output holds:
     x = 400 of check 04 and sampling-scale, at the cases of HARNESS_CASES:
     ``run_replicates`` at M replicates with ``keep_sample`` off and on at 1
     and 2 workers, the median of HARNESS_REPEATS untraced calls and the
-    tracemalloc peak of one more call in bytes per replicate; and
+    tracemalloc peak of one more call in bytes and in bytes per replicate
+    (with ``keep_sample`` off, a peak far below 8 bytes a replicate at
+    M = 1e6 shows a harness that holds no array of M values); and
     ``ks_distance_to_normal`` on KS_POINTS standardized local times, sorted
     and shuffled, in ns per point, with its tracemalloc peak in bytes. Each
     row hashes the summaries or the statistic;
@@ -531,7 +535,7 @@ tracemalloc.stop()
 record(out)
 out = {"s": statistics.median(times), "outputs_sha256": digest.hexdigest()}
 if name == "run_replicates":
-    out["peak_bytes_per_replicate"] = peak / M
+    out.update(peak_bytes=peak, peak_bytes_per_replicate=peak / M)
 else:
     out.update(ns_per_point=1e9 * statistics.median(times) / points, peak_bytes=peak)
 print(json.dumps(out))

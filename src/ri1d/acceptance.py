@@ -48,10 +48,11 @@ def _window_draw(seed: int, workers: int | None) -> tuple[float, np.ndarray]:
         vacant = (counts[:, L + 1] == 0) & (counts[:, L + 2] == 0)
         return 2 * counts[:, L + 3] + vacant
 
-    codes = run_replicates(Experiment("window", sample), 10**5, seed, workers,
-                           keep_sample=True).sample
-    # a mean of 0/1 values is exact in any order
-    law = float(np.mean(codes & 1)), np.bincount(codes >> 1) / len(codes)
+    M = 10**5
+    counts = run_replicates(Experiment("window", sample), M, seed, workers).counts
+    # the odd codes are the vacant windows; codes 2v and 2v + 1 have V_3 = v
+    pairs = np.pad(counts, (0, len(counts) % 2)).reshape(-1, 2)
+    law = int(pairs[:, 1].sum()) / M, pairs.sum(axis=1) / M
     if draws is not None:
         draws[key] = law
     return law
@@ -100,11 +101,12 @@ def check_03_moments(seed: int, workers: int | None = None) -> list[Verdict]:
 def clt_verdict(name: str, alpha: float, x: int, M: int, seed: int,
                 workers: int | None, context: str) -> Verdict:
     """KS distance of M standardized local times at x to the normal, against 0.02."""
-    summary = run_replicates(
+    counts = run_replicates(
         Experiment("local-time", lambda g, m: il.sample_local_times(x, alpha, m, g)),
-        M, seed, workers, keep_sample=True)
-    z = il.standardize_local_time(summary.sample, x, alpha)
-    return Verdict(name, ks_distance_to_normal(z), 0.02, context)
+        M, seed, workers).counts
+    k = np.flatnonzero(counts)
+    z = il.standardize_local_time(k, x, alpha)
+    return Verdict(name, ks_distance_to_normal(z, counts[k]), 0.02, context)
 
 
 def check_04_clt(seed: int, workers: int | None = None) -> list[Verdict]:

@@ -230,8 +230,9 @@ def _negbin(gen: np.random.Generator, n: np.ndarray, p: float,
     Where the exact table of :func:`_negbin_law` fits its budget, each entry
     of n, in order, draws one uniform and inverts it in row n of the table
     by :func:`_table_draws`. Otherwise numpy's negative_binomial draws,
-    from n itself where every n is positive, else from a copy of the
-    positive entries.
+    from n itself where every n is positive, else from a compressed copy
+    of the positive entries; their draws, plus out's values there, go back
+    into out by np.place, so no gather of out[n > 0] is held beside them.
     """
     if out is None:
         out = np.zeros_like(n)
@@ -244,7 +245,9 @@ def _negbin(gen: np.random.Generator, n: np.ndarray, p: float,
         if live.all():
             out += gen.negative_binomial(n, p)
         else:
-            out[live] += gen.negative_binomial(n[live], p)
+            draws = gen.negative_binomial(np.compress(live, n), p)
+            draws += np.compress(live, out)
+            np.place(out, live, draws)
         return out
     # row n_max has mass in every column, so the table keeps them all
     table = _search_table(law)

@@ -7,18 +7,21 @@ distance against exact pmfs, and a Kolmogorov-Smirnov distance to the
 standard normal, whose CDF comes from math.erfc (used as a distance with
 fixed thresholds, not a p-value).
 
-Memory: the runner copies each chunk into one array of M values as it
-arrives, so a run holds that array, numpy's temporary of M floats inside the
-variance, and the few chunks in flight. The KS distance reads the sorted
-sample one run of equal values at a time: besides one byte per point it
-holds arrays as long as the number of distinct values, plus a sorted copy
-only when its input is not sorted.
+Memory: the runner adds each chunk, as it arrives, into one vector of
+integer counts, one per value from 0 to the largest drawn, and reads the
+pmf, mean and variance from exact integer sums over it; a run holds that
+vector and the few chunks in flight at any M, and one array of M values only
+when the sample is kept. The KS distance reads its points one run of equal
+values at a time, from a sample or from (values, counts): besides one byte
+per point of a sample it holds arrays as long as the number of distinct
+values, plus a sorted copy only when its input is not sorted.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -45,13 +48,19 @@ class Experiment:
 
 @dataclass(frozen=True)
 class EmpiricalSummary:
-    """Moments and empirical pmf of a replicate batch."""
+    """Moments and value counts of a replicate batch: counts[k] replicates
+    equal k, for k from 0 to the largest."""
 
     count: int
     mean: float
     variance: float
-    pmf: np.ndarray
+    counts: np.ndarray = field(repr=False)
     sample: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def pmf(self) -> np.ndarray:
+        """The empirical pmf, counts / count, made on each access."""
+        return self.counts / self.count
 
 
 @dataclass(frozen=True)
@@ -100,14 +109,17 @@ def run_replicates(experiment: Experiment, M: int, seed: int,
     """Draw M replicates of the experiment, deterministically under seed.
 
     Work is split into CHUNK_SIZE pieces; chunk j always runs on stream j of
-    the seed, and chunks are copied in index order into one array of M
-    values, so the summary is identical for any worker count. Every chunk
-    must have the first chunk's dtype. Peak memory is that array plus
-    numpy's variance temporary of M floats plus the chunks in flight (and a
-    second array of M values when the draws are not int64); with
-    keep_sample the array is sorted in place and kept as the sample. M or
-    workers below 1 raises ValueError; workers None reads RI1D_WORKERS
-    (:func:`default_workers`).
+    the seed, and chunks are checked and counted in index order, so the
+    summary is identical for any worker count. Every chunk must have the
+    first chunk's dtype and hold nonnegative integer values. Each chunk is
+    added into one int64 vector of value counts, grown in place to the
+    largest value so far; the mean and variance are the correctly rounded
+    quotients of exact integer sums over it (the mean has the bits of
+    numpy's whenever the sum of the draws is below 2**53).
+    Peak memory is that vector plus at most workers + 1 chunks in flight;
+    with keep_sample the chunks are also copied into one array of M values,
+    sorted in place and kept as the sample. M or workers below 1 raises
+    ValueError; workers None reads RI1D_WORKERS (:func:`default_workers`).
     """
     if M < 1:
         raise ValueError(f"need M >= 1, got {M}")
@@ -127,37 +139,86 @@ def run_replicates(experiment: Experiment, M: int, seed: int,
                 f"expected ({m},)")
         return out
 
-    def merge(chunks) -> np.ndarray:
-        data = None
-        for (j, m), out in zip(sizes, chunks):
-            if data is None:
-                data = np.empty(M, dtype=out.dtype)
-            elif out.dtype != data.dtype:
+    def merge(chunks) -> tuple[np.ndarray, np.ndarray | None]:
+        counts = np.zeros(0, dtype=np.int64)
+        data = dtype = None
+        for j, m in sizes:
+            out = next(chunks)
+            if dtype is None:
+                dtype = out.dtype
+                if keep_sample:
+                    data = np.empty(M, dtype=dtype)
+            elif out.dtype != dtype:
                 raise RuntimeError(
                     f"experiment {experiment.name!r} returned dtype {out.dtype} "
-                    f"in chunk {j}, expected {data.dtype} as in chunk 0")
-            data[j * CHUNK_SIZE:j * CHUNK_SIZE + m] = out
-        return data
+                    f"in chunk {j}, expected {dtype} as in chunk 0")
+            values = out.astype(np.int64, copy=False)
+            if values is not out and np.any(values != out):
+                raise RuntimeError(f"experiment {experiment.name!r} is integer "
+                                   "valued but produced non-integer values")
+            if values.min() < 0:
+                raise RuntimeError(f"experiment {experiment.name!r} produced "
+                                   "negative integer values")
+            if data is not None:
+                data[j * CHUNK_SIZE:j * CHUNK_SIZE + m] = out
+            top = int(values.max())
+            if top >= len(counts):
+                # in place, zero filled: nothing else refers to counts
+                counts.resize(top + 1, refcheck=False)
+            np.add.at(counts, values, 1)
+            del out, values  # before the next chunk is drawn
+        return counts, data
 
     if workers > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            data = merge(pool.map(draw, sizes))
+            counts, data = merge(_in_order(pool, draw, sizes, workers + 1))
     else:
-        data = merge(map(draw, sizes))
-    values = data.astype(np.int64, copy=False)
-    if values is not data and np.any(values != data):
-        raise RuntimeError(f"experiment {experiment.name!r} is integer "
-                           "valued but produced non-integer values")
-    if values.min() < 0:
-        raise RuntimeError(f"experiment {experiment.name!r} produced "
-                           "negative integer values")
-    mean = float(data.mean())
-    variance = float(data.var(ddof=1)) if M > 1 else 0.0
-    pmf = np.bincount(values) / M
+        counts, data = merge(map(draw, sizes))
+    s1, s2 = _moment_sums(counts, M)
+    # int / int is correctly rounded; the mean is numpy's float(s1) / M
+    # whenever s1 < 2**53
+    mean = s1 / M
+    variance = (M * s2 - s1 * s1) / (M * (M - 1)) if M > 1 else 0.0
     if keep_sample:
         data.sort()
-    return EmpiricalSummary(count=M, mean=mean, variance=variance, pmf=pmf,
-                            sample=data if keep_sample else None)
+    return EmpiricalSummary(count=M, mean=mean, variance=variance, counts=counts,
+                            sample=data)
+
+
+def _in_order(pool: ThreadPoolExecutor, fn, jobs, ahead: int):
+    """fn(job) for every job, run on pool and yielded in job order, with at
+    most ``ahead`` jobs submitted and not yet yielded."""
+    pending = deque()
+    for job in jobs:
+        pending.append(pool.submit(fn, job))
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
+def _moment_sums(counts: np.ndarray, M: int) -> tuple[int, int]:
+    """(sum of k counts[k], sum of k**2 counts[k]) as exact integers, over
+    CHUNK_SIZE values k at a time.
+
+    A slice's sums are taken in int64 when no term nor sum can reach 2**63,
+    that is when max**2 * M < 2**63, max = len(counts) - 1; else in Python
+    integers over the values drawn.
+    """
+    in_int64 = (len(counts) - 1) ** 2 * M < 2**63
+    s1 = s2 = 0
+    for lo in range(0, len(counts), CHUNK_SIZE):
+        c = counts[lo:lo + CHUNK_SIZE]
+        k = np.arange(lo, lo + len(c), dtype=np.int64)
+        if in_int64:
+            s1 += int(np.dot(k, c))
+            s2 += int(np.dot(k * k, c))
+        else:
+            live = np.flatnonzero(c)
+            for v, n in zip(k[live].tolist(), c[live].tolist()):
+                s1 += v * n
+                s2 += v * v * n
+    return s1, s2
 
 
 def _as_pmf(obj) -> np.ndarray:
@@ -178,19 +239,26 @@ def tv_distance(emp, ref) -> float:
     return 0.5 * (float(np.abs(p - q).sum()) + slack)
 
 
-def ks_distance_to_normal(sample: np.ndarray) -> float:
+def ks_distance_to_normal(sample: np.ndarray,
+                          counts: np.ndarray | None = None) -> float:
     """Sup distance between the empirical CDF and the standard normal CDF.
 
-    The input is not written; it is sorted into a copy only when it is not
-    sorted already. Over a run i0..i1 of equal sorted values, with normal
-    CDF phi = 0.5 erfc(-z/sqrt 2) taken once per run through math.erfc, the
-    largest gaps are (i1 + 1)/m - phi above and phi - i0/m below: k/m and
-    a - phi round monotonically, so the maximum over the runs has the bits
-    of the maximum over all m points. Standardized local times repeat (1e6
-    of them at x = 400 hold about 87,000 distinct values). NaN raises
-    ValueError; -inf and +inf have phi exactly 0 and 1.
+    The points are the sample, or with counts, counts[i] copies of
+    sample[i] (counts: nonnegative integers of the sample's shape; values in
+    any order, ties allowed). The input is not written; it is sorted into a
+    copy only when it is not sorted already. Over a run i0..i1 of equal
+    sorted values, with normal CDF phi = 0.5 erfc(-z/sqrt 2) taken once per
+    run through math.erfc, the largest gaps are (i1 + 1)/m - phi above and
+    phi - i0/m below: k/m and a - phi round monotonically, so the maximum
+    over the runs has the bits of the maximum over all m points, and a
+    sample and its (distinct values, counts) give the same bits.
+    Standardized local times repeat (1e6 of them at x = 400 hold about
+    87,000 distinct values). NaN raises ValueError; -inf and +inf have phi
+    exactly 0 and 1.
     """
     z = np.asarray(sample, dtype=np.float64)
+    if counts is not None:
+        return _ks_from_counts(z, np.asarray(counts))
     m = len(z)
     if m < 100:
         raise ValueError(f"need at least 100 points for KS, got {m}")
@@ -205,7 +273,39 @@ def ks_distance_to_normal(sample: np.ndarray) -> float:
     np.not_equal(z[1:], z[:-1], out=step[1:])
     first = np.flatnonzero(step)  # i0 of every run
     del step
-    gap = z[first]
+    return _ks_runs(z[first], first, m)
+
+
+def _ks_from_counts(z: np.ndarray, counts: np.ndarray) -> float:
+    """KS of counts[i] copies of z[i]: the runs of :func:`_ks_runs` from
+    the cumulative counts of the sorted values."""
+    if counts.shape != z.shape or not np.issubdtype(counts.dtype, np.integer):
+        raise ValueError("KS counts must be integers of the sample's shape")
+    if np.any(counts < 0):
+        raise ValueError("KS counts must be nonnegative")
+    live = counts > 0
+    z, counts = z[live], counts[live].astype(np.int64)
+    m = int(counts.sum())
+    if m < 100:
+        raise ValueError(f"need at least 100 points for KS, got {m}")
+    if not np.all(z[:-1] <= z[1:]):  # NaN compares false, and sorts last
+        order = np.argsort(z, kind="stable")
+        z, counts = z[order], counts[order]
+    if np.isnan(z[-1]):
+        raise ValueError("KS sample holds NaN")
+    first = np.cumsum(counts)
+    first -= counts  # i0 of every value
+    step = np.empty(len(z), dtype=bool)
+    step[:1] = True
+    np.not_equal(z[1:], z[:-1], out=step[1:])
+    return _ks_runs(z[step], first[step], m)
+
+
+def _ks_runs(value: np.ndarray, first: np.ndarray, m: int) -> float:
+    """KS over the runs of equal values of m sorted points: value[i] and
+    first[i] (int64) are run i's value and first index i0, in increasing
+    order. value is overwritten."""
+    gap = value
     np.negative(gap, out=gap)
     gap /= math.sqrt(2.0)
     phi = np.fromiter(map(math.erfc, memoryview(gap)), dtype=np.float64,

@@ -66,7 +66,7 @@ from collections import deque
 from itertools import starmap
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .config import in_cond_regime
 from .core_walks import _BATCH_CELLS, _BLOCK, WalkPath, _search, _search_table
@@ -348,7 +348,8 @@ def _killed_sum(n: int, x: int, steps: int, weight) -> tuple[float, int]:
     y = np.arange(2 - (parity + short) % 2, n, 2)
     ends[y + short] = weight(lo + y)
     # the short block from row r reads the ends parity + 2r + 2j - short
-    reach = sliding_window_view(ends[parity:], 2 * short + 1)[:2 * rows:2, ::2]
+    step = 2 * ends.itemsize
+    reach = as_strided(ends[parity:], (rows, short + 1), (step, step), writeable=False)
     v = (_killed_band(n, short, parity)[:, :, 0, 0] * reach).sum(axis=1)
     e = _rescale(v)
     if e == -math.inf:
@@ -358,7 +359,9 @@ def _killed_sum(n: int, x: int, steps: int, weight) -> tuple[float, int]:
     mats = _band_blocks(_killed_band(n, _BLOCK, parity)[:, :, 0, 0])
     width = half * len(mats)
     bufs = np.zeros((2, 2, width + 2 * half))  # [buffer, point mass or weights]
-    wins = [sliding_window_view(buf, 3 * half, axis=1)[:, ::half].transpose(1, 0, 2)
+    # block b's window: the 48 sites from 16b of both rows, wins[i][b, row]
+    wins = [as_strided(buf, (len(mats), 2, 3 * half),
+                       (half * buf.strides[1], *buf.strides), writeable=False)
             for buf in bufs]
     outs = [buf[:, half:half + width].reshape(2, -1, half).transpose(1, 0, 2)
             for buf in bufs]
@@ -683,9 +686,14 @@ def _killed_band(n: int, steps: int, parity: int, visit_site: int | None = None,
         fold = np.bincount(np.arange(steps + 1) % n, minlength=n,
                            weights=[math.comb(steps, d) for d in range(steps + 1)])
         ext = fold[np.arange(n + steps + 2) % n]  # fold[i % n] for every x + d
-        count = ext[:steps + 1] - sliding_window_view(ext, steps + 1)[parity::2][:len(x)]
-        end = x[:, None] + 2 * np.arange(steps + 1) - steps
-        count[(x[:, None] >= n) | (end <= 0) | (end >= n)] = 0.0
+        count = ext[:steps + 1] - as_strided(ext[parity:], (len(x), steps + 1),
+                                             (2 * ext.itemsize, ext.itemsize),
+                                             writeable=False)
+        # only a start within steps of 0 or n, or off the segment, can end off it
+        edge = np.flatnonzero((x <= steps) | (x >= n - steps))
+        end = x[edge, None] + 2 * np.arange(steps + 1) - steps
+        count[edge] = np.where((x[edge, None] >= n) | (end <= 0) | (end >= n), 0.0,
+                               count[edge])
         return np.ldexp(count, -steps, out=count)[:, :, None, None]
     mass = (0 < x) & (x < n)
     w = _block_recursion(mass, parity, steps, (0, n), visit_site)[..., None]

@@ -13,7 +13,7 @@ from ri1d import acceptance
 from ri1d import core_walks as cw
 from ri1d import interlacements as il
 from ri1d import ring_kernel as rk
-from ri1d.mc import tv_distance
+from ri1d.mc import Experiment, ks_distance_to_normal, run_replicates, tv_distance
 from ri1d.rngs import RngState
 
 SEED = acceptance.DEFAULT_SEED
@@ -126,6 +126,42 @@ def test_checks_01_and_02_share_one_window_draw(monkeypatch):
         assert chunks == [65536, 34464]
         chunks.clear()
     assert alone == [v for v in runs[0] if v.name[:2] in ("01", "02")]
+
+
+@pytest.mark.parametrize("seed", [7, 88])
+def test_counted_statistics_match_the_kept_sample(seed):
+    # 01's p_hat, 02b's pmf and 04's KS from the harness counts have the
+    # bits of the same draws kept as a sample
+    L, x = 8, 400
+
+    def window(gen, m):
+        counts, _, _ = il._simulate_window_batch(1.0, L, m, gen)
+        vacant = (counts[:, L + 1] == 0) & (counts[:, L + 2] == 0)
+        return 2 * counts[:, L + 3] + vacant
+
+    codes = run_replicates(Experiment("window", window), 10**5, seed, 1,
+                           keep_sample=True).sample
+    p_hat, pmf = acceptance._window_draw(seed, 1)
+    assert p_hat.hex() == float(np.mean(codes & 1)).hex()
+    assert pmf.tobytes() == (np.bincount(codes >> 1) / len(codes)).tobytes()
+    sample = run_replicates(
+        Experiment("local-time", lambda g, m: il.sample_local_times(x, 1.0, m, g)),
+        10**5, seed, 1, keep_sample=True).sample
+    ks = ks_distance_to_normal(il.standardize_local_time(sample, x, 1.0))
+    assert acceptance.clt_verdict("04", 1.0, x, 10**5, seed, 1, "").statistic.hex() \
+        == ks.hex()
+
+
+def test_run_all_keeps_no_sample(monkeypatch):
+    calls = []
+
+    def spy(experiment, M, seed, workers=None, keep_sample=False):
+        calls.append(keep_sample)
+        return run_replicates(experiment, M, seed, workers, keep_sample)
+
+    monkeypatch.setattr(acceptance, "run_replicates", spy)
+    acceptance.run_all(SEED, 1)
+    assert len(calls) == 6 and not any(calls)
 
 
 def test_ring_vacant_first_order_correction():

@@ -510,6 +510,39 @@ class TestNegBinTable:
         assert np.array_equal(out, np.arange(len(n)))
         assert gen.bit_generator.state == state
 
+    @pytest.mark.parametrize("frac", [0.0, 0.25, 0.75])
+    @pytest.mark.parametrize("into", ["n", "fresh", "given"])
+    def test_numpy_path_bits_and_memory(self, frac, into):
+        # past the table's budget the positive entries draw by numpy, as
+        # out[n > 0] += negative_binomial(n[n > 0], p) would, into out = n,
+        # a fresh out or a given one; with zeros in n that holds the mask,
+        # a byte an entry and four arrays as long as the positive entries
+        # (the compressed n and, inside negative_binomial, its float copy,
+        # the draws and one more), besides the fresh out: no gather of
+        # out[n > 0] beside the draws
+        size, p = 10**5, 1 / 800
+        rng = np.random.default_rng(5)
+        n = np.where(rng.random(size) < 1 - frac, rng.integers(300, 600, size), 0)
+        assert il._negbin_law(int(n.max()), p, size) is None
+        start = np.arange(size) if into == "given" else np.zeros(size, dtype=np.int64)
+        want = n.copy() if into == "n" else start.copy()
+        live = n > 0
+        want[live] += RngState(41).generator().negative_binomial(n[live], p)
+        arg = n.copy()
+        out = {"n": arg, "fresh": None, "given": start.copy()}[into]
+        gen = RngState(41).generator()
+        tracemalloc.start()
+        try:
+            got = il._negbin(gen, arg, p, out=out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert into == "n" or np.array_equal(arg, n)
+        if frac:
+            fresh = 8 * size if into == "fresh" else 0
+            assert peak <= size + 32 * int(live.sum()) + fresh + 2**15
+
     def test_underflowing_start_draws_by_numpy(self):
         # p**n_max below the normal range has no table
         assert il._negbin_law(400, 1 / 6, self.DRAWS) is None

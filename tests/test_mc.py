@@ -1,12 +1,15 @@
 import math
+import sys
+import time
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 
 from ri1d import interlacements as il
-from ri1d.mc import (CHUNK_SIZE, Experiment, Verdict, default_workers,
+from ri1d.mc import (CHUNK_SIZE, Experiment, Verdict, _moment_sums, default_workers,
                      ks_distance_to_normal, run_replicates, tv_distance)
 from ri1d.rngs import RngState
 
@@ -36,6 +39,20 @@ def ks_all_points(sample) -> float:
     return float(max(upper.max(), lower.max()))
 
 
+def chunk_draws(exp, M, seed):
+    """The M draws of run_replicates(exp, M, seed), concatenated by hand."""
+    return np.concatenate([exp.sample(RngState(seed, j).generator(),
+                                      min(CHUNK_SIZE, M - j * CHUNK_SIZE))
+                           for j in range(-(-M // CHUNK_SIZE))])
+
+
+def exact_moments(data):
+    """(mean, variance with ddof 1) of integer draws, each correctly rounded."""
+    M, s1 = len(data), sum(data.tolist())
+    s2 = sum(v * v for v in data.tolist())
+    return float(Fraction(s1, M)), float(Fraction(M * s2 - s1 * s1, M * (M - 1)))
+
+
 def local_time_z(M, seed=7, x=400):
     """M standardized local times at x, sorted: the sample of the CLT check."""
     sample = il.sample_local_times(x, 1.0, M, RngState(seed).generator())
@@ -50,11 +67,19 @@ class TestRunReplicates:
         assert np.array_equal(a.pmf, b.pmf)
 
     def test_worker_independence(self):
-        M = 3 * CHUNK_SIZE + 17
+        # more workers than cores, switching threads every microsecond,
+        # count what one worker counts
+        M = 12 * CHUNK_SIZE + 17
         a = run_replicates(poisson_exp(), M, seed=4, workers=1)
-        b = run_replicates(poisson_exp(), M, seed=4, workers=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            b = run_replicates(poisson_exp(), M, seed=4, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
         assert a.mean == b.mean and a.variance == b.variance
         assert np.array_equal(a.pmf, b.pmf)
+        assert np.array_equal(a.counts, b.counts) and a.counts.sum() == M
 
     def test_poisson_moments(self):
         M = 10**5
@@ -70,22 +95,57 @@ class TestRunReplicates:
         assert np.all(np.diff(s.sample) >= 0)
 
     def test_merge_matches_manual_partition(self):
-        # concatenating the per-chunk draws by hand reproduces the summary
-        from ri1d.rngs import RngState
+        # concatenating the per-chunk draws by hand reproduces the summary:
+        # the counts and pmf, the mean with numpy's bits, and the correctly
+        # rounded variance
         M = 2 * CHUNK_SIZE + 999
         exp = poisson_exp()
-        parts = []
-        j = 0
-        left = M
-        while left > 0:
-            m = min(CHUNK_SIZE, left)
-            parts.append(exp.sample(RngState(9, j).generator(), m))
-            j += 1
-            left -= m
-        data = np.concatenate(parts)
+        data = chunk_draws(exp, M, 9)
         s = run_replicates(exp, M, seed=9)
+        assert s.counts.tolist() == np.bincount(data).tolist()
+        assert s.pmf.tobytes() == (np.bincount(data) / M).tobytes()
         assert s.mean == float(data.mean())
-        assert s.variance == float(data.var(ddof=1))
+        assert (s.mean, s.variance) == exact_moments(data)
+
+    def test_variance_is_correctly_rounded(self):
+        # at seed 1 numpy's two-pass var(ddof=1) of the same draws is an ulp
+        # off the exact value; the harness gives the exact value
+        M = 2 * CHUNK_SIZE + 999
+        data = chunk_draws(poisson_exp(), M, 1)
+        _, variance = exact_moments(data)
+        numpy_var = float(data.var(ddof=1))
+        assert numpy_var != variance
+        assert abs(numpy_var - variance) == math.ulp(variance)
+        assert run_replicates(poisson_exp(), M, seed=1).variance == variance
+
+    @pytest.mark.parametrize("lam", [0.5, 3.0, 40.0])
+    def test_moments_are_correctly_rounded(self, lam):
+        M = CHUNK_SIZE + 4321
+        exp = poisson_exp(lam)
+        for seed in range(4):
+            s = run_replicates(exp, M, seed=seed, workers=2)
+            assert (s.mean, s.variance) == exact_moments(chunk_draws(exp, M, seed))
+        one = run_replicates(exp, 1, seed=0)
+        assert one.variance == 0.0 and one.counts.sum() == 1
+
+    def test_moment_sums_never_overflow(self):
+        # int64 where max**2 * M < 2**63, Python integers past it; both exact
+        def exact(counts):
+            return (sum(k * c for k, c in enumerate(counts.tolist())),
+                    sum(k * k * c for k, c in enumerate(counts.tolist())))
+        counts = np.zeros(1000, dtype=np.int64)
+        M = (2**63 - 1) // 999**2  # the largest M of the int64 sums
+        counts[999], counts[3] = M - 5, 5
+        assert _moment_sums(counts, M) == exact(counts)
+        counts[999], counts[3] = 2**44, 7
+        got = _moment_sums(counts, 2**44 + 7)
+        assert got == exact(counts) and got[1] > 2**63
+        # over several slices of CHUNK_SIZE values, either way
+        counts = np.zeros(3 * CHUNK_SIZE + 5, dtype=np.int64)
+        counts[[0, CHUNK_SIZE - 1, CHUNK_SIZE, 2 * CHUNK_SIZE + 7, -1]] = [5, 1, 2, 3, 4]
+        assert _moment_sums(counts, 15) == exact(counts)
+        counts[-1] = 2**40
+        assert _moment_sums(counts, 2**40 + 11) == exact(counts)
 
     def test_integer_valued_rejects_fractions(self):
         frac = Experiment("frac", lambda g, m: np.full(m, 0.7))
@@ -148,15 +208,42 @@ class TestRunReplicates:
     @pytest.mark.parametrize("keep_sample", [False, True])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_peak_memory(self, workers, keep_sample):
-        # one array of M int64 values plus numpy's variance temporary of M
-        # floats, and at most two chunks beside them
-        M = 10**6
+        # at most workers + 1 chunks in flight, and a quarter chunk for the
+        # counts (1000 values) and the threads, besides one
+        # array of M values when the sample is kept: no variance temporary,
+        # and without the sample the same peak, within one chunk, at M = 1e6
+        # and 4e6
         exp = Experiment("uniform", lambda g, m: g.integers(0, 1000, m))
-        s, peak = traced_peak(lambda: run_replicates(exp, M, seed=2, workers=workers,
-                                                     keep_sample=keep_sample))
-        assert peak <= 2 * 8 * M + 2 * 8 * CHUNK_SIZE
-        assert s.count == M and (s.sample is not None) == keep_sample
+        run_replicates(exp, 1000, seed=2, workers=workers)  # first-call costs
+        chunk = 8 * CHUNK_SIZE
+        peaks = []
+        for M in (10**6, 4 * 10**6):
+            s, peak = traced_peak(lambda: run_replicates(
+                exp, M, seed=2, workers=workers, keep_sample=keep_sample))
+            assert s.count == M and (s.sample is not None) == keep_sample
+            assert len(s.counts) == 1000 and s.counts.sum() == M
+            peaks.append(peak - (8 * M if keep_sample else 0))
+            del s
+        assert max(peaks) <= (workers + 1) * chunk + chunk // 4
+        if not keep_sample:
+            assert abs(peaks[1] - peaks[0]) <= chunk
 
+    def test_bounded_chunks_in_flight(self):
+        # while chunk 0 is slow to draw, two workers draw at most two chunks
+        # past it, not the whole run: chunks wait to be counted in order
+        done = []
+
+        def sample(g, m):
+            j = g.bit_generator.seed_seq.spawn_key[0]
+            if j == 0:
+                time.sleep(0.2)
+            done.append(j)
+            return np.zeros(m, dtype=np.int64)
+
+        s = run_replicates(Experiment("zeros", sample), 20 * CHUNK_SIZE, seed=1,
+                           workers=2)
+        assert s.counts.tolist() == [20 * CHUNK_SIZE] and sorted(done) == list(range(20))
+        assert done.index(0) <= 2
 
 class TestTvDistance:
     def test_identical(self):
@@ -222,6 +309,51 @@ class TestKs:
         before = sample.copy()
         assert ks_distance_to_normal(sample).hex() == ks_all_points(sample).hex()
         assert np.array_equal(sample, before)
+
+    @pytest.mark.parametrize("case", ["shuffled", "tied", "constant", "inf",
+                                      "local times", "integers"])
+    def test_counts_match_sample(self, case):
+        # counts[i] copies of values[i] give the sample's bits: the distinct
+        # values sorted, or shuffled with zero counts and split ties
+        rng = np.random.default_rng(12)
+        normal = rng.standard_normal(1000)
+        sample = {
+            "shuffled": normal,
+            "tied": np.repeat(rng.standard_normal(40), 9),
+            "constant": np.full(300, -0.25),
+            "inf": np.concatenate([np.full(30, -np.inf), normal[:200],
+                                   np.full(45, np.inf)]),
+            "local times": local_time_z(20000),
+            "integers": rng.integers(-3, 4, 500),
+        }[case]
+        want = ks_distance_to_normal(sample).hex()
+        values, counts = np.unique(sample, return_counts=True)
+        assert ks_distance_to_normal(values, counts).hex() == want
+        # each value split in two entries, with a zero count beside them
+        split = rng.integers(0, counts + 1)
+        values = np.concatenate([values, values, [7.5]])
+        counts = np.concatenate([split, counts - split, [0]])
+        order = rng.permutation(len(values))
+        before = values[order].copy(), counts[order].copy()
+        assert ks_distance_to_normal(values[order], counts[order]).hex() == want
+        assert np.array_equal(values[order], before[0])
+        assert np.array_equal(counts[order], before[1])
+
+    def test_counts_refused(self):
+        z = np.linspace(-2, 2, 10)
+        with pytest.raises(ValueError, match="at least 100"):
+            ks_distance_to_normal(z, np.full(10, 9))
+        with pytest.raises(ValueError, match="NaN"):
+            ks_distance_to_normal(np.append(z, np.nan), np.full(11, 10))
+        with pytest.raises(ValueError, match="nonnegative"):
+            ks_distance_to_normal(z, np.append(np.full(9, 20), -1))
+        with pytest.raises(ValueError, match="integers"):
+            ks_distance_to_normal(z, np.full(10, 20.0))
+        with pytest.raises(ValueError, match="shape"):
+            ks_distance_to_normal(z, np.full(9, 20))
+        # a NaN counted zero times is no point
+        assert ks_distance_to_normal(np.append(z, np.nan), np.append(np.full(10, 10), 0)) \
+            == ks_distance_to_normal(np.repeat(z, 10))
 
     def test_matches_all_points_property(self):
         hypothesis = pytest.importorskip("hypothesis", exc_type=ImportError)

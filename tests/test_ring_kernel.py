@@ -804,7 +804,7 @@ class TestBlockLaw:
     def test_unmarked_band_is_the_recursion(self, n):
         # the method of images gives the step-by-step recursion killed at 0
         # and n bit for bit: both are exact
-        for steps, parity in product((1, 5, 10, 17, 31, 32), (0, 1)):
+        for steps, parity in product((0, 1, 5, 10, 17, 31, 32), (0, 1)):
             x = 2 * np.arange(n // 2 + 1) + parity
             ref = rk._block_recursion((0 < x) & (x < n), parity, steps, (0, n))
             band = rk._killed_band(n, steps, parity)
@@ -1670,10 +1670,11 @@ class TestKilledRow:
             tracemalloc.stop()
 
     def test_memory_is_linear(self):
-        # the band's closed form (its counts, end sites and masks, about
-        # 0.8 kB a row while built), its 48 x 16 matrices (48 doubles a row)
-        # and two buffers of two rows: about 1 kB a row at n = 1000, where
-        # one rows x rows array would be 4 kB a row
+        # the band's closed form (its counts, with end sites and masks on
+        # the rows by 0 and n only: about 0.6 kB a row while built at n =
+        # 1000), its 48 x 16 matrices (48 doubles a row) and two buffers of
+        # two rows: about 1 kB a row at n = 1000, where one rows x rows
+        # array would be 4 kB a row
         rows = 1000 // 2 + 1
         assert self.traced_peak(1000, 500, 250000) <= 1200 * rows
         # 64 steps reach 65 sites either way: the walk on 20,001 sites
