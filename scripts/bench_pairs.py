@@ -68,6 +68,9 @@ Run from the root of a checkout. The committed files came from::
         --out BENCH_killed_pair.json
     OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev 6cf2c26 \\
         --claim selftest --seed0 1681 --sweep harness --out BENCH_harness_counts.json
+    OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev 68f5901 \\
+        --claim selftest --seed0 1711 --sweep local_times --sweep window \\
+        --out BENCH_compound_tables.json
 
 (the files before BENCH_walk_rows.json ran one pair per sweep case;
 BENCH_window_chain.json, BENCH_block_schedule.json, BENCH_law_layout.json and
@@ -102,7 +105,8 @@ seed0 + i. The output holds:
   - ``window``: the median of WINDOW_REPEATS calls of
     ``_simulate_window_batch`` at alpha = 1 at the sizes of WINDOW_CASES, in
     ns per replicate, and the tracemalloc peak of one more call in bytes per
-    window, with a hash of the visit and trajectory counts;
+    window, with a hash of the visit and trajectory counts and the path of
+    each batch of draws of that call (DRAWS_BY);
   - ``ring_walk``: the median of WALK_REPEATS calls of ``_ring_paths_batch``
     on the ring walks the benchmark and the acceptance suite make, in ns per
     walker-step, the draws per walker of one call (its ``_search`` rounds),
@@ -149,7 +153,8 @@ seed0 + i. The output holds:
     LOCAL_TIME_CASES and M = LOCAL_TIME_M (x = 3 and 5 of checks 02a and 03,
     x = 400 of check 04 and sampling-scale), the median of
     LOCAL_TIME_REPEATS calls in ns per draw and the tracemalloc peak of one
-    more call in bytes per draw, with a hash of the draws.
+    more call in bytes per draw, with a hash of the draws and the path of
+    each batch of draws of that call (DRAWS_BY).
 """
 
 from __future__ import annotations
@@ -199,6 +204,34 @@ except MemoryError as err:
 print(json.dumps(out))
 """
 
+#: Defines draws_by(call, gen), the batches of draws of call(generator), in
+#: order: "table RxC" for each search table built (the shape of its law:
+#: 1xC for a Poisson row or a local time's own law, one row per count for a
+#: NegBin table) and "numpy <method>" for each of numpy's draws. A generator
+#: that forwards every method logs numpy's draws, so the parent's code runs
+#: it unchanged.
+DRAWS_BY = """
+class _Logged:
+    def __init__(self, gen, log):
+        self._gen, self._log = gen, log
+    def __getattr__(self, name):
+        if name != "random":
+            self._log.append("numpy " + name)
+        return getattr(self._gen, name)
+
+def draws_by(call, gen):
+    log, build = [], il._search_table
+    def logged_build(law):
+        log.append("table %dx%d" % law.shape)
+        return build(law)
+    il._search_table = logged_build
+    try:
+        call(_Logged(gen, log))
+    finally:
+        il._search_table = build
+    return log
+"""
+
 #: (L, M): the two harness chunks (mc.CHUNK_SIZE and the rest of 1e5) of
 #: checks 01 and 02b, and the window sweep of sampling-scale
 WINDOW_CASES = ((8, 65536), (8, 34464), (16, 4000), (32, 2000), (64, 1000))
@@ -208,6 +241,7 @@ import hashlib, json, statistics, sys, time, tracemalloc
 sys.path.insert(0, "src")
 from ri1d import interlacements as il
 from ri1d.rngs import RngState
+""" + DRAWS_BY + """
 L, M, reps = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
 times, digest = [], hashlib.sha256()
 for rep in range(reps):
@@ -224,10 +258,11 @@ peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
 digest.update(counts.tobytes())
 digest.update(n_traj.tobytes())
+paths = draws_by(lambda g: il._simulate_window_batch(1.0, L, M, g), RngState(reps).generator())
 print(json.dumps({"s": statistics.median(times),
                   "ns_per_replicate": 1e9 * statistics.median(times) / M,
                   "peak_bytes_per_replicate": peak / M,
-                  "outputs_sha256": digest.hexdigest()}))
+                  "outputs_sha256": digest.hexdigest(), "draws_by": paths}))
 """
 
 #: (n, M, x0, visit_site, stay_in): check 07b, the ring local time of check
@@ -542,7 +577,7 @@ print(json.dumps(out))
 """
 
 #: sites of the local-time sweep, at M draws, one chunk of the harness
-LOCAL_TIME_CASES = (3, 5, 400)
+LOCAL_TIME_CASES = (1, 3, 5, 20, 400)
 LOCAL_TIME_M = 65536
 LOCAL_TIME_REPEATS = 5
 LOCAL_TIME_SNIPPET = """
@@ -550,6 +585,7 @@ import hashlib, json, statistics, sys, time, tracemalloc
 sys.path.insert(0, "src")
 from ri1d import interlacements as il
 from ri1d.rngs import RngState
+""" + DRAWS_BY + """
 x, M, reps = int(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
 times, digest = [], hashlib.sha256()
 for rep in range(reps):
@@ -564,9 +600,11 @@ s = il.sample_local_times(x, 1.0, M, gen)
 peak = tracemalloc.get_traced_memory()[1]
 tracemalloc.stop()
 digest.update(s.tobytes())
+paths = draws_by(lambda g: il.sample_local_times(x, 1.0, M, g), RngState(reps).generator())
 print(json.dumps({"s": statistics.median(times),
                   "ns_per_draw": 1e9 * statistics.median(times) / M,
-                  "peak_bytes_per_draw": peak / M, "outputs_sha256": digest.hexdigest()}))
+                  "peak_bytes_per_draw": peak / M, "outputs_sha256": digest.hexdigest(),
+                  "draws_by": paths}))
 """
 
 

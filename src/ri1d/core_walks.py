@@ -298,8 +298,8 @@ def _search_table(law: np.ndarray):
     return (cdf.ravel(), guide, k, *coords)
 
 
-def _search(cdf: np.ndarray, guide: np.ndarray, k: int, row: np.ndarray, u: np.ndarray,
-            pos: np.ndarray, thr: np.ndarray, bit: np.ndarray) -> np.ndarray:
+def _search(cdf: np.ndarray, guide: np.ndarray, k: int, row: np.ndarray | None,
+            u: np.ndarray, pos: np.ndarray, thr: np.ndarray, bit: np.ndarray) -> np.ndarray:
     """Outcome of each walker's uniform u in its row of a :func:`_search_table`.
 
     The outcome is the first running sum above u. The guide's bin
@@ -312,12 +312,16 @@ def _search(cdf: np.ndarray, guide: np.ndarray, k: int, row: np.ndarray, u: np.n
     one compare, one shift and one add. Either way the outcome is the one
     the binary search alone finds. Writes the outcome's index in the kept
     outcomes to pos (which may be row) and returns it; thr and bit are
-    scratch arrays of the same length.
+    scratch arrays of the same length. row None reads row 0 for every
+    walker, as a row of zeros would, without the arithmetic of the rows:
+    the shift and add that find the bin, and the mask that takes the flat
+    index back to the row's.
     """
     # u >= 0, so the cast to an integer is the floor; u K is exact
     np.multiply(u, k, out=bit, casting="unsafe")
-    np.left_shift(row, k.bit_length() - 1, out=pos)
-    bit += pos
+    if row is not None:
+        np.left_shift(row, k.bit_length() - 1, out=pos)
+        bit += pos
     # the bin is in its row, so mode="clip" never clips; it skips the
     # bounds check
     guide.take(bit, out=pos, mode="clip")
@@ -332,7 +336,8 @@ def _search(cdf: np.ndarray, guide: np.ndarray, k: int, row: np.ndarray, u: np.n
             at += step.astype(np.intp) << (h.bit_length() - 1)
             h >>= 1
         pos[miss] = at
-    np.bitwise_and(pos, k - 1, out=pos)
+    if row is not None:
+        np.bitwise_and(pos, k - 1, out=pos)
     return pos
 
 

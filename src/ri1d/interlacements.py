@@ -13,13 +13,18 @@ up-crossing counts of each half-line (the Ray-Knight description of walk
 local times): one chain per side of each window, whatever its number of
 trajectories, and one negative-binomial draw per site on it, so O(L) draws
 per window, and the joint law of all visit counts in [-L, L] is exact.
-Both draw their Poisson trajectory counts first, and then a batch of
-negative binomials with one p for each step of the identity. Each batch,
-Poisson or negative binomial, inverts the exact pmf table of its law, one
-uniform per draw through a guide table, when the table has at most half as
-many cells as the batch has draws; otherwise numpy draws it, as for the
-Poisson counts of a single window and the negative binomials of large x and
-counts (at x = 400, and at a window's outer levels).
+Each batch of draws inverts the exact pmf table of its law, one uniform
+per draw through a guide table, when the table has at most as many cells as
+the batch has draws; otherwise numpy draws it. The local-time sampler draws
+each local time from the one-row table of its own law, mixed from the
+Poisson and negative-binomial tables, where that fits (small x, as in the
+acceptance checks at x = 3 and 5); otherwise it draws its Poisson
+trajectory counts first and then one negative binomial per count (at
+x = 400 by numpy). The window sampler draws its Poisson trajectory counts
+first, and then a batch of negative binomials with one p for each level of
+its chain. Only the Poisson counts of a single window, the negative
+binomials of large x, and the chain levels whose tables outgrow the batch
+(past x = 9 at a chunk of 65,536) go to numpy.
 
 The exact local-time pmf is Panjer's compound-Poisson recursion. Geometric
 severity lets two running sums carry its convolution, so the pmf to s_max
@@ -146,11 +151,11 @@ def _poisson_law(lam: float, draws: int) -> np.ndarray | None:
     """law[0, j] = P[Poisson(lam) = j], or None past the budget.
 
     The row runs the ratio recurrence r_j = lam / j from e**-lam and is cut
-    by :func:`_cut_row`, within a budget of half as many cells as the draws
-    it serves, so the build stays O(draws). Its bound needs J > lam - 1;
+    by :func:`_cut_row`, within a budget of as many cells as the draws it
+    serves, so the build stays O(draws). Its bound needs J > lam - 1;
     e**-lam below the normal range (lam above about 708) returns None.
     """
-    row = _cut_row(math.exp(-lam), lambda j: lam / j, lam - 1, draws // 2)
+    row = _cut_row(math.exp(-lam), lambda j: lam / j, lam - 1, draws)
     return None if row is None else row[None]
 
 
@@ -161,13 +166,13 @@ def _negbin_law(n_max: int, p: float, draws: int) -> np.ndarray | None:
     law[k, j-1] r_j with r_j = q (k + j - 1) / j, q = 1 - p. For k >= 1, r_j
     does not increase in j, and NegBin(k, p) grows stochastically with k, so
     the cut of row n_max by :func:`_cut_row` holds for every row. The table
-    is built only when it has at most half as many cells as the draws it
-    serves, so the build stays O(draws). The bound needs r_{J+1} < 1, that
-    is J > (q n_max - 1) / p; p**n_max below the normal range returns None.
+    is built only when it has at most as many cells as the draws it serves,
+    so the build stays O(draws). The bound needs r_{J+1} < 1, that is
+    J > (q n_max - 1) / p; p**n_max below the normal range returns None.
     """
     q = 1 - p
     top = _cut_row(p ** n_max, lambda j: q * (n_max - 1 + j) / j,
-                   (q * n_max - 1) / p, draws // (2 * (n_max + 1)))
+                   (q * n_max - 1) / p, draws // (n_max + 1))
     if top is None:
         return None
     cols = len(top)
@@ -180,42 +185,70 @@ def _negbin_law(n_max: int, p: float, draws: int) -> np.ndarray | None:
     return law
 
 
+def _compound_law(poisson: np.ndarray, p: float, draws: int) -> np.ndarray | None:
+    """law[0, s] = P[N + NegBin(N, p) = s] for N of the Poisson table
+    poisson (a :func:`_poisson_law` row), or None past the budget.
+
+    Row k of the table of :func:`_negbin_law` to the Poisson row's last
+    column, shifted by k and weighted by P[N = k], is the law's part with
+    N = k; their sum, in order of k, is the law. Both tables cut tails below
+    2**-60, so the mass left out is below 2**-59. The row has fewer cells
+    than the NegBin table it is mixed from, and that table is built only
+    within the budget of :func:`_negbin_law`, so the build stays O(draws).
+    Every column has mass, so an outcome's index is its column: the least
+    cell is e**-lam at s = 0 (a normal double, or there is no Poisson row)
+    or one at the row's far end, near 2**-120.
+    """
+    law = _negbin_law(poisson.shape[1] - 1, p, draws)
+    if law is None:
+        return None
+    rows, cols = law.shape
+    law *= poisson[0, :, None]
+    out = np.zeros((1, rows - 1 + cols))
+    for k in range(rows):
+        out[0, k:k + cols] += law[k]
+    return out
+
+
 def _table_draws(gen: np.random.Generator, table: tuple, rows: np.ndarray | None,
                  out: np.ndarray) -> np.ndarray:
     """Add to each entry of out, in order, one uniform's outcome in its row.
 
     table is a :func:`~ri1d.core_walks._search_table` of a law with mass in
     every column, so an outcome's index is its column; entry i reads row
-    rows[i], or row 0 when rows is None. Each uniform is inverted through
-    the guide table (the cutpoint method: one gather and one compare for
-    most draws). The entries go _DRAW_SLICE at a time through four buffers
-    of that length (256 KB), made once a call, and the uniforms are those of
-    one gen.random call over all of out. Returns out.
+    rows[i], or row 0 when rows is None (one row: the search skips the
+    rows' arithmetic). Each uniform is inverted through the guide table (the
+    cutpoint method: one gather and one compare for most draws). The entries
+    go _DRAW_SLICE at a time through four buffers of that length or of
+    out's, whichever is shorter, made once a call, and the uniforms are
+    those of one gen.random call over all of out. Returns out.
     """
     cdf, guide, k, _ = table
-    u, thr = np.empty(_DRAW_SLICE), np.empty(_DRAW_SLICE)
-    pos, bit = np.empty(_DRAW_SLICE, dtype=np.intp), np.empty(_DRAW_SLICE, dtype=np.intp)
-    zero = np.zeros(_DRAW_SLICE, dtype=np.intp) if rows is None else None
+    size = min(_DRAW_SLICE, out.size)
+    u, thr = np.empty(size), np.empty(size)
+    pos, bit = np.empty(size, dtype=np.intp), np.empty(size, dtype=np.intp)
     for lo in range(0, out.size, _DRAW_SLICE):
         m = min(_DRAW_SLICE, out.size - lo)
-        row = zero[:m] if rows is None else rows[lo:lo + m]
+        row = None if rows is None else rows[lo:lo + m]
         gen.random(out=u[:m])
         out[lo:lo + m] += _search(cdf, guide, k, row, u[:m], pos[:m], thr[:m], bit[:m])
     return out
+
+
+def _row_draws(gen: np.random.Generator, law: np.ndarray, size: int) -> np.ndarray:
+    """size draws, int64, of the one-row law: one uniform each, in order."""
+    return _table_draws(gen, _search_table(law), None, np.zeros(size, dtype=np.int64))
 
 
 def _poisson(gen: np.random.Generator, lam: float, size: int) -> np.ndarray:
     """size Poisson(lam) counts, int64.
 
     Where the table of :func:`_poisson_law` fits its budget, one uniform per
-    count, in order, inverted in it by :func:`_table_draws`; otherwise
-    numpy's poisson, as for a single window or a table too large for the
-    batch.
+    count, in order, inverted in it by :func:`_row_draws`; otherwise numpy's
+    poisson, as for a single window or a table larger than the batch.
     """
     law = _poisson_law(lam, size)
-    if law is None:
-        return gen.poisson(lam, size)
-    return _table_draws(gen, _search_table(law), None, np.zeros(size, dtype=np.int64))
+    return gen.poisson(lam, size) if law is None else _row_draws(gen, law, size)
 
 
 def _negbin(gen: np.random.Generator, n: np.ndarray, p: float,
@@ -227,12 +260,13 @@ def _negbin(gen: np.random.Generator, n: np.ndarray, p: float,
     sum of n geometrics on {1, 2, ...} with success probability p. Where
     every n is 0, nothing is drawn.
 
-    Where the exact table of :func:`_negbin_law` fits its budget, each entry
-    of n, in order, draws one uniform and inverts it in row n of the table
-    by :func:`_table_draws`. Otherwise numpy's negative_binomial draws,
-    from n itself where every n is positive, else from a compressed copy
-    of the positive entries; their draws, plus out's values there, go back
-    into out by np.place, so no gather of out[n > 0] is held beside them.
+    Where the exact table of :func:`_negbin_law` fits its budget, as many
+    cells as n has entries, each entry of n, in order, draws one uniform and
+    inverts it in row n of the table by :func:`_table_draws`. Otherwise
+    numpy's negative_binomial draws, from n itself where every n is
+    positive, else from a compressed copy of the positive entries; their
+    draws, plus out's values there, go back into out by np.place, so no
+    gather of out[n > 0] is held beside them.
     """
     if out is None:
         out = np.zeros_like(n)
@@ -282,7 +316,11 @@ def _simulate_window_batch(alpha: float, L: int, M: int, gen: np.random.Generato
     batch of the harness), else numpy's poisson (a single window). Then the
     entry draw of U_L and each level x = L, ..., 2 draw their 2M negative
     binomials by :func:`_negbin`: by the exact table and one uniform per
-    entry where the table fits, else by numpy.
+    entry where the table has at most 2M cells (at L = 8, every level of
+    the harness's chunk of 65,536 in checks 01 and 02b; in the chunk of
+    34,464 after it, level 8's table is near 2M cells and passes it at some
+    seeds), else by numpy: the levels past x = 9 at a chunk of 65,536, whose
+    counts outgrow any table of O(M) cells.
     """
     if L < 1:
         raise ValueError(f"half-width must be >= 1, got {L}")
@@ -325,19 +363,26 @@ def sample_local_times(x: int, level, M: int, gen: np.random.Generator) -> np.nd
     """M independent local-time draws at x.
 
     The local time is a sum of n ~ Poisson(alpha*x/2) geometric visit counts
-    on {1, 2, ...} with success probability 1/(2x); that sum is drawn in one
-    step as n + NegBin(n, 1/(2x)), counting failures, added into n in place.
-    The stream draws the M Poisson counts first, by :func:`_poisson`: one
-    uniform per count inverted in the exact Poisson table where it fits (as
-    at x = 3, 5 and 400 with M = 65,536), else numpy's poisson. Then the
-    negative binomials by :func:`_negbin`: where its exact table fits (small
-    x, as at x = 3 and 5), one uniform per draw inverted in the table; else
-    numpy's negative_binomial (large x, as at x = 400).
+    on {1, 2, ...} with success probability 1/(2x), that is n + NegBin(n,
+    1/(2x)), counting failures. Where the exact one-row table of that law
+    (:func:`_compound_law`) fits its budget (small x, as at x = 3 and 5 with
+    M = 65,536: 513 and 951 cells), each local time is one uniform, in
+    order, inverted in it by :func:`_row_draws`. Otherwise the sum is drawn
+    in two steps: the M Poisson counts first, one uniform per count in the
+    Poisson table already built where it fits (as at x = 400), else numpy's
+    poisson; then the negative binomials by :func:`_negbin`, added into the
+    counts in place: by its table where that fits, else numpy's
+    negative_binomial (large x, as at x = 400).
     """
     if x < 1:
         raise ValueError(f"site must be >= 1, got {x}")
-    n = _poisson(gen, _alpha(level) * x / 2, M)
-    return _negbin(gen, n, 1 / (2 * x), out=n)
+    lam, p = _alpha(level) * x / 2, 1 / (2 * x)
+    poisson = _poisson_law(lam, M)
+    law = None if poisson is None else _compound_law(poisson, p, M)
+    if law is not None:
+        return _row_draws(gen, law, M)
+    n = gen.poisson(lam, M) if poisson is None else _row_draws(gen, poisson, M)
+    return _negbin(gen, n, p, out=n)
 
 
 def local_time_cf(x: int, level, t) -> complex:

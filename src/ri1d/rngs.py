@@ -7,16 +7,19 @@ generator state. The single-draw samplers and the Monte Carlo estimators
 The batch samplers (``sample_local_times``, ``_simulate_window_batch``,
 ``ring_local_time_batch``) take a ``numpy.random.Generator``: the replicate
 harness builds one from the ``RngState`` of each chunk's stream. Each draws
-its uniforms in a fixed order. ``sample_local_times`` draws its M Poisson
-trajectory counts, then one negative binomial per count, and
-``_simulate_window_batch`` its 2M Poisson counts, then one negative binomial
-per count at each level of its chain, the entry draw at L first, then
-levels L, ..., 2. A batch of Poisson counts whose exact table fits its
-budget draws one uniform per count, in order; otherwise numpy's poisson
-draws them (a single window's two counts). A batch of negative binomials
-whose exact table fits its budget draws one uniform per count, in order,
-counts of 0 included; otherwise numpy's negative_binomial draws for the
-positive counts. A batch whose counts are all 0 draws nothing.
+its uniforms in a fixed order. ``sample_local_times`` draws one uniform
+per local time, in order, where the exact table of the local time's law
+fits its budget (small x); otherwise its M Poisson trajectory counts, then
+one negative binomial per count. ``_simulate_window_batch`` draws its 2M
+Poisson counts, then one negative binomial per count at each level of its
+chain, the entry draw at L first, then levels L, ..., 2. A batch of Poisson
+counts whose exact table fits its budget draws one uniform per count, in
+order; otherwise numpy's poisson draws them (a single window's two counts).
+A batch of negative binomials whose exact table fits its budget draws one
+uniform per count, in order, counts of 0 included; otherwise numpy's
+negative_binomial draws for the positive counts. A batch whose counts are
+all 0 draws nothing. A table fits its budget when it has at most as many
+cells as the batch has draws.
 ``sample_ring_path`` draws one uniform per step. The absorbing conditioned
 walk behind ``simulate_hit_before``, ``estimate_hit_prob`` and
 ``estimate_escape_prob`` draws one uniform per live walker per law, in walker

@@ -561,6 +561,20 @@ class TestGuidedSearch:
                 return cw._search_table(law)
             t -= steps * draws
 
+    @pytest.mark.parametrize("law", [cw._absorb_law(np.arange(3, 12), 2, 12, 5),
+                                     np.array([[0.25, 0.0, 0.5, 0.25]]),
+                                     np.array([[1.0]])], ids=["rows", "one row", "one cell"])
+    def test_no_rows_reads_row_zero(self, law):
+        # row None: every walker reads row 0, as a row of zeros does, where
+        # the guide and the binary search put it
+        table = cw._search_table(law)
+        cdf, guide, k = table[:3]
+        u = np.concatenate([_oracle_uniforms(cdf[:k], k), self.UNIFORMS])
+        got = cw._search(cdf, guide, k, None, u, np.empty(u.size, dtype=np.intp),
+                         np.empty(u.size), np.empty(u.size, dtype=np.intp))
+        assert np.array_equal(got, _guided(table, np.zeros(u.size), u))
+        assert np.array_equal(got, np.searchsorted(cdf[:k], u, side="right"))
+
     #: the K of each walk table of test_ring_tables, as measured
     RING_TABLE_K = {(48, None): 2048, (48, 1000): 2048, (80, 3000): 128, (40, 700): 64}
 

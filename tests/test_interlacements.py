@@ -259,11 +259,13 @@ class TestWindowChainVsWalk:
         assert np.array_equal(n_traj, n_side[:M] + n_side[M:])
 
     def test_peak_memory(self):
-        # the counts (136 bytes a window at L = 8) and 7.8 arrays of the
-        # chain's 2M counts, reached at level 8, which passes its table's
-        # budget and draws by numpy (6 of the arrays are that draw's); the
-        # table levels after it peak at 3.0 to 4.9 arrays. With numpy at
-        # every level, and two more chain arrays alive, the peak was 9.5.
+        # the counts (136 bytes a window at L = 8) and 5.0 arrays of the
+        # chain's 2M counts, reached at level 8: the chain's counts, the
+        # draws and the trajectory counts (2.5 arrays), and the level's
+        # 239-row table, its search table and guide (1.9) beside the law
+        # they are built from (0.7). With numpy drawing level 8 the peak was
+        # 6.6 arrays, and 9.5 with numpy at every level and two more chain
+        # arrays alive.
         L, M = 8, 65536
         tracemalloc.start()
         try:
@@ -272,19 +274,18 @@ class TestWindowChainVsWalk:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= counts.nbytes + 8.5 * 2 * M * 8
+        assert peak <= counts.nbytes + 5.5 * 2 * M * 8
 
     def test_counts_digest(self):
         # the counts of the chain whose 2M Poisson counts, entry draw
-        # U_8 = N + NegBin(N, 1/9) and levels x = 7..2 invert exact tables
-        # (level 8 passes the budget and draws by numpy); the skipped draw at
-        # x = 1 is the chain's last, so no count moves. The reference draws
-        # the Poisson counts by its own inversion and runs the chain level by
-        # level into a row-major array
+        # U_8 = N + NegBin(N, 1/9) and levels x = 8..2 all invert exact
+        # tables; the skipped draw at x = 1 is the chain's last, so no count
+        # moves. The reference draws the Poisson counts by its own inversion
+        # and runs the chain level by level into a row-major array
         L, M = 8, 65536
         counts, _, _ = il._simulate_window_batch(1.0, L, M, RngState(7).generator())
         assert hashlib.sha256(counts.tobytes()).hexdigest() == \
-            "fadb95d47b4676011cbe645f38549ac0de1138ff77c6934e74685f0e5c33a5c5"
+            "78cd42a1f5cd50f43e7f04827f5f511a1594234d60ffda541bbe8ad4549432cd"
         gen = RngState(7).generator()
         u = _poisson_inversion(L / 2, gen.random(2 * M))
         il._negbin(gen, u, 1 / (L + 1), out=u)
@@ -340,10 +341,10 @@ class TestLocalTimeSampler:
         # that the draws are added into (8 bytes a draw), the live mask (1)
         # and numpy's negative_binomial, which holds 24 on its own: 33.2
         # bytes a draw, where every count is positive (the sampler held 60
-        # before it added in place). x = 3 inverts its table: the counts, the
-        # slice buffers (4 bytes a draw at this M) and the 10-row table: 14.4
-        # bytes a draw (40.3 by numpy). The Poisson tables' draws before them
-        # hold the counts, the slice buffers and a zero row: 13 bytes a draw
+        # before it added in place). x = 3 inverts the one-row table of the
+        # local time's law: the draws, the slice buffers (4 bytes a draw at
+        # this M) and the 23-row NegBin table it is mixed from: 13.5 bytes a
+        # draw (14.4 by a Poisson and a NegBin table, 40.3 by numpy)
         M = 65536
         for x, bound in ((400, 34), (3, 16)):
             tracemalloc.start()
@@ -470,14 +471,14 @@ class TestNegBinTable:
         return n_max
 
     def test_budget_edges(self):
-        # one uniform per entry where the table fits; numpy's draws, bit for
-        # bit, one row past it
+        # one uniform per entry where the table has at most as many cells as
+        # the draws; numpy's draws, bit for bit, one row past it
         p, draws = 1 / 6, 4096
         top = self._largest_table_row(p, draws)
         rows, cols = il._negbin_law(top, p, draws).shape
-        assert rows * cols <= draws // 2
+        assert rows * cols <= draws
         rows, cols = il._negbin_law(top + 1, p, self.DRAWS).shape
-        assert rows * cols > draws // 2
+        assert rows * cols > draws
         n = np.arange(draws) % (top + 1)
         gen, ref = RngState(31).generator(), RngState(31).generator()
         out = il._negbin(gen, n, p)
@@ -496,8 +497,8 @@ class TestNegBinTable:
         # the same row on either side of the budget as the draws grow
         p = 1 / 6
         rows, cols = il._negbin_law(9, p, self.DRAWS).shape
-        assert il._negbin_law(9, p, 2 * rows * cols) is not None
-        assert il._negbin_law(9, p, 2 * rows * cols - 1) is None
+        assert il._negbin_law(9, p, rows * cols) is not None
+        assert il._negbin_law(9, p, rows * cols - 1) is None
 
     @pytest.mark.parametrize("n", [np.zeros(0, dtype=np.int64),
                                    np.zeros(100, dtype=np.int64)])
@@ -600,22 +601,22 @@ class TestPoissonTable:
                 mpmath.mpf(2)**-60
 
     def test_budget_edges(self):
-        # one uniform per count where the table has at most half as many
-        # cells as the draws; numpy's poisson, bit for bit, one draw fewer
+        # one uniform per count where the table has at most as many cells as
+        # the draws; numpy's poisson, bit for bit, one draw fewer
         lam = 4.0
         cols = il._poisson_law(lam, self.DRAWS).shape[1]
-        assert il._poisson_law(lam, 2 * cols) is not None
-        assert il._poisson_law(lam, 2 * cols - 1) is None
+        assert il._poisson_law(lam, cols) is not None
+        assert il._poisson_law(lam, cols - 1) is None
         gen, ref = RngState(34).generator(), RngState(34).generator()
-        out = il._poisson(gen, lam, 2 * cols)
-        assert np.array_equal(out, _poisson_inversion(lam, ref.random(2 * cols)))
+        out = il._poisson(gen, lam, cols)
+        assert np.array_equal(out, _poisson_inversion(lam, ref.random(cols)))
         assert gen.bit_generator.state == ref.bit_generator.state
         gen, ref = RngState(34).generator(), RngState(34).generator()
-        out = il._poisson(gen, lam, 2 * cols - 1)
-        assert np.array_equal(out, ref.poisson(lam, 2 * cols - 1))
+        out = il._poisson(gen, lam, cols - 1)
+        assert np.array_equal(out, ref.poisson(lam, cols - 1))
         assert gen.bit_generator.state == ref.bit_generator.state
         assert hashlib.sha256(out.tobytes()).hexdigest() == \
-            "d60ff69e43be2e669a7a11171056c216b23a7e6b16694413fec722c7334ee358"
+            "ee76e367cebf6e5f0462f6aa3fa46a732def075cec9bc9fdfb38041b88a6abda"
 
     def test_underflowing_start_draws_by_numpy(self):
         # e**-lam below the normal range has no table, and numpy draws
@@ -646,6 +647,120 @@ class TestPoissonTable:
                               len(cdf) - 1)
             assert out.dtype == np.int64 and np.array_equal(out, want)
             assert gen.bit_generator.state == ref.bit_generator.state
+
+
+class TestCompoundTable:
+    """The one-row table of the local time's law, N + NegBin(N, p) for
+    N ~ Poisson(lam), and the draws of sample_local_times from it."""
+
+    #: a budget the tables of these laws never reach
+    DRAWS = 10**9
+
+    @staticmethod
+    def _law(x, alpha, draws):
+        poisson = il._poisson_law(alpha * x / 2, draws)
+        return il._compound_law(poisson, 1 / (2 * x), draws)
+
+    @pytest.mark.parametrize("x", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("alpha", [0.25, 1.0, 4.0])
+    def test_matches_panjer(self, x, alpha):
+        # against the independent Panjer recursion: within its relative
+        # error of order s eps ((s + 2) eps: the cell at s = 0 is e**-lam in
+        # both), besides the mass left out by the two cuts, below 2**-59;
+        # and the row's cells past the recursion's end, whose tail is below
+        # 1e-12
+        law = self._law(x, alpha, self.DRAWS)
+        pmf = il.local_time_pmf(x, alpha).pmf
+        assert law.shape[0] == 1 and np.all(law > 0) and law.shape[1] >= len(pmf)
+        s = np.arange(len(pmf))
+        err = np.abs(law[0, :len(pmf)] - pmf)
+        assert np.all(err <= (s + 2) * 2 * _U * pmf + 2.0**-59)
+        assert law[0, len(pmf):].sum() <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.25, 1.0, 4.0])
+    def test_matches_exact(self, alpha):
+        # at x = 2 against the exact mixture of the same cut rows, at the
+        # exact values of the floats e**-lam, lam and p: cell s sums at most
+        # rows products of a Poisson cell k ((2k + 3)u) and a NegBin cell
+        # j = s - k ((4j + 3)u), each rounded (u), in a running sum of
+        # positive terms (rows u): (4s + rows + 7)u, and u more for the
+        # higher-order terms
+        x = 2
+        lam, p = alpha * x / 2, 1 / (2 * x)
+        poisson = il._poisson_law(lam, self.DRAWS)
+        law = il._compound_law(poisson, p, self.DRAWS)[0]
+        rows = poisson.shape[1]
+        cols = len(law) - rows + 1
+        exact = [Fraction(0)] * len(law)
+        weight, rate = Fraction(math.exp(-lam)), Fraction(lam)
+        for k in range(rows):
+            if k:
+                weight = weight * rate / k
+            for j, (num, e) in enumerate(zip(*_negbin_pmf_exact(k, p, cols))):
+                exact[k + j] += weight * Fraction(num, 2**e)
+        rel = np.array([float(abs(Fraction(v) / e - 1)) for v, e in zip(law, exact)])
+        tol = (4 * np.arange(len(law)) + rows + 8) * _U
+        assert np.all(rel <= tol), float(np.max(rel / tol))
+
+    @pytest.mark.parametrize("x, M", [(3, 65536), (5, 65536), (1, 3 * il._DRAW_SLICE + 5)])
+    def test_one_uniform_per_draw(self, x, M):
+        # where the table fits, local time i is the outcome of the i-th of
+        # M uniforms, drawn as one gen.random(M), in the row's running sums
+        law = self._law(x, 1.0, M)
+        assert law is not None
+        gen, ref = RngState(38).generator(), RngState(38).generator()
+        s = il.sample_local_times(x, 1.0, M, gen)
+        cdf = np.cumsum(law[0])
+        want = np.minimum(np.searchsorted(cdf, ref.random(M), side="right"), len(cdf) - 1)
+        assert s.dtype == np.int64 and np.array_equal(s, want)
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+    def test_budget_edge(self):
+        # the row is built when the NegBin table it is mixed from has at
+        # most as many cells as the draws (the row has fewer); one draw
+        # fewer, the local times take two steps: the Poisson counts by
+        # their table, then the negative binomials added in
+        x, lam, p = 1, 0.5, 0.5
+        poisson = il._poisson_law(lam, self.DRAWS)
+        rows, cols = il._negbin_law(poisson.shape[1] - 1, p, self.DRAWS).shape
+        draws = rows * cols
+        assert il._compound_law(poisson, p, draws).shape == (1, rows - 1 + cols)
+        assert il._compound_law(poisson, p, draws - 1) is None
+        gen, ref = RngState(39).generator(), RngState(39).generator()
+        il.sample_local_times(x, 1.0, draws, gen)
+        ref.random(draws)
+        assert gen.bit_generator.state == ref.bit_generator.state
+        gen, ref = RngState(39).generator(), RngState(39).generator()
+        s = il.sample_local_times(x, 1.0, draws - 1, gen)
+        n = _poisson_inversion(lam, ref.random(draws - 1))
+        assert np.array_equal(s, il._negbin(ref, n, p, out=n))
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("x, M", [(400, 65536), (3, 100), (3, 4)])
+    def test_two_step_path(self, x, M):
+        # past the budget (x = 400, and small batches) the M Poisson counts
+        # come first, by their table or by numpy, then the negative
+        # binomials, as two calls draw them
+        lam, p = x / 2, 1 / (2 * x)
+        poisson = il._poisson_law(lam, M)
+        assert poisson is None or il._compound_law(poisson, p, M) is None
+        gen, ref = RngState(40).generator(), RngState(40).generator()
+        s = il.sample_local_times(x, 1.0, M, gen)
+        n = il._poisson(ref, lam, M)
+        assert np.array_equal(s, il._negbin(ref, n, p, out=n))
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("alpha", [1e-30, 1e-300])
+    def test_vanishing_level(self, alpha):
+        # as alpha -> 0 the law is one cell at 0: every local time is 0,
+        # still one uniform each
+        M = 65536
+        assert np.array_equal(self._law(3, alpha, M), [[1.0]])
+        gen, ref = RngState(41).generator(), RngState(41).generator()
+        s = il.sample_local_times(3, alpha, M, gen)
+        ref.random(M)
+        assert s.shape == (M,) and not s.any()
+        assert gen.bit_generator.state == ref.bit_generator.state
 
 
 class TestPmf:
