@@ -71,6 +71,9 @@ Run from the root of a checkout. The committed files came from::
     OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev 68f5901 \\
         --claim selftest --seed0 1711 --sweep local_times --sweep window \\
         --out BENCH_compound_tables.json
+    OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev bcff6a8 \\
+        --claim exact-scale --seed0 1741 --sweep kernel_build --sweep ring_path \\
+        --out BENCH_kernel_runs.json
 
 (the files before BENCH_walk_rows.json ran one pair per sweep case;
 BENCH_window_chain.json, BENCH_block_schedule.json, BENCH_law_layout.json and
@@ -99,9 +102,12 @@ seed0 + i. The output holds:
   first run; a row whose cases print an ``outputs_sha256`` also says whether
   every run of both sides printed the same hash (``outputs_equal``):
   - ``kernel_build``: the median of BUILD_REPEATS builds of
-    ``SurvivalKernel(n, ring_time_scale(n, alpha))``, with the rows it
-    stores, or the MemoryError when the budget (half of physical memory)
-    refuses it;
+    ``SurvivalKernel(n, ring_time_scale(n, alpha))``, with the number of
+    its rows and the bytes of its ndarray fields, or the MemoryError when
+    the budget (half of physical memory) refuses it; and at n = 80 and 160
+    the median of as many calls of that kernel's ``_step_up_table()``,
+    with the table's bytes. Either way with the tracemalloc peak of one
+    more call;
   - ``window``: the median of WINDOW_REPEATS calls of
     ``_simulate_window_batch`` at alpha = 1 at the sizes of WINDOW_CASES, in
     ns per replicate, and the tracemalloc peak of one more call in bytes per
@@ -180,25 +186,45 @@ TIMINGS = ("build_s", "s", "ns_per_walker_step", "ns_per_step", "ns_per_replicat
            "ns_per_walker", "ns_per_point", "ns_per_draw", "peak_bytes",
            "peak_bytes_per_replicate", "peak_bytes_per_draw")
 
-BUILD_CASES = ((40, 1.0), (80, 1.0), (160, 1.0), (400, 1.0), (400, 0.1))
+#: (call, n, alpha): the kernel's build, and its step table at the sizes
+#: exact-scale builds it
+BUILD_CASES = tuple(("build", n, alpha) for n, alpha in
+                    ((40, 1.0), (80, 1.0), (160, 1.0), (400, 1.0), (400, 0.1))) + \
+    (("step_table", 80, 1.0), ("step_table", 160, 1.0))
 BUILD_REPEATS = 3
 BUILD_SNIPPET = """
-import json, statistics, sys, time
+import json, statistics, sys, time, tracemalloc
+import numpy as np
 sys.path.insert(0, "src")
 from ri1d import ring_kernel as rk
-n, alpha, reps = int(sys.argv[1]), float(sys.argv[2]), int(sys.argv[3])
+call, n, alpha, reps = sys.argv[1], int(sys.argv[2]), float(sys.argv[3]), int(sys.argv[4])
 t = rk.ring_time_scale(n, alpha)
 out = {"n": n, "alpha": alpha, "t": t}
 try:
+    if call == "build":
+        fn = lambda: rk.SurvivalKernel(n, t)
+    else:
+        fn = rk.SurvivalKernel(n, t)._step_up_table
     times = []
     for _ in range(reps):
         start = time.perf_counter()
-        kernel = rk.SurvivalKernel(n, t)
+        got = fn()
         times.append(time.perf_counter() - start)
-        out["rows"] = len(kernel._log_z)
-        out["kernel_bytes"] = kernel._table.nbytes + kernel._log_z.nbytes
-        del kernel
-    out["build_s"] = statistics.median(times)
+        del got
+    tracemalloc.start()
+    got = fn()
+    out["peak_bytes"] = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    if call == "build":
+        out["rows"] = len(got._log_z)
+        # computed from ndarray.nbytes, as perfbench/workloads.py does
+        out["kernel_bytes"] = sum(v.nbytes for v in vars(got).values()
+                                  if isinstance(v, np.ndarray))
+        out["build_s"] = statistics.median(times)
+    else:
+        out["table_bytes"] = got.nbytes
+        out["s"] = statistics.median(times)
+    del got
 except MemoryError as err:
     out["refused"] = str(err)
 print(json.dumps(out))
@@ -680,8 +706,9 @@ def sweep(trees: dict, snippet: str, cases: list[tuple[dict, list[str]]]) -> lis
 
 def kernel_builds(trees: dict) -> list[dict]:
     return sweep(trees, BUILD_SNIPPET,
-                 [({"n": n, "alpha": alpha}, [str(n), str(alpha), str(BUILD_REPEATS)])
-                  for n, alpha in BUILD_CASES])
+                 [({"call": call, "n": n, "alpha": alpha},
+                   [call, str(n), str(alpha), str(BUILD_REPEATS)])
+                  for call, n, alpha in BUILD_CASES])
 
 
 def windows(trees: dict) -> list[dict]:

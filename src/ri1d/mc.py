@@ -11,10 +11,11 @@ Memory: the runner adds each chunk, as it arrives, into one vector of
 integer counts, one per value from 0 to the largest drawn, and reads the
 pmf, mean and variance from exact integer sums over it; a run holds that
 vector and the few chunks in flight at any M, and one array of M values only
-when the sample is kept. The KS distance reads its points one run of equal
-values at a time, from a sample or from (values, counts): besides one byte
-per point of a sample it holds arrays as long as the number of distinct
-values, plus a sorted copy only when its input is not sorted.
+when the sample is kept, made from the counts once the chunks are merged.
+The KS distance reads its points one run of equal values at a time, from a
+sample or from (values, counts): besides one byte per point of a sample it
+holds arrays as long as the number of distinct values, plus a sorted copy
+only when its input is not sorted.
 """
 
 from __future__ import annotations
@@ -117,9 +118,10 @@ def run_replicates(experiment: Experiment, M: int, seed: int,
     quotients of exact integer sums over it (the mean has the bits of
     numpy's whenever the sum of the draws is below 2**53).
     Peak memory is that vector plus at most workers + 1 chunks in flight;
-    with keep_sample the chunks are also copied into one array of M values,
-    sorted in place and kept as the sample. M or workers below 1 raises
-    ValueError; workers None reads RI1D_WORKERS (:func:`default_workers`).
+    with keep_sample the sample is built from the counts once the chunks
+    are merged, each value repeated counts[value] times in the chunks'
+    dtype: the draws, sorted. M or workers below 1 raises ValueError;
+    workers None reads RI1D_WORKERS (:func:`default_workers`).
     """
     if M < 1:
         raise ValueError(f"need M >= 1, got {M}")
@@ -139,15 +141,13 @@ def run_replicates(experiment: Experiment, M: int, seed: int,
                 f"expected ({m},)")
         return out
 
-    def merge(chunks) -> tuple[np.ndarray, np.ndarray | None]:
+    def merge(chunks) -> tuple[np.ndarray, np.dtype]:
         counts = np.zeros(0, dtype=np.int64)
-        data = dtype = None
-        for j, m in sizes:
+        dtype = None
+        for j, _ in sizes:
             out = next(chunks)
             if dtype is None:
                 dtype = out.dtype
-                if keep_sample:
-                    data = np.empty(M, dtype=dtype)
             elif out.dtype != dtype:
                 raise RuntimeError(
                     f"experiment {experiment.name!r} returned dtype {out.dtype} "
@@ -159,30 +159,30 @@ def run_replicates(experiment: Experiment, M: int, seed: int,
             if values.min() < 0:
                 raise RuntimeError(f"experiment {experiment.name!r} produced "
                                    "negative integer values")
-            if data is not None:
-                data[j * CHUNK_SIZE:j * CHUNK_SIZE + m] = out
             top = int(values.max())
             if top >= len(counts):
                 # in place, zero filled: nothing else refers to counts
                 counts.resize(top + 1, refcheck=False)
             np.add.at(counts, values, 1)
             del out, values  # before the next chunk is drawn
-        return counts, data
+        return counts, dtype
 
     if workers > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts, data = merge(_in_order(pool, draw, sizes, workers + 1))
+            counts, dtype = merge(_in_order(pool, draw, sizes, workers + 1))
     else:
-        counts, data = merge(map(draw, sizes))
+        counts, dtype = merge(map(draw, sizes))
     s1, s2 = _moment_sums(counts, M)
     # int / int is correctly rounded; the mean is numpy's float(s1) / M
     # whenever s1 < 2**53
     mean = s1 / M
     variance = (M * s2 - s1 * s1) / (M * (M - 1)) if M > 1 else 0.0
+    sample = None
     if keep_sample:
-        data.sort()
+        live = np.flatnonzero(counts)
+        sample = np.repeat(live, counts[live]).astype(dtype, copy=False)
     return EmpiricalSummary(count=M, mean=mean, variance=variance, counts=counts,
-                            sample=data)
+                            sample=sample)
 
 
 def _in_order(pool: ThreadPoolExecutor, fn, jobs, ahead: int):

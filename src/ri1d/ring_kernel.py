@@ -3,11 +3,13 @@
 The ring of n sites with a forbidden origin is represented as the segment
 {1..n-1} with killing at 0 and n (ring site -a is line site n-a). Every
 exact ring quantity is the simple walk killed at 0 and n, in two engines.
-:func:`_killed_walk` returns every row: stepped as unhalved sums with its
-scale carried as an exact power of two, in runs of 32 steps through a run
-buffer whose views are built once, one np.add a step. Run backward from the
-all-ones vector it gives h_n(., s) = P_.[tau_{0,n} > s] at every s, the
-:class:`SurvivalKernel` table (copied in one slice a run) and check 05.
+:func:`_killed_walk` yields every row, a run of 32 steps at a time: stepped
+as unhalved sums with its scale carried as an exact power of two, through a
+run buffer whose views are built once, one np.add a step. Run backward from
+the all-ones vector it gives h_n(., s) = P_.[tau_{0,n} > s] at every s, the
+rows of :class:`SurvivalKernel` and check 05. The kernel keeps the row each
+run starts from and replays the run from there, bit for bit, to read a row
+of it.
 :func:`_killed_sum` returns sum_y P_x[X_t = y, alive] weight(y) by meeting
 in the middle: the point mass at x walks half the blocks of 32 steps
 forward and the weight row the other half back (the killed law is
@@ -22,21 +24,22 @@ domain (summed by :func:`_logsumexp`, a numpy port of scipy's log-sum-exp),
 read only through :func:`_log_h`, and the first-mode asymptotic
 (4/pi) cos^t(pi/n) sin(pi x/n), valid once t >= (4/pi^2) n^2 ln n. The pi/4
 value of :func:`verify_pi4` needs no propagation: sin(pi x/n) is an
-eigenvector of the killed walk. The :class:`SurvivalKernel` table stops at
+eigenvector of the killed walk. The :class:`SurvivalKernel` rows stop at
 the remaining time s* ~ 0.93 n^2 (even n) or 2.5 n^2 (odd n) from which
-h_n(., s) is its two slowest modes to 2**-53, so its memory is
-O(n min(t, s*)); later times are that settled row times a power of
-cos(pi/n). On top of the kernel table sit the time-inhomogeneous conditioned
-ring walk and its exact vacant-set and local-time functionals. The path
-sampler reads the kernel's site-indexed up-step rows of a block of 32 steps
-(:meth:`SurvivalKernel._up_rows`), in which the settled row, the Doob step,
-stands for every time past the stored rows; it draws one uniform per step
-and compares it with the row of its step. The batch walk behind the
-vacant-set and local-time samplers is built as the paper builds the
-conditioned walk, a Doob h-transform of the walk killed at 0 and n: along a
-path that stays in 1..n-1 the up-steps telescope, so the law of any
-stretch of L steps, with its marks, is the killed law K_L (2**-L times a
-count of killed paths, the same at every time) times h at the stretch's
+h_n(., s) is its two slowest modes to 2**-53, and the kernel stores a row a
+run and a log scale a row, so its memory is O(n min(t, s*) / 32 + min(t,
+s*)); later times are that settled row times a power of cos(pi/n). On top
+of the kernel sit the time-inhomogeneous conditioned ring walk and its
+exact vacant-set and local-time functionals. The path sampler reads the
+kernel's site-indexed up-step rows one run of 32 steps at a time, each run
+replayed once as it descends (:meth:`SurvivalKernel._up_rows`), with the
+settled row, the Doob step, for every time past the stored rows; it draws
+one uniform per step and compares it with the row of its step. The batch
+walk behind the vacant-set and local-time samplers is built as the paper
+builds the conditioned walk, a Doob h-transform of the walk killed at 0 and
+n: along a path that stays in 1..n-1 the up-steps telescope, so the law of
+any stretch of L steps, with its marks, is the killed law K_L (2**-L times
+a count of killed paths, the same at every time) times h at the stretch's
 end over h at its start. The exact killed law of one block of 32 steps
 (:func:`_killed_band`, the killed sum's band) is the method of images in
 closed form without a mark, and with a mark one block recursion
@@ -72,8 +75,8 @@ from .config import in_cond_regime
 from .core_walks import _BATCH_CELLS, _BLOCK, WalkPath, _search, _search_table
 from .rngs import RngState
 
-#: Memory budget in bytes for a kernel table, or for the kernel table plus
-#: the up-step table derived from it: half of the physical memory.
+#: Memory budget in bytes for a kernel's stored rows, or for them plus the
+#: up-step table derived from them: half of the physical memory.
 KERNEL_BYTES_BUDGET = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
@@ -218,14 +221,18 @@ def _rescale(row: np.ndarray) -> float:
     return shift
 
 
-def _killed_walk(v: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, log_z): every row of the killed walk from v, after 0..steps steps.
+def _killed_walk(v: np.ndarray, steps: int, e: float = 0.0):
+    """Yield (rows, log_z) for each run of the killed walk from v, scaled by
+    2**e, over ``steps`` steps: the rows 0..k of the run's k steps, the
+    first the row it starts from.
 
     One step maps v to 0.5 (v[x-1] + v[x+1]) on 1..n-1 (n = len(v) - 1) and
     to 0 at 0 and n; the input v is nonnegative and read as 0 at both ends.
     Run from the all-ones vector it is the backward survival recursion: row
-    s is h_n(., s), the rows of the :class:`SurvivalKernel` table and of
-    check 05. A last row alone, summed against weights, comes from
+    s is h_n(., s), the rows of the :class:`SurvivalKernel` and of check
+    05. Run from a row the kernel stores, with the steps left to the
+    kernel's last row, its first run replays the kernel's run from there,
+    bit for bit. A last row alone, summed against weights, comes from
     :func:`_killed_sum`.
 
     Row s stands for rows[s] * exp(log_z[s]) with log_z[s] = e ln 2 for an
@@ -235,15 +242,15 @@ def _killed_walk(v: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
     row 0 holds the row the run starts from, with the views of every step
     built once: a step is one np.add, and steps 2..k of a run go through one
     C-level iterator, with no Python statement run per step. The first step
-    of each run and the last step scale their row by the exact power of two
-    that brings its max into [1/2, 1) (:func:`_rescale`), and each run is
-    copied out with one slice assignment. Only the first step can kill
-    everything: a live site with a live neighbour keeps both alive, so after
-    it the max never falls. Once nothing survives, every row is zero and its
-    log_z -inf.
+    of each run and the walk's last step scale their row by the exact power
+    of two that brings its max into [1/2, 1) (:func:`_rescale`). Only the
+    first step can kill everything: a live site with a live neighbour keeps
+    both alive, so after it the max never falls. Once nothing survives,
+    every row is zero and its log_z -inf.
 
-    rows has shape (steps + 1, n + 1) and row 0 is the input, zeroed at the
-    ends.
+    Each run is views of the buffer, of shape (k + 1, n + 1) and (k + 1,),
+    valid until the next is asked for; a walk of 0 steps yields the input,
+    zeroed at the ends, alone.
     """
     n = len(v) - 1
     # the ends 0 and n are never written
@@ -253,10 +260,11 @@ def _killed_walk(v: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
     # 1..n-1 it writes; its whole row is buf[i + 1]
     ops = [(buf[i, :n - 1], buf[i, 2:], buf[i + 1, 1:n]) for i in range(_RESCALE_EVERY)]
     halvings = np.arange(_RESCALE_EVERY + 1.0)  # of the rows 0..k of a run
-    rows = np.empty((steps + 1, n + 1))
-    log_z = np.empty(steps + 1)
-    rows[0], log_z[0] = buf[0], 0.0
-    e = 0  # the scale exponent of buffer row 0
+    z = np.empty(_RESCALE_EVERY + 1)
+    if not steps:
+        z[0] = e
+        z[:1] *= _LN2
+        yield buf[:1], z[:1]
     for s0 in range(0, steps, _RESCALE_EVERY):
         k = min(_RESCALE_EVERY, steps - s0)
         if s0:
@@ -265,14 +273,12 @@ def _killed_walk(v: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
         shift = _rescale(buf[1])
         deque(starmap(np.add, ops[1:k]), maxlen=0)
         last = _rescale(buf[k]) if k > 1 and s0 + k == steps else 0
-        e_end = e + shift - k + last
-        rows[s0 + 1:s0 + k + 1] = buf[1:k + 1]
-        z = log_z[s0 + 1:s0 + k + 1]
-        np.subtract(e + shift, halvings[1:k + 1], out=z)
-        z[-1] = e_end
-        z *= _LN2
-        e = e_end
-    return rows, log_z
+        z[0] = e
+        np.subtract(e + shift, halvings[1:k + 1], out=z[1:k + 1])
+        e = e + shift - k + last
+        z[k] = e
+        z[:k + 1] *= _LN2
+        yield buf[:k + 1], z[:k + 1]
 
 
 #: Blocks of _BLOCK steps in one run of :func:`_killed_sum`, between two
@@ -449,21 +455,33 @@ def _settled_steps(n: int) -> int:
     return math.ceil(53 * _LN2 / (_log_cos(math.pi / n) - _log_cos(k * math.pi / n)))
 
 
-def _up_steps(table: np.ndarray, log_z: np.ndarray, out: np.ndarray) -> None:
+def _up_ratio(log_z: np.ndarray) -> np.ndarray:
+    """0.5 * 2**(e[s-1] - e[s]) for the consecutive kernel rows of log_z:
+    the up-step's 1/2 times the ratio of the two rows' scales.
+
+    Every log_z is e ln 2 for an integer e (:func:`_killed_walk`), so the
+    ratio is an exact power of two, and so is the factor.
+    """
+    e = np.rint(log_z / _LN2).astype(np.int64)
+    return np.ldexp(0.5, e[:-1] - e[1:])
+
+
+def _up_steps(rows: np.ndarray, ratio: np.ndarray, out: np.ndarray) -> None:
     """out[i, x-1] = h(x+1, s-1) / (2 h(x, s)) at s = s0+i, x = 1..n-1, in place.
 
-    table and log_z are the consecutive kernel rows s0-1..s0+len(out)-1 in
-    the scaled form of :class:`SurvivalKernel`. Every log_z is e ln 2 for an
-    integer e (:func:`_killed_walk`), so the ratio of two row scales is the
-    exact power of two 2**(e[s-1] - e[s]): at x = 1, where h(1, s) =
-    h(2, s-1)/2, the up-step is exactly 1, and at x = n-1 it is exactly 0.
+    rows are the consecutive kernel rows s0-1..s0+len(out)-1 in the scaled
+    form of :class:`SurvivalKernel` and ratio their :func:`_up_ratio`: one
+    division of the rows, then the exact product by the ratio of the rows
+    where it is not 1. A step stores unhalved sums and counts the halving in
+    its row's scale (:func:`_killed_walk`), so the ratio is 1 but at the
+    rescaled rows, the first of a run and the walk's last. At x = 1, where
+    h(1, s) = h(2, s-1)/2, the up-step is exactly 1, and at x = n-1 it is
+    exactly 0.
     """
-    n = table.shape[1] - 1
-    e = np.rint(log_z / _LN2).astype(np.int64)
-    ratio = np.ldexp(1.0, e[:-1] - e[1:])
-    np.multiply(table[:-1, 2:], ratio[:, None], out=out)
-    np.divide(out, table[1:, 1:n], out=out)
-    out *= 0.5
+    n = rows.shape[1] - 1
+    np.divide(rows[:-1, 2:], rows[1:, 1:n], out=out)
+    for i in np.flatnonzero(ratio != 1.0):
+        out[i] *= ratio[i]
 
 
 def _check_budget(need: int, what: str) -> None:
@@ -476,37 +494,49 @@ def _check_budget(need: int, what: str) -> None:
 class SurvivalKernel:
     """Survival kernel h_n(x, s) of one ring size at every remaining time s.
 
-    Stores the killed-walk vector of each remaining time s <= R, scaled by a
-    power of two to a max below 2**32, and its log scale: row s times
-    exp(_log_z[s]) is h(., s). R = min(t_max, s* + 1) with s* from
-    :func:`_settled_steps`: from s* on, h(., s) is its two slowest modes, so
-    for s > R it is the stored row r in {R-1, R} with r = s (mod 2) times
-    cos(pi/n)^(s-r), and the up-step is the time-homogeneous Doob step
-    sin(pi(x+1)/n) / (2 cos(pi/n) sin(pi x/n)). The build checks row R's
+    The kernel's rows are the killed-walk vectors of the remaining times s
+    <= R, each scaled by a power of two to a max below 2**32, with their log
+    scales _log_z: row s times exp(_log_z[s]) is h(., s). R = min(t_max, s*
+    + 1) with s* from :func:`_settled_steps`: from s* on, h(., s) is its two
+    slowest modes, so for s > R it is the row r in {R-1, R} with r = s (mod
+    2) times cos(pi/n)^(s-r), and the up-step is the time-homogeneous Doob
+    step sin(pi(x+1)/n) / (2 cos(pi/n) sin(pi x/n)). The build checks row R's
     up-step against it and raises RuntimeError on a miss. So the conditioned
-    walk can be stepped at any time without recomputation. Memory is
-    O(n min(t_max, s*)), which must fit in KERNEL_BYTES_BUDGET. Immutable
-    after construction.
+    walk can be stepped at any time without recomputation.
+
+    The kernel stores the rows R-1 and R, _log_z and the row each run of
+    _RESCALE_EVERY steps of the walk starts from (:func:`_killed_walk`);
+    every other row is its run replayed from there, bit for bit
+    (:meth:`_h_row`, :meth:`_runs`). Memory is O(n min(t_max, s*) / 32 +
+    min(t_max, s*)), which must fit in KERNEL_BYTES_BUDGET. Immutable after
+    construction.
     """
 
     def __init__(self, n: int, t_max: int):
         _check_domain(n, 0, t_max)
         settled = _settled_steps(n)
         rows = min(t_max, settled + 1)
-        _check_budget(8 * (rows + 1) * (n + 2), f"kernel rows for n={n}, t_max={t_max}")
+        runs = max(1, -(-rows // _RESCALE_EVERY))
+        _check_budget(8 * ((runs + 2) * (n + 1) + rows + 1),
+                      f"kernel rows for n={n}, t_max={t_max}")
         self.n = n
         self.t_max = t_max
         # cos(pi/2) = 0 kills everything in one step at n = 2
         self._log_cos = -math.inf if n == 2 else _log_cos(math.pi / n)
         v = np.ones(n + 1)
         v[0] = v[n] = 0.0
-        self._table, self._log_z = _killed_walk(v, rows)
+        self._starts = np.empty((runs, n + 1))
+        self._log_z = np.empty(rows + 1)
+        for j, (run, z) in enumerate(_killed_walk(v, rows)):
+            self._starts[j] = run[0]
+            self._log_z[_RESCALE_EVERY * j:_RESCALE_EVERY * j + len(z)] = z
+        self._last = run[-2:].copy()  # the rows R-1 and R (row 0 alone if R = 0)
         if rows > settled and n > 2:
             # rounding in the rows grows like n**2 eps: the gap measured up
             # to n = 400 stays below 0.13 n**2 eps
             x = np.arange(1, n)
             up = np.empty((1, n - 1))
-            _up_steps(self._table[-2:], self._log_z[-2:], up)
+            _up_steps(self._last, _up_ratio(self._log_z[-2:]), up)
             doob = np.sin(np.pi * (x + 1) / n) \
                 / (2 * math.cos(math.pi / n) * np.sin(np.pi * x / n))
             gap = float(np.max(np.abs(up[0] - doob)))
@@ -515,8 +545,28 @@ class SurvivalKernel:
                     f"kernel row {rows} of n={n} is not settled: its up-step "
                     f"is {gap:.3g} from the Doob step")
 
+    def _runs(self, j: int = 0):
+        """The runs of the kernel's walk from the start of run j on, replayed
+        from its stored start row: the (rows, log_z) of :func:`_killed_walk`,
+        bit for bit those of the build."""
+        s0 = _RESCALE_EVERY * j
+        return _killed_walk(self._starts[j], len(self._log_z) - 1 - s0,
+                            np.rint(self._log_z[s0] / _LN2))
+
+    def _h_row(self, r: int) -> np.ndarray:
+        """Row r <= R of the kernel: stored, or replayed with its run. The
+        caller must not write it."""
+        R = len(self._log_z) - 1
+        if r > R - len(self._last):
+            return self._last[r - R - 1]
+        j, i = divmod(r, _RESCALE_EVERY)
+        if not i:
+            return self._starts[j]
+        rows, _ = next(self._runs(j))
+        return rows[i].copy()
+
     def _row(self, t: int) -> tuple[int, float]:
-        """(r, log_z) with h(., t) = stored row r times exp(log_z)."""
+        """(r, log_z) with h(., t) = kernel row r times exp(log_z)."""
         r = len(self._log_z) - 1
         if t <= r:
             return t, self._log_z[t]
@@ -528,7 +578,7 @@ class SurvivalKernel:
         if t > self.t_max:
             raise ValueError(f"horizon {t} exceeds table horizon {self.t_max}")
         r, log_z = self._row(t)
-        return float(self._table[r, x] * math.exp(log_z))
+        return float(self._h_row(r)[x] * math.exp(log_z))
 
     def _check_start(self, x0: int, t: int) -> None:
         """Raise ValueError unless a conditioned walk can run t steps from x0.
@@ -539,7 +589,7 @@ class SurvivalKernel:
             raise ValueError(f"horizon {t} exceeds table horizon {self.t_max}")
         if not 0 < x0 < self.n:
             raise ValueError(f"need 0 < x0 < n, got x0={x0}, n={self.n}")
-        if self._table[self._row(t)[0], x0] == 0.0:
+        if self._h_row(self._row(t)[0])[x0] == 0.0:
             raise ValueError("conditioning on survival is impossible from this start")
 
     def _step_up_table(self) -> np.ndarray:
@@ -547,39 +597,59 @@ class SurvivalKernel:
 
         Row 0 and the killed columns 0 and n are 0, and so is every entry at
         n = 2, where h(1, s) = 0 for s >= 1. Rows past the stored R repeat
-        row R, the Doob step. O(n t_max) memory, checked with the kernel rows
+        row R, the Doob step. The kernel's walk is replayed run by run into
+        it (:meth:`_runs`). O(n t_max) memory, checked with the stored rows
         against KERNEL_BYTES_BUDGET before it is allocated; the path sampler
-        reads a block's rows at a time from :meth:`_up_rows` instead, and the
-        batch walk one kernel row a law (:func:`_h_transform`).
+        reads one run's rows at a time from :meth:`_up_rows` instead, and
+        the batch walk one kernel row a law (:func:`_h_transform`).
         """
         n, t = self.n, self.t_max
         r = len(self._log_z) - 1
-        _check_budget(self._table.nbytes + self._log_z.nbytes + 8 * (t + 1) * (n + 1),
+        stored = self._starts.nbytes + self._last.nbytes + self._log_z.nbytes
+        _check_budget(stored + 8 * (t + 1) * (n + 1),
                       f"kernel and step tables for n={n}, t_max={t}")
         p = np.zeros((t + 1, n + 1))
         if n > 2:
-            _up_steps(self._table, self._log_z, p[1:r + 1, 1:n])
+            ratio = _up_ratio(self._log_z)
+            for j, (rows, _) in enumerate(self._runs()):
+                s0 = _RESCALE_EVERY * j
+                k = len(rows) - 1
+                _up_steps(rows, ratio[s0:s0 + k], p[s0 + 1:s0 + k + 1, 1:n])
             p[r + 1:] = p[r]
         return p
 
-    def _up_rows(self, s0: int, steps: int) -> np.ndarray:
-        """Up-steps P[i, x] from x with s0 - i steps to go, for i < steps.
+    def _up_rows(self, t: int):
+        """The rows P[s] of :meth:`_step_up_table` for s = t, t-1, ..., 1, in
+        that order, in blocks of at most _BLOCK rows of shape (k, n+1).
 
-        The rows of :meth:`_step_up_table` for s = s0, s0-1, ..., s0-steps+1,
-        steps <= s0, with shape (steps, n+1): the sites 0 and n read 0, and a
-        time past the stored row R reads row R, the Doob step. Each distinct
-        row is computed once. The up-step at x = 1 must be exactly 1 and at
-        x = n-1 exactly 0, so that no walker leaves 1..n-1; a build where
-        either is not raises RuntimeError.
+        The sites 0 and n read 0, and a time past the stored row R reads row
+        R, the Doob step. At or below R a block is the up-steps of one run of
+        the kernel's walk, s = s0+1..s0+k from its rows s0..s0+k, each run
+        replayed once (:meth:`_runs`). The up-step at x = 1 must be exactly
+        1 and at x = n-1 exactly 0, so that no walker leaves 1..n-1; a build
+        where either is not raises RuntimeError.
         """
-        n, r = self.n, len(self._log_z) - 1
-        lo, hi = min(s0 - steps + 1, r), min(s0, r)
-        rows = np.zeros((hi - lo + 1, n + 1))
-        _up_steps(self._table[lo - 1:hi + 1], self._log_z[lo - 1:hi + 1], rows[:, 1:n])
-        if not ((rows[:, 1] == 1.0).all() and (rows[:, n - 1] == 0.0).all()):
-            raise RuntimeError(f"up-steps of n={n} at the edge sites 1 and {n - 1} "
-                               "are not exactly 1 and 0")
-        return rows[np.minimum(np.arange(s0, s0 - steps, -1), r) - lo]
+        n, R = self.n, len(self._log_z) - 1
+        top = min(t, R)
+        ratio = _up_ratio(self._log_z[:top + 1])
+
+        def up(rows: np.ndarray, s0: int) -> np.ndarray:
+            """The up-step rows s0+k..s0+1 from the kernel rows s0..s0+k."""
+            out = np.zeros((len(rows) - 1, n + 1))
+            _up_steps(rows, ratio[s0:s0 + len(out)], out[:, 1:n])
+            if not ((out[:, 1] == 1.0).all() and (out[:, n - 1] == 0.0).all()):
+                raise RuntimeError(f"up-steps of n={n} at the edge sites 1 and {n - 1} "
+                                   "are not exactly 1 and 0")
+            return out[::-1]
+
+        if t > R:
+            doob = up(self._last, R - 1)[0]
+            for s in range(t, R, -_BLOCK):
+                yield np.broadcast_to(doob, (min(_BLOCK, s - R), n + 1))
+        for j in range((top - 1) // _RESCALE_EVERY, -1, -1):
+            s0 = _RESCALE_EVERY * j
+            rows, _ = next(self._runs(j))
+            yield up(rows[:top - s0 + 1], s0)
 
 
 def ring_time_scale(n: int, alpha: float) -> int:
@@ -597,7 +667,8 @@ def sample_ring_path(n: int, t_total: int, x0: int, rng: RngState) -> WalkPath:
 
     Each step draws one uniform and steps up iff it is below the up-step of
     the walker's site with the steps still to go, read from the kernel's
-    :meth:`~SurvivalKernel._up_rows` one block of _BLOCK steps at a time.
+    :meth:`~SurvivalKernel._up_rows` one block of at most _BLOCK steps at a
+    time.
     Raises ValueError where :meth:`SurvivalKernel._check_start` does.
     """
     if t_total < 0:
@@ -606,8 +677,7 @@ def sample_ring_path(n: int, t_total: int, x0: int, rng: RngState) -> WalkPath:
     kernel._check_start(x0, t_total)
     gen = rng.generator()
     pos = [x0]
-    for k0 in range(0, t_total, _BLOCK):
-        rows = kernel._up_rows(t_total - k0, min(_BLOCK, t_total - k0))
+    for rows in kernel._up_rows(t_total):
         for row, u in zip(rows, gen.random(len(rows))):
             x = pos[-1]
             pos.append(x + 1 if u < row[x] else x - 1)
@@ -762,8 +832,9 @@ def _h_transform(kernel: SurvivalKernel, law: np.ndarray, s1: int,
     2**-steps h(y, s1) / h(x, s1 + steps). The killed walk's own step makes
     the denominator the sum of the killed law times h(y, s1) over row r's
     outcomes, so each row is that product, one broadcast multiply by the
-    kernel row of s1 (:meth:`SurvivalKernel._row`), divided by its sum: the
-    law's sums over the marks, times h, summed over the end row. The scales
+    kernel row of s1 (:meth:`SurvivalKernel._row`, read by
+    :meth:`SurvivalKernel._h_row`), divided by its sum: the law's sums over
+    the marks, times h, summed over the end row. The scales
     of the law and of the kernel row cancel, and so does the power of
     cos(pi/n) that h carries past the stored rows: the law reads h at its
     end alone, takes no exp, and every row sums to 1 within the rounding of
@@ -774,7 +845,7 @@ def _h_transform(kernel: SurvivalKernel, law: np.ndarray, s1: int,
     y = 2 * np.arange(rows) + first
     on = (0 < y) & (y < n)
     h = np.zeros(rows)
-    h[on] = kernel._table[r, y[on]]
+    h[on] = kernel._h_row(r)[y[on]]
     total = law.sum(axis=(2, 3)) @ h
     total[total == 0.0] = 1.0  # the rows off the segment
     out = law * h[:, None, None]
@@ -883,12 +954,14 @@ def _ring_paths_batch(kernel: SurvivalKernel, x0: int, t: int, M: int,
         for _ in range(draws):
             gen.random(out=u)
             _search(cdf, guide, k, row, u, pos, thr, bit)
+            # every outcome is in its table, so mode="clip" never clips; it
+            # skips the bounds check
             if visits is not None:
-                visits += c.take(pos, out=bit)
+                visits += c.take(pos, out=bit, mode="clip")
             if inside is not None:
-                np.equal(f.take(pos, out=bit), 0, out=keep)
+                np.equal(f.take(pos, out=bit, mode="clip"), 0, out=keep)
                 inside &= keep
-            end.take(pos, out=row)
+            end.take(pos, out=row, mode="clip")
         del cdf, guide, end, c, f  # before the next law is built
     return visits, inside
 

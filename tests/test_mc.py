@@ -94,6 +94,18 @@ class TestRunReplicates:
         s = run_replicates(poisson_exp(), 1000, seed=0, keep_sample=True)
         assert np.all(np.diff(s.sample) >= 0)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_kept_sample_is_the_sorted_draws(self, workers):
+        # the sample made from the counts is the chunks' draws, sorted, in
+        # their dtype, element for element
+        M = 2 * CHUNK_SIZE + 999
+        for exp in (poisson_exp(), Experiment(
+                "poisson-int32", lambda g, m: g.poisson(1.0, m).astype(np.int32))):
+            s = run_replicates(exp, M, seed=9, workers=workers, keep_sample=True)
+            data = np.sort(chunk_draws(exp, M, 9))
+            assert s.sample.dtype == data.dtype
+            assert s.sample.tobytes() == data.tobytes()
+
     def test_merge_matches_manual_partition(self):
         # concatenating the per-chunk draws by hand reproduces the summary:
         # the counts and pmf, the mean with numpy's bits, and the correctly

@@ -25,11 +25,30 @@ def _start_part(length: int, start: int, kill) -> tuple[int, int]:
     return lo, hi
 
 
+def _concatenated(runs):
+    """(rows, log_z) of runs of the killed walk, each after the first
+    without its start row, the last row of the run before."""
+    return tuple(np.concatenate([runs[0][i][:1]] + [run[i][1:] for run in runs])
+                 for i in (0, 1))
+
+
+def _walk_rows(v, steps: int):
+    """Every row 0..steps of rk._killed_walk from v and their log scales."""
+    return _concatenated([(rows.copy(), log_z.copy())
+                          for rows, log_z in rk._killed_walk(v, steps)])
+
+
+def _kernel_rows(kernel):
+    """(rows, log_z) of every kernel row 0..R: each run of the kernel's walk
+    replayed alone from its stored start row (SurvivalKernel._runs)."""
+    return _concatenated([next(kernel._runs(j)) for j in range(len(kernel._starts))])
+
+
 def _walk_part(v, steps: int, kill, start):
     """rk._killed_walk on the part of v that holds start, its rows put back
     onto all of v's sites: the walk killed at 0, len(v) - 1 and kill."""
     lo, hi = _start_part(len(v) - 1, start, kill)
-    rows, log_z = rk._killed_walk(v[lo:hi + 1], steps)
+    rows, log_z = _walk_rows(v[lo:hi + 1], steps)
     full = np.zeros((len(rows), len(v)))
     full[:, lo:hi + 1] = rows
     return full, log_z
@@ -221,14 +240,15 @@ class TestRingWalk:
     def test_step_symmetry_and_normalization(self):
         kernel = rk.SurvivalKernel(9, 50)
         p_up = kernel._step_up_table()
+        table, log_z = _kernel_rows(kernel)
         for s in range(1, 51):
             for x in range(1, 9):
                 up = p_up[s, x]
                 down = p_up[s, 9 - x]
                 assert up == pytest.approx(1 - down, abs=1e-10)
                 # down-step probability via the one-step identity
-                ratio = math.exp(kernel._log_z[s - 1] - kernel._log_z[s])
-                dn = kernel._table[s - 1, x - 1] * ratio / (2 * kernel._table[s, x])
+                ratio = math.exp(log_z[s - 1] - log_z[s])
+                dn = table[s - 1, x - 1] * ratio / (2 * table[s, x])
                 assert up + dn == pytest.approx(1.0, abs=1e-10)
 
     def test_sample_path_determinism_and_support(self):
@@ -361,17 +381,33 @@ class TestUpCountWalk:
 
     @pytest.mark.parametrize("n, t", [(3, 9), (4, 9), (5, 120), (6, 30), (7, 180),
                                       (12, 400), (41, 5000), (48, 5602)])
-    def test_layout_holds_the_step_table(self, n, t):
-        # the up-step rows of every block, before, across and past the last
-        # stored row R, are the step table's rows s0, s0 - 1, ... bit for bit
+    def test_layout_holds_the_step_table(self, monkeypatch, n, t):
+        # the up-step rows the path sampler reads from s0 steps to go, past,
+        # at, across and before the last stored row R, are the step table's
+        # rows s0, s0 - 1, ..., 1 bit for bit, in blocks of at most 32 rows;
+        # at or below R a block is one run of the kernel's walk, each
+        # replayed once
         kernel = rk.SurvivalKernel(n, t)
         p_up = kernel._step_up_table()
         R = len(kernel._log_z) - 1
         assert R == min(t, rk._settled_steps(n) + 1) < t
-        for steps in (1, 5, min(rk._BLOCK, t)):
-            for s0 in {min(max(s, steps), t) for s in (0, R - steps, R + 1, R + steps, t)}:
-                rows = kernel._up_rows(s0, steps)
-                assert np.array_equal(rows, p_up[s0:s0 - steps:-1])
+        walk, replays = rk._killed_walk, []
+
+        def counted(*args):
+            replays.append(args[1])
+            return walk(*args)
+
+        monkeypatch.setattr(rk, "_killed_walk", counted)
+        for s0 in sorted({min(s, t) for s in (1, 5, 33, R - 1, R, R + 1, R + 40, t)} - {0}):
+            replays.clear()
+            blocks = list(kernel._up_rows(s0))
+            assert np.array_equal(np.concatenate(blocks), p_up[s0:0:-1])
+            assert all(0 < len(b) <= rk._BLOCK for b in blocks)
+            below = min(s0, R)
+            assert sorted(replays) == sorted(R - s for s in range(0, below, rk._RESCALE_EVERY))
+            assert [len(b) for b in blocks[len(blocks) - len(replays):]] == \
+                [below - (below - 1) // rk._RESCALE_EVERY * rk._RESCALE_EVERY] \
+                + [rk._RESCALE_EVERY] * (len(replays) - 1)
         # the edges are exact: a walker at 1 always steps up, at n - 1 down
         assert np.all(p_up[1:, 1] == 1.0) and np.all(p_up[1:, n - 1] == 0.0)
 
@@ -379,14 +415,10 @@ class TestUpCountWalk:
         # the ratio exp(log_z[s-1] - log_z[s]) leaves the up-step at site 1
         # at 0.9999999999999973 in most rows of n = 48; the path sampler,
         # the one reader of the up-step rows, refuses them
-        def exp_ratio(table, log_z, out):
-            n = table.shape[1] - 1
-            ratio = np.exp(log_z[:-1] - log_z[1:])
-            np.multiply(table[:-1, 2:], ratio[:, None], out=out)
-            np.divide(out, table[1:, 1:n], out=out)
-            out *= 0.5
+        def exp_ratio(log_z):
+            return 0.5 * np.exp(log_z[:-1] - log_z[1:])
 
-        monkeypatch.setattr(rk, "_up_steps", exp_ratio)
+        monkeypatch.setattr(rk, "_up_ratio", exp_ratio)
         with pytest.raises(RuntimeError, match="n=48 at the edge sites 1 and 47"):
             rk.sample_ring_path(48, 5602, 24, RngState(0))
 
@@ -1001,17 +1033,18 @@ class TestComposedBlockLaws:
         assert max(gaps) > 0
 
     def test_planted_up_step_defect(self, monkeypatch):
-        # h 1e-6 too high, relative, at site 20 of every kernel row, a
-        # defect that check 07b's sampler at M = 2e4 cannot see, moves its
-        # composed vacant law by 2.6e-8 relative, some 1.2e4 tolerances: the
-        # walk reads h only at the ends of its five laws
-        init = rk.SurvivalKernel.__init__
+        # h 1e-6 too high, relative, at site 20 of every kernel row its
+        # readers get, a defect that check 07b's sampler at M = 2e4 cannot
+        # see, moves its composed vacant law by 2.6e-8 relative, some 1.2e4
+        # tolerances: the walk reads h only at the ends of its five laws
+        row = rk.SurvivalKernel._h_row
 
-        def biased(self, n, t_max):
-            init(self, n, t_max)
-            self._table[:, 20] *= 1 + 1e-6
+        def biased(self, r):
+            h = row(self, r).copy()
+            h[20] *= 1 + 1e-6
+            return h
 
-        monkeypatch.setattr(rk.SurvivalKernel, "__init__", biased)
+        monkeypatch.setattr(rk.SurvivalKernel, "_h_row", biased)
         gap, tol = self.vacant_gap(40, 20, 1, 2)
         assert gap > 1e4 * tol
 
@@ -1386,8 +1419,9 @@ class TestKilledWalkOracles:
             assert rk.h_dp(2, 1, steps) == 0.0
             assert rk.h_spectral(2, 1, steps) == 0.0
         kernel = rk.SurvivalKernel(2, 40)
-        assert np.all(kernel._log_z[1:] == -math.inf)
-        assert not kernel._table[1:].any()
+        table, log_z = _kernel_rows(kernel)
+        assert np.all(log_z[1:] == -math.inf) and np.all(kernel._log_z[1:] == -math.inf)
+        assert not table[1:].any()
 
     def test_scale_never_overflows(self):
         # at n = 3 the mass from site 1 halves every step: log mass -t ln 2
@@ -1399,9 +1433,9 @@ class TestKilledWalkOracles:
         # pass the double range after about 1030 steps without rescaling
         assert rk.h_dp(64, 32, t) == pytest.approx(rk.h_spectral(64, 32, t),
                                                    rel=1e-11)
-        kernel = rk.SurvivalKernel(64, t)
-        assert np.all(np.isfinite(kernel._table))
-        assert kernel._table.max() < 2.0**32
+        table, _ = _kernel_rows(rk.SurvivalKernel(64, t))
+        assert np.all(np.isfinite(table))
+        assert table.max() < 2.0**32
 
     def test_results_independent_of_heap_contents(self):
         # freed blocks of the engine's buffer sizes, filled with NaN or 1e300,
@@ -1409,7 +1443,7 @@ class TestKilledWalkOracles:
         def run():
             kernel = rk.SurvivalKernel(40, 300)
             w, log_mass = _propagate_killed(30, 4, 200, (11,))
-            rows = [kernel._table[s].copy() for s in (1, 33, 300)]
+            rows = [kernel._h_row(s).copy() for s in (1, 33, 300)]
             return [rk.h_dp(40, 17, 300), rk.verify_pi4(60, 500, 7)[0],
                     w, log_mass, *rows, kernel._log_z[[1, 33, 300]]]
 
@@ -1484,7 +1518,7 @@ def _spectral_h_mpmath(n, x, t):
 
 
 #: sha256 of the float64 bytes of SurvivalKernel(160, ring_time_scale(160, 1))
-#: (its _table, then its _log_z), as the per-step killed walk computed them
+#: (its rows 0..R, then their log scales), as the per-step killed walk computed them
 #: before it stepped in runs, and of h_dp(1000, 500, 250000) and of
 #: no_hit_prob_exact(120, 2 delta, delta, 1) with delta =
 #: ceil(cond_threshold(240)), as the killed sum through K_32's band computes
@@ -1549,7 +1583,7 @@ class TestKilledWalkRuns:
         # zero with log scale -inf
         v = np.array([0.0, 1.0, 0.0])
         for steps in (1, 2, 33, 70):
-            rows, log_z = rk._killed_walk(v, steps)
+            rows, log_z = _walk_rows(v, steps)
             assert rows[0].tolist() == [0.0, 1.0, 0.0] and log_z[0] == 0.0
             assert not rows[1:].any()
             assert np.all(log_z[1:] == -math.inf)
@@ -1557,13 +1591,31 @@ class TestKilledWalkRuns:
     def test_input_is_not_written(self):
         v = self.start_vector(41, 30, (9,))
         before = v.copy()
-        rk._killed_walk(v, 40)
+        _walk_rows(v, 40)
         assert v.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("n, t", [(5, 30), (12, 96), (12, 97), (12, 400), (48, 5602),
+                                      (81, 3000)])
+    def test_kernel_rows_are_the_walk(self, n, t):
+        # every kernel row its readers get, and every run replayed alone
+        # from its stored start row, is the walk's own row from the all-ones
+        # vector, bit for bit, with its log scale; the last run has 1, 32
+        # or some steps between (R = 97, 96 and 119 at n = 12)
+        kernel = rk.SurvivalKernel(n, t)
+        rows, log_z = _full_table(n, len(kernel._log_z) - 1)
+        replayed, replayed_z = _kernel_rows(kernel)
+        assert replayed.tobytes() == rows.tobytes()
+        assert replayed_z.tobytes() == log_z.tobytes() == kernel._log_z.tobytes()
+        for r in range(len(rows)):
+            assert kernel._h_row(r).tobytes() == rows[r].tobytes()
+
     def test_digests(self):
+        # the kernel's runs, each replayed from its stored start row
         kernel = rk.SurvivalKernel(160, rk.ring_time_scale(160, 1.0))
-        assert _sha256(kernel._table) == KILLED_WALK_SHA256["kernel_table"]
-        assert _sha256(kernel._log_z) == KILLED_WALK_SHA256["kernel_log_z"]
+        table, log_z = _kernel_rows(kernel)
+        assert _sha256(table) == KILLED_WALK_SHA256["kernel_table"]
+        assert _sha256(log_z) == KILLED_WALK_SHA256["kernel_log_z"]
+        assert kernel._log_z.tobytes() == log_z.tobytes()
         assert _sha256(rk.h_dp(1000, 500, 250000)) == KILLED_WALK_SHA256["h_dp"]
         delta = math.ceil(config.cond_threshold(240))
         exact, _, _ = rk.no_hit_prob_exact(120, 2 * delta, delta, 1)
@@ -1773,17 +1825,18 @@ def _full_table(n, t):
     """Every row 0..t of the recursion, as SurvivalKernel scales them."""
     v = np.ones(n + 1)
     v[0] = v[n] = 0.0
-    return rk._killed_walk(v, t)
+    return _walk_rows(v, t)
 
 
 class TestKernelMemoryGuard:
     def test_budget_covers_both_tables(self, monkeypatch):
-        # n = 10 settles at s* = 77: the kernel keeps rows 0..78 with their
-        # log scale, (78 + 1)(10 + 2) doubles; the step table is
-        # (100 + 1)(10 + 1) doubles on top of the kernel rows and is checked
-        # only when it is built
+        # n = 10 settles at s* = 77: the kernel's rows are 0..78, and it
+        # keeps the start rows of their 3 runs, the rows 77 and 78 and the
+        # log scales of all 79, (3 + 2)(10 + 1) + 79 doubles; the step table
+        # is (100 + 1)(10 + 1) doubles on top of them and is checked only
+        # when it is built
         n, t = 10, 100
-        kernel_rows = 8 * 79 * 12
+        kernel_rows = 8 * (5 * 11 + 79)
         steps = kernel_rows + 8 * 101 * 11
         monkeypatch.setattr(rk, "KERNEL_BYTES_BUDGET", kernel_rows)
         kernel = rk.SurvivalKernel(n, t)
@@ -1817,17 +1870,19 @@ class TestKernelMemoryGuard:
             r = len(kernel._log_z) - 1
             assert p_up.shape == (t + 1, n + 1)
             assert np.array_equal(
-                p_up[:r + 1], self._step_up_reference(kernel._table, kernel._log_z))
+                p_up[:r + 1], self._step_up_reference(*_kernel_rows(kernel)))
             full = self._step_up_reference(*_full_table(n, t))
             assert np.max(np.abs(p_up[r + 1:] - full[r + 1:]), initial=0.0) \
                 <= n * n * np.finfo(float).eps
 
     def test_peak_memory_within_guard_count(self):
-        # the guard counts the kernel rows, their log scale and the step table
+        # the guard counts the stored rows, the log scales and the step
+        # table; the build and the table's replay add one run buffer
         n = 80
         t = rk.ring_time_scale(n, 1.0)
         rows = rk._settled_steps(n) + 2
-        need = 8 * (rows * (n + 2) + (t + 1) * (n + 1))
+        runs = -(-(rows - 1) // rk._RESCALE_EVERY)
+        need = 8 * ((runs + 2) * (n + 1) + rows + (t + 1) * (n + 1))
         tracemalloc.start()
         try:
             rk.SurvivalKernel(n, t)._step_up_table()
@@ -1888,7 +1943,7 @@ class TestKernelMemoryGuard:
         peak = self._walk_peak(kernel, M, 2, (2, n - 1))
         assert table <= peak <= bound
         assert bound <= 8 * rk._BATCH_CELLS + 2 * 8 * rk._BLOCK * (n + 1 + rk._BLOCK) + 64 * M
-        assert peak < kernel._table.nbytes
+        assert peak < 8 * len(kernel._log_z) * (n + 1)  # the kernel rows, all of them
 
     def test_stay_in_walk_peak_memory(self, monkeypatch):
         # the n = 80 vacant-set walk of the benchmark: ten killed-law powers
@@ -1907,7 +1962,27 @@ class TestKernelMemoryGuard:
         peak = self._walk_peak(kernel, M, None, (2, n - 1))
         assert table <= peak <= bound
         assert bound <= 8 * rk._BATCH_CELLS + 2 * 8 * rk._BLOCK * (n + 1 + rk._BLOCK) + 64 * M
-        assert peak < kernel._table.nbytes
+        assert peak < 8 * len(kernel._log_z) * (n + 1)  # the kernel rows, all of them
+
+    def test_kernel_holds_its_run_starts(self):
+        # at the benchmark's n = 160 the kernel's rows 0..R, R = s* + 1 =
+        # 23,807, take 30.7 MB; the kernel keeps the start rows of their
+        # runs of 32 steps, two more rows and the log scales, about 1.15 MB,
+        # and its build holds one run buffer besides: 1/16 of the rows bounds
+        # both
+        n = 160
+        t = rk.ring_time_scale(n, 1.0)
+        tracemalloc.start()
+        try:
+            kernel = rk.SurvivalKernel(n, t)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = 8 * len(kernel._log_z) * (n + 1)
+        assert rows > 30e6
+        assert held <= peak <= rows / 16
+        stored = sum(v.nbytes for v in vars(kernel).values() if isinstance(v, np.ndarray))
+        assert stored <= held
 
 
 def _settled_reference(n):
@@ -1934,8 +2009,11 @@ class TestKernelCut:
         for t in (0, 1, s_star, s_star + 1, s_star + 2, 3 * s_star + 5):
             kernel = rk.SurvivalKernel(n, t)
             rows = min(t, s_star + 1) + 1
-            assert kernel._table.shape == (rows, n + 1)
+            assert _kernel_rows(kernel)[0].shape == (rows, n + 1)
             assert kernel._log_z.shape == (rows,)
+            # a start row a run of 32 steps, and the last two rows
+            assert kernel._starts.shape == (max(1, -(-(rows - 1) // 32)), n + 1)
+            assert kernel._last.shape == (min(rows, 2), n + 1)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 41, 81])
     def test_rows_past_cut_keep_their_parity(self, n):
