@@ -180,7 +180,7 @@ def run_replicates(experiment: Experiment, M: int, seed: int,
     sample = None
     if keep_sample:
         live = np.flatnonzero(counts)
-        sample = np.repeat(live, counts[live]).astype(dtype, copy=False)
+        sample = np.repeat(live.astype(dtype), counts[live])
     return EmpiricalSummary(count=M, mean=mean, variance=variance, counts=counts,
                             sample=sample)
 

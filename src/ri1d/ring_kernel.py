@@ -5,11 +5,11 @@ The ring of n sites with a forbidden origin is represented as the segment
 exact ring quantity is the simple walk killed at 0 and n, in two engines.
 :func:`_killed_walk` yields every row, a run of 32 steps at a time: stepped
 as unhalved sums with its scale carried as an exact power of two, through a
-run buffer whose views are built once, one np.add a step. Run backward from
-the all-ones vector it gives h_n(., s) = P_.[tau_{0,n} > s] at every s, the
-rows of :class:`SurvivalKernel` and check 05. The kernel keeps the row each
-run starts from and replays the run from there, bit for bit, to read a row
-of it.
+run buffer whose views are built once (:class:`_RunBuffer`), one np.add a
+step. Run backward from the all-ones vector it gives h_n(., s) =
+P_.[tau_{0,n} > s] at every s, the rows of :class:`SurvivalKernel` and
+check 05. The kernel keeps the row each run starts from and replays the run
+from there, bit for bit, in a run buffer of its own, to read a row of it.
 :func:`_killed_sum` returns sum_y P_x[X_t = y, alive] weight(y) by meeting
 in the middle: the point mass at x walks half the blocks of 32 steps
 forward and the weight row the other half back (the killed law is
@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 import warnings
 from collections import deque
 from itertools import starmap
@@ -221,58 +222,82 @@ def _rescale(row: np.ndarray) -> float:
     return shift
 
 
-def _killed_walk(v: np.ndarray, steps: int, e: float = 0.0):
-    """Yield (rows, log_z) for each run of the killed walk from v, scaled by
-    2**e, over ``steps`` steps: the rows 0..k of the run's k steps, the
-    first the row it starts from.
+class _RunBuffer:
+    """The run engine of the killed walk on 0..n: a buffer of _RESCALE_EVERY
+    + 1 rows and the views of every step of a run, built once.
+
+    One step maps row i to 0.5 (row[x-1] + row[x+1]) on 1..n-1 and to 0 at
+    0 and n; it stores the unhalved sums in row i + 1, so the add is the
+    only rounding, and whoever reads the row counts the factor 1/2 in its
+    scale (:func:`_killed_walk`). The ends 0 and n are never written.
+    """
+
+    def __init__(self, n: int):
+        self.buf = np.zeros((_RESCALE_EVERY + 1, n + 1))
+        # step i of a run: the views of the sites x-1 and x+1 it reads and
+        # of 1..n-1 it writes; its whole row is buf[i + 1]
+        self.ops = [(self.buf[i, :n - 1], self.buf[i, 2:], self.buf[i + 1, 1:n])
+                    for i in range(_RESCALE_EVERY)]
+
+    def run(self, k: int, last: bool) -> tuple[float, float]:
+        """Step k >= 1 steps from buf[0] into buf[1..k]; return (shift, end),
+        the exponents by which the first row and, when ``last`` is set and k
+        > 1, row k were scaled (:func:`_rescale`; 0 for a row not scaled).
+
+        A step is one np.add, and steps 2..k go through one C-level
+        iterator, with no Python statement run per step.
+        """
+        buf, ops = self.buf, self.ops
+        np.add(*ops[0])
+        shift = _rescale(buf[1])
+        deque(starmap(np.add, ops[1:k]), maxlen=0)
+        return shift, _rescale(buf[k]) if k > 1 and last else 0
+
+
+def _killed_walk(v: np.ndarray, steps: int):
+    """Yield (rows, log_z) for each run of the killed walk from v over
+    ``steps`` steps: the rows 0..k of the run's k steps, the first the row
+    it starts from.
 
     One step maps v to 0.5 (v[x-1] + v[x+1]) on 1..n-1 (n = len(v) - 1) and
     to 0 at 0 and n; the input v is nonnegative and read as 0 at both ends.
     Run from the all-ones vector it is the backward survival recursion: row
     s is h_n(., s), the rows of the :class:`SurvivalKernel` and of check
-    05. Run from a row the kernel stores, with the steps left to the
-    kernel's last row, its first run replays the kernel's run from there,
-    bit for bit. A last row alone, summed against weights, comes from
+    05. A last row alone, summed against weights, comes from
     :func:`_killed_sum`.
 
     Row s stands for rows[s] * exp(log_z[s]) with log_z[s] = e ln 2 for an
-    integer e. A step stores the unhalved sums v[x-1] + v[x+1] and counts the
-    factor 1/2 in e, so the add is the only rounding. The walk steps in runs
-    of _RESCALE_EVERY steps through a buffer of _RESCALE_EVERY + 1 rows whose
-    row 0 holds the row the run starts from, with the views of every step
-    built once: a step is one np.add, and steps 2..k of a run go through one
-    C-level iterator, with no Python statement run per step. The first step
-    of each run and the walk's last step scale their row by the exact power
-    of two that brings its max into [1/2, 1) (:func:`_rescale`). Only the
-    first step can kill everything: a live site with a live neighbour keeps
-    both alive, so after it the max never falls. Once nothing survives,
-    every row is zero and its log_z -inf.
+    integer e, and log_z[0] = 0. A step stores the unhalved sums v[x-1] +
+    v[x+1] and counts the factor 1/2 in e. The walk steps in runs of
+    _RESCALE_EVERY steps through one :class:`_RunBuffer`, whose row 0 holds
+    the row the run starts from. The first step of each run and the walk's
+    last step scale their row by the exact power of two that brings its max
+    into [1/2, 1) (:func:`_rescale`). So a run's rows depend on its start
+    row, its length and whether it is the last, and on nothing before it:
+    the kernel replays a run from its start row bit for bit
+    (:meth:`SurvivalKernel._replay`). Only the first step can kill
+    everything: a live site with a live neighbour keeps both alive, so after
+    it the max never falls. Once nothing survives, every row is zero and its
+    log_z -inf.
 
     Each run is views of the buffer, of shape (k + 1, n + 1) and (k + 1,),
     valid until the next is asked for; a walk of 0 steps yields the input,
     zeroed at the ends, alone.
     """
     n = len(v) - 1
-    # the ends 0 and n are never written
-    buf = np.zeros((_RESCALE_EVERY + 1, n + 1))
+    engine = _RunBuffer(n)
+    buf = engine.buf
     buf[0, 1:n] = v[1:n]
-    # step i of a run: the views of the sites x-1 and x+1 it reads and of
-    # 1..n-1 it writes; its whole row is buf[i + 1]
-    ops = [(buf[i, :n - 1], buf[i, 2:], buf[i + 1, 1:n]) for i in range(_RESCALE_EVERY)]
     halvings = np.arange(_RESCALE_EVERY + 1.0)  # of the rows 0..k of a run
-    z = np.empty(_RESCALE_EVERY + 1)
+    z = np.zeros(_RESCALE_EVERY + 1)
     if not steps:
-        z[0] = e
-        z[:1] *= _LN2
         yield buf[:1], z[:1]
+    e = 0.0
     for s0 in range(0, steps, _RESCALE_EVERY):
         k = min(_RESCALE_EVERY, steps - s0)
         if s0:
             buf[0] = buf[_RESCALE_EVERY]
-        np.add(*ops[0])
-        shift = _rescale(buf[1])
-        deque(starmap(np.add, ops[1:k]), maxlen=0)
-        last = _rescale(buf[k]) if k > 1 and s0 + k == steps else 0
+        shift, last = engine.run(k, s0 + k == steps)
         z[0] = e
         np.subtract(e + shift, halvings[1:k + 1], out=z[1:k + 1])
         e = e + shift - k + last
@@ -507,9 +532,10 @@ class SurvivalKernel:
     The kernel stores the rows R-1 and R, _log_z and the row each run of
     _RESCALE_EVERY steps of the walk starts from (:func:`_killed_walk`);
     every other row is its run replayed from there, bit for bit
-    (:meth:`_h_row`, :meth:`_runs`). Memory is O(n min(t_max, s*) / 32 +
-    min(t_max, s*)), which must fit in KERNEL_BYTES_BUDGET. Immutable after
-    construction.
+    (:meth:`_h_row`, :meth:`_replay`), in a run buffer of 33 rows that
+    each thread reading the kernel builds once. Memory is O(n min(t_max, s*)
+    / 32 + min(t_max, s*)), which must fit in KERNEL_BYTES_BUDGET, and a run
+    buffer per reading thread. Immutable after construction.
     """
 
     def __init__(self, n: int, t_max: int):
@@ -531,6 +557,9 @@ class SurvivalKernel:
             self._starts[j] = run[0]
             self._log_z[_RESCALE_EVERY * j:_RESCALE_EVERY * j + len(z)] = z
         self._last = run[-2:].copy()  # the rows R-1 and R (row 0 alone if R = 0)
+        # each thread replays runs in its own buffer, built when it first
+        # replays one (:meth:`_replay`)
+        self._engines = threading.local()
         if rows > settled and n > 2:
             # rounding in the rows grows like n**2 eps: the gap measured up
             # to n = 400 stays below 0.13 n**2 eps
@@ -545,13 +574,24 @@ class SurvivalKernel:
                     f"kernel row {rows} of n={n} is not settled: its up-step "
                     f"is {gap:.3g} from the Doob step")
 
-    def _runs(self, j: int = 0):
-        """The runs of the kernel's walk from the start of run j on, replayed
-        from its stored start row: the (rows, log_z) of :func:`_killed_walk`,
-        bit for bit those of the build."""
-        s0 = _RESCALE_EVERY * j
-        return _killed_walk(self._starts[j], len(self._log_z) - 1 - s0,
-                            np.rint(self._log_z[s0] / _LN2))
+    def _replay(self, j: int, steps: int = _RESCALE_EVERY) -> np.ndarray:
+        """The rows s0..s0+k of run j of the kernel's walk, s0 = 32 j, for
+        its first k = min(steps, the run's length) steps, replayed from its
+        stored start row, bit for bit those of the build: a view of the
+        calling thread's run buffer, valid until that thread replays again.
+        Run j must hold a step (s0 < R), and steps be at least 1.
+
+        A row depends only on the steps before it, but for the walk's last
+        row, which the build rescales: it is rescaled here too when the
+        replay reaches it."""
+        engine = getattr(self._engines, "engine", None)
+        if engine is None:
+            engine = self._engines.engine = _RunBuffer(self.n)
+        s0, R = _RESCALE_EVERY * j, len(self._log_z) - 1
+        k = min(steps, _RESCALE_EVERY, R - s0)
+        engine.buf[0] = self._starts[j]
+        engine.run(k, s0 + k == R)
+        return engine.buf[:k + 1]
 
     def _h_row(self, r: int) -> np.ndarray:
         """Row r <= R of the kernel: stored, or replayed with its run. The
@@ -562,8 +602,7 @@ class SurvivalKernel:
         j, i = divmod(r, _RESCALE_EVERY)
         if not i:
             return self._starts[j]
-        rows, _ = next(self._runs(j))
-        return rows[i].copy()
+        return self._replay(j, i)[i].copy()
 
     def _row(self, t: int) -> tuple[int, float]:
         """(r, log_z) with h(., t) = kernel row r times exp(log_z)."""
@@ -598,7 +637,7 @@ class SurvivalKernel:
         Row 0 and the killed columns 0 and n are 0, and so is every entry at
         n = 2, where h(1, s) = 0 for s >= 1. Rows past the stored R repeat
         row R, the Doob step. The kernel's walk is replayed run by run into
-        it (:meth:`_runs`). O(n t_max) memory, checked with the stored rows
+        it (:meth:`_replay`). O(n t_max) memory, checked with the stored rows
         against KERNEL_BYTES_BUDGET before it is allocated; the path sampler
         reads one run's rows at a time from :meth:`_up_rows` instead, and
         the batch walk one kernel row a law (:func:`_h_transform`).
@@ -611,9 +650,9 @@ class SurvivalKernel:
         p = np.zeros((t + 1, n + 1))
         if n > 2:
             ratio = _up_ratio(self._log_z)
-            for j, (rows, _) in enumerate(self._runs()):
-                s0 = _RESCALE_EVERY * j
-                k = len(rows) - 1
+            for j in range(-(-r // _RESCALE_EVERY)):
+                rows = self._replay(j)
+                s0, k = _RESCALE_EVERY * j, len(rows) - 1
                 _up_steps(rows, ratio[s0:s0 + k], p[s0 + 1:s0 + k + 1, 1:n])
             p[r + 1:] = p[r]
         return p
@@ -625,7 +664,7 @@ class SurvivalKernel:
         The sites 0 and n read 0, and a time past the stored row R reads row
         R, the Doob step. At or below R a block is the up-steps of one run of
         the kernel's walk, s = s0+1..s0+k from its rows s0..s0+k, each run
-        replayed once (:meth:`_runs`). The up-step at x = 1 must be exactly
+        replayed once (:meth:`_replay`). The up-step at x = 1 must be exactly
         1 and at x = n-1 exactly 0, so that no walker leaves 1..n-1; a build
         where either is not raises RuntimeError.
         """
@@ -648,8 +687,7 @@ class SurvivalKernel:
                 yield np.broadcast_to(doob, (min(_BLOCK, s - R), n + 1))
         for j in range((top - 1) // _RESCALE_EVERY, -1, -1):
             s0 = _RESCALE_EVERY * j
-            rows, _ = next(self._runs(j))
-            yield up(rows[:top - s0 + 1], s0)
+            yield up(self._replay(j)[:top - s0 + 1], s0)
 
 
 def ring_time_scale(n: int, alpha: float) -> int:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import threading
 import tracemalloc
 from collections import deque
 from fractions import Fraction
@@ -39,9 +40,12 @@ def _walk_rows(v, steps: int):
 
 
 def _kernel_rows(kernel):
-    """(rows, log_z) of every kernel row 0..R: each run of the kernel's walk
-    replayed alone from its stored start row (SurvivalKernel._runs)."""
-    return _concatenated([next(kernel._runs(j)) for j in range(len(kernel._starts))])
+    """Every kernel row 0..R: the stored row 0, then each run of the
+    kernel's walk replayed alone from its stored start row
+    (SurvivalKernel._replay), without that row."""
+    runs = -(-(len(kernel._log_z) - 1) // rk._RESCALE_EVERY)
+    return np.concatenate([kernel._starts[:1]]
+                          + [kernel._replay(j)[1:].copy() for j in range(runs)])
 
 
 def _walk_part(v, steps: int, kill, start):
@@ -240,7 +244,7 @@ class TestRingWalk:
     def test_step_symmetry_and_normalization(self):
         kernel = rk.SurvivalKernel(9, 50)
         p_up = kernel._step_up_table()
-        table, log_z = _kernel_rows(kernel)
+        table, log_z = _kernel_rows(kernel), kernel._log_z
         for s in range(1, 51):
             for x in range(1, 9):
                 up = p_up[s, x]
@@ -391,20 +395,20 @@ class TestUpCountWalk:
         p_up = kernel._step_up_table()
         R = len(kernel._log_z) - 1
         assert R == min(t, rk._settled_steps(n) + 1) < t
-        walk, replays = rk._killed_walk, []
+        replay, replays = rk.SurvivalKernel._replay, []
 
-        def counted(*args):
-            replays.append(args[1])
-            return walk(*args)
+        def counted(self, j):
+            replays.append(j)
+            return replay(self, j)
 
-        monkeypatch.setattr(rk, "_killed_walk", counted)
+        monkeypatch.setattr(rk.SurvivalKernel, "_replay", counted)
         for s0 in sorted({min(s, t) for s in (1, 5, 33, R - 1, R, R + 1, R + 40, t)} - {0}):
             replays.clear()
             blocks = list(kernel._up_rows(s0))
             assert np.array_equal(np.concatenate(blocks), p_up[s0:0:-1])
             assert all(0 < len(b) <= rk._BLOCK for b in blocks)
             below = min(s0, R)
-            assert sorted(replays) == sorted(R - s for s in range(0, below, rk._RESCALE_EVERY))
+            assert sorted(replays) == list(range(-(-below // rk._RESCALE_EVERY)))
             assert [len(b) for b in blocks[len(blocks) - len(replays):]] == \
                 [below - (below - 1) // rk._RESCALE_EVERY * rk._RESCALE_EVERY] \
                 + [rk._RESCALE_EVERY] * (len(replays) - 1)
@@ -1419,9 +1423,8 @@ class TestKilledWalkOracles:
             assert rk.h_dp(2, 1, steps) == 0.0
             assert rk.h_spectral(2, 1, steps) == 0.0
         kernel = rk.SurvivalKernel(2, 40)
-        table, log_z = _kernel_rows(kernel)
-        assert np.all(log_z[1:] == -math.inf) and np.all(kernel._log_z[1:] == -math.inf)
-        assert not table[1:].any()
+        assert np.all(kernel._log_z[1:] == -math.inf)
+        assert not _kernel_rows(kernel)[1:].any()
 
     def test_scale_never_overflows(self):
         # at n = 3 the mass from site 1 halves every step: log mass -t ln 2
@@ -1433,7 +1436,7 @@ class TestKilledWalkOracles:
         # pass the double range after about 1030 steps without rescaling
         assert rk.h_dp(64, 32, t) == pytest.approx(rk.h_spectral(64, 32, t),
                                                    rel=1e-11)
-        table, _ = _kernel_rows(rk.SurvivalKernel(64, t))
+        table = _kernel_rows(rk.SurvivalKernel(64, t))
         assert np.all(np.isfinite(table))
         assert table.max() < 2.0**32
 
@@ -1603,19 +1606,45 @@ class TestKilledWalkRuns:
         # or some steps between (R = 97, 96 and 119 at n = 12)
         kernel = rk.SurvivalKernel(n, t)
         rows, log_z = _full_table(n, len(kernel._log_z) - 1)
-        replayed, replayed_z = _kernel_rows(kernel)
-        assert replayed.tobytes() == rows.tobytes()
-        assert replayed_z.tobytes() == log_z.tobytes() == kernel._log_z.tobytes()
+        assert _kernel_rows(kernel).tobytes() == rows.tobytes()
+        assert kernel._log_z.tobytes() == log_z.tobytes()
         for r in range(len(rows)):
             assert kernel._h_row(r).tobytes() == rows[r].tobytes()
+
+    def test_one_run_buffer_a_thread(self, monkeypatch):
+        # a kernel builds its run buffer once per reading thread: reading h
+        # along a row below R replays the row's run at every site, in the
+        # same buffer; a second thread replays in a buffer of its own, so a
+        # run it replays leaves the first thread's run as it was
+        built = []
+
+        class Counted(rk._RunBuffer):
+            def __init__(self, n):
+                built.append(n)
+                super().__init__(n)
+
+        monkeypatch.setattr(rk, "_RunBuffer", Counted)
+        n = 48
+        kernel = rk.SurvivalKernel(n, 5602)
+        rows, log_z = _full_table(n, len(kernel._log_z) - 1)
+        built.clear()
+        h = [kernel.h(x, 40) for x in range(n + 1)]
+        assert h == [float(rows[40, x] * math.exp(log_z[40])) for x in range(n + 1)]
+        assert built == [n]
+        mine = kernel._replay(1)
+        theirs = []
+        worker = threading.Thread(target=lambda: theirs.append(kernel._replay(3).copy()))
+        worker.start()
+        worker.join()
+        assert built == [n, n]
+        assert mine.tobytes() == rows[32:65].tobytes()
+        assert theirs[0].tobytes() == rows[96:129].tobytes()
 
     def test_digests(self):
         # the kernel's runs, each replayed from its stored start row
         kernel = rk.SurvivalKernel(160, rk.ring_time_scale(160, 1.0))
-        table, log_z = _kernel_rows(kernel)
-        assert _sha256(table) == KILLED_WALK_SHA256["kernel_table"]
-        assert _sha256(log_z) == KILLED_WALK_SHA256["kernel_log_z"]
-        assert kernel._log_z.tobytes() == log_z.tobytes()
+        assert _sha256(_kernel_rows(kernel)) == KILLED_WALK_SHA256["kernel_table"]
+        assert _sha256(kernel._log_z) == KILLED_WALK_SHA256["kernel_log_z"]
         assert _sha256(rk.h_dp(1000, 500, 250000)) == KILLED_WALK_SHA256["h_dp"]
         delta = math.ceil(config.cond_threshold(240))
         exact, _, _ = rk.no_hit_prob_exact(120, 2 * delta, delta, 1)
@@ -1870,7 +1899,7 @@ class TestKernelMemoryGuard:
             r = len(kernel._log_z) - 1
             assert p_up.shape == (t + 1, n + 1)
             assert np.array_equal(
-                p_up[:r + 1], self._step_up_reference(*_kernel_rows(kernel)))
+                p_up[:r + 1], self._step_up_reference(_kernel_rows(kernel), kernel._log_z))
             full = self._step_up_reference(*_full_table(n, t))
             assert np.max(np.abs(p_up[r + 1:] - full[r + 1:]), initial=0.0) \
                 <= n * n * np.finfo(float).eps
@@ -2009,7 +2038,7 @@ class TestKernelCut:
         for t in (0, 1, s_star, s_star + 1, s_star + 2, 3 * s_star + 5):
             kernel = rk.SurvivalKernel(n, t)
             rows = min(t, s_star + 1) + 1
-            assert _kernel_rows(kernel)[0].shape == (rows, n + 1)
+            assert _kernel_rows(kernel).shape == (rows, n + 1)
             assert kernel._log_z.shape == (rows,)
             # a start row a run of 32 steps, and the last two rows
             assert kernel._starts.shape == (max(1, -(-(rows - 1) // 32)), n + 1)
