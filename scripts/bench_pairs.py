@@ -74,11 +74,14 @@ Run from the root of a checkout. The committed files came from::
     OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev bcff6a8 \\
         --claim exact-scale --seed0 1741 --sweep kernel_build --sweep ring_path \\
         --out BENCH_kernel_runs.json
+    OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev 693e9a8 \\
+        --claim exact-scale --seed0 1801 --sweep kernel_build --sweep ring_path \\
+        --out BENCH_up_ratio.json
 
 (the files before BENCH_walk_rows.json ran one pair per sweep case;
-BENCH_window_chain.json, BENCH_block_schedule.json, BENCH_law_layout.json and
-BENCH_absorb_images.json claim no gain: there --claim only picks the workload
-that gets PAIRS pairs).
+BENCH_window_chain.json, BENCH_block_schedule.json, BENCH_law_layout.json,
+BENCH_absorb_images.json and BENCH_up_ratio.json claim no gain: there --claim
+only picks the workload that gets PAIRS pairs).
 
 The parent revision and the change are each exported with ``git archive``
 into a temporary directory of their own, so neither side runs in the

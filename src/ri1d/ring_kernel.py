@@ -30,11 +30,13 @@ h_n(., s) is its two slowest modes to 2**-53, and the kernel stores a row a
 run and a log scale a row, so its memory is O(n min(t, s*) / 32 + min(t,
 s*)); later times are that settled row times a power of cos(pi/n). On top
 of the kernel sit the time-inhomogeneous conditioned ring walk and its
-exact vacant-set and local-time functionals. The path sampler reads the
-kernel's site-indexed up-step rows one run of 32 steps at a time, each run
-replayed once as it descends (:meth:`SurvivalKernel._up_rows`), with the
-settled row, the Doob step, for every time past the stored rows; it draws
-one uniform per step and compares it with the row of its step. The batch
+exact vacant-set and local-time functionals. An up-step reads one kernel
+row, in whatever scale it is stored: h(x+1, s-1) / (2 h(x, s)) is h(x+1,
+s-1) / (h(x-1, s-1) + h(x+1, s-1)) (:func:`_up_probs`). The path sampler
+reads the kernel's site-indexed up-step rows one run of 32 steps at a time,
+each run replayed once as it descends (:meth:`SurvivalKernel._up_rows`),
+with the kept Doob step for every time past the stored rows; it draws one
+uniform per step and compares it with the row of its step. The batch
 walk behind the vacant-set and local-time samplers is built as the paper
 builds the conditioned walk, a Doob h-transform of the walk killed at 0 and
 n: along a path that stays in 1..n-1 the up-steps telescope, so the law of
@@ -228,8 +230,10 @@ class _RunBuffer:
 
     One step maps row i to 0.5 (row[x-1] + row[x+1]) on 1..n-1 and to 0 at
     0 and n; it stores the unhalved sums in row i + 1, so the add is the
-    only rounding, and whoever reads the row counts the factor 1/2 in its
-    scale (:func:`_killed_walk`). The ends 0 and n are never written.
+    only rounding, and whoever reads the row as h counts the factor 1/2 in
+    its scale (:func:`_killed_walk`). An up-step reads row i alone and
+    forms the same sums (:func:`_up_probs`). The ends 0 and n are never
+    written.
     """
 
     def __init__(self, n: int):
@@ -268,7 +272,8 @@ def _killed_walk(v: np.ndarray, steps: int):
 
     Row s stands for rows[s] * exp(log_z[s]) with log_z[s] = e ln 2 for an
     integer e, and log_z[0] = 0. A step stores the unhalved sums v[x-1] +
-    v[x+1] and counts the factor 1/2 in e. The walk steps in runs of
+    v[x+1] and counts the factor 1/2 in e; an up-step, a ratio of cells of
+    one row (:func:`_up_probs`), reads no scale. The walk steps in runs of
     _RESCALE_EVERY steps through one :class:`_RunBuffer`, whose row 0 holds
     the row the run starts from. The first step of each run and the walk's
     last step scale their row by the exact power of two that brings its max
@@ -480,33 +485,20 @@ def _settled_steps(n: int) -> int:
     return math.ceil(53 * _LN2 / (_log_cos(math.pi / n) - _log_cos(k * math.pi / n)))
 
 
-def _up_ratio(log_z: np.ndarray) -> np.ndarray:
-    """0.5 * 2**(e[s-1] - e[s]) for the consecutive kernel rows of log_z:
-    the up-step's 1/2 times the ratio of the two rows' scales.
+def _up_probs(rows: np.ndarray, out: np.ndarray) -> None:
+    """out[i, x-1] = rows[i, x+1] / (rows[i, x-1] + rows[i, x+1]) for x =
+    1..n-1, in place: the up-steps h(x+1, s) / (2 h(x, s+1)) of the
+    consecutive kernel rows s in rows.
 
-    Every log_z is e ln 2 for an integer e (:func:`_killed_walk`), so the
-    ratio is an exact power of two, and so is the factor.
-    """
-    e = np.rint(log_z / _LN2).astype(np.int64)
-    return np.ldexp(0.5, e[:-1] - e[1:])
-
-
-def _up_steps(rows: np.ndarray, ratio: np.ndarray, out: np.ndarray) -> None:
-    """out[i, x-1] = h(x+1, s-1) / (2 h(x, s)) at s = s0+i, x = 1..n-1, in place.
-
-    rows are the consecutive kernel rows s0-1..s0+len(out)-1 in the scaled
-    form of :class:`SurvivalKernel` and ratio their :func:`_up_ratio`: one
-    division of the rows, then the exact product by the ratio of the rows
-    where it is not 1. A step stores unhalved sums and counts the halving in
-    its row's scale (:func:`_killed_walk`), so the ratio is 1 but at the
-    rescaled rows, the first of a run and the walk's last. At x = 1, where
-    h(1, s) = h(2, s-1)/2, the up-step is exactly 1, and at x = n-1 it is
-    exactly 0.
+    h(x, s+1) is 0.5 (h(x-1, s) + h(x+1, s)), so an up-step reads one row,
+    in whatever scale it is stored. The sum is the add by which the kernel's
+    walk steps (:class:`_RunBuffer`), so at an unscaled row the divisor is
+    the next row, bit for bit. At x = 1, where the row reads 0 at site 0,
+    the up-step is exactly 1, and at x = n-1 exactly 0.
     """
     n = rows.shape[1] - 1
-    np.divide(rows[:-1, 2:], rows[1:, 1:n], out=out)
-    for i in np.flatnonzero(ratio != 1.0):
-        out[i] *= ratio[i]
+    np.add(rows[:, :n - 1], rows[:, 2:], out=out)
+    np.divide(rows[:, 2:], out, out=out)
 
 
 def _check_budget(need: int, what: str) -> None:
@@ -525,17 +517,20 @@ class SurvivalKernel:
     + 1) with s* from :func:`_settled_steps`: from s* on, h(., s) is its two
     slowest modes, so for s > R it is the row r in {R-1, R} with r = s (mod
     2) times cos(pi/n)^(s-r), and the up-step is the time-homogeneous Doob
-    step sin(pi(x+1)/n) / (2 cos(pi/n) sin(pi x/n)). The build checks row R's
-    up-step against it and raises RuntimeError on a miss. So the conditioned
-    walk can be stepped at any time without recomputation.
+    step sin(pi(x+1)/n) / (2 cos(pi/n) sin(pi x/n)). The build reads the
+    up-step at s = R from row R-1 (an up-step reads one row, in any scale:
+    :func:`_up_probs`), keeps it as the up-step of every s > R, and raises
+    RuntimeError where it misses the Doob step. So the conditioned walk can
+    be stepped at any time without recomputation.
 
-    The kernel stores the rows R-1 and R, _log_z and the row each run of
-    _RESCALE_EVERY steps of the walk starts from (:func:`_killed_walk`);
-    every other row is its run replayed from there, bit for bit
-    (:meth:`_h_row`, :meth:`_replay`), in a run buffer of 33 rows that
-    each thread reading the kernel builds once. Memory is O(n min(t_max, s*)
-    / 32 + min(t_max, s*)), which must fit in KERNEL_BYTES_BUDGET, and a run
-    buffer per reading thread. Immutable after construction.
+    The kernel stores the rows R-1 and R, that up-step, _log_z and the row
+    each run of _RESCALE_EVERY steps of the walk starts from
+    (:func:`_killed_walk`); every other row is its run replayed from there,
+    bit for bit (:meth:`_h_row`, :meth:`_replay`), in a run buffer of 33
+    rows that each thread reading the kernel builds once. Memory is O(n
+    min(t_max, s*) / 32 + min(t_max, s*)), which must fit in
+    KERNEL_BYTES_BUDGET, and a run buffer per reading thread. Immutable
+    after construction.
     """
 
     def __init__(self, n: int, t_max: int):
@@ -543,7 +538,7 @@ class SurvivalKernel:
         settled = _settled_steps(n)
         rows = min(t_max, settled + 1)
         runs = max(1, -(-rows // _RESCALE_EVERY))
-        _check_budget(8 * ((runs + 2) * (n + 1) + rows + 1),
+        _check_budget(8 * ((runs + 3) * (n + 1) + rows + 1),
                       f"kernel rows for n={n}, t_max={t_max}")
         self.n = n
         self.t_max = t_max
@@ -560,15 +555,17 @@ class SurvivalKernel:
         # each thread replays runs in its own buffer, built when it first
         # replays one (:meth:`_replay`)
         self._engines = threading.local()
+        # the up-step at every s > R, read from row R-1 (0 where no s > R
+        # is read, or at n = 2)
+        self._doob = np.zeros(n + 1)
         if rows > settled and n > 2:
+            _up_probs(self._last[:1], self._doob[None, 1:n])
             # rounding in the rows grows like n**2 eps: the gap measured up
             # to n = 400 stays below 0.13 n**2 eps
             x = np.arange(1, n)
-            up = np.empty((1, n - 1))
-            _up_steps(self._last, _up_ratio(self._log_z[-2:]), up)
             doob = np.sin(np.pi * (x + 1) / n) \
                 / (2 * math.cos(math.pi / n) * np.sin(np.pi * x / n))
-            gap = float(np.max(np.abs(up[0] - doob)))
+            gap = float(np.max(np.abs(self._doob[1:n] - doob)))
             if not gap <= n * n * np.finfo(float).eps:
                 raise RuntimeError(
                     f"kernel row {rows} of n={n} is not settled: its up-step "
@@ -635,59 +632,59 @@ class SurvivalKernel:
         """Up-step probabilities h(x+1, s-1) / (2 h(x, s)) as P[s, x].
 
         Row 0 and the killed columns 0 and n are 0, and so is every entry at
-        n = 2, where h(1, s) = 0 for s >= 1. Rows past the stored R repeat
-        row R, the Doob step. The kernel's walk is replayed run by run into
-        it (:meth:`_replay`). O(n t_max) memory, checked with the stored rows
-        against KERNEL_BYTES_BUDGET before it is allocated; the path sampler
-        reads one run's rows at a time from :meth:`_up_rows` instead, and
-        the batch walk one kernel row a law (:func:`_h_transform`).
+        n = 2, where h(1, s) = 0 for s >= 1. Row s <= R reads the kernel row
+        s-1 alone (:func:`_up_probs`), each run of the kernel's walk
+        replayed once (:meth:`_replay`); the rows past R are the kept Doob
+        step. O(n t_max) memory, checked with the stored rows against
+        KERNEL_BYTES_BUDGET before it is allocated; the path sampler reads
+        one run's rows at a time from :meth:`_up_rows` instead, and the
+        batch walk one kernel row a law (:func:`_h_transform`).
         """
         n, t = self.n, self.t_max
         r = len(self._log_z) - 1
-        stored = self._starts.nbytes + self._last.nbytes + self._log_z.nbytes
+        stored = sum(a.nbytes for a in (self._starts, self._last, self._doob,
+                                        self._log_z))
         _check_budget(stored + 8 * (t + 1) * (n + 1),
                       f"kernel and step tables for n={n}, t_max={t}")
         p = np.zeros((t + 1, n + 1))
         if n > 2:
-            ratio = _up_ratio(self._log_z)
             for j in range(-(-r // _RESCALE_EVERY)):
-                rows = self._replay(j)
-                s0, k = _RESCALE_EVERY * j, len(rows) - 1
-                _up_steps(rows, ratio[s0:s0 + k], p[s0 + 1:s0 + k + 1, 1:n])
-            p[r + 1:] = p[r]
+                rows = self._replay(j)[:-1]
+                s0 = _RESCALE_EVERY * j
+                _up_probs(rows, p[s0 + 1:s0 + 1 + len(rows), 1:n])
+        p[r + 1:] = self._doob
         return p
 
     def _up_rows(self, t: int):
         """The rows P[s] of :meth:`_step_up_table` for s = t, t-1, ..., 1, in
         that order, in blocks of at most _BLOCK rows of shape (k, n+1).
 
-        The sites 0 and n read 0, and a time past the stored row R reads row
-        R, the Doob step. At or below R a block is the up-steps of one run of
-        the kernel's walk, s = s0+1..s0+k from its rows s0..s0+k, each run
+        The sites 0 and n read 0, and a time past the stored row R reads the
+        kept Doob step. At or below R a block is the up-steps of one run of
+        the kernel's walk, s = s0+1..s0+k from its rows s0..s0+k-1, each run
         replayed once (:meth:`_replay`). The up-step at x = 1 must be exactly
         1 and at x = n-1 exactly 0, so that no walker leaves 1..n-1; a build
         where either is not raises RuntimeError.
         """
         n, R = self.n, len(self._log_z) - 1
         top = min(t, R)
-        ratio = _up_ratio(self._log_z[:top + 1])
 
-        def up(rows: np.ndarray, s0: int) -> np.ndarray:
-            """The up-step rows s0+k..s0+1 from the kernel rows s0..s0+k."""
-            out = np.zeros((len(rows) - 1, n + 1))
-            _up_steps(rows, ratio[s0:s0 + len(out)], out[:, 1:n])
-            if not ((out[:, 1] == 1.0).all() and (out[:, n - 1] == 0.0).all()):
+        def checked(up: np.ndarray) -> np.ndarray:
+            if not ((up[..., 1] == 1.0).all() and (up[..., n - 1] == 0.0).all()):
                 raise RuntimeError(f"up-steps of n={n} at the edge sites 1 and {n - 1} "
                                    "are not exactly 1 and 0")
-            return out[::-1]
+            return up
 
         if t > R:
-            doob = up(self._last, R - 1)[0]
+            doob = checked(self._doob)
             for s in range(t, R, -_BLOCK):
                 yield np.broadcast_to(doob, (min(_BLOCK, s - R), n + 1))
         for j in range((top - 1) // _RESCALE_EVERY, -1, -1):
             s0 = _RESCALE_EVERY * j
-            yield up(self._replay(j)[:top - s0 + 1], s0)
+            rows = self._replay(j)[:min(top - s0, _RESCALE_EVERY)]
+            out = np.zeros((len(rows), n + 1))
+            _up_probs(rows, out[:, 1:n])
+            yield checked(out)[::-1]
 
 
 def ring_time_scale(n: int, alpha: float) -> int:

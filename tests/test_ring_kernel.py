@@ -322,6 +322,21 @@ class TestRingWalk:
                 paths.append(pos)
         return paths
 
+    @pytest.mark.parametrize("n", [5, 12, 13, 40])
+    def test_step_table_against_spectral_sum(self, n):
+        # the up-step h(x+1, s-1) / (h(x-1, s-1) + h(x+1, s-1)) from the
+        # spectral sum (_log_h), which shares no code with the kernel, at
+        # every s <= t, past the stored rows too; the two sides carry a few
+        # eps of rounding each and were at most 8.2 eps apart (n = 40), so
+        # 1e-14 (45 eps) bounds them with room
+        t = rk._settled_steps(n) + 40
+        p_up = rk.SurvivalKernel(n, t)._step_up_table()
+        log_h = np.full((t, n + 1), -np.inf)  # h(., s - 1) for s = 1..t
+        log_h[:, 1:n] = rk._log_h(n, np.arange(1, n), np.arange(t))
+        ref = 1 / (1 + np.exp(log_h[:, :-2] - log_h[:, 2:]))
+        np.testing.assert_allclose(p_up[1:, 1:n], ref, rtol=1e-14, atol=0)
+        assert np.all(p_up[1:, 1] == 1.0) and np.all(p_up[1:, n - 1] == 0.0)
+
     def test_path_law_enumeration(self):
         # every surviving path has probability 1/(2^t h_n(x0, t)); they sum to 1
         for n, x0, t in ((4, 2, 2), (4, 1, 5), (5, 2, 8), (5, 3, 7)):
@@ -416,13 +431,16 @@ class TestUpCountWalk:
         assert np.all(p_up[1:, 1] == 1.0) and np.all(p_up[1:, n - 1] == 0.0)
 
     def test_inexact_edge_raises(self, monkeypatch):
-        # the ratio exp(log_z[s-1] - log_z[s]) leaves the up-step at site 1
-        # at 0.9999999999999973 in most rows of n = 48; the path sampler,
-        # the one reader of the up-step rows, refuses them
-        def exp_ratio(log_z):
-            return 0.5 * np.exp(log_z[:-1] - log_z[1:])
+        # a neighbour sum one ulp too large leaves the up-step at site 1 at
+        # 1 - 2**-52; the path sampler, the one reader of the up-step rows,
+        # refuses it
+        up_probs = rk._up_probs
 
-        monkeypatch.setattr(rk, "_up_ratio", exp_ratio)
+        def inexact(rows, out):
+            up_probs(rows, out)
+            out /= 1 + 2.0**-52
+
+        monkeypatch.setattr(rk, "_up_probs", inexact)
         with pytest.raises(RuntimeError, match="n=48 at the edge sites 1 and 47"):
             rk.sample_ring_path(48, 5602, 24, RngState(0))
 
@@ -1860,12 +1878,12 @@ def _full_table(n, t):
 class TestKernelMemoryGuard:
     def test_budget_covers_both_tables(self, monkeypatch):
         # n = 10 settles at s* = 77: the kernel's rows are 0..78, and it
-        # keeps the start rows of their 3 runs, the rows 77 and 78 and the
-        # log scales of all 79, (3 + 2)(10 + 1) + 79 doubles; the step table
-        # is (100 + 1)(10 + 1) doubles on top of them and is checked only
-        # when it is built
+        # keeps the start rows of their 3 runs, the rows 77 and 78, the Doob
+        # step and the log scales of all 79, (3 + 3)(10 + 1) + 79 doubles;
+        # the step table is (100 + 1)(10 + 1) doubles on top of them and is
+        # checked only when it is built
         n, t = 10, 100
-        kernel_rows = 8 * (5 * 11 + 79)
+        kernel_rows = 8 * (6 * 11 + 79)
         steps = kernel_rows + 8 * 101 * 11
         monkeypatch.setattr(rk, "KERNEL_BYTES_BUDGET", kernel_rows)
         kernel = rk.SurvivalKernel(n, t)
