@@ -77,6 +77,9 @@ Run from the root of a checkout. The committed files came from::
     OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev 693e9a8 \\
         --claim exact-scale --seed0 1801 --sweep kernel_build --sweep ring_path \\
         --out BENCH_up_ratio.json
+    OPENBLAS_NUM_THREADS=1 python3 scripts/bench_pairs.py --parent-rev e210bf6 \\
+        --claim exact-scale --seed0 1831 --sweep kernel_build --sweep ring_path \\
+        --out BENCH_h_rows.json
 
 (the files before BENCH_walk_rows.json ran one pair per sweep case;
 BENCH_window_chain.json, BENCH_block_schedule.json, BENCH_law_layout.json,
@@ -219,7 +222,7 @@ try:
     out["peak_bytes"] = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     if call == "build":
-        out["rows"] = len(got._log_z)
+        out["rows"] = min(t, rk._settled_steps(n) + 1) + 1
         # computed from ndarray.nbytes, as perfbench/workloads.py does
         out["kernel_bytes"] = sum(v.nbytes for v in vars(got).values()
                                   if isinstance(v, np.ndarray))

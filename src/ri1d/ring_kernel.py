@@ -3,11 +3,11 @@
 The ring of n sites with a forbidden origin is represented as the segment
 {1..n-1} with killing at 0 and n (ring site -a is line site n-a). Every
 exact ring quantity is the simple walk killed at 0 and n, in two engines.
-:func:`_killed_walk` yields every row, a run of 32 steps at a time: stepped
-as unhalved sums with its scale carried as an exact power of two, through a
-run buffer whose views are built once (:class:`_RunBuffer`), one np.add a
-step. Run backward from the all-ones vector it gives h_n(., s) =
-P_.[tau_{0,n} > s] at every s, the rows of :class:`SurvivalKernel` and
+:func:`_killed_walk` yields every row h_n(., s) = P_.[tau_{0,n} > s] of the
+backward survival recursion from the all-ones vector, a run of 32 steps at a
+time, through a run buffer whose views are built once (:class:`_RunBuffer`):
+one np.add a step into unhalved sums, and one exact multiply by powers of
+two at the run's end. Its rows are those of :class:`SurvivalKernel` and
 check 05. The kernel keeps the row each run starts from and replays the run
 from there, bit for bit, in a run buffer of its own, to read a row of it.
 :func:`_killed_sum` returns sum_y P_x[X_t = y, alive] weight(y) by meeting
@@ -27,16 +27,16 @@ value of :func:`verify_pi4` needs no propagation: sin(pi x/n) is an
 eigenvector of the killed walk. The :class:`SurvivalKernel` rows stop at
 the remaining time s* ~ 0.93 n^2 (even n) or 2.5 n^2 (odd n) from which
 h_n(., s) is its two slowest modes to 2**-53, and the kernel stores a row a
-run and a log scale a row, so its memory is O(n min(t, s*) / 32 + min(t,
-s*)); later times are that settled row times a power of cos(pi/n). On top
-of the kernel sit the time-inhomogeneous conditioned ring walk and its
-exact vacant-set and local-time functionals. An up-step reads one kernel
-row, in whatever scale it is stored: h(x+1, s-1) / (2 h(x, s)) is h(x+1,
-s-1) / (h(x-1, s-1) + h(x+1, s-1)) (:func:`_up_probs`). The path sampler
-reads the kernel's site-indexed up-step rows one run of 32 steps at a time,
-each run replayed once as it descends (:meth:`SurvivalKernel._up_rows`),
-with the kept Doob step for every time past the stored rows; it draws one
-uniform per step and compares it with the row of its step. The batch
+run, so its memory is O(n min(t, s*) / 32); later times are that settled
+row times a power of cos(pi/n). On top of the kernel sit the
+time-inhomogeneous conditioned ring walk and its exact vacant-set and
+local-time functionals. An up-step reads one kernel row: h(x+1, s-1) / (2
+h(x, s)) is h(x+1, s-1) / (h(x-1, s-1) + h(x+1, s-1)) (:func:`_up_probs`).
+The path sampler reads the kernel's site-indexed up-step rows one run of 32
+steps at a time, each run replayed once as it descends
+(:meth:`SurvivalKernel._up_rows`), with the kept Doob step for every time
+past the stored rows; it draws one uniform per step and compares it with
+the row of its step. The batch
 walk behind the vacant-set and local-time samplers is built as the paper
 builds the conditioned walk, a Doob h-transform of the walk killed at 0 and
 n: along a path that stays in 1..n-1 the up-steps telescope, so the law of
@@ -161,7 +161,8 @@ def _spectral_log_terms(n: int, x, t):
         # t == 0 must give log 1 even for the cos = 0 mode (0 * -inf trap)
         pow_part = np.where(tt > 0, tt * log_c, 0.0)
     cot_half = 1.0 / np.tan(theta / 2)  # positive: theta/2 in (0, pi/2)
-    s = np.sin(np.multiply.outer(xs, theta))
+    # sin(n theta_j) is rounding noise, not 0: a killed site gives the terms 0
+    s = np.where((xs % n == 0)[..., None], 0.0, np.sin(np.multiply.outer(xs, theta)))
     with np.errstate(divide="ignore"):
         log_abs = (pow_part + np.log(cot_half) + math.log(2.0 / n)
                    + np.log(np.abs(s)))
@@ -179,18 +180,22 @@ def h_spectral_log(n: int, x, t):
     return _logsumexp(log_abs, b=sign, return_sign=True)
 
 
-def _log_h(n: int, x, t: int):
-    """log h_n(x, t) from the spectral sum, for a scalar or an array x.
+def _log_h(n: int, x, t):
+    """log h_n(x, t) from the spectral sum; x and t may each be a scalar or
+    an array, and the result has the axes of t, then those of x.
 
-    An exact zero gives -inf. Inside the segment the sum is positive, so a
-    negative sum is cancellation and raises RuntimeError.
+    A killed site, x = 0 or n, gives -inf. Inside the segment the sum is
+    positive, so a negative sum is cancellation and raises RuntimeError,
+    which names the first (x, t) where it is.
     """
-    log_abs, sign = h_spectral_log(n, x, t)
-    xs, signs = np.broadcast_arrays(x, sign)
-    if (signs < 0).any():
+    log_abs, sign = map(np.asarray, h_spectral_log(n, x, t))
+    if (sign < 0).any():
+        at = np.unravel_index(np.argmax(sign < 0), sign.shape)
+        t_axes = np.ndim(t)
         raise RuntimeError(f"spectral sum is negative at n={n}, "
-                           f"x={xs[signs < 0][0]}, t={t} (cancellation)")
-    log_h = np.where(signs == 0, -np.inf, log_abs)
+                           f"x={np.asarray(x)[at[t_axes:]]}, "
+                           f"t={np.asarray(t)[at[:t_axes]]} (cancellation)")
+    log_h = np.where(sign == 0, -np.inf, log_abs)
     return float(log_h) if log_h.ndim == 0 else log_h
 
 
@@ -207,8 +212,10 @@ def h_spectral(n: int, x: int, t: int) -> float:
     return min(float(np.exp(_log_h(n, x, t))), 1.0)
 
 
-#: Steps in one run of :func:`_killed_walk`, between two rescalings. One
-#: unhalved step at most doubles the max, so it stays below 2**32 in a run.
+#: Steps in one run of :func:`_killed_walk`, so the spacing of the rows a
+#: :class:`SurvivalKernel` keeps. A run steps in unhalved sums, and one
+#: unhalved step at most doubles the max, so from a row of h, at most 1, the
+#: sums stay below 2**32.
 _RESCALE_EVERY = 32
 _LN2 = math.log(2.0)
 
@@ -229,11 +236,12 @@ class _RunBuffer:
     + 1 rows and the views of every step of a run, built once.
 
     One step maps row i to 0.5 (row[x-1] + row[x+1]) on 1..n-1 and to 0 at
-    0 and n; it stores the unhalved sums in row i + 1, so the add is the
-    only rounding, and whoever reads the row as h counts the factor 1/2 in
-    its scale (:func:`_killed_walk`). An up-step reads row i alone and
-    forms the same sums (:func:`_up_probs`). The ends 0 and n are never
-    written.
+    0 and n. A run stores the unhalved sums, so its row i is 2**i times the
+    walk's and the add is the only rounding, and ends by multiplying each
+    row i by 2**-i, which is exact: its rows are those of the plain loop
+    w[1:n] = 0.5 (w[:n-1] + w[2:]), bit for bit. An up-step reads row i
+    alone and forms the same sums (:func:`_up_probs`). The ends 0 and n are
+    never written.
     """
 
     def __init__(self, n: int):
@@ -242,73 +250,47 @@ class _RunBuffer:
         # of 1..n-1 it writes; its whole row is buf[i + 1]
         self.ops = [(self.buf[i, :n - 1], self.buf[i, 2:], self.buf[i + 1, 1:n])
                     for i in range(_RESCALE_EVERY)]
+        self.halvings = np.ldexp(1.0, -np.arange(_RESCALE_EVERY + 1))[:, None]
 
-    def run(self, k: int, last: bool) -> tuple[float, float]:
-        """Step k >= 1 steps from buf[0] into buf[1..k]; return (shift, end),
-        the exponents by which the first row and, when ``last`` is set and k
-        > 1, row k were scaled (:func:`_rescale`; 0 for a row not scaled).
+    def run(self, k: int) -> None:
+        """Step k >= 1 steps from buf[0] into buf[1..k].
 
-        A step is one np.add, and steps 2..k go through one C-level
-        iterator, with no Python statement run per step.
+        The steps are one np.add each, through one C-level iterator, with no
+        Python statement run per step, and the halvings one multiply.
         """
-        buf, ops = self.buf, self.ops
-        np.add(*ops[0])
-        shift = _rescale(buf[1])
-        deque(starmap(np.add, ops[1:k]), maxlen=0)
-        return shift, _rescale(buf[k]) if k > 1 and last else 0
+        deque(starmap(np.add, self.ops[:k]), maxlen=0)
+        self.buf[1:k + 1] *= self.halvings[1:k + 1]
 
 
-def _killed_walk(v: np.ndarray, steps: int):
-    """Yield (rows, log_z) for each run of the killed walk from v over
-    ``steps`` steps: the rows 0..k of the run's k steps, the first the row
-    it starts from.
+def _killed_walk(n: int, steps: int):
+    """Yield the rows h_n(., s) = P_.[tau_{0,n} > s], s = 0..steps, of the
+    walk killed at 0 and n, a run at a time: the rows s0..s0+k of the run's
+    k steps, the first the row it starts from.
 
-    One step maps v to 0.5 (v[x-1] + v[x+1]) on 1..n-1 (n = len(v) - 1) and
-    to 0 at 0 and n; the input v is nonnegative and read as 0 at both ends.
-    Run from the all-ones vector it is the backward survival recursion: row
-    s is h_n(., s), the rows of the :class:`SurvivalKernel` and of check
-    05. A last row alone, summed against weights, comes from
-    :func:`_killed_sum`.
+    The walk is the backward survival recursion from the all-ones vector
+    (0 at both ends), one step h(x, s+1) = 0.5 (h(x-1, s) + h(x+1, s)) on
+    1..n-1: the rows of the :class:`SurvivalKernel` and of check 05. A last
+    row alone, summed against weights, comes from :func:`_killed_sum`. The
+    walk steps in runs of _RESCALE_EVERY steps through one
+    :class:`_RunBuffer`, whose row 0 holds the row the run starts from, so a
+    run's rows depend on its start row alone: the kernel replays a run from
+    its start row bit for bit (:meth:`SurvivalKernel._replay`). At n = 2
+    every row after the first is zero.
 
-    Row s stands for rows[s] * exp(log_z[s]) with log_z[s] = e ln 2 for an
-    integer e, and log_z[0] = 0. A step stores the unhalved sums v[x-1] +
-    v[x+1] and counts the factor 1/2 in e; an up-step, a ratio of cells of
-    one row (:func:`_up_probs`), reads no scale. The walk steps in runs of
-    _RESCALE_EVERY steps through one :class:`_RunBuffer`, whose row 0 holds
-    the row the run starts from. The first step of each run and the walk's
-    last step scale their row by the exact power of two that brings its max
-    into [1/2, 1) (:func:`_rescale`). So a run's rows depend on its start
-    row, its length and whether it is the last, and on nothing before it:
-    the kernel replays a run from its start row bit for bit
-    (:meth:`SurvivalKernel._replay`). Only the first step can kill
-    everything: a live site with a live neighbour keeps both alive, so after
-    it the max never falls. Once nothing survives, every row is zero and its
-    log_z -inf.
-
-    Each run is views of the buffer, of shape (k + 1, n + 1) and (k + 1,),
-    valid until the next is asked for; a walk of 0 steps yields the input,
-    zeroed at the ends, alone.
+    Each run is a view of the buffer, of shape (k + 1, n + 1), valid until
+    the next is asked for; a walk of 0 steps yields the all-ones row alone.
     """
-    n = len(v) - 1
     engine = _RunBuffer(n)
     buf = engine.buf
-    buf[0, 1:n] = v[1:n]
-    halvings = np.arange(_RESCALE_EVERY + 1.0)  # of the rows 0..k of a run
-    z = np.zeros(_RESCALE_EVERY + 1)
+    buf[0, 1:n] = 1.0
     if not steps:
-        yield buf[:1], z[:1]
-    e = 0.0
+        yield buf[:1]
     for s0 in range(0, steps, _RESCALE_EVERY):
         k = min(_RESCALE_EVERY, steps - s0)
         if s0:
             buf[0] = buf[_RESCALE_EVERY]
-        shift, last = engine.run(k, s0 + k == steps)
-        z[0] = e
-        np.subtract(e + shift, halvings[1:k + 1], out=z[1:k + 1])
-        e = e + shift - k + last
-        z[k] = e
-        z[:k + 1] *= _LN2
-        yield buf[:k + 1], z[:k + 1]
+        engine.run(k)
+        yield buf[:k + 1]
 
 
 #: Blocks of _BLOCK steps in one run of :func:`_killed_sum`, between two
@@ -490,11 +472,12 @@ def _up_probs(rows: np.ndarray, out: np.ndarray) -> None:
     1..n-1, in place: the up-steps h(x+1, s) / (2 h(x, s+1)) of the
     consecutive kernel rows s in rows.
 
-    h(x, s+1) is 0.5 (h(x-1, s) + h(x+1, s)), so an up-step reads one row,
-    in whatever scale it is stored. The sum is the add by which the kernel's
-    walk steps (:class:`_RunBuffer`), so at an unscaled row the divisor is
-    the next row, bit for bit. At x = 1, where the row reads 0 at site 0,
-    the up-step is exactly 1, and at x = n-1 exactly 0.
+    h(x, s+1) is 0.5 (h(x-1, s) + h(x+1, s)), so an up-step reads one row.
+    The sum is the add by which the kernel's walk steps (:class:`_RunBuffer`),
+    so the divisor is twice the next row, bit for bit, and a ratio of one
+    row's cells is the same at any power-of-two scale of the row. At x = 1,
+    where the row reads 0 at site 0, the up-step is exactly 1, and at x =
+    n-1 exactly 0.
     """
     n = rows.shape[1] - 1
     np.add(rows[:, :n - 1], rows[:, 2:], out=out)
@@ -511,24 +494,22 @@ def _check_budget(need: int, what: str) -> None:
 class SurvivalKernel:
     """Survival kernel h_n(x, s) of one ring size at every remaining time s.
 
-    The kernel's rows are the killed-walk vectors of the remaining times s
-    <= R, each scaled by a power of two to a max below 2**32, with their log
-    scales _log_z: row s times exp(_log_z[s]) is h(., s). R = min(t_max, s*
-    + 1) with s* from :func:`_settled_steps`: from s* on, h(., s) is its two
+    The kernel's row s is h(., s) itself, the killed walk's row of the
+    remaining time s <= R (:func:`_killed_walk`). R = min(t_max, s* + 1)
+    with s* from :func:`_settled_steps`: from s* on, h(., s) is its two
     slowest modes, so for s > R it is the row r in {R-1, R} with r = s (mod
     2) times cos(pi/n)^(s-r), and the up-step is the time-homogeneous Doob
     step sin(pi(x+1)/n) / (2 cos(pi/n) sin(pi x/n)). The build reads the
-    up-step at s = R from row R-1 (an up-step reads one row, in any scale:
+    up-step at s = R from row R-1 (an up-step reads one row:
     :func:`_up_probs`), keeps it as the up-step of every s > R, and raises
     RuntimeError where it misses the Doob step. So the conditioned walk can
     be stepped at any time without recomputation.
 
-    The kernel stores the rows R-1 and R, that up-step, _log_z and the row
-    each run of _RESCALE_EVERY steps of the walk starts from
-    (:func:`_killed_walk`); every other row is its run replayed from there,
-    bit for bit (:meth:`_h_row`, :meth:`_replay`), in a run buffer of 33
-    rows that each thread reading the kernel builds once. Memory is O(n
-    min(t_max, s*) / 32 + min(t_max, s*)), which must fit in
+    The kernel stores the rows R-1 and R, that up-step and the row each run
+    of _RESCALE_EVERY steps of the walk starts from; every other row is its
+    run replayed from there, bit for bit (:meth:`_h_row`, :meth:`_replay`),
+    in a run buffer of 33 rows that each thread reading the kernel builds
+    once. Memory is O(n min(t_max, s*) / 32), which must fit in
     KERNEL_BYTES_BUDGET, and a run buffer per reading thread. Immutable
     after construction.
     """
@@ -538,19 +519,15 @@ class SurvivalKernel:
         settled = _settled_steps(n)
         rows = min(t_max, settled + 1)
         runs = max(1, -(-rows // _RESCALE_EVERY))
-        _check_budget(8 * ((runs + 3) * (n + 1) + rows + 1),
-                      f"kernel rows for n={n}, t_max={t_max}")
+        _check_budget(8 * (runs + 3) * (n + 1), f"kernel rows for n={n}, t_max={t_max}")
         self.n = n
         self.t_max = t_max
+        self.R = rows
         # cos(pi/2) = 0 kills everything in one step at n = 2
         self._log_cos = -math.inf if n == 2 else _log_cos(math.pi / n)
-        v = np.ones(n + 1)
-        v[0] = v[n] = 0.0
         self._starts = np.empty((runs, n + 1))
-        self._log_z = np.empty(rows + 1)
-        for j, (run, z) in enumerate(_killed_walk(v, rows)):
+        for j, run in enumerate(_killed_walk(n, rows)):
             self._starts[j] = run[0]
-            self._log_z[_RESCALE_EVERY * j:_RESCALE_EVERY * j + len(z)] = z
         self._last = run[-2:].copy()  # the rows R-1 and R (row 0 alone if R = 0)
         # each thread replays runs in its own buffer, built when it first
         # replays one (:meth:`_replay`)
@@ -576,45 +553,40 @@ class SurvivalKernel:
         its first k = min(steps, the run's length) steps, replayed from its
         stored start row, bit for bit those of the build: a view of the
         calling thread's run buffer, valid until that thread replays again.
-        Run j must hold a step (s0 < R), and steps be at least 1.
-
-        A row depends only on the steps before it, but for the walk's last
-        row, which the build rescales: it is rescaled here too when the
-        replay reaches it."""
+        Run j must hold a step (s0 < R), and steps be at least 1."""
         engine = getattr(self._engines, "engine", None)
         if engine is None:
             engine = self._engines.engine = _RunBuffer(self.n)
-        s0, R = _RESCALE_EVERY * j, len(self._log_z) - 1
-        k = min(steps, _RESCALE_EVERY, R - s0)
+        k = min(steps, _RESCALE_EVERY, self.R - _RESCALE_EVERY * j)
         engine.buf[0] = self._starts[j]
-        engine.run(k, s0 + k == R)
+        engine.run(k)
         return engine.buf[:k + 1]
 
     def _h_row(self, r: int) -> np.ndarray:
         """Row r <= R of the kernel: stored, or replayed with its run. The
         caller must not write it."""
-        R = len(self._log_z) - 1
-        if r > R - len(self._last):
-            return self._last[r - R - 1]
+        if r > self.R - len(self._last):
+            return self._last[r - self.R - 1]
         j, i = divmod(r, _RESCALE_EVERY)
         if not i:
             return self._starts[j]
         return self._replay(j, i)[i].copy()
 
     def _row(self, t: int) -> tuple[int, float]:
-        """(r, log_z) with h(., t) = kernel row r times exp(log_z)."""
-        r = len(self._log_z) - 1
-        if t <= r:
-            return t, self._log_z[t]
-        r -= (t - r) % 2  # the stored row of t's parity
-        return r, self._log_z[r] + (t - r) * self._log_cos
+        """(r, log_c) with h(., t) = kernel row r times exp(log_c): (t, 0.0)
+        up to R, and past it the stored row of t's parity times a power of
+        cos(pi/n)."""
+        if t <= self.R:
+            return t, 0.0
+        r = self.R - (t - self.R) % 2
+        return r, (t - r) * self._log_cos
 
     def h(self, x: int, t: int) -> float:
         _check_domain(self.n, x, t)
         if t > self.t_max:
             raise ValueError(f"horizon {t} exceeds table horizon {self.t_max}")
-        r, log_z = self._row(t)
-        return float(self._h_row(r)[x] * math.exp(log_z))
+        r, log_c = self._row(t)
+        return float(self._h_row(r)[x] * math.exp(log_c))
 
     def _check_start(self, x0: int, t: int) -> None:
         """Raise ValueError unless a conditioned walk can run t steps from x0.
@@ -640,10 +612,8 @@ class SurvivalKernel:
         one run's rows at a time from :meth:`_up_rows` instead, and the
         batch walk one kernel row a law (:func:`_h_transform`).
         """
-        n, t = self.n, self.t_max
-        r = len(self._log_z) - 1
-        stored = sum(a.nbytes for a in (self._starts, self._last, self._doob,
-                                        self._log_z))
+        n, t, r = self.n, self.t_max, self.R
+        stored = sum(a.nbytes for a in (self._starts, self._last, self._doob))
         _check_budget(stored + 8 * (t + 1) * (n + 1),
                       f"kernel and step tables for n={n}, t_max={t}")
         p = np.zeros((t + 1, n + 1))
@@ -666,7 +636,7 @@ class SurvivalKernel:
         1 and at x = n-1 exactly 0, so that no walker leaves 1..n-1; a build
         where either is not raises RuntimeError.
         """
-        n, R = self.n, len(self._log_z) - 1
+        n, R = self.n, self.R
         top = min(t, R)
 
         def checked(up: np.ndarray) -> np.ndarray:
@@ -869,11 +839,10 @@ def _h_transform(kernel: SurvivalKernel, law: np.ndarray, s1: int,
     outcomes, so each row is that product, one broadcast multiply by the
     kernel row of s1 (:meth:`SurvivalKernel._row`, read by
     :meth:`SurvivalKernel._h_row`), divided by its sum: the law's sums over
-    the marks, times h, summed over the end row. The scales
-    of the law and of the kernel row cancel, and so does the power of
-    cos(pi/n) that h carries past the stored rows: the law reads h at its
-    end alone, takes no exp, and every row sums to 1 within the rounding of
-    its sum. Rows whose site is off 1..n-1 stay 0.
+    the marks, times h, summed over the end row. The law's scale cancels,
+    and so does the power of cos(pi/n) that h carries past the stored rows:
+    the law reads h at its end alone, takes no exp, and every row sums to 1
+    within the rounding of its sum. Rows whose site is off 1..n-1 stay 0.
     """
     n, rows = kernel.n, law.shape[0]
     r, _ = kernel._row(s1)
@@ -932,7 +901,7 @@ def _block_laws(kernel: SurvivalKernel, x0: int, t: int, visit_site: int | None,
             top += 1
         steps = _BLOCK << top
         # super-block i = 0, 1, ... ends at t - (i + 1) steps >= R - 1
-        shared = min(blocks >> top, max(0, (t - len(kernel._log_z) + 2) // steps))
+        shared = min(blocks >> top, max(0, (t - kernel.R + 1) // steps))
         if shared:
             yield steps, _h_transform(kernel, powers[top], t - steps, parity), shared
         s1 = t - shared * steps  # steps to go at the end of the last law

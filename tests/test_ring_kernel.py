@@ -26,36 +26,30 @@ def _start_part(length: int, start: int, kill) -> tuple[int, int]:
     return lo, hi
 
 
-def _concatenated(runs):
-    """(rows, log_z) of runs of the killed walk, each after the first
-    without its start row, the last row of the run before."""
-    return tuple(np.concatenate([runs[0][i][:1]] + [run[i][1:] for run in runs])
-                 for i in (0, 1))
+def _walk_rows(n: int, steps: int):
+    """Every row 0..steps of rk._killed_walk on 0..n: the runs, each after
+    the first without its start row, the last row of the run before."""
+    runs = [rows.copy() for rows in rk._killed_walk(n, steps)]
+    return np.concatenate([runs[0][:1]] + [run[1:] for run in runs])
 
 
-def _walk_rows(v, steps: int):
-    """Every row 0..steps of rk._killed_walk from v and their log scales."""
-    return _concatenated([(rows.copy(), log_z.copy())
-                          for rows, log_z in rk._killed_walk(v, steps)])
+def _halved_loop(n: int, steps: int):
+    """Every row 0..steps of the plain survival loop w[1:n] = 0.5 (w[:n-1] +
+    w[2:]) from the all-ones vector on 0..n."""
+    w = np.zeros((steps + 1, n + 1))
+    w[0, 1:n] = 1.0
+    for s in range(steps):
+        w[s + 1, 1:n] = 0.5 * (w[s, :n - 1] + w[s, 2:])
+    return w
 
 
 def _kernel_rows(kernel):
     """Every kernel row 0..R: the stored row 0, then each run of the
     kernel's walk replayed alone from its stored start row
     (SurvivalKernel._replay), without that row."""
-    runs = -(-(len(kernel._log_z) - 1) // rk._RESCALE_EVERY)
+    runs = -(-kernel.R // rk._RESCALE_EVERY)
     return np.concatenate([kernel._starts[:1]]
                           + [kernel._replay(j)[1:].copy() for j in range(runs)])
-
-
-def _walk_part(v, steps: int, kill, start):
-    """rk._killed_walk on the part of v that holds start, its rows put back
-    onto all of v's sites: the walk killed at 0, len(v) - 1 and kill."""
-    lo, hi = _start_part(len(v) - 1, start, kill)
-    rows, log_z = _walk_rows(v[lo:hi + 1], steps)
-    full = np.zeros((len(rows), len(v)))
-    full[:, lo:hi + 1] = rows
-    return full, log_z
 
 
 def _propagate_killed(length: int, start: int, steps: int,
@@ -177,6 +171,40 @@ class TestKernelBackends:
         assert rk.h_spectral(10, 0, 20) == 0.0
         assert rk.h_spectral(10, 10, 20) == 0.0
 
+    @pytest.mark.parametrize("n", [12, 13, 40, 41])
+    def test_log_h_at_killed_sites(self, n):
+        # sin(n theta_j) is rounding noise, not 0: x = n must give the exact
+        # zero of x = 0, not a finite log of noise or a cancellation error
+        for t in (0, 1, 5, 50, 500):
+            assert rk._log_h(n, 0, t) == rk._log_h(n, n, t) == -math.inf
+            assert np.isfinite(rk._log_h(n, n - 1, t))
+
+    def test_log_h_array_at_killed_sites(self):
+        # the spectral oracle's call: both ends -inf at every t, the inside
+        # the scalar calls' values
+        t = np.arange(439)
+        log_h = rk._log_h(13, np.arange(14), t)
+        assert log_h.shape == (439, 14)
+        assert np.all(log_h[:, [0, 13]] == -math.inf)
+        assert np.all(np.isfinite(log_h[:, 1:13]))
+        assert log_h[100, 6] == rk._log_h(13, 6, 100)
+
+    def test_log_h_names_one_negative_sum(self, monkeypatch):
+        # with array x and t the error names the first offending (x, t)
+        # alone, not every t
+        spectral = rk.h_spectral_log
+
+        def planted(n, x, t):
+            log_abs, sign = spectral(n, x, t)
+            sign = sign.copy()
+            sign[7, 3] = sign[9, 5] = -1.0
+            return log_abs, sign
+
+        monkeypatch.setattr(rk, "h_spectral_log", planted)
+        with pytest.raises(RuntimeError) as err:
+            rk._log_h(13, np.arange(1, 13), np.arange(439))
+        assert str(err.value) == "spectral sum is negative at n=13, x=4, t=7 (cancellation)"
+
 
 class TestSpectralArrayT:
     """h_spectral_log with an array t is the stacked scalar calls, bit for bit."""
@@ -244,15 +272,14 @@ class TestRingWalk:
     def test_step_symmetry_and_normalization(self):
         kernel = rk.SurvivalKernel(9, 50)
         p_up = kernel._step_up_table()
-        table, log_z = _kernel_rows(kernel), kernel._log_z
+        table = _kernel_rows(kernel)
         for s in range(1, 51):
             for x in range(1, 9):
                 up = p_up[s, x]
                 down = p_up[s, 9 - x]
                 assert up == pytest.approx(1 - down, abs=1e-10)
                 # down-step probability via the one-step identity
-                ratio = math.exp(log_z[s - 1] - log_z[s])
-                dn = table[s - 1, x - 1] * ratio / (2 * table[s, x])
+                dn = table[s - 1, x - 1] / (2 * table[s, x])
                 assert up + dn == pytest.approx(1.0, abs=1e-10)
 
     def test_sample_path_determinism_and_support(self):
@@ -408,7 +435,7 @@ class TestUpCountWalk:
         # replayed once
         kernel = rk.SurvivalKernel(n, t)
         p_up = kernel._step_up_table()
-        R = len(kernel._log_z) - 1
+        R = kernel.R
         assert R == min(t, rk._settled_steps(n) + 1) < t
         replay, replays = rk.SurvivalKernel._replay, []
 
@@ -560,7 +587,7 @@ def _composed_law(kernel, x0, t, visit_site=None, stay_in=None, cap=0):
     rows = kernel.n // 2 + 1
     w = np.zeros((rows, cap + 1, 2))
     w[x0 // 2, 0, int(stay_in is not None and not stay_in[0] < x0 < stay_in[1])] = 1.0
-    roundings = min(t, len(kernel._log_z) - 1) + 1
+    roundings = min(t, kernel.R) + 1
     for steps, law, draws in rk._block_laws(kernel, x0, t, visit_site, stay_in):
         assert law.shape[:2] == (rows, rows)
         slots, flags = law.shape[2:]
@@ -663,7 +690,7 @@ def _assert_schedule(kernel, x0, t, site, bounds, yields):
     many times; then one super-block per set bit of the full blocks below
     J, largest first; then the short block; all once, covering t steps."""
     blocks, short = divmod(t, rk._BLOCK)
-    R = len(kernel._log_z) - 1
+    R = kernel.R
     schedule = [(steps, draws) for steps, _, draws in yields]
     assert sum(steps * draws for steps, draws in schedule) == t
     assert all(law.shape[:2] == (kernel.n // 2 + 1,) * 2 for _, law, _ in yields)
@@ -721,7 +748,7 @@ class TestBlockLaw:
         # (4 steps). No cell may also be further than today's K eps
         t = 3 * rk._settled_steps(n) + 40
         kernel = rk.SurvivalKernel(n, t)
-        R = len(kernel._log_z) - 1
+        R = kernel.R
         cases = [(1, (0, n)), (n - 1, (-2, n + 3)), (n // 2, (1, n - 1)),
                  (None, (2, n - 2)), (n // 2 + 1, None), (None, None)]
         eps = np.finfo(float).eps
@@ -782,7 +809,7 @@ class TestBlockLaw:
         for n, x0, site, bounds, t in ((12, 6, 2, (1, 9), 3000), (40, 20, None, (2, 39), 4507),
                                        (48, 24, 2, None, 5602)):
             kernel = rk.SurvivalKernel(n, t)
-            R = len(kernel._log_z) - 1
+            R = kernel.R
             yields = list(rk._block_laws(kernel, x0, t, site, bounds))
             schedule = _assert_schedule(kernel, x0, t, site, bounds, yields)
             (L, shared), top = schedule[0], schedule[0][0] // rk._BLOCK
@@ -814,7 +841,7 @@ class TestBlockLaw:
         # settled blocks, those past R - 1, settled // top super-blocks of
         # the top power share one law
         kernel = rk.SurvivalKernel(12, 1000)
-        assert len(kernel._log_z) - 1 == 119
+        assert kernel.R == 119
         blocks = t // rk._BLOCK
         assert settled == max(0, (t - 118) // rk._BLOCK)
         top = 1 << max(blocks.bit_length() - 1, 0)
@@ -1028,7 +1055,7 @@ class TestComposedBlockLaws:
         """
         t = rk._settled_steps(n) + 200
         kernel = rk.SurvivalKernel(n, t)
-        R = len(kernel._log_z) - 1
+        R = kernel.R
         assert t - 4 * rk._BLOCK + 1 >= R
         gaps = []
         for parity in (0, 1):
@@ -1402,8 +1429,9 @@ class TestKilledWalkOracles:
         _, log_mass = _propagate_killed(n, 60, delta, (120,))
         assert abs(log_mass - float(rk.h_spectral_log(120, 60, delta)[0])) <= 1e-9
 
-    # the engine rescales at step 1, every 32 steps after it and at the last
-    # step; the rows between rescalings are unnormalized sums
+    # the kernel's runs end every 32 steps; the reference walk of
+    # _propagate_killed rescales at step 1, every 32 steps after it and at
+    # the last step, and its rows between rescalings are unnormalized sums
     RESCALE_STEPS = (1, 2, 31, 32, 33, 34, 64, 65, 97, 100)
 
     def test_across_rescale_boundaries(self):
@@ -1431,6 +1459,16 @@ class TestKilledWalkOracles:
                 ref = [float(p / mass) for p in exact[steps]]
                 np.testing.assert_allclose(w, ref, rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("n", [48, 160, 401])
+    def test_h_is_a_probability(self, n):
+        # every read of h is at most 1, and exactly 1 where the walk cannot
+        # reach 0 or n in s steps
+        kernel = rk.SurvivalKernel(n, 400)
+        for s in range(401):
+            h = np.array([kernel.h(x, s) for x in range(1, n)])
+            assert h.max() <= 1.0
+            assert np.all(h[s:n - 1 - s] == 1.0)
+
     def test_all_dead(self):
         # n = 2 and a start between two killed sites lose everything at step 1
         for steps in (1, 2, 40):
@@ -1441,8 +1479,8 @@ class TestKilledWalkOracles:
             assert rk.h_dp(2, 1, steps) == 0.0
             assert rk.h_spectral(2, 1, steps) == 0.0
         kernel = rk.SurvivalKernel(2, 40)
-        assert np.all(kernel._log_z[1:] == -math.inf)
         assert not _kernel_rows(kernel)[1:].any()
+        assert all(kernel.h(1, s) == 0.0 for s in range(1, 41))
 
     def test_scale_never_overflows(self):
         # at n = 3 the mass from site 1 halves every step: log mass -t ln 2
@@ -1451,12 +1489,13 @@ class TestKilledWalkOracles:
         assert log_mass == pytest.approx(-t * math.log(2), rel=1e-12)
         assert w.tolist() == [0.0, float(t % 2 == 0), float(t % 2 == 1), 0.0]
         # at n = 64 the unhalved sums grow like (2 cos(pi/64))^t and would
-        # pass the double range after about 1030 steps without rescaling
+        # pass the double range after about 1030 steps without rescaling;
+        # the kernel's runs halve their rows back to h at every run's end
         assert rk.h_dp(64, 32, t) == pytest.approx(rk.h_spectral(64, 32, t),
                                                    rel=1e-11)
         table = _kernel_rows(rk.SurvivalKernel(64, t))
         assert np.all(np.isfinite(table))
-        assert table.max() < 2.0**32
+        assert table.max() <= 1.0
 
     def test_results_independent_of_heap_contents(self):
         # freed blocks of the engine's buffer sizes, filled with NaN or 1e300,
@@ -1466,7 +1505,7 @@ class TestKilledWalkOracles:
             w, log_mass = _propagate_killed(30, 4, 200, (11,))
             rows = [kernel._h_row(s).copy() for s in (1, 33, 300)]
             return [rk.h_dp(40, 17, 300), rk.verify_pi4(60, 500, 7)[0],
-                    w, log_mass, *rows, kernel._log_z[[1, 33, 300]]]
+                    w, log_mass, *rows]
 
         first = run()
         for size in (31, 41, 61):
@@ -1480,7 +1519,7 @@ class TestKilledWalkOracles:
 
 def _killed_steps(v, steps, kill):
     """Rows 0..steps of the killed walk and their log scales, yielded one
-    step and one rescale test at a time: the reference of rk._killed_walk.
+    step and one rescale test at a time: the reference of _propagate_killed.
 
     Every step stores the unhalved sums and counts the halving in the
     exponent e; the first step, every 32nd after it and the last scale the
@@ -1508,12 +1547,6 @@ def _killed_steps(v, steps, kill):
         yield w, e * math.log(2.0)
 
 
-def _killed_steps_loop(v, steps, kill):
-    """Every row of :func:`_killed_steps`, as (rows, log_z) arrays."""
-    rows, log_z = zip(*_killed_steps(v, steps, kill))
-    return np.array(rows), np.array(log_z)
-
-
 def _killed_steps_last(v, steps, kill):
     """The last row of :func:`_killed_steps` and its log scale, holding one
     row at a time."""
@@ -1538,16 +1571,16 @@ def _spectral_h_mpmath(n, x, t):
                          for th in theta) / n)
 
 
-#: sha256 of the float64 bytes of SurvivalKernel(160, ring_time_scale(160, 1))
-#: (its rows 0..R, then their log scales), as the per-step killed walk computed them
-#: before it stepped in runs, and of h_dp(1000, 500, 250000) and of
+#: sha256 of the float64 bytes of SurvivalKernel(160, ring_time_scale(160, 1))'s
+#: rows 0..R, each h itself, and of their np.frexp mantissas, which no
+#: power-of-two scale of a row moves; and of h_dp(1000, 500, 250000) and of
 #: no_hit_prob_exact(120, 2 delta, delta, 1) with delta =
 #: ceil(cond_threshold(240)), as the killed sum through K_32's band computes
 #: them, meeting in the middle; TestKilledRow.test_digested_values_vs_references
 #: holds the last two to independent references
 KILLED_WALK_SHA256 = {
-    "kernel_table": "6c81bed9fe2f049d4a0adb284b87e643fdfe99b6a2b3f41982bc493a8fb8da7f",
-    "kernel_log_z": "ceaebef47ecbd24ca20dc8ff417e5c31b73b92e86f43ca2aa47016fff42f737a",
+    "kernel_table": "4ebf82c840c68b54612798163d815c5ed35e5715e284a36e86052f63714c6254",
+    "kernel_mantissas": "4262990685ea5768ac3d0ac739b3882463a9e59d2b972f061de9e9f14779cb28",
     "h_dp": "d6ee17c08447ae27933e534e3ef1eadeb5545ea08ef91cbdde9e71d1b0743a8e",
     "no_hit": "b449e4d11e1bb3280aee531c3944f3dcead6837f3cec176a4734a8a7a726501c",
 }
@@ -1558,76 +1591,60 @@ def _sha256(value) -> str:
 
 
 class TestKilledWalkRuns:
-    """_killed_walk's runs of 32 steps against the one-step loop, bit for bit.
+    """_killed_walk's runs of 32 steps against the plain halving loop, bit
+    for bit, and the kernel's rows against the walk's."""
 
-    A walk with killed sites inside the segment runs on its start's part
-    (:func:`_walk_part`) and is compared on the full row.
-    """
-
-    #: a walk's first and last steps around the first three rescalings
+    #: a walk's first and last steps around the first three run ends
     STEPS = (0, 1, 31, 32, 33, 64, 65)
 
-    #: (n, start, extra killed sites); start None is the all-ones vector
-    CASES = [(12, None, ()), (41, None, ()), (41, 30, (9,)), (41, 20, (9, 33)),
-             (200, 1, (150,))]
-
-    @staticmethod
-    def start_vector(n, start, kill):
-        v = np.zeros(n + 1)
-        if start is None:
-            v[1:n] = 1.0
-        else:
-            v[start] = 1.0
-        return v
-
-    @pytest.mark.parametrize("n,start,kill", CASES)
-    def test_rows_are_the_loop(self, n, start, kill):
-        v = self.start_vector(n, start, kill)
+    @pytest.mark.parametrize("n", [12, 41])
+    def test_rows_are_the_loop(self, n):
         for steps in self.STEPS:
-            ref_rows, ref_z = _killed_steps_loop(v, steps, kill)
-            rows, log_z = _walk_part(v, steps, kill, start)
-            assert rows.tobytes() == ref_rows.tobytes()
-            assert log_z.tobytes() == ref_z.tobytes()
+            assert _walk_rows(n, steps).tobytes() == _halved_loop(n, steps).tobytes()
 
-    @pytest.mark.parametrize("n,start,kill", CASES)
-    def test_rows_vs_fraction_oracle(self, n, start, kill):
-        v = self.start_vector(n, start, kill)
-        exact = _exact_killed_steps([Fraction(int(p)) for p in v], 70, kill)
-        rows, log_z = _walk_part(v, 70, kill, start)
+    @pytest.mark.parametrize("n", [12, 41])
+    def test_rows_vs_fraction_oracle(self, n):
+        exact = _exact_killed_steps([Fraction(int(0 < x < n)) for x in range(n + 1)], 70, ())
+        rows = _walk_rows(n, 70)
         for s in range(71):
-            ref = [float(p) for p in exact[s]]
-            np.testing.assert_allclose(rows[s] * math.exp(log_z[s]), ref,
+            np.testing.assert_allclose(rows[s], [float(p) for p in exact[s]],
                                        rtol=1e-13, atol=0)
 
     def test_all_dead_from_step_one(self):
         # n = 2: the walk from 1 dies at step 1, and every row after it is
-        # zero with log scale -inf
-        v = np.array([0.0, 1.0, 0.0])
+        # zero
         for steps in (1, 2, 33, 70):
-            rows, log_z = _walk_rows(v, steps)
-            assert rows[0].tolist() == [0.0, 1.0, 0.0] and log_z[0] == 0.0
+            rows = _walk_rows(2, steps)
+            assert rows[0].tolist() == [0.0, 1.0, 0.0]
             assert not rows[1:].any()
-            assert np.all(log_z[1:] == -math.inf)
 
     def test_input_is_not_written(self):
-        v = self.start_vector(41, 30, (9,))
-        before = v.copy()
-        _walk_rows(v, 40)
-        assert v.tobytes() == before.tobytes()
+        # the kernel's stored rows, the start rows its replays read among
+        # them, stay as the build left them through every read
+        kernel = rk.SurvivalKernel(41, 3000)
+        stored = [a.copy() for a in (kernel._starts, kernel._last, kernel._doob)]
+        _kernel_rows(kernel)
+        kernel._step_up_table()
+        list(kernel._up_rows(3000))
+        for s in (0, 33, kernel.R, 3000):
+            for x in range(42):
+                kernel.h(x, s)
+        assert [a.tobytes() for a in stored] == \
+            [a.tobytes() for a in (kernel._starts, kernel._last, kernel._doob)]
 
     @pytest.mark.parametrize("n, t", [(5, 30), (12, 96), (12, 97), (12, 400), (48, 5602),
                                       (81, 3000)])
     def test_kernel_rows_are_the_walk(self, n, t):
-        # every kernel row its readers get, and every run replayed alone
-        # from its stored start row, is the walk's own row from the all-ones
-        # vector, bit for bit, with its log scale; the last run has 1, 32
-        # or some steps between (R = 97, 96 and 119 at n = 12)
+        # every kernel row its readers get, every run replayed alone from
+        # its stored start row, and h up to R, is the walk's own row, bit
+        # for bit; the last run has 1, 32 or some steps between (R = 97, 96
+        # and 119 at n = 12)
         kernel = rk.SurvivalKernel(n, t)
-        rows, log_z = _full_table(n, len(kernel._log_z) - 1)
+        rows = _walk_rows(n, kernel.R)
         assert _kernel_rows(kernel).tobytes() == rows.tobytes()
-        assert kernel._log_z.tobytes() == log_z.tobytes()
         for r in range(len(rows)):
             assert kernel._h_row(r).tobytes() == rows[r].tobytes()
+        assert [kernel.h(x, kernel.R) for x in range(n + 1)] == rows[-1].tolist()
 
     def test_one_run_buffer_a_thread(self, monkeypatch):
         # a kernel builds its run buffer once per reading thread: reading h
@@ -1644,10 +1661,9 @@ class TestKilledWalkRuns:
         monkeypatch.setattr(rk, "_RunBuffer", Counted)
         n = 48
         kernel = rk.SurvivalKernel(n, 5602)
-        rows, log_z = _full_table(n, len(kernel._log_z) - 1)
+        rows = _walk_rows(n, kernel.R)
         built.clear()
-        h = [kernel.h(x, 40) for x in range(n + 1)]
-        assert h == [float(rows[40, x] * math.exp(log_z[40])) for x in range(n + 1)]
+        assert [kernel.h(x, 40) for x in range(n + 1)] == rows[40].tolist()
         assert built == [n]
         mine = kernel._replay(1)
         theirs = []
@@ -1661,8 +1677,9 @@ class TestKilledWalkRuns:
     def test_digests(self):
         # the kernel's runs, each replayed from its stored start row
         kernel = rk.SurvivalKernel(160, rk.ring_time_scale(160, 1.0))
-        assert _sha256(_kernel_rows(kernel)) == KILLED_WALK_SHA256["kernel_table"]
-        assert _sha256(kernel._log_z) == KILLED_WALK_SHA256["kernel_log_z"]
+        rows = _kernel_rows(kernel)
+        assert _sha256(rows) == KILLED_WALK_SHA256["kernel_table"]
+        assert _sha256(np.frexp(rows)[0]) == KILLED_WALK_SHA256["kernel_mantissas"]
         assert _sha256(rk.h_dp(1000, 500, 250000)) == KILLED_WALK_SHA256["h_dp"]
         delta = math.ceil(config.cond_threshold(240))
         exact, _, _ = rk.no_hit_prob_exact(120, 2 * delta, delta, 1)
@@ -1868,22 +1885,15 @@ class TestFirstLegCut:
             assert prob == 0.0
 
 
-def _full_table(n, t):
-    """Every row 0..t of the recursion, as SurvivalKernel scales them."""
-    v = np.ones(n + 1)
-    v[0] = v[n] = 0.0
-    return _walk_rows(v, t)
-
-
 class TestKernelMemoryGuard:
     def test_budget_covers_both_tables(self, monkeypatch):
         # n = 10 settles at s* = 77: the kernel's rows are 0..78, and it
-        # keeps the start rows of their 3 runs, the rows 77 and 78, the Doob
-        # step and the log scales of all 79, (3 + 3)(10 + 1) + 79 doubles;
-        # the step table is (100 + 1)(10 + 1) doubles on top of them and is
-        # checked only when it is built
+        # keeps the start rows of their 3 runs, the rows 77 and 78 and the
+        # Doob step, (3 + 3)(10 + 1) doubles; the step table is (100 +
+        # 1)(10 + 1) doubles on top of them and is checked only when it is
+        # built
         n, t = 10, 100
-        kernel_rows = 8 * (6 * 11 + 79)
+        kernel_rows = 8 * 6 * 11
         steps = kernel_rows + 8 * 101 * 11
         monkeypatch.setattr(rk, "KERNEL_BYTES_BUDGET", kernel_rows)
         kernel = rk.SurvivalKernel(n, t)
@@ -1896,15 +1906,12 @@ class TestKernelMemoryGuard:
             rk.SurvivalKernel(n, t)
 
     @staticmethod
-    def _step_up_reference(table, log_z):
+    def _step_up_reference(table):
         # out-of-place form of the same formula, with its temporaries
         t, n = table.shape[0] - 1, table.shape[1] - 1
         p = np.zeros((t + 1, n + 1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            # row scales are exact powers of two, 2**e with e = log_z / ln 2
-            e = np.where(np.isfinite(log_z), np.rint(log_z / math.log(2)), 0)
-            ratio = np.ldexp(1.0, (e[:t] - e[1:]).astype(int))
-            p[1:, 1:n] = table[:t, 2:] * ratio[:, None] / (2.0 * table[1:, 1:n])
+            p[1:, 1:n] = table[:t, 2:] / (2.0 * table[1:, 1:n])
         return np.nan_to_num(p, nan=0.0, posinf=0.0)
 
     def test_step_table_in_place_matches_formula(self):
@@ -1914,22 +1921,21 @@ class TestKernelMemoryGuard:
                      (41, 5000), (48, 5602)):
             kernel = rk.SurvivalKernel(n, t)
             p_up = kernel._step_up_table()
-            r = len(kernel._log_z) - 1
+            r = kernel.R
             assert p_up.shape == (t + 1, n + 1)
-            assert np.array_equal(
-                p_up[:r + 1], self._step_up_reference(_kernel_rows(kernel), kernel._log_z))
-            full = self._step_up_reference(*_full_table(n, t))
+            assert np.array_equal(p_up[:r + 1], self._step_up_reference(_kernel_rows(kernel)))
+            full = self._step_up_reference(_walk_rows(n, t))
             assert np.max(np.abs(p_up[r + 1:] - full[r + 1:]), initial=0.0) \
                 <= n * n * np.finfo(float).eps
 
     def test_peak_memory_within_guard_count(self):
-        # the guard counts the stored rows, the log scales and the step
-        # table; the build and the table's replay add one run buffer
+        # the guard counts the stored rows and the step table; the build and
+        # the table's replay add one run buffer
         n = 80
         t = rk.ring_time_scale(n, 1.0)
         rows = rk._settled_steps(n) + 2
         runs = -(-(rows - 1) // rk._RESCALE_EVERY)
-        need = 8 * ((runs + 2) * (n + 1) + rows + (t + 1) * (n + 1))
+        need = 8 * (runs + 2 + t + 1) * (n + 1)
         tracemalloc.start()
         try:
             rk.SurvivalKernel(n, t)._step_up_table()
@@ -1990,7 +1996,7 @@ class TestKernelMemoryGuard:
         peak = self._walk_peak(kernel, M, 2, (2, n - 1))
         assert table <= peak <= bound
         assert bound <= 8 * rk._BATCH_CELLS + 2 * 8 * rk._BLOCK * (n + 1 + rk._BLOCK) + 64 * M
-        assert peak < 8 * len(kernel._log_z) * (n + 1)  # the kernel rows, all of them
+        assert peak < 8 * (kernel.R + 1) * (n + 1)  # the kernel rows, all of them
 
     def test_stay_in_walk_peak_memory(self, monkeypatch):
         # the n = 80 vacant-set walk of the benchmark: ten killed-law powers
@@ -2009,12 +2015,12 @@ class TestKernelMemoryGuard:
         peak = self._walk_peak(kernel, M, None, (2, n - 1))
         assert table <= peak <= bound
         assert bound <= 8 * rk._BATCH_CELLS + 2 * 8 * rk._BLOCK * (n + 1 + rk._BLOCK) + 64 * M
-        assert peak < 8 * len(kernel._log_z) * (n + 1)  # the kernel rows, all of them
+        assert peak < 8 * (kernel.R + 1) * (n + 1)  # the kernel rows, all of them
 
     def test_kernel_holds_its_run_starts(self):
         # at the benchmark's n = 160 the kernel's rows 0..R, R = s* + 1 =
         # 23,807, take 30.7 MB; the kernel keeps the start rows of their
-        # runs of 32 steps, two more rows and the log scales, about 1.15 MB,
+        # runs of 32 steps, two more rows and the Doob step, about 0.96 MB,
         # and its build holds one run buffer besides: 1/16 of the rows bounds
         # both
         n = 160
@@ -2025,7 +2031,7 @@ class TestKernelMemoryGuard:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        rows = 8 * len(kernel._log_z) * (n + 1)
+        rows = 8 * (kernel.R + 1) * (n + 1)
         assert rows > 30e6
         assert held <= peak <= rows / 16
         stored = sum(v.nbytes for v in vars(kernel).values() if isinstance(v, np.ndarray))
@@ -2057,7 +2063,7 @@ class TestKernelCut:
             kernel = rk.SurvivalKernel(n, t)
             rows = min(t, s_star + 1) + 1
             assert _kernel_rows(kernel).shape == (rows, n + 1)
-            assert kernel._log_z.shape == (rows,)
+            assert kernel.R == rows - 1
             # a start row a run of 32 steps, and the last two rows
             assert kernel._starts.shape == (max(1, -(-(rows - 1) // 32)), n + 1)
             assert kernel._last.shape == (min(rows, 2), n + 1)
@@ -2069,13 +2075,12 @@ class TestKernelCut:
         r = rk._settled_steps(n) + 1
         t = r + 41
         kernel = rk.SurvivalKernel(n, t)
-        table, log_z = _full_table(n, t)
+        table = _walk_rows(n, t)
         eps = np.finfo(float).eps
         for s in (r + 1, r + 2, r + 3, t - 1, t):
             for x in range(n + 1):
-                expected = table[s, x] * math.exp(log_z[s])
                 assert kernel.h(x, s) == pytest.approx(
-                    expected, rel=(n * n + s) * eps, abs=0)
+                    table[s, x], rel=(n * n + s) * eps, abs=0)
 
     def test_unsettled_row_raises(self, monkeypatch):
         # cut before s*, row R still carries mode n - 2
@@ -2087,7 +2092,7 @@ class TestKernelCut:
         n = 160
         t = rk.ring_time_scale(n, 1.0)
         kernel = rk.SurvivalKernel(n, t)
-        assert len(kernel._log_z) <= rk._settled_steps(n) + 2 < t // 8
+        assert kernel.R <= rk._settled_steps(n) + 1 < t // 8
         xs = np.arange(1, n)
         for s in (0, t // 3, t - 1, t):
             h = np.array([kernel.h(int(x), s) for x in xs])
